@@ -21,6 +21,7 @@ from .gma.params import ParamError, load_param_files
 from .hwsynth import emit_rtl_text
 from .model.parser import ParseError, parse_model
 from .model.validate import validate_model
+from .sim.interp import SimError
 from .sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
 from .swsynth import format_address_map, format_fsm
 from .tlm import recognize_partition, validate_partition
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return 2
     except _Fail as e:
         print(str(e), file=sys.stderr)
+        return 1
+    except SimError as e:
+        print(f"simulation failed: {e}", file=sys.stderr)
         return 1
 
 

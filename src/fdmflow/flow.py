@@ -46,7 +46,7 @@ class CompiledDesign:
     tree: DesignTree
     netlist: ColifNetlist  # with bound params
     params: ParamSet
-    behaviors: dict  # task unit -> TaskBehavior
+    behaviors: dict  # unit -> TaskBehavior, for every unit
     macro_fsms: dict  # task unit -> TaskFsm
     address_map: AddressMap
     micro_fsms: dict  # task unit -> TaskFsm (micro level)
@@ -78,11 +78,10 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
     behaviors = {}
     macro_fsms = {}
     for name, u in tlm.units.items():
-        if u.kind != "task":
-            continue
         try:
             behaviors[name] = gen_task_behavior(tree, name, registry)
-            macro_fsms[name] = build_task_fsm(behaviors[name])
+            if u.kind == "task":
+                macro_fsms[name] = build_task_fsm(behaviors[name])
         except Exception as e:
             raise FlowError("swsynth", str(e)) from None
 
@@ -181,7 +180,7 @@ def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
         (pdir / fname).write_text(text)
     fdir = out / "fsm"
     fdir.mkdir(exist_ok=True)
-    for name in sorted(cd.behaviors):
+    for name in sorted(cd.macro_fsms):
         (fdir / f"{_safe(name)}.behavior.txt").write_text(
             format_behavior(cd.behaviors[name]))
         (fdir / f"{_safe(name)}.fsm.txt").write_text(

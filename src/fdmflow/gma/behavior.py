@@ -1,16 +1,18 @@
-"""Per-task behavior programs over a small imperative micro-IR.
+"""Per-unit behavior programs over a small imperative micro-IR.
 
-A task body is an ordered list of recv/send/call/assign/loop/if
+Every unit (software task, hardware node or testbench unit) gets a
+behavior, so all of them run as the same kind of process at the macro
+level.  A body is an ordered list of recv/send/call/assign/loop/if
 statements.  Single user blocks become a direct call of the registered
 function, single predefined blocks a call of the block kind's library
-function, and multi-block tasks a merged body firing each block in a
-topological order of the intra-task dataflow.
+function, and multi-block units a merged body firing each block in a
+topological order of the intra-unit dataflow.
 
 Statement order matters for liveness when tasks exchange data in both
 directions: the scheduler emits a ready send before anything else, plain
 computation next, and a blocking recv only when nothing else can run.
 Delay blocks are split into an emit of the queued sample (schedulable
-before the task's inputs arrive) and a push of the new sample at the end
+before the unit's inputs arrive) and a push of the new sample at the end
 of the dependency chain.
 """
 
@@ -168,7 +170,7 @@ def _schedule(nodes: list[_SchedNode]) -> list:
     if done != len(nodes):
         stuck = sorted(s for s in indeg if indeg[s] > 0)
         raise BehaviorError(
-            f"combinational cycle inside task (nodes {stuck}); "
+            f"combinational cycle inside unit (nodes {stuck}); "
             "insert a delay block")
     return body
 
@@ -177,8 +179,8 @@ def gen_task_behavior(d: DesignTree, task_id: str,
                       registry: FunctionRegistry | None = None) -> TaskBehavior:
     registry = registry or default_registry()
     unit = d.tlm.units.get(task_id)
-    if unit is None or unit.kind != "task":
-        raise BehaviorError(f"no task named {task_id!r}")
+    if unit is None:
+        raise BehaviorError(f"no unit named {task_id!r}")
     for blk in ([unit.block] if unit.block else unit.subsystem.blocks):
         if blk.kind == "user" and blk.params[0] not in registry:
             raise BehaviorError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model.blocks import FunctionRegistry, default_registry, port_names
-from ..tlm import ChannelSpec, TlmModel, Unit
+from ..tlm import TlmModel, Unit
 
 ROLES = ("root", "sw_node", "hw_node", "task", "ip", "channel",
          "testbench", "block")
@@ -40,12 +40,6 @@ class DesignTree:
 
     def nodes(self) -> list[TreeNode]:
         return list(self.root.walk())
-
-    def find(self, path: str) -> TreeNode | None:
-        for n in self.root.walk():
-            if n.path == path:
-                return n
-        return None
 
 
 def _block_leaf(blk, role: str, registry) -> TreeNode:
@@ -103,8 +97,3 @@ def _assign_paths(node: TreeNode, prefix: str) -> None:
     node.path = f"{prefix}/{node.name}" if prefix else node.name
     for c in node.children:
         _assign_paths(c, node.path)
-
-
-def channel_of(node: TreeNode) -> ChannelSpec:
-    assert node.role == "channel"
-    return node.ref

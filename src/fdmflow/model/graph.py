@@ -57,15 +57,6 @@ class ModelGraph:
     line: int = 0
 
 
-def count_elements(g) -> tuple[int, int, int]:
-    """(blocks, subsystems, links) over the whole hierarchy."""
-    nb, ns, nl = len(g.blocks), len(g.subsystems), len(g.links)
-    for s in g.subsystems:
-        b, s2, l = count_elements(s)
-        nb, ns, nl = nb + b, ns + s2, nl + l
-    return nb, ns, nl
-
-
 def is_channel_subsystem(sub_id: str) -> bool:
     return sub_id.startswith("CHAN_")
 

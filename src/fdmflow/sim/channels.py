@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..tlm import ChannelSpec
+from .interp import SimError
 
 
 class ChannelRt:
@@ -26,7 +27,8 @@ class ChannelRt:
         return all(len(q) < self.depth for q in self.queues.values())
 
     def push(self, value: int) -> None:
-        assert self.can_push()
+        if not self.can_push():
+            raise SimError(f"channel {self.spec.id}: push into a full FIFO")
         for q in self.queues.values():
             q.append(value)
         self.pushed += 1

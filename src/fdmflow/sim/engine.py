@@ -1,11 +1,13 @@
 """Unified execution engine for the partitioned levels.
 
 One engine serves the transaction level, the macro level and the micro
-level; the difference is per-node assignment.  A macro node runs task
-behaviors as coroutines exchanging zero-time messages; a micro node runs
-lowered FSMs under a round-robin scheduler with polled bus transactions,
-or a cycle-stepped hardware model.  Mixed assignments need no special
-adapter: the shared channel FIFOs are the transaction/bus boundary.
+level; the difference is per-node assignment.  Every unit of a macro node
+(a task, or the hardware node itself) and every testbench unit runs its
+generated behavior as a coroutine exchanging zero-time messages; a micro
+node runs lowered FSMs under a round-robin scheduler with polled bus
+transactions, or a cycle-stepped hardware model.  Mixed assignments need
+no special adapter: the shared channel FIFOs are the transaction/bus
+boundary.
 
 Hardware pipelines are valid-gated: the k priming samples of a
 delay-corrected node are discarded, so the value stream seen by the rest
@@ -17,15 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..gma.behavior import TaskBehavior
-from ..hwsynth import Controller, ControllerSim, RtlCycleSim, RtlGraph
-from ..model.blocks import FunctionRegistry, default_registry
-from ..model.graph import ModelGraph, Subsystem
-from ..swsynth import TaskFsm
+from ..hwsynth import ControllerSim, RtlCycleSim
+from ..model.blocks import FunctionRegistry
 from ..tlm import TlmModel, Unit
 from .channels import ChannelRt
 from .interp import FsmRunner, SimError, behavior_coroutine
-from .level0 import Level0Sim
 from .trace import Stimulus, Trace
 
 
@@ -44,35 +42,15 @@ class SimDesign:
     """Everything the engine needs, prebuilt by the flow."""
 
     tlm: TlmModel
-    behaviors: dict  # task unit name -> TaskBehavior
+    behaviors: dict  # unit name -> TaskBehavior, for every unit
     micro_fsms: dict  # task unit name -> lowered TaskFsm
     hw_impl: dict  # node -> ("pipelined", RtlGraph, k) | ("controller", Controller)
     costs: CostModel
     registry: FunctionRegistry
 
 
-def _wrapper_graph(u: Unit) -> ModelGraph:
-    if u.subsystem is not None:
-        s: Subsystem = u.subsystem
-        return ModelGraph(s.id, blocks=s.blocks, subsystems=s.subsystems,
-                          links=s.links, inputs=s.inputs, outputs=s.outputs)
-    from ..gma.behavior import _task_graph
-    return _task_graph(u)
-
-
-def _func_coroutine(sim: Level0Sim, in_ports, out_ports):
-    while True:
-        vals = {}
-        for p in in_ports:
-            vals[p] = yield ("recv", p)
-        outs = sim.tick(vals)
-        for p in out_ports:
-            yield ("send", p, outs[p])
-        yield ("end",)
-
-
 class _MacroUnit:
-    """Coroutine-driven unit: a task behavior or a functional sweep."""
+    """Coroutine-driven unit running one generated behavior."""
 
     def __init__(self, name: str, gen, engine):
         self.name = name
@@ -139,33 +117,17 @@ class _MicroTaskIO:
         cons = self.engine.cons.get((self.name, port))
         if cons is None:
             return 0
-        assert ctrl == "pop"
+        if ctrl != "pop":
+            raise SimError(f"{self.name}.{port}: bus read with ctrl {ctrl!r}")
         return cons[0].pop(cons[1])
 
     def write_data(self, port: str, addr: int, value: int, ctrl: str) -> None:
         self._charge()
         prod = self.engine.prod.get((self.name, port))
         if prod is not None:
-            assert ctrl == "push"
-            prod.push(value)
-
-    # macro-level guards never appear in lowered FSMs, but keep the
-    # interface total for robustness
-    def can_recv(self, port: str) -> bool:
-        cons = self.engine.cons.get((self.name, port))
-        return cons is None or cons[0].can_pop(cons[1])
-
-    def can_send(self, port: str) -> bool:
-        prod = self.engine.prod.get((self.name, port))
-        return prod is None or prod.can_push()
-
-    def recv(self, port: str) -> int:
-        cons = self.engine.cons.get((self.name, port))
-        return cons[0].pop(cons[1]) if cons else 0
-
-    def send(self, port: str, value: int) -> None:
-        prod = self.engine.prod.get((self.name, port))
-        if prod is not None:
+            if ctrl != "push":
+                raise SimError(
+                    f"{self.name}.{port}: bus write with ctrl {ctrl!r}")
             prod.push(value)
 
 
@@ -278,33 +240,19 @@ class Engine:
         self.schedulers: list[list[FsmRunner]] = []
         self.hw_units: list[_MicroHwUnit] = []
         reg = sd.registry
+        macro: list[str] = []
         for info in sd.tlm.nodes.values():
-            lvl = assignment[info.name]
-            if info.role == "software":
-                if lvl == 3:
-                    runners = []
-                    for uname in info.units:
-                        fsm = sd.micro_fsms[uname]
-                        runners.append(FsmRunner(fsm, _MicroTaskIO(uname, self),
-                                                 reg))
-                    self.schedulers.append(runners)
-                else:
-                    for uname in info.units:
-                        gen = behavior_coroutine(sd.behaviors[uname], reg)
-                        self.macro_units.append(_MacroUnit(uname, gen, self))
+            if assignment[info.name] != 3:
+                macro += info.units
+            elif info.role == "software":
+                self.schedulers.append(
+                    [FsmRunner(sd.micro_fsms[u], _MicroTaskIO(u, self), reg)
+                     for u in info.units])
             else:
-                unit = sd.tlm.units[info.name]
-                if lvl == 3:
-                    self.hw_units.append(
-                        _MicroHwUnit(unit, sd.hw_impl[info.name], self))
-                else:
-                    sim = Level0Sim(_wrapper_graph(unit), reg)
-                    gen = _func_coroutine(sim, unit.in_ports, unit.out_ports)
-                    self.macro_units.append(_MacroUnit(info.name, gen, self))
-        for name in sd.tlm.testbench:
-            unit = sd.tlm.units[name]
-            sim = Level0Sim(_wrapper_graph(unit), reg)
-            gen = _func_coroutine(sim, unit.in_ports, unit.out_ports)
+                self.hw_units.append(_MicroHwUnit(
+                    sd.tlm.units[info.name], sd.hw_impl[info.name], self))
+        for name in macro + sd.tlm.testbench:
+            gen = behavior_coroutine(sd.behaviors[name], reg)
             self.macro_units.append(_MacroUnit(name, gen, self))
 
         self.sources = [(p, self.prod.get((None, p)))

@@ -1,4 +1,4 @@
-"""Executors for task behaviors and task FSMs.
+"""Executors for unit behaviors and task FSMs.
 
 The macro interpreter runs a behavior body as a coroutine that yields on
 blocking channel operations; the micro interpreter steps a lowered FSM

@@ -270,23 +270,6 @@ def check_fsm(f: TaskFsm) -> list[str]:
     return problems
 
 
-@dataclass
-class SoftwareImage:
-    fsms: list[TaskFsm]
-    policy: str = "round_robin"
-    api_level: str = "macro"
-    address_map: "AddressMap | None" = None
-
-
-def merge_schedule(fsms: list[TaskFsm]) -> SoftwareImage:
-    if not fsms:
-        raise SwSynthError("an image needs at least one task")
-    level = fsms[0].api_level
-    if any(f.api_level != level for f in fsms):
-        raise SwSynthError("cannot mix macro and micro tasks in one image")
-    return SoftwareImage(list(fsms), api_level=level)
-
-
 # ---------------------------------------------------------------------------
 # memory map
 

@@ -1,4 +1,4 @@
-"""Seeded random model generators shared by the test suite."""
+"""Seeded random model generators and fixed models shared by the test suite."""
 
 from __future__ import annotations
 
@@ -7,6 +7,34 @@ import random
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 
 UNARY_FNS = ["inc", "dbl", "huff", "clip"]
+
+# A SW task adds its input to a feedback value that returns through a
+# hardware node holding a delay(1): valid at level 0 because the delay
+# breaks the loop, so every level must run it.
+FEEDBACK_FDM = """
+model feedback {
+  input x; output y;
+  subsystem SW_cpu {
+    input a; input b; output out;
+    subsystem TASK_sum {
+      input a; input b; output out;
+      block s : add;
+      link self.a -> s.in1; link self.b -> s.in2; link s.out -> self.out;
+    }
+    link self.a -> TASK_sum.a; link self.b -> TASK_sum.b;
+    link TASK_sum.out -> self.out;
+  }
+  subsystem HW_reg {
+    input in; output out;
+    block d : delay(1);
+    link self.in -> d.in; link d.out -> self.out;
+  }
+  link self.x -> SW_cpu.a;
+  link SW_cpu.out -> HW_reg.in;
+  link HW_reg.out -> SW_cpu.b;
+  link SW_cpu.out -> self.y;
+}
+"""
 
 
 def _link(src_blk, src_port, dst_blk, dst_port):

@@ -5,6 +5,8 @@ import pytest
 
 from fdmflow.cli import main
 
+from helpers import FEEDBACK_FDM
+
 
 @pytest.fixture
 def mini_path(tmp_path):
@@ -157,3 +159,17 @@ class TestReport:
 
     def test_report_without_flow(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 2
+
+
+class TestSimulationErrors:
+    # the feedback loop needs its HW delay to emit before it receives,
+    # which the cycle-stepped hardware model at level 3 cannot do
+    @pytest.mark.parametrize("cmd", ["flow", "simulate"])
+    def test_deadlock_is_one_line(self, cmd, tmp_path, capsys):
+        p = tmp_path / "feedback.fdm"
+        p.write_text(FEEDBACK_FDM)
+        rc = main([cmd, "--model", str(p), "--out", str(tmp_path / "out"),
+                   "--level", "3", "--ticks", "8"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "deadlock" in err

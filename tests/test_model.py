@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from fdmflow.model.blocks import default_registry, port_names, step_block, \
     wrap32
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
-    count_elements, flatten, topo_order
+    flatten, topo_order
 from fdmflow.model.parser import ParseError, parse_model
 from fdmflow.model.validate import validate_model
 from fdmflow.sim.level0 import simulate_level0
@@ -92,7 +92,7 @@ class TestParser:
         }
         """)
         assert g.name == "m"
-        assert count_elements(g) == (1, 0, 2)
+        assert (len(g.blocks), len(g.subsystems), len(g.links)) == (1, 0, 2)
 
     def test_subsystem_and_params(self):
         g = _mk("""

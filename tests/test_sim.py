@@ -1,16 +1,18 @@
+import hashlib
 import importlib.resources as ir
 import random
 
 import pytest
 
-from fdmflow.flow import compile_design, default_stimulus, simulate
+from fdmflow.flow import FlowError, compile_design, default_stimulus, simulate
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.engine import cosimulate_mixed, simulate_partitioned
+from fdmflow.sim.interp import SimError
 from fdmflow.sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
 from fdmflow.tlm import ChannelSpec, PortRef
 
-from helpers import rand_partitioned_model
+from helpers import FEEDBACK_FDM, rand_loopy_model, rand_partitioned_model
 
 
 def mini_compiled():
@@ -49,6 +51,12 @@ class TestChannelRt:
         ch.push(5)
         assert ch.status(key) == 1  # full, data available
         assert ch.status(None) == 0  # producer view of a full channel
+
+    def test_push_into_full_channel_raises(self):
+        ch = ChannelRt(self._spec(depth=1))
+        ch.push(5)
+        with pytest.raises(SimError, match="full"):
+            ch.push(6)
 
 
 class TestCompareTraces:
@@ -141,6 +149,62 @@ class TestLevels:
         a = simulate(3, cd, stim, 64)
         b = simulate(3, cd, stim, 64)
         assert a.ports == b.ports
+
+    # SHA-256 of the saved trace files, sample times included, so an
+    # engine change cannot move a value or a level-3 cycle unnoticed.
+    PINNED = {
+        1: "e13943e1fd2e91a554bc76f088182380d2bed1d3ddc11dffc4440a82091ae58e",
+        2: "a4a9adc48919f6d86cd188c553934806a173697716b4e6a6da8a412b10bc102a",
+        3: "3c4f7c0266da744ed9abeb4f95b942ece6f6273997787badb86cc41c88c47415",
+    }
+
+    def test_pinned_trace_digests(self, tmp_path):
+        cd = mini_compiled()
+        ticks = 2000
+        stim = default_stimulus(cd.model, ticks, seed=7)
+        for level, digest in self.PINNED.items():
+            path = tmp_path / f"level{level}.trace"
+            simulate(level, cd, stim, ticks).save(path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, \
+                f"level {level}"
+
+
+class TestLoops:
+    """Delays on loops that cross unit boundaries emit before they receive
+    at every macro level, whichever kind of unit holds them."""
+
+    def test_feedback_through_hw_delay(self):
+        g = parse_model(FEEDBACK_FDM)
+        cd = compile_design(g)
+        ticks = 60
+        stim = default_stimulus(g, ticks, seed=2)
+        t0 = simulate(0, cd, stim, ticks)
+        assert len(t0.ports["y"]) == ticks
+        for level in (1, 2):
+            v = compare_traces(t0, simulate(level, cd, stim, ticks))
+            assert v.passed, f"level {level}: {v}"
+
+    def test_random_loopy_testbenches(self):
+        compiled = []
+        for seed in range(40):
+            g = rand_loopy_model(random.Random(seed))
+            try:
+                cd = compile_design(g)
+            except FlowError:
+                continue  # combinational cycle without a delay
+            compiled.append(seed)
+            ticks = 50
+            stim = default_stimulus(g, ticks, seed=seed)
+            t0 = simulate(0, cd, stim, ticks)
+            for level in (1, 2):
+                v = compare_traces(t0, simulate(level, cd, stim, ticks))
+                assert v.passed, f"seed {seed} level {level}: {v}"
+            t3 = simulate(3, cd, stim, ticks)
+            v = compare_traces(t0, t3, mode="modulo_latency")
+            assert v.passed and v.k == 0, f"seed {seed} level 3: {v}"
+            assert compare_traces(t0, t3, mode="values_only").passed
+        # the seeds whose testbench delays sit on a loop are among these
+        assert compiled == [7, 14, 18, 20, 32, 33, 35, 36]
 
 
 class TestMixed:

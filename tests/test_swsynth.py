@@ -11,8 +11,7 @@ from fdmflow.sim.harness import QueueIO, run_task, standalone_address_map
 from fdmflow.sim.interp import FsmRunner
 from fdmflow.swsynth import ABusRead, ABusWrite, ARecv, ASend, GCanRecv, \
     GCanSend, GStatusReady, SwSynthError, TaskFsm, Transition, \
-    allocate_address_map, build_task_fsm, check_fsm, format_fsm, lower_api, \
-    merge_schedule
+    allocate_address_map, build_task_fsm, check_fsm, format_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
 from helpers import rand_task_subsystem
@@ -97,6 +96,8 @@ class TestBuildTaskFsm:
 
 
 class TestMergeSchedule:
+    """Round-robin over task FSMs, as the engine schedules a processor."""
+
     def _selfloop_fsm(self, name):
         from fdmflow.swsynth import AAssign, GTrue
         return TaskFsm(name, [0],
@@ -104,13 +105,13 @@ class TestMergeSchedule:
                        0, (), (), {})
 
     def test_round_robin_order(self):
-        img = merge_schedule([self._selfloop_fsm("A"), self._selfloop_fsm("B")])
+        runners = [FsmRunner(self._selfloop_fsm(n), QueueIO({}, ()))
+                   for n in ("A", "B")]
         order = []
-        runners = [FsmRunner(f, QueueIO({}, ())) for f in img.fsms]
         for _ in range(3):
-            for f, r in zip(img.fsms, runners):
+            for r in runners:
                 if r.step():
-                    order.append(f.task)
+                    order.append(r.fsm.task)
         assert order == ["A", "B"] * 3
 
     def test_blocked_task_is_skipped(self):
@@ -118,26 +119,14 @@ class TestMergeSchedule:
                           [Transition(0, (GCanRecv("in"),),
                                       (ARecv("in", "x"),), 0)],
                           0, ("in",), (), {})
-        img = merge_schedule([blocked, self._selfloop_fsm("B")])
-        runners = [FsmRunner(img.fsms[0], QueueIO({"in": []}, ())),
-                   FsmRunner(img.fsms[1], QueueIO({}, ()))]
+        runners = [FsmRunner(blocked, QueueIO({"in": []}, ())),
+                   FsmRunner(self._selfloop_fsm("B"), QueueIO({}, ()))]
         fired = [0, 0]
         for _ in range(5):
             for i, r in enumerate(runners):
                 if r.step():
                     fired[i] += 1
         assert fired == [0, 5]
-
-    def test_mixed_levels_rejected(self):
-        a = self._selfloop_fsm("A")
-        b = self._selfloop_fsm("B")
-        b.api_level = "micro"
-        with pytest.raises(SwSynthError):
-            merge_schedule([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(SwSynthError):
-            merge_schedule([])
 
 
 class _DepthOneIO:
