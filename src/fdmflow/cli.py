@@ -154,7 +154,7 @@ def cmd_simulate(args) -> int:
     if args.stimulus:
         try:
             stim = Stimulus.load(args.stimulus)
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise _Usage(f"cannot read stimulus: {e}")
     else:
         stim = default_stimulus(cd.model, args.ticks, args.seed)
@@ -171,7 +171,7 @@ def cmd_compare(args) -> int:
     try:
         a = Trace.load(args.a)
         b = Trace.load(args.b)
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise _Usage(f"cannot read trace: {e}")
     try:
         v = compare_traces(a, b, args.compare)
@@ -199,7 +199,10 @@ def cmd_report(args) -> int:
         units = "cycles" if level >= 2 else "ticks"
         n = 0
         if tr_path.is_file():
-            tr = Trace.load(tr_path)
+            try:
+                tr = Trace.load(tr_path)
+            except ValueError as e:
+                raise _Usage(f"cannot read trace: {e}")
             n = max((len(v) for v in tr.ports.values()), default=0)
         ratio = timings[level] / base if base > 0 else float("inf")
         rows.append((level, f"{n} {units}", timings[level], ratio))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..model.blocks import FunctionRegistry, default_registry, init_state, \
     port_names
-from ..model.graph import Endpoint, Link, ModelGraph, flatten
+from ..model.graph import Endpoint, Link, ModelGraph, flatten, stable_topo
 from ..tlm import Unit
 from .tree import DesignTree
 
@@ -146,33 +146,20 @@ def _schedule(nodes: list[_SchedNode]) -> list:
         for v in nd.defines:
             def_of[v] = nd.seq
     succ: dict[int, list[int]] = {nd.seq: [] for nd in nodes}
-    indeg = {nd.seq: 0 for nd in nodes}
     for nd in nodes:
         deps = {def_of[v] for v in nd.uses if v in def_of}
         deps.update(nd.after)
         deps.discard(nd.seq)
         for d in deps:
             succ[d].append(nd.seq)
-            indeg[nd.seq] += 1
     by_seq = {nd.seq: nd for nd in nodes}
-    ready = [s for s in indeg if indeg[s] == 0]
-    body: list = []
-    done = 0
-    while ready:
-        ready.sort(key=lambda s: (by_seq[s].prio, s))
-        cur = ready.pop(0)
-        body.extend(by_seq[cur].stmts)
-        done += 1
-        for d in succ[cur]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                ready.append(d)
-    if done != len(nodes):
-        stuck = sorted(s for s in indeg if indeg[s] > 0)
+    order = stable_topo(sorted(by_seq, key=lambda s: (by_seq[s].prio, s)), succ)
+    if len(order) != len(nodes):
+        stuck = sorted(set(by_seq) - set(order))
         raise BehaviorError(
             f"combinational cycle inside unit (nodes {stuck}); "
             "insert a delay block")
-    return body
+    return [st for s in order for st in by_seq[s].stmts]
 
 
 def gen_task_behavior(d: DesignTree, task_id: str,

@@ -4,17 +4,20 @@ Each hardware node's blocks are mapped to RTL IPs with cycle latencies.
 When every IP is pipelined the graph is delay-corrected by inserting
 balancing registers on reconvergent paths; otherwise a multicycle FSM
 controller sequences the IPs, accepting one sample per initiation
-interval.
+interval.  Both are executed by compiling the RTL graph into the one
+block sweep (``sim.sweep``): the controller as the zero-latency sweep, the
+cycle model with every IP's output pipeline and every balancing register
+added as sweep registers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .model.blocks import FunctionRegistry, default_registry, init_state, \
-    port_names, step_block
-from .model.graph import ModelGraph, Subsystem, flatten, topo_order
+from .model.blocks import FunctionRegistry, default_registry, port_names
+from .model.graph import ModelGraph, Subsystem, flatten, stable_topo
+from .sim.sweep import Sweep
 from .sim.trace import Stimulus, Trace
 
 
@@ -91,6 +94,7 @@ class RtlEdge:
     dst: str
     dst_port: str
     regs: int = 0
+    src_port: str = "out"
 
 
 @dataclass
@@ -122,26 +126,12 @@ class Controller:
 def _ordered_nodes(g: RtlGraph) -> list[str]:
     """Topological order ignoring edges out of declared delay blocks."""
     succ: dict[str, list[str]] = {n: [] for n in g.nodes}
-    indeg = {n: 0 for n in g.nodes}
     for e in g.edges:
-        if g.nodes[e.src].is_delay:
-            continue
-        succ[e.src].append(e.dst)
-        indeg[e.dst] += 1
-    decl = {n: i for i, n in enumerate(g.nodes)}
-    ready = sorted((n for n in g.nodes if indeg[n] == 0), key=decl.get)
-    order = []
-    while ready:
-        cur = ready.pop(0)
-        order.append(cur)
-        newly = []
-        for d in succ[cur]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                newly.append(d)
-        ready = sorted(ready + newly, key=decl.get)
+        if not g.nodes[e.src].is_delay:
+            succ[e.src].append(e.dst)
+    order = stable_topo(list(g.nodes), succ)
     if len(order) != len(g.nodes):
-        stuck = sorted(n for n in g.nodes if n not in order)
+        stuck = sorted(set(g.nodes) - set(order))
         raise HwSynthError(f"cycle without a declared delay involving {stuck}")
     return order
 
@@ -176,24 +166,27 @@ def map_rtl_library(node_sub: Subsystem, costs: dict[str, int] | None = None,
             raise HwSynthError(
                 f"{node_sub.id}/{path}: user function {blk.params[0]!r} has "
                 "neither an RTL library entry nor a cost_cycles parameter")
+        if blk.kind == "delay" and path in costs:
+            raise HwSynthError(
+                f"{node_sub.id}/{path}: a delay block takes no cost_cycles; "
+                "its lag is its functional k")
         entry = library_entry(blk.kind, blk.params, costs.get(path))
         nodes[path] = RtlNode(path, blk.kind, blk.params, entry.latency,
                               entry.eligibility)
     for p in node_sub.outputs:
         nodes[f"out:{p}"] = RtlNode(f"out:{p}", "output")
 
+    def edge(src, dst: str, dst_port: str) -> RtlEdge:
+        if src[0] == "top":
+            return RtlEdge(f"in:{src[1]}", dst, dst_port)
+        return RtlEdge(src[1], dst, dst_port, src_port=src[2])
+
+    rank = {p: i for i, p in enumerate(flat.blocks)}
     for (dst, port), src in sorted(flat.drivers.items(),
-                                   key=lambda kv: (list(flat.blocks).index(kv[0][0]),
-                                                   kv[0][1])):
-        if src[0] == "top":
-            edges.append(RtlEdge(f"in:{src[1]}", dst, port))
-        else:
-            edges.append(RtlEdge(src[1], dst, port))
+                                   key=lambda kv: (rank[kv[0][0]], kv[0][1])):
+        edges.append(edge(src, dst, port))
     for p, src in flat.top_outputs.items():
-        if src[0] == "top":
-            edges.append(RtlEdge(f"in:{src[1]}", f"out:{p}", "in"))
-        else:
-            edges.append(RtlEdge(src[1], f"out:{p}", "in"))
+        edges.append(edge(src, f"out:{p}", "in"))
 
     g = RtlGraph(node_sub.id, nodes, edges, inputs, outputs)
     _ordered_nodes(g)  # raises on undeclared cycles
@@ -238,7 +231,7 @@ def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
             slack = 0  # delay-block wiring is functional, never padded
         else:
             slack = (levels[e.dst] - g.nodes[e.dst].latency) - levels[e.src]
-        new_edges.append(RtlEdge(e.src, e.dst, e.dst_port, slack))
+        new_edges.append(replace(e, regs=slack))
     out = RtlGraph(g.name, dict(g.nodes), new_edges, list(g.inputs),
                    list(g.outputs), levels, latency=k)
     return out, k
@@ -262,184 +255,99 @@ def total_registers(g: RtlGraph) -> int:
 # cycle-level execution
 
 
+def _sweep(g: RtlGraph, order: list[str], registry: FunctionRegistry,
+           timed: bool) -> Sweep:
+    """Compile the graph's block sweep; slots are keyed by (node, port).
+
+    ``timed`` adds each IP's L-stage output pipeline and each edge's
+    balancing registers; without it the graph runs with zero latency.
+    """
+    sw = Sweep(registry)
+    for n in g.inputs:
+        sw.inputs[n.split(":", 1)[1]] = sw.slot((n, "out"))
+    read: dict[tuple, int] = {}  # (node, input port) -> slot
+    for e in g.edges:
+        s = sw.slot((e.src, e.src_port))
+        if timed and e.regs:
+            q = sw.slot((e.dst, e.dst_port, "regs"))
+            sw.reg(s, q, e.regs)
+            s = q
+        read[(e.dst, e.dst_port)] = s
+    for n in order:
+        nd = g.nodes[n]
+        if nd.kind in ("input", "output"):
+            continue
+        ins, outs = port_names(nd.kind, nd.params, registry)
+        in_slots = [read.get((n, p), 0) for p in ins]
+        out_slots = [sw.slot((n, p)) for p in outs]
+        if nd.is_delay:
+            sw.reg(in_slots[0], out_slots[0], nd.params[0])
+            continue
+        if timed and nd.latency:
+            pipe = [sw.slot((n, p, "pipe")) for p in outs]
+            for d, q in zip(pipe, out_slots):
+                sw.reg(d, q, nd.latency)
+            out_slots = pipe
+        sw.op(nd.kind, nd.params, in_slots, out_slots)
+    for o in g.outputs:
+        sw.outputs[o.split(":", 1)[1]] = read.get((o, "in"), 0)
+    sw.reset()
+    return sw
+
+
 class RtlCycleSim:
     """Cycle-accurate model of a delay-corrected graph.
 
     Each IP is its functional block followed by an L-stage output pipeline;
     balancing registers sit on the edges.  One input sample is consumed per
-    enabled step.  ``raw`` output streams include the k priming samples;
-    system simulation discards them via the valid counter.
+    step.  ``raw`` output streams include the k priming samples; system
+    simulation discards them via the valid counter.
     """
 
     def __init__(self, g: RtlGraph, registry: FunctionRegistry | None = None):
         if g.latency is None:
             raise HwSynthError("graph must be delay-corrected first")
-        self.g = g
-        self.registry = registry or default_registry()
-        self.order = [n for n in _ordered_nodes(g)
-                      if g.nodes[n].kind not in ("input",)]
-        self.incoming: dict[str, list[RtlEdge]] = {n: [] for n in g.nodes}
-        for e in g.edges:
-            self.incoming[e.dst].append(e)
-        self.reset()
-
-    def reset(self) -> None:
-        g = self.g
-        self.pipes = {n: [0] * nd.latency for n, nd in g.nodes.items()}
-        self.regs = {id(e): [0] * e.regs for e in g.edges}
-        self.states = {n: init_state(nd.kind, nd.params)
-                       for n, nd in g.nodes.items()
-                       if nd.kind not in ("input", "output")}
-        self.steps = 0
+        self.sweep = _sweep(g, _ordered_nodes(g), registry or default_registry(),
+                            timed=True)
 
     def step(self, in_values: dict[str, int]) -> dict[str, int]:
-        g = self.g
-        cur: dict[str, int] = {}
-        for p in g.inputs:
-            cur[p] = in_values.get(p.split(":", 1)[1], 0)
-        # registered outputs are visible before this cycle's computation
-        for n, nd in g.nodes.items():
-            if nd.latency > 0:
-                cur[n] = self.pipes[n][0]
-            elif nd.is_delay:
-                cur[n] = self.states[n][0] if self.states[n] else 0
-
-        def edge_val(e: RtlEdge) -> int:
-            q = self.regs[id(e)]
-            return q[0] if q else cur[e.src]
-
-        computed: dict[str, int] = {}
-        for n in self.order:
-            nd = g.nodes[n]
-            ins_e = sorted(self.incoming[n], key=lambda e: e.dst_port)
-            if nd.kind == "output":
-                cur[n] = edge_val(ins_e[0]) if ins_e else 0
-                continue
-            port_order, _ = port_names(nd.kind, nd.params, self.registry)
-            by_port = {e.dst_port: edge_val(e) for e in ins_e}
-            vals = tuple(by_port.get(p, 0) for p in port_order)
-            if nd.is_delay:
-                computed[n] = vals[0] if vals else 0
-                continue
-            outs, self.states[n] = step_block(nd.kind, nd.params, vals,
-                                              self.states[n], self.registry)
-            res = outs[0] if outs else 0
-            if nd.latency > 0:
-                computed[n] = res
-            else:
-                cur[n] = res
-        # sequential update
-        for n, res in computed.items():
-            nd = g.nodes[n]
-            if nd.is_delay:
-                st = self.states[n]
-                self.states[n] = st[1:] + (res,) if st else st
-            else:
-                self.pipes[n] = self.pipes[n][1:] + [res]
-        for e in g.edges:
-            q = self.regs[id(e)]
-            if q:
-                self.regs[id(e)] = q[1:] + [cur[e.src]]
-        self.steps += 1
-        return {o.split(":", 1)[1]: cur[o] for o in g.outputs}
+        return self.sweep.tick(in_values)
 
 
 class ControllerSim:
     """Executes the multicycle schedule: functional result, II cycles each."""
 
     def __init__(self, ctrl: Controller, registry: FunctionRegistry | None = None):
-        self.ctrl = ctrl
-        self.registry = registry or default_registry()
-        g = ctrl.graph
-        self.incoming: dict[str, list[RtlEdge]] = {n: [] for n in g.nodes}
-        for e in g.edges:
-            self.incoming[e.dst].append(e)
-        self.reset()
-
-    def reset(self) -> None:
-        g = self.ctrl.graph
-        self.states = {n: init_state(nd.kind, nd.params)
-                       for n, nd in g.nodes.items()
-                       if nd.kind not in ("input", "output")}
+        self.sweep = _sweep(ctrl.graph, ctrl.order,
+                            registry or default_registry(), timed=False)
 
     def fire(self, in_values: dict[str, int]) -> dict[str, int]:
-        g = self.ctrl.graph
-        cur: dict[str, int] = {}
-        for p in g.inputs:
-            cur[p] = in_values.get(p.split(":", 1)[1], 0)
-        for n, nd in g.nodes.items():
-            if nd.is_delay:
-                cur[n] = self.states[n][0] if self.states[n] else 0
-        delay_in: dict[str, int] = {}
+        return self.sweep.tick(in_values)
 
-        def read(n, port_order):
-            by_port = {e.dst_port: cur[e.src]
-                       for e in sorted(self.incoming[n], key=lambda e: e.dst_port)}
-            return tuple(by_port.get(p, 0) for p in port_order)
 
-        for n in self.ctrl.order:
-            nd = g.nodes[n]
-            port_order, _ = port_names(nd.kind, nd.params, self.registry)
-            vals = read(n, port_order)
-            if nd.is_delay:
-                delay_in[n] = vals[0] if vals else 0
-                continue
-            outs, self.states[n] = step_block(nd.kind, nd.params, vals,
-                                              self.states[n], self.registry)
-            cur[n] = outs[0] if outs else 0
-        for n, v in delay_in.items():
-            st = self.states[n]
-            self.states[n] = st[1:] + (v,) if st else st
-        res = {}
-        for o in g.outputs:
-            ins = self.incoming[o]
-            res[o.split(":", 1)[1]] = cur[ins[0].src] if ins else 0
-        return res
+def _stream(tick, g: RtlGraph, stim: Stimulus, n: int, time_of,
+            latency: int | None) -> Trace:
+    ins = [p.split(":", 1)[1] for p in g.inputs]
+    tr = Trace({o.split(":", 1)[1]: [] for o in g.outputs}, level=3,
+               design=g.name, latency=latency)
+    for i in range(n):
+        for p, v in tick({p: stim.at(p, i) for p in ins}).items():
+            tr.ports[p].append((time_of(i), v))
+    return tr
 
 
 def simulate_rtl_cycles(g: RtlGraph, stim: Stimulus, cycles: int,
                         registry: FunctionRegistry | None = None) -> Trace:
     """Raw one-sample-per-cycle stream including the k priming samples."""
-    sim = RtlCycleSim(g, registry)
-    ports = [o.split(":", 1)[1] for o in g.outputs]
-    tr = Trace({p: [] for p in ports}, level=3, design=g.name, latency=g.latency)
-    for t in range(cycles):
-        outs = sim.step({p.split(":", 1)[1]: stim.at(p.split(":", 1)[1], t)
-                         for p in g.inputs})
-        for p, v in outs.items():
-            tr.ports[p].append((t, v))
-    return tr
-
-
-def simulate_rtl_functional(g: RtlGraph, stim: Stimulus, ticks: int,
-                            registry: FunctionRegistry | None = None) -> Trace:
-    """Zero-delay synchronous reference of the same graph (latencies ignored)."""
-    ctrl = Controller(g, [n for n in _ordered_nodes(g)
-                          if g.nodes[n].kind not in ("input", "output")], 1)
-    sim = ControllerSim(ctrl, registry)
-    ports = [o.split(":", 1)[1] for o in g.outputs]
-    tr = Trace({p: [] for p in ports}, level=0, design=g.name)
-    for t in range(ticks):
-        outs = sim.fire({p.split(":", 1)[1]: stim.at(p.split(":", 1)[1], t)
-                         for p in g.inputs})
-        for p, v in outs.items():
-            tr.ports[p].append((t, v))
-    return tr
+    return _stream(RtlCycleSim(g, registry).step, g, stim, cycles,
+                   lambda t: t, g.latency)
 
 
 def simulate_controller(ctrl: Controller, stim: Stimulus, samples: int,
                         registry: FunctionRegistry | None = None) -> Trace:
     """Controller stream: sample i completes at cycle (i + 1) * II."""
-    sim = ControllerSim(ctrl, registry)
-    g = ctrl.graph
-    ports = [o.split(":", 1)[1] for o in g.outputs]
-    tr = Trace({p: [] for p in ports}, level=3, design=g.name, latency=ctrl.ii)
-    for i in range(samples):
-        outs = sim.fire({p.split(":", 1)[1]: stim.at(p.split(":", 1)[1], i)
-                         for p in g.inputs})
-        for p, v in outs.items():
-            tr.ports[p].append(((i + 1) * ctrl.ii, v))
-    return tr
+    return _stream(ControllerSim(ctrl, registry).fire, ctrl.graph, stim,
+                   samples, lambda i: (i + 1) * ctrl.ii, ctrl.ii)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +372,7 @@ def emit_rtl_text(obj: RtlGraph | Controller) -> str:
         for i in range(e.regs):
             lines.append(f"reg bal_{e.src}_{e.dst}_{e.dst_port}_{i}")
     for e in g.edges:
-        lines.append(f"wire {e.src} -> {e.dst}.{e.dst_port}"
+        src = e.src if e.src_port == "out" else f"{e.src}.{e.src_port}"
+        lines.append(f"wire {src} -> {e.dst}.{e.dst_port}"
                      + (f" regs={e.regs}" if e.regs else ""))
     return "\n".join(lines) + "\n"

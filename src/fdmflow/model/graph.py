@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .blocks import FunctionRegistry, port_names
@@ -236,30 +237,34 @@ def comb_successors(flat: FlatGraph) -> dict[str, list[str]]:
         sp = src[1]
         if flat.blocks[sp].block.kind == "delay":
             continue
-        if dst not in succ[sp]:
+        if succ[sp][-1:] != [dst]:  # drivers are sorted by consumer
             succ[sp].append(dst)
     return succ
 
 
-def topo_order(flat: FlatGraph) -> list[str]:
-    """Declaration-order-stable topological order of the combinational graph."""
-    succ = comb_successors(flat)
-    indeg = {p: 0 for p in flat.blocks}
-    for sp, ds in succ.items():
-        for d in ds:
+def stable_topo(nodes: list, succ: dict) -> list:
+    """Kahn's algorithm; among ready nodes the earliest in ``nodes`` fires
+    first.  Nodes on a cycle are left out of the result."""
+    rank = {n: i for i, n in enumerate(nodes)}
+    indeg = dict.fromkeys(nodes, 0)
+    for n in nodes:
+        for d in succ[n]:
             indeg[d] += 1
+    ready = [i for i, n in enumerate(nodes) if indeg[n] == 0]
     order = []
-    ready = [p for p in flat.blocks if indeg[p] == 0]
     while ready:
-        cur = ready.pop(0)
+        cur = nodes[heapq.heappop(ready)]
         order.append(cur)
-        newly = []
         for d in succ[cur]:
             indeg[d] -= 1
             if indeg[d] == 0:
-                newly.append(d)
-        # keep declaration order among newly-ready nodes
-        ready = sorted(ready + newly, key=lambda p: list(flat.blocks).index(p))
+                heapq.heappush(ready, rank[d])
+    return order
+
+
+def topo_order(flat: FlatGraph) -> list[str]:
+    """Declaration-order-stable topological order of the combinational graph."""
+    order = stable_topo(list(flat.blocks), comb_successors(flat))
     if len(order) != len(flat.blocks):
         raise ValueError("combinational cycle; run validation first")
     return order

@@ -17,6 +17,7 @@ need no per-node shift bookkeeping.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..hwsynth import ControllerSim, RtlCycleSim
@@ -132,25 +133,26 @@ class _MicroTaskIO:
 
 
 class _MicroHwUnit:
-    """Cycle-stepped hardware node, one input sample per step."""
+    """Cycle-stepped hardware node, one input sample per step.
+
+    A controller is a node with k=0: its outputs belong to the sample it
+    just consumed.
+    """
 
     def __init__(self, unit: Unit, impl, engine):
         self.name = unit.name
         self.unit = unit
         self.engine = engine
         if impl[0] == "pipelined":
-            self.sim = RtlCycleSim(impl[1], engine.sd.registry)
+            self.advance = RtlCycleSim(impl[1], engine.sd.registry).step
             self.k = impl[2]
-            self.controller = None
         else:
-            self.controller = ControllerSim(impl[1], engine.sd.registry)
+            self.advance = ControllerSim(impl[1], engine.sd.registry).fire
             self.k = 0
-            self.sim = None
         self.consumed = 0
         self.emitted = 0
         # one flag per in-flight pipeline slot: True = real input sample,
         # False = reset contents or flush padding
-        from collections import deque
         self.in_flight = deque([False] * self.k)
 
     def _io_ready(self) -> bool:
@@ -181,12 +183,7 @@ class _MicroHwUnit:
     def step(self) -> bool:
         if not self._io_ready():
             return False
-        if self.controller is not None:
-            outs = self.controller.fire(self._pop_inputs())
-            self.consumed += 1
-            self._push_outputs(outs)
-            return True
-        outs = self.sim.step(self._pop_inputs())
+        outs = self.advance(self._pop_inputs())
         self.consumed += 1
         self.in_flight.append(True)
         if self.in_flight.popleft():
@@ -195,13 +192,13 @@ class _MicroHwUnit:
 
     def drain(self) -> bool:
         """Flush pending pipeline samples once upstream has gone quiet."""
-        if self.sim is None or not any(self.in_flight):
+        if not any(self.in_flight):
             return False
         for p in self.unit.out_ports:
             ch = self.engine.prod.get((self.name, p))
             if ch is not None and not ch.can_push():
                 return False
-        outs = self.sim.step({p: 0 for p in self.unit.in_ports})
+        outs = self.advance({p: 0 for p in self.unit.in_ports})
         self.in_flight.append(False)
         if self.in_flight.popleft():
             self._push_outputs(outs)

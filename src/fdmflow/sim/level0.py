@@ -1,65 +1,49 @@
-"""Level-0 simulation: synchronous sweep of the functional model."""
+"""Level-0 simulation: the functional model compiled into one block sweep.
+
+Blocks fire in topological order each tick; every ``delay`` is a register
+of the ``Sweep`` plan, so its output is visible before the sweep and takes
+its input once every driver has fired.
+"""
 
 from __future__ import annotations
 
-from ..model.blocks import FunctionRegistry, default_registry, init_state, \
-    port_names, step_block
-from ..model.graph import FlatGraph, ModelGraph, flatten, topo_order
+from ..model.blocks import FunctionRegistry, default_registry, port_names
+from ..model.graph import ModelGraph, flatten, topo_order
+from .sweep import Sweep
 from .trace import Stimulus, Trace
 
 
 class Level0Sim:
-    """Fires blocks in topological order each tick; delays update at tick end."""
+    """The flattened model's sweep; slots are keyed by driving pin."""
 
     def __init__(self, g: ModelGraph, registry: FunctionRegistry | None = None):
-        self.registry = registry or default_registry()
-        self.flat: FlatGraph = flatten(g, self.registry)
-        if self.flat.issues:
-            raise ValueError(f"model not valid: {self.flat.issues[0].message}")
-        self.order = topo_order(self.flat)
-        self.graph = g
-        self.reset()
+        registry = registry or default_registry()
+        flat = flatten(g, registry)
+        if flat.issues:
+            raise ValueError(f"model not valid: {flat.issues[0].message}")
+        sw = self.sweep = Sweep(registry)
 
-    def reset(self) -> None:
-        self.states = {p: init_state(fb.block.kind, fb.block.params)
-                       for p, fb in self.flat.blocks.items()}
+        def src(driver) -> int:
+            # ("top", port) -> key (port,); ("block", path, port) -> (path, port)
+            return sw.slot(driver[1:])
+
+        for p in g.inputs:
+            sw.inputs[p] = sw.slot((p,))
+        for path in topo_order(flat):
+            blk = flat.blocks[path].block
+            ins, outs = port_names(blk.kind, blk.params, registry)
+            in_slots = [src(flat.drivers[(path, p)]) for p in ins]
+            out_slots = [sw.slot((path, p)) for p in outs]
+            if blk.kind == "delay":
+                sw.reg(in_slots[0], out_slots[0], blk.params[0])
+            else:
+                sw.op(blk.kind, blk.params, in_slots, out_slots)
+        sw.outputs = {p: src(d) for p, d in flat.top_outputs.items()}
+        sw.reset()
 
     def tick(self, in_values: dict[str, int]) -> dict[str, int]:
         """Advance one global tick; returns top-level output port values."""
-        pin_vals: dict = {}
-        delay_inputs = []
-        # delay outputs are registered: emit them before the sweep so a
-        # consumer ordered ahead of its delay still sees the value
-        for path, fb in self.flat.blocks.items():
-            if fb.block.kind == "delay":
-                pin_vals[(path, "out")] = self.states[path][0]
-        def read(path, port):
-            src = self.flat.drivers[(path, port)]
-            if src[0] == "top":
-                return in_values.get(src[1], 0)
-            return pin_vals[(src[1], src[2])]
-
-        for path in self.order:
-            blk = self.flat.blocks[path].block
-            if blk.kind == "delay":
-                delay_inputs.append(path)
-                continue
-            ins, outs = port_names(blk.kind, blk.params, self.registry)
-            vals = tuple(read(path, p) for p in ins)
-            out_vals, self.states[path] = step_block(
-                blk.kind, blk.params, vals, self.states[path], self.registry)
-            for port, v in zip(outs, out_vals):
-                pin_vals[(path, port)] = v
-        # shift delay queues at tick end, once every driver has fired
-        for path in delay_inputs:
-            self.states[path] = self.states[path][1:] + (read(path, "in"),)
-        result = {}
-        for port, src in self.flat.top_outputs.items():
-            if src[0] == "top":
-                result[port] = in_values.get(src[1], 0)
-            else:
-                result[port] = pin_vals[(src[1], src[2])]
-        return result
+        return self.sweep.tick(in_values)
 
 
 def simulate_level0(g: ModelGraph, stim: Stimulus, ticks: int,

@@ -26,10 +26,21 @@ class Stimulus:
 
     @classmethod
     def load(cls, path) -> "Stimulus":
+        """Read a csv written by ``save``; ValueError names a bad line."""
         with open(path, encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
-        ports = lines[0].split(",")
-        rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
+            lines = [(i, ln.strip()) for i, ln in enumerate(f, 1) if ln.strip()]
+        if not lines:
+            raise ValueError(f"{path}: empty stimulus file")
+        ports = lines[0][1].split(",")
+        rows = []
+        for i, ln in lines[1:]:
+            try:
+                rows.append([int(v) for v in ln.split(",")])
+            except ValueError:
+                raise ValueError(f"{path}:{i}: non-integer cell in {ln!r}") from None
+            if len(rows[-1]) != len(ports):
+                raise ValueError(f"{path}:{i}: {len(rows[-1])} cells for "
+                                 f"{len(ports)} ports")
         values = {p: [row[i] for row in rows] for i, p in enumerate(ports)}
         return cls(values, len(rows))
 
@@ -64,23 +75,32 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> "Trace":
+        """Read a file written by ``save``; ValueError names a bad line."""
         tr = cls({})
+        empty = True
         with open(path, encoding="utf-8") as f:
-            for ln in f:
+            for i, ln in enumerate(f, 1):
                 ln = ln.strip()
                 if not ln:
                     continue
-                if ln.startswith("#"):
-                    parts = ln[1:].split()
-                    if parts[0] == "level":
-                        tr.level = int(parts[1])
-                    elif parts[0] == "design":
-                        tr.design = parts[1] if len(parts) > 1 else ""
-                    elif parts[0] == "latency":
-                        tr.latency = int(parts[1])
-                    continue
-                t, port, v = ln.split(",")
-                tr.ports.setdefault(port, []).append((int(t), int(v)))
+                empty = False
+                try:
+                    if ln.startswith("#"):
+                        parts = ln[1:].split()
+                        if parts[0] == "level":
+                            tr.level = int(parts[1])
+                        elif parts[0] == "design":
+                            tr.design = parts[1] if len(parts) > 1 else ""
+                        elif parts[0] == "latency":
+                            tr.latency = int(parts[1])
+                        continue
+                    t, port, v = ln.split(",")
+                    tr.ports.setdefault(port, []).append((int(t), int(v)))
+                except (ValueError, IndexError):
+                    raise ValueError(f"{path}:{i}: malformed trace line {ln!r}; "
+                                     "expected time,port,value") from None
+        if empty:
+            raise ValueError(f"{path}: empty trace file")
         return tr
 
 

@@ -116,6 +116,14 @@ class TestStageCommands:
         assert (out / "level0.trace").is_file()
         assert (out / "level3.trace").is_file()
 
+    def test_empty_stimulus_file(self, mini_path, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert main(["simulate", "--model", mini_path, "--out",
+                     str(tmp_path / "sim"), "--stimulus", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty.csv" in err
+
 
 class TestCompare:
     def test_pass_and_fail(self, mini_path, tmp_path, capsys):
@@ -134,6 +142,13 @@ class TestCompare:
     def test_missing_trace(self, tmp_path, capsys):
         assert main(["compare", "--a", str(tmp_path / "x"),
                      "--b", str(tmp_path / "y")]) == 2
+
+    def test_malformed_trace(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        bad.write_text("garbage\n")
+        assert main(["compare", "--a", str(bad), "--b", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.trace:1" in err
 
 
 class TestReport:

@@ -5,8 +5,9 @@ import pytest
 from fdmflow.hwsynth import Controller, HwSynthError, all_pipelined, \
     delay_correct, emit_rtl_text, fsm_controller, library_entry, \
     map_rtl_library, simulate_controller, simulate_rtl_cycles, \
-    simulate_rtl_functional, total_registers
-from fdmflow.model.graph import Block, Endpoint, Link, Subsystem
+    total_registers
+from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
+from fdmflow.sim.level0 import simulate_level0
 from fdmflow.sim.trace import Stimulus
 
 from helpers import rand_hw_subsystem, rand_pipeline_node
@@ -14,6 +15,12 @@ from helpers import rand_hw_subsystem, rand_pipeline_node
 
 def _link(a, ap, b, bp):
     return Link(Endpoint(a, ap), Endpoint(b, bp))
+
+
+def _as_model(sub):
+    """The HW subsystem on its own, as a model for the level-0 reference."""
+    return ModelGraph(sub.id, blocks=sub.blocks, subsystems=sub.subsystems,
+                      links=sub.links, inputs=sub.inputs, outputs=sub.outputs)
 
 
 def _chain(name, specs):
@@ -70,6 +77,12 @@ class TestMapRtlLibrary:
         sub = _chain("HW_u", [("mystery", "user", ("huff",))])
         with pytest.raises(HwSynthError, match="mystery"):
             map_rtl_library(sub)
+
+    def test_delay_cost_rejected(self):
+        # a delay's lag is its functional k; a cycle cost would skew it
+        sub = _chain("HW_d", [("g", "gain", (3,)), ("d", "delay", (1,))])
+        with pytest.raises(HwSynthError, match="HW_d/d"):
+            map_rtl_library(sub, {"d": 2})
 
     def test_cost_param_rescues_user_block(self):
         sub = _chain("HW_u", [("mystery", "user", ("huff",))])
@@ -146,7 +159,7 @@ class TestController:
             xs = [rng.randint(-100, 100) for _ in range(20)]
             stim = Stimulus({"in": xs}, 20)
             got = simulate_controller(ctrl, stim, 20)
-            ref = simulate_rtl_functional(g, stim, 20)
+            ref = simulate_level0(_as_model(sub), stim, 20)
             assert got.values("out") == ref.values("out"), f"seed {seed}"
             assert [t for t, _ in got.ports["out"]] == \
                 [(i + 1) * ctrl.ii for i in range(20)]
@@ -164,8 +177,28 @@ class TestCycleAccuracy:
             xs = [rng.randint(-100, 100) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
             cyc = simulate_rtl_cycles(g, stim, n + k)
-            ref = simulate_rtl_functional(g0, stim, n)
+            ref = simulate_level0(_as_model(sub), stim, n)
             assert cyc.values("out")[k:] == ref.values("out"), f"seed {seed}"
+
+    def test_multi_output_pipeline(self):
+        # every output port of a pipelined multi-output IP has its own
+        # pipeline, and each consumer reads the port it is wired to
+        sub = Subsystem("HW_m", inputs=["in"], outputs=["out"],
+                        blocks=[Block("dm", "demux", (2,)),
+                                Block("g", "gain", (5,)), Block("s", "sub")],
+                        links=[_link("self", "in", "dm", "sel"),
+                               _link("self", "in", "dm", "in"),
+                               _link("dm", "out0", "s", "in1"),
+                               _link("dm", "out1", "g", "in"),
+                               _link("g", "out", "s", "in2"),
+                               _link("s", "out", "self", "out")])
+        g, k = delay_correct(map_rtl_library(sub, {"dm": 2, "g": 1}))
+        assert k == 3 and total_registers(g) == 1
+        xs = list(range(-6, 6))
+        stim = Stimulus({"in": xs}, len(xs))
+        cyc = simulate_rtl_cycles(g, stim, len(xs) + k)
+        ref = simulate_level0(_as_model(sub), stim, len(xs))
+        assert cyc.values("out")[k:] == ref.values("out")
 
     def test_declared_delay_is_functional(self):
         # feedback accumulator through a declared delay block

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from fdmflow.flow import FlowError, compile_design, default_stimulus, simulate
+import fdmflow.flow
+from fdmflow.flow import FlowError, compile_design, default_stimulus, \
+    run_flow, simulate
+from fdmflow.hwsynth import emit_rtl_text
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.engine import cosimulate_mixed, simulate_partitioned
@@ -15,9 +18,34 @@ from fdmflow.tlm import ChannelSpec, PortRef
 from helpers import FEEDBACK_FDM, rand_loopy_model, rand_partitioned_model
 
 
-def mini_compiled():
+def mini_model():
     text = (ir.files("fdmflow") / "models" / "mini_codec.fdm").read_text()
-    return compile_design(parse_model(text))
+    return parse_model(text)
+
+
+def mini_compiled():
+    return compile_design(mini_model())
+
+
+# a multi-output block inside a HW node: each consumer reads its own port
+DEMUX_FDM = """
+model split {
+  input x; output y;
+  subsystem HW_split {
+    input in; output out;
+    block dm : demux(2);
+    block g3 : gain(3);
+    block g5 : gain(5);
+    block sum : add;
+    link self.in -> dm.sel; link self.in -> dm.in;
+    link dm.out0 -> g3.in; link dm.out1 -> g5.in;
+    link g3.out -> sum.in1; link g5.out -> sum.in2;
+    link sum.out -> self.out;
+  }
+  link self.x -> HW_split.in;
+  link HW_split.out -> self.y;
+}
+"""
 
 
 class TestChannelRt:
@@ -167,6 +195,41 @@ class TestLevels:
             simulate(level, cd, stim, ticks).save(path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, \
                 f"level {level}"
+
+    def test_multi_output_block_in_hw_node(self):
+        cd = compile_design(parse_model(DEMUX_FDM))
+        ticks = 64
+        stim = default_stimulus(cd.model, ticks, seed=4)
+        t0 = simulate(0, cd, stim, ticks)
+        for level in (1, 2):
+            assert compare_traces(t0, simulate(level, cd, stim, ticks)).passed
+        v = compare_traces(t0, simulate(3, cd, stim, ticks),
+                           mode="modulo_latency", expected_k=0)
+        assert v.passed, str(v)
+        assert "wire dm.out1 -> g5.in" in emit_rtl_text(cd.hw_impl["HW_split"][1])
+
+    # under valid gating every level sees the same stream: a level that
+    # emits only zeros, or its stream three samples late, must not pass on
+    # whatever shift leaves some overlap
+    @pytest.mark.parametrize("mangle", [
+        lambda vals: [0] * len(vals),
+        lambda vals: [0] * 3 + vals[:-3],
+    ], ids=["zeros", "late"])
+    def test_flow_rejects_wrong_level3(self, mangle, tmp_path, monkeypatch):
+        real = fdmflow.flow.simulate
+
+        def mangled(level, cd, stim, ticks):
+            tr = real(level, cd, stim, ticks)
+            if level == 3:
+                for p, recs in tr.ports.items():
+                    vals = mangle([v for _, v in recs])
+                    tr.ports[p] = [(t, v) for (t, _), v in zip(recs, vals)]
+            return tr
+
+        monkeypatch.setattr(fdmflow.flow, "simulate", mangled)
+        res = run_flow(mini_model(), tmp_path)
+        v = dict(res.verdicts)["level2-vs-level3"]
+        assert not v.passed, str(v)
 
 
 class TestLoops:
