@@ -23,8 +23,7 @@ from .model.blocks import FunctionRegistry, default_registry
 from .model.graph import ModelGraph
 from .model.parser import parse_model
 from .model.validate import validate_model
-from .sim.engine import CostModel, SimDesign, cosimulate_mixed, \
-    simulate_partitioned
+from .sim.engine import CostModel, SimDesign, simulate_partitioned
 from .sim.level0 import simulate_level0
 from .sim.trace import Stimulus, Trace, Verdict, compare_traces
 from .swsynth import AddressMap, TaskFsm, allocate_address_map, \
@@ -87,6 +86,7 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
 
     address_map = allocate_address_map(bound)
     root = netlist.top.name
+    modules = dict(bound.modules())
     micro_fsms = {}
     for name, f in macro_fsms.items():
         micro_fsms[name] = lower_api(f, address_map, f"{root}/{name}")
@@ -98,7 +98,7 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
             continue
         costs = {}
         for blk in info.subsystem.blocks:
-            m = bound.module_at(f"{root}/{info.name}/{blk.id}")
+            m = modules.get(f"{root}/{info.name}/{blk.id}")
             c = m.params.get("cost_cycles", 0) if m else 0
             if c > 0:
                 costs[blk.id] = c
@@ -117,7 +117,7 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
 
     unit_costs = {}
     for name in tlm.units:
-        m = bound.module_at(f"{root}/{name}")
+        m = modules.get(f"{root}/{name}")
         if m is not None:
             c = m.params.get("cost_cycles", 0)
             if c > 0:

@@ -107,12 +107,6 @@ class RtlGraph:
     levels: dict[str, int] = field(default_factory=dict)
     latency: int | None = None  # k after delay correction
 
-    def in_port(self, port: str) -> str:
-        return f"in:{port}"
-
-    def out_port(self, port: str) -> str:
-        return f"out:{port}"
-
 
 @dataclass
 class Controller:

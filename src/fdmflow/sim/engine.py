@@ -13,6 +13,16 @@ Hardware pipelines are valid-gated: the k priming samples of a
 delay-corrected node are discarded, so the value stream seen by the rest
 of the system is identical at every level and comparisons across levels
 need no per-node shift bookkeeping.
+
+Flushing a pipeline is decided by a sample count.  Every block fires once
+per tick, so sample i on every channel belongs to tick i (synchronous
+dataflow).  Once the sources have run out and a round makes no progress,
+a hardware node that has consumed at least ``ticks`` samples holds every
+real sample the run needs; it pads its pipeline with zero inputs to push
+them out.  A node that has consumed fewer still waits for real input, so
+padding never lands between samples the trace records, and a producer
+that blocks on ``send`` for ever, such as a constant feeding a node,
+cannot hold the flush back.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from dataclasses import dataclass, field
 
 from ..hwsynth import ControllerSim, RtlCycleSim
 from ..model.blocks import FunctionRegistry
+from ..swsynth import ALoopInit
 from ..tlm import TlmModel, Unit
 from .channels import ChannelRt
 from .interp import FsmRunner, SimError, behavior_coroutine
@@ -58,7 +69,6 @@ class _MacroUnit:
         self.engine = engine
         self.gen = gen
         self.request = next(gen)
-        self.iterations = 0
 
     def pump(self) -> bool:
         progress = False
@@ -83,7 +93,6 @@ class _MacroUnit:
                 else:
                     return progress
             elif req[0] == "end":
-                self.iterations += 1
                 self.engine.local_clock[self.name] = \
                     self.engine.local_clock.get(self.name, 0) \
                     + self.engine.sd.costs.cost(self.name)
@@ -155,16 +164,19 @@ class _MicroHwUnit:
         # False = reset contents or flush padding
         self.in_flight = deque([False] * self.k)
 
-    def _io_ready(self) -> bool:
-        for p in self.unit.in_ports:
-            ch = self.engine.cons.get((self.name, p))
-            if ch is not None and not ch[0].can_pop(ch[1]):
-                return False
+    def _can_emit(self) -> bool:
         for p in self.unit.out_ports:
             ch = self.engine.prod.get((self.name, p))
             if ch is not None and not ch.can_push():
                 return False
         return True
+
+    def _io_ready(self) -> bool:
+        for p in self.unit.in_ports:
+            ch = self.engine.cons.get((self.name, p))
+            if ch is not None and not ch[0].can_pop(ch[1]):
+                return False
+        return self._can_emit()
 
     def _pop_inputs(self) -> dict:
         vals = {}
@@ -180,26 +192,20 @@ class _MicroHwUnit:
                 ch.push(outs[p])
         self.emitted += 1
 
-    def step(self) -> bool:
-        if not self._io_ready():
-            return False
-        outs = self.advance(self._pop_inputs())
-        self.consumed += 1
-        self.in_flight.append(True)
-        if self.in_flight.popleft():
-            self._push_outputs(outs)
-        return True
-
-    def drain(self) -> bool:
-        """Flush pending pipeline samples once upstream has gone quiet."""
-        if not any(self.in_flight):
-            return False
-        for p in self.unit.out_ports:
-            ch = self.engine.prod.get((self.name, p))
-            if ch is not None and not ch.can_push():
+    def step(self, pad: bool = False) -> bool:
+        """Consume one sample per input, or with pad=True advance on zero
+        inputs to flush a pipeline slot that still holds a real sample."""
+        if pad:
+            if not any(self.in_flight) or not self._can_emit():
                 return False
-        outs = self.advance({p: 0 for p in self.unit.in_ports})
-        self.in_flight.append(False)
+            ins = {p: 0 for p in self.unit.in_ports}
+        elif self._io_ready():
+            ins = self._pop_inputs()
+            self.consumed += 1
+        else:
+            return False
+        outs = self.advance(ins)
+        self.in_flight.append(not pad)
         if self.in_flight.popleft():
             self._push_outputs(outs)
         return True
@@ -276,9 +282,8 @@ class Engine:
             if hw.step():
                 self.events += 1
         if self.drain:
-            pending = self._upstream_pending()
             for hw in self.hw_units:
-                if not pending[hw.name] and hw.drain():
+                if hw.consumed >= self.ticks and hw.step(pad=True):
                     self.events += 1
         for m in self.macro_units:
             if m.pump():
@@ -293,50 +298,6 @@ class Engine:
                     else len(self.trace.ports[p])
                 self.trace.record(p, t, v)
 
-    def _may_emit_status(self) -> dict[str, bool]:
-        """Which units could still push a real sample, transitively."""
-        status: dict[str, bool] = {}
-        for m in self.macro_units:
-            status[m.name] = m.request[0] == "send"
-        for runners in self.schedulers:
-            for r in runners:
-                status[r.fsm.task] = r.state != r.fsm.initial
-        for hw in self.hw_units:
-            status[hw.name] = any(hw.in_flight)
-        changed = True
-        while changed:
-            changed = False
-            for ch in self.channels:
-                feeding = any(len(q) > 0 for q in ch.queues.values()) or any(
-                    status.get(p.unit, False)
-                    for p in ch.spec.producers if p.unit is not None)
-                if not feeding:
-                    continue
-                for c in ch.spec.consumers:
-                    if c.unit is not None and not status.get(c.unit, False):
-                        status[c.unit] = True
-                        changed = True
-        return status
-
-    def _upstream_pending(self) -> dict[str, bool]:
-        """Flush padding is only safe once a node can never see real input;
-        draining earlier would interleave zeros into stateful pipelines."""
-        status = self._may_emit_status()
-        pend = {}
-        for hw in self.hw_units:
-            p = False
-            for port in hw.unit.in_ports:
-                ch = self.cons.get((hw.name, port))
-                if ch is None:
-                    continue
-                if ch[0].can_pop(ch[1]) or any(
-                        status.get(pr.unit, False)
-                        for pr in ch[0].spec.producers if pr.unit is not None):
-                    p = True
-                    break
-            pend[hw.name] = p
-        return pend
-
     def _done(self) -> bool:
         if not self.probes or all(ch is None for _, ch in self.probes):
             return all(self.sent[p] >= self.ticks for p, ch in self.sources
@@ -345,7 +306,11 @@ class Engine:
                    for p, ch in self.probes if ch is not None)
 
     def run(self) -> Trace:
-        limit = 60 * self.ticks + 10000
+        # each micro-level loop iteration takes one scheduler slot
+        loops = sum(a.count for runners in self.schedulers for r in runners
+                    for t in r.fsm.transitions for a in t.actions
+                    if isinstance(a, ALoopInit))
+        limit = (60 + loops) * self.ticks + 10000
         while not self._done():
             before = self.events
             self._round()

@@ -89,7 +89,6 @@ class FsmRunner:
         self.env: dict = {}
         self.states = dict(fsm.init_states)
         self.loops: dict[str, tuple[int, int]] = {}  # id -> (i, n)
-        self.iterations = 0  # completed body cycles (returns to initial)
 
     def _guard(self, g) -> bool:
         if isinstance(g, GTrue):
@@ -141,7 +140,5 @@ class FsmRunner:
                 for a in t.actions:
                     self._action(a)
                 self.state = t.next
-                if self.state == self.fsm.initial:
-                    self.iterations += 1
                 return True
         return False

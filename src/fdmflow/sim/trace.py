@@ -139,9 +139,11 @@ def compare_traces(a: Trace, b: Trace, mode: str = "exact",
 
     exact          -- identical (time, value) records.
     modulo_latency -- one constant index shift k >= 0, shared across ports,
-                      with b[n + k] == a[n] on the overlapping range.  If
-                      expected_k is given only that shift is accepted,
-                      otherwise the smallest feasible k is reported.
+                      with b[n + k] == a[n] for every sample n of a: the
+                      shifted b must hold the whole reference, and an
+                      empty reference never passes.  If expected_k is
+                      given only that shift is accepted, otherwise the
+                      smallest feasible k is reported.
     values_only    -- identical per-port value sequences, times ignored.
     """
     if set(a.ports) != set(b.ports):
@@ -169,23 +171,12 @@ def compare_traces(a: Trace, b: Trace, mode: str = "exact",
     if mode == "modulo_latency":
         av = {p: a.values(p) for p in a.ports}
         bv = {p: b.values(p) for p in b.ports}
-
-        def fits(k: int) -> bool:
-            overlap = 0
-            for p in av:
-                n = min(len(av[p]), len(bv[p]) - k)
-                if n < 0:
-                    return False
-                overlap += n
-                if bv[p][k:k + n] != av[p][:n]:
-                    return False
-            return overlap > 0
-
-        ks = [expected_k] if expected_k is not None else \
-            range(max((len(v) for v in bv.values()), default=0) + 1)
-        for k in ks:
-            if fits(k):
-                return Verdict(True, mode, k=k)
+        slack = min((len(bv[p]) - len(av[p]) for p in av), default=-1)
+        ks = [expected_k] if expected_k is not None else range(slack + 1)
+        if any(av.values()):
+            for k in ks:
+                if all(bv[p][k:k + len(av[p])] == av[p] for p in av):
+                    return Verdict(True, mode, k=k)
         return Verdict(False, mode,
                        message="no constant latency shift aligns the traces")
 

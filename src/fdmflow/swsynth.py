@@ -12,6 +12,7 @@ replaces channel operations with polled Read/Write bus transactions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .gma.behavior import Assign, Call, If, Loop, Recv, Send, TaskBehavior
 from .gma.netlist import ColifNetlist
@@ -293,11 +294,10 @@ class AddrEntry:
 class AddressMap:
     entries: list[AddrEntry]
 
-    def by_endpoint(self, endpoint: str) -> AddrEntry | None:
-        for e in self.entries:
-            if e.endpoint == endpoint:
-                return e
-        return None
+    @cached_property
+    def endpoints(self) -> dict[str, AddrEntry]:
+        """Endpoint -> its entry, the first one where an endpoint repeats."""
+        return {e.endpoint: e for e in reversed(self.entries)}
 
 
 # module kinds whose ports are real bus endpoints; sw_node boundaries and
@@ -347,7 +347,7 @@ def lower_api(f: TaskFsm, m: AddressMap, unit_path: str) -> TaskFsm:
         raise SwSynthError(f"{f.task}: already at micro level")
 
     def entry(port: str) -> AddrEntry:
-        e = m.by_endpoint(f"{unit_path}.{port}")
+        e = m.endpoints.get(f"{unit_path}.{port}")
         if e is None:
             raise SwSynthError(
                 f"{f.task}: port {port!r} has no address map entry")

@@ -264,17 +264,6 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
     return channels
 
 
-def _cross_node(t: TlmModel, ch: ChannelSpec) -> bool:
-    def owner(r: PortRef):
-        if r.unit is None:
-            return "<tb>"
-        u = t.units.get(r.unit)
-        return u.node or "<tb>" if u else "<tb>"
-
-    owners = {owner(r) for r in ch.producers} | {owner(r) for r in ch.consumers}
-    return len(owners) > 1
-
-
 def validate_partition(t: TlmModel,
                        rtl_index: set[str] | None = None) -> ValidationReport:
     """Legality of the recognized partition.

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from fdmflow.cli import main
+from fdmflow.sim.trace import Trace
 
 from helpers import FEEDBACK_FDM
 
@@ -28,6 +29,24 @@ def loopy_path(tmp_path):
     }
     """)
     return str(p)
+
+
+# every one of the 100 loop iterations takes a level-3 scheduler slot
+LOOP100_FDM = """
+model loop100 {
+  input x; output y;
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_l {
+      input a; output out;
+      block f : for_loop(100, inc);
+      link self.a -> f.in; link f.out -> self.out;
+    }
+    link self.a -> TASK_l.a; link TASK_l.out -> self.out;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> self.y;
+}
+"""
 
 
 class TestCheck:
@@ -76,6 +95,14 @@ class TestFlow:
         assert main(["flow", "--model", mini_path, "--ticks", "32",
                      "--level", "0,2"]) == 0
         assert (tmp_path / "envout" / "verdicts.txt").is_file()
+
+    def test_long_task_loop(self, tmp_path, capsys):
+        p = tmp_path / "loop100.fdm"
+        p.write_text(LOOP100_FDM)
+        assert main(["flow", "--model", str(p), "--out", str(tmp_path / "o"),
+                     "--ticks", "300"]) == 0
+        printed = capsys.readouterr().out
+        assert "level2-vs-level3: PASS" in printed
 
     def test_bad_level(self, mini_path, tmp_path, capsys):
         assert main(["flow", "--model", mini_path,
@@ -138,6 +165,24 @@ class TestCompare:
         assert main(["compare", "--a", a, "--b", c]) == 1  # exact: cycle times
         assert main(["compare", "--a", a, "--b", c,
                      "--compare", "values_only"]) == 0
+
+    def test_one_sample_overlap_fails(self, mini_path, tmp_path, capsys):
+        # a copy of the trace that is all zeros but its last sample, which
+        # equals the first reference sample, overlaps it only at k=255
+        out = tmp_path / "c"
+        main(["simulate", "--model", mini_path, "--out", str(out),
+              "--level", "2", "--ticks", "256"])
+        ref = Trace.load(out / "level2.trace")
+        late = Trace({p: [(t, 0) for t, _ in recs[:-1]]
+                      + [(recs[-1][0], recs[0][1])]
+                      for p, recs in ref.ports.items()},
+                     ref.level, ref.design)
+        late.save(out / "late.trace")
+        capsys.readouterr()
+        assert main(["compare", "--a", str(out / "level2.trace"),
+                     "--b", str(out / "late.trace"),
+                     "--compare", "modulo_latency"]) == 1
+        assert capsys.readouterr().out.startswith("FAIL [modulo_latency]")
 
     def test_missing_trace(self, tmp_path, capsys):
         assert main(["compare", "--a", str(tmp_path / "x"),

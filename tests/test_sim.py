@@ -48,6 +48,22 @@ model split {
 """
 
 
+# a HW node reads a top-level constant, whose testbench unit blocks on
+# send for ever once the node stops consuming
+CONSTFED_FDM = """
+model constfed {
+  input x; output y;
+  block c : const(7);
+  subsystem HW_m {
+    input a; input b; output out;
+    block m : mul;
+    link self.a -> m.in1; link self.b -> m.in2; link m.out -> self.out;
+  }
+  link self.x -> HW_m.a; link c.out -> HW_m.b; link HW_m.out -> self.y;
+}
+"""
+
+
 class TestChannelRt:
     def _spec(self, depth=1, consumers=("c1",)):
         return ChannelSpec("ch", "multipoint", [PortRef("p", "out")],
@@ -132,6 +148,15 @@ class TestCompareTraces:
         v = compare_traces(a, b, mode="modulo_latency")
         assert not v.passed
 
+    def test_modulo_latency_partial_overlap_fails(self):
+        # the shifted trace must hold the whole reference, not a tail of it
+        v = compare_traces(self._t([5, 6, 7, 8]), self._t([9, 9, 9, 5]),
+                           mode="modulo_latency")
+        assert not v.passed
+        # an empty reference has nothing to align
+        assert not compare_traces(self._t([]), self._t([1]),
+                                  mode="modulo_latency").passed
+
     def test_port_set_mismatch(self):
         with pytest.raises(PortSetMismatch):
             compare_traces(self._t([1]), Trace({"z": [(0, 1)]}, 0, "d"))
@@ -195,6 +220,29 @@ class TestLevels:
             simulate(level, cd, stim, ticks).save(path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, \
                 f"level {level}"
+
+    # the same over the level-3 trace files of 30 random partitioned
+    # designs, so a cycle that moves on any task, pipeline or controller
+    # mix the generator makes shows, not only on mini_codec's
+    RANDOM_LEVEL3 = \
+        "06f3c203fa6ea0e8d65181092df044e4a18a64f677ee05a96a60a0a983fc3114"
+
+    def test_pinned_random_level3_digest(self, tmp_path):
+        h = hashlib.sha256()
+        ticks = 60
+        for seed in range(30):
+            g = rand_partitioned_model(random.Random(seed))
+            cd = compile_design(g)
+            stim = default_stimulus(g, ticks, seed=seed)
+            path = tmp_path / f"rand{seed}.trace"
+            simulate(3, cd, stim, ticks).save(path)
+            h.update(path.read_bytes())
+        assert h.hexdigest() == self.RANDOM_LEVEL3
+
+    def test_const_fed_hw_node(self, tmp_path):
+        res = run_flow(parse_model(CONSTFED_FDM), tmp_path, ticks=64)
+        assert sorted(res.traces) == [0, 1, 2, 3]
+        assert res.ok, [(label, str(v)) for label, v in res.verdicts]
 
     def test_multi_output_block_in_hw_node(self):
         cd = compile_design(parse_model(DEMUX_FDM))
