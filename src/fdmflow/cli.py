@@ -89,6 +89,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    _check_ticks(args.ticks)
     out = _out_dir(args)
     model = _read_model(args.model)
     levels = _parse_levels(args.level)
@@ -142,12 +143,13 @@ def cmd_synth_hw(args) -> int:
     cd = _compile(args)
     for node in sorted(cd.hw_impl):
         impl = cd.hw_impl[node]
-        (out / f"{node}.rtl.txt").write_text(emit_rtl_text(impl[1]))
-        print(f"{node}: {impl[0]}, latency/interval {cd.hw_latency[node]}")
+        (out / f"{node}.rtl.txt").write_text(emit_rtl_text(impl.rtl))
+        print(f"{node}: {impl.kind}, latency/interval {impl.latency}")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    _check_ticks(args.ticks)
     out = _out_dir(args)
     cd = _compile(args)
     levels = _parse_levels(args.level)
@@ -156,6 +158,10 @@ def cmd_simulate(args) -> int:
             stim = Stimulus.load(args.stimulus)
         except (OSError, ValueError) as e:
             raise _Usage(f"cannot read stimulus: {e}")
+        for p in cd.model.inputs:
+            if p not in stim.values:
+                raise _Usage(f"stimulus {args.stimulus} has no column for "
+                             f"input {p!r}")
     else:
         stim = default_stimulus(cd.model, args.ticks, args.seed)
     for level in levels:
@@ -231,6 +237,11 @@ def _parse_levels(spec: str):
     if not levels or any(not 0 <= x <= 3 for x in levels):
         raise _Usage(f"bad --level value {spec!r}")
     return levels
+
+
+def _check_ticks(ticks: int) -> None:
+    if ticks < 1:
+        raise _Usage(f"bad --ticks value {ticks}: must be at least 1")
 
 
 def _add_model(p, params=True):

@@ -17,7 +17,7 @@ from .gma import ParamSet, attach_params, build_tree, emit_netlist, \
 from .gma.behavior import TaskBehavior, format_behavior
 from .gma.netlist import ColifNetlist
 from .gma.tree import DesignTree
-from .hwsynth import all_pipelined, delay_correct, emit_rtl_text, \
+from .hwsynth import HwImpl, all_pipelined, delay_correct, emit_rtl_text, \
     fsm_controller, map_rtl_library
 from .model.blocks import FunctionRegistry, default_registry
 from .model.graph import ModelGraph
@@ -49,8 +49,7 @@ class CompiledDesign:
     macro_fsms: dict  # task unit -> TaskFsm
     address_map: AddressMap
     micro_fsms: dict  # task unit -> TaskFsm (micro level)
-    hw_impl: dict  # node -> impl tuple
-    hw_latency: dict  # node -> k (pipelined) or initiation interval
+    hw_impl: dict  # node -> HwImpl
     sim_design: SimDesign
 
 
@@ -92,7 +91,6 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
         micro_fsms[name] = lower_api(f, address_map, f"{root}/{name}")
 
     hw_impl = {}
-    hw_latency = {}
     for info in tlm.nodes.values():
         if info.role != "hardware":
             continue
@@ -106,12 +104,10 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
             rg = map_rtl_library(info.subsystem, costs, registry)
             if all_pipelined(rg):
                 dc, k = delay_correct(rg)
-                hw_impl[info.name] = ("pipelined", dc, k)
-                hw_latency[info.name] = k
+                hw_impl[info.name] = HwImpl("pipelined", dc, k)
             else:
                 ctrl = fsm_controller(rg)
-                hw_impl[info.name] = ("controller", ctrl)
-                hw_latency[info.name] = ctrl.ii
+                hw_impl[info.name] = HwImpl("controller", ctrl, ctrl.ii)
         except Exception as e:
             raise FlowError("hwsynth", str(e)) from None
 
@@ -128,7 +124,7 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
                           params=used, behaviors=behaviors,
                           macro_fsms=macro_fsms, address_map=address_map,
                           micro_fsms=micro_fsms, hw_impl=hw_impl,
-                          hw_latency=hw_latency, sim_design=sd)
+                          sim_design=sd)
 
 
 def simulate(level: int, cd: CompiledDesign, stim: Stimulus,
@@ -191,9 +187,8 @@ def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
     hdir = out / "hw"
     hdir.mkdir(exist_ok=True)
     for node in sorted(cd.hw_impl):
-        impl = cd.hw_impl[node]
-        obj = impl[1]
-        (hdir / f"{_safe(node)}.rtl.txt").write_text(emit_rtl_text(obj))
+        (hdir / f"{_safe(node)}.rtl.txt").write_text(
+            emit_rtl_text(cd.hw_impl[node].rtl))
 
     if stim is None:
         stim = default_stimulus(model, ticks, seed)
@@ -224,13 +219,14 @@ def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
     lines = []
     for label, v in verdicts:
         lines.append(f"{label}: {v}")
-    for node in sorted(cd.hw_latency):
-        lines.append(f"hw {node}: latency/interval {cd.hw_latency[node]}")
+    hw_latency = {node: impl.latency for node, impl in cd.hw_impl.items()}
+    for node in sorted(hw_latency):
+        lines.append(f"hw {node}: latency/interval {hw_latency[node]}")
     (out / "verdicts.txt").write_text("\n".join(lines) + "\n")
     # wall-clock timings are machine-specific; kept out of determinism checks
     (out / "timings.json").write_text(json.dumps(
         {str(k): round(v, 6) for k, v in timings.items()}, indent=2) + "\n")
-    return FlowResult(out, traces, verdicts, dict(cd.hw_latency), timings)
+    return FlowResult(out, traces, verdicts, hw_latency, timings)
 
 
 def load_model_file(path) -> ModelGraph:

@@ -117,6 +117,15 @@ class Controller:
     ii: int
 
 
+@dataclass(frozen=True)
+class HwImpl:
+    """What level 3 runs for one hardware node."""
+
+    kind: str  # "pipelined" | "controller"
+    rtl: RtlGraph | Controller  # delay-corrected graph, or the controller
+    latency: int  # k of the pipeline, or the controller's II
+
+
 def _ordered_nodes(g: RtlGraph) -> list[str]:
     """Topological order ignoring edges out of declared delay blocks."""
     succ: dict[str, list[str]] = {n: [] for n in g.nodes}

@@ -1,10 +1,12 @@
 """Bit-true block semantics.
 
-Every abstraction level in the toolchain evaluates blocks through
-``step_block``, so a value computed at the functional level is reproduced
-bit for bit after partitioning, behavior generation, FSM synthesis and
-hardware refinement.  Samples are 32-bit two's-complement integers with
-wrapping arithmetic.
+Every abstraction level in the toolchain evaluates blocks through the
+step functions that ``block_fn`` binds, so a value computed at the
+functional level is reproduced bit for bit after partitioning, behavior
+generation, FSM synthesis and hardware refinement.  The simulators bind
+each block once, when they are built; ``step_block`` binds and fires in
+one call.  Samples are 32-bit two's-complement integers with wrapping
+arithmetic.
 """
 
 from __future__ import annotations
@@ -120,52 +122,74 @@ def _quant(v: int, step: int) -> int:
     return wrap32(q * step)
 
 
-def step_block(kind, params, inputs, state, registry=None):
-    """Fire one block for one tick: pure (inputs, state) -> (outputs, state').
+def block_fn(kind: str, params: tuple, registry: FunctionRegistry | None = None):
+    """Bind one block: return ``fn(inputs, state) -> (outputs, state')``.
 
-    All non-delay kinds have zero algorithmic delay; delay(k) emits the
-    oldest queued sample and enqueues the input.
+    This is the one definition of what every block kind does.  The kind,
+    the params and any user or loop function are resolved here, once, so a
+    simulator that binds its blocks when it is built decodes nothing per
+    tick.  All non-delay kinds have zero algorithmic delay; delay(k) emits
+    the oldest queued sample and enqueues the input.
     """
     if kind == "const":
-        return (wrap32(params[0]),), state
+        out = (wrap32(params[0]),)
+        return lambda inputs, state: (out, state)
     if kind == "add":
-        return (wrap32(inputs[0] + inputs[1]),), state
+        return lambda inputs, state: ((wrap32(inputs[0] + inputs[1]),), state)
     if kind == "sub":
-        return (wrap32(inputs[0] - inputs[1]),), state
+        return lambda inputs, state: ((wrap32(inputs[0] - inputs[1]),), state)
     if kind == "mul":
-        return (wrap32(inputs[0] * inputs[1]),), state
+        return lambda inputs, state: ((wrap32(inputs[0] * inputs[1]),), state)
     if kind == "gain":
-        return (wrap32(params[0] * inputs[0]),), state
+        g = params[0]
+        return lambda inputs, state: ((wrap32(g * inputs[0]),), state)
     if kind == "delay":
-        return (state[0],), state[1:] + (inputs[0],)
+        return lambda inputs, state: ((state[0],), state[1:] + (inputs[0],))
     if kind == "fir":
-        acc = params[0] * inputs[0]
-        for c, h in zip(params[1:], state):
-            acc += c * h
-        new = (inputs[0],) + state[:-1] if state else state
-        return (wrap32(acc),), new
+        c0, taps = params[0], params[1:]
+
+        def fir(inputs, state):
+            acc = c0 * inputs[0]
+            for c, h in zip(taps, state):
+                acc += c * h
+            new = (inputs[0],) + state[:-1] if state else state
+            return (wrap32(acc),), new
+        return fir
     if kind == "quant":
-        return (_quant(inputs[0], params[0]),), state
+        step = params[0]
+        return lambda inputs, state: ((_quant(inputs[0], step),), state)
     if kind == "if_else":
-        return (inputs[1] if inputs[0] != 0 else inputs[2],), state
+        return lambda inputs, state: (
+            (inputs[1] if inputs[0] != 0 else inputs[2],), state)
     if kind == "for_loop":
         n, fname = params
         fn = registry.get(fname).fn
-        v = inputs[0]
-        for _ in range(n):
-            v = wrap32(fn(v)[0])
-        return (v,), state
+
+        def for_loop(inputs, state):
+            v = inputs[0]
+            for _ in range(n):
+                v = wrap32(fn(v)[0])
+            return (v,), state
+        return for_loop
     if kind == "mux":
         n = params[0]
-        return (inputs[1 + inputs[0] % n],), state
+        return lambda inputs, state: ((inputs[1 + inputs[0] % n],), state)
     if kind == "demux":
         n = params[0]
-        sel = inputs[0] % n
-        return tuple(inputs[1] if i == sel else 0 for i in range(n)), state
+
+        def demux(inputs, state):
+            sel = inputs[0] % n
+            return tuple(inputs[1] if i == sel else 0 for i in range(n)), state
+        return demux
     if kind == "user":
-        uf = registry.get(params[0])
-        outs = uf.fn(*inputs)
-        return tuple(wrap32(v) for v in outs), state
+        fn = registry.get(params[0]).fn
+        return lambda inputs, state: (
+            tuple([wrap32(v) for v in fn(*inputs)]), state)
     if kind == "sink":
-        return (), state
+        return lambda inputs, state: ((), state)
     raise ValueError(f"unknown block kind {kind!r}")
+
+
+def step_block(kind, params, inputs, state, registry=None):
+    """Fire one block for one tick: pure (inputs, state) -> (outputs, state')."""
+    return block_fn(kind, params, registry)(inputs, state)

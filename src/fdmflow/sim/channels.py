@@ -20,16 +20,21 @@ class ChannelRt:
         self.depth = spec.fifo_depth
         self.queues: dict[tuple, deque] = {
             (c.unit, c.port): deque() for c in spec.consumers}
+        self.fifos = list(self.queues.values())
         self.pushed = 0
         self.popped = 0
 
     def can_push(self) -> bool:
-        return all(len(q) < self.depth for q in self.queues.values())
+        depth = self.depth
+        for q in self.fifos:
+            if len(q) >= depth:
+                return False
+        return True
 
     def push(self, value: int) -> None:
         if not self.can_push():
             raise SimError(f"channel {self.spec.id}: push into a full FIFO")
-        for q in self.queues.values():
+        for q in self.fifos:
             q.append(value)
         self.pushed += 1
 

@@ -30,9 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..hwsynth import ControllerSim, RtlCycleSim
+from ..gma.behavior import TaskBehavior
+from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
 from ..model.blocks import FunctionRegistry
-from ..swsynth import ALoopInit
+from ..swsynth import ALoopInit, TaskFsm
 from ..tlm import TlmModel, Unit
 from .channels import ChannelRt
 from .interp import FsmRunner, SimError, behavior_coroutine
@@ -56,75 +57,86 @@ class SimDesign:
     tlm: TlmModel
     behaviors: dict  # unit name -> TaskBehavior, for every unit
     micro_fsms: dict  # task unit name -> lowered TaskFsm
-    hw_impl: dict  # node -> ("pipelined", RtlGraph, k) | ("controller", Controller)
+    hw_impl: dict  # node -> HwImpl
     costs: CostModel
     registry: FunctionRegistry
 
 
 class _MacroUnit:
-    """Coroutine-driven unit running one generated behavior."""
+    """Coroutine-driven unit running one generated behavior.
 
-    def __init__(self, name: str, gen, engine):
+    Each port is resolved to its channel once: ``cons`` maps an input port
+    to (channel, consumer key), ``prod`` an output port to its channel.
+    """
+
+    def __init__(self, name: str, b: TaskBehavior, engine):
         self.name = name
         self.engine = engine
-        self.gen = gen
-        self.request = next(gen)
+        self.cost = engine.sd.costs.cost(name)
+        self.cons = {p: engine.cons.get((name, p)) for p in b.in_ports}
+        self.prod = {p: engine.prod.get((name, p)) for p in b.out_ports}
+        self.gen = behavior_coroutine(b, engine.sd.registry)
+        self.request = next(self.gen)
 
     def pump(self) -> bool:
         progress = False
+        gen, cons, prod = self.gen, self.cons, self.prod
+        req = self.request
         while True:
-            req = self.request
-            if req[0] == "recv":
-                ch = self.engine.cons.get((self.name, req[1]))
+            op = req[0]
+            if op == "recv":
+                ch = cons.get(req[1])
                 if ch is None:
                     val = 0  # unconnected input reads as constant zero
                 elif ch[0].can_pop(ch[1]):
                     val = ch[0].pop(ch[1])
                 else:
+                    self.request = req
                     return progress
-                self.request = self.gen.send(val)
-            elif req[0] == "send":
-                ch = self.engine.prod.get((self.name, req[1]))
-                if ch is None:
-                    self.request = self.gen.send(None)  # value dropped
-                elif ch.can_push():
+                req = gen.send(val)
+            elif op == "send":
+                ch = prod.get(req[1])
+                if ch is not None:
+                    if not ch.can_push():
+                        self.request = req
+                        return progress
                     ch.push(req[2])
-                    self.request = self.gen.send(None)
-                else:
-                    return progress
-            elif req[0] == "end":
-                self.engine.local_clock[self.name] = \
-                    self.engine.local_clock.get(self.name, 0) \
-                    + self.engine.sd.costs.cost(self.name)
-                self.request = self.gen.send(None)
+                req = gen.send(None)  # unconnected output: value dropped
+            else:  # "end" of one body iteration
+                clock = self.engine.local_clock
+                clock[self.name] = clock.get(self.name, 0) + self.cost
+                self.request = gen.send(None)
                 return True
             progress = True
 
 
 class _MicroTaskIO:
-    """Bus-side port bindings for one FSM task."""
+    """Bus-side port bindings for one FSM task, each resolved once."""
 
-    def __init__(self, name: str, engine):
+    def __init__(self, name: str, fsm: TaskFsm, engine):
         self.name = name
         self.engine = engine
+        self.bus_latency = engine.sd.costs.bus_latency
+        self.cons = {p: engine.cons.get((name, p)) for p in fsm.in_ports}
+        self.prod = {p: engine.prod.get((name, p)) for p in fsm.out_ports}
 
     def _charge(self):
-        self.engine.cycle += self.engine.sd.costs.bus_latency
+        self.engine.cycle += self.bus_latency
         self.engine.bus_transactions += 1
 
     def poll_status(self, port: str, addr: int) -> int:
         self._charge()
-        cons = self.engine.cons.get((self.name, port))
+        cons = self.cons.get(port)
         if cons is not None:
             return cons[0].status(cons[1])
-        prod = self.engine.prod.get((self.name, port))
+        prod = self.prod.get(port)
         if prod is not None:
             return prod.status(None)
         return 3  # unconnected port: never blocks
 
     def read_data(self, port: str, addr: int, ctrl: str) -> int:
         self._charge()
-        cons = self.engine.cons.get((self.name, port))
+        cons = self.cons.get(port)
         if cons is None:
             return 0
         if ctrl != "pop":
@@ -133,7 +145,7 @@ class _MicroTaskIO:
 
     def write_data(self, port: str, addr: int, value: int, ctrl: str) -> None:
         self._charge()
-        prod = self.engine.prod.get((self.name, port))
+        prod = self.prod.get(port)
         if prod is not None:
             if ctrl != "push":
                 raise SimError(
@@ -145,19 +157,24 @@ class _MicroHwUnit:
     """Cycle-stepped hardware node, one input sample per step.
 
     A controller is a node with k=0: its outputs belong to the sample it
-    just consumed.
+    just consumed.  ``ins`` holds (port, channel, consumer key) per input
+    and ``outs`` (port, channel) per output, the channel None where the
+    port is unconnected.
     """
 
-    def __init__(self, unit: Unit, impl, engine):
+    def __init__(self, unit: Unit, impl: HwImpl, engine):
         self.name = unit.name
-        self.unit = unit
         self.engine = engine
-        if impl[0] == "pipelined":
-            self.advance = RtlCycleSim(impl[1], engine.sd.registry).step
-            self.k = impl[2]
+        if impl.kind == "pipelined":
+            self.advance = RtlCycleSim(impl.rtl, engine.sd.registry).step
+            self.k = impl.latency
         else:
-            self.advance = ControllerSim(impl[1], engine.sd.registry).fire
+            self.advance = ControllerSim(impl.rtl, engine.sd.registry).fire
             self.k = 0
+        self.ins = [(p,) + (engine.cons.get((self.name, p)) or (None, None))
+                    for p in unit.in_ports]
+        self.outs = [(p, engine.prod.get((self.name, p)))
+                     for p in unit.out_ports]
         self.consumed = 0
         self.emitted = 0
         # one flag per in-flight pipeline slot: True = real input sample,
@@ -165,32 +182,16 @@ class _MicroHwUnit:
         self.in_flight = deque([False] * self.k)
 
     def _can_emit(self) -> bool:
-        for p in self.unit.out_ports:
-            ch = self.engine.prod.get((self.name, p))
+        for _, ch in self.outs:
             if ch is not None and not ch.can_push():
                 return False
         return True
 
     def _io_ready(self) -> bool:
-        for p in self.unit.in_ports:
-            ch = self.engine.cons.get((self.name, p))
-            if ch is not None and not ch[0].can_pop(ch[1]):
+        for _, ch, key in self.ins:
+            if ch is not None and not ch.can_pop(key):
                 return False
         return self._can_emit()
-
-    def _pop_inputs(self) -> dict:
-        vals = {}
-        for p in self.unit.in_ports:
-            ch = self.engine.cons.get((self.name, p))
-            vals[p] = ch[0].pop(ch[1]) if ch else 0
-        return vals
-
-    def _push_outputs(self, outs: dict) -> None:
-        for p in self.unit.out_ports:
-            ch = self.engine.prod.get((self.name, p))
-            if ch is not None:
-                ch.push(outs[p])
-        self.emitted += 1
 
     def step(self, pad: bool = False) -> bool:
         """Consume one sample per input, or with pad=True advance on zero
@@ -198,16 +199,20 @@ class _MicroHwUnit:
         if pad:
             if not any(self.in_flight) or not self._can_emit():
                 return False
-            ins = {p: 0 for p in self.unit.in_ports}
+            ins = {p: 0 for p, _, _ in self.ins}
         elif self._io_ready():
-            ins = self._pop_inputs()
+            ins = {p: ch.pop(key) if ch is not None else 0
+                   for p, ch, key in self.ins}
             self.consumed += 1
         else:
             return False
         outs = self.advance(ins)
         self.in_flight.append(not pad)
         if self.in_flight.popleft():
-            self._push_outputs(outs)
+            for p, ch in self.outs:
+                if ch is not None:
+                    ch.push(outs[p])
+            self.emitted += 1
         return True
 
 
@@ -240,7 +245,8 @@ class Engine:
                 self.cons[(c.unit, c.port)] = (ch, (c.unit, c.port))
 
         self.macro_units: list[_MacroUnit] = []
-        self.schedulers: list[list[FsmRunner]] = []
+        # per processor node: (runner, cycles charged per fired transition)
+        self.schedulers: list[list[tuple[FsmRunner, int]]] = []
         self.hw_units: list[_MicroHwUnit] = []
         reg = sd.registry
         macro: list[str] = []
@@ -248,15 +254,16 @@ class Engine:
             if assignment[info.name] != 3:
                 macro += info.units
             elif info.role == "software":
-                self.schedulers.append(
-                    [FsmRunner(sd.micro_fsms[u], _MicroTaskIO(u, self), reg)
-                     for u in info.units])
+                self.schedulers.append([
+                    (FsmRunner(sd.micro_fsms[u],
+                               _MicroTaskIO(u, sd.micro_fsms[u], self), reg),
+                     sd.costs.cost(u))
+                    for u in info.units])
             else:
                 self.hw_units.append(_MicroHwUnit(
                     sd.tlm.units[info.name], sd.hw_impl[info.name], self))
         for name in macro + sd.tlm.testbench:
-            gen = behavior_coroutine(sd.behaviors[name], reg)
-            self.macro_units.append(_MacroUnit(name, gen, self))
+            self.macro_units.append(_MacroUnit(name, sd.behaviors[name], self))
 
         self.sources = [(p, self.prod.get((None, p)))
                         for p in sd.tlm.base.inputs]
@@ -274,9 +281,9 @@ class Engine:
                 self.sent[p] += 1
                 self.events += 1
         for runners in self.schedulers:
-            for r in runners:
+            for r, cost in runners:
                 if r.step():
-                    self.cycle += self.sd.costs.cost(r.fsm.task)
+                    self.cycle += cost
                     self.events += 1
         for hw in self.hw_units:
             if hw.step():
@@ -307,7 +314,7 @@ class Engine:
 
     def run(self) -> Trace:
         # each micro-level loop iteration takes one scheduler slot
-        loops = sum(a.count for runners in self.schedulers for r in runners
+        loops = sum(a.count for runners in self.schedulers for r, _ in runners
                     for t in r.fsm.transitions for a in t.actions
                     if isinstance(a, ALoopInit))
         limit = (60 + loops) * self.ticks + 10000

@@ -108,6 +108,17 @@ class TestFlow:
         assert main(["flow", "--model", mini_path,
                      "--out", str(tmp_path / "o"), "--level", "9"]) == 2
 
+    # no tick count below one runs: an empty trace would pass a verdict
+    @pytest.mark.parametrize("ticks", ["0", "-5"])
+    @pytest.mark.parametrize("cmd", ["flow", "simulate"])
+    def test_bad_ticks(self, cmd, ticks, mini_path, tmp_path, capsys):
+        rc = main([cmd, "--model", mini_path, "--out", str(tmp_path / "o"),
+                   f"--ticks={ticks}"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--ticks" in captured.err
+
 
 class TestStageCommands:
     def test_gma(self, mini_path, tmp_path, capsys):
@@ -150,6 +161,14 @@ class TestStageCommands:
                      str(tmp_path / "sim"), "--stimulus", str(empty)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "empty.csv" in err
+
+    def test_stimulus_missing_input(self, mini_path, tmp_path, capsys):
+        stim = tmp_path / "foo.csv"
+        stim.write_text("foo\n1\n2\n")
+        assert main(["simulate", "--model", mini_path, "--out",
+                     str(tmp_path / "sim"), "--stimulus", str(stim)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bitstream" in err
 
 
 class TestCompare:
