@@ -14,16 +14,13 @@ import sys
 from pathlib import Path
 
 from .flow import CompiledDesign, FlowError, compile_design, \
-    default_stimulus, load_model_file, run_flow, simulate
-from .gma import netlist_to_json, param_files
-from .gma.behavior import format_behavior
+    default_stimulus, load_model_file, run_flow, simulate, write_address_map, \
+    write_behaviors, write_fsms, write_netlist, write_rtl
 from .gma.params import ParamError, load_param_files
-from .hwsynth import emit_rtl_text
-from .model.parser import ParseError, parse_model
+from .model.parser import ParseError
 from .model.validate import validate_model
 from .sim.interp import SimError
 from .sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
-from .swsynth import format_address_map, format_fsm
 from .tlm import recognize_partition, validate_partition
 
 
@@ -59,9 +56,7 @@ def _out_dir(args) -> Path:
     out = args.out or os.environ.get("FLOW_OUT")
     if not out:
         raise _Usage("no output directory (use --out or FLOW_OUT)")
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    return Path(out)
 
 
 def _compile(args) -> CompiledDesign:
@@ -110,16 +105,8 @@ def cmd_flow(args) -> int:
 def cmd_gma(args) -> int:
     out = _out_dir(args)
     cd = _compile(args)
-    (out / "netlist.colif.json").write_text(netlist_to_json(cd.netlist))
-    pdir = out / "params"
-    pdir.mkdir(exist_ok=True)
-    for fname, text in sorted(param_files(cd.params).items()):
-        (pdir / fname).write_text(text)
-    bdir = out / "behaviors"
-    bdir.mkdir(exist_ok=True)
-    for name in sorted(cd.behaviors):
-        fname = name.replace("/", ".") + ".behavior.txt"
-        (bdir / fname).write_text(format_behavior(cd.behaviors[name]))
+    write_netlist(cd, out)
+    write_behaviors(cd, out / "behaviors", cd.behaviors)
     print(f"wrote netlist, {len(cd.params.entries)} parameter files, "
           f"{len(cd.behaviors)} behaviors to {out}")
     return 0
@@ -128,12 +115,8 @@ def cmd_gma(args) -> int:
 def cmd_synth_sw(args) -> int:
     out = _out_dir(args)
     cd = _compile(args)
-    for name in sorted(cd.macro_fsms):
-        safe = name.replace("/", ".")
-        (out / f"{safe}.fsm.txt").write_text(format_fsm(cd.macro_fsms[name]))
-        (out / f"{safe}.micro.fsm.txt").write_text(
-            format_fsm(cd.micro_fsms[name]))
-    (out / "address_map.txt").write_text(format_address_map(cd.address_map))
+    write_fsms(cd, out)
+    write_address_map(cd, out)
     print(f"wrote {len(cd.macro_fsms)} FSMs and the address map to {out}")
     return 0
 
@@ -141,9 +124,9 @@ def cmd_synth_sw(args) -> int:
 def cmd_synth_hw(args) -> int:
     out = _out_dir(args)
     cd = _compile(args)
+    write_rtl(cd, out)
     for node in sorted(cd.hw_impl):
         impl = cd.hw_impl[node]
-        (out / f"{node}.rtl.txt").write_text(emit_rtl_text(impl.rtl))
         print(f"{node}: {impl.kind}, latency/interval {impl.latency}")
     return 0
 
@@ -164,6 +147,7 @@ def cmd_simulate(args) -> int:
                              f"input {p!r}")
     else:
         stim = default_stimulus(cd.model, args.ticks, args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     for level in levels:
         tr = simulate(level, cd, stim, args.ticks)
         path = out / f"level{level}.trace"
@@ -193,8 +177,11 @@ def cmd_report(args) -> int:
     tpath = out / "timings.json"
     if not tpath.is_file():
         raise _Usage(f"no timings.json in {out}; run the flow first")
-    timings = {int(k): float(v) for k, v in
-               json.loads(tpath.read_text()).items()}
+    try:
+        timings = {int(k): float(v) for k, v in
+                   json.loads(tpath.read_text()).items()}
+    except (OSError, ValueError, TypeError, AttributeError) as e:
+        raise _Usage(f"cannot read {tpath}: {e}")
     if len(timings) < 2:
         print("need at least two timed levels", file=sys.stderr)
         return 1

@@ -1,20 +1,21 @@
 """End-to-end refinement flow.
 
 compile_design runs every synthesis stage once and bundles the results;
-simulate dispatches to the right engine for a level; run_flow writes all
-artifacts to disk and checks cross-level equivalence.
+simulate dispatches to the right engine for a level; the write_* functions
+are the one writer of each artifact, and run_flow writes them all to disk
+and checks cross-level equivalence.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .gma import ParamSet, attach_params, build_tree, emit_netlist, \
     emit_param_templates, gen_task_behavior, netlist_to_json, param_files
-from .gma.behavior import TaskBehavior, format_behavior
+from .gma.behavior import format_behavior
 from .gma.netlist import ColifNetlist
 from .gma.tree import DesignTree
 from .hwsynth import HwImpl, all_pipelined, delay_correct, emit_rtl_text, \
@@ -23,10 +24,10 @@ from .model.blocks import FunctionRegistry, default_registry
 from .model.graph import ModelGraph
 from .model.parser import parse_model
 from .model.validate import validate_model
-from .sim.engine import CostModel, SimDesign, simulate_partitioned
+from .sim.engine import Engine, SimDesign
 from .sim.level0 import simulate_level0
 from .sim.trace import Stimulus, Trace, Verdict, compare_traces
-from .swsynth import AddressMap, TaskFsm, allocate_address_map, \
+from .swsynth import AddressMap, allocate_address_map, \
     build_task_fsm, format_address_map, format_fsm, lower_api
 from .tlm import TlmModel, recognize_partition, validate_partition
 
@@ -34,7 +35,6 @@ from .tlm import TlmModel, recognize_partition, validate_partition
 class FlowError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 @dataclass
@@ -54,8 +54,7 @@ class CompiledDesign:
 
 
 def compile_design(model: ModelGraph, params: ParamSet | None = None,
-                   registry: FunctionRegistry | None = None,
-                   bus_latency: int = 2) -> CompiledDesign:
+                   registry: FunctionRegistry | None = None) -> CompiledDesign:
     registry = registry or default_registry()
     report = validate_model(model, registry)
     if not report.ok:
@@ -118,8 +117,7 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
             c = m.params.get("cost_cycles", 0)
             if c > 0:
                 unit_costs[name] = c
-    sd = SimDesign(tlm, behaviors, micro_fsms, hw_impl,
-                   CostModel(unit_costs, bus_latency), registry)
+    sd = SimDesign(tlm, behaviors, micro_fsms, hw_impl, unit_costs, registry)
     return CompiledDesign(model, registry, tlm, tree, netlist=bound,
                           params=used, behaviors=behaviors,
                           macro_fsms=macro_fsms, address_map=address_map,
@@ -131,7 +129,9 @@ def simulate(level: int, cd: CompiledDesign, stim: Stimulus,
              ticks: int) -> Trace:
     if level == 0:
         return simulate_level0(cd.model, stim, ticks, cd.registry)
-    return simulate_partitioned(cd.sim_design, level, stim, ticks)
+    sd = cd.sim_design
+    return Engine(sd, dict.fromkeys(sd.tlm.nodes, level), stim, ticks,
+                  level).run()
 
 
 def default_stimulus(model: ModelGraph, ticks: int, seed: int = 0) -> Stimulus:
@@ -145,7 +145,6 @@ def default_stimulus(model: ModelGraph, ticks: int, seed: int = 0) -> Stimulus:
 
 @dataclass
 class FlowResult:
-    out_dir: Path
     traces: dict  # level -> Trace
     verdicts: list  # (label, Verdict)
     hw_latency: dict
@@ -160,43 +159,69 @@ def _safe(name: str) -> str:
     return name.replace("/", ".")
 
 
+def _dir(path) -> Path:
+    d = Path(path)
+    d.mkdir(parents=True, exist_ok=True)
+    return d
+
+
+def write_netlist(cd: CompiledDesign, out: Path) -> None:
+    """netlist.colif.json, and one parameter file per module in params/."""
+    (_dir(out) / "netlist.colif.json").write_text(netlist_to_json(cd.netlist))
+    pdir = _dir(out / "params")
+    for fname, text in sorted(param_files(cd.params).items()):
+        (pdir / fname).write_text(text)
+
+
+def write_behaviors(cd: CompiledDesign, out: Path, units) -> None:
+    d = _dir(out)
+    for name in sorted(units):
+        (d / f"{_safe(name)}.behavior.txt").write_text(
+            format_behavior(cd.behaviors[name]))
+
+
+def write_fsms(cd: CompiledDesign, out: Path) -> None:
+    """Each task's macro-level and micro-level FSM."""
+    d = _dir(out)
+    for name in sorted(cd.macro_fsms):
+        (d / f"{_safe(name)}.fsm.txt").write_text(
+            format_fsm(cd.macro_fsms[name]))
+        (d / f"{_safe(name)}.micro.fsm.txt").write_text(
+            format_fsm(cd.micro_fsms[name]))
+
+
+def write_address_map(cd: CompiledDesign, out: Path) -> None:
+    (_dir(out) / "address_map.txt").write_text(
+        format_address_map(cd.address_map))
+
+
+def write_rtl(cd: CompiledDesign, out: Path) -> None:
+    """Each hardware node's structural RTL text."""
+    d = _dir(out)
+    for node in sorted(cd.hw_impl):
+        (d / f"{_safe(node)}.rtl.txt").write_text(
+            emit_rtl_text(cd.hw_impl[node].rtl))
+
+
 def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
              levels=(0, 1, 2, 3), ticks: int = 256, seed: int = 0,
              compare_mode: str | None = None,
              stim: Stimulus | None = None,
              registry: FunctionRegistry | None = None) -> FlowResult:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _dir(out_dir)
     cd = compile_design(model, params, registry)
-
-    (out / "netlist.colif.json").write_text(netlist_to_json(cd.netlist))
-    pdir = out / "params"
-    pdir.mkdir(exist_ok=True)
-    for fname, text in sorted(param_files(cd.params).items()):
-        (pdir / fname).write_text(text)
-    fdir = out / "fsm"
-    fdir.mkdir(exist_ok=True)
-    for name in sorted(cd.macro_fsms):
-        (fdir / f"{_safe(name)}.behavior.txt").write_text(
-            format_behavior(cd.behaviors[name]))
-        (fdir / f"{_safe(name)}.fsm.txt").write_text(
-            format_fsm(cd.macro_fsms[name]))
-        (fdir / f"{_safe(name)}.micro.fsm.txt").write_text(
-            format_fsm(cd.micro_fsms[name]))
-    (out / "address_map.txt").write_text(format_address_map(cd.address_map))
-    hdir = out / "hw"
-    hdir.mkdir(exist_ok=True)
-    for node in sorted(cd.hw_impl):
-        (hdir / f"{_safe(node)}.rtl.txt").write_text(
-            emit_rtl_text(cd.hw_impl[node].rtl))
+    write_netlist(cd, out)
+    write_behaviors(cd, out / "fsm", cd.macro_fsms)
+    write_fsms(cd, out / "fsm")
+    write_address_map(cd, out)
+    write_rtl(cd, out / "hw")
 
     if stim is None:
         stim = default_stimulus(model, ticks, seed)
     stim.save(out / "stimulus.csv")
     traces: dict[int, Trace] = {}
     timings: dict[int, float] = {}
-    tdir = out / "traces"
-    tdir.mkdir(exist_ok=True)
+    tdir = _dir(out / "traces")
     for level in levels:
         t0 = time.perf_counter()
         tr = simulate(level, cd, stim, ticks)
@@ -226,7 +251,7 @@ def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
     # wall-clock timings are machine-specific; kept out of determinism checks
     (out / "timings.json").write_text(json.dumps(
         {str(k): round(v, 6) for k, v in timings.items()}, indent=2) + "\n")
-    return FlowResult(out, traces, verdicts, hw_latency, timings)
+    return FlowResult(traces, verdicts, hw_latency, timings)
 
 
 def load_model_file(path) -> ModelGraph:

@@ -12,8 +12,6 @@ from dataclasses import asdict, dataclass, field
 
 from .tree import DesignTree, TreeNode
 
-MODULE_KINDS = ("top", "sw_node", "hw_node", "task", "ip", "channel_adapter")
-
 _ROLE_KIND = {
     "root": "top",
     "sw_node": "sw_node",
@@ -42,12 +40,6 @@ class Module:
     ports: list[Port] = field(default_factory=list)
     params: dict = field(default_factory=dict)
     children: list["Module"] = field(default_factory=list)
-
-    def port(self, name: str) -> Port | None:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        return None
 
 
 @dataclass
@@ -125,37 +117,6 @@ def emit_netlist(d: DesignTree) -> ColifNetlist:
     for ch in d.tlm.channels:
         nets.append(Net(ch.id, [pin_path(p) for p in ch.chain]))
     return ColifNetlist(top, nets)
-
-
-def validate_netlist(n: ColifNetlist) -> list[str]:
-    """Structural checks; returns human-readable problems."""
-    problems = []
-    paths = {}
-    for path, m in n.modules():
-        if path in paths:
-            problems.append(f"duplicate module path {path}")
-        paths[path] = m
-        if m.kind not in MODULE_KINDS:
-            problems.append(f"{path}: unknown module kind {m.kind!r}")
-        seen = set()
-        for p in m.ports:
-            if p.name in seen:
-                problems.append(f"{path}: duplicate port {p.name}")
-            seen.add(p.name)
-            if p.direction not in ("in", "out"):
-                problems.append(f"{path}.{p.name}: bad direction {p.direction!r}")
-    for net in n.nets:
-        if not net.endpoints:
-            problems.append(f"net {net.name}: no endpoints")
-            continue
-        for ep in net.endpoints:
-            mpath, _, port = ep.rpartition(".")
-            m = paths.get(mpath)
-            if m is None:
-                problems.append(f"net {net.name}: no module {mpath}")
-            elif m.port(port) is None:
-                problems.append(f"net {net.name}: no port {ep}")
-    return problems
 
 
 def netlist_to_json(n: ColifNetlist) -> str:

@@ -32,10 +32,6 @@ class ModuleParams:
 @dataclass
 class ParamSet:
     entries: dict  # module path -> ModuleParams
-    provenance: str = "template"  # "template" | "user"
-
-    def entry_count(self) -> int:
-        return sum(1 + len(mp.ports) for mp in self.entries.values())
 
 
 def emit_param_templates(n: ColifNetlist) -> ParamSet:
@@ -131,7 +127,7 @@ def load_param_files(files: dict[str, str]) -> ParamSet:
             else:
                 mp.module[key] = value
         entries[path] = mp
-    return ParamSet(entries, provenance="user")
+    return ParamSet(entries)
 
 
 def _is_int(s: str) -> bool:

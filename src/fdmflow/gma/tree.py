@@ -12,34 +12,22 @@ from dataclasses import dataclass, field
 from ..model.blocks import FunctionRegistry, default_registry, port_names
 from ..tlm import TlmModel, Unit
 
-ROLES = ("root", "sw_node", "hw_node", "task", "ip", "channel",
-         "testbench", "block")
-
 
 @dataclass
 class TreeNode:
     name: str
-    role: str
+    role: str  # root, sw_node, hw_node, task, ip, channel, testbench, block
     in_ports: tuple[str, ...] = ()
     out_ports: tuple[str, ...] = ()
     children: list["TreeNode"] = field(default_factory=list)
     params: dict = field(default_factory=dict)
     ref: object = None  # source element: Subsystem, Block, Unit or ChannelSpec
-    path: str = ""
-
-    def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
 
 
 @dataclass
 class DesignTree:
     root: TreeNode
     tlm: TlmModel
-
-    def nodes(self) -> list[TreeNode]:
-        return list(self.root.walk())
 
 
 def _block_leaf(blk, role: str, registry) -> TreeNode:
@@ -89,11 +77,4 @@ def build_tree(t: TlmModel,
         u = t.units[name]
         node = TreeNode(name, "testbench", u.in_ports, u.out_ports, ref=u)
         root.children.append(node)
-    _assign_paths(root, "")
     return DesignTree(root, t)
-
-
-def _assign_paths(node: TreeNode, prefix: str) -> None:
-    node.path = f"{prefix}/{node.name}" if prefix else node.name
-    for c in node.children:
-        _assign_paths(c, node.path)

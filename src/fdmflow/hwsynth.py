@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from .model.blocks import FunctionRegistry, default_registry, port_names
 from .model.graph import ModelGraph, Subsystem, flatten, stable_topo
 from .sim.sweep import Sweep
-from .sim.trace import Stimulus, Trace
 
 
 @dataclass(frozen=True)
@@ -250,10 +249,6 @@ def fsm_controller(g: RtlGraph) -> Controller:
     return Controller(g, order, ii)
 
 
-def total_registers(g: RtlGraph) -> int:
-    return sum(e.regs for e in g.edges)
-
-
 # ---------------------------------------------------------------------------
 # cycle-level execution
 
@@ -303,8 +298,8 @@ class RtlCycleSim:
 
     Each IP is its functional block followed by an L-stage output pipeline;
     balancing registers sit on the edges.  One input sample is consumed per
-    step.  ``raw`` output streams include the k priming samples; system
-    simulation discards them via the valid counter.
+    step; the first k outputs are priming samples, which the engine
+    discards.
     """
 
     def __init__(self, g: RtlGraph, registry: FunctionRegistry | None = None):
@@ -326,31 +321,6 @@ class ControllerSim:
 
     def fire(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)
-
-
-def _stream(tick, g: RtlGraph, stim: Stimulus, n: int, time_of,
-            latency: int | None) -> Trace:
-    ins = [p.split(":", 1)[1] for p in g.inputs]
-    tr = Trace({o.split(":", 1)[1]: [] for o in g.outputs}, level=3,
-               design=g.name, latency=latency)
-    for i in range(n):
-        for p, v in tick({p: stim.at(p, i) for p in ins}).items():
-            tr.ports[p].append((time_of(i), v))
-    return tr
-
-
-def simulate_rtl_cycles(g: RtlGraph, stim: Stimulus, cycles: int,
-                        registry: FunctionRegistry | None = None) -> Trace:
-    """Raw one-sample-per-cycle stream including the k priming samples."""
-    return _stream(RtlCycleSim(g, registry).step, g, stim, cycles,
-                   lambda t: t, g.latency)
-
-
-def simulate_controller(ctrl: Controller, stim: Stimulus, samples: int,
-                        registry: FunctionRegistry | None = None) -> Trace:
-    """Controller stream: sample i completes at cycle (i + 1) * II."""
-    return _stream(ControllerSim(ctrl, registry).fire, ctrl.graph, stim,
-                   samples, lambda i: (i + 1) * ctrl.ii, ctrl.ii)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Unified execution engine for the partitioned levels.
 
 One engine serves the transaction level, the macro level and the micro
-level; the difference is per-node assignment.  Every unit of a macro node
-(a task, or the hardware node itself) and every testbench unit runs its
-generated behavior as a coroutine exchanging zero-time messages; a micro
-node runs lowered FSMs under a round-robin scheduler with polled bus
-transactions, or a cycle-stepped hardware model.  Mixed assignments need
-no special adapter: the shared channel FIFOs are the transaction/bus
-boundary.
+level; the difference is per-node assignment, where levels 1 and 2 both
+run a node as macro.  Every unit of a macro node (a task, or the hardware
+node itself) and every testbench unit runs its generated behavior as a
+coroutine exchanging zero-time messages; a micro node runs lowered FSMs
+under a round-robin scheduler with polled bus transactions, or a
+cycle-stepped hardware model.  Mixed assignments need no special adapter:
+the shared channel FIFOs are the transaction/bus boundary.
 
 Hardware pipelines are valid-gated: the k priming samples of a
 delay-corrected node are discarded, so the value stream seen by the rest
@@ -28,7 +28,7 @@ cannot hold the flush back.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..gma.behavior import TaskBehavior
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
@@ -40,14 +40,7 @@ from .interp import FsmRunner, SimError, behavior_coroutine
 from .trace import Stimulus, Trace
 
 
-@dataclass
-class CostModel:
-    unit_costs: dict = field(default_factory=dict)  # unit name -> cycles
-    bus_latency: int = 2
-
-    def cost(self, unit: str) -> int:
-        c = self.unit_costs.get(unit, 0)
-        return c if c > 0 else 1
+BUS_LATENCY = 2  # cycles per micro-level bus transaction
 
 
 @dataclass
@@ -58,7 +51,7 @@ class SimDesign:
     behaviors: dict  # unit name -> TaskBehavior, for every unit
     micro_fsms: dict  # task unit name -> lowered TaskFsm
     hw_impl: dict  # node -> HwImpl
-    costs: CostModel
+    unit_costs: dict  # task unit -> cycles per fired transition, if > 0
     registry: FunctionRegistry
 
 
@@ -70,9 +63,6 @@ class _MacroUnit:
     """
 
     def __init__(self, name: str, b: TaskBehavior, engine):
-        self.name = name
-        self.engine = engine
-        self.cost = engine.sd.costs.cost(name)
         self.cons = {p: engine.cons.get((name, p)) for p in b.in_ports}
         self.prod = {p: engine.prod.get((name, p)) for p in b.out_ports}
         self.gen = behavior_coroutine(b, engine.sd.registry)
@@ -103,8 +93,6 @@ class _MacroUnit:
                     ch.push(req[2])
                 req = gen.send(None)  # unconnected output: value dropped
             else:  # "end" of one body iteration
-                clock = self.engine.local_clock
-                clock[self.name] = clock.get(self.name, 0) + self.cost
                 self.request = gen.send(None)
                 return True
             progress = True
@@ -116,12 +104,11 @@ class _MicroTaskIO:
     def __init__(self, name: str, fsm: TaskFsm, engine):
         self.name = name
         self.engine = engine
-        self.bus_latency = engine.sd.costs.bus_latency
         self.cons = {p: engine.cons.get((name, p)) for p in fsm.in_ports}
         self.prod = {p: engine.prod.get((name, p)) for p in fsm.out_ports}
 
     def _charge(self):
-        self.engine.cycle += self.bus_latency
+        self.engine.cycle += BUS_LATENCY
         self.engine.bus_transactions += 1
 
     def poll_status(self, port: str, addr: int) -> int:
@@ -163,20 +150,17 @@ class _MicroHwUnit:
     """
 
     def __init__(self, unit: Unit, impl: HwImpl, engine):
-        self.name = unit.name
-        self.engine = engine
         if impl.kind == "pipelined":
             self.advance = RtlCycleSim(impl.rtl, engine.sd.registry).step
             self.k = impl.latency
         else:
             self.advance = ControllerSim(impl.rtl, engine.sd.registry).fire
             self.k = 0
-        self.ins = [(p,) + (engine.cons.get((self.name, p)) or (None, None))
+        self.ins = [(p,) + (engine.cons.get((unit.name, p)) or (None, None))
                     for p in unit.in_ports]
-        self.outs = [(p, engine.prod.get((self.name, p)))
+        self.outs = [(p, engine.prod.get((unit.name, p)))
                      for p in unit.out_ports]
         self.consumed = 0
-        self.emitted = 0
         # one flag per in-flight pipeline slot: True = real input sample,
         # False = reset contents or flush padding
         self.in_flight = deque([False] * self.k)
@@ -212,20 +196,20 @@ class _MicroHwUnit:
             for p, ch in self.outs:
                 if ch is not None:
                     ch.push(outs[p])
-            self.emitted += 1
         return True
 
 
 class Engine:
     def __init__(self, sd: SimDesign, assignment: dict, stim: Stimulus,
                  ticks: int, level_tag: int):
+        if level_tag not in (1, 2, 3):
+            raise SimError(f"unsupported level {level_tag}")
         for node in sd.tlm.nodes:
             if node not in assignment:
                 raise SimError(f"assignment missing node {node!r}")
-            if assignment[node] not in (2, 3):
-                raise SimError(f"node {node!r}: level must be 2 or 3")
+            if assignment[node] not in (1, 2, 3):
+                raise SimError(f"node {node!r}: level must be 1, 2 or 3")
         self.sd = sd
-        self.assignment = assignment
         self.stim = stim
         self.ticks = ticks
         self.level_tag = level_tag
@@ -233,7 +217,6 @@ class Engine:
         self.bus_transactions = 0
         self.rounds = 0
         self.events = 0
-        self.local_clock: dict[str, int] = {}
 
         self.channels = [ChannelRt(c) for c in sd.tlm.channels]
         self.prod: dict[tuple, ChannelRt] = {}
@@ -257,7 +240,7 @@ class Engine:
                 self.schedulers.append([
                     (FsmRunner(sd.micro_fsms[u],
                                _MicroTaskIO(u, sd.micro_fsms[u], self), reg),
-                     sd.costs.cost(u))
+                     sd.unit_costs.get(u, 1))
                     for u in info.units])
             else:
                 self.hw_units.append(_MicroHwUnit(
@@ -334,20 +317,3 @@ class Engine:
             if self.rounds > limit:
                 raise SimError("round limit exceeded")
         return self.trace
-
-
-def simulate_partitioned(sd: SimDesign, level: int, stim: Stimulus,
-                         ticks: int) -> Trace:
-    """Levels 1 and 2 run every node as macro; level 3 as micro."""
-    if level not in (1, 2, 3):
-        raise SimError(f"unsupported level {level}")
-    lvl = 2 if level in (1, 2) else 3
-    assignment = {n: lvl for n in sd.tlm.nodes}
-    eng = Engine(sd, assignment, stim, ticks, level_tag=level)
-    return eng.run()
-
-
-def cosimulate_mixed(sd: SimDesign, assignment: dict, stim: Stimulus,
-                     ticks: int) -> Trace:
-    eng = Engine(sd, assignment, stim, ticks, level_tag=3)
-    return eng.run()

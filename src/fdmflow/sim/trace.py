@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class Stimulus:
-    """Finite per-input value sequences; short sequences are padded."""
+    """Finite per-input value sequences; short sequences are padded with 0."""
 
     values: dict[str, list[int]]
     length: int
-    pad: int = 0
 
     def at(self, port: str, tick: int) -> int:
         seq = self.values.get(port, [])
-        return seq[tick] if tick < len(seq) else self.pad
+        return seq[tick] if tick < len(seq) else 0
 
     def save(self, path) -> None:
         ports = list(self.values)
@@ -32,6 +31,9 @@ class Stimulus:
         if not lines:
             raise ValueError(f"{path}: empty stimulus file")
         ports = lines[0][1].split(",")
+        for i, p in enumerate(ports):
+            if p in ports[:i]:
+                raise ValueError(f"{path}:{lines[0][0]}: port {p!r} named twice")
         rows = []
         for i, ln in lines[1:]:
             try:
@@ -52,7 +54,6 @@ class Trace:
     ports: dict[str, list[tuple[int, int]]]
     level: int = 0
     design: str = ""
-    latency: int | None = None
 
     def record(self, port: str, time: int, value: int) -> None:
         recs = self.ports.setdefault(port, [])
@@ -67,8 +68,6 @@ class Trace:
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# level {self.level}\n")
             f.write(f"# design {self.design}\n")
-            if self.latency is not None:
-                f.write(f"# latency {self.latency}\n")
             for port in self.ports:
                 for t, v in self.ports[port]:
                     f.write(f"{t},{port},{v}\n")
@@ -91,8 +90,6 @@ class Trace:
                             tr.level = int(parts[1])
                         elif parts[0] == "design":
                             tr.design = parts[1] if len(parts) > 1 else ""
-                        elif parts[0] == "latency":
-                            tr.latency = int(parts[1])
                         continue
                     t, port, v = ln.split(",")
                     tr.ports.setdefault(port, []).append((int(t), int(v)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .hwsynth import RTL_USER_INDEX
 from .model.blocks import FunctionRegistry, default_registry, port_names
 from .model.graph import Block, ModelGraph, Subsystem, is_channel_subsystem
 from .model.validate import Diagnostic, ValidationReport
@@ -46,7 +47,6 @@ class Unit:
 
     name: str
     kind: str  # "task" | "hw_node" | "testbench"
-    node: str | None
     subsystem: Subsystem | None = None
     block: Block | None = None
     in_ports: tuple[str, ...] = ()
@@ -106,32 +106,32 @@ def recognize_partition(g: ModelGraph,
                 # prefixed ones nested wrongly are flagged by validation
                 name = f"{sub.id}/{inner.id}"
                 ins, outs = _unit_ports(inner, None, registry)
-                add_unit(Unit(name, "task", sub.id, subsystem=inner,
+                add_unit(Unit(name, "task", subsystem=inner,
                               in_ports=ins, out_ports=outs))
                 node.units.append(name)
             for blk in sub.blocks:
                 name = f"{sub.id}/{blk.id}"
                 ins, outs = _unit_ports(None, blk, registry)
-                add_unit(Unit(name, "task", sub.id, block=blk,
+                add_unit(Unit(name, "task", block=blk,
                               in_ports=ins, out_ports=outs))
                 node.units.append(name)
         elif role == "hardware":
             node = NodeInfo(sub.id, "hardware", sub)
             nodes[sub.id] = node
             ins, outs = _unit_ports(sub, None, registry)
-            add_unit(Unit(sub.id, "hw_node", sub.id, subsystem=sub,
+            add_unit(Unit(sub.id, "hw_node", subsystem=sub,
                           in_ports=ins, out_ports=outs))
             node.units.append(sub.id)
         elif is_channel_subsystem(sub.id):
             chan_subs[sub.id] = sub
         else:
             ins, outs = _unit_ports(sub, None, registry)
-            add_unit(Unit(sub.id, "testbench", None, subsystem=sub,
+            add_unit(Unit(sub.id, "testbench", subsystem=sub,
                           in_ports=ins, out_ports=outs))
             testbench.append(sub.id)
     for blk in g.blocks:
         ins, outs = _unit_ports(None, blk, registry)
-        add_unit(Unit(blk.id, "testbench", None, block=blk,
+        add_unit(Unit(blk.id, "testbench", block=blk,
                       in_ports=ins, out_ports=outs))
         testbench.append(blk.id)
 
@@ -264,17 +264,12 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
     return channels
 
 
-def validate_partition(t: TlmModel,
-                       rtl_index: set[str] | None = None) -> ValidationReport:
+def validate_partition(t: TlmModel) -> ValidationReport:
     """Legality of the recognized partition.
 
-    rtl_index lists user functions with a hardware library implementation;
-    hardware user blocks outside it only get a warning because an
-    FSM-controller fallback exists.
+    A hardware user block without an RTL library entry only gets a warning
+    because an FSM-controller fallback exists.
     """
-    if rtl_index is None:
-        from .hwsynth import RTL_USER_INDEX
-        rtl_index = set(RTL_USER_INDEX)
     out: list[Diagnostic] = []
 
     def walk_nested(sub: Subsystem, node: NodeInfo, path: str):
@@ -328,7 +323,7 @@ def validate_partition(t: TlmModel,
         if node.role != "hardware":
             continue
         for blk in hw_blocks(node.subsystem):
-            if blk.kind == "user" and blk.params[0] not in rtl_index:
+            if blk.kind == "user" and blk.params[0] not in RTL_USER_INDEX:
                 out.append(Diagnostic(
                     "warning", f"{node.name}/{blk.id}",
                     f"user function {blk.params[0]!r} has no RTL library entry; "

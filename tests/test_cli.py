@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources as ir
 import json
 
@@ -86,6 +87,25 @@ class TestFlow:
         assert list((out / "fsm").glob("*.fsm.txt"))
         assert list((out / "hw").glob("*.rtl.txt"))
 
+    ARTIFACTS = \
+        "6c4b14e2f8f403922d8a0ddcd0d0c0c9861f2c65268c7503c2e8387b5b46c2a1"
+
+    def test_pinned_artifact_digest(self, mini_path, tmp_path, capsys):
+        """One SHA-256 over every file `fdmflow flow` writes for mini_codec
+        at the CLI defaults, timings.json excluded: each file's relative
+        path, a NUL, its bytes and a NUL, in path order.  Any byte that
+        moves in any artifact shows.  The level-3 time model change
+        (ROADMAP item 1) re-pins it once, together with the level-3 trace
+        digests in test_sim.py."""
+        out = tmp_path / "out"
+        assert main(["flow", "--model", mini_path, "--out", str(out)]) == 0
+        h = hashlib.sha256()
+        for p in sorted(out.rglob("*")):
+            if p.is_file() and p.name != "timings.json":
+                h.update(p.relative_to(out).as_posix().encode() + b"\0")
+                h.update(p.read_bytes() + b"\0")
+        assert h.hexdigest() == self.ARTIFACTS
+
     def test_no_out_dir(self, mini_path, monkeypatch, capsys):
         monkeypatch.delenv("FLOW_OUT", raising=False)
         assert main(["flow", "--model", mini_path]) == 2
@@ -161,6 +181,14 @@ class TestStageCommands:
                      str(tmp_path / "sim"), "--stimulus", str(empty)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "empty.csv" in err
+
+    def test_stimulus_port_named_twice(self, mini_path, tmp_path, capsys):
+        stim = tmp_path / "dup.csv"
+        stim.write_text("bitstream,bitstream\n1,2\n")
+        assert main(["simulate", "--model", mini_path, "--out",
+                     str(tmp_path / "sim"), "--stimulus", str(stim)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'bitstream' named twice" in err
 
     def test_stimulus_missing_input(self, mini_path, tmp_path, capsys):
         stim = tmp_path / "foo.csv"
@@ -238,6 +266,18 @@ class TestReport:
 
     def test_report_without_flow(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 2
+        assert not (tmp_path / "empty").exists()  # report only reads
+
+    @pytest.mark.parametrize("text", ['{"0": "abc"}', "not json"],
+                             ids=["bad-value", "not-json"])
+    def test_corrupt_timings(self, text, tmp_path, capsys):
+        out = tmp_path / "r3"
+        out.mkdir()
+        (out / "timings.json").write_text(text)
+        assert main(["report", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "timings.json" in captured.err
 
 
 class TestSimulationErrors:

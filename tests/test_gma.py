@@ -7,17 +7,16 @@ from fdmflow.gma import attach_params, build_tree, emit_netlist, \
     emit_param_templates, gen_task_behavior, load_param_files, \
     netlist_to_json, param_files, parse_netlist_json
 from fdmflow.gma.behavior import Call, Recv, Send
-from fdmflow.gma.netlist import validate_netlist
 from fdmflow.gma.params import ParamError
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
-from fdmflow.sim.harness import run_task
 from fdmflow.sim.level0 import simulate_level0
 from fdmflow.sim.trace import Stimulus
 from fdmflow.swsynth import build_task_fsm
 from fdmflow.tlm import recognize_partition
 
-from helpers import rand_partitioned_model, rand_task_subsystem
+from helpers import port_of, rand_partitioned_model, rand_task_subsystem, \
+    run_task, validate_netlist, walk
 
 
 def mini_tree():
@@ -51,7 +50,7 @@ class TestTree:
     def test_small_construction(self):
         d = build_tree(recognize_partition(_two_task_model()))
         roles = {}
-        for n in d.root.walk():
+        for n in walk(d.root):
             roles.setdefault(n.role, []).append(n.name)
         assert len(roles["root"]) == 1
         assert roles["sw_node"] == ["SW_c"] and roles["hw_node"] == ["HW_fir"]
@@ -65,13 +64,13 @@ class TestTree:
                               Link(Endpoint("p", "out"), Endpoint("q", "in")),
                               Link(Endpoint("q", "out"), Endpoint("self", "y"))])
         d = build_tree(recognize_partition(g))
-        tb = [n for n in d.root.walk() if n.role == "testbench"]
+        tb = [n for n in walk(d.root) if n.role == "testbench"]
         assert [n.name for n in tb] == ["p", "q"]
 
     def test_mini_codec_pinned_counts(self):
         d = mini_tree()
         roles = {}
-        for n in d.root.walk():
+        for n in walk(d.root):
             roles[n.role] = roles.get(n.role, 0) + 1
         assert roles == {"root": 1, "sw_node": 1, "task": 3, "block": 6,
                          "hw_node": 2, "ip": 5, "channel": 8, "testbench": 2}
@@ -93,8 +92,8 @@ class TestNetlist:
     def test_port_directions_preserved(self):
         nl = emit_netlist(mini_tree())
         top = nl.top
-        assert top.port("bitstream").direction == "in"
-        assert top.port("audio").direction == "out"
+        assert port_of(top, "bitstream").direction == "in"
+        assert port_of(top, "audio").direction == "out"
 
     def test_structurally_valid(self):
         nl = emit_netlist(mini_tree())
@@ -115,7 +114,8 @@ class TestParams:
         nl = emit_netlist(mini_tree())
         ps = emit_param_templates(nl)
         total_ports = sum(len(m.ports) for _, m in nl.modules())
-        assert ps.entry_count() == total_ports + len(nl.modules())
+        entries = sum(1 + len(mp.ports) for mp in ps.entries.values())
+        assert entries == total_ports + len(nl.modules())
 
     def test_template_deterministic(self):
         nl = emit_netlist(mini_tree())

@@ -233,8 +233,8 @@ class TestTraceFiles:
 
     def test_trace_round_trip(self, tmp_path):
         from fdmflow.sim.trace import Trace
-        t = Trace({"y": [(0, 1), (5, -7)]}, level=3, design="d", latency=2)
+        t = Trace({"y": [(0, 1), (5, -7)]}, level=3, design="d")
         p = tmp_path / "t.trace"
         t.save(p)
         t2 = Trace.load(p)
-        assert t2.ports == t.ports and t2.level == 3 and t2.latency == 2
+        assert t2.ports == t.ports and t2.level == 3

@@ -12,14 +12,14 @@ from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, \
 from fdmflow.hwsynth import emit_rtl_text
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.channels import ChannelRt
-from fdmflow.sim.engine import cosimulate_mixed, simulate_partitioned
-from fdmflow.sim.harness import QueueIO, standalone_address_map
+from fdmflow.sim.engine import Engine
 from fdmflow.sim.interp import FsmRunner, SimError, behavior_coroutine
 from fdmflow.sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
 from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import ChannelSpec, PortRef
 
-from helpers import FEEDBACK_FDM, rand_loopy_model, rand_partitioned_model
+from helpers import FEEDBACK_FDM, QueueIO, rand_loopy_model, \
+    rand_partitioned_model, standalone_address_map
 
 
 def mini_model():
@@ -385,17 +385,28 @@ class TestMixed:
         ticks = 100
         stim = default_stimulus(cd.model, ticks, seed=5)
         sd = cd.sim_design
-        pure = simulate_partitioned(sd, 3, stim, ticks)
-        mixed = cosimulate_mixed(
-            sd, {"SW_cpu": 2, "HW_filter": 3, "HW_post": 2}, stim, ticks)
+        pure = simulate(3, cd, stim, ticks)
+        mixed = Engine(sd, {"SW_cpu": 2, "HW_filter": 3, "HW_post": 2},
+                       stim, ticks, 3).run()
         assert compare_traces(pure, mixed, mode="values_only").passed
 
     def test_bad_assignment_rejected(self):
         cd = mini_compiled()
         stim = default_stimulus(cd.model, 8, seed=0)
-        from fdmflow.sim.engine import SimError
         with pytest.raises((SimError, KeyError, ValueError)):
-            cosimulate_mixed(cd.sim_design, {"SW_cpu": 7}, stim, 8)
+            Engine(cd.sim_design, {"SW_cpu": 7}, stim, 8, 3).run()
+
+    @pytest.mark.parametrize("assignment, level, match", [
+        ({"SW_cpu": 2, "HW_filter": 3}, 3, "missing node 'HW_post'"),
+        ({"SW_cpu": 2, "HW_filter": 3, "HW_post": 0}, 3, "'HW_post': level"),
+        ({"SW_cpu": 4, "HW_filter": 3, "HW_post": 2}, 3, "'SW_cpu': level"),
+        ({"SW_cpu": 3, "HW_filter": 3, "HW_post": 3}, 4, "unsupported level"),
+    ], ids=["missing-node", "level-0", "level-4", "trace-level-4"])
+    def test_engine_rejects_assignment(self, assignment, level, match):
+        cd = mini_compiled()
+        stim = default_stimulus(cd.model, 8, seed=0)
+        with pytest.raises(SimError, match=match):
+            Engine(cd.sim_design, assignment, stim, 8, level)
 
     def test_random_design_levels(self):
         for seed in range(8):

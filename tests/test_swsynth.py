@@ -7,14 +7,14 @@ from fdmflow.flow import compile_design
 from fdmflow.gma import build_tree, emit_netlist, gen_task_behavior
 from fdmflow.gma.behavior import Call, Loop, Recv, Send, TaskBehavior
 from fdmflow.model.parser import parse_model
-from fdmflow.sim.harness import QueueIO, run_task, standalone_address_map
 from fdmflow.sim.interp import FsmRunner
 from fdmflow.swsynth import ABusRead, ABusWrite, ARecv, ASend, GCanRecv, \
     GCanSend, GStatusReady, SwSynthError, TaskFsm, Transition, \
     allocate_address_map, build_task_fsm, check_fsm, format_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import rand_task_subsystem
+from helpers import QueueIO, rand_task_subsystem, run_task, \
+    standalone_address_map
 
 import importlib.resources as ir
 
