@@ -189,16 +189,20 @@ def cmd_report(args) -> int:
     base = timings[min(timings)]
     for level in sorted(timings):
         tr_path = out / "traces" / f"level{level}.trace"
-        units = "cycles" if level >= 2 else "ticks"
-        n = 0
+        simulated = "0 samples"
         if tr_path.is_file():
             try:
                 tr = Trace.load(tr_path)
             except ValueError as e:
                 raise _Usage(f"cannot read trace: {e}")
             n = max((len(v) for v in tr.ports.values()), default=0)
+            simulated = f"{n} samples"
+            if level == 3 and n:
+                # level-3 record times are clock cycles
+                end = max(v[-1][0] for v in tr.ports.values() if v)
+                simulated += f" in {end} cycles"
         ratio = timings[level] / base if base > 0 else float("inf")
-        rows.append((level, f"{n} {units}", timings[level], ratio))
+        rows.append((level, simulated, timings[level], ratio))
     ordered = all(a[2] <= b[2] for a, b in zip(rows, rows[1:]))
     if args.report == "csv":
         print("level,simulated,wall_seconds,ratio_to_fastest")

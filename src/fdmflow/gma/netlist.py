@@ -1,4 +1,4 @@
-"""Hierarchical netlist: modules, ports and nets, plus JSON round-trip.
+"""Hierarchical netlist: modules, ports and nets, written as JSON.
 
 One module per tree node except block leaves inside tasks; implicit
 channels contribute a net only, declared channel subsystems also get a
@@ -73,10 +73,6 @@ class ColifNetlist:
         return None
 
 
-class NetlistError(Exception):
-    pass
-
-
 def _module_of(node: TreeNode) -> Module:
     ports = [Port(p, "in") for p in node.in_ports] \
         + [Port(p, "out") for p in node.out_ports]
@@ -122,20 +118,3 @@ def emit_netlist(d: DesignTree) -> ColifNetlist:
 def netlist_to_json(n: ColifNetlist) -> str:
     doc = {"top": asdict(n.top), "nets": [asdict(x) for x in n.nets]}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _module_from(doc: dict) -> Module:
-    return Module(doc["name"], doc["kind"],
-                  [Port(**p) for p in doc["ports"]],
-                  dict(doc["params"]),
-                  [_module_from(c) for c in doc["children"]])
-
-
-def parse_netlist_json(text: str) -> ColifNetlist:
-    try:
-        doc = json.loads(text)
-        top = _module_from(doc["top"])
-        nets = [Net(x["name"], list(x["endpoints"])) for x in doc["nets"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise NetlistError(f"malformed netlist file: {e}") from None
-    return ColifNetlist(top, nets)

@@ -289,7 +289,7 @@ def _sweep(g: RtlGraph, order: list[str], registry: FunctionRegistry,
         sw.op(nd.kind, nd.params, in_slots, out_slots)
     for o in g.outputs:
         sw.outputs[o.split(":", 1)[1]] = read.get((o, "in"), 0)
-    sw.reset()
+    sw.build()
     return sw
 
 

@@ -4,9 +4,8 @@ Every abstraction level in the toolchain evaluates blocks through the
 step functions that ``block_fn`` binds, so a value computed at the
 functional level is reproduced bit for bit after partitioning, behavior
 generation, FSM synthesis and hardware refinement.  The simulators bind
-each block once, when they are built; ``step_block`` binds and fires in
-one call.  Samples are 32-bit two's-complement integers with wrapping
-arithmetic.
+each block once, when they are built.  Samples are 32-bit two's-complement
+integers with wrapping arithmetic.
 """
 
 from __future__ import annotations
@@ -188,8 +187,3 @@ def block_fn(kind: str, params: tuple, registry: FunctionRegistry | None = None)
     if kind == "sink":
         return lambda inputs, state: ((), state)
     raise ValueError(f"unknown block kind {kind!r}")
-
-
-def step_block(kind, params, inputs, state, registry=None):
-    """Fire one block for one tick: pure (inputs, state) -> (outputs, state')."""
-    return block_fn(kind, params, registry)(inputs, state)

@@ -1,14 +1,23 @@
 """Executors for unit behaviors and task FSMs.
 
-The macro interpreter runs a behavior body as a coroutine that yields on
+A macro unit runs its behavior body as a coroutine that yields on
 blocking channel operations; the micro interpreter steps a lowered FSM
 one transition at a time under the round-robin scheduler, charging bus
 cycles for every transaction including failed status polls.
 
-Both bind their program once, when they are built: every call becomes
-the step function ``block_fn`` binds for its block, every assignment,
-guard and action a closure, and every FSM state the list of its own
-transitions, so a step decodes no statement, guard or action.
+``behavior_coroutine`` emits each body once as the source of one
+generator function, compiled through ``sweep.exec_generated`` (equal
+texts are compiled once): behavior variables and block states become
+locals, a loop a ``for`` and a branch an ``if``/``else``, and every call
+one call of the step function ``block_fn`` binds for its block, passed
+in as an argument.  ``block_fn`` stays the one definition of a block; no
+statement or block kind has a code template, and the source holds only
+integers, ``repr`` strings and names the generator makes up.  The FSM
+runner binds its program once, when it is built: every assignment, guard
+and action becomes a closure, every call a generated function, and every
+FSM state the list of its own transitions, so a step decodes no guard or
+action.  Both executors, and the block sweep, write a block call through
+``sweep.call_src``, the one call convention.
 """
 
 from __future__ import annotations
@@ -21,32 +30,47 @@ from ..model.blocks import FunctionRegistry, block_fn, default_registry
 from ..swsynth import AAssign, ABusRead, ABusWrite, ACall, AIf, ALoopInit, \
     ALoopStep, ARecv, ASend, GCanRecv, GCanSend, GLoopDone, GLoopNotDone, \
     GStatusReady, GTrue, TaskFsm
+from .sweep import call_src, exec_generated
 
 
 class SimError(Exception):
     pass
 
 
-def _bind_call(c: Call, registry):
-    """Bind a call statement to ``fn(env, states)``."""
-    key, ins, outs = c.state_key, c.ins, c.outs
+def _call_src(c: Call, var, state, fns: list, registry) -> str:
+    """The statement for call ``c``.  ``var`` and ``state`` write out a
+    variable and a state key as source; each block function bound is
+    appended to ``fns`` and called as ``fnN``, N its index there."""
+    ins = [var(v) for v in c.ins]
+    outs = [var(v) for v in c.outs]
+    st = state(c.state_key) if c.state_key else None
     if c.name == DELAY_EMIT:
-        def emit(env, states):
-            env[outs[0]] = states[key][0]
-        return emit
+        return f"{outs[0]} = {st}[0]"
     if c.name == DELAY_PUSH:
-        def push(env, states):
-            states[key] = states[key][1:] + (env[ins[0]],)
-        return push
-    fn = block_fn(c.kind, c.params, registry)
+        return f"{st} = {st}[1:] + ({ins[0]},)"
+    fns.append(block_fn(c.kind, c.params, registry))
+    return call_src(f"fn{len(fns) - 1}", ins, outs, st)
 
-    def call(env, states):
-        res, st = fn([env[v] for v in ins], states.get(key) if key else None)
-        if key:
-            states[key] = st
-        for var, val in zip(outs, res):
-            env[var] = val
-    return call
+
+def _bind_call(c: Call, env: dict, states: dict, registry):
+    """Bind a call statement to a function of no arguments on ``env`` and
+    ``states``.  Variable names and state keys are passed in as ``k0, ...``,
+    so the generated text depends only on the shape of the call."""
+    keys: dict[str, str] = {}
+
+    def key(name: str) -> str:
+        return keys.setdefault(name, f"k{len(keys)}")
+
+    fns: list = []
+    line = _call_src(c, lambda v: f"env[{key(v)}]",
+                     lambda k: f"states[{key(k)}]", fns, registry)
+    params = ["env", "states"] + [f"fn{i}" for i in range(len(fns))] + \
+        list(keys.values())
+    src = "\n".join([f"def bind({', '.join(params)}):",
+                     "    def call():",
+                     f"        {line}",
+                     "    return call", ""])
+    return exec_generated(src, {})["bind"](env, states, *fns, *keys)
 
 
 def _bind_assign(var: str, src):
@@ -67,57 +91,71 @@ def _store(env: dict, var: str, get):
     return store
 
 
-# tags of a bound behavior statement
-_RUN, _RECV, _SEND, _LOOP, _IF = range(5)
+class _BodyGen:
+    """Emits a behavior body as the source of one generator function.
 
+    Behavior variables become locals ``v0, v1, ...``, block states locals
+    ``s0, ...`` and bound block functions parameters ``fn0, ...``; ports
+    appear only as ``repr`` strings.
+    """
 
-def _bind_body(stmts, registry) -> list[tuple]:
-    out = []
-    for s in stmts:
+    def __init__(self, registry):
+        self.registry = registry
+        self.vars: dict[str, str] = {}
+        self.states: dict[str, str] = {}
+        self.fns: list = []
+        self.loops = 0
+        self.lines: list[str] = []
+
+    def var(self, name: str) -> str:
+        return self.vars.setdefault(name, f"v{len(self.vars)}")
+
+    def state(self, key: str) -> str:
+        return self.states.setdefault(key, f"s{len(self.states)}")
+
+    def body(self, stmts, ind: str) -> None:
+        if not stmts:
+            self.lines.append(f"{ind}pass")
+        for s in stmts:
+            self.stmt(s, ind)
+
+    def stmt(self, s, ind: str) -> None:
+        emit = self.lines.append
         if isinstance(s, Recv):
-            out.append((_RECV, ("recv", s.port), s.var))
+            emit(f"{ind}{self.var(s.var)} = yield ('recv', {s.port!r})")
         elif isinstance(s, Send):
-            out.append((_SEND, s.port, s.var))
+            emit(f"{ind}yield ('send', {s.port!r}, {self.var(s.var)})")
         elif isinstance(s, Call):
-            out.append((_RUN, _bind_call(s, registry)))
+            emit(ind + _call_src(s, self.var, self.state, self.fns,
+                                 self.registry))
         elif isinstance(s, Assign):
-            out.append((_RUN, _bind_assign(s.var, s.src)))
+            src = repr(s.src) if isinstance(s.src, int) else self.var(s.src)
+            emit(f"{ind}{self.var(s.var)} = {src}")
         elif isinstance(s, Loop):
-            out.append((_LOOP, s.count, _bind_body(s.body, registry)))
+            emit(f"{ind}for i{self.loops} in range({s.count!r}):")
+            self.loops += 1
+            self.body(s.body, ind + "    ")
         elif isinstance(s, If):
-            out.append((_IF, s.cond, _bind_body(s.then, registry),
-                        _bind_body(s.orelse, registry)))
+            emit(f"{ind}if {self.var(s.cond)}:")
+            self.body(s.then, ind + "    ")
+            emit(f"{ind}else:")
+            self.body(s.orelse, ind + "    ")
         else:
             raise SimError(f"unknown statement {s!r}")
-    return out
 
 
 def behavior_coroutine(b: TaskBehavior, registry: FunctionRegistry | None = None):
     """Generator protocol: yields ("recv", port) and is resumed with the
     value; yields ("send", port, value) and is resumed once delivered;
     yields ("end",) after each body iteration."""
-    body = _bind_body(b.body, registry or default_registry())
-    env: dict = {}
-    states = dict(b.states)
-
-    def run(ops):
-        for op in ops:
-            tag = op[0]
-            if tag == _RUN:
-                op[1](env, states)
-            elif tag == _RECV:
-                env[op[2]] = yield op[1]
-            elif tag == _SEND:
-                yield ("send", op[1], env[op[2]])
-            elif tag == _LOOP:
-                for _ in range(op[1]):
-                    yield from run(op[2])
-            else:
-                yield from run(op[2] if env[op[1]] != 0 else op[3])
-
-    while True:
-        yield from run(body)
-        yield ("end",)
+    gen = _BodyGen(registry or default_registry())
+    gen.body(b.body, "        ")
+    params = [f"fn{i}" for i in range(len(gen.fns))] + list(gen.states.values())
+    src = "\n".join([f"def behavior({', '.join(params)}):",
+                     "    while True:"] + gen.lines +
+                    ["        yield ('end',)", ""])
+    behavior = exec_generated(src, {})["behavior"]
+    return behavior(*gen.fns, *(b.states.get(k) for k in gen.states))
 
 
 class FsmRunner:
@@ -183,7 +221,7 @@ class FsmRunner:
             write, var = partial(io.write_data, a.port, a.addr, ctrl=a.ctrl), a.var
             return lambda: write(env[var])
         if isinstance(a, ACall):
-            return partial(_bind_call(a.call, self.registry), env, self.states)
+            return _bind_call(a.call, env, self.states, self.registry)
         if isinstance(a, AAssign):
             return partial(_bind_assign(a.var, a.src), env, self.states)
         if isinstance(a, ALoopInit):

@@ -39,7 +39,7 @@ class Level0Sim:
             else:
                 sw.op(blk.kind, blk.params, in_slots, out_slots)
         sw.outputs = {p: src(d) for p, d in flat.top_outputs.items()}
-        sw.reset()
+        sw.build()
 
     def tick(self, in_values: dict[str, int]) -> dict[str, int]:
         """Advance one global tick; returns top-level output port values."""

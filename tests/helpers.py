@@ -3,10 +3,12 @@ shared by the test suite."""
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 
-from fdmflow.gma.netlist import ColifNetlist
+from fdmflow.gma.netlist import ColifNetlist, Module, Net, Port
+from fdmflow.model.blocks import block_fn
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.sim.interp import FsmRunner, SimError
 from fdmflow.sim.trace import Stimulus, Trace
@@ -306,6 +308,33 @@ def validate_netlist(n: ColifNetlist) -> list[str]:
             elif port_of(m, port) is None:
                 problems.append(f"net {net.name}: no port {ep}")
     return problems
+
+
+class NetlistError(Exception):
+    pass
+
+
+def _module_from(doc: dict) -> Module:
+    return Module(doc["name"], doc["kind"],
+                  [Port(**p) for p in doc["ports"]],
+                  dict(doc["params"]),
+                  [_module_from(c) for c in doc["children"]])
+
+
+def parse_netlist_json(text: str) -> ColifNetlist:
+    """Read back a netlist that ``netlist_to_json`` wrote."""
+    try:
+        doc = json.loads(text)
+        top = _module_from(doc["top"])
+        nets = [Net(x["name"], list(x["endpoints"])) for x in doc["nets"]]
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        raise NetlistError(f"malformed netlist file: {e}") from None
+    return ColifNetlist(top, nets)
+
+
+def step_block(kind, params, inputs, state, registry=None):
+    """Fire one block for one tick: pure (inputs, state) -> (outputs, state')."""
+    return block_fn(kind, params, registry)(inputs, state)
 
 
 def total_registers(g) -> int:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fdmflow.cli import main
 from fdmflow.flow import compile_design, default_stimulus, run_flow, simulate
 from fdmflow.gma import build_tree, emit_netlist, gen_task_behavior, \
-    netlist_to_json, parse_netlist_json
+    netlist_to_json
 from fdmflow.hwsynth import ControllerSim, RtlCycleSim, delay_correct, \
     fsm_controller, map_rtl_library
 from fdmflow.model.blocks import default_registry, port_names
@@ -23,8 +23,8 @@ from fdmflow.sim.trace import Stimulus, Trace, compare_traces
 from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import hw_stream, rand_loopy_model, rand_partitioned_model, \
-    rand_pipeline_node, rand_task_subsystem, run_task, \
+from helpers import hw_stream, parse_netlist_json, rand_loopy_model, \
+    rand_partitioned_model, rand_pipeline_node, rand_task_subsystem, run_task, \
     standalone_address_map, total_registers
 
 _CACHE: dict = {}

@@ -34,10 +34,14 @@ def test_traced_flow(tmp_path):
     with bt.instrument(tracer):
         tracer.scope = "flow"
         assert flow.run_flow(model, tmp_path, ticks=64).ok
-        tracer.scope = "sim3"
-        flow.simulate(3, flow.compile_design(model),
-                      flow.default_stimulus(model, 64), 64)
+        for level in (0, 3):
+            tracer.scope = f"sim{level}"
+            flow.simulate(level, flow.compile_design(model),
+                          flow.default_stimulus(model, 64), 64)
     stats = tracer.take()
     assert stats["calls"][("flow", "flow.run_flow")] == 1
+    # the sims call the patched entry points, so their counts are real
+    assert stats["calls"][("sim0", "level0.tick")] == 64
+    assert stats["calls"][("sim3", "hwsynth.rtl_step")] > 0
     assert stats["count"][("sim3", "engine.rounds")] > 0
     assert Engine.run is run  # every patch undone

@@ -264,6 +264,19 @@ class TestReport:
         printed = capsys.readouterr().out
         assert printed.startswith("level,simulated,wall_seconds")
 
+    def test_report_units(self, mini_path, tmp_path, capsys):
+        # every level counts samples; level 3 adds its last clock cycle
+        out = tmp_path / "r4"
+        main(["flow", "--model", mini_path, "--out", str(out),
+              "--ticks", "64"])
+        capsys.readouterr()
+        main(["report", "--out", str(out), "--report", "csv"])
+        rows = capsys.readouterr().out.splitlines()[1:5]
+        end = Trace.load(out / "traces" / "level3.trace").ports["audio"][-1][0]
+        assert end > 64
+        assert [r.split(",")[1] for r in rows] == \
+            ["64 samples"] * 3 + [f"64 samples in {end} cycles"]
+
     def test_report_without_flow(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 2
         assert not (tmp_path / "empty").exists()  # report only reads

@@ -5,7 +5,7 @@ import pytest
 
 from fdmflow.gma import attach_params, build_tree, emit_netlist, \
     emit_param_templates, gen_task_behavior, load_param_files, \
-    netlist_to_json, param_files, parse_netlist_json
+    netlist_to_json, param_files
 from fdmflow.gma.behavior import Call, Recv, Send
 from fdmflow.gma.params import ParamError
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
@@ -15,8 +15,8 @@ from fdmflow.sim.trace import Stimulus
 from fdmflow.swsynth import build_task_fsm
 from fdmflow.tlm import recognize_partition
 
-from helpers import port_of, rand_partitioned_model, rand_task_subsystem, \
-    run_task, validate_netlist, walk
+from helpers import parse_netlist_json, port_of, rand_partitioned_model, \
+    rand_task_subsystem, run_task, validate_netlist, walk
 
 
 def mini_tree():

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fdmflow.model.blocks import default_registry, port_names, step_block, \
-    wrap32
+from fdmflow.model.blocks import default_registry, port_names, wrap32
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     flatten, topo_order
 from fdmflow.model.parser import ParseError, parse_model
@@ -12,7 +11,7 @@ from fdmflow.model.validate import validate_model
 from fdmflow.sim.level0 import simulate_level0
 from fdmflow.sim.trace import Stimulus
 
-from helpers import rand_loopy_model
+from helpers import rand_loopy_model, step_block
 
 
 def _mk(text):

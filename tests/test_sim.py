@@ -209,6 +209,25 @@ class TestCompareTraces:
         v = compare_traces(a, b, mode="modulo_latency")
         assert not v.passed
 
+    def test_modulo_latency_long_slack(self):
+        # over 10k feasible shifts; port y alone also aligns at k=40, so
+        # only a shift that port z allows too may pass
+        rng = random.Random(7)
+        k = 10_300
+        ya = [rng.randrange(2) for _ in range(1500)]
+        za = [rng.randrange(100) for _ in range(300)]
+        yb = [rng.randrange(2) for _ in range(k)] + ya + [0] * 100
+        yb[40:1540] = ya
+        zb = [rng.randrange(100, 200) for _ in range(k)] + za + [5] * 1400
+
+        def tr(y, z):
+            return Trace({"y": list(enumerate(y)), "z": list(enumerate(z))})
+        v = compare_traces(tr(ya, za), tr(yb, zb), mode="modulo_latency")
+        assert v.passed and v.k == k
+        zb[k + 299] += 1
+        assert not compare_traces(tr(ya, za), tr(yb, zb),
+                                  mode="modulo_latency").passed
+
     def test_modulo_latency_partial_overlap_fails(self):
         # the shifted trace must hold the whole reference, not a tail of it
         v = compare_traces(self._t([5, 6, 7, 8]), self._t([9, 9, 9, 5]),
@@ -339,6 +358,58 @@ class TestLevels:
         res = run_flow(mini_model(), tmp_path)
         v = dict(res.verdicts)["level2-vs-level3"]
         assert not v.passed, str(v)
+
+    # Ids and ports are Python keywords and look like the names the code
+    # generators make up.  The HW node chains delay(3) into delay(2), so a
+    # register reads another register's head, fans a two-output demux out,
+    # and declares an input nothing drives, which reads 0.
+    NAMES_FDM = """
+    model names {
+      input yield; input lambda; output states; output vals;
+      subsystem SW_cpu {
+        input in_values; output fn0;
+        subsystem TASK_fn0 {
+          input v1; output x0;
+          block in_values : gain(3);
+          block yield : for_loop(2, inc); block lambda : delay(1);
+          link self.v1 -> in_values.in; link in_values.out -> yield.in;
+          link yield.out -> lambda.in; link lambda.out -> self.x0;
+        }
+        link self.in_values -> TASK_fn0.v1; link TASK_fn0.x0 -> self.fn0;
+      }
+      subsystem HW_yield {
+        input yield; input x0; input lambda; output states; output vals;
+        block fn0 : delay(3); block v1 : delay(2);
+        block lambda : add; block states : demux(2);
+        link self.yield -> fn0.in; link fn0.out -> v1.in;
+        link v1.out -> lambda.in1; link fn0.out -> lambda.in2;
+        link self.x0 -> states.sel; link lambda.out -> states.in;
+        link states.out0 -> self.states; link states.out1 -> self.vals;
+      }
+      link self.yield -> SW_cpu.in_values; link SW_cpu.fn0 -> HW_yield.yield;
+      link self.lambda -> HW_yield.x0;
+      link HW_yield.states -> self.states; link HW_yield.vals -> self.vals;
+    }
+    """
+
+    def test_generated_code_names(self):
+        cd = compile_design(parse_model(self.NAMES_FDM))
+        ticks = 40
+        stim = default_stimulus(cd.model, ticks, seed=1)
+        t0 = simulate(0, cd, stim, ticks)
+        g = [0] + [3 * y + 2 for y in stim.values["yield"]]  # the task
+        c = [(g[t - 5] if t >= 5 else 0) + (g[t - 3] if t >= 3 else 0)
+             for t in range(ticks)]
+        sel = [x % 2 for x in stim.values["lambda"]]
+        assert t0.values("states") == [v * (s == 0) for v, s in zip(c, sel)]
+        assert t0.values("vals") == [v * (s == 1) for v, s in zip(c, sel)]
+        assert any(t0.values("states")) and any(t0.values("vals"))
+        runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
+        runs.append(Engine(cd.sim_design, {"SW_cpu": 2, "HW_yield": 3},
+                           stim, ticks, 3).run())
+        for tr in runs:
+            v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
+            assert v.passed, f"level {tr.level}: {v}"
 
 
 class TestLoops:
