@@ -7,10 +7,9 @@ in, and attach_params binds them, rejecting missing or unknown keys.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .netlist import ColifNetlist
+from .netlist import ColifNetlist, Module
 
 PORT_KEYS = ("protocol", "width", "addr_hint")
 MODULE_KEYS = ("cost_cycles",)
@@ -56,9 +55,19 @@ def _check(loc: str, got: dict, want: tuple[str, ...]):
             raise ParamError(f"{loc}: {k} must be an integer, got {got[k]!r}")
 
 
+def _copy_module(m: Module) -> Module:
+    """``m`` and its subtree with their own ports and params dicts, the
+    parts ``attach_params`` rebinds; every other value is shared."""
+    params = dict(m.params)
+    if "port_hints" in params:
+        params["port_hints"] = dict(params["port_hints"])
+    return replace(m, ports=[replace(port) for port in m.ports], params=params,
+                   children=[_copy_module(c) for c in m.children])
+
+
 def attach_params(n: ColifNetlist, p: ParamSet) -> ColifNetlist:
     """Bind a filled parameter set; the netlist is not modified in place."""
-    out = copy.deepcopy(n)
+    out = ColifNetlist(_copy_module(n.top), list(n.nets))
     modules = dict(out.modules())
     for path in p.entries:
         if path not in modules:
@@ -68,7 +77,7 @@ def attach_params(n: ColifNetlist, p: ParamSet) -> ColifNetlist:
         if mp is None:
             raise ParamError(f"{path}: missing parameter entry")
         _check(path, mp.module, MODULE_KEYS)
-        m.params = dict(m.params, **mp.module)
+        m.params.update(mp.module)
         declared = {port.name for port in m.ports}
         for pname in mp.ports:
             if pname not in declared:

@@ -131,14 +131,13 @@ def flatten(g: ModelGraph, registry: FunctionRegistry | None = None) -> FlatGrap
     sub_ports: dict[str, set] = {"": set(g.inputs) | set(g.outputs)}
     chan_paths: set[str] = set()
 
-    def pin_of(scope, path: str, ep: Endpoint, link: Link, is_src: bool):
+    def pin_of(idx: dict, path: str, ep: Endpoint, link: Link, is_src: bool):
         if ep.block == SELF:
             if ep.port not in sub_ports[path]:
                 issues.append(Issue(f"unknown port {ep.port!r} on enclosing scope",
                                     f"{path or g.name}", link.line))
                 return None
             return ("port", path, ep.port)
-        idx = _scope_index(scope)
         if ep.block not in idx:
             issues.append(Issue(f"link references undeclared id {ep.block!r}",
                                 path or g.name, link.line))
@@ -174,9 +173,10 @@ def flatten(g: ModelGraph, registry: FunctionRegistry | None = None) -> FlatGrap
             if is_channel_subsystem(s.id):
                 chan_paths.add(spath)
             walk(s, spath)
+        idx = _scope_index(scope)
         for link in scope.links:
-            src = pin_of(scope, path, link.src, link, True)
-            dst = pin_of(scope, path, link.dst, link, False)
+            src = pin_of(idx, path, link.src, link, True)
+            dst = pin_of(idx, path, link.dst, link, False)
             if src is None or dst is None:
                 continue
             if dst in incoming:

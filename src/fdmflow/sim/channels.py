@@ -3,7 +3,8 @@
 A push delivers the sample to every consumer queue (broadcast for
 multipoint channels) and is allowed only when all of them have room, so
 every consumer sees the full stream and producers cannot outrun the
-slowest reader.
+slowest reader.  Every push and pop marks awake the micro units on the
+channel's wake list, the units that read or write it (see ``engine``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class ChannelRt:
         self.fifos = list(self.queues.values())
         self.pushed = 0
         self.popped = 0
+        self.wake: list = []  # micro units that read or write the channel
 
     def can_push(self) -> bool:
         depth = self.depth
@@ -37,12 +39,18 @@ class ChannelRt:
         for q in self.fifos:
             q.append(value)
         self.pushed += 1
+        if self.wake:  # empty at levels 1 and 2: a test costs less than a loop
+            for u in self.wake:
+                u.awake = True
 
     def can_pop(self, key: tuple) -> bool:
         return bool(self.queues[key])
 
     def pop(self, key: tuple) -> int:
         self.popped += 1
+        if self.wake:
+            for u in self.wake:
+                u.awake = True
         return self.queues[key].popleft()
 
     def status(self, key: tuple | None) -> int:

@@ -23,6 +23,24 @@ them out.  A node that has consumed fewer still waits for real input, so
 padding never lands between samples the trace records, and a producer
 that blocks on ``send`` for ever, such as a constant feeding a node,
 cannot hold the flush back.
+
+A round steps only the micro units that can make progress.  Each channel
+lists the micro units (FSM tasks and hardware nodes) that read or write
+it, and every push or pop marks them awake; a micro unit whose step
+fails goes to sleep, and the round skips a sleeping unit until a channel
+of its own changes.  A unit woken by an earlier unit of the same round is
+stepped in that round, one woken by a later unit in the next, which is
+the order in which stepping every unit would see the change.  A sleeping
+hardware node costs nothing.  A sleeping task is charged, every round,
+the cycles and bus transactions its last failed step charged, and that
+is exact: a failed FSM step changes nothing but these charges, and which
+status polls it makes and what they read depend only on the FSM state,
+the loop counters and the occupancy of the channels it polls, none of
+which can change while it sleeps.  The drain path pads a node whatever
+its wake state, driven by ``drain`` and ``consumed`` alone.  Macro units
+have no wake list: at levels 1 and 2 nearly every unit progresses in
+every round, so a wake list would save nothing and cost a mark on every
+push and pop.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from dataclasses import dataclass
 from ..gma.behavior import TaskBehavior
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
 from ..model.blocks import FunctionRegistry
-from ..swsynth import ALoopInit, TaskFsm
+from ..swsynth import ALoopInit, GStatusReady, TaskFsm
 from ..tlm import TlmModel, Unit
 from .channels import ChannelRt
 from .interp import FsmRunner, SimError, behavior_coroutine
@@ -98,14 +116,32 @@ class _MacroUnit:
             progress = True
 
 
-class _MicroTaskIO:
-    """Bus-side port bindings for one FSM task, each resolved once."""
+def _listen(unit, channels) -> None:
+    """Put ``unit`` on the wake list of each channel, once."""
+    for ch in channels:
+        if ch is not None and unit not in ch.wake:
+            ch.wake.append(unit)
 
-    def __init__(self, name: str, fsm: TaskFsm, engine):
+
+class _MicroTask:
+    """One FSM task on a processor: its runner, its bus-side port bindings
+    (each resolved once) and its wake state.
+
+    ``idle`` holds the cycles and bus transactions its last failed step
+    charged, which the engine charges again for every round it sleeps.
+    """
+
+    def __init__(self, name: str, fsm: TaskFsm, cost: int, engine):
         self.name = name
         self.engine = engine
+        self.cost = cost
         self.cons = {p: engine.cons.get((name, p)) for p in fsm.in_ports}
         self.prod = {p: engine.prod.get((name, p)) for p in fsm.out_ports}
+        self.runner = FsmRunner(fsm, self, engine.sd.registry)
+        self.awake = True
+        self.idle = (0, 0)
+        _listen(self, [c for c, _ in filter(None, self.cons.values())] +
+                list(self.prod.values()))
 
     def _charge(self):
         self.engine.cycle += BUS_LATENCY
@@ -139,6 +175,22 @@ class _MicroTaskIO:
                     f"{self.name}.{port}: bus write with ctrl {ctrl!r}")
             prod.push(value)
 
+    def waits(self) -> list[tuple]:
+        """(port, channel, consumer key) of each status poll out of the
+        current state whose bit is clear, key None on the producer side."""
+        out = []
+        for t in self.runner.fsm.transitions:
+            if t.state != self.runner.state:
+                continue
+            for g in t.guards:
+                if not isinstance(g, GStatusReady):
+                    continue
+                ch, key = self.cons.get(g.port) or \
+                    (self.prod.get(g.port), None)
+                if ch is not None and not ch.status(key) & g.bit:
+                    out.append((g.port, ch, key))
+        return out
+
 
 class _MicroHwUnit:
     """Cycle-stepped hardware node, one input sample per step.
@@ -150,6 +202,7 @@ class _MicroHwUnit:
     """
 
     def __init__(self, unit: Unit, impl: HwImpl, engine):
+        self.name = unit.name
         if impl.kind == "pipelined":
             self.advance = RtlCycleSim(impl.rtl, engine.sd.registry).step
             self.k = impl.latency
@@ -161,6 +214,9 @@ class _MicroHwUnit:
         self.outs = [(p, engine.prod.get((unit.name, p)))
                      for p in unit.out_ports]
         self.consumed = 0
+        self.awake = True
+        _listen(self, [ch for _, ch, _ in self.ins] +
+                [ch for _, ch in self.outs])
         # one flag per in-flight pipeline slot: True = real input sample,
         # False = reset contents or flush padding
         self.in_flight = deque([False] * self.k)
@@ -176,6 +232,14 @@ class _MicroHwUnit:
             if ch is not None and not ch.can_pop(key):
                 return False
         return self._can_emit()
+
+    def waits(self) -> list[tuple]:
+        """(port, channel, consumer key) of each empty input and full
+        output, key None for an output."""
+        return [(p, ch, key) for p, ch, key in self.ins
+                if ch is not None and not ch.can_pop(key)] + \
+            [(p, ch, None) for p, ch in self.outs
+             if ch is not None and not ch.can_push()]
 
     def step(self, pad: bool = False) -> bool:
         """Consume one sample per input, or with pad=True advance on zero
@@ -228,19 +292,16 @@ class Engine:
                 self.cons[(c.unit, c.port)] = (ch, (c.unit, c.port))
 
         self.macro_units: list[_MacroUnit] = []
-        # per processor node: (runner, cycles charged per fired transition)
-        self.schedulers: list[list[tuple[FsmRunner, int]]] = []
+        self.schedulers: list[list[_MicroTask]] = []  # per processor node
         self.hw_units: list[_MicroHwUnit] = []
-        reg = sd.registry
         macro: list[str] = []
         for info in sd.tlm.nodes.values():
             if assignment[info.name] != 3:
                 macro += info.units
             elif info.role == "software":
                 self.schedulers.append([
-                    (FsmRunner(sd.micro_fsms[u],
-                               _MicroTaskIO(u, sd.micro_fsms[u], self), reg),
-                     sd.unit_costs.get(u, 1))
+                    _MicroTask(u, sd.micro_fsms[u], sd.unit_costs.get(u, 1),
+                               self)
                     for u in info.units])
             else:
                 self.hw_units.append(_MicroHwUnit(
@@ -263,14 +324,25 @@ class Engine:
                 ch.push(self.stim.at(p, self.sent[p]))
                 self.sent[p] += 1
                 self.events += 1
-        for runners in self.schedulers:
-            for r, cost in runners:
-                if r.step():
-                    self.cycle += cost
+        for tasks in self.schedulers:
+            for t in tasks:
+                if not t.awake:
+                    self.cycle += t.idle[0]
+                    self.bus_transactions += t.idle[1]
+                    continue
+                cycle, bus = self.cycle, self.bus_transactions
+                if t.runner.step():
+                    self.cycle += t.cost
                     self.events += 1
+                else:
+                    t.awake = False
+                    t.idle = (self.cycle - cycle, self.bus_transactions - bus)
         for hw in self.hw_units:
-            if hw.step():
-                self.events += 1
+            if hw.awake:
+                if hw.step():
+                    self.events += 1
+                else:
+                    hw.awake = False
         if self.drain:
             for hw in self.hw_units:
                 if hw.consumed >= self.ticks and hw.step(pad=True):
@@ -295,10 +367,24 @@ class Engine:
         return all(len(self.trace.ports[p]) >= self.ticks
                    for p, ch in self.probes if ch is not None)
 
+    def _waiting(self) -> str:
+        """Who waits on what, for the deadlock message: each micro unit
+        with the port and channel it waits on and the occupancy of its
+        queue (the fullest one for a producer) against the depth."""
+        waits = []
+        units = [t for tasks in self.schedulers for t in tasks] + self.hw_units
+        for u in units:
+            for port, ch, key in u.waits():
+                n = len(ch.queues[key]) if key is not None \
+                    else max(map(len, ch.fifos), default=0)
+                waits.append(f"{u.name}.{port} on {ch.spec.id} "
+                             f"({n}/{ch.depth})")
+        return f"; waiting: {', '.join(waits)}" if waits else ""
+
     def run(self) -> Trace:
         # each micro-level loop iteration takes one scheduler slot
-        loops = sum(a.count for runners in self.schedulers for r, _ in runners
-                    for t in r.fsm.transitions for a in t.actions
+        loops = sum(a.count for tasks in self.schedulers for t in tasks
+                    for tr in t.runner.fsm.transitions for a in tr.actions
                     if isinstance(a, ALoopInit))
         limit = (60 + loops) * self.ticks + 10000
         while not self._done():
@@ -313,7 +399,8 @@ class Engine:
                     continue
                 raise SimError(
                     f"deadlock: no progress after {self.rounds} rounds "
-                    f"({[(p, len(self.trace.ports[p])) for p, _ in self.probes]})")
+                    f"({[(p, len(self.trace.ports[p])) for p, _ in self.probes]})"
+                    f"{self._waiting()}")
             if self.rounds > limit:
                 raise SimError("round limit exceeded")
         return self.trace

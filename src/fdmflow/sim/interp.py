@@ -12,17 +12,20 @@ locals, a loop a ``for`` and a branch an ``if``/``else``, and every call
 one call of the step function ``block_fn`` binds for its block, passed
 in as an argument.  ``block_fn`` stays the one definition of a block; no
 statement or block kind has a code template, and the source holds only
-integers, ``repr`` strings and names the generator makes up.  The FSM
-runner binds its program once, when it is built: every assignment, guard
-and action becomes a closure, every call a generated function, and every
-FSM state the list of its own transitions, so a step decodes no guard or
-action.  Both executors, and the block sweep, write a block call through
-``sweep.call_src``, the one call convention.
+integers, ``repr`` strings and names the generator makes up.
+
+The FSM runner is generated the same way, one function per FSM state:
+the function tests the state's transitions in order, each guard chain
+one ``and`` expression, so a poll runs, and is charged, exactly when the
+chain reaches it; the first transition whose guards hold runs its
+actions as straight-line code and returns the next state, and None says
+no transition fired.  Every name, address, count and state key from the
+model is a parameter of the text, so FSM states of the same shape share
+one compiled text.  Both executors, and the block sweep, write a block
+call through ``sweep.call_src``, the one call convention.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from ..gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, Loop, \
     Recv, Send, TaskBehavior
@@ -50,45 +53,6 @@ def _call_src(c: Call, var, state, fns: list, registry) -> str:
         return f"{st} = {st}[1:] + ({ins[0]},)"
     fns.append(block_fn(c.kind, c.params, registry))
     return call_src(f"fn{len(fns) - 1}", ins, outs, st)
-
-
-def _bind_call(c: Call, env: dict, states: dict, registry):
-    """Bind a call statement to a function of no arguments on ``env`` and
-    ``states``.  Variable names and state keys are passed in as ``k0, ...``,
-    so the generated text depends only on the shape of the call."""
-    keys: dict[str, str] = {}
-
-    def key(name: str) -> str:
-        return keys.setdefault(name, f"k{len(keys)}")
-
-    fns: list = []
-    line = _call_src(c, lambda v: f"env[{key(v)}]",
-                     lambda k: f"states[{key(k)}]", fns, registry)
-    params = ["env", "states"] + [f"fn{i}" for i in range(len(fns))] + \
-        list(keys.values())
-    src = "\n".join([f"def bind({', '.join(params)}):",
-                     "    def call():",
-                     f"        {line}",
-                     "    return call", ""])
-    return exec_generated(src, {})["bind"](env, states, *fns, *keys)
-
-
-def _bind_assign(var: str, src):
-    """Bind ``var = src`` (a variable name or an integer literal)."""
-    if isinstance(src, int):
-        def assign(env, states):
-            env[var] = src
-    else:
-        def assign(env, states):
-            env[var] = env[src]
-    return assign
-
-
-def _store(env: dict, var: str, get):
-    """Bind ``var = get()``."""
-    def store():
-        env[var] = get()
-    return store
 
 
 class _BodyGen:
@@ -158,100 +122,153 @@ def behavior_coroutine(b: TaskBehavior, registry: FunctionRegistry | None = None
     return behavior(*gen.fns, *(b.states.get(k) for k in gen.states))
 
 
+class _StateGen:
+    """Emits the transitions out of one FSM state as one function.
+
+    Every name, address, count and state key from the model becomes a
+    parameter ``k0, k1, ...`` (equal strings share one), each bound block
+    function a parameter ``fn0, ...`` and each ``io`` method used a local
+    of its own name, bound once; the text thus depends only on the shape
+    of the state, and equal shapes share one compiled text.
+    """
+
+    # guard and action types -> the io method they call
+    IO_OPS = {GCanRecv: "can_recv", GCanSend: "can_send",
+              GStatusReady: "poll_status", ARecv: "recv", ASend: "send",
+              ABusRead: "read_data", ABusWrite: "write_data"}
+
+    def __init__(self, loops: dict, registry):
+        self.loops = loops
+        self.registry = registry
+        self.values: list = []
+        self.names: dict[str, str] = {}
+        self.fns: list = []
+        self.ops: dict[str, None] = {}  # io methods used, in order
+        self.lines: list[str] = []
+
+    def key(self, value) -> str:
+        if isinstance(value, str) and value in self.names:
+            return self.names[value]
+        k = f"k{len(self.values)}"
+        self.values.append(value)
+        if isinstance(value, str):
+            self.names[value] = k
+        return k
+
+    def var(self, name: str) -> str:
+        return f"env[{self.key(name)}]"
+
+    def loop(self, loop_id: str) -> str:
+        self.loops.setdefault(loop_id, 0)
+        return f"loops[{self.key(loop_id)}]"
+
+    def op(self, x) -> str:
+        method = self.IO_OPS[type(x)]
+        self.ops[method] = None
+        return method
+
+    def guard(self, g) -> str:
+        if isinstance(g, (GCanRecv, GCanSend)):
+            return f"{self.op(g)}({self.key(g.port)})"
+        if isinstance(g, GStatusReady):
+            return (f"{self.op(g)}({self.key(g.port)}, {self.key(g.addr)})"
+                    f" & {self.key(g.bit)}")
+        if isinstance(g, GLoopNotDone):
+            return f"{self.loop(g.loop_id)} > 0"
+        if isinstance(g, GLoopDone):
+            return f"{self.loop(g.loop_id)} <= 0"
+        raise SimError(f"unknown guard {g!r}")
+
+    def actions(self, actions, ind: str) -> None:
+        if not actions:
+            self.lines.append(f"{ind}pass")
+        for a in actions:
+            if isinstance(a, AIf):
+                self.lines.append(f"{ind}if {self.var(a.cond)} != 0:")
+                self.actions(a.then, ind + "    ")
+                self.lines.append(f"{ind}else:")
+                self.actions(a.orelse, ind + "    ")
+            else:
+                self.lines.append(ind + self.action(a))
+
+    def action(self, a) -> str:
+        if isinstance(a, ARecv):
+            return f"{self.var(a.var)} = {self.op(a)}({self.key(a.port)})"
+        if isinstance(a, ASend):
+            return f"{self.op(a)}({self.key(a.port)}, {self.var(a.var)})"
+        if isinstance(a, ABusRead):
+            return (f"{self.var(a.var)} = {self.op(a)}({self.key(a.port)}, "
+                    f"{self.key(a.addr)}, {self.key(a.ctrl)})")
+        if isinstance(a, ABusWrite):
+            return (f"{self.op(a)}({self.key(a.port)}, {self.key(a.addr)}, "
+                    f"{self.var(a.var)}, {self.key(a.ctrl)})")
+        if isinstance(a, ACall):
+            return _call_src(a.call, self.var,
+                             lambda k: f"states[{self.key(k)}]", self.fns,
+                             self.registry)
+        if isinstance(a, AAssign):
+            src = self.key(a.src) if isinstance(a.src, int) \
+                else self.var(a.src)
+            return f"{self.var(a.var)} = {src}"
+        if isinstance(a, ALoopInit):
+            return f"{self.loop(a.loop_id)} = {self.key(a.count)}"
+        if isinstance(a, ALoopStep):
+            return f"{self.loop(a.loop_id)} -= 1"
+        raise SimError(f"unknown action {a!r}")
+
+    def build(self, transitions, io, env: dict, states: dict):
+        """Bind the function running the first transition whose guards
+        hold and returning its next state, or None if none holds."""
+        for t in transitions:
+            guards = [self.guard(g) for g in t.guards
+                      if not isinstance(g, GTrue)]
+            ind = "        "
+            if guards:
+                self.lines.append(f"{ind}if {' and '.join(guards)}:")
+                ind += "    "
+            self.actions(t.actions, ind)
+            self.lines.append(f"{ind}return {self.key(t.next)}")
+        params = ["io", "env", "states", "loops"] + \
+            [f"fn{i}" for i in range(len(self.fns))] + \
+            [f"k{i}" for i in range(len(self.values))]
+        src = "\n".join(
+            [f"def bind({', '.join(params)}):"] +
+            [f"    {method} = io.{method}" for method in self.ops] +
+            ["    def state():"] + self.lines +
+            ["        return None", "    return state", ""])
+        return exec_generated(src, {})["bind"](
+            io, env, states, self.loops, *self.fns, *self.values)
+
+
 class FsmRunner:
     """One task FSM plus its mutable execution state.
 
     io binds the task's ports: can_recv/recv/can_send/send at the macro
-    level, plus status/read_data/write_data bus operations (each charging
-    bus cycles through io) at the micro level.  ``table`` maps each state
-    to its transitions in order, each ``(bound guards, bound actions,
-    next state)``; a transition fires when its guards hold, tested in
-    order up to the first that fails, so every failed status poll is
-    still a bus transaction.
+    level, plus poll_status/read_data/write_data bus operations (each
+    charging bus cycles through io) at the micro level.  ``run`` maps each
+    state to its generated function; a transition fires when its guards
+    hold, tested in order up to the first that fails, so every failed
+    status poll is still a bus transaction.
     """
 
     def __init__(self, fsm: TaskFsm, io,
                  registry: FunctionRegistry | None = None):
         self.fsm = fsm
-        self.io = io
-        self.registry = registry or default_registry()
         self.state = fsm.initial
-        self.env: dict = {}
-        self.states = dict(fsm.init_states)
-        self.loops: dict[str, list[int]] = {}  # id -> [iterations left]
-        self.table: dict[int, list[tuple]] = {s: [] for s in fsm.states}
+        registry = registry or default_registry()
+        env: dict = {}
+        states = dict(fsm.init_states)
+        loops: dict[str, int] = {}  # loop id -> iterations left
+        out: dict[int, list] = {s: [] for s in fsm.states}
         for t in fsm.transitions:
-            self.table.setdefault(t.state, []).append((
-                tuple(self._bind_guard(g) for g in t.guards
-                      if not isinstance(g, GTrue)),
-                tuple(self._bind_action(a) for a in t.actions), t.next))
-
-    def _left(self, loop_id: str) -> list[int]:
-        """The loop's cell holding its iterations left."""
-        return self.loops.setdefault(loop_id, [0])
-
-    def _bind_guard(self, g):
-        io = self.io
-        if isinstance(g, GCanRecv):
-            return partial(io.can_recv, g.port)
-        if isinstance(g, GCanSend):
-            return partial(io.can_send, g.port)
-        if isinstance(g, GLoopNotDone):
-            left = self._left(g.loop_id)
-            return lambda: left[0] > 0
-        if isinstance(g, GLoopDone):
-            left = self._left(g.loop_id)
-            return lambda: left[0] <= 0
-        if isinstance(g, GStatusReady):
-            poll, bit = partial(io.poll_status, g.port, g.addr), g.bit
-            return lambda: poll() & bit != 0
-        raise SimError(f"unknown guard {g!r}")
-
-    def _bind_action(self, a):
-        io, env = self.io, self.env
-        if isinstance(a, ARecv):
-            return _store(env, a.var, partial(io.recv, a.port))
-        if isinstance(a, ASend):
-            send, var = partial(io.send, a.port), a.var
-            return lambda: send(env[var])
-        if isinstance(a, ABusRead):
-            return _store(env, a.var,
-                          partial(io.read_data, a.port, a.addr, a.ctrl))
-        if isinstance(a, ABusWrite):
-            write, var = partial(io.write_data, a.port, a.addr, ctrl=a.ctrl), a.var
-            return lambda: write(env[var])
-        if isinstance(a, ACall):
-            return _bind_call(a.call, env, self.states, self.registry)
-        if isinstance(a, AAssign):
-            return partial(_bind_assign(a.var, a.src), env, self.states)
-        if isinstance(a, ALoopInit):
-            return partial(self._left(a.loop_id).__setitem__, 0, a.count)
-        if isinstance(a, ALoopStep):
-            left = self._left(a.loop_id)
-
-            def loop_step():
-                left[0] -= 1
-            return loop_step
-        if isinstance(a, AIf):
-            cond = a.cond
-            then = tuple(self._bind_action(x) for x in a.then)
-            orelse = tuple(self._bind_action(x) for x in a.orelse)
-
-            def branch():
-                for x in (then if env[cond] != 0 else orelse):
-                    x()
-            return branch
-        raise SimError(f"unknown action {a!r}")
+            out.setdefault(t.state, []).append(t)
+        self.run = {s: _StateGen(loops, registry).build(ts, io, env, states)
+                    for s, ts in out.items()}
 
     def step(self) -> bool:
         """Attempt one transition; True if one fired."""
-        for guards, actions, nxt in self.table[self.state]:
-            for g in guards:
-                if not g():
-                    break
-            else:
-                for a in actions:
-                    a()
-                self.state = nxt
-                return True
-        return False
+        nxt = self.run[self.state]()
+        if nxt is None:
+            return False
+        self.state = nxt
+        return True

@@ -305,3 +305,14 @@ class TestSimulationErrors:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.count("\n") == 1 and "deadlock" in err
+
+    def test_deadlock_names_who_waits(self, tmp_path, capsys):
+        p = tmp_path / "feedback.fdm"
+        p.write_text(FEEDBACK_FDM)
+        rc = main(["simulate", "--model", str(p), "--out",
+                   str(tmp_path / "out"), "--level", "3", "--ticks", "8"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        # the HW node waits on its empty input, the task on the HW output
+        assert "HW_reg.in on ch_SW_cpu_TASK_sum_out (0/1)" in err
+        assert "SW_cpu/TASK_sum.b on ch_HW_reg_out (0/1)" in err

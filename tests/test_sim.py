@@ -147,8 +147,8 @@ class TestInterpreters:
                 req = gen.send(None)
         return io.outq
 
-    def _fsm_outputs(self, fsm):
-        io = _PollCountingIO(self.INPUTS, fsm.out_ports)
+    def _fsm_outputs(self, fsm, inputs=INPUTS):
+        io = _PollCountingIO(inputs, fsm.out_ports)
         runner = FsmRunner(fsm, io)
         while runner.step():
             pass
@@ -162,6 +162,33 @@ class TestInterpreters:
         # five iterations of one poll per recv and per send, plus the
         # failed poll on the exhausted input
         assert self._fsm_outputs(micro) == (self.EXPECTED, 31)
+
+    # ports, variables, state keys and a loop id named like the locals and
+    # parameters of the generated code, or as a Python keyword; "st0" is
+    # both a variable and a state key
+    HOSTILE = TaskBehavior("t", "merged", ("env", "states"),
+                           ("poll", "yield"), [
+        Recv("env", "k0"),
+        Call(DELAY_EMIT, "delay", (1,), (), ("fn0",), "st0"),
+        Assign("env", 0),
+        Loop(2, [Recv("states", "states"),
+                 Call("add", "add", (), ("env", "states"), ("env",))],
+             "yield"),
+        If("k0", [Assign("poll", "env")], [Assign("poll", 5)]),
+        Call("add", "add", (), ("poll", "fn0"), ("st0",)),
+        Call(DELAY_PUSH, "delay", (1,), ("st0",), (), "st0"),
+        Send("poll", "st0"),
+        Send("yield", "k0"),
+    ], {"st0": (0,)})
+
+    def test_hostile_names(self):
+        inputs = {"env": [3, 0], "states": [1, 2, 3, 4]}
+        want = {"poll": [3, 8], "yield": [3, 0]}
+        macro = build_task_fsm(self.HOSTILE)
+        assert self._fsm_outputs(macro, inputs) == (want, 0)
+        micro = lower_api(macro, standalone_address_map(macro, "u"), "u")
+        # two iterations of five polls, plus the failed one on "env"
+        assert self._fsm_outputs(micro, inputs) == (want, 11)
 
 
 class TestCompareTraces:
@@ -319,6 +346,58 @@ class TestLevels:
             h.update(path.read_bytes())
         assert h.hexdigest() == self.RANDOM_LEVEL3
 
+    # (rounds, events, cycles, bus transactions) of level-3 runs: the trace
+    # digests pin the sample times but not how many rounds and events the
+    # engine took to produce them
+    MINI_COUNTS = (6011, 28001, 70066, 28033)
+    MIXED_COUNTS = {
+        (2, 3, 2): (2006, 18003, 0, 0),
+        (3, 2, 3): (6003, 27998, 70018, 28009),
+    }
+    RANDOM_COUNTS = {
+        "partitioned": (
+            30, (8700, 20131, 53966, 20773),
+            "f742b929dab1c9c194ba47c5efe944901bef2d92a8469fd9df4132999e3f252e"),
+        "loopy": (
+            4, (324, 1447, 0, 0),
+            "49e099aa67a6b5b3568225c3228780abc2e43f96d158b6b23d5eb903e53c887f"),
+    }
+
+    @staticmethod
+    def _counts(cd, assignment, stim, ticks) -> tuple:
+        e = Engine(cd.sim_design, assignment, stim, ticks, 3)
+        e.run()
+        return e.rounds, e.events, e.cycle, e.bus_transactions
+
+    def test_pinned_level3_counts(self):
+        cd = mini_compiled()
+        ticks = 2000
+        stim = default_stimulus(cd.model, ticks, seed=7)
+        nodes = cd.sim_design.tlm.nodes
+        assert self._counts(cd, dict.fromkeys(nodes, 3), stim, ticks) == \
+            self.MINI_COUNTS
+        for levels, want in self.MIXED_COUNTS.items():
+            assignment = dict(zip(("SW_cpu", "HW_filter", "HW_post"), levels))
+            assert self._counts(cd, assignment, stim, ticks) == want, levels
+
+    @pytest.mark.parametrize("kind", ["partitioned", "loopy"])
+    def test_pinned_random_level3_counts(self, kind):
+        gen, ticks = {"partitioned": (rand_partitioned_model, 60),
+                      "loopy": (rand_loopy_model, 50)}[kind]
+        rows = []
+        for seed in range(30):
+            g = gen(random.Random(seed))
+            try:
+                cd = compile_design(g)
+            except FlowError:
+                continue  # combinational cycle without a delay
+            stim = default_stimulus(g, ticks, seed=seed)
+            rows.append((seed,) + self._counts(
+                cd, dict.fromkeys(cd.sim_design.tlm.nodes, 3), stim, ticks))
+        totals = tuple(sum(r[i] for r in rows) for i in range(1, 5))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert (len(rows), totals, digest) == self.RANDOM_COUNTS[kind]
+
     def test_const_fed_hw_node(self, tmp_path):
         res = run_flow(parse_model(CONSTFED_FDM), tmp_path, ticks=64)
         assert sorted(res.traces) == [0, 1, 2, 3]
@@ -406,6 +485,58 @@ class TestLevels:
         assert any(t0.values("states")) and any(t0.values("vals"))
         runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
         runs.append(Engine(cd.sim_design, {"SW_cpu": 2, "HW_yield": 3},
+                           stim, ticks, 3).run())
+        for tr in runs:
+            v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
+            assert v.passed, f"level {tr.level}: {v}"
+
+
+    # every port and block named like a local or parameter of the
+    # generated FSM code; a task's delay "k0" and loop "st0" become a
+    # state key and a loop id
+    HOSTILE_FDM = """
+    model hostile {
+      input env; input yield; output states; output poll;
+      subsystem SW_cpu {
+        input env; input yield; input k0; output fn0; output states;
+        subsystem TASK_env {
+          input env; input yield; output fn0;
+          block fn0 : gain(2); block k0 : delay(1);
+          block st0 : for_loop(2, inc); block states : add;
+          link self.env -> fn0.in; link fn0.out -> k0.in;
+          link k0.out -> st0.in; link st0.out -> states.in1;
+          link self.yield -> states.in2; link states.out -> self.fn0;
+        }
+        subsystem TASK_poll {
+          input k0; output states;
+          block st0 : delay(2); block yield : gain(3);
+          link self.k0 -> st0.in; link st0.out -> yield.in;
+          link yield.out -> self.states;
+        }
+        link self.env -> TASK_env.env; link self.yield -> TASK_env.yield;
+        link TASK_env.fn0 -> self.fn0; link self.k0 -> TASK_poll.k0;
+        link TASK_poll.states -> self.states;
+      }
+      subsystem HW_k0 {
+        input env; output poll; output states;
+        block st0 : delay(1); block fn0 : gain(5);
+        link self.env -> st0.in; link st0.out -> fn0.in;
+        link fn0.out -> self.poll; link st0.out -> self.states;
+      }
+      link self.env -> SW_cpu.env; link self.yield -> SW_cpu.yield;
+      link SW_cpu.fn0 -> HW_k0.env; link HW_k0.states -> SW_cpu.k0;
+      link SW_cpu.states -> self.states; link HW_k0.poll -> self.poll;
+    }
+    """
+
+    def test_generated_fsm_names(self):
+        cd = compile_design(parse_model(self.HOSTILE_FDM))
+        ticks = 40
+        stim = default_stimulus(cd.model, ticks, seed=3)
+        t0 = simulate(0, cd, stim, ticks)
+        assert any(t0.values("states")) and any(t0.values("poll"))
+        runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
+        runs.append(Engine(cd.sim_design, {"SW_cpu": 3, "HW_k0": 2},
                            stim, ticks, 3).run())
         for tr in runs:
             v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
