@@ -27,7 +27,7 @@ from .tlm import recognize_partition, validate_partition
 def _read_model(path: str):
     try:
         return load_model_file(path)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _Usage(f"cannot read model: {e}")
     except ParseError as e:
         raise _Fail(str(e))
@@ -47,8 +47,11 @@ def _load_params(pdir: str | None):
     d = Path(pdir)
     if not d.is_dir():
         raise _Usage(f"params directory not found: {pdir}")
-    files = {p.name: p.read_text() for p in sorted(d.iterdir())
-             if p.name.endswith(".params")}
+    try:
+        files = {p.name: p.read_text() for p in sorted(d.iterdir())
+                 if p.name.endswith(".params")}
+    except (OSError, UnicodeDecodeError) as e:
+        raise _Usage(f"cannot read params: {e}")
     return load_param_files(files)
 
 

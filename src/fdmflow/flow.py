@@ -1,9 +1,10 @@
 """End-to-end refinement flow.
 
-compile_design runs every synthesis stage once and bundles the results;
-simulate dispatches to the right engine for a level; the write_* functions
-are the one writer of each artifact, and run_flow writes them all to disk
-and checks cross-level equivalence.
+compile_design runs every synthesis stage once and bundles the results
+in one CompiledDesign, which the engine also runs from; simulate
+dispatches to the right engine for a level; the write_* functions are the
+one writer of each artifact, and run_flow writes them all to disk, runs
+the levels on the default stimulus and checks cross-level equivalence.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .gma.netlist import ColifNetlist
 from .gma.tree import DesignTree
 from .hwsynth import HwImpl, all_pipelined, delay_correct, emit_rtl_text, \
     fsm_controller, map_rtl_library
-from .model.blocks import FunctionRegistry, default_registry
 from .model.graph import ModelGraph
 from .model.parser import parse_model
 from .model.validate import validate_model
-from .sim.engine import Engine, SimDesign
+from .sim.engine import Engine
 from .sim.level0 import simulate_level0
 from .sim.trace import Stimulus, Trace, Verdict, compare_traces
 from .swsynth import AddressMap, allocate_address_map, \
@@ -40,7 +40,6 @@ class FlowError(Exception):
 @dataclass
 class CompiledDesign:
     model: ModelGraph
-    registry: FunctionRegistry
     tlm: TlmModel
     tree: DesignTree
     netlist: ColifNetlist  # with bound params
@@ -50,20 +49,19 @@ class CompiledDesign:
     address_map: AddressMap
     micro_fsms: dict  # task unit -> TaskFsm (micro level)
     hw_impl: dict  # node -> HwImpl
-    sim_design: SimDesign
+    unit_costs: dict  # task unit -> cycles per fired transition, if > 0
 
 
-def compile_design(model: ModelGraph, params: ParamSet | None = None,
-                   registry: FunctionRegistry | None = None) -> CompiledDesign:
-    registry = registry or default_registry()
-    report = validate_model(model, registry)
+def compile_design(model: ModelGraph,
+                   params: ParamSet | None = None) -> CompiledDesign:
+    report = validate_model(model)
     if not report.ok:
         raise FlowError("validate", report.errors()[0].message)
-    tlm = recognize_partition(model, registry)
+    tlm = recognize_partition(model)
     prep = validate_partition(tlm)
     if not prep.ok:
         raise FlowError("partition", prep.errors()[0].message)
-    tree = build_tree(tlm, registry)
+    tree = build_tree(tlm)
     netlist = emit_netlist(tree)
     template = emit_param_templates(netlist)
     try:
@@ -76,7 +74,7 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
     macro_fsms = {}
     for name, u in tlm.units.items():
         try:
-            behaviors[name] = gen_task_behavior(tree, name, registry)
+            behaviors[name] = gen_task_behavior(tree, name)
             if u.kind == "task":
                 macro_fsms[name] = build_task_fsm(behaviors[name])
         except Exception as e:
@@ -100,7 +98,7 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
             if c > 0:
                 costs[blk.id] = c
         try:
-            rg = map_rtl_library(info.subsystem, costs, registry)
+            rg = map_rtl_library(info.subsystem, costs)
             if all_pipelined(rg):
                 dc, k = delay_correct(rg)
                 hw_impl[info.name] = HwImpl("pipelined", dc, k)
@@ -117,20 +115,18 @@ def compile_design(model: ModelGraph, params: ParamSet | None = None,
             c = m.params.get("cost_cycles", 0)
             if c > 0:
                 unit_costs[name] = c
-    sd = SimDesign(tlm, behaviors, micro_fsms, hw_impl, unit_costs, registry)
-    return CompiledDesign(model, registry, tlm, tree, netlist=bound,
+    return CompiledDesign(model, tlm, tree, netlist=bound,
                           params=used, behaviors=behaviors,
                           macro_fsms=macro_fsms, address_map=address_map,
                           micro_fsms=micro_fsms, hw_impl=hw_impl,
-                          sim_design=sd)
+                          unit_costs=unit_costs)
 
 
 def simulate(level: int, cd: CompiledDesign, stim: Stimulus,
              ticks: int) -> Trace:
     if level == 0:
-        return simulate_level0(cd.model, stim, ticks, cd.registry)
-    sd = cd.sim_design
-    return Engine(sd, dict.fromkeys(sd.tlm.nodes, level), stim, ticks,
+        return simulate_level0(cd.model, stim, ticks)
+    return Engine(cd, dict.fromkeys(cd.tlm.nodes, level), stim, ticks,
                   level).run()
 
 
@@ -205,19 +201,16 @@ def write_rtl(cd: CompiledDesign, out: Path) -> None:
 
 def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
              levels=(0, 1, 2, 3), ticks: int = 256, seed: int = 0,
-             compare_mode: str | None = None,
-             stim: Stimulus | None = None,
-             registry: FunctionRegistry | None = None) -> FlowResult:
+             compare_mode: str | None = None) -> FlowResult:
     out = _dir(out_dir)
-    cd = compile_design(model, params, registry)
+    cd = compile_design(model, params)
     write_netlist(cd, out)
     write_behaviors(cd, out / "fsm", cd.macro_fsms)
     write_fsms(cd, out / "fsm")
     write_address_map(cd, out)
     write_rtl(cd, out / "hw")
 
-    if stim is None:
-        stim = default_stimulus(model, ticks, seed)
+    stim = default_stimulus(model, ticks, seed)
     stim.save(out / "stimulus.csv")
     traces: dict[int, Trace] = {}
     timings: dict[int, float] = {}

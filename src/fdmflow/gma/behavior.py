@@ -3,8 +3,8 @@
 Every unit (software task, hardware node or testbench unit) gets a
 behavior, so all of them run as the same kind of process at the macro
 level.  A body is an ordered list of recv/send/call/assign/loop/if
-statements.  Single user blocks become a direct call of the registered
-function, single predefined blocks a call of the block kind's library
+statements.  Single user blocks become a direct call of the built-in
+user function, single predefined blocks a call of the block kind's library
 function, and multi-block units a merged body firing each block in a
 topological order of the intra-unit dataflow.
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..model.blocks import FunctionRegistry, default_registry, init_state, \
-    port_names
+from ..model.blocks import USER_FUNCTIONS, init_state, port_names
 from ..model.graph import Endpoint, Link, ModelGraph, flatten, stable_topo
 from ..tlm import Unit
 from .tree import DesignTree
@@ -48,7 +47,7 @@ class Send:
 
 @dataclass
 class Call:
-    name: str  # library function or registered user function
+    name: str  # library function or built-in user function
     kind: str  # originating block kind
     params: tuple
     ins: tuple[str, ...]
@@ -74,9 +73,6 @@ class If:
     cond: str
     then: list
     orelse: list
-
-
-Stmt = object
 
 
 @dataclass
@@ -121,7 +117,7 @@ class _SchedNode:
     after: tuple[int, ...] = ()  # explicit ordering edges (delay emit->push)
 
 
-def _block_node(seq, path, blk, ins_v, outs_v, registry):
+def _block_node(seq, path, blk, ins_v, outs_v):
     kind, params = blk.kind, blk.params
     if kind == "for_loop":
         n, fname = params
@@ -162,24 +158,20 @@ def _schedule(nodes: list[_SchedNode]) -> list:
     return [st for s in order for st in by_seq[s].stmts]
 
 
-def gen_task_behavior(d: DesignTree, task_id: str,
-                      registry: FunctionRegistry | None = None) -> TaskBehavior:
-    registry = registry or default_registry()
+def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
     unit = d.tlm.units.get(task_id)
     if unit is None:
         raise BehaviorError(f"no unit named {task_id!r}")
     for blk in ([unit.block] if unit.block else unit.subsystem.blocks):
-        if blk.kind == "user" and blk.params[0] not in registry:
+        if blk.kind == "user" and blk.params[0] not in USER_FUNCTIONS:
             raise BehaviorError(
-                f"{task_id}/{blk.id}: user function {blk.params[0]!r} "
-                "is not registered")
-        if blk.kind == "for_loop" and blk.params[1] not in registry:
+                f"{task_id}/{blk.id}: unknown user function {blk.params[0]!r}")
+        if blk.kind == "for_loop" and blk.params[1] not in USER_FUNCTIONS:
             raise BehaviorError(
-                f"{task_id}/{blk.id}: loop function {blk.params[1]!r} "
-                "is not registered")
+                f"{task_id}/{blk.id}: unknown loop function {blk.params[1]!r}")
 
     g = _task_graph(unit)
-    flat = flatten(g, registry)
+    flat = flatten(g)
     if flat.issues:
         i = flat.issues[0]
         raise BehaviorError(f"{task_id}: {i.message} ({i.location})")
@@ -197,7 +189,7 @@ def gen_task_behavior(d: DesignTree, task_id: str,
     states: dict[str, tuple] = {}
     for path, fb in flat.blocks.items():
         blk = fb.block
-        ins, outs = port_names(blk.kind, blk.params, registry)
+        ins, outs = port_names(blk.kind, blk.params)
         ins_v = [var_of(flat.drivers[(path, p)]) for p in ins]
         outs_v = [f"{path}_{p}" for p in outs]
         st = init_state(blk.kind, blk.params)
@@ -218,7 +210,7 @@ def gen_task_behavior(d: DesignTree, task_id: str,
             continue
         if st is not None:
             states[path] = st
-        nodes.append(_block_node(seq, path, blk, ins_v, outs_v, registry))
+        nodes.append(_block_node(seq, path, blk, ins_v, outs_v))
         seq += 1
     for p in unit.out_ports:
         v = var_of(flat.top_outputs[p])

@@ -131,8 +131,11 @@ def load_param_files(files: dict[str, str]) -> ParamSet:
             key, val = key.strip(), val.strip()
             value: object = int(val) if _is_int(val) else val
             if key.startswith("port."):
-                _, pname, sub = key.split(".", 2)
-                mp.ports.setdefault(pname, {})[sub] = value
+                parts = key.split(".", 2)
+                if len(parts) != 3:
+                    raise ParamError(
+                        f"{fname}:{ln}: expected port.<port>.<key> = value")
+                mp.ports.setdefault(parts[1], {})[parts[2]] = value
             else:
                 mp.module[key] = value
         entries[path] = mp

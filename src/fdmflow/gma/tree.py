@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..model.blocks import FunctionRegistry, default_registry, port_names
+from ..model.blocks import port_names
 from ..tlm import TlmModel, Unit
 
 
@@ -30,27 +30,25 @@ class DesignTree:
     tlm: TlmModel
 
 
-def _block_leaf(blk, role: str, registry) -> TreeNode:
-    ins, outs = port_names(blk.kind, blk.params, registry)
+def _block_leaf(blk, role: str) -> TreeNode:
+    ins, outs = port_names(blk.kind, blk.params)
     return TreeNode(blk.id, role, tuple(ins), tuple(outs),
                     params={"kind": blk.kind, "params": blk.params}, ref=blk)
 
 
-def _task_node(unit: Unit, registry) -> TreeNode:
+def _task_node(unit: Unit) -> TreeNode:
     name = unit.name.split("/", 1)[1] if "/" in unit.name else unit.name
     node = TreeNode(name, "task", unit.in_ports, unit.out_ports, ref=unit)
     if unit.block is not None:
-        node.children.append(_block_leaf(unit.block, "block", registry))
+        node.children.append(_block_leaf(unit.block, "block"))
     else:
         for blk in unit.subsystem.blocks:
-            node.children.append(_block_leaf(blk, "block", registry))
+            node.children.append(_block_leaf(blk, "block"))
     return node
 
 
-def build_tree(t: TlmModel,
-               registry: FunctionRegistry | None = None) -> DesignTree:
+def build_tree(t: TlmModel) -> DesignTree:
     """root -> nodes / channels / testbench -> tasks and IPs -> blocks."""
-    registry = registry or default_registry()
     root = TreeNode(t.base.name, "root",
                     tuple(t.base.inputs), tuple(t.base.outputs), ref=t.base)
     for info in t.nodes.values():
@@ -59,13 +57,13 @@ def build_tree(t: TlmModel,
                           tuple(info.subsystem.inputs),
                           tuple(info.subsystem.outputs), ref=info.subsystem)
             for uname in info.units:
-                nd.children.append(_task_node(t.units[uname], registry))
+                nd.children.append(_task_node(t.units[uname]))
         else:
             nd = TreeNode(info.name, "hw_node",
                           tuple(info.subsystem.inputs),
                           tuple(info.subsystem.outputs), ref=info.subsystem)
             for blk in info.subsystem.blocks:
-                nd.children.append(_block_leaf(blk, "ip", registry))
+                nd.children.append(_block_leaf(blk, "ip"))
         root.children.append(nd)
     for ch in t.channels:
         root.children.append(TreeNode(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .model.blocks import FunctionRegistry, default_registry, port_names
+from .model.blocks import port_names
 from .model.graph import ModelGraph, Subsystem, flatten, stable_topo
 from .sim.sweep import Sweep
 
@@ -138,19 +138,18 @@ def _ordered_nodes(g: RtlGraph) -> list[str]:
     return order
 
 
-def map_rtl_library(node_sub: Subsystem, costs: dict[str, int] | None = None,
-                    registry: FunctionRegistry | None = None) -> RtlGraph:
+def map_rtl_library(node_sub: Subsystem,
+                    costs: dict[str, int] | None = None) -> RtlGraph:
     """Replace each functional block of a hardware node with its RTL IP.
 
     Topology is preserved; costs maps block paths to designer-supplied
     cost_cycles overriding the library defaults.
     """
-    registry = registry or default_registry()
     costs = costs or {}
     wrapper = ModelGraph(node_sub.id, blocks=node_sub.blocks,
                          subsystems=node_sub.subsystems, links=node_sub.links,
                          inputs=node_sub.inputs, outputs=node_sub.outputs)
-    flat = flatten(wrapper, registry)
+    flat = flatten(wrapper)
     if flat.issues:
         raise HwSynthError(
             f"{node_sub.id}: {flat.issues[0].message} ({flat.issues[0].location})")
@@ -253,14 +252,13 @@ def fsm_controller(g: RtlGraph) -> Controller:
 # cycle-level execution
 
 
-def _sweep(g: RtlGraph, order: list[str], registry: FunctionRegistry,
-           timed: bool) -> Sweep:
+def _sweep(g: RtlGraph, order: list[str], timed: bool) -> Sweep:
     """Compile the graph's block sweep; slots are keyed by (node, port).
 
     ``timed`` adds each IP's L-stage output pipeline and each edge's
     balancing registers; without it the graph runs with zero latency.
     """
-    sw = Sweep(registry)
+    sw = Sweep()
     for n in g.inputs:
         sw.inputs[n.split(":", 1)[1]] = sw.slot((n, "out"))
     read: dict[tuple, int] = {}  # (node, input port) -> slot
@@ -275,7 +273,7 @@ def _sweep(g: RtlGraph, order: list[str], registry: FunctionRegistry,
         nd = g.nodes[n]
         if nd.kind in ("input", "output"):
             continue
-        ins, outs = port_names(nd.kind, nd.params, registry)
+        ins, outs = port_names(nd.kind, nd.params)
         in_slots = [read.get((n, p), 0) for p in ins]
         out_slots = [sw.slot((n, p)) for p in outs]
         if nd.is_delay:
@@ -302,11 +300,10 @@ class RtlCycleSim:
     discards.
     """
 
-    def __init__(self, g: RtlGraph, registry: FunctionRegistry | None = None):
+    def __init__(self, g: RtlGraph):
         if g.latency is None:
             raise HwSynthError("graph must be delay-corrected first")
-        self.sweep = _sweep(g, _ordered_nodes(g), registry or default_registry(),
-                            timed=True)
+        self.sweep = _sweep(g, _ordered_nodes(g), timed=True)
 
     def step(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)
@@ -315,9 +312,8 @@ class RtlCycleSim:
 class ControllerSim:
     """Executes the multicycle schedule: functional result, II cycles each."""
 
-    def __init__(self, ctrl: Controller, registry: FunctionRegistry | None = None):
-        self.sweep = _sweep(ctrl.graph, ctrl.order,
-                            registry or default_registry(), timed=False)
+    def __init__(self, ctrl: Controller):
+        self.sweep = _sweep(ctrl.graph, ctrl.order, timed=False)
 
     def fire(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)

@@ -6,15 +6,14 @@ functional level is reproduced bit for bit after partitioning, behavior
 generation, FSM synthesis and hardware refinement.  The simulators bind
 each block once, when they are built.  Samples are 32-bit two's-complement
 integers with wrapping arithmetic.
+
+``user`` and ``for_loop`` blocks call the functions of the one constant
+table ``USER_FUNCTIONS``; every stage reads it directly, so no stage takes
+or passes a function table of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
-INT32_MIN = -(1 << 31)
-INT32_MAX = (1 << 31) - 1
 _MASK = (1 << 32) - 1
 
 
@@ -23,48 +22,22 @@ def wrap32(x: int) -> int:
     return ((x + (1 << 31)) & _MASK) - (1 << 31)
 
 
-@dataclass(frozen=True)
-class UserFunction:
-    name: str
-    n_in: int
-    n_out: int
-    fn: Callable[..., tuple[int, ...]]
-
-
-class FunctionRegistry:
-    """Named user functions referenced by ``user(name)`` blocks.
-
-    Shipped model files only use the built-in names, so files stay
-    self-contained; host programs may register more.
-    """
-
-    def __init__(self) -> None:
-        self._fns: dict[str, UserFunction] = {}
-
-    def register(self, name: str, n_in: int, n_out: int, fn) -> None:
-        self._fns[name] = UserFunction(name, n_in, n_out, fn)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._fns
-
-    def get(self, name: str) -> UserFunction:
-        return self._fns[name]
-
-
 def _clip(x: int) -> int:
     return max(-(1 << 20), min((1 << 20) - 1, x))
 
 
-def default_registry() -> FunctionRegistry:
-    reg = FunctionRegistry()
-    reg.register("inc", 1, 1, lambda x: (wrap32(x + 1),))
-    reg.register("dbl", 1, 1, lambda x: (wrap32(2 * x),))
-    reg.register("huff", 1, 1, lambda x: (wrap32((x << 3) ^ (x >> 2) ^ 0x2B),))
-    reg.register("clip", 1, 1, lambda x: (_clip(x),))
-    reg.register("frame_reader", 1, 1, lambda x: (wrap32(x ^ 0x55),))
-    reg.register("pcm_writer", 1, 1, lambda x: (x,))
-    reg.register("mix2", 2, 1, lambda a, b: (wrap32(a + b - (b >> 1)),))
-    return reg
+# The functions ``user(name)`` and ``for_loop(n, name)`` blocks may call:
+# name -> (input ports, output ports, fn).  A model file names only these,
+# so it stays self-contained.
+USER_FUNCTIONS = {
+    "inc": (("in",), ("out",), lambda x: (wrap32(x + 1),)),
+    "dbl": (("in",), ("out",), lambda x: (wrap32(2 * x),)),
+    "huff": (("in",), ("out",), lambda x: (wrap32((x << 3) ^ (x >> 2) ^ 0x2B),)),
+    "clip": (("in",), ("out",), lambda x: (_clip(x),)),
+    "frame_reader": (("in",), ("out",), lambda x: (wrap32(x ^ 0x55),)),
+    "pcm_writer": (("in",), ("out",), lambda x: (x,)),
+    "mix2": (("in1", "in2"), ("out",), lambda a, b: (wrap32(a + b - (b >> 1)),)),
+}
 
 
 # kind -> (param shape, fixed input ports, fixed output ports)
@@ -86,7 +59,7 @@ _FIXED_PORTS = {
 KIND_NAMES = set(_FIXED_PORTS) | {"mux", "demux", "user"}
 
 
-def port_names(kind: str, params: tuple, registry: FunctionRegistry | None = None):
+def port_names(kind: str, params: tuple):
     """Return (input ports, output ports) for a block kind."""
     if kind == "mux":
         n = params[0]
@@ -95,13 +68,8 @@ def port_names(kind: str, params: tuple, registry: FunctionRegistry | None = Non
         n = params[0]
         return ("sel", "in"), tuple(f"out{i}" for i in range(n))
     if kind == "user":
-        if registry is None or params[0] not in registry:
-            # Port shape for an unresolved function; validation reports it.
-            return ("in",), ("out",)
-        uf = registry.get(params[0])
-        ins = ("in",) if uf.n_in == 1 else tuple(f"in{i + 1}" for i in range(uf.n_in))
-        outs = ("out",) if uf.n_out == 1 else tuple(f"out{i + 1}" for i in range(uf.n_out))
-        return ins, outs
+        # an unknown function gets one in and one out; validation reports it
+        return USER_FUNCTIONS.get(params[0], (("in",), ("out",)))[:2]
     return _FIXED_PORTS[kind]
 
 
@@ -121,7 +89,7 @@ def _quant(v: int, step: int) -> int:
     return wrap32(q * step)
 
 
-def block_fn(kind: str, params: tuple, registry: FunctionRegistry | None = None):
+def block_fn(kind: str, params: tuple):
     """Bind one block: return ``fn(inputs, state) -> (outputs, state')``.
 
     This is the one definition of what every block kind does.  The kind,
@@ -162,7 +130,7 @@ def block_fn(kind: str, params: tuple, registry: FunctionRegistry | None = None)
             (inputs[1] if inputs[0] != 0 else inputs[2],), state)
     if kind == "for_loop":
         n, fname = params
-        fn = registry.get(fname).fn
+        fn = USER_FUNCTIONS[fname][2]
 
         def for_loop(inputs, state):
             v = inputs[0]
@@ -181,7 +149,7 @@ def block_fn(kind: str, params: tuple, registry: FunctionRegistry | None = None)
             return tuple(inputs[1] if i == sel else 0 for i in range(n)), state
         return demux
     if kind == "user":
-        fn = registry.get(params[0]).fn
+        fn = USER_FUNCTIONS[params[0]][2]
         return lambda inputs, state: (
             tuple([wrap32(v) for v in fn(*inputs)]), state)
     if kind == "sink":

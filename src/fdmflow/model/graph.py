@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .blocks import FunctionRegistry, port_names
+from .blocks import port_names
 
 SELF = "self"  # reserved endpoint id for the enclosing scope's own ports
 
@@ -119,7 +119,7 @@ def _scope_index(scope):
     return idx
 
 
-def flatten(g: ModelGraph, registry: FunctionRegistry | None = None) -> FlatGraph:
+def flatten(g: ModelGraph) -> FlatGraph:
     """Elaborate the hierarchy, chasing links through subsystem boundary ports.
 
     Structural problems are collected as issues instead of raised so that
@@ -154,7 +154,7 @@ def flatten(g: ModelGraph, registry: FunctionRegistry | None = None) -> FlatGrap
                                     path or g.name, link.line))
                 return None
             return ("port", child, ep.port)
-        ins, outs = port_names(obj.kind, obj.params, registry)
+        ins, outs = port_names(obj.kind, obj.params)
         legal = outs if is_src else ins
         if ep.port not in legal:
             side = "output" if is_src else "input"
@@ -211,7 +211,7 @@ def flatten(g: ModelGraph, registry: FunctionRegistry | None = None) -> FlatGrap
 
     drivers = {}
     for path, fb in blocks.items():
-        ins, _ = port_names(fb.block.kind, fb.block.params, registry)
+        ins, _ = port_names(fb.block.kind, fb.block.params)
         for p in ins:
             src = chase(("blk", path, p), f"input {path}.{p}")
             if src is not None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import FunctionRegistry, default_registry
+from .blocks import USER_FUNCTIONS
 from .graph import FlatGraph, ModelGraph, comb_successors, flatten
 
 
@@ -35,7 +35,7 @@ class ValidationReport:
         return [d for d in self.diagnostics if d.severity == "error"]
 
 
-def _param_checks(g: ModelGraph, registry: FunctionRegistry, out: list[Diagnostic]):
+def _param_checks(g: ModelGraph, out: list[Diagnostic]):
     def walk(scope, path):
         for b in scope.blocks:
             loc = f"{path}/{b.id}" if path else b.id
@@ -51,13 +51,19 @@ def _param_checks(g: ModelGraph, registry: FunctionRegistry, out: list[Diagnosti
             if b.kind in ("mux", "demux") and b.params[0] < 1:
                 out.append(Diagnostic("error", loc, f"{b.kind} way count must be >= 1",
                                       line=b.line))
-            if b.kind == "user" and b.params[0] not in registry:
+            if b.kind == "user" and b.params[0] not in USER_FUNCTIONS:
                 out.append(Diagnostic("error", loc,
-                                      f"user function {b.params[0]!r} is not registered",
+                                      f"unknown user function {b.params[0]!r}",
                                       line=b.line))
-            if b.kind == "for_loop" and b.params[1] not in registry:
+            if b.kind == "for_loop" and b.params[1] not in USER_FUNCTIONS:
                 out.append(Diagnostic("error", loc,
-                                      f"loop body function {b.params[1]!r} is not registered",
+                                      f"unknown loop body function {b.params[1]!r}",
+                                      line=b.line))
+            elif b.kind == "for_loop" and \
+                    USER_FUNCTIONS[b.params[1]][:2] != (("in",), ("out",)):
+                out.append(Diagnostic("error", loc,
+                                      f"loop body function {b.params[1]!r} must "
+                                      "have one input and one output",
                                       line=b.line))
             if b.width < 1:
                 out.append(Diagnostic("error", loc, "width must be positive",
@@ -152,17 +158,15 @@ def _cycle_path(comp: list[str], succ, order_key) -> tuple[str, ...]:
         cur = nxt
 
 
-def validate_model(g: ModelGraph,
-                   registry: FunctionRegistry | None = None) -> ValidationReport:
+def validate_model(g: ModelGraph) -> ValidationReport:
     """Check every structural invariant of the model.
 
     The report is empty iff the model is accepted for downstream stages.
     Diagnostics are ordered by source position for stable golden output.
     """
-    registry = registry or default_registry()
     out: list[Diagnostic] = []
-    _param_checks(g, registry, out)
-    flat = flatten(g, registry)
+    _param_checks(g, out)
+    flat = flatten(g)
     for issue in flat.issues:
         out.append(Diagnostic("error", issue.location, issue.message, line=issue.line))
     _width_checks(flat, out)

@@ -46,31 +46,17 @@ push and pop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from ..gma.behavior import TaskBehavior
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
-from ..model.blocks import FunctionRegistry
 from ..swsynth import ALoopInit, GStatusReady, TaskFsm
-from ..tlm import TlmModel, Unit
+from ..tlm import Unit
 from .channels import ChannelRt
 from .interp import FsmRunner, SimError, behavior_coroutine
 from .trace import Stimulus, Trace
 
 
 BUS_LATENCY = 2  # cycles per micro-level bus transaction
-
-
-@dataclass
-class SimDesign:
-    """Everything the engine needs, prebuilt by the flow."""
-
-    tlm: TlmModel
-    behaviors: dict  # unit name -> TaskBehavior, for every unit
-    micro_fsms: dict  # task unit name -> lowered TaskFsm
-    hw_impl: dict  # node -> HwImpl
-    unit_costs: dict  # task unit -> cycles per fired transition, if > 0
-    registry: FunctionRegistry
 
 
 class _MacroUnit:
@@ -83,7 +69,7 @@ class _MacroUnit:
     def __init__(self, name: str, b: TaskBehavior, engine):
         self.cons = {p: engine.cons.get((name, p)) for p in b.in_ports}
         self.prod = {p: engine.prod.get((name, p)) for p in b.out_ports}
-        self.gen = behavior_coroutine(b, engine.sd.registry)
+        self.gen = behavior_coroutine(b)
         self.request = next(self.gen)
 
     def pump(self) -> bool:
@@ -137,7 +123,7 @@ class _MicroTask:
         self.cost = cost
         self.cons = {p: engine.cons.get((name, p)) for p in fsm.in_ports}
         self.prod = {p: engine.prod.get((name, p)) for p in fsm.out_ports}
-        self.runner = FsmRunner(fsm, self, engine.sd.registry)
+        self.runner = FsmRunner(fsm, self)
         self.awake = True
         self.idle = (0, 0)
         _listen(self, [c for c, _ in filter(None, self.cons.values())] +
@@ -204,10 +190,10 @@ class _MicroHwUnit:
     def __init__(self, unit: Unit, impl: HwImpl, engine):
         self.name = unit.name
         if impl.kind == "pipelined":
-            self.advance = RtlCycleSim(impl.rtl, engine.sd.registry).step
+            self.advance = RtlCycleSim(impl.rtl).step
             self.k = impl.latency
         else:
-            self.advance = ControllerSim(impl.rtl, engine.sd.registry).fire
+            self.advance = ControllerSim(impl.rtl).fire
             self.k = 0
         self.ins = [(p,) + (engine.cons.get((unit.name, p)) or (None, None))
                     for p in unit.in_ports]
@@ -264,16 +250,18 @@ class _MicroHwUnit:
 
 
 class Engine:
-    def __init__(self, sd: SimDesign, assignment: dict, stim: Stimulus,
+    """Runs ``cd``, the flow's ``CompiledDesign``, with each node at its
+    assigned level."""
+
+    def __init__(self, cd, assignment: dict, stim: Stimulus,
                  ticks: int, level_tag: int):
         if level_tag not in (1, 2, 3):
             raise SimError(f"unsupported level {level_tag}")
-        for node in sd.tlm.nodes:
+        for node in cd.tlm.nodes:
             if node not in assignment:
                 raise SimError(f"assignment missing node {node!r}")
             if assignment[node] not in (1, 2, 3):
                 raise SimError(f"node {node!r}: level must be 1, 2 or 3")
-        self.sd = sd
         self.stim = stim
         self.ticks = ticks
         self.level_tag = level_tag
@@ -282,7 +270,7 @@ class Engine:
         self.rounds = 0
         self.events = 0
 
-        self.channels = [ChannelRt(c) for c in sd.tlm.channels]
+        self.channels = [ChannelRt(c) for c in cd.tlm.channels]
         self.prod: dict[tuple, ChannelRt] = {}
         self.cons: dict[tuple, tuple[ChannelRt, tuple]] = {}
         for ch in self.channels:
@@ -295,27 +283,27 @@ class Engine:
         self.schedulers: list[list[_MicroTask]] = []  # per processor node
         self.hw_units: list[_MicroHwUnit] = []
         macro: list[str] = []
-        for info in sd.tlm.nodes.values():
+        for info in cd.tlm.nodes.values():
             if assignment[info.name] != 3:
                 macro += info.units
             elif info.role == "software":
                 self.schedulers.append([
-                    _MicroTask(u, sd.micro_fsms[u], sd.unit_costs.get(u, 1),
+                    _MicroTask(u, cd.micro_fsms[u], cd.unit_costs.get(u, 1),
                                self)
                     for u in info.units])
             else:
                 self.hw_units.append(_MicroHwUnit(
-                    sd.tlm.units[info.name], sd.hw_impl[info.name], self))
-        for name in macro + sd.tlm.testbench:
-            self.macro_units.append(_MacroUnit(name, sd.behaviors[name], self))
+                    cd.tlm.units[info.name], cd.hw_impl[info.name], self))
+        for name in macro + cd.tlm.testbench:
+            self.macro_units.append(_MacroUnit(name, cd.behaviors[name], self))
 
         self.sources = [(p, self.prod.get((None, p)))
-                        for p in sd.tlm.base.inputs]
+                        for p in cd.tlm.base.inputs]
         self.sent: dict[str, int] = {p: 0 for p, _ in self.sources}
         self.probes = [(p, self.cons.get((None, p)))
-                       for p in sd.tlm.base.outputs]
-        self.trace = Trace({p: [] for p in sd.tlm.base.outputs},
-                           level=level_tag, design=sd.tlm.base.name)
+                       for p in cd.tlm.base.outputs]
+        self.trace = Trace({p: [] for p in cd.tlm.base.outputs},
+                           level=level_tag, design=cd.tlm.base.name)
         self.drain = False
 
     def _round(self) -> None:

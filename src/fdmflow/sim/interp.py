@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from ..gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, Loop, \
     Recv, Send, TaskBehavior
-from ..model.blocks import FunctionRegistry, block_fn, default_registry
+from ..model.blocks import block_fn
 from ..swsynth import AAssign, ABusRead, ABusWrite, ACall, AIf, ALoopInit, \
     ALoopStep, ARecv, ASend, GCanRecv, GCanSend, GLoopDone, GLoopNotDone, \
     GStatusReady, GTrue, TaskFsm
@@ -40,7 +40,7 @@ class SimError(Exception):
     pass
 
 
-def _call_src(c: Call, var, state, fns: list, registry) -> str:
+def _call_src(c: Call, var, state, fns: list) -> str:
     """The statement for call ``c``.  ``var`` and ``state`` write out a
     variable and a state key as source; each block function bound is
     appended to ``fns`` and called as ``fnN``, N its index there."""
@@ -51,7 +51,7 @@ def _call_src(c: Call, var, state, fns: list, registry) -> str:
         return f"{outs[0]} = {st}[0]"
     if c.name == DELAY_PUSH:
         return f"{st} = {st}[1:] + ({ins[0]},)"
-    fns.append(block_fn(c.kind, c.params, registry))
+    fns.append(block_fn(c.kind, c.params))
     return call_src(f"fn{len(fns) - 1}", ins, outs, st)
 
 
@@ -63,8 +63,7 @@ class _BodyGen:
     appear only as ``repr`` strings.
     """
 
-    def __init__(self, registry):
-        self.registry = registry
+    def __init__(self):
         self.vars: dict[str, str] = {}
         self.states: dict[str, str] = {}
         self.fns: list = []
@@ -90,8 +89,7 @@ class _BodyGen:
         elif isinstance(s, Send):
             emit(f"{ind}yield ('send', {s.port!r}, {self.var(s.var)})")
         elif isinstance(s, Call):
-            emit(ind + _call_src(s, self.var, self.state, self.fns,
-                                 self.registry))
+            emit(ind + _call_src(s, self.var, self.state, self.fns))
         elif isinstance(s, Assign):
             src = repr(s.src) if isinstance(s.src, int) else self.var(s.src)
             emit(f"{ind}{self.var(s.var)} = {src}")
@@ -108,11 +106,11 @@ class _BodyGen:
             raise SimError(f"unknown statement {s!r}")
 
 
-def behavior_coroutine(b: TaskBehavior, registry: FunctionRegistry | None = None):
+def behavior_coroutine(b: TaskBehavior):
     """Generator protocol: yields ("recv", port) and is resumed with the
     value; yields ("send", port, value) and is resumed once delivered;
     yields ("end",) after each body iteration."""
-    gen = _BodyGen(registry or default_registry())
+    gen = _BodyGen()
     gen.body(b.body, "        ")
     params = [f"fn{i}" for i in range(len(gen.fns))] + list(gen.states.values())
     src = "\n".join([f"def behavior({', '.join(params)}):",
@@ -137,9 +135,8 @@ class _StateGen:
               GStatusReady: "poll_status", ARecv: "recv", ASend: "send",
               ABusRead: "read_data", ABusWrite: "write_data"}
 
-    def __init__(self, loops: dict, registry):
+    def __init__(self, loops: dict):
         self.loops = loops
-        self.registry = registry
         self.values: list = []
         self.names: dict[str, str] = {}
         self.fns: list = []
@@ -204,8 +201,7 @@ class _StateGen:
                     f"{self.var(a.var)}, {self.key(a.ctrl)})")
         if isinstance(a, ACall):
             return _call_src(a.call, self.var,
-                             lambda k: f"states[{self.key(k)}]", self.fns,
-                             self.registry)
+                             lambda k: f"states[{self.key(k)}]", self.fns)
         if isinstance(a, AAssign):
             src = self.key(a.src) if isinstance(a.src, int) \
                 else self.var(a.src)
@@ -251,18 +247,16 @@ class FsmRunner:
     status poll is still a bus transaction.
     """
 
-    def __init__(self, fsm: TaskFsm, io,
-                 registry: FunctionRegistry | None = None):
+    def __init__(self, fsm: TaskFsm, io):
         self.fsm = fsm
         self.state = fsm.initial
-        registry = registry or default_registry()
         env: dict = {}
         states = dict(fsm.init_states)
         loops: dict[str, int] = {}  # loop id -> iterations left
         out: dict[int, list] = {s: [] for s in fsm.states}
         for t in fsm.transitions:
             out.setdefault(t.state, []).append(t)
-        self.run = {s: _StateGen(loops, registry).build(ts, io, env, states)
+        self.run = {s: _StateGen(loops).build(ts, io, env, states)
                     for s, ts in out.items()}
 
     def step(self) -> bool:

@@ -7,7 +7,7 @@ its input once every driver has fired.
 
 from __future__ import annotations
 
-from ..model.blocks import FunctionRegistry, default_registry, port_names
+from ..model.blocks import port_names
 from ..model.graph import ModelGraph, flatten, topo_order
 from .sweep import Sweep
 from .trace import Stimulus, Trace
@@ -16,12 +16,11 @@ from .trace import Stimulus, Trace
 class Level0Sim:
     """The flattened model's sweep; slots are keyed by driving pin."""
 
-    def __init__(self, g: ModelGraph, registry: FunctionRegistry | None = None):
-        registry = registry or default_registry()
-        flat = flatten(g, registry)
+    def __init__(self, g: ModelGraph):
+        flat = flatten(g)
         if flat.issues:
             raise ValueError(f"model not valid: {flat.issues[0].message}")
-        sw = self.sweep = Sweep(registry)
+        sw = self.sweep = Sweep()
 
         def src(driver) -> int:
             # ("top", port) -> key (port,); ("block", path, port) -> (path, port)
@@ -31,7 +30,7 @@ class Level0Sim:
             sw.inputs[p] = sw.slot((p,))
         for path in topo_order(flat):
             blk = flat.blocks[path].block
-            ins, outs = port_names(blk.kind, blk.params, registry)
+            ins, outs = port_names(blk.kind, blk.params)
             in_slots = [src(flat.drivers[(path, p)]) for p in ins]
             out_slots = [sw.slot((path, p)) for p in outs]
             if blk.kind == "delay":
@@ -46,9 +45,8 @@ class Level0Sim:
         return self.sweep.tick(in_values)
 
 
-def simulate_level0(g: ModelGraph, stim: Stimulus, ticks: int,
-                    registry: FunctionRegistry | None = None) -> Trace:
-    sim = Level0Sim(g, registry)
+def simulate_level0(g: ModelGraph, stim: Stimulus, ticks: int) -> Trace:
+    sim = Level0Sim(g)
     trace = Trace({p: [] for p in g.outputs}, level=0, design=g.name)
     for t in range(ticks):
         outs = sim.tick({p: stim.at(p, t) for p in g.inputs})

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..model.blocks import FunctionRegistry, block_fn, init_state
+from ..model.blocks import block_fn, init_state
 
 CHUNK = 48  # generated lines per function
 
@@ -72,8 +72,7 @@ def call_src(fn: str, args, outs, st: str | None) -> str:
 
 
 class Sweep:
-    def __init__(self, registry: FunctionRegistry):
-        self.registry = registry
+    def __init__(self):
         self.slots: dict = {}  # slot key -> slot number
         self.ops: list[tuple] = []  # (step fn, in slots, out slots, init state)
         self.regs: list[tuple] = []  # (d slot, q slot, depth)
@@ -84,7 +83,7 @@ class Sweep:
         return self.slots.setdefault(key, len(self.slots) + 1)
 
     def op(self, kind: str, params: tuple, ins, outs) -> None:
-        self.ops.append((block_fn(kind, params, self.registry), tuple(ins),
+        self.ops.append((block_fn(kind, params), tuple(ins),
                          tuple(outs), init_state(kind, params)))
 
     def reg(self, d: int, q: int, depth: int) -> None:

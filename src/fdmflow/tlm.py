@@ -12,16 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .hwsynth import RTL_USER_INDEX
-from .model.blocks import FunctionRegistry, default_registry, port_names
+from .model.blocks import port_names
 from .model.graph import Block, ModelGraph, Subsystem, is_channel_subsystem
 from .model.validate import Diagnostic, ValidationReport
-
-TOP = None  # PortRef unit value for the model boundary
 
 
 @dataclass(frozen=True)
 class PortRef:
-    unit: str | None  # unit name, or TOP for a model boundary port
+    unit: str | None  # unit name, or None for a model boundary port
     port: str
 
     def __str__(self) -> str:
@@ -78,16 +76,14 @@ def node_role(sub_id: str) -> str | None:
     return None
 
 
-def _unit_ports(sub: Subsystem | None, blk: Block | None, registry):
+def _unit_ports(sub: Subsystem | None, blk: Block | None):
     if sub is not None:
         return tuple(sub.inputs), tuple(sub.outputs)
-    ins, outs = port_names(blk.kind, blk.params, registry)
+    ins, outs = port_names(blk.kind, blk.params)
     return tuple(ins), tuple(outs)
 
 
-def recognize_partition(g: ModelGraph,
-                        registry: FunctionRegistry | None = None) -> TlmModel:
-    registry = registry or default_registry()
+def recognize_partition(g: ModelGraph) -> TlmModel:
     nodes: dict[str, NodeInfo] = {}
     units: dict[str, Unit] = {}
     testbench: list[str] = []
@@ -105,32 +101,32 @@ def recognize_partition(g: ModelGraph,
                 # TASK_ subsystems and plain subsystems both become tasks;
                 # prefixed ones nested wrongly are flagged by validation
                 name = f"{sub.id}/{inner.id}"
-                ins, outs = _unit_ports(inner, None, registry)
+                ins, outs = _unit_ports(inner, None)
                 add_unit(Unit(name, "task", subsystem=inner,
                               in_ports=ins, out_ports=outs))
                 node.units.append(name)
             for blk in sub.blocks:
                 name = f"{sub.id}/{blk.id}"
-                ins, outs = _unit_ports(None, blk, registry)
+                ins, outs = _unit_ports(None, blk)
                 add_unit(Unit(name, "task", block=blk,
                               in_ports=ins, out_ports=outs))
                 node.units.append(name)
         elif role == "hardware":
             node = NodeInfo(sub.id, "hardware", sub)
             nodes[sub.id] = node
-            ins, outs = _unit_ports(sub, None, registry)
+            ins, outs = _unit_ports(sub, None)
             add_unit(Unit(sub.id, "hw_node", subsystem=sub,
                           in_ports=ins, out_ports=outs))
             node.units.append(sub.id)
         elif is_channel_subsystem(sub.id):
             chan_subs[sub.id] = sub
         else:
-            ins, outs = _unit_ports(sub, None, registry)
+            ins, outs = _unit_ports(sub, None)
             add_unit(Unit(sub.id, "testbench", subsystem=sub,
                           in_ports=ins, out_ports=outs))
             testbench.append(sub.id)
     for blk in g.blocks:
-        ins, outs = _unit_ports(None, blk, registry)
+        ins, outs = _unit_ports(None, blk)
         add_unit(Unit(blk.id, "testbench", block=blk,
                       in_ports=ins, out_ports=outs))
         testbench.append(blk.id)
@@ -267,8 +263,9 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
 def validate_partition(t: TlmModel) -> ValidationReport:
     """Legality of the recognized partition.
 
-    A hardware user block without an RTL library entry only gets a warning
-    because an FSM-controller fallback exists.
+    A hardware user block without an RTL library entry only gets a
+    warning: the flow accepts it once its ``cost_cycles`` parameter is set,
+    and rejects it at hardware synthesis otherwise.
     """
     out: list[Diagnostic] = []
 
@@ -326,8 +323,8 @@ def validate_partition(t: TlmModel) -> ValidationReport:
             if blk.kind == "user" and blk.params[0] not in RTL_USER_INDEX:
                 out.append(Diagnostic(
                     "warning", f"{node.name}/{blk.id}",
-                    f"user function {blk.params[0]!r} has no RTL library entry; "
-                    "an FSM controller will be generated", line=blk.line))
+                    f"user function {blk.params[0]!r} has no RTL library entry "
+                    "and needs a cost_cycles parameter", line=blk.line))
 
     out.sort(key=lambda d: (d.line, d.location, d.message))
     return ValidationReport(out)

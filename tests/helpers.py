@@ -45,6 +45,36 @@ model feedback {
 }
 """
 
+# The two-input user function mix2 in a task, in a HW node (where it has
+# no RTL library entry, so the flow needs its cost_cycles parameter) and
+# as a testbench block.  mix2 is not symmetric, so a swapped port shows.
+MIX2_FDM = """
+model mix {
+  input a; input b; output y;
+  subsystem SW_cpu {
+    input a; input b; output out;
+    subsystem TASK_mix {
+      input a; input b; output out;
+      block m : user(mix2);
+      link self.a -> m.in1; link self.b -> m.in2; link m.out -> self.out;
+    }
+    link self.a -> TASK_mix.a; link self.b -> TASK_mix.b;
+    link TASK_mix.out -> self.out;
+  }
+  subsystem HW_mix {
+    input p; input q; output out;
+    block h : user(mix2); block d : delay(1);
+    link self.p -> h.in1; link self.q -> d.in; link d.out -> h.in2;
+    link h.out -> self.out;
+  }
+  block tb : user(mix2);
+  link self.a -> SW_cpu.a; link self.b -> SW_cpu.b;
+  link SW_cpu.out -> HW_mix.p; link self.b -> HW_mix.q;
+  link HW_mix.out -> tb.in1; link self.a -> tb.in2;
+  link tb.out -> self.y;
+}
+"""
+
 
 def _link(src_blk, src_port, dst_blk, dst_port):
     return Link(Endpoint(src_blk, src_port), Endpoint(dst_blk, dst_port))
@@ -332,9 +362,9 @@ def parse_netlist_json(text: str) -> ColifNetlist:
     return ColifNetlist(top, nets)
 
 
-def step_block(kind, params, inputs, state, registry=None):
+def step_block(kind, params, inputs, state):
     """Fire one block for one tick: pure (inputs, state) -> (outputs, state')."""
-    return block_fn(kind, params, registry)(inputs, state)
+    return block_fn(kind, params)(inputs, state)
 
 
 def total_registers(g) -> int:

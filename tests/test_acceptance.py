@@ -13,7 +13,7 @@ from fdmflow.gma import build_tree, emit_netlist, gen_task_behavior, \
     netlist_to_json
 from fdmflow.hwsynth import ControllerSim, RtlCycleSim, delay_correct, \
     fsm_controller, map_rtl_library
-from fdmflow.model.blocks import default_registry, port_names
+from fdmflow.model.blocks import port_names
 from fdmflow.model.graph import Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
 from fdmflow.model.validate import validate_model
@@ -146,11 +146,10 @@ def test_criterion_4_loop_detector_equivalence():
     with criterion(4, 5.0):
         import networkx as nx
         from fdmflow.model.graph import flatten
-        reg = default_registry()
         for seed in range(120):
             rng = random.Random(40000 + seed)
             g = rand_loopy_model(rng, max_blocks=10)
-            flat = flatten(g, reg)
+            flat = flatten(g)
             if flat.issues:
                 continue
             G = nx.DiGraph()
@@ -160,14 +159,13 @@ def test_criterion_4_loop_detector_equivalence():
                         flat.blocks[src[1]].block.kind != "delay":
                     G.add_edge(src[1], dst)
             has_cycle = any(True for _ in nx.simple_cycles(G))
-            loop_diags = [d for d in validate_model(g, reg).errors()
+            loop_diags = [d for d in validate_model(g).errors()
                           if d.cycle]
             assert bool(loop_diags) == has_cycle, f"seed {seed}"
 
 
 def _structural_counts_oracle(g: ModelGraph):
     """Module/port/net counts derived from the model alone."""
-    reg = default_registry()
     modules = 1
     ports = len(g.inputs) + len(g.outputs)
     n_chan = 0
@@ -185,16 +183,16 @@ def _structural_counts_oracle(g: ModelGraph):
                     ports += len(t.inputs) + len(t.outputs)
                 for b in s.blocks:
                     modules += 1
-                    ins, outs = port_names(b.kind, b.params, reg)
+                    ins, outs = port_names(b.kind, b.params)
                     ports += len(ins) + len(outs)
             else:
                 for b in s.blocks:  # one ip module per member block
                     modules += 1
-                    ins, outs = port_names(b.kind, b.params, reg)
+                    ins, outs = port_names(b.kind, b.params)
                     ports += len(ins) + len(outs)
     for b in g.blocks:  # unowned top-level blocks form the testbench
         modules += 1
-        ins, outs = port_names(b.kind, b.params, reg)
+        ins, outs = port_names(b.kind, b.params)
         ports += len(ins) + len(outs)
     # one net per channel; a CHAN_ subsystem merges its two hops into one,
     # and each task-to-task link inside a software node is its own channel
@@ -245,7 +243,7 @@ def _check_all_assignments(model: ModelGraph, ticks: int, seed: int):
     nodes = sorted(cd.tlm.nodes)
     for combo in itertools.product((2, 3), repeat=len(nodes)):
         assignment = dict(zip(nodes, combo))
-        mixed = Engine(cd.sim_design, assignment, stim, ticks, 3).run()
+        mixed = Engine(cd, assignment, stim, ticks, 3).run()
         v = compare_traces(pure, mixed, mode="values_only")
         assert v.passed, f"{model.name} {assignment}: {v.message}"
 

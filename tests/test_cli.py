@@ -7,7 +7,7 @@ import pytest
 from fdmflow.cli import main
 from fdmflow.sim.trace import Trace
 
-from helpers import FEEDBACK_FDM
+from helpers import FEEDBACK_FDM, MIX2_FDM
 
 
 @pytest.fixture
@@ -68,6 +68,27 @@ class TestCheck:
         p.write_text("model m { block b gain; }")
         assert main(["check", "--model", str(p)]) == 1
 
+    @pytest.mark.parametrize("cmd", ["check", "flow"])
+    def test_model_not_utf8(self, cmd, tmp_path, capsys):
+        p = tmp_path / "latin1.fdm"
+        p.write_bytes("model m { # caf\xe9\n }".encode("latin-1"))
+        rc = main([cmd, "--model", str(p), "--out", str(tmp_path / "o")]
+                  if cmd == "flow" else [cmd, "--model", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "cannot read model" in err
+
+    def test_hw_user_function_needs_cost(self, tmp_path, capsys):
+        p = tmp_path / "mix.fdm"
+        p.write_text(MIX2_FDM)
+        assert main(["check", "--model", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "warning: HW_mix/h:" in out and "cost_cycles" in out
+        # the flow at the default params stops where the warning says
+        assert main(["flow", "--model", str(p),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "cost_cycles" in capsys.readouterr().err
+
 
 class TestFlow:
     def test_full_flow_artifacts(self, mini_path, tmp_path, capsys):
@@ -105,6 +126,26 @@ class TestFlow:
                 h.update(p.relative_to(out).as_posix().encode() + b"\0")
                 h.update(p.read_bytes() + b"\0")
         assert h.hexdigest() == self.ARTIFACTS
+
+    @pytest.mark.parametrize("name, content, rc, msg", [
+        ("module.mini_codec.params", b"port.in = 3\n", 1,
+         "module.mini_codec.params:1"),
+        ("module.mini_codec.params", b"name = caf\xe9\n", 2,
+         "cannot read params"),
+        ("module.x.params", None, 2, "cannot read params"),
+    ], ids=["port-without-key", "not-utf8", "directory"])
+    def test_bad_params(self, name, content, rc, msg, mini_path, tmp_path,
+                        capsys):
+        pdir = tmp_path / "params"
+        pdir.mkdir()
+        if content is None:
+            (pdir / name).mkdir()
+        else:
+            (pdir / name).write_bytes(content)
+        assert main(["flow", "--model", mini_path, "--params", str(pdir),
+                     "--out", str(tmp_path / "out")]) == rc
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and msg in err
 
     def test_no_out_dir(self, mini_path, monkeypatch, capsys):
         monkeypatch.delenv("FLOW_OUT", raising=False)

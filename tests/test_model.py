@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fdmflow.model.blocks import default_registry, port_names, wrap32
+from fdmflow.model.blocks import port_names, wrap32
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     flatten, topo_order
 from fdmflow.model.parser import ParseError, parse_model
@@ -36,47 +36,40 @@ class TestWrap32:
 
 class TestStepBlock:
     def test_quant_truncates_toward_zero(self):
-        reg = default_registry()
-        assert step_block("quant", (3,), (7,), None, reg)[0] == (6,)
-        assert step_block("quant", (3,), (-7,), None, reg)[0] == (-6,)
+        assert step_block("quant", (3,), (7,), None)[0] == (6,)
+        assert step_block("quant", (3,), (-7,), None)[0] == (-6,)
 
     def test_delay_queue(self):
-        reg = default_registry()
         st_ = (0, 0)
         outs = []
         for x in [1, 2, 3, 4]:
-            (y,), st_ = step_block("delay", (2,), (x,), st_, reg)
+            (y,), st_ = step_block("delay", (2,), (x,), st_)
             outs.append(y)
         assert outs == [0, 0, 1, 2]
 
     def test_fir(self):
-        reg = default_registry()
         st_ = (0, 0)
         outs = []
         for x in [1, 2, 3]:
-            (y,), st_ = step_block("fir", (1, 2, 1), (x,), st_, reg)
+            (y,), st_ = step_block("fir", (1, 2, 1), (x,), st_)
             outs.append(y)
         # y[n] = x[n] + 2 x[n-1] + x[n-2]
         assert outs == [1, 4, 8]
 
     def test_mux_demux(self):
-        reg = default_registry()
-        assert step_block("mux", (3,), (1, 10, 20, 30), None, reg)[0] == (20,)
-        assert step_block("demux", (2,), (1, 7), None, reg)[0] == (0, 7)
+        assert step_block("mux", (3,), (1, 10, 20, 30), None)[0] == (20,)
+        assert step_block("demux", (2,), (1, 7), None)[0] == (0, 7)
 
     def test_if_else(self):
-        reg = default_registry()
-        assert step_block("if_else", (), (1, 5, 9), None, reg)[0] == (5,)
-        assert step_block("if_else", (), (0, 5, 9), None, reg)[0] == (9,)
+        assert step_block("if_else", (), (1, 5, 9), None)[0] == (5,)
+        assert step_block("if_else", (), (0, 5, 9), None)[0] == (9,)
 
     def test_for_loop(self):
-        reg = default_registry()
-        assert step_block("for_loop", (3, "inc"), (10,), None, reg)[0] == (13,)
+        assert step_block("for_loop", (3, "inc"), (10,), None)[0] == (13,)
 
     def test_port_names_variadic(self):
-        reg = default_registry()
-        assert port_names("mux", (2,), reg) == (("sel", "in0", "in1"), ("out",))
-        assert port_names("demux", (2,), reg) == (("sel", "in"),
+        assert port_names("mux", (2,)) == (("sel", "in0", "in1"), ("out",))
+        assert port_names("demux", (2,)) == (("sel", "in"),
                                                   ("out0", "out1"))
 
 
@@ -138,6 +131,15 @@ class TestValidate:
         """)
         assert not validate_model(g).ok
 
+    def test_loop_body_takes_one_input(self):
+        g = _mk("""
+        model m { input a; output b; block f : for_loop(2, mix2);
+          link self.a -> f.in; link f.out -> self.b; }
+        """)
+        msgs = [d.message for d in validate_model(g).errors()]
+        assert msgs == ["loop body function 'mix2' must have one input "
+                        "and one output"]
+
     def test_algebraic_loop_has_cycle_path(self):
         g = _mk("""
         model m { input x; output y;
@@ -165,11 +167,10 @@ class TestLoopDetectorOracle:
         # independent oracle: enumerate cycles of the combinational graph
         import networkx as nx
         from fdmflow.model.blocks import port_names as pn
-        reg = default_registry()
         for seed in range(40):
             rng = random.Random(seed)
             g = rand_loopy_model(rng, max_blocks=8)
-            flat = flatten(g, reg)
+            flat = flatten(g)
             if flat.issues:
                 continue
             G = nx.DiGraph()
@@ -179,7 +180,7 @@ class TestLoopDetectorOracle:
                         flat.blocks[src[1]].block.kind != "delay":
                     G.add_edge(src[1], dst)
             has_cycle = any(True for _ in nx.simple_cycles(G))
-            rep = validate_model(g, reg)
+            rep = validate_model(g)
             loop_diags = [d for d in rep.errors() if d.cycle]
             assert bool(loop_diags) == has_cycle, f"seed {seed}"
 
@@ -218,7 +219,7 @@ class TestLevel0:
           link self.a -> p.in; link self.a -> q.in;
           link p.out -> self.b; }
         """)
-        flat = flatten(g, default_registry())
+        flat = flatten(g)
         assert topo_order(flat) == ["p", "q"]
 
 

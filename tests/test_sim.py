@@ -7,18 +7,20 @@ import pytest
 import fdmflow.flow
 from fdmflow.flow import FlowError, compile_design, default_stimulus, \
     run_flow, simulate
+from fdmflow.gma import build_tree, emit_netlist, emit_param_templates
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, \
     Loop, Recv, Send, TaskBehavior
 from fdmflow.hwsynth import emit_rtl_text
+from fdmflow.model.blocks import wrap32
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.engine import Engine
 from fdmflow.sim.interp import FsmRunner, SimError, behavior_coroutine
 from fdmflow.sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
 from fdmflow.swsynth import build_task_fsm, lower_api
-from fdmflow.tlm import ChannelSpec, PortRef
+from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition
 
-from helpers import FEEDBACK_FDM, QueueIO, rand_loopy_model, \
+from helpers import FEEDBACK_FDM, MIX2_FDM, QueueIO, rand_loopy_model, \
     rand_partitioned_model, standalone_address_map
 
 
@@ -365,7 +367,7 @@ class TestLevels:
 
     @staticmethod
     def _counts(cd, assignment, stim, ticks) -> tuple:
-        e = Engine(cd.sim_design, assignment, stim, ticks, 3)
+        e = Engine(cd, assignment, stim, ticks, 3)
         e.run()
         return e.rounds, e.events, e.cycle, e.bus_transactions
 
@@ -373,7 +375,7 @@ class TestLevels:
         cd = mini_compiled()
         ticks = 2000
         stim = default_stimulus(cd.model, ticks, seed=7)
-        nodes = cd.sim_design.tlm.nodes
+        nodes = cd.tlm.nodes
         assert self._counts(cd, dict.fromkeys(nodes, 3), stim, ticks) == \
             self.MINI_COUNTS
         for levels, want in self.MIXED_COUNTS.items():
@@ -393,7 +395,7 @@ class TestLevels:
                 continue  # combinational cycle without a delay
             stim = default_stimulus(g, ticks, seed=seed)
             rows.append((seed,) + self._counts(
-                cd, dict.fromkeys(cd.sim_design.tlm.nodes, 3), stim, ticks))
+                cd, dict.fromkeys(cd.tlm.nodes, 3), stim, ticks))
         totals = tuple(sum(r[i] for r in rows) for i in range(1, 5))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert (len(rows), totals, digest) == self.RANDOM_COUNTS[kind]
@@ -484,7 +486,7 @@ class TestLevels:
         assert t0.values("vals") == [v * (s == 1) for v, s in zip(c, sel)]
         assert any(t0.values("states")) and any(t0.values("vals"))
         runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
-        runs.append(Engine(cd.sim_design, {"SW_cpu": 2, "HW_yield": 3},
+        runs.append(Engine(cd, {"SW_cpu": 2, "HW_yield": 3},
                            stim, ticks, 3).run())
         for tr in runs:
             v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
@@ -536,7 +538,34 @@ class TestLevels:
         t0 = simulate(0, cd, stim, ticks)
         assert any(t0.values("states")) and any(t0.values("poll"))
         runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
-        runs.append(Engine(cd.sim_design, {"SW_cpu": 3, "HW_k0": 2},
+        runs.append(Engine(cd, {"SW_cpu": 3, "HW_k0": 2},
+                           stim, ticks, 3).run())
+        for tr in runs:
+            v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
+            assert v.passed, f"level {tr.level}: {v}"
+
+
+    def test_two_input_user_function(self):
+        g = parse_model(MIX2_FDM)
+        with pytest.raises(FlowError, match="cost_cycles"):
+            compile_design(g)
+        ps = emit_param_templates(emit_netlist(build_tree(
+            recognize_partition(g))))
+        ps.entries["mix/HW_mix/h"].module["cost_cycles"] = 3
+        cd = compile_design(g, ps)
+        assert cd.hw_impl["HW_mix"].kind == "controller"
+        ticks = 50
+        stim = default_stimulus(g, ticks, seed=4)
+        a, b = stim.values["a"], stim.values["b"]
+
+        def mix2(x, y):
+            return wrap32(x + y - (y >> 1))
+        want = [mix2(mix2(mix2(a[t], b[t]), b[t - 1] if t else 0), a[t])
+                for t in range(ticks)]
+        t0 = simulate(0, cd, stim, ticks)
+        assert t0.values("y") == want
+        runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
+        runs.append(Engine(cd, {"SW_cpu": 2, "HW_mix": 3},
                            stim, ticks, 3).run())
         for tr in runs:
             v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
@@ -586,9 +615,8 @@ class TestMixed:
         cd = mini_compiled()
         ticks = 100
         stim = default_stimulus(cd.model, ticks, seed=5)
-        sd = cd.sim_design
         pure = simulate(3, cd, stim, ticks)
-        mixed = Engine(sd, {"SW_cpu": 2, "HW_filter": 3, "HW_post": 2},
+        mixed = Engine(cd, {"SW_cpu": 2, "HW_filter": 3, "HW_post": 2},
                        stim, ticks, 3).run()
         assert compare_traces(pure, mixed, mode="values_only").passed
 
@@ -596,7 +624,7 @@ class TestMixed:
         cd = mini_compiled()
         stim = default_stimulus(cd.model, 8, seed=0)
         with pytest.raises((SimError, KeyError, ValueError)):
-            Engine(cd.sim_design, {"SW_cpu": 7}, stim, 8, 3).run()
+            Engine(cd, {"SW_cpu": 7}, stim, 8, 3).run()
 
     @pytest.mark.parametrize("assignment, level, match", [
         ({"SW_cpu": 2, "HW_filter": 3}, 3, "missing node 'HW_post'"),
@@ -608,7 +636,7 @@ class TestMixed:
         cd = mini_compiled()
         stim = default_stimulus(cd.model, 8, seed=0)
         with pytest.raises(SimError, match=match):
-            Engine(cd.sim_design, assignment, stim, 8, level)
+            Engine(cd, assignment, stim, 8, level)
 
     def test_random_design_levels(self):
         for seed in range(8):
