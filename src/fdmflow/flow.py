@@ -60,15 +60,15 @@ def compile_design(model: ModelGraph,
     tlm = recognize_partition(model)
     prep = validate_partition(tlm)
     if not prep.ok:
-        raise FlowError("partition", prep.errors()[0].message)
+        d = prep.errors()[0]
+        raise FlowError("partition", f"{d.location}: {d.message}")
     tree = build_tree(tlm)
     netlist = emit_netlist(tree)
-    template = emit_param_templates(netlist)
+    used = params if params is not None else emit_param_templates(netlist)
     try:
-        bound = attach_params(netlist, params if params is not None else template)
+        bound = attach_params(netlist, used)
     except Exception as e:
         raise FlowError("attach_params", str(e)) from None
-    used = params if params is not None else template
 
     behaviors = {}
     macro_fsms = {}
@@ -126,8 +126,7 @@ def simulate(level: int, cd: CompiledDesign, stim: Stimulus,
              ticks: int) -> Trace:
     if level == 0:
         return simulate_level0(cd.model, stim, ticks)
-    return Engine(cd, dict.fromkeys(cd.tlm.nodes, level), stim, ticks,
-                  level).run()
+    return Engine(cd, dict.fromkeys(cd.tlm.nodes, level), stim, ticks).run()
 
 
 def default_stimulus(model: ModelGraph, ticks: int, seed: int = 0) -> Stimulus:

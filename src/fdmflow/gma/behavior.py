@@ -8,6 +8,9 @@ user function, single predefined blocks a call of the block kind's library
 function, and multi-block units a merged body firing each block in a
 topological order of the intra-unit dataflow.
 
+An input on no channel becomes an assignment of 0 in place of its recv,
+and an output on no channel gets no send, so no executor meets either.
+
 Statement order matters for liveness when tasks exchange data in both
 directions: the scheduler emits a ready send before anything else, plain
 computation next, and a blocking recv only when nothing else can run.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model.blocks import USER_FUNCTIONS, init_state, port_names
-from ..model.graph import Endpoint, Link, ModelGraph, flatten, stable_topo
+from ..model.graph import stable_topo
 from ..tlm import Unit
 from .tree import DesignTree
 
@@ -79,24 +82,10 @@ class If:
 class TaskBehavior:
     task: str
     mode: str  # "direct_user" | "library_instance" | "merged"
-    in_ports: tuple[str, ...]
-    out_ports: tuple[str, ...]
+    in_ports: tuple[str, ...]  # the ports it receives on
+    out_ports: tuple[str, ...]  # the ports it sends on
     body: list
     states: dict = field(default_factory=dict)  # state key -> initial tuple
-
-
-def _task_graph(unit: Unit) -> ModelGraph:
-    if unit.subsystem is not None:
-        s = unit.subsystem
-        return ModelGraph(s.id, blocks=s.blocks, subsystems=s.subsystems,
-                          links=s.links, inputs=s.inputs, outputs=s.outputs)
-    blk = unit.block
-    links = [Link(Endpoint("self", p), Endpoint(blk.id, p))
-             for p in unit.in_ports]
-    links += [Link(Endpoint(blk.id, p), Endpoint("self", p))
-              for p in unit.out_ports]
-    return ModelGraph(blk.id, blocks=[blk], links=links,
-                      inputs=list(unit.in_ports), outputs=list(unit.out_ports))
 
 
 def _mode_of(unit: Unit) -> str:
@@ -170,8 +159,7 @@ def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
             raise BehaviorError(
                 f"{task_id}/{blk.id}: unknown loop function {blk.params[1]!r}")
 
-    g = _task_graph(unit)
-    flat = flatten(g)
+    flat = d.tlm.flats[task_id]
     if flat.issues:
         i = flat.issues[0]
         raise BehaviorError(f"{task_id}: {i.message} ({i.location})")
@@ -181,10 +169,16 @@ def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
             return f"p_{src[1]}"
         return f"{src[1]}_{src[2]}"
 
+    bound = d.tlm.bound
+    in_ports = tuple(p for p in unit.in_ports if (task_id, p) in bound)
+    out_ports = tuple(p for p in unit.out_ports if (task_id, p) in bound)
     nodes: list[_SchedNode] = []
     seq = 0
     for p in unit.in_ports:
-        nodes.append(_SchedNode(seq, 2, [Recv(p, f"p_{p}")], (f"p_{p}",), ()))
+        # an input on no channel is a constant, computed like a block
+        on = p in in_ports
+        st = Recv(p, f"p_{p}") if on else Assign(f"p_{p}", 0)
+        nodes.append(_SchedNode(seq, 2 if on else 1, [st], (f"p_{p}",), ()))
         seq += 1
     states: dict[str, tuple] = {}
     for path, fb in flat.blocks.items():
@@ -212,14 +206,14 @@ def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
             states[path] = st
         nodes.append(_block_node(seq, path, blk, ins_v, outs_v))
         seq += 1
-    for p in unit.out_ports:
+    for p in out_ports:
         v = var_of(flat.top_outputs[p])
         nodes.append(_SchedNode(seq, 0, [Send(p, v)], (), (v,)))
         seq += 1
 
     body = _schedule(nodes)
-    return TaskBehavior(task_id, _mode_of(unit), unit.in_ports,
-                        unit.out_ports, body, states)
+    return TaskBehavior(task_id, _mode_of(unit), in_ports, out_ports, body,
+                        states)
 
 
 def format_behavior(b: TaskBehavior) -> str:

@@ -15,7 +15,7 @@ PORT_KEYS = ("protocol", "width", "addr_hint")
 MODULE_KEYS = ("cost_cycles",)
 _DEFAULTS = {"protocol": "fifo", "width": 1, "addr_hint": "auto",
              "cost_cycles": 0}
-_INT_KEYS = {"width", "cost_cycles"}
+_INT_MIN = {"width": 1, "cost_cycles": 0}  # integer keys, least values
 
 
 class ParamError(Exception):
@@ -51,8 +51,10 @@ def _check(loc: str, got: dict, want: tuple[str, ...]):
     if unknown:
         raise ParamError(f"{loc}: unknown key {unknown[0]!r}")
     for k in want:
-        if k in _INT_KEYS and not isinstance(got[k], int):
+        if k in _INT_MIN and not isinstance(got[k], int):
             raise ParamError(f"{loc}: {k} must be an integer, got {got[k]!r}")
+        if k in _INT_MIN and got[k] < _INT_MIN[k]:
+            raise ParamError(f"{loc}: {k} must be >= {_INT_MIN[k]}, got {got[k]}")
 
 
 def _copy_module(m: Module) -> Module:

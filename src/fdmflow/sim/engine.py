@@ -4,10 +4,16 @@ One engine serves the transaction level, the macro level and the micro
 level; the difference is per-node assignment, where levels 1 and 2 both
 run a node as macro.  Every unit of a macro node (a task, or the hardware
 node itself) and every testbench unit runs its generated behavior as a
-coroutine exchanging zero-time messages; a micro node runs lowered FSMs
-under a round-robin scheduler with polled bus transactions, or a
-cycle-stepped hardware model.  Mixed assignments need no special adapter:
-the shared channel FIFOs are the transaction/bus boundary.
+generator that pushes and pops its channels in zero time; a micro node
+runs lowered FSMs under a round-robin scheduler with polled bus
+transactions, or a cycle-stepped hardware model.  Mixed assignments need
+no special adapter: the shared channel FIFOs are the transaction/bus
+boundary.
+
+Every port is bound to its channel before the run: behaviors and FSMs
+name only ports on a channel (an input on none is the constant 0, an
+output on none is never sent), and hardware nodes, sources and probes
+keep only theirs, so nothing in a round tests for a missing channel.
 
 Hardware pipelines are valid-gated: the k priming samples of a
 delay-corrected node are discarded, so the value stream seen by the rest
@@ -47,10 +53,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..gma.behavior import TaskBehavior
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
 from ..swsynth import ALoopInit, GStatusReady, TaskFsm
-from ..tlm import Unit
 from .channels import ChannelRt
 from .interp import FsmRunner, SimError, behavior_coroutine
 from .trace import Stimulus, Trace
@@ -59,75 +63,33 @@ from .trace import Stimulus, Trace
 BUS_LATENCY = 2  # cycles per micro-level bus transaction
 
 
-class _MacroUnit:
-    """Coroutine-driven unit running one generated behavior.
-
-    Each port is resolved to its channel once: ``cons`` maps an input port
-    to (channel, consumer key), ``prod`` an output port to its channel.
-    """
-
-    def __init__(self, name: str, b: TaskBehavior, engine):
-        self.cons = {p: engine.cons.get((name, p)) for p in b.in_ports}
-        self.prod = {p: engine.prod.get((name, p)) for p in b.out_ports}
-        self.gen = behavior_coroutine(b)
-        self.request = next(self.gen)
-
-    def pump(self) -> bool:
-        progress = False
-        gen, cons, prod = self.gen, self.cons, self.prod
-        req = self.request
-        while True:
-            op = req[0]
-            if op == "recv":
-                ch = cons.get(req[1])
-                if ch is None:
-                    val = 0  # unconnected input reads as constant zero
-                elif ch[0].can_pop(ch[1]):
-                    val = ch[0].pop(ch[1])
-                else:
-                    self.request = req
-                    return progress
-                req = gen.send(val)
-            elif op == "send":
-                ch = prod.get(req[1])
-                if ch is not None:
-                    if not ch.can_push():
-                        self.request = req
-                        return progress
-                    ch.push(req[2])
-                req = gen.send(None)  # unconnected output: value dropped
-            else:  # "end" of one body iteration
-                self.request = gen.send(None)
-                return True
-            progress = True
-
-
 def _listen(unit, channels) -> None:
     """Put ``unit`` on the wake list of each channel, once."""
     for ch in channels:
-        if ch is not None and unit not in ch.wake:
+        if unit not in ch.wake:
             ch.wake.append(unit)
 
 
 class _MicroTask:
     """One FSM task on a processor: its runner, its bus-side port bindings
-    (each resolved once) and its wake state.
+    and its wake state.
 
-    ``idle`` holds the cycles and bus transactions its last failed step
-    charged, which the engine charges again for every round it sleeps.
+    ``ports`` maps each port to (channel, consumer key), the key None for
+    an output.  ``idle`` holds the cycles and bus transactions its last
+    failed step charged, which the engine charges again for every round
+    it sleeps.
     """
 
     def __init__(self, name: str, fsm: TaskFsm, cost: int, engine):
         self.name = name
         self.engine = engine
         self.cost = cost
-        self.cons = {p: engine.cons.get((name, p)) for p in fsm.in_ports}
-        self.prod = {p: engine.prod.get((name, p)) for p in fsm.out_ports}
+        cons, prod = engine.bind(name, fsm)
+        self.ports = {**cons, **{p: (ch, None) for p, ch in prod.items()}}
         self.runner = FsmRunner(fsm, self)
         self.awake = True
         self.idle = (0, 0)
-        _listen(self, [c for c, _ in filter(None, self.cons.values())] +
-                list(self.prod.values()))
+        _listen(self, [ch for ch, _ in self.ports.values()])
 
     def _charge(self):
         self.engine.cycle += BUS_LATENCY
@@ -135,31 +97,21 @@ class _MicroTask:
 
     def poll_status(self, port: str, addr: int) -> int:
         self._charge()
-        cons = self.cons.get(port)
-        if cons is not None:
-            return cons[0].status(cons[1])
-        prod = self.prod.get(port)
-        if prod is not None:
-            return prod.status(None)
-        return 3  # unconnected port: never blocks
+        ch, key = self.ports[port]
+        return ch.status(key)
 
     def read_data(self, port: str, addr: int, ctrl: str) -> int:
         self._charge()
-        cons = self.cons.get(port)
-        if cons is None:
-            return 0
         if ctrl != "pop":
             raise SimError(f"{self.name}.{port}: bus read with ctrl {ctrl!r}")
-        return cons[0].pop(cons[1])
+        ch, key = self.ports[port]
+        return ch.pop(key)
 
     def write_data(self, port: str, addr: int, value: int, ctrl: str) -> None:
         self._charge()
-        prod = self.prod.get(port)
-        if prod is not None:
-            if ctrl != "push":
-                raise SimError(
-                    f"{self.name}.{port}: bus write with ctrl {ctrl!r}")
-            prod.push(value)
+        if ctrl != "push":
+            raise SimError(f"{self.name}.{port}: bus write with ctrl {ctrl!r}")
+        self.ports[port][0].push(value)
 
     def waits(self) -> list[tuple]:
         """(port, channel, consumer key) of each status poll out of the
@@ -171,9 +123,8 @@ class _MicroTask:
             for g in t.guards:
                 if not isinstance(g, GStatusReady):
                     continue
-                ch, key = self.cons.get(g.port) or \
-                    (self.prod.get(g.port), None)
-                if ch is not None and not ch.status(key) & g.bit:
+                ch, key = self.ports[g.port]
+                if not ch.status(key) & g.bit:
                     out.append((g.port, ch, key))
         return out
 
@@ -182,50 +133,45 @@ class _MicroHwUnit:
     """Cycle-stepped hardware node, one input sample per step.
 
     A controller is a node with k=0: its outputs belong to the sample it
-    just consumed.  ``ins`` holds (port, channel, consumer key) per input
-    and ``outs`` (port, channel) per output, the channel None where the
-    port is unconnected.
+    just consumed.  ``cons`` maps each input on a channel to (channel,
+    consumer key) and ``prod`` each output on a channel to the channel;
+    the hardware model reads an input on none as 0.
     """
 
-    def __init__(self, unit: Unit, impl: HwImpl, engine):
-        self.name = unit.name
+    def __init__(self, name: str, impl: HwImpl, cons: dict, prod: dict):
+        self.name = name
         if impl.kind == "pipelined":
             self.advance = RtlCycleSim(impl.rtl).step
             self.k = impl.latency
         else:
             self.advance = ControllerSim(impl.rtl).fire
             self.k = 0
-        self.ins = [(p,) + (engine.cons.get((unit.name, p)) or (None, None))
-                    for p in unit.in_ports]
-        self.outs = [(p, engine.prod.get((unit.name, p)))
-                     for p in unit.out_ports]
+        self.cons, self.prod = cons, prod
         self.consumed = 0
         self.awake = True
-        _listen(self, [ch for _, ch, _ in self.ins] +
-                [ch for _, ch in self.outs])
+        _listen(self, [ch for ch, _ in cons.values()] + list(prod.values()))
         # one flag per in-flight pipeline slot: True = real input sample,
         # False = reset contents or flush padding
         self.in_flight = deque([False] * self.k)
 
     def _can_emit(self) -> bool:
-        for _, ch in self.outs:
-            if ch is not None and not ch.can_push():
+        for ch in self.prod.values():
+            if not ch.can_push():
                 return False
         return True
 
     def _io_ready(self) -> bool:
-        for _, ch, key in self.ins:
-            if ch is not None and not ch.can_pop(key):
+        for ch, key in self.cons.values():
+            if not ch.can_pop(key):
                 return False
         return self._can_emit()
 
     def waits(self) -> list[tuple]:
         """(port, channel, consumer key) of each empty input and full
         output, key None for an output."""
-        return [(p, ch, key) for p, ch, key in self.ins
-                if ch is not None and not ch.can_pop(key)] + \
-            [(p, ch, None) for p, ch in self.outs
-             if ch is not None and not ch.can_push()]
+        return [(p, ch, key) for p, (ch, key) in self.cons.items()
+                if not ch.can_pop(key)] + \
+            [(p, ch, None) for p, ch in self.prod.items() if not ch.can_push()]
 
     def step(self, pad: bool = False) -> bool:
         """Consume one sample per input, or with pad=True advance on zero
@@ -233,30 +179,25 @@ class _MicroHwUnit:
         if pad:
             if not any(self.in_flight) or not self._can_emit():
                 return False
-            ins = {p: 0 for p, _, _ in self.ins}
+            ins = {}
         elif self._io_ready():
-            ins = {p: ch.pop(key) if ch is not None else 0
-                   for p, ch, key in self.ins}
+            ins = {p: ch.pop(key) for p, (ch, key) in self.cons.items()}
             self.consumed += 1
         else:
             return False
         outs = self.advance(ins)
         self.in_flight.append(not pad)
         if self.in_flight.popleft():
-            for p, ch in self.outs:
-                if ch is not None:
-                    ch.push(outs[p])
+            for p, ch in self.prod.items():
+                ch.push(outs[p])
         return True
 
 
 class Engine:
     """Runs ``cd``, the flow's ``CompiledDesign``, with each node at its
-    assigned level."""
+    assigned level; the trace has the highest level assigned (1 if none)."""
 
-    def __init__(self, cd, assignment: dict, stim: Stimulus,
-                 ticks: int, level_tag: int):
-        if level_tag not in (1, 2, 3):
-            raise SimError(f"unsupported level {level_tag}")
+    def __init__(self, cd, assignment: dict, stim: Stimulus, ticks: int):
         for node in cd.tlm.nodes:
             if node not in assignment:
                 raise SimError(f"assignment missing node {node!r}")
@@ -264,7 +205,7 @@ class Engine:
                 raise SimError(f"node {node!r}: level must be 1, 2 or 3")
         self.stim = stim
         self.ticks = ticks
-        self.level_tag = level_tag
+        self.level = max((assignment[n] for n in cd.tlm.nodes), default=1)
         self.cycle = 0
         self.bus_transactions = 0
         self.rounds = 0
@@ -279,7 +220,7 @@ class Engine:
             for c in ch.spec.consumers:
                 self.cons[(c.unit, c.port)] = (ch, (c.unit, c.port))
 
-        self.macro_units: list[_MacroUnit] = []
+        self.macro_units: list = []  # bound behavior generators
         self.schedulers: list[list[_MicroTask]] = []  # per processor node
         self.hw_units: list[_MicroHwUnit] = []
         macro: list[str] = []
@@ -293,22 +234,30 @@ class Engine:
                     for u in info.units])
             else:
                 self.hw_units.append(_MicroHwUnit(
-                    cd.tlm.units[info.name], cd.hw_impl[info.name], self))
+                    info.name, cd.hw_impl[info.name],
+                    *self.bind(info.name, cd.behaviors[info.name])))
         for name in macro + cd.tlm.testbench:
-            self.macro_units.append(_MacroUnit(name, cd.behaviors[name], self))
+            b = cd.behaviors[name]
+            self.macro_units.append(behavior_coroutine(b, *self.bind(name, b)))
 
-        self.sources = [(p, self.prod.get((None, p)))
-                        for p in cd.tlm.base.inputs]
+        # model ports on no channel are neither fed nor watched
+        self.sources = [(p, self.prod[(None, p)]) for p in cd.tlm.base.inputs
+                        if (None, p) in self.prod]
         self.sent: dict[str, int] = {p: 0 for p, _ in self.sources}
-        self.probes = [(p, self.cons.get((None, p)))
-                       for p in cd.tlm.base.outputs]
+        self.probes = [(p,) + self.cons[(None, p)]
+                       for p in cd.tlm.base.outputs if (None, p) in self.cons]
         self.trace = Trace({p: [] for p in cd.tlm.base.outputs},
-                           level=level_tag, design=cd.tlm.base.name)
+                           level=self.level, design=cd.tlm.base.name)
         self.drain = False
+
+    def bind(self, name: str, b) -> tuple[dict, dict]:
+        """The channels of the ports that ``b``, a behavior or FSM, names."""
+        return ({p: self.cons[(name, p)] for p in b.in_ports},
+                {p: self.prod[(name, p)] for p in b.out_ports})
 
     def _round(self) -> None:
         for p, ch in self.sources:
-            if self.sent[p] < self.ticks and ch is not None and ch.can_push():
+            if self.sent[p] < self.ticks and ch.can_push():
                 ch.push(self.stim.at(p, self.sent[p]))
                 self.sent[p] += 1
                 self.events += 1
@@ -336,24 +285,21 @@ class Engine:
                 if hw.consumed >= self.ticks and hw.step(pad=True):
                     self.events += 1
         for m in self.macro_units:
-            if m.pump():
+            if next(m):
                 self.events += 1
-        for p, ch in self.probes:
-            if ch is None:
-                continue
-            while ch[0].can_pop(ch[1]):
-                v = ch[0].pop(ch[1])
+        for p, ch, key in self.probes:
+            while ch.can_pop(key):
+                v = ch.pop(key)
                 self.events += 1
-                t = self.cycle if self.level_tag >= 3 \
+                t = self.cycle if self.level >= 3 \
                     else len(self.trace.ports[p])
                 self.trace.record(p, t, v)
 
     def _done(self) -> bool:
-        if not self.probes or all(ch is None for _, ch in self.probes):
-            return all(self.sent[p] >= self.ticks for p, ch in self.sources
-                       if ch is not None)
+        if not self.probes:
+            return all(n >= self.ticks for n in self.sent.values())
         return all(len(self.trace.ports[p]) >= self.ticks
-                   for p, ch in self.probes if ch is not None)
+                   for p, _, _ in self.probes)
 
     def _waiting(self) -> str:
         """Who waits on what, for the deadlock message: each micro unit
@@ -363,7 +309,7 @@ class Engine:
         units = [t for tasks in self.schedulers for t in tasks] + self.hw_units
         for u in units:
             for port, ch, key in u.waits():
-                n = len(ch.queues[key]) if key is not None \
+                n = len(ch.queues[key]) if key \
                     else max(map(len, ch.fifos), default=0)
                 waits.append(f"{u.name}.{port} on {ch.spec.id} "
                              f"({n}/{ch.depth})")
@@ -380,14 +326,13 @@ class Engine:
             self._round()
             self.rounds += 1
             if self.events == before:
-                exhausted = all(self.sent[p] >= self.ticks
-                                for p, ch in self.sources if ch is not None)
-                if exhausted and not self.drain:
+                if not self.drain and \
+                        all(n >= self.ticks for n in self.sent.values()):
                     self.drain = True
                     continue
                 raise SimError(
                     f"deadlock: no progress after {self.rounds} rounds "
-                    f"({[(p, len(self.trace.ports[p])) for p, _ in self.probes]})"
+                    f"({[(p, len(self.trace.ports[p])) for p, *_ in self.probes]})"
                     f"{self._waiting()}")
             if self.rounds > limit:
                 raise SimError("round limit exceeded")

@@ -1,9 +1,10 @@
 """Executors for unit behaviors and task FSMs.
 
-A macro unit runs its behavior body as a coroutine that yields on
-blocking channel operations; the micro interpreter steps a lowered FSM
-one transition at a time under the round-robin scheduler, charging bus
-cycles for every transaction including failed status polls.
+A macro unit runs its behavior body as a generator bound to its
+channels, which yields only when it blocks or ends a body iteration; the
+micro interpreter steps a lowered FSM one transition at a time under the
+round-robin scheduler, charging bus cycles for every transaction
+including failed status polls.
 
 ``behavior_coroutine`` emits each body once as the source of one
 generator function, compiled through ``sweep.exec_generated`` (equal
@@ -58,17 +59,19 @@ def _call_src(c: Call, var, state, fns: list) -> str:
 class _BodyGen:
     """Emits a behavior body as the source of one generator function.
 
-    Behavior variables become locals ``v0, v1, ...``, block states locals
-    ``s0, ...`` and bound block functions parameters ``fn0, ...``; ports
-    appear only as ``repr`` strings.
+    Behavior variables become locals ``v0, v1, ...`` and block states
+    locals ``s0, ...``; bound block functions and channel methods are
+    parameters.
     """
 
-    def __init__(self):
+    def __init__(self, ins, outs):
         self.vars: dict[str, str] = {}
         self.states: dict[str, str] = {}
         self.fns: list = []
         self.loops = 0
         self.lines: list[str] = []
+        self.ins = {p: i for i, p in enumerate(ins)}
+        self.outs = {p: i for i, p in enumerate(outs)}
 
     def var(self, name: str) -> str:
         return self.vars.setdefault(name, f"v{len(self.vars)}")
@@ -85,9 +88,12 @@ class _BodyGen:
     def stmt(self, s, ind: str) -> None:
         emit = self.lines.append
         if isinstance(s, Recv):
-            emit(f"{ind}{self.var(s.var)} = yield ('recv', {s.port!r})")
+            i = self.ins[s.port]
+            self.io(f"can_pop{i}(key{i})",
+                    f"{self.var(s.var)} = pop{i}(key{i})", ind)
         elif isinstance(s, Send):
-            emit(f"{ind}yield ('send', {s.port!r}, {self.var(s.var)})")
+            i = self.outs[s.port]
+            self.io(f"can_push{i}()", f"push{i}({self.var(s.var)})", ind)
         elif isinstance(s, Call):
             emit(ind + _call_src(s, self.var, self.state, self.fns))
         elif isinstance(s, Assign):
@@ -105,19 +111,33 @@ class _BodyGen:
         else:
             raise SimError(f"unknown statement {s!r}")
 
+    def io(self, ready: str, op: str, ind: str) -> None:
+        """Run ``op`` once ``ready`` holds; while it does not, yield
+        whether the unit moved since it was last resumed."""
+        self.lines += [f"{ind}while not {ready}:", f"{ind}    yield moved",
+                       f"{ind}    moved = False", ind + op, f"{ind}moved = True"]
 
-def behavior_coroutine(b: TaskBehavior):
-    """Generator protocol: yields ("recv", port) and is resumed with the
-    value; yields ("send", port, value) and is resumed once delivered;
-    yields ("end",) after each body iteration."""
-    gen = _BodyGen()
+
+def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
+    """The behavior as a generator calling the ``can_pop``/``pop`` of
+    ``cons`` (port -> (channel, consumer key)) and the ``can_push``/``push``
+    of ``prod`` (port -> channel).  ``next`` yields True at the end of a
+    body iteration, or on a blocked port whether it moved since resumed."""
+    gen = _BodyGen(b.in_ports, b.out_ports)
     gen.body(b.body, "        ")
-    params = [f"fn{i}" for i in range(len(gen.fns))] + list(gen.states.values())
+    chans = {}
+    for i, (ch, key) in enumerate(cons[p] for p in b.in_ports):
+        chans |= {f"can_pop{i}": ch.can_pop, f"pop{i}": ch.pop, f"key{i}": key}
+    for i, ch in enumerate(prod[p] for p in b.out_ports):
+        chans |= {f"can_push{i}": ch.can_push, f"push{i}": ch.push}
+    params = [f"fn{i}" for i in range(len(gen.fns))] + \
+        list(gen.states.values()) + list(chans)
     src = "\n".join([f"def behavior({', '.join(params)}):",
-                     "    while True:"] + gen.lines +
-                    ["        yield ('end',)", ""])
+                     "    while True:", "        moved = False"] + gen.lines +
+                    ["        yield True", ""])
     behavior = exec_generated(src, {})["behavior"]
-    return behavior(*gen.fns, *(b.states.get(k) for k in gen.states))
+    return behavior(*gen.fns, *(b.states.get(k) for k in gen.states),
+                    *chans.values())
 
 
 class _StateGen:

@@ -10,10 +10,12 @@ validate_partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .hwsynth import RTL_USER_INDEX
 from .model.blocks import port_names
-from .model.graph import Block, ModelGraph, Subsystem, is_channel_subsystem
+from .model.graph import Block, Endpoint, FlatGraph, Link, ModelGraph, \
+    Subsystem, flatten, is_channel_subsystem
 from .model.validate import Diagnostic, ValidationReport
 
 
@@ -67,6 +69,18 @@ class TlmModel:
     channels: list[ChannelSpec]
     testbench: list[str]  # unit names
 
+    @cached_property
+    def flats(self) -> dict[str, FlatGraph]:
+        """Each unit's ``_unit_graph``, flattened once for all stages."""
+        return {name: flatten(_unit_graph(u)) for name, u in self.units.items()}
+
+    @cached_property
+    def bound(self) -> set[tuple]:
+        """(unit, port) of each port on a channel; a port on none reads 0
+        and drops what it writes, as its unit's behavior decides."""
+        return {(r.unit, r.port) for ch in self.channels
+                for r in ch.producers + ch.consumers}
+
 
 def node_role(sub_id: str) -> str | None:
     if sub_id.startswith("SW_"):
@@ -81,6 +95,22 @@ def _unit_ports(sub: Subsystem | None, blk: Block | None):
         return tuple(sub.inputs), tuple(sub.outputs)
     ins, outs = port_names(blk.kind, blk.params)
     return tuple(ins), tuple(outs)
+
+
+def _unit_graph(unit: Unit) -> ModelGraph:
+    """The unit on its own: its subsystem, or its block wired to boundary
+    ports of the same names."""
+    if unit.subsystem is not None:
+        s = unit.subsystem
+        return ModelGraph(s.id, blocks=s.blocks, subsystems=s.subsystems,
+                          links=s.links, inputs=s.inputs, outputs=s.outputs)
+    blk = unit.block
+    links = [Link(Endpoint("self", p), Endpoint(blk.id, p))
+             for p in unit.in_ports]
+    links += [Link(Endpoint(blk.id, p), Endpoint("self", p))
+              for p in unit.out_ports]
+    return ModelGraph(blk.id, blocks=[blk], links=links,
+                      inputs=list(unit.in_ports), outputs=list(unit.out_ports))
 
 
 def recognize_partition(g: ModelGraph) -> TlmModel:
@@ -263,9 +293,11 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
 def validate_partition(t: TlmModel) -> ValidationReport:
     """Legality of the recognized partition.
 
-    A hardware user block without an RTL library entry only gets a
-    warning: the flow accepts it once its ``cost_cycles`` parameter is set,
-    and rejects it at hardware synthesis otherwise.
+    Each output a unit declares must be driven inside it, even if nothing
+    reads it, as the unit's own graph is compiled whole.  A hardware user
+    block without an RTL library entry only gets a warning: the flow
+    accepts it once its ``cost_cycles`` parameter is set, and rejects it
+    at hardware synthesis otherwise.
     """
     out: list[Diagnostic] = []
 
@@ -310,6 +342,12 @@ def validate_partition(t: TlmModel) -> ValidationReport:
                                   "and one consumer"))
         if ch.fifo_depth < 1:
             out.append(Diagnostic("error", loc, "fifo depth must be >= 1"))
+
+    for u in t.units.values():
+        out += [Diagnostic("error", u.name,
+                           f"output {p!r} is not driven by any link",
+                           line=(u.subsystem or u.block).line)
+                for p in u.out_ports if p not in t.flats[u.name].top_outputs]
 
     def hw_blocks(sub: Subsystem):
         yield from sub.blocks

@@ -75,6 +75,37 @@ model mix {
 }
 """
 
+# Ports on no channel: the task input `spare` and the HW input `bias` are
+# on no link, the task output `probe` ends at the SW_ port `probe` that
+# nothing outside reads, the testbench block `tb` writes to nobody, and
+# the model input `z` feeds nothing.  Every level runs the rest as if
+# those ports were not there.
+LOOSE_FDM = """
+model loose {
+  input x; input z; output y;
+  subsystem SW_cpu {
+    input a; output out; output probe;
+    subsystem TASK_t {
+      input a; input spare; output out; output probe;
+      block g : gain(3); block d : delay(1); block s : add;
+      link self.a -> g.in; link g.out -> d.in;
+      link g.out -> s.in1; link d.out -> s.in2;
+      link s.out -> self.out; link d.out -> self.probe;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+    link TASK_t.probe -> self.probe;
+  }
+  subsystem HW_h {
+    input in; input bias; output out;
+    block f : fir(1, 2); block q : quant(3);
+    link self.in -> f.in; link f.out -> q.in; link q.out -> self.out;
+  }
+  block tb : gain(2);
+  link self.x -> SW_cpu.a; link SW_cpu.out -> HW_h.in;
+  link HW_h.out -> self.y; link self.x -> tb.in;
+}
+"""
+
 
 def _link(src_blk, src_port, dst_blk, dst_port):
     return Link(Endpoint(src_blk, src_port), Endpoint(dst_blk, dst_port))
@@ -226,6 +257,29 @@ def rand_partitioned_model(rng: random.Random, name: str = "rand",
         prev = (h.id, "out")
     g.links.append(_link(prev[0], prev[1], "self", "res"))
     return g
+
+
+def add_loose_ports(rng: random.Random, g: ModelGraph) -> None:
+    """Give one random task and one random HW node of a
+    ``rand_partitioned_model`` design an input on no link and an output
+    that nothing outside reads, and maybe add a testbench block that
+    writes to nobody.  A task's output goes on to an SW_ port that nothing
+    reads, or nowhere.  Each output is driven by one of the unit's blocks,
+    or by nothing, which validation must reject."""
+    sw = g.subsystems[0]
+    hw = [s for s in g.subsystems if s.id.startswith("HW_")]
+    for unit in (rng.choice(sw.subsystems), rng.choice(hw)):
+        unit.inputs.append("loose_in")
+        unit.outputs.append("loose_out")
+        if rng.random() < 0.8:
+            blk = rng.choice(unit.blocks)
+            unit.links.append(_link(blk.id, "out", "self", "loose_out"))
+        if unit in sw.subsystems and rng.random() < 0.5:
+            sw.outputs.append("loose_out")
+            sw.links.append(_link(unit.id, "loose_out", "self", "loose_out"))
+    if rng.random() < 0.5:  # a testbench block that writes to nobody
+        g.blocks.append(Block("loose_tb", "gain", (2,)))
+        g.links.append(_link("self", "src", "loose_tb", "in"))
 
 
 def rand_pipeline_node(rng: random.Random, name: str = "HW_p",

@@ -243,7 +243,7 @@ def _check_all_assignments(model: ModelGraph, ticks: int, seed: int):
     nodes = sorted(cd.tlm.nodes)
     for combo in itertools.product((2, 3), repeat=len(nodes)):
         assignment = dict(zip(nodes, combo))
-        mixed = Engine(cd, assignment, stim, ticks, 3).run()
+        mixed = Engine(cd, assignment, stim, ticks).run()
         v = compare_traces(pure, mixed, mode="values_only")
         assert v.passed, f"{model.name} {assignment}: {v.message}"
 

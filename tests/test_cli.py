@@ -7,7 +7,7 @@ import pytest
 from fdmflow.cli import main
 from fdmflow.sim.trace import Trace
 
-from helpers import FEEDBACK_FDM, MIX2_FDM
+from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM
 
 
 @pytest.fixture
@@ -46,6 +46,36 @@ model loop100 {
     link self.a -> TASK_l.a; link TASK_l.out -> self.out;
   }
   link self.x -> SW_cpu.a; link SW_cpu.out -> self.y;
+}
+"""
+
+
+# a task, a HW_ node and a testbench subsystem each declare an output that
+# no link inside drives and nothing outside reads
+UNDRIVEN_FDM = """
+model undriven {
+  input x; output y;
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out; output dangling;
+      block g : gain(3);
+      link self.a -> g.in; link g.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  subsystem HW_h {
+    input in; output out; output idle;
+    block g : gain(2);
+    link self.in -> g.in; link g.out -> self.out;
+  }
+  subsystem bench {
+    input in; output out; output spare;
+    block g : gain(5);
+    link self.in -> g.in; link g.out -> self.out;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> HW_h.in;
+  link HW_h.out -> bench.in; link bench.out -> self.y;
 }
 """
 
@@ -89,6 +119,33 @@ class TestCheck:
                      "--out", str(tmp_path / "out")]) == 1
         assert "cost_cycles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["check", "flow", "simulate"])
+    def test_undriven_output(self, cmd, tmp_path, capsys):
+        p = tmp_path / "undriven.fdm"
+        p.write_text(UNDRIVEN_FDM)
+        args = [cmd, "--model", str(p)]
+        assert main(args if cmd == "check"
+                    else args + ["--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        if cmd == "check":
+            assert captured.out.splitlines() == [
+                f"error: {unit}: output {port!r} is not driven by any link"
+                for unit, port in (("SW_cpu/TASK_t", "dangling"),
+                                   ("HW_h", "idle"), ("bench", "spare"))]
+        else:
+            assert captured.err == "[partition] SW_cpu/TASK_t: output " \
+                "'dangling' is not driven by any link\n"
+
+    def test_ports_on_no_channel(self, tmp_path, capsys):
+        p = tmp_path / "loose.fdm"
+        p.write_text(LOOSE_FDM)
+        assert main(["check", "--model", str(p)]) == 0
+        assert main(["flow", "--model", str(p),
+                     "--out", str(tmp_path / "o")]) == 0
+        printed = capsys.readouterr().out
+        assert [ln.split(": ")[1] for ln in printed.splitlines()[:3]] == \
+            ["PASS [exact] k=0"] * 2 + ["PASS [modulo_latency] k=0"]
+
 
 class TestFlow:
     def test_full_flow_artifacts(self, mini_path, tmp_path, capsys):
@@ -127,21 +184,36 @@ class TestFlow:
                 h.update(p.read_bytes() + b"\0")
         assert h.hexdigest() == self.ARTIFACTS
 
+    # each case edits one file of the parameter files `fdmflow gma` writes:
+    # a byte string replaces the file, a pair (old, new) replaces one line
     @pytest.mark.parametrize("name, content, rc, msg", [
         ("module.mini_codec.params", b"port.in = 3\n", 1,
          "module.mini_codec.params:1"),
         ("module.mini_codec.params", b"name = caf\xe9\n", 2,
          "cannot read params"),
         ("module.x.params", None, 2, "cannot read params"),
-    ], ids=["port-without-key", "not-utf8", "directory"])
+        ("module.mini_codec.HW_post.sat.params",
+         ("cost_cycles = 0", "cost_cycles = -5"), 1,
+         "mini_codec/HW_post/sat: cost_cycles must be >= 0, got -5"),
+        ("module.mini_codec.HW_post.params",
+         ("port.in.width = 1", "port.in.width = 0"), 1,
+         "mini_codec/HW_post.in: width must be >= 1, got 0"),
+    ], ids=["port-without-key", "not-utf8", "directory", "negative-cost",
+            "zero-width"])
     def test_bad_params(self, name, content, rc, msg, mini_path, tmp_path,
                         capsys):
-        pdir = tmp_path / "params"
-        pdir.mkdir()
+        assert main(["gma", "--model", mini_path,
+                     "--out", str(tmp_path / "g")]) == 0
+        pdir = tmp_path / "g" / "params"
         if content is None:
             (pdir / name).mkdir()
+        elif isinstance(content, tuple):
+            text = (pdir / name).read_text()
+            assert text.count(content[0] + "\n") == 1
+            (pdir / name).write_text(text.replace(*content))
         else:
             (pdir / name).write_bytes(content)
+        capsys.readouterr()
         assert main(["flow", "--model", mini_path, "--params", str(pdir),
                      "--out", str(tmp_path / "out")]) == rc
         err = capsys.readouterr().err

@@ -13,15 +13,18 @@ from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, \
 from fdmflow.hwsynth import emit_rtl_text
 from fdmflow.model.blocks import wrap32
 from fdmflow.model.parser import parse_model
+from fdmflow.model.validate import validate_model
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.engine import Engine
 from fdmflow.sim.interp import FsmRunner, SimError, behavior_coroutine
 from fdmflow.sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
 from fdmflow.swsynth import build_task_fsm, lower_api
-from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition
+from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
+    validate_partition
 
-from helpers import FEEDBACK_FDM, MIX2_FDM, QueueIO, rand_loopy_model, \
-    rand_partitioned_model, standalone_address_map
+from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, QueueIO, \
+    add_loose_ports, rand_loopy_model, rand_partitioned_model, \
+    standalone_address_map
 
 
 def mini_model():
@@ -137,17 +140,22 @@ class TestInterpreters:
     EXPECTED = {"o1": [-18, 7, -18, 16, 0], "o2": [-18, 0, 0, 0, 18]}
 
     def _coroutine_outputs(self):
-        io = QueueIO(self.INPUTS, self.SHAPES.out_ports)
-        gen = behavior_coroutine(self.SHAPES)
-        req = next(gen)
-        while req[0] != "recv" or io.can_recv(req[1]):
-            if req[0] == "recv":
-                req = gen.send(io.recv(req[1]))
-            else:
-                if req[0] == "send":
-                    io.send(req[1], req[2])
-                req = gen.send(None)
-        return io.outq
+        """Run the behavior bound to channels that hold all its input and
+        have room for all its output, until a step moves nothing."""
+        def channel(port, reader):
+            return ChannelRt(ChannelSpec(port, "point_to_point",
+                                         [PortRef("w", port)],
+                                         [PortRef(reader, port)], 100))
+        cons = {}
+        for p, vals in self.INPUTS.items():
+            cons[p] = (channel(p, "t"), ("t", p))
+            for v in vals:
+                cons[p][0].push(v)
+        prod = {p: channel(p, "r") for p in self.SHAPES.out_ports}
+        gen = behavior_coroutine(self.SHAPES, cons, prod)
+        while next(gen):
+            pass
+        return {p: list(ch.queues[("r", p)]) for p, ch in prod.items()}
 
     def _fsm_outputs(self, fsm, inputs=INPUTS):
         io = _PollCountingIO(inputs, fsm.out_ports)
@@ -367,7 +375,7 @@ class TestLevels:
 
     @staticmethod
     def _counts(cd, assignment, stim, ticks) -> tuple:
-        e = Engine(cd, assignment, stim, ticks, 3)
+        e = Engine(cd, assignment, stim, ticks)
         e.run()
         return e.rounds, e.events, e.cycle, e.bus_transactions
 
@@ -487,7 +495,7 @@ class TestLevels:
         assert any(t0.values("states")) and any(t0.values("vals"))
         runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
         runs.append(Engine(cd, {"SW_cpu": 2, "HW_yield": 3},
-                           stim, ticks, 3).run())
+                           stim, ticks).run())
         for tr in runs:
             v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
             assert v.passed, f"level {tr.level}: {v}"
@@ -539,7 +547,7 @@ class TestLevels:
         assert any(t0.values("states")) and any(t0.values("poll"))
         runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
         runs.append(Engine(cd, {"SW_cpu": 3, "HW_k0": 2},
-                           stim, ticks, 3).run())
+                           stim, ticks).run())
         for tr in runs:
             v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
             assert v.passed, f"level {tr.level}: {v}"
@@ -566,7 +574,7 @@ class TestLevels:
         assert t0.values("y") == want
         runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
         runs.append(Engine(cd, {"SW_cpu": 2, "HW_mix": 3},
-                           stim, ticks, 3).run())
+                           stim, ticks).run())
         for tr in runs:
             v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
             assert v.passed, f"level {tr.level}: {v}"
@@ -610,6 +618,65 @@ class TestLoops:
         assert compiled == [7, 14, 18, 20, 32, 33, 35, 36]
 
 
+def _agree_with_level0(cd, stim, ticks, assignment):
+    """Levels 1 to 3 and one mixed run against level 0."""
+    t0 = simulate(0, cd, stim, ticks)
+    runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
+    runs.append(Engine(cd, assignment, stim, ticks).run())
+    for tr in runs:
+        v = compare_traces(t0, tr, mode="modulo_latency", expected_k=0)
+        assert v.passed, f"level {tr.level} {assignment}: {v}"
+    return t0
+
+
+class TestUnboundPorts:
+    """A port on no channel reads 0 and drops what it writes; the
+    behaviors decide that once, so no executor meets such a port."""
+
+    def test_loose_model(self):
+        cd = compile_design(parse_model(LOOSE_FDM))
+        task = "SW_cpu/TASK_t"
+        assert (cd.behaviors[task].in_ports, cd.behaviors[task].out_ports) \
+            == (("a",), ("out",))
+        assert (cd.behaviors["HW_h"].in_ports, cd.behaviors["tb"].out_ports) \
+            == (("in",), ())
+        for f in (cd.macro_fsms[task], cd.micro_fsms[task]):
+            assert (f.in_ports, f.out_ports) == (("a",), ("out",))
+        ticks = 50
+        stim = default_stimulus(cd.model, ticks, seed=6)
+        t0 = _agree_with_level0(cd, stim, ticks, {"SW_cpu": 3, "HW_h": 2})
+        g = [3 * x for x in stim.values["x"]]
+        s = [g[t] + (g[t - 1] if t else 0) for t in range(ticks)]
+        fir = [s[t] + 2 * (s[t - 1] if t else 0) for t in range(ticks)]
+        assert t0.values("y") == [int(v / 3) * 3 for v in fir]
+
+    def test_random_loose_ports(self):
+        """`check` accepting a design means every level agrees; rejecting
+        it means the flow stops at the partition with the same error."""
+        accepted = []
+        for seed in range(30):
+            rng = random.Random(90000 + seed)
+            g = rand_partitioned_model(rng, f"loose{seed}")
+            add_loose_ports(rng, g)
+            assert validate_model(g).ok
+            errors = validate_partition(recognize_partition(g)).errors()
+            if errors:
+                d = errors[0]
+                assert d.message == "output 'loose_out' is not driven by " \
+                    "any link"
+                with pytest.raises(FlowError) as e:
+                    compile_design(g)
+                assert str(e.value) == f"[partition] {d.location}: {d.message}"
+                continue
+            accepted.append(seed)
+            cd = compile_design(g)
+            ticks = 40
+            stim = default_stimulus(g, ticks, seed=seed)
+            assignment = {n: rng.choice((1, 2, 3)) for n in cd.tlm.nodes}
+            _agree_with_level0(cd, stim, ticks, assignment)
+        assert 10 < len(accepted) < 30, accepted
+
+
 class TestMixed:
     def test_one_mixed_assignment(self):
         cd = mini_compiled()
@@ -617,26 +684,25 @@ class TestMixed:
         stim = default_stimulus(cd.model, ticks, seed=5)
         pure = simulate(3, cd, stim, ticks)
         mixed = Engine(cd, {"SW_cpu": 2, "HW_filter": 3, "HW_post": 2},
-                       stim, ticks, 3).run()
+                       stim, ticks).run()
         assert compare_traces(pure, mixed, mode="values_only").passed
 
     def test_bad_assignment_rejected(self):
         cd = mini_compiled()
         stim = default_stimulus(cd.model, 8, seed=0)
         with pytest.raises((SimError, KeyError, ValueError)):
-            Engine(cd, {"SW_cpu": 7}, stim, 8, 3).run()
+            Engine(cd, {"SW_cpu": 7}, stim, 8).run()
 
-    @pytest.mark.parametrize("assignment, level, match", [
-        ({"SW_cpu": 2, "HW_filter": 3}, 3, "missing node 'HW_post'"),
-        ({"SW_cpu": 2, "HW_filter": 3, "HW_post": 0}, 3, "'HW_post': level"),
-        ({"SW_cpu": 4, "HW_filter": 3, "HW_post": 2}, 3, "'SW_cpu': level"),
-        ({"SW_cpu": 3, "HW_filter": 3, "HW_post": 3}, 4, "unsupported level"),
-    ], ids=["missing-node", "level-0", "level-4", "trace-level-4"])
-    def test_engine_rejects_assignment(self, assignment, level, match):
+    @pytest.mark.parametrize("assignment, match", [
+        ({"SW_cpu": 2, "HW_filter": 3}, "missing node 'HW_post'"),
+        ({"SW_cpu": 2, "HW_filter": 3, "HW_post": 0}, "'HW_post': level"),
+        ({"SW_cpu": 4, "HW_filter": 3, "HW_post": 2}, "'SW_cpu': level"),
+    ], ids=["missing-node", "level-0", "level-4"])
+    def test_engine_rejects_assignment(self, assignment, match):
         cd = mini_compiled()
         stim = default_stimulus(cd.model, 8, seed=0)
         with pytest.raises(SimError, match=match):
-            Engine(cd, assignment, stim, 8, level)
+            Engine(cd, assignment, stim, 8)
 
     def test_random_design_levels(self):
         for seed in range(8):
