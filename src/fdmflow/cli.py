@@ -206,7 +206,10 @@ def cmd_report(args) -> int:
                 simulated += f" in {end} cycles"
         ratio = timings[level] / base if base > 0 else float("inf")
         rows.append((level, simulated, timings[level], ratio))
-    ordered = all(a[2] <= b[2] for a, b in zip(rows, rows[1:]))
+    # the speed ordering t0 < t2 < t3 of acceptance criterion 8; levels 1
+    # and 2 run the same code, so their order is noise
+    crit = [timings[lv] for lv in (0, 2, 3) if lv in timings]
+    ordered = all(a < b for a, b in zip(crit, crit[1:]))
     if args.report == "csv":
         print("level,simulated,wall_seconds,ratio_to_fastest")
         for level, n, t, r in rows:
@@ -218,7 +221,7 @@ def cmd_report(args) -> int:
             print(f"| {level} | {n} | {t:.6f} | {r:.2f}x |")
     print("ratios are machine-specific, not calibrated figures")
     if not ordered:
-        print("warning: wall-clock times are not monotone in level")
+        print("warning: wall-clock times do not order t0 < t2 < t3")
         return 1
     return 0
 

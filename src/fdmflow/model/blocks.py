@@ -1,25 +1,24 @@
-"""Bit-true block semantics.
+"""Bit-true block semantics, each block kind defined once as a source
+template.
 
-Every abstraction level in the toolchain evaluates blocks through the
-step functions that ``block_fn`` binds, so a value computed at the
-functional level is reproduced bit for bit after partitioning, behavior
-generation, FSM synthesis and hardware refinement.  The simulators bind
-each block once, when they are built.  Samples are 32-bit two's-complement
-integers with wrapping arithmetic.
-
-``user`` and ``for_loop`` blocks call the functions of the one constant
-table ``USER_FUNCTIONS``; every stage reads it directly, so no stage takes
-or passes a function table of its own.
+Every simulator splices the templates into the code it generates (the
+block sweeps of level 0 and of the hardware models, the behaviors of
+levels 1 and 2, the FSM states of level 3), and ``block_fn`` is generated
+from them too, so a value computed at the functional level is reproduced
+bit for bit at every level.  Samples are 32-bit two's-complement integers
+with wrapping arithmetic.  A template fills in the inputs ``{i0}``, ...,
+the output targets ``{o0}``, ..., the state cells ``{s0}``, ... and the
+parameters ``{k0}``, ...: a parameter is a name bound to its value, so
+``gain(3)`` and ``gain(5)`` share one text.  ``user`` and ``for_loop``
+blocks call a function of the one constant table ``USER_FUNCTIONS``,
+bound to a parameter name the same way.
 """
 
 from __future__ import annotations
 
-_MASK = (1 << 32) - 1
-
-
 def wrap32(x: int) -> int:
     """Reduce an integer to 32-bit two's complement."""
-    return ((x + (1 << 31)) & _MASK) - (1 << 31)
+    return ((x + 0x80000000) & 0xFFFFFFFF) - 0x80000000
 
 
 def _clip(x: int) -> int:
@@ -40,23 +39,68 @@ USER_FUNCTIONS = {
 }
 
 
-# kind -> (param shape, fixed input ports, fixed output ports)
-# Variadic kinds (fir, mux, demux, user) are resolved by port_names().
-_FIXED_PORTS = {
-    "const": ((), ("out",)),
-    "add": (("in1", "in2"), ("out",)),
-    "sub": (("in1", "in2"), ("out",)),
-    "mul": (("in1", "in2"), ("out",)),
-    "gain": (("in",), ("out",)),
-    "delay": (("in",), ("out",)),
-    "fir": (("in",), ("out",)),
-    "quant": (("in",), ("out",)),
-    "if_else": (("pred", "a", "b"), ("out",)),
-    "for_loop": (("in",), ("out",)),
-    "sink": (("in",), ()),
+def _W(e: str) -> str:
+    """``wrap32`` of ``e`` inline: ``e`` is evaluated once, into the local
+    ``w``, and a value in range is kept without arithmetic."""
+    return (f"(w if -0x80000000 <= (w := {e}) < 0x80000000"
+            " else ((w + 0x80000000) & 0xFFFFFFFF) - 0x80000000)")
+
+
+def _fir(p):
+    """out = c0 * in + c1 * s0 + ...; the history then shifts in ``in``."""
+    acc = " + ".join(["{k0} * {i0}"] + [
+        f"{{k{j + 1}}} * {{s{j}}}" for j in range(len(p) - 1)])
+    return ["{o0} = " + _W(acc)] + [
+        f"{{s{j}}} = {{s{j - 1}}}" for j in range(len(p) - 2, 0, -1)] + \
+        ["{s0} = {i0}"][:len(p) - 1]
+
+
+def _user(p):
+    """t = fn(in1, in2, ...), then each output wraps its entry of t."""
+    ins, outs, _ = USER_FUNCTIONS[p[0]]
+    args = ", ".join(f"{{i{j}}}" for j in range(len(ins)))
+    return [f"t = {{k0}}({args})"] + [
+        f"{{o{j}}} = " + _W(f"t[{j}]") for j in range(len(outs))]
+
+
+# kind -> template: an expression for the one output of a stateless kind,
+# else a function of the parameters returning statement lines, which may
+# be indented.  A delay emits in its first line and queues in the rest.
+TEMPLATES = {
+    "const": _W("{k0}"),
+    "add": _W("{i0} + {i1}"),
+    "sub": _W("{i0} - {i1}"),
+    "mul": _W("{i0} * {i1}"),
+    "gain": _W("{k0} * {i0}"),
+    # |in| // |step| steps, toward zero, with the sign of in / step
+    "quant": _W("abs({i0}) // abs({k0}) * ({k0} if ({i0} < 0) == ({k0} < 0)"
+                " else -{k0})"),
+    "if_else": "{i1} if {i0} != 0 else {i2}",
+    "delay": lambda p: ["{o0} = {s0}"] + [
+        f"{{s{j}}} = {{s{j + 1}}}" for j in range(p[0] - 1)] + [
+        f"{{s{p[0] - 1}}} = {{i0}}"],
+    "fir": _fir,
+    "for_loop": lambda p: ["{o0} = {i0}", "for _ in range({k0}):",
+                           "    {o0} = " + _W("{k1}({o0})[0]")],
+    "mux": lambda p: ["{o0} = (" + "".join(
+        f"{{i{j}}}, " for j in range(1, p[0] + 1)) + ")[{i0} % {k0}]"],
+    "demux": lambda p: ["sel = {i0} % {k0}"] + [
+        f"{{o{j}}} = {{i1}} if sel == {j} else 0" for j in range(p[0])],
+    "user": _user,
+    "sink": lambda p: ["pass"],
 }
 
-KIND_NAMES = set(_FIXED_PORTS) | {"mux", "demux", "user"}
+KIND_NAMES = set(TEMPLATES)
+
+# kind -> (fixed input ports, fixed output ports)
+# Variadic kinds (mux, demux, user) are resolved by port_names().
+_BINARY, _UNARY = (("in1", "in2"), ("out",)), (("in",), ("out",))
+_FIXED_PORTS = {
+    "const": ((), ("out",)), "add": _BINARY, "sub": _BINARY, "mul": _BINARY,
+    "gain": _UNARY, "delay": _UNARY, "fir": _UNARY, "quant": _UNARY,
+    "if_else": (("pred", "a", "b"), ("out",)), "for_loop": _UNARY,
+    "sink": (("in",), ()),
+}
 
 
 def port_names(kind: str, params: tuple):
@@ -82,76 +126,39 @@ def init_state(kind: str, params: tuple):
     return None
 
 
-def _quant(v: int, step: int) -> int:
-    q = abs(v) // abs(step)
-    if (v < 0) != (step < 0):
-        q = -q
-    return wrap32(q * step)
+def block_src(kind: str, params: tuple, ins, outs, cells, name) -> list:
+    """The lines firing one block: its template with the source texts
+    ``ins``, ``outs`` and ``cells`` filled in, and ``name(value)`` for each
+    parameter (a user function's name stands for the function)."""
+    t = TEMPLATES[kind]
+    lines = ["{o0} = " + t] if isinstance(t, str) else t(params)
+    subs = {f"k{j}": name(USER_FUNCTIONS[p][2] if isinstance(p, str) else p)
+            for j, p in enumerate(params)}
+    for c, srcs in (("i", ins), ("o", outs), ("s", cells)):
+        subs |= {f"{c}{j}": s for j, s in enumerate(srcs)}
+    return [ln.format_map(subs) for ln in lines]
 
 
 def block_fn(kind: str, params: tuple):
-    """Bind one block: return ``fn(inputs, state) -> (outputs, state')``.
+    """Bind one block: return ``fn(inputs, state) -> (outputs, state')``,
+    generated from its template.  delay(k) emits the oldest queued sample
+    and queues the input; every other kind has zero delay."""
+    ns: dict = {}
 
-    This is the one definition of what every block kind does.  The kind,
-    the params and any user or loop function are resolved here, once, so a
-    simulator that binds its blocks when it is built decodes nothing per
-    tick.  All non-delay kinds have zero algorithmic delay; delay(k) emits
-    the oldest queued sample and enqueues the input.
-    """
-    if kind == "const":
-        out = (wrap32(params[0]),)
-        return lambda inputs, state: (out, state)
-    if kind == "add":
-        return lambda inputs, state: ((wrap32(inputs[0] + inputs[1]),), state)
-    if kind == "sub":
-        return lambda inputs, state: ((wrap32(inputs[0] - inputs[1]),), state)
-    if kind == "mul":
-        return lambda inputs, state: ((wrap32(inputs[0] * inputs[1]),), state)
-    if kind == "gain":
-        g = params[0]
-        return lambda inputs, state: ((wrap32(g * inputs[0]),), state)
-    if kind == "delay":
-        return lambda inputs, state: ((state[0],), state[1:] + (inputs[0],))
-    if kind == "fir":
-        c0, taps = params[0], params[1:]
+    def name(value) -> str:
+        ns[f"k{len(ns)}"] = value
+        return f"k{len(ns) - 1}"
 
-        def fir(inputs, state):
-            acc = c0 * inputs[0]
-            for c, h in zip(taps, state):
-                acc += c * h
-            new = (inputs[0],) + state[:-1] if state else state
-            return (wrap32(acc),), new
-        return fir
-    if kind == "quant":
-        step = params[0]
-        return lambda inputs, state: ((_quant(inputs[0], step),), state)
-    if kind == "if_else":
-        return lambda inputs, state: (
-            (inputs[1] if inputs[0] != 0 else inputs[2],), state)
-    if kind == "for_loop":
-        n, fname = params
-        fn = USER_FUNCTIONS[fname][2]
+    def tup(names: list) -> str:
+        return f"({''.join(n + ', ' for n in names)})"
 
-        def for_loop(inputs, state):
-            v = inputs[0]
-            for _ in range(n):
-                v = wrap32(fn(v)[0])
-            return (v,), state
-        return for_loop
-    if kind == "mux":
-        n = params[0]
-        return lambda inputs, state: ((inputs[1 + inputs[0] % n],), state)
-    if kind == "demux":
-        n = params[0]
-
-        def demux(inputs, state):
-            sel = inputs[0] % n
-            return tuple(inputs[1] if i == sel else 0 for i in range(n)), state
-        return demux
-    if kind == "user":
-        fn = USER_FUNCTIONS[params[0]][2]
-        return lambda inputs, state: (
-            tuple([wrap32(v) for v in fn(*inputs)]), state)
-    if kind == "sink":
-        return lambda inputs, state: ((), state)
-    raise ValueError(f"unknown block kind {kind!r}")
+    init = init_state(kind, params)
+    ins, outs = port_names(kind, params)
+    i, o, s = ([f"{c}{j}" for j in range(n)] for c, n in
+               (("i", len(ins)), ("o", len(outs)), ("s", len(init or ()))))
+    body = block_src(kind, params, i, o, s, name)
+    st = tup(s) if init is not None else "state"
+    exec("\n".join(["def step(inputs, state):", f"    {tup(i)} = inputs",
+                    f"    {st} = state"] + [f"    {ln}" for ln in body] +
+                   [f"    return {tup(o)}, {st}"]), ns)
+    return ns["step"]

@@ -8,11 +8,10 @@ including failed status polls.
 
 ``behavior_coroutine`` emits each body once as the source of one
 generator function, compiled through ``sweep.exec_generated`` (equal
-texts are compiled once): behavior variables and block states become
-locals, a loop a ``for`` and a branch an ``if``/``else``, and every call
-one call of the step function ``block_fn`` binds for its block, passed
-in as an argument.  ``block_fn`` stays the one definition of a block; no
-statement or block kind has a code template, and the source holds only
+texts are compiled once): behavior variables and block state cells
+become locals, a loop a ``for``, a branch an ``if``/``else`` and a call
+its block's template spliced inline.  Block parameters, user functions
+and loop counts are parameters ``kN``, so the source holds only
 integers, ``repr`` strings and names the generator makes up.
 
 The FSM runner is generated the same way, one function per FSM state:
@@ -20,64 +19,62 @@ the function tests the state's transitions in order, each guard chain
 one ``and`` expression, so a poll runs, and is charged, exactly when the
 chain reaches it; the first transition whose guards hold runs its
 actions as straight-line code and returns the next state, and None says
-no transition fired.  Every name, address, count and state key from the
-model is a parameter of the text, so FSM states of the same shape share
-one compiled text.  Both executors, and the block sweep, write a block
-call through ``sweep.call_src``, the one call convention.
+no transition fired.  Every name, address, count, block parameter and
+state cell from the model is a parameter of the text, so FSM states of
+the same shape share one compiled text.  Both executors, and the block
+sweep, write a block through ``block_src``, the one definition of it.
 """
 
 from __future__ import annotations
 
 from ..gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, Loop, \
     Recv, Send, TaskBehavior
-from ..model.blocks import block_fn
+from ..model.blocks import block_src
 from ..swsynth import AAssign, ABusRead, ABusWrite, ACall, AIf, ALoopInit, \
     ALoopStep, ARecv, ASend, GCanRecv, GCanSend, GLoopDone, GLoopNotDone, \
     GStatusReady, GTrue, TaskFsm
-from .sweep import call_src, exec_generated
+from .sweep import exec_generated
 
 
 class SimError(Exception):
     pass
 
 
-def _call_src(c: Call, var, state, fns: list) -> str:
-    """The statement for call ``c``.  ``var`` and ``state`` write out a
-    variable and a state key as source; each block function bound is
-    appended to ``fns`` and called as ``fnN``, N its index there."""
-    ins = [var(v) for v in c.ins]
-    outs = [var(v) for v in c.outs]
-    st = state(c.state_key) if c.state_key else None
-    if c.name == DELAY_EMIT:
-        return f"{outs[0]} = {st}[0]"
-    if c.name == DELAY_PUSH:
-        return f"{st} = {st}[1:] + ({ins[0]},)"
-    fns.append(block_fn(c.kind, c.params))
-    return call_src(f"fn{len(fns) - 1}", ins, outs, st)
+def _call_src(c: Call, var, cells, name) -> list[str]:
+    """The lines of call ``c``: ``var`` writes out a variable, ``cells``
+    the state cells of a state key and ``name`` binds a parameter.  A delay
+    emit (no input) is the first line of its template, a push the rest."""
+    lines = block_src(c.kind, c.params, [var(v) for v in c.ins] or ["0"],
+                      [var(v) for v in c.outs] or ["_"],
+                      cells(c.state_key) if c.state_key else [], name)
+    return {DELAY_EMIT: lines[:1], DELAY_PUSH: lines[1:]}.get(c.name, lines)
 
 
 class _BodyGen:
     """Emits a behavior body as the source of one generator function.
 
-    Behavior variables become locals ``v0, v1, ...`` and block states
-    locals ``s0, ...``; bound block functions and channel methods are
-    parameters.
+    Behavior variables become locals ``v0, v1, ...``; block parameters,
+    loop counts, block state cells and channel methods are parameters.
     """
 
-    def __init__(self, ins, outs):
+    def __init__(self, b: TaskBehavior):
         self.vars: dict[str, str] = {}
-        self.states: dict[str, str] = {}
-        self.fns: list = []
+        self.args: dict[str, object] = {}  # parameter -> value
+        # state key -> its cells, parameters bound to their initial values
+        self.cells = {key: [self.arg(v) for v in init]
+                      for key, init in b.states.items()}
         self.loops = 0
         self.lines: list[str] = []
-        self.ins = {p: i for i, p in enumerate(ins)}
-        self.outs = {p: i for i, p in enumerate(outs)}
+        self.ins = {p: i for i, p in enumerate(b.in_ports)}
+        self.outs = {p: i for i, p in enumerate(b.out_ports)}
 
     def var(self, name: str) -> str:
         return self.vars.setdefault(name, f"v{len(self.vars)}")
 
-    def state(self, key: str) -> str:
-        return self.states.setdefault(key, f"s{len(self.states)}")
+    def arg(self, value) -> str:
+        name = f"k{len(self.args)}"
+        self.args[name] = value
+        return name
 
     def body(self, stmts, ind: str) -> None:
         if not stmts:
@@ -95,12 +92,13 @@ class _BodyGen:
             i = self.outs[s.port]
             self.io(f"can_push{i}()", f"push{i}({self.var(s.var)})", ind)
         elif isinstance(s, Call):
-            emit(ind + _call_src(s, self.var, self.state, self.fns))
+            self.lines += [ind + ln for ln in _call_src(
+                s, self.var, self.cells.__getitem__, self.arg)]
         elif isinstance(s, Assign):
             src = repr(s.src) if isinstance(s.src, int) else self.var(s.src)
             emit(f"{ind}{self.var(s.var)} = {src}")
         elif isinstance(s, Loop):
-            emit(f"{ind}for i{self.loops} in range({s.count!r}):")
+            emit(f"{ind}for i{self.loops} in range({self.arg(s.count)}):")
             self.loops += 1
             self.body(s.body, ind + "    ")
         elif isinstance(s, If):
@@ -123,29 +121,26 @@ def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
     ``cons`` (port -> (channel, consumer key)) and the ``can_push``/``push``
     of ``prod`` (port -> channel).  ``next`` yields True at the end of a
     body iteration, or on a blocked port whether it moved since resumed."""
-    gen = _BodyGen(b.in_ports, b.out_ports)
+    gen = _BodyGen(b)
     gen.body(b.body, "        ")
     chans = {}
     for i, (ch, key) in enumerate(cons[p] for p in b.in_ports):
         chans |= {f"can_pop{i}": ch.can_pop, f"pop{i}": ch.pop, f"key{i}": key}
     for i, ch in enumerate(prod[p] for p in b.out_ports):
         chans |= {f"can_push{i}": ch.can_push, f"push{i}": ch.push}
-    params = [f"fn{i}" for i in range(len(gen.fns))] + \
-        list(gen.states.values()) + list(chans)
-    src = "\n".join([f"def behavior({', '.join(params)}):",
+    src = "\n".join([f"def behavior({', '.join([*gen.args, *chans])}):",
                      "    while True:", "        moved = False"] + gen.lines +
                     ["        yield True", ""])
     behavior = exec_generated(src, {})["behavior"]
-    return behavior(*gen.fns, *(b.states.get(k) for k in gen.states),
-                    *chans.values())
+    return behavior(*gen.args.values(), *chans.values())
 
 
 class _StateGen:
     """Emits the transitions out of one FSM state as one function.
 
-    Every name, address, count and state key from the model becomes a
-    parameter ``k0, k1, ...`` (equal strings share one), each bound block
-    function a parameter ``fn0, ...`` and each ``io`` method used a local
+    Every name, address, count, block parameter and index of a block
+    state cell in ``states`` from the model becomes a parameter ``k0, k1,
+    ...`` (equal strings share one), and each ``io`` method used a local
     of its own name, bound once; the text thus depends only on the shape
     of the state, and equal shapes share one compiled text.
     """
@@ -155,11 +150,11 @@ class _StateGen:
               GStatusReady: "poll_status", ARecv: "recv", ASend: "send",
               ABusRead: "read_data", ABusWrite: "write_data"}
 
-    def __init__(self, loops: dict):
+    def __init__(self, loops: dict, cells: dict):
         self.loops = loops
+        self.cells = cells  # state key -> indices of its cells in states
         self.values: list = []
         self.names: dict[str, str] = {}
-        self.fns: list = []
         self.ops: dict[str, None] = {}  # io methods used, in order
         self.lines: list[str] = []
 
@@ -205,8 +200,14 @@ class _StateGen:
                 self.actions(a.then, ind + "    ")
                 self.lines.append(f"{ind}else:")
                 self.actions(a.orelse, ind + "    ")
+            elif isinstance(a, ACall):
+                self.lines += [ind + ln for ln in _call_src(
+                    a.call, self.var, self.state, self.key)]
             else:
                 self.lines.append(ind + self.action(a))
+
+    def state(self, key: str) -> list:
+        return [f"states[{self.key(i)}]" for i in self.cells[key]]
 
     def action(self, a) -> str:
         if isinstance(a, ARecv):
@@ -219,9 +220,6 @@ class _StateGen:
         if isinstance(a, ABusWrite):
             return (f"{self.op(a)}({self.key(a.port)}, {self.key(a.addr)}, "
                     f"{self.var(a.var)}, {self.key(a.ctrl)})")
-        if isinstance(a, ACall):
-            return _call_src(a.call, self.var,
-                             lambda k: f"states[{self.key(k)}]", self.fns)
         if isinstance(a, AAssign):
             src = self.key(a.src) if isinstance(a.src, int) \
                 else self.var(a.src)
@@ -232,7 +230,7 @@ class _StateGen:
             return f"{self.loop(a.loop_id)} -= 1"
         raise SimError(f"unknown action {a!r}")
 
-    def build(self, transitions, io, env: dict, states: dict):
+    def build(self, transitions, io, env: dict, states: list):
         """Bind the function running the first transition whose guards
         hold and returning its next state, or None if none holds."""
         for t in transitions:
@@ -245,7 +243,6 @@ class _StateGen:
             self.actions(t.actions, ind)
             self.lines.append(f"{ind}return {self.key(t.next)}")
         params = ["io", "env", "states", "loops"] + \
-            [f"fn{i}" for i in range(len(self.fns))] + \
             [f"k{i}" for i in range(len(self.values))]
         src = "\n".join(
             [f"def bind({', '.join(params)}):"] +
@@ -253,7 +250,7 @@ class _StateGen:
             ["    def state():"] + self.lines +
             ["        return None", "    return state", ""])
         return exec_generated(src, {})["bind"](
-            io, env, states, self.loops, *self.fns, *self.values)
+            io, env, states, self.loops, *self.values)
 
 
 class FsmRunner:
@@ -271,12 +268,15 @@ class FsmRunner:
         self.fsm = fsm
         self.state = fsm.initial
         env: dict = {}
-        states = dict(fsm.init_states)
+        cells, states = {}, []  # state key -> indices of its cells in states
+        for key, init in fsm.init_states.items():
+            cells[key] = range(len(states), len(states) + len(init))
+            states += init
         loops: dict[str, int] = {}  # loop id -> iterations left
         out: dict[int, list] = {s: [] for s in fsm.states}
         for t in fsm.transitions:
             out.setdefault(t.state, []).append(t)
-        self.run = {s: _StateGen(loops).build(ts, io, env, states)
+        self.run = {s: _StateGen(loops, cells).build(ts, io, env, states)
                     for s, ts in out.items()}
 
     def step(self) -> bool:

@@ -10,27 +10,28 @@ level an IP's L-stage output pipeline and an edge's balancing registers are
 registers too.
 
 ``build`` turns the plan into straight-line Python, once, and ``exec``s it
-(as ``dataclasses`` and ``namedtuple`` do).  One list holds every slot,
-every block state and every register stage; the generated ``tick`` reads
-and writes it by index, makes one call per op to the step function
-``block_fn`` bound for that op's block, and then shifts the registers
-stage by stage.  ``block_fn`` thus stays the one definition of what a
-block does: no block kind has a code template, and the source holds only
-integers, ``repr`` strings and names the generator makes up, never a
-model identifier.  The ops and the shifts go into functions of ``CHUNK``
-lines each, and each is compiled on its own: CPython needs several KiB of
-temporary memory per line to compile a function, so one source for a
-plan of hundreds of ops would raise the peak memory of a run for nothing.
-Equal source texts are compiled once.
+(as ``dataclasses`` and ``namedtuple`` do).  One list ``vals`` holds every
+slot, every block state cell and every register stage; the generated
+``tick`` reads and writes it by index, fires each op as its block's
+template (``model.blocks.block_src``) spliced inline, and then shifts the
+registers stage by stage.  A block parameter is a global ``kN`` of the
+generated code and a user function a call of one, so the source holds
+only integers, quoted port names and names the generator makes up, never
+a block name or a parameter value: plans that differ only in parameter
+values share one text.  The ops and the shifts go into functions of
+``CHUNK`` each, and each is compiled on its own: CPython needs several
+KiB of temporary memory per line to compile a function, so one source
+for a plan of hundreds of ops would raise the peak memory of a run for
+nothing.  Equal source texts are compiled once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..model.blocks import block_fn, init_state
+from ..model.blocks import block_src, init_state
 
-CHUNK = 48  # generated lines per function
+CHUNK = 48  # ops, or register shifts, per generated function
 
 
 @lru_cache(maxsize=128)
@@ -46,35 +47,23 @@ def exec_generated(src: str, namespace: dict) -> dict:
 
 def _chunked(lines: list[str], name: str, namespace: dict) -> list[str]:
     """Define functions ``name0(vals)``, ``name1``, ... in ``namespace``,
-    each running ``CHUNK`` of the lines; return the lines that call them
-    in order.  Each function is compiled on its own, so the compiler
-    never holds more than one chunk."""
+    each running ``CHUNK`` of the entries (an entry may span lines);
+    return the lines that call them in order.  Each function is compiled
+    on its own, so the compiler never holds more than one chunk."""
     calls = []
     for i in range(0, len(lines), CHUNK):
         fname = f"{name}{i // CHUNK}"
         exec_generated("\n".join([f"def {fname}(vals):"] + [
-            f"    {ln}" for ln in lines[i:i + CHUNK]] + [""]), namespace)
+            "    " + ln.replace("\n", "\n    ")
+            for ln in lines[i:i + CHUNK]] + [""]), namespace)
         calls.append(f"{fname}(vals)")
     return calls
-
-
-def call_src(fn: str, args, outs, st: str | None) -> str:
-    """The one statement calling step function ``fn``: ``args``, ``outs``
-    and ``st`` are the source of the arguments, the output targets and,
-    for a stateful block, the state read and written back (else None).
-    Both the sweep and the behavior bodies emit their calls through it."""
-    call = f"{fn}(({''.join(a + ', ' for a in args)}), {st})"
-    if st:
-        return f"({''.join(o + ', ' for o in outs)}), {st} = {call}"
-    if len(outs) == 1:
-        return f"{outs[0]} = {call}[0][0]"
-    return f"{', '.join(outs)} = {call}[0]" if outs else call
 
 
 class Sweep:
     def __init__(self):
         self.slots: dict = {}  # slot key -> slot number
-        self.ops: list[tuple] = []  # (step fn, in slots, out slots, init state)
+        self.ops: list[tuple] = []  # (kind, params, in slots, out slots)
         self.regs: list[tuple] = []  # (d slot, q slot, depth)
         self.inputs: dict[str, int] = {}  # port name -> slot
         self.outputs: dict[str, int] = {}  # port name -> slot
@@ -83,8 +72,7 @@ class Sweep:
         return self.slots.setdefault(key, len(self.slots) + 1)
 
     def op(self, kind: str, params: tuple, ins, outs) -> None:
-        self.ops.append((block_fn(kind, params), tuple(ins),
-                         tuple(outs), init_state(kind, params)))
+        self.ops.append((kind, params, tuple(ins), tuple(outs)))
 
     def reg(self, d: int, q: int, depth: int) -> None:
         self.regs.append((d, q, depth))
@@ -101,12 +89,14 @@ class Sweep:
         def ref(s: int) -> str:
             return f"vals[{s}]" if s else "0"
 
-        body = []
-        for i, (fn, ins, outs, init) in enumerate(self.ops):
-            ns[f"fn{i}"] = fn
-            st = f"vals[{cell(init)}]" if init is not None else None
-            body.append(call_src(f"fn{i}", [ref(s) for s in ins],
-                                 [f"vals[{s}]" for s in outs], st))
+        def name(value) -> str:  # ns holds vals and the names bound so far
+            ns[f"k{len(ns)}"] = value
+            return f"k{len(ns) - 1}"
+
+        body = ["\n".join(block_src(
+            kind, params, [ref(s) for s in ins], [f"vals[{s}]" for s in outs],
+            [f"vals[{cell(v)}]" for v in init_state(kind, params) or ()],
+            name)) for kind, params, ins, outs in self.ops]
 
         # a register whose d is some register's head reads a snapshot, so
         # the order of the shifts cannot matter

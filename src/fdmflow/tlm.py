@@ -169,8 +169,9 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
     """Group links into unit-to-unit connections.
 
     Links are chased through software-node boundary ports down to task
-    pins, stopped at hardware-node boundaries, and routed through CHAN_
-    subsystems which contribute topology and depth.
+    pins, stopped at hardware-node boundaries, routed through CHAN_
+    subsystems which contribute topology and depth, and followed on from
+    a model output that a link reads, as level 0 reads it.
     """
     adj: dict[tuple, list[tuple]] = {}
 
@@ -243,7 +244,7 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
             kind = pin[0]
             if kind == "unit" or (kind == "top" and pin[2] in g.outputs):
                 terminals.append(pin)
-            elif kind == "nport":
+            if kind in ("nport", "top"):
                 frontier.extend(adj.get(pin, []))
             elif kind == "chan":
                 chan_name = pin[1]
@@ -252,8 +253,6 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
                         chain.append(out_pin)
                         seen.add(out_pin)
                         frontier.extend(adj.get(out_pin, []))
-            elif kind == "top":
-                frontier.extend(adj.get(pin, []))
         if terminals:
             results.append((origin, chan_name, terminals, chain))
 

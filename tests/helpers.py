@@ -8,7 +8,7 @@ import random
 from collections import deque
 
 from fdmflow.gma.netlist import ColifNetlist, Module, Net, Port
-from fdmflow.model.blocks import block_fn
+from fdmflow.model.blocks import USER_FUNCTIONS, wrap32
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.sim.interp import FsmRunner, SimError
 from fdmflow.sim.trace import Stimulus, Trace
@@ -103,6 +103,34 @@ model loose {
   block tb : gain(2);
   link self.x -> SW_cpu.a; link SW_cpu.out -> HW_h.in;
   link HW_h.out -> self.y; link self.x -> tb.in;
+}
+"""
+
+# Model outputs used as link sources: y feeds the testbench gain h, and
+# z feeds a task whose stream returns through a HW node to w.  Level 0
+# reads an output like any other pin, so every level must follow it.
+OUTLINK_FDM = """
+model outlink {
+  input x; output y; output z; output w;
+  block g : gain(3); block h : gain(5);
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block f : fir(1, 2); block i : user(inc);
+      link self.a -> f.in; link f.out -> i.in; link i.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  subsystem HW_q {
+    input in; output out;
+    block d : delay(2); block q : quant(-3);
+    link self.in -> d.in; link d.out -> q.in; link q.out -> self.out;
+  }
+  link self.x -> g.in; link g.out -> self.y;
+  link self.y -> h.in; link h.out -> self.z;
+  link self.z -> SW_cpu.a; link SW_cpu.out -> HW_q.in;
+  link HW_q.out -> self.w;
 }
 """
 
@@ -416,9 +444,52 @@ def parse_netlist_json(text: str) -> ColifNetlist:
     return ColifNetlist(top, nets)
 
 
-def step_block(kind, params, inputs, state):
-    """Fire one block for one tick: pure (inputs, state) -> (outputs, state')."""
-    return block_fn(kind, params)(inputs, state)
+def _quant(v: int, step: int) -> int:
+    q = abs(v) // abs(step)
+    if (v < 0) != (step < 0):
+        q = -q
+    return wrap32(q * step)
+
+
+def reference_step(kind, params, inputs, state):
+    """Fire one block for one tick: pure (inputs, state) -> (outputs,
+    state').  An oracle written apart from the block templates, which
+    every simulator splices."""
+    x = inputs[0] if inputs else 0
+    if kind == "const":
+        return (wrap32(params[0]),), state
+    if kind in ("add", "sub", "mul"):
+        a, b = inputs
+        return (wrap32(a + b if kind == "add" else a - b if kind == "sub"
+                       else a * b),), state
+    if kind == "gain":
+        return (wrap32(params[0] * x),), state
+    if kind == "delay":
+        return (state[0],), state[1:] + (x,)
+    if kind == "fir":
+        acc = params[0] * x + sum(c * h for c, h in zip(params[1:], state))
+        return (wrap32(acc),), ((x,) + state[:-1] if state else state)
+    if kind == "quant":
+        return (_quant(x, params[0]),), state
+    if kind == "if_else":
+        return (inputs[1] if inputs[0] != 0 else inputs[2],), state
+    if kind == "for_loop":
+        n, fname = params
+        for _ in range(n):
+            x = wrap32(USER_FUNCTIONS[fname][2](x)[0])
+        return (x,), state
+    if kind == "mux":
+        return (inputs[1 + inputs[0] % params[0]],), state
+    if kind == "demux":
+        sel = inputs[0] % params[0]
+        return tuple(inputs[1] if i == sel else 0
+                     for i in range(params[0])), state
+    if kind == "user":
+        return tuple(wrap32(v) for v in
+                     USER_FUNCTIONS[params[0]][2](*inputs)), state
+    if kind == "sink":
+        return (), state
+    raise ValueError(f"unknown block kind {kind!r}")
 
 
 def total_registers(g) -> int:

@@ -366,7 +366,21 @@ class TestReport:
         printed = capsys.readouterr().out
         assert "| level |" in printed
         assert "machine-specific" in printed
-        assert rc in (0, 1)  # short runs may not be monotone in wall-clock
+        assert rc in (0, 1)  # short runs may not be ordered in wall-clock
+
+    @pytest.mark.parametrize("timings, rc", [
+        ({"0": 0.1, "1": 0.5, "2": 0.4, "3": 0.9}, 0),
+        ({"0": 0.1, "1": 0.3, "2": 0.9, "3": 0.5}, 1),
+        ({"0": 0.6, "2": 0.4, "3": 0.9}, 1),
+    ], ids=["l2-beats-l1", "l3-beats-l2", "l2-beats-l0"])
+    def test_report_checks_criterion_8_order(self, tmp_path, capsys,
+                                             timings, rc):
+        """Only t0 < t2 < t3 is checked: levels 1 and 2 run the same
+        code, so their order is noise."""
+        (tmp_path / "timings.json").write_text(json.dumps(timings))
+        assert main(["report", "--out", str(tmp_path)]) == rc
+        out = capsys.readouterr().out
+        assert ("t0 < t2 < t3" in out) == bool(rc)
 
     def test_report_csv(self, mini_path, tmp_path, capsys):
         out = tmp_path / "r2"

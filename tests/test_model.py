@@ -11,7 +11,7 @@ from fdmflow.model.validate import validate_model
 from fdmflow.sim.level0 import simulate_level0
 from fdmflow.sim.trace import Stimulus
 
-from helpers import rand_loopy_model, step_block
+from helpers import rand_loopy_model, reference_step
 
 
 def _mk(text):
@@ -36,14 +36,14 @@ class TestWrap32:
 
 class TestStepBlock:
     def test_quant_truncates_toward_zero(self):
-        assert step_block("quant", (3,), (7,), None)[0] == (6,)
-        assert step_block("quant", (3,), (-7,), None)[0] == (-6,)
+        assert reference_step("quant", (3,), (7,), None)[0] == (6,)
+        assert reference_step("quant", (3,), (-7,), None)[0] == (-6,)
 
     def test_delay_queue(self):
         st_ = (0, 0)
         outs = []
         for x in [1, 2, 3, 4]:
-            (y,), st_ = step_block("delay", (2,), (x,), st_)
+            (y,), st_ = reference_step("delay", (2,), (x,), st_)
             outs.append(y)
         assert outs == [0, 0, 1, 2]
 
@@ -51,21 +51,21 @@ class TestStepBlock:
         st_ = (0, 0)
         outs = []
         for x in [1, 2, 3]:
-            (y,), st_ = step_block("fir", (1, 2, 1), (x,), st_)
+            (y,), st_ = reference_step("fir", (1, 2, 1), (x,), st_)
             outs.append(y)
         # y[n] = x[n] + 2 x[n-1] + x[n-2]
         assert outs == [1, 4, 8]
 
     def test_mux_demux(self):
-        assert step_block("mux", (3,), (1, 10, 20, 30), None)[0] == (20,)
-        assert step_block("demux", (2,), (1, 7), None)[0] == (0, 7)
+        assert reference_step("mux", (3,), (1, 10, 20, 30), None)[0] == (20,)
+        assert reference_step("demux", (2,), (1, 7), None)[0] == (0, 7)
 
     def test_if_else(self):
-        assert step_block("if_else", (), (1, 5, 9), None)[0] == (5,)
-        assert step_block("if_else", (), (0, 5, 9), None)[0] == (9,)
+        assert reference_step("if_else", (), (1, 5, 9), None)[0] == (5,)
+        assert reference_step("if_else", (), (0, 5, 9), None)[0] == (9,)
 
     def test_for_loop(self):
-        assert step_block("for_loop", (3, "inc"), (10,), None)[0] == (13,)
+        assert reference_step("for_loop", (3, "inc"), (10,), None)[0] == (13,)
 
     def test_port_names_variadic(self):
         assert port_names("mux", (2,)) == (("sel", "in0", "in1"), ("out",))

@@ -22,8 +22,8 @@ from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
     validate_partition
 
-from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, QueueIO, \
-    add_loose_ports, rand_loopy_model, rand_partitioned_model, \
+from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, OUTLINK_FDM, \
+    QueueIO, add_loose_ports, rand_loopy_model, rand_partitioned_model, \
     standalone_address_map
 
 
@@ -675,6 +675,22 @@ class TestUnboundPorts:
             assignment = {n: rng.choice((1, 2, 3)) for n in cd.tlm.nodes}
             _agree_with_level0(cd, stim, ticks, assignment)
         assert 10 < len(accepted) < 30, accepted
+
+
+class TestOutputLinks:
+    def test_model_output_as_link_source(self):
+        """A model output read by a link feeds its readers at every level,
+        as at level 0: y feeds h, and z a task."""
+        cd = compile_design(parse_model(OUTLINK_FDM))
+        readers = {str(r) for ch in cd.tlm.channels for r in ch.consumers}
+        assert {"h.in", "SW_cpu/TASK_t.a"} <= readers
+        ticks = 50
+        stim = default_stimulus(cd.model, ticks, seed=3)
+        t0 = _agree_with_level0(cd, stim, ticks, {"SW_cpu": 3, "HW_q": 2})
+        y = [wrap32(3 * x) for x in stim.values["x"]]
+        assert t0.values("y") == y
+        assert t0.values("z") == [wrap32(5 * v) for v in y]
+        assert any(t0.values("w"))
 
 
 class TestMixed:

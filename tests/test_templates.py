@@ -1,0 +1,219 @@
+"""Block templates: every simulator that splices them, and the generated
+``block_fn``, agree bit for bit with an oracle written apart from them,
+and a parameter value never enters a generated text."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import fdmflow.sim.sweep as sweep
+from fdmflow.flow import compile_design, default_stimulus, simulate
+from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Call, Recv, Send, \
+    TaskBehavior
+from fdmflow.model.blocks import KIND_NAMES, USER_FUNCTIONS, block_fn, \
+    init_state, port_names
+from fdmflow.model.parser import parse_model
+from fdmflow.sim.channels import ChannelRt
+from fdmflow.sim.interp import FsmRunner, behavior_coroutine
+from fdmflow.swsynth import build_task_fsm, lower_api
+from fdmflow.tlm import ChannelSpec, PortRef
+
+from helpers import QueueIO, rand_partitioned_model, reference_step, \
+    standalone_address_map
+
+EDGES = [0, 1, -1, 2, -2, 2**31 - 1, -2**31, 2**31, -2**31 - 1, 2**30,
+         2**16 + 3]
+VALUES = st.one_of(st.sampled_from(EDGES), st.integers(-2**31, 2**31 - 1))
+SIZES = st.integers(1, 4)
+UNARY = sorted(f for f, (ins, _, _) in USER_FUNCTIONS.items() if len(ins) == 1)
+PARAMS = {
+    "const": st.tuples(st.one_of(VALUES, st.integers(-2**40, 2**40))),
+    "add": st.just(()), "sub": st.just(()), "mul": st.just(()),
+    "gain": st.tuples(VALUES),
+    "quant": st.tuples(VALUES.filter(bool)),
+    "if_else": st.just(()),
+    "delay": st.tuples(SIZES),
+    "fir": st.lists(VALUES, min_size=1, max_size=6).map(tuple),
+    "for_loop": st.tuples(st.integers(0, 4), st.sampled_from(UNARY)),
+    "mux": st.tuples(SIZES), "demux": st.tuples(SIZES),
+    "user": st.tuples(st.sampled_from(sorted(USER_FUNCTIONS))),
+    "sink": st.just(()),
+}
+
+
+@st.composite
+def firings(draw):
+    """A block and the inputs of 1 to 8 consecutive ticks."""
+    kind = draw(st.sampled_from(sorted(KIND_NAMES)))
+    params = draw(PARAMS[kind])
+    n_in = len(port_names(kind, params)[0])
+    ticks = draw(st.lists(st.tuples(*[VALUES] * n_in), min_size=1,
+                          max_size=8))
+    return kind, params, ticks
+
+
+def _stepped(step, kind, params, ticks):
+    state, outs = init_state(kind, params), []
+    for xs in ticks:
+        ys, state = step(kind, params, xs, state)
+        outs.append(ys)
+    return outs
+
+
+def _swept(kind, params, ticks):
+    ins, outs = port_names(kind, params)
+    sw = sweep.Sweep()
+    sw.inputs = {p: sw.slot(p) for p in ins}
+    sw.outputs = {p: sw.slot(("out", p)) for p in outs}
+    sw.op(kind, params, sw.inputs.values(), sw.outputs.values())
+    sw.build()
+    return [tuple(sw.tick(dict(zip(ins, xs))).values()) for xs in ticks]
+
+
+def _behavior(kind, params) -> TaskBehavior:
+    """The block as one unit's behavior, as ``gen_task_behavior`` writes a
+    single block: a delay is an emit and a push."""
+    ins, outs = port_names(kind, params)
+    xs, ys = tuple(f"x_{p}" for p in ins), tuple(f"y_{p}" for p in outs)
+    init = init_state(kind, params)
+    if kind == "delay":
+        calls = [Call(DELAY_EMIT, kind, params, (), ys, "b"),
+                 Call(DELAY_PUSH, kind, params, xs, (), "b")]
+    else:
+        name = params[0] if kind == "user" else kind
+        calls = [Call(name, kind, params, xs, ys,
+                      "b" if init is not None else None)]
+    return TaskBehavior("t", "library_instance", ins, outs,
+                        [Recv(p, x) for p, x in zip(ins, xs)] + calls +
+                        [Send(p, y) for p, y in zip(outs, ys)],
+                        {"b": init} if init is not None else {})
+
+
+def _channel(port, reader):
+    return ChannelRt(ChannelSpec(port, "point_to_point", [PortRef("w", port)],
+                                 [PortRef(reader, port)], 100))
+
+
+def _coroutine(b: TaskBehavior, ticks):
+    """One body iteration per tick, on channels holding every input."""
+    cons = {p: (_channel(p, "t"), ("t", p)) for p in b.in_ports}
+    for xs in ticks:
+        for p, x in zip(b.in_ports, xs):
+            cons[p][0].push(x)
+    prod = {p: _channel(p, "r") for p in b.out_ports}
+    gen = behavior_coroutine(b, cons, prod)
+    for _ in ticks:
+        assert next(gen) is True
+    return list(zip(*(prod[p].queues[("r", p)] for p in b.out_ports))) \
+        or [()] * len(ticks)
+
+
+def _fsm(fsm, ticks):
+    """Step the task FSM until it blocks on its exhausted inputs, or has
+    sent every tick's outputs when it has no input."""
+    io = QueueIO(dict(zip(fsm.in_ports, zip(*ticks))), fsm.out_ports)
+    runner = FsmRunner(fsm, io)
+    while (fsm.in_ports or len(io.outq[fsm.out_ports[0]]) < len(ticks)) \
+            and runner.step():
+        pass
+    return list(zip(*(io.outq[p] for p in fsm.out_ports))) \
+        or [()] * len(ticks)
+
+
+class TestTemplates:
+    def test_every_kind_has_a_strategy(self):
+        assert set(PARAMS) == KIND_NAMES
+
+    @settings(max_examples=300, deadline=None)
+    @given(firings())
+    def test_generators_match_reference(self, firing):
+        kind, params, ticks = firing
+        want = _stepped(reference_step, kind, params, ticks)
+        fn = block_fn(kind, params)
+        assert _stepped(lambda k, p, xs, s: fn(xs, s),
+                        kind, params, ticks) == want
+        assert _swept(kind, params, ticks) == want
+        b = _behavior(kind, params)
+        assert _coroutine(b, ticks) == want
+        macro = build_task_fsm(b)
+        assert _fsm(macro, ticks) == want
+        micro = lower_api(macro, standalone_address_map(macro, "u"), "u")
+        assert _fsm(micro, ticks) == want
+
+    def test_reference_edges(self):
+        """Edges the property draws, spelled out."""
+        assert reference_step("gain", (2,), (2**30,), None)[0] == (-2**31,)
+        assert reference_step("quant", (-7,), (-20,), None)[0] == (-14,)
+        assert reference_step("quant", (-7,), (20,), None)[0] == (14,)
+        assert reference_step("mux", (3,), (-1, 10, 20, 30), None)[0] == (30,)
+        assert reference_step("demux", (3,), (-2, 7), None)[0] == (0, 7, 0)
+        assert reference_step("fir", (4,), (5,), ())[0] == (20,)
+
+
+SHARED_FDM = """
+model share {
+  input x; output y;
+  block tg : gain(G1);
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block g : gain(G2); block q : quant(Q1); block f : fir(F1);
+      link self.a -> g.in; link g.out -> q.in; link q.out -> f.in;
+      link f.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  subsystem HW_h {
+    input in; output out;
+    block g : gain(G3); block q : quant(Q2); block f : fir(F2);
+    link self.in -> g.in; link g.out -> q.in; link q.out -> f.in;
+    link f.out -> self.out;
+  }
+  link self.x -> tg.in; link tg.out -> SW_cpu.a;
+  link SW_cpu.out -> HW_h.in; link HW_h.out -> self.y;
+}
+"""
+
+
+def _texts(monkeypatch, g, ticks=8) -> dict:
+    """level -> every source text generated to simulate ``g`` at it."""
+    seen: list = []
+    code = sweep._code
+
+    def record(src):
+        seen.append(src)
+        return code(src)
+    monkeypatch.setattr(sweep, "_code", record)
+    cd = compile_design(g)
+    stim = default_stimulus(cd.model, ticks, seed=0)
+    texts = {}
+    for level in (0, 1, 2, 3):
+        seen.clear()
+        simulate(level, cd, stim, ticks)
+        texts[level] = list(seen)
+    return texts
+
+
+class TestSharedTexts:
+    def _model(self, values: dict):
+        text = SHARED_FDM
+        for k, v in values.items():
+            text = text.replace(k, v)
+        return parse_model(text)
+
+    def test_parameter_values_share_texts(self, monkeypatch):
+        a = _texts(monkeypatch, self._model(
+            {"G1": "3", "G2": "3", "G3": "3", "Q1": "2", "Q2": "2",
+             "F1": "1, 2, 1", "F2": "1, 2"}))
+        b = _texts(monkeypatch, self._model(
+            {"G1": "5", "G2": "-4", "G3": "7", "Q1": "-7", "Q2": "-7",
+             "F1": "4, -3, 9", "F2": "-6, 11"}))
+        assert all(a[level] for level in a)
+        assert a == b
+
+    def test_distinct_texts_fit_the_cache(self, monkeypatch):
+        maxsize = sweep._code.cache_info().maxsize
+        g = rand_partitioned_model(random.Random(0), max_tasks=8, max_hw=8)
+        texts = _texts(monkeypatch, g)
+        assert len(set().union(*texts.values())) < maxsize
