@@ -125,17 +125,27 @@ class HwImpl:
     latency: int  # k of the pipeline, or the controller's II
 
 
-def _ordered_nodes(g: RtlGraph) -> list[str]:
-    """Topological order ignoring edges out of declared delay blocks."""
+def _ordered_nodes(g: RtlGraph) -> tuple[list[str], set[int]]:
+    """Topological order ignoring the edges out of a declared delay block
+    to a node that reaches it, which close a loop, and their ids."""
     succ: dict[str, list[str]] = {n: [] for n in g.nodes}
     for e in g.edges:
-        if not g.nodes[e.src].is_delay:
-            succ[e.src].append(e.dst)
+        succ[e.src].append(e.dst)
+    loops = set()
+    for e in g.edges:
+        seen = [e.dst] if g.nodes[e.src].is_delay else []
+        for m in seen:  # every node e.dst reaches
+            seen += [d for d in succ[m] if d not in seen]
+        if e.src in seen:
+            loops.add(id(e))
+    for e in g.edges:
+        if id(e) in loops:
+            succ[e.src].remove(e.dst)
     order = stable_topo(list(g.nodes), succ)
     if len(order) != len(g.nodes):
         stuck = sorted(set(g.nodes) - set(order))
         raise HwSynthError(f"cycle without a declared delay involving {stuck}")
-    return order
+    return order, loops
 
 
 def map_rtl_library(node_sub: Subsystem,
@@ -203,35 +213,29 @@ def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
 
     level(v) = max over incoming edges of level(src), plus L(v); the slack
     on each edge becomes that many registers, and every output is padded to
-    the common latency k.  Declared delay blocks implement functional lag,
-    contribute no skew and receive no balancing.
+    the common latency k.  Declared delay blocks implement functional lag;
+    an edge closing a loop through one carries no skew and no registers.
     """
     bad = sorted(n.name for n in g.nodes.values() if n.eligibility != "pipelined")
     if bad:
         raise HwSynthError(f"multicycle-only IPs present ({bad}); "
                            "use fsm_controller instead")
-    order = _ordered_nodes(g)
+    order, loops = _ordered_nodes(g)
     incoming: dict[str, list[RtlEdge]] = {n: [] for n in g.nodes}
     for e in g.edges:
         incoming[e.dst].append(e)
     levels: dict[str, int] = {}
     for n in order:
-        node = g.nodes[n]
-        base = 0
-        for e in incoming[n]:
-            if g.nodes[e.src].is_delay:
-                continue  # feedback through a declared delay carries no skew
-            base = max(base, levels[e.src])
-        levels[n] = base + node.latency
+        levels[n] = g.nodes[n].latency + max(
+            (levels[e.src] for e in incoming[n] if id(e) not in loops),
+            default=0)
     k = max((levels[o] for o in g.outputs), default=0)
     for o in g.outputs:
         levels[o] = k
     new_edges = []
     for e in g.edges:
-        if g.nodes[e.src].is_delay or g.nodes[e.dst].is_delay:
-            slack = 0  # delay-block wiring is functional, never padded
-        else:
-            slack = (levels[e.dst] - g.nodes[e.dst].latency) - levels[e.src]
+        slack = 0 if id(e) in loops else \
+            (levels[e.dst] - g.nodes[e.dst].latency) - levels[e.src]
         new_edges.append(replace(e, regs=slack))
     out = RtlGraph(g.name, dict(g.nodes), new_edges, list(g.inputs),
                    list(g.outputs), levels, latency=k)
@@ -240,7 +244,7 @@ def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
 
 def fsm_controller(g: RtlGraph) -> Controller:
     """Sequential schedule firing one IP per step; II is the latency sum."""
-    order = [n for n in _ordered_nodes(g)
+    order = [n for n in _ordered_nodes(g)[0]
              if g.nodes[n].kind not in ("input", "output")]
     ii = sum(g.nodes[n].latency for n in order)
     if ii == 0:
@@ -303,7 +307,7 @@ class RtlCycleSim:
     def __init__(self, g: RtlGraph):
         if g.latency is None:
             raise HwSynthError("graph must be delay-corrected first")
-        self.sweep = _sweep(g, _ordered_nodes(g), timed=True)
+        self.sweep = _sweep(g, _ordered_nodes(g)[0], timed=True)
 
     def step(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)

@@ -44,9 +44,8 @@ status polls it makes and what they read depend only on the FSM state,
 the loop counters and the occupancy of the channels it polls, none of
 which can change while it sleeps.  The drain path pads a node whatever
 its wake state, driven by ``drain`` and ``consumed`` alone.  Macro units
-have no wake list: at levels 1 and 2 nearly every unit progresses in
-every round, so a wake list would save nothing and cost a mark on every
-push and pop.
+have no wake list, since nearly all progress in every round; a transfer
+on a channel that no micro unit watches only tests an empty wake list.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Executors for unit behaviors and task FSMs.
 
-A macro unit runs its behavior body as a generator bound to its
-channels, which yields only when it blocks or ends a body iteration; the
-micro interpreter steps a lowered FSM one transition at a time under the
-round-robin scheduler, charging bus cycles for every transaction
+A macro unit runs its behavior body as a generator holding its ports'
+queues, which yields only when it blocks or ends a body iteration and
+calls a channel only on a blocked test or a send to several consumers;
+the micro interpreter steps a lowered FSM one transition at a time under
+the round-robin scheduler, charging bus cycles for every transaction
 including failed status polls.
 
 ``behavior_coroutine`` emits each body once as the source of one
@@ -54,10 +55,12 @@ class _BodyGen:
     """Emits a behavior body as the source of one generator function.
 
     Behavior variables become locals ``v0, v1, ...``; block parameters,
-    loop counts, block state cells and channel methods are parameters.
+    loop counts, block state cells and ``chans`` are parameters; ``chans``
+    has a queue ``fN`` only for an output whose channel has one consumer.
     """
 
-    def __init__(self, b: TaskBehavior):
+    def __init__(self, b: TaskBehavior, chans: dict):
+        self.chans = chans
         self.vars: dict[str, str] = {}
         self.args: dict[str, object] = {}  # parameter -> value
         # state key -> its cells, parameters bound to their initial values
@@ -86,11 +89,15 @@ class _BodyGen:
         emit = self.lines.append
         if isinstance(s, Recv):
             i = self.ins[s.port]
-            self.io(f"can_pop{i}(key{i})",
-                    f"{self.var(s.var)} = pop{i}(key{i})", ind)
+            self.io(f"q{i} or can_pop{i}(key{i})", ind,
+                    f"{self.var(s.var)} = q{i}.popleft()", f"i{i}", "popped")
         elif isinstance(s, Send):
-            i = self.outs[s.port]
-            self.io(f"can_push{i}()", f"push{i}({self.var(s.var)})", ind)
+            i, v = self.outs[s.port], self.var(s.var)
+            if f"f{i}" in self.chans:
+                self.io(f"len(f{i}) < d{i} or can_push{i}()", ind,
+                        f"f{i}.append({v})", f"o{i}", "pushed")
+            else:
+                self.io(f"can_push{i}()", ind, f"push{i}({v})")
         elif isinstance(s, Call):
             self.lines += [ind + ln for ln in _call_src(
                 s, self.var, self.cells.__getitem__, self.arg)]
@@ -109,25 +116,33 @@ class _BodyGen:
         else:
             raise SimError(f"unknown statement {s!r}")
 
-    def io(self, ready: str, op: str, ind: str) -> None:
-        """Run ``op`` once ``ready`` holds; while it does not, yield
-        whether the unit moved since it was last resumed."""
-        self.lines += [f"{ind}while not {ready}:", f"{ind}    yield moved",
-                       f"{ind}    moved = False", ind + op, f"{ind}moved = True"]
+    def io(self, ready: str, ind: str, op: str, ch="", count="") -> None:
+        """Run ``op`` once ``ready`` holds; given ``ch``, add 1 to ``count``
+        of channel ``c<ch>`` and wake the units on its wake list ``w<ch>``.
+        While ``ready`` fails, yield whether the unit moved since resumed."""
+        tail = [f"c{ch}.{count} += 1", f"if w{ch}:",
+                f"    for u in w{ch}: u.awake = True"] if ch else []
+        self.lines += [f"{ind}while not ({ready}):", f"{ind}    yield moved",
+                       f"{ind}    moved = False"] + \
+            [ind + ln for ln in [op, *tail, "moved = True"]]
 
 
 def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
-    """The behavior as a generator calling the ``can_pop``/``pop`` of
-    ``cons`` (port -> (channel, consumer key)) and the ``can_push``/``push``
-    of ``prod`` (port -> channel).  ``next`` yields True at the end of a
-    body iteration, or on a blocked port whether it moved since resumed."""
-    gen = _BodyGen(b)
-    gen.body(b.body, "        ")
+    """The behavior as a generator bound to the channels of ``cons`` (port
+    -> (channel, consumer key)) and ``prod`` (port -> channel).  ``next``
+    yields True at the end of a body iteration, or on a blocked port
+    whether it moved since resumed."""
     chans = {}
     for i, (ch, key) in enumerate(cons[p] for p in b.in_ports):
-        chans |= {f"can_pop{i}": ch.can_pop, f"pop{i}": ch.pop, f"key{i}": key}
+        chans |= {f"q{i}": ch.queues[key], f"can_pop{i}": ch.can_pop,
+                  f"key{i}": key, f"ci{i}": ch, f"wi{i}": ch.wake}
     for i, ch in enumerate(prod[p] for p in b.out_ports):
-        chans |= {f"can_push{i}": ch.can_push, f"push{i}": ch.push}
+        chans |= {f"can_push{i}": ch.can_push} | ({
+            f"f{i}": ch.fifos[0], f"d{i}": ch.depth, f"co{i}": ch,
+            f"wo{i}": ch.wake} if len(ch.fifos) == 1 else
+            {f"push{i}": ch.push})
+    gen = _BodyGen(b, chans)
+    gen.body(b.body, "        ")
     src = "\n".join([f"def behavior({', '.join([*gen.args, *chans])}):",
                      "    while True:", "        moved = False"] + gen.lines +
                     ["        yield True", ""])

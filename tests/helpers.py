@@ -134,6 +134,31 @@ model outlink {
 }
 """
 
+# A pipelined IP (quant, latency 1) feeds a delay inside a HW node: the
+# delay adds no latency but passes the quantizer's on, so the node's k
+# is 1 and level 3 drops one priming sample.
+PIPEDELAY_FDM = """
+model pipedelay {
+  input x; output w;
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block g : gain(2);
+      link self.a -> g.in; link g.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  subsystem HW_q {
+    input in; output out;
+    block q : quant(3); block d : delay(1);
+    link self.in -> q.in; link q.out -> d.in; link d.out -> self.out;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> HW_q.in;
+  link HW_q.out -> self.w;
+}
+"""
+
 
 def _link(src_blk, src_port, dst_blk, dst_port):
     return Link(Endpoint(src_blk, src_port), Endpoint(dst_blk, dst_port))

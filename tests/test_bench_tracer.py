@@ -34,7 +34,7 @@ def test_traced_flow(tmp_path):
     with bt.instrument(tracer):
         tracer.scope = "flow"
         assert flow.run_flow(model, tmp_path, ticks=64).ok
-        for level in (0, 3):
+        for level in (0, 1, 3):
             tracer.scope = f"sim{level}"
             flow.simulate(level, flow.compile_design(model),
                           flow.default_stimulus(model, 64), 64)
@@ -44,4 +44,10 @@ def test_traced_flow(tmp_path):
     assert stats["calls"][("sim0", "level0.tick")] == 64
     assert stats["calls"][("sim3", "hwsynth.rtl_step")] > 0
     assert stats["count"][("sim3", "engine.rounds")] > 0
+    # pushes, pops and failed can_push / can_pop tests: a behavior that
+    # tests a queue inline still calls the method whenever it blocks
+    for level, want in ((1, (512, 512, 0, 80)), (3, (512, 512, 492, 561))):
+        assert tuple(stats["count"][(f"sim{level}", f"channels.{name}")]
+                     for name in ("pushes", "pops", "push_blocked",
+                                  "pop_blocked")) == want, level
     assert Engine.run is run  # every patch undone

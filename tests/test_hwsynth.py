@@ -212,6 +212,26 @@ class TestCycleAccuracy:
         tr = hw_stream(RtlCycleSim(g).step, stim, 4)
         assert tr.values("out") == [1, 2, 3, 4]
 
+    def test_delay_passes_latency_on(self):
+        # a delay after a pipelined IP: the path through it carries the
+        # IP's stage, so the bypass is balanced and k counts the stage
+        sub = Subsystem("HW_d", inputs=["in"], outputs=["out"],
+                        blocks=[Block("q", "quant", (3,)),
+                                Block("d", "delay", (1,)), Block("s", "add")],
+                        links=[_link("self", "in", "q", "in"),
+                               _link("q", "out", "d", "in"),
+                               _link("d", "out", "s", "in1"),
+                               _link("self", "in", "s", "in2"),
+                               _link("s", "out", "self", "out")])
+        g, k = delay_correct(map_rtl_library(sub))
+        assert (k, total_registers(g)) == (1, 1)
+        assert {(e.src, e.dst): e.regs for e in g.edges}[("in:in", "s")] == 1
+        xs = list(range(-7, 9))
+        stim = Stimulus({"in": xs}, len(xs))
+        cyc = hw_stream(RtlCycleSim(g).step, stim, len(xs) + k)
+        ref = simulate_level0(_as_model(sub), stim, len(xs))
+        assert cyc.values("out")[k:] == ref.values("out")
+
 
 class TestEmission:
     def test_pipelined_text(self):

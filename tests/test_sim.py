@@ -23,8 +23,8 @@ from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
     validate_partition
 
 from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, OUTLINK_FDM, \
-    QueueIO, add_loose_ports, rand_loopy_model, rand_partitioned_model, \
-    standalone_address_map
+    PIPEDELAY_FDM, QueueIO, add_loose_ports, rand_loopy_model, \
+    rand_partitioned_model, standalone_address_map
 
 
 def mini_model():
@@ -373,11 +373,49 @@ class TestLevels:
             "49e099aa67a6b5b3568225c3228780abc2e43f96d158b6b23d5eb903e53c887f"),
     }
 
+    # (rounds, events) of all-macro runs, which level 2 shares with level
+    # 1: mini_codec, then one digest over the compiled designs of 30
+    # partitioned and 30 loopy seeds, so a change in when a behavior
+    # yields or reports progress shows
+    MACRO_COUNTS = (2002, 18000)
+    RANDOM_MACRO = (
+        34, (2136, 11947),
+        "17dcc88983fbf87e55869a712aa9096c06b37bb55e205cdea6eef3265d534009")
+
+    def test_pinned_macro_counts(self):
+        cd = mini_compiled()
+        ticks = 2000
+        stim = default_stimulus(cd.model, ticks, seed=7)
+        assert self._counts(cd, dict.fromkeys(cd.tlm.nodes, 1), stim,
+                            ticks)[:2] == self.MACRO_COUNTS
+        rows = [(kind,) + r[:3] for kind in ("partitioned", "loopy")
+                for r in self._random_rows(kind, 1)]
+        totals = tuple(sum(r[i] for r in rows) for i in (2, 3))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert (len(rows), totals, digest) == self.RANDOM_MACRO
+
     @staticmethod
     def _counts(cd, assignment, stim, ticks) -> tuple:
         e = Engine(cd, assignment, stim, ticks)
         e.run()
         return e.rounds, e.events, e.cycle, e.bus_transactions
+
+    def _random_rows(self, kind: str, level: int) -> list[tuple]:
+        """(seed, rounds, events, cycles, bus transactions) of each of the
+        30 random designs of ``kind`` that compiles, all at ``level``."""
+        gen, ticks = {"partitioned": (rand_partitioned_model, 60),
+                      "loopy": (rand_loopy_model, 50)}[kind]
+        rows = []
+        for seed in range(30):
+            g = gen(random.Random(seed))
+            try:
+                cd = compile_design(g)
+            except FlowError:
+                continue  # combinational cycle without a delay
+            stim = default_stimulus(g, ticks, seed=seed)
+            rows.append((seed,) + self._counts(
+                cd, dict.fromkeys(cd.tlm.nodes, level), stim, ticks))
+        return rows
 
     def test_pinned_level3_counts(self):
         cd = mini_compiled()
@@ -392,18 +430,7 @@ class TestLevels:
 
     @pytest.mark.parametrize("kind", ["partitioned", "loopy"])
     def test_pinned_random_level3_counts(self, kind):
-        gen, ticks = {"partitioned": (rand_partitioned_model, 60),
-                      "loopy": (rand_loopy_model, 50)}[kind]
-        rows = []
-        for seed in range(30):
-            g = gen(random.Random(seed))
-            try:
-                cd = compile_design(g)
-            except FlowError:
-                continue  # combinational cycle without a delay
-            stim = default_stimulus(g, ticks, seed=seed)
-            rows.append((seed,) + self._counts(
-                cd, dict.fromkeys(cd.tlm.nodes, 3), stim, ticks))
+        rows = self._random_rows(kind, 3)
         totals = tuple(sum(r[i] for r in rows) for i in range(1, 5))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert (len(rows), totals, digest) == self.RANDOM_COUNTS[kind]
@@ -691,6 +718,20 @@ class TestOutputLinks:
         assert t0.values("y") == y
         assert t0.values("z") == [wrap32(5 * v) for v in y]
         assert any(t0.values("w"))
+
+
+class TestHwDelay:
+    def test_delay_after_pipelined_ip(self):
+        """A delay passes on the latency of the IP feeding it, so the node's
+        k counts the quantizer's stage and every level agrees."""
+        cd = compile_design(parse_model(PIPEDELAY_FDM))
+        assert cd.hw_impl["HW_q"].latency == 1
+        ticks = 50
+        stim = default_stimulus(cd.model, ticks, seed=4)
+        t0 = _agree_with_level0(cd, stim, ticks, {"SW_cpu": 2, "HW_q": 3})
+        q = [abs(v) // 3 * (3 if v >= 0 else -3)
+             for v in (wrap32(2 * x) for x in stim.values["x"])]
+        assert t0.values("w") == [0] + q[:-1]
 
 
 class TestMixed:
