@@ -19,8 +19,8 @@ from .gma import ParamSet, attach_params, build_tree, emit_netlist, \
 from .gma.behavior import format_behavior
 from .gma.netlist import ColifNetlist
 from .gma.tree import DesignTree
-from .hwsynth import HwImpl, all_pipelined, delay_correct, emit_rtl_text, \
-    fsm_controller, map_rtl_library
+from .hwsynth import HwImpl, delay_correct, emit_rtl_text, fsm_controller, \
+    map_rtl_library, pipelineable
 from .model.graph import ModelGraph
 from .model.parser import parse_model
 from .model.validate import validate_model
@@ -99,7 +99,7 @@ def compile_design(model: ModelGraph,
                 costs[blk.id] = c
         try:
             rg = map_rtl_library(info.subsystem, costs)
-            if all_pipelined(rg):
+            if pipelineable(rg):
                 dc, k = delay_correct(rg)
                 hw_impl[info.name] = HwImpl("pipelined", dc, k)
             else:

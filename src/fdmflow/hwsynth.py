@@ -125,19 +125,22 @@ class HwImpl:
     latency: int  # k of the pipeline, or the controller's II
 
 
+def _reach(succ: dict, start: str) -> list[str]:
+    """``start`` and every node it reaches through ``succ``."""
+    seen = [start]
+    for m in seen:
+        seen += [d for d in succ[m] if d not in seen]
+    return seen
+
+
 def _ordered_nodes(g: RtlGraph) -> tuple[list[str], set[int]]:
     """Topological order ignoring the edges out of a declared delay block
     to a node that reaches it, which close a loop, and their ids."""
     succ: dict[str, list[str]] = {n: [] for n in g.nodes}
     for e in g.edges:
         succ[e.src].append(e.dst)
-    loops = set()
-    for e in g.edges:
-        seen = [e.dst] if g.nodes[e.src].is_delay else []
-        for m in seen:  # every node e.dst reaches
-            seen += [d for d in succ[m] if d not in seen]
-        if e.src in seen:
-            loops.add(id(e))
+    loops = {id(e) for e in g.edges
+             if g.nodes[e.src].is_delay and e.src in _reach(succ, e.dst)}
     for e in g.edges:
         if id(e) in loops:
             succ[e.src].remove(e.dst)
@@ -204,8 +207,16 @@ def map_rtl_library(node_sub: Subsystem,
     return g
 
 
-def all_pipelined(g: RtlGraph) -> bool:
-    return all(n.eligibility == "pipelined" for n in g.nodes.values())
+def pipelineable(g: RtlGraph) -> bool:
+    """Whether ``delay_correct`` keeps the function of ``g``: every IP is
+    pipelined and none with latency sits on a loop closed by a delay,
+    whose lag its output pipeline would lengthen.  The FSM controller
+    runs any other graph, a loop at zero latency."""
+    succ = {n: [e.dst for e in g.edges if e.src == n] for n in g.nodes}
+    loops = _ordered_nodes(g)[1]
+    return all(n.eligibility == "pipelined" for n in g.nodes.values()) and \
+        not any(g.nodes[n].latency for e in g.edges if id(e) in loops
+                for n in _reach(succ, e.dst) if e.src in _reach(succ, n))
 
 
 def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:

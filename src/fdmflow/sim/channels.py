@@ -5,7 +5,7 @@ multipoint channels) and is allowed only when all of them have room, so
 every consumer sees the full stream and producers cannot outrun the
 slowest reader.  Every push and pop marks awake the micro units on the
 channel's wake list, the units that read or write it (see ``engine``).
-A behavior does this inline when it does not block, and calls a method
+Every unit does this inline when it does not block, and calls a method
 only for a blocked test or a push to several consumers (see ``interp``).
 """
 

@@ -8,7 +8,10 @@ generator that pushes and pops its channels in zero time; a micro node
 runs lowered FSMs under a round-robin scheduler with polled bus
 transactions, or a cycle-stepped hardware model.  Mixed assignments need
 no special adapter: the shared channel FIFOs are the transaction/bus
-boundary.
+boundary.  Every unit tests and moves its channel queues inline: each
+behavior, FSM state and hardware step is generated code bound to its
+ports' queues (see ``interp``), which calls a channel method only when a
+test fails or to push to several readers.
 
 Every port is bound to its channel before the run: behaviors and FSMs
 name only ports on a channel (an input on none is the constant 0, an
@@ -55,11 +58,8 @@ from collections import deque
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
 from ..swsynth import ALoopInit, GStatusReady, TaskFsm
 from .channels import ChannelRt
-from .interp import FsmRunner, SimError, behavior_coroutine
+from .interp import FsmRunner, SimError, behavior_coroutine, hw_step
 from .trace import Stimulus, Trace
-
-
-BUS_LATENCY = 2  # cycles per micro-level bus transaction
 
 
 def _listen(unit, channels) -> None:
@@ -74,43 +74,20 @@ class _MicroTask:
     and its wake state.
 
     ``ports`` maps each port to (channel, consumer key), the key None for
-    an output.  ``idle`` holds the cycles and bus transactions its last
-    failed step charged, which the engine charges again for every round
-    it sleeps.
+    an output.  The runner charges its bus transactions to the engine.
+    ``idle`` holds the cycles and bus transactions its last failed step
+    charged, which the engine charges again for every round it sleeps.
     """
 
     def __init__(self, name: str, fsm: TaskFsm, cost: int, engine):
         self.name = name
-        self.engine = engine
         self.cost = cost
         cons, prod = engine.bind(name, fsm)
         self.ports = {**cons, **{p: (ch, None) for p, ch in prod.items()}}
-        self.runner = FsmRunner(fsm, self)
+        self.runner = FsmRunner(fsm, cons, prod, engine)
         self.awake = True
         self.idle = (0, 0)
         _listen(self, [ch for ch, _ in self.ports.values()])
-
-    def _charge(self):
-        self.engine.cycle += BUS_LATENCY
-        self.engine.bus_transactions += 1
-
-    def poll_status(self, port: str, addr: int) -> int:
-        self._charge()
-        ch, key = self.ports[port]
-        return ch.status(key)
-
-    def read_data(self, port: str, addr: int, ctrl: str) -> int:
-        self._charge()
-        if ctrl != "pop":
-            raise SimError(f"{self.name}.{port}: bus read with ctrl {ctrl!r}")
-        ch, key = self.ports[port]
-        return ch.pop(key)
-
-    def write_data(self, port: str, addr: int, value: int, ctrl: str) -> None:
-        self._charge()
-        if ctrl != "push":
-            raise SimError(f"{self.name}.{port}: bus write with ctrl {ctrl!r}")
-        self.ports[port][0].push(value)
 
     def waits(self) -> list[tuple]:
         """(port, channel, consumer key) of each status poll out of the
@@ -134,7 +111,8 @@ class _MicroHwUnit:
     A controller is a node with k=0: its outputs belong to the sample it
     just consumed.  ``cons`` maps each input on a channel to (channel,
     consumer key) and ``prod`` each output on a channel to the channel;
-    the hardware model reads an input on none as 0.
+    the hardware model reads an input on none as 0.  ``step`` is
+    generated once (``interp.hw_step``) and moves its samples inline.
     """
 
     def __init__(self, name: str, impl: HwImpl, cons: dict, prod: dict):
@@ -152,18 +130,7 @@ class _MicroHwUnit:
         # one flag per in-flight pipeline slot: True = real input sample,
         # False = reset contents or flush padding
         self.in_flight = deque([False] * self.k)
-
-    def _can_emit(self) -> bool:
-        for ch in self.prod.values():
-            if not ch.can_push():
-                return False
-        return True
-
-    def _io_ready(self) -> bool:
-        for ch, key in self.cons.values():
-            if not ch.can_pop(key):
-                return False
-        return self._can_emit()
+        self.step = hw_step(self, cons, prod)
 
     def waits(self) -> list[tuple]:
         """(port, channel, consumer key) of each empty input and full
@@ -172,20 +139,14 @@ class _MicroHwUnit:
                 if not ch.can_pop(key)] + \
             [(p, ch, None) for p, ch in self.prod.items() if not ch.can_push()]
 
-    def step(self, pad: bool = False) -> bool:
-        """Consume one sample per input, or with pad=True advance on zero
-        inputs to flush a pipeline slot that still holds a real sample."""
-        if pad:
-            if not any(self.in_flight) or not self._can_emit():
-                return False
-            ins = {}
-        elif self._io_ready():
-            ins = {p: ch.pop(key) for p, (ch, key) in self.cons.items()}
-            self.consumed += 1
-        else:
+    def pad(self) -> bool:
+        """Advance on zero inputs to flush a pipeline slot that still
+        holds a real sample."""
+        if not any(self.in_flight) or \
+                not all(ch.can_push() for ch in self.prod.values()):
             return False
-        outs = self.advance(ins)
-        self.in_flight.append(not pad)
+        outs = self.advance({})
+        self.in_flight.append(False)
         if self.in_flight.popleft():
             for p, ch in self.prod.items():
                 ch.push(outs[p])
@@ -281,7 +242,7 @@ class Engine:
                     hw.awake = False
         if self.drain:
             for hw in self.hw_units:
-                if hw.consumed >= self.ticks and hw.step(pad=True):
+                if hw.consumed >= self.ticks and hw.pad():
                     self.events += 1
         for m in self.macro_units:
             if next(m):

@@ -1,11 +1,17 @@
-"""Executors for unit behaviors and task FSMs.
+"""Executors for unit behaviors, task FSMs and hardware node steps.
 
-A macro unit runs its behavior body as a generator holding its ports'
-queues, which yields only when it blocks or ends a body iteration and
-calls a channel only on a blocked test or a send to several consumers;
-the micro interpreter steps a lowered FSM one transition at a time under
-the round-robin scheduler, charging bus cycles for every transaction
-including failed status polls.
+Every unit touches its ports' queues inline.  A macro unit runs its
+behavior body as a generator, which yields only when it blocks or ends a
+body iteration; a task FSM steps one transition at a time under the
+round-robin scheduler, and at the micro level charges bus cycles for
+every transaction, failed status polls included; a hardware node's
+``hw_step`` moves one sample per port around its cycle model.  All test
+and move a port alike (``_port_names``, ``_ready_src``, ``_move_src``):
+an input tests ``qN or can_popN(keyN)`` and pops its queue, an output
+to one consumer tests ``len(fN) < dN or can_pushN()`` and appends to
+its queue, and each counts the transfer and wakes the channel's wake
+list; a channel method is called only when a test fails or for a push
+to several consumers.
 
 ``behavior_coroutine`` emits each body once as the source of one
 generator function, compiled through ``sweep.exec_generated`` (equal
@@ -17,13 +23,14 @@ integers, ``repr`` strings and names the generator makes up.
 
 The FSM runner is generated the same way, one function per FSM state:
 the function tests the state's transitions in order, each guard chain
-one ``and`` expression, so a poll runs, and is charged, exactly when the
-chain reaches it; the first transition whose guards hold runs its
-actions as straight-line code and returns the next state, and None says
-no transition fired.  Every name, address, count, block parameter and
-state cell from the model is a parameter of the text, so FSM states of
-the same shape share one compiled text.  Both executors, and the block
-sweep, write a block through ``block_src``, the one definition of it.
+nested ``if``s with a status poll charged just before its test, so a
+poll runs, and is charged, exactly when the chain reaches it; the first
+transition whose guards hold runs its actions as straight-line code and
+returns the next state, and None says no transition fired.  Every name,
+address, count, block parameter, state cell and port binding from the
+model is a parameter of the text, so FSM states of the same shape share
+one compiled text.  Both executors, and the block sweep, write a block
+through ``block_src``, the one definition of it.
 """
 
 from __future__ import annotations
@@ -31,10 +38,12 @@ from __future__ import annotations
 from ..gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, Loop, \
     Recv, Send, TaskBehavior
 from ..model.blocks import block_src
-from ..swsynth import AAssign, ABusRead, ABusWrite, ACall, AIf, ALoopInit, \
-    ALoopStep, ARecv, ASend, GCanRecv, GCanSend, GLoopDone, GLoopNotDone, \
-    GStatusReady, GTrue, TaskFsm
+from ..swsynth import STATUS_NOT_EMPTY, STATUS_NOT_FULL, AAssign, ABusRead, \
+    ABusWrite, ACall, AIf, ALoopInit, ALoopStep, ARecv, ASend, GCanRecv, \
+    GCanSend, GLoopDone, GLoopNotDone, GStatusReady, GTrue, TaskFsm
 from .sweep import exec_generated
+
+BUS_LATENCY = 2  # cycles per micro-level bus transaction
 
 
 class SimError(Exception):
@@ -51,12 +60,49 @@ def _call_src(c: Call, var, cells, name) -> list[str]:
     return {DELAY_EMIT: lines[:1], DELAY_PUSH: lines[1:]}.get(c.name, lines)
 
 
+def _port_names(j: int, ch, key=None, inline: bool = True) -> dict:
+    """The names generated code binds for port ``j`` on channel ``ch``: an
+    input (given its consumer ``key``) its queue ``qN``; an output, if
+    ``inline`` and ``ch`` has one consumer, that queue ``fN`` and the depth
+    ``dN``, else ``pushN``; a port moved inline also its channel ``cN``
+    and wake list ``wN``."""
+    if key is not None:
+        return {f"q{j}": ch.queues[key], f"can_pop{j}": ch.can_pop,
+                f"key{j}": key, f"c{j}": ch, f"w{j}": ch.wake}
+    return {f"can_push{j}": ch.can_push} | ({
+        f"f{j}": ch.fifos[0], f"d{j}": ch.depth, f"c{j}": ch,
+        f"w{j}": ch.wake} if inline and len(ch.fifos) == 1 else
+        {f"push{j}": ch.push})
+
+
+def _ready_src(j: int, names: dict) -> str:
+    """The test that port ``j`` can move a sample without blocking."""
+    if f"q{j}" in names:
+        return f"q{j} or can_pop{j}(key{j})"
+    if f"f{j}" in names:
+        return f"len(f{j}) < d{j} or can_push{j}()"
+    return f"can_push{j}()"
+
+
+def _move_src(j: int, names: dict, v: str) -> list[str]:
+    """The lines popping port ``j`` into ``v``, or pushing ``v`` to it,
+    once its ``_ready_src`` test held."""
+    if f"q{j}" in names:
+        op, count = f"{v} = q{j}.popleft()", "popped"
+    elif f"f{j}" in names:
+        op, count = f"f{j}.append({v})", "pushed"
+    else:
+        return [f"push{j}({v})"]
+    return [op, f"c{j}.{count} += 1", f"if w{j}:",
+            f"    for u in w{j}: u.awake = True"]
+
+
 class _BodyGen:
     """Emits a behavior body as the source of one generator function.
 
     Behavior variables become locals ``v0, v1, ...``; block parameters,
-    loop counts, block state cells and ``chans`` are parameters; ``chans``
-    has a queue ``fN`` only for an output whose channel has one consumer.
+    loop counts, block state cells and ``chans``, the ``_port_names`` of
+    the inputs and then the outputs, are parameters.
     """
 
     def __init__(self, b: TaskBehavior, chans: dict):
@@ -68,8 +114,8 @@ class _BodyGen:
                       for key, init in b.states.items()}
         self.loops = 0
         self.lines: list[str] = []
-        self.ins = {p: i for i, p in enumerate(b.in_ports)}
-        self.outs = {p: i for i, p in enumerate(b.out_ports)}
+        self.ins = {p: j for j, p in enumerate(b.in_ports)}
+        self.outs = {p: j for j, p in enumerate(b.out_ports, len(self.ins))}
 
     def var(self, name: str) -> str:
         return self.vars.setdefault(name, f"v{len(self.vars)}")
@@ -87,17 +133,9 @@ class _BodyGen:
 
     def stmt(self, s, ind: str) -> None:
         emit = self.lines.append
-        if isinstance(s, Recv):
-            i = self.ins[s.port]
-            self.io(f"q{i} or can_pop{i}(key{i})", ind,
-                    f"{self.var(s.var)} = q{i}.popleft()", f"i{i}", "popped")
-        elif isinstance(s, Send):
-            i, v = self.outs[s.port], self.var(s.var)
-            if f"f{i}" in self.chans:
-                self.io(f"len(f{i}) < d{i} or can_push{i}()", ind,
-                        f"f{i}.append({v})", f"o{i}", "pushed")
-            else:
-                self.io(f"can_push{i}()", ind, f"push{i}({v})")
+        if isinstance(s, (Recv, Send)):
+            self.io(self.ins[s.port] if isinstance(s, Recv)
+                    else self.outs[s.port], self.var(s.var), ind)
         elif isinstance(s, Call):
             self.lines += [ind + ln for ln in _call_src(
                 s, self.var, self.cells.__getitem__, self.arg)]
@@ -116,15 +154,12 @@ class _BodyGen:
         else:
             raise SimError(f"unknown statement {s!r}")
 
-    def io(self, ready: str, ind: str, op: str, ch="", count="") -> None:
-        """Run ``op`` once ``ready`` holds; given ``ch``, add 1 to ``count``
-        of channel ``c<ch>`` and wake the units on its wake list ``w<ch>``.
-        While ``ready`` fails, yield whether the unit moved since resumed."""
-        tail = [f"c{ch}.{count} += 1", f"if w{ch}:",
-                f"    for u in w{ch}: u.awake = True"] if ch else []
-        self.lines += [f"{ind}while not ({ready}):", f"{ind}    yield moved",
-                       f"{ind}    moved = False"] + \
-            [ind + ln for ln in [op, *tail, "moved = True"]]
+    def io(self, j: int, v: str, ind: str) -> None:
+        """Move port ``j`` to or from ``v`` once it is ready; while it is
+        not, yield whether the unit moved since resumed."""
+        self.lines += [f"{ind}while not ({_ready_src(j, self.chans)}):",
+                       f"{ind}    yield moved", f"{ind}    moved = False"] + \
+            [ind + ln for ln in [*_move_src(j, self.chans, v), "moved = True"]]
 
 
 def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
@@ -133,14 +168,10 @@ def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
     yields True at the end of a body iteration, or on a blocked port
     whether it moved since resumed."""
     chans = {}
-    for i, (ch, key) in enumerate(cons[p] for p in b.in_ports):
-        chans |= {f"q{i}": ch.queues[key], f"can_pop{i}": ch.can_pop,
-                  f"key{i}": key, f"ci{i}": ch, f"wi{i}": ch.wake}
-    for i, ch in enumerate(prod[p] for p in b.out_ports):
-        chans |= {f"can_push{i}": ch.can_push} | ({
-            f"f{i}": ch.fifos[0], f"d{i}": ch.depth, f"co{i}": ch,
-            f"wo{i}": ch.wake} if len(ch.fifos) == 1 else
-            {f"push{i}": ch.push})
+    for j, p in enumerate(b.in_ports):
+        chans |= _port_names(j, *cons[p])
+    for j, p in enumerate(b.out_ports, len(b.in_ports)):
+        chans |= _port_names(j, prod[p])
     gen = _BodyGen(b, chans)
     gen.body(b.body, "        ")
     src = "\n".join([f"def behavior({', '.join([*gen.args, *chans])}):",
@@ -150,27 +181,63 @@ def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
     return behavior(*gen.args.values(), *chans.values())
 
 
+def _bind_src(fn: str, names: dict, lines: list[str]):
+    """The function ``fn`` running ``lines``, generated as a closure over
+    ``names`` (name -> value); equal texts are compiled once."""
+    src = "\n".join([f"def bind({', '.join(names)}):", f"    def {fn}():"]
+                    + ["        " + ln for ln in lines]
+                    + [f"    return {fn}", ""])
+    return exec_generated(src, {})["bind"](*names.values())
+
+
+def hw_step(unit, cons: dict, prod: dict):
+    """The step of hardware node ``unit``, generated once: it consumes
+    one sample per input of ``cons``, returning False if an input is empty
+    or an output of ``prod`` full, calls ``unit.advance`` and pushes the
+    outputs of a real sample leaving ``unit.in_flight``.  Port names are
+    parameters ``kN``."""
+    n, outs = len(cons), list(prod.values())
+    chans: dict = {}
+    for j, (ch, key) in enumerate(cons.values()):
+        chans |= _port_names(j, ch, key)
+    for j, ch in enumerate(outs, n):
+        # two outputs on one channel push, so the second finds it full
+        chans |= _port_names(j, ch, inline=outs.count(ch) == 1)
+    lines = [f"if not ({_ready_src(j, chans)}): return False"
+             for j in range(n + len(outs))]
+    for j in range(n):
+        lines += _move_src(j, chans, f"x{j}")
+    lines += ["unit.consumed += 1", "outs = advance({" + "".join(
+        f"k{j}: x{j}, " for j in range(n)) + "})",
+              "in_flight.append(True)", "if in_flight.popleft():"]
+    lines += ["    " + ln for j in range(n, n + len(outs))
+              for ln in _move_src(j, chans, f"outs[k{j}]")] or ["    pass"]
+    names = {f"k{j}": p for j, p in enumerate([*cons, *prod])}
+    return _bind_src("step", {
+        "unit": unit, "advance": unit.advance, "in_flight": unit.in_flight,
+        **chans, **names}, lines + ["return True"])
+
+
 class _StateGen:
     """Emits the transitions out of one FSM state as one function.
 
     Every name, address, count, block parameter and index of a block
     state cell in ``states`` from the model becomes a parameter ``k0, k1,
-    ...`` (equal strings share one), and each ``io`` method used a local
-    of its own name, bound once; the text thus depends only on the shape
-    of the state, and equal shapes share one compiled text.
+    ...`` (equal strings share one), and each port the state uses binds
+    its ``_port_names`` in the order of first use; the text thus depends
+    only on the shape of the state, and equal shapes share one compiled
+    text.  A status poll or bus transfer first charges ``chg``.  A send
+    appends inline, since it follows its own guard in the same transition.
     """
 
-    # guard and action types -> the io method they call
-    IO_OPS = {GCanRecv: "can_recv", GCanSend: "can_send",
-              GStatusReady: "poll_status", ARecv: "recv", ASend: "send",
-              ABusRead: "read_data", ABusWrite: "write_data"}
-
-    def __init__(self, loops: dict, cells: dict):
+    def __init__(self, loops: dict, cells: dict, cons: dict, prod: dict):
         self.loops = loops
         self.cells = cells  # state key -> indices of its cells in states
+        self.cons, self.prod = cons, prod
         self.values: list = []
         self.names: dict[str, str] = {}
-        self.ops: dict[str, None] = {}  # io methods used, in order
+        self.ports: dict[tuple, int] = {}  # (port, is output) -> index
+        self.chans: dict = {}  # _port_names of every port used
         self.lines: list[str] = []
 
     def key(self, value) -> str:
@@ -189,17 +256,28 @@ class _StateGen:
         self.loops.setdefault(loop_id, 0)
         return f"loops[{self.key(loop_id)}]"
 
-    def op(self, x) -> str:
-        method = self.IO_OPS[type(x)]
-        self.ops[method] = None
-        return method
+    def port(self, port: str, out: bool) -> int:
+        if (port, out) not in self.ports:
+            j = self.ports[(port, out)] = len(self.ports)
+            self.chans |= _port_names(j, self.prod[port]) if out \
+                else _port_names(j, *self.cons[port])
+        return self.ports[(port, out)]
 
-    def guard(self, g) -> str:
-        if isinstance(g, (GCanRecv, GCanSend)):
-            return f"{self.op(g)}({self.key(g.port)})"
+    def charge(self, ind: str) -> None:
+        self.lines += [f"{ind}chg.cycle += {BUS_LATENCY}",
+                       f"{ind}chg.bus_transactions += 1"]
+
+    def guard(self, g, ind: str) -> str:
+        """The test of ``g``, after the lines charging a status poll."""
         if isinstance(g, GStatusReady):
-            return (f"{self.op(g)}({self.key(g.port)}, {self.key(g.addr)})"
-                    f" & {self.key(g.bit)}")
+            if g.bit not in (STATUS_NOT_EMPTY, STATUS_NOT_FULL):
+                raise SimError(f"{g.port}: status poll of bit {g.bit}")
+            self.charge(ind)
+            return _ready_src(self.port(g.port, g.bit == STATUS_NOT_FULL),
+                             self.chans)
+        if isinstance(g, (GCanRecv, GCanSend)):
+            return _ready_src(self.port(g.port, isinstance(g, GCanSend)),
+                             self.chans)
         if isinstance(g, GLoopNotDone):
             return f"{self.loop(g.loop_id)} > 0"
         if isinstance(g, GLoopDone):
@@ -219,67 +297,59 @@ class _StateGen:
                 self.lines += [ind + ln for ln in _call_src(
                     a.call, self.var, self.state, self.key)]
             else:
-                self.lines.append(ind + self.action(a))
+                self.lines += [ind + ln for ln in self.action(a, ind)]
 
     def state(self, key: str) -> list:
         return [f"states[{self.key(i)}]" for i in self.cells[key]]
 
-    def action(self, a) -> str:
-        if isinstance(a, ARecv):
-            return f"{self.var(a.var)} = {self.op(a)}({self.key(a.port)})"
-        if isinstance(a, ASend):
-            return f"{self.op(a)}({self.key(a.port)}, {self.var(a.var)})"
-        if isinstance(a, ABusRead):
-            return (f"{self.var(a.var)} = {self.op(a)}({self.key(a.port)}, "
-                    f"{self.key(a.addr)}, {self.key(a.ctrl)})")
-        if isinstance(a, ABusWrite):
-            return (f"{self.op(a)}({self.key(a.port)}, {self.key(a.addr)}, "
-                    f"{self.var(a.var)}, {self.key(a.ctrl)})")
+    def action(self, a, ind: str) -> list[str]:
+        if isinstance(a, (ABusRead, ABusWrite)):
+            if a.ctrl != ("pop" if isinstance(a, ABusRead) else "push"):
+                raise SimError(f"{a.port}: bus transfer with ctrl {a.ctrl!r}")
+            self.charge(ind)
+        if isinstance(a, (ARecv, ABusRead, ASend, ABusWrite)):
+            out = isinstance(a, (ASend, ABusWrite))
+            return _move_src(self.port(a.port, out), self.chans,
+                            self.var(a.var))
         if isinstance(a, AAssign):
             src = self.key(a.src) if isinstance(a.src, int) \
                 else self.var(a.src)
-            return f"{self.var(a.var)} = {src}"
+            return [f"{self.var(a.var)} = {src}"]
         if isinstance(a, ALoopInit):
-            return f"{self.loop(a.loop_id)} = {self.key(a.count)}"
+            return [f"{self.loop(a.loop_id)} = {self.key(a.count)}"]
         if isinstance(a, ALoopStep):
-            return f"{self.loop(a.loop_id)} -= 1"
+            return [f"{self.loop(a.loop_id)} -= 1"]
         raise SimError(f"unknown action {a!r}")
 
-    def build(self, transitions, io, env: dict, states: list):
+    def build(self, transitions, charge, env: dict, states: list):
         """Bind the function running the first transition whose guards
         hold and returning its next state, or None if none holds."""
         for t in transitions:
-            guards = [self.guard(g) for g in t.guards
-                      if not isinstance(g, GTrue)]
-            ind = "        "
-            if guards:
-                self.lines.append(f"{ind}if {' and '.join(guards)}:")
-                ind += "    "
+            ind = ""
+            for g in t.guards:
+                if not isinstance(g, GTrue):
+                    self.lines.append(f"{ind}if {self.guard(g, ind)}:")
+                    ind += "    "
             self.actions(t.actions, ind)
             self.lines.append(f"{ind}return {self.key(t.next)}")
-        params = ["io", "env", "states", "loops"] + \
-            [f"k{i}" for i in range(len(self.values))]
-        src = "\n".join(
-            [f"def bind({', '.join(params)}):"] +
-            [f"    {method} = io.{method}" for method in self.ops] +
-            ["    def state():"] + self.lines +
-            ["        return None", "    return state", ""])
-        return exec_generated(src, {})["bind"](
-            io, env, states, self.loops, *self.values)
+        return _bind_src("state", {
+            "chg": charge, "env": env, "states": states, "loops": self.loops,
+            **self.chans, **{f"k{i}": v for i, v in enumerate(self.values)}},
+            self.lines + ["return None"])
 
 
 class FsmRunner:
     """One task FSM plus its mutable execution state.
 
-    io binds the task's ports: can_recv/recv/can_send/send at the macro
-    level, plus poll_status/read_data/write_data bus operations (each
-    charging bus cycles through io) at the micro level.  ``run`` maps each
-    state to its generated function; a transition fires when its guards
-    hold, tested in order up to the first that fails, so every failed
-    status poll is still a bus transaction.
+    ``cons`` maps each input port to (channel, consumer key) and ``prod``
+    each output port to its channel.  ``run`` maps each state to its
+    generated function; a transition fires when its guards hold, tested
+    in order up to the first that fails.  At the micro level every status
+    poll and bus transfer adds ``BUS_LATENCY`` to ``charge.cycle`` and 1
+    to ``charge.bus_transactions``, so a failed poll is still charged.
     """
 
-    def __init__(self, fsm: TaskFsm, io):
+    def __init__(self, fsm: TaskFsm, cons: dict, prod: dict, charge=None):
         self.fsm = fsm
         self.state = fsm.initial
         env: dict = {}
@@ -291,8 +361,8 @@ class FsmRunner:
         out: dict[int, list] = {s: [] for s in fsm.states}
         for t in fsm.transitions:
             out.setdefault(t.state, []).append(t)
-        self.run = {s: _StateGen(loops, cells).build(ts, io, env, states)
-                    for s, ts in out.items()}
+        self.run = {s: _StateGen(loops, cells, cons, prod).build(
+            ts, charge, env, states) for s, ts in out.items()}
 
     def step(self) -> bool:
         """Attempt one transition; True if one fired."""

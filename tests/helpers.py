@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+from types import SimpleNamespace
 
 from fdmflow.gma.netlist import ColifNetlist, Module, Net, Port
 from fdmflow.model.blocks import USER_FUNCTIONS, wrap32
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
+from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.interp import FsmRunner, SimError
 from fdmflow.sim.trace import Stimulus, Trace
 from fdmflow.swsynth import ADDR_BASE, ADDR_STRIDE, AddrEntry, AddressMap, \
     TaskFsm
+from fdmflow.tlm import ChannelSpec, PortRef
 
 UNARY_FNS = ["inc", "dbl", "huff", "clip"]
 
@@ -156,6 +158,70 @@ model pipedelay {
   }
   link self.x -> SW_cpu.a; link SW_cpu.out -> HW_q.in;
   link HW_q.out -> self.w;
+}
+"""
+
+# A pipelined IP (quant, latency 1) on a loop closed by a delay inside a
+# HW node: its output pipeline would lengthen the loop's lag, so the node
+# runs as the FSM controller, which runs the loop at zero latency.
+ACCLOOP_FDM = """
+model accloop {
+  input x; output y;
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block g : gain(2);
+      link self.a -> g.in; link g.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  subsystem HW_acc {
+    input in; output out;
+    block add : add; block quant : quant(1); block delay : delay(1);
+    link self.in -> add.in1; link add.out -> quant.in;
+    link quant.out -> delay.in; link delay.out -> add.in2;
+    link quant.out -> self.out;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> HW_acc.in;
+  link HW_acc.out -> self.y;
+}
+"""
+
+# Micro units sending to several readers: TASK_a feeds HW_p and HW_q, and
+# HW_p feeds the output y and TASK_b.
+FANOUT_FDM = """
+model fanout {
+  input x; output y; output z; output w;
+  subsystem SW_cpu {
+    input a; input b; output o1; output o2;
+    subsystem TASK_a {
+      input a; output out;
+      block g : gain(3);
+      link self.a -> g.in; link g.out -> self.out;
+    }
+    subsystem TASK_b {
+      input b; output out;
+      block i : user(inc);
+      link self.b -> i.in; link i.out -> self.out;
+    }
+    link self.a -> TASK_a.a; link TASK_a.out -> self.o1;
+    link self.b -> TASK_b.b; link TASK_b.out -> self.o2;
+  }
+  subsystem HW_p {
+    input in; output out;
+    block f : fir(1, 2);
+    link self.in -> f.in; link f.out -> self.out;
+  }
+  subsystem HW_q {
+    input in; output out;
+    block q : quant(3);
+    link self.in -> q.in; link q.out -> self.out;
+  }
+  link self.x -> SW_cpu.a;
+  link SW_cpu.o1 -> HW_p.in; link SW_cpu.o1 -> HW_q.in;
+  link HW_p.out -> self.y; link HW_p.out -> SW_cpu.b;
+  link SW_cpu.o2 -> self.z; link HW_q.out -> self.w;
 }
 """
 
@@ -532,39 +598,33 @@ def hw_stream(step, stim: Stimulus, n: int) -> Trace:
     return tr
 
 
-class QueueIO:
-    """FSM port bindings over plain queues; outputs are unbounded."""
+def channel(port: str, reader: str, values=(), depth: int = 1 << 20):
+    """A channel from ``w.port`` to ``reader.port`` already holding
+    ``values``; the default depth never fills in a test."""
+    ch = ChannelRt(ChannelSpec(port, "point_to_point", [PortRef("w", port)],
+                               [PortRef(reader, port)], depth))
+    for v in values:
+        ch.push(v)
+    return ch
 
-    def __init__(self, inputs: dict, out_ports):
-        self.inq = {p: deque(vs) for p, vs in inputs.items()}
-        self.outq = {p: [] for p in out_ports}
 
-    def can_recv(self, port: str) -> bool:
-        return bool(self.inq.get(port))
+def bind_queues(unit, inputs: dict) -> tuple[dict, dict]:
+    """Channel bindings (cons, prod) of the ports of ``unit``, a behavior
+    or FSM: each input holds its values in ``inputs`` (none if absent),
+    and each output is read by ``r`` (see ``sent``)."""
+    return ({p: (channel(p, "t", inputs.get(p, ())), ("t", p))
+             for p in unit.in_ports},
+            {p: channel(p, "r") for p in unit.out_ports})
 
-    def recv(self, port: str) -> int:
-        return self.inq[port].popleft()
 
-    def can_send(self, port: str) -> bool:
-        return True
+def sent(prod: dict) -> dict:
+    """The values sent on each output bound by ``bind_queues``."""
+    return {p: list(ch.queues[("r", p)]) for p, ch in prod.items()}
 
-    def send(self, port: str, value: int) -> None:
-        self.outq[port].append(value)
 
-    # micro level: same queues behind a register interface
-    def poll_status(self, port: str, addr: int) -> int:
-        bits = 2  # output space never runs out here
-        if self.can_recv(port):
-            bits |= 1
-        return bits
-
-    def read_data(self, port: str, addr: int, ctrl: str) -> int:
-        assert ctrl == "pop"
-        return self.recv(port)
-
-    def write_data(self, port: str, addr: int, value: int, ctrl: str) -> None:
-        assert ctrl == "push"
-        self.send(port, value)
+def bus_counter() -> SimpleNamespace:
+    """A charge target for a micro FSM run alone."""
+    return SimpleNamespace(cycle=0, bus_transactions=0)
 
 
 def standalone_address_map(fsm: TaskFsm, unit_path: str) -> AddressMap:
@@ -580,11 +640,11 @@ def standalone_address_map(fsm: TaskFsm, unit_path: str) -> AddressMap:
 def run_task(fsm: TaskFsm, inputs: dict, max_steps: int = 1_000_000) -> dict:
     """Step one task FSM, at either API level, until it blocks on exhausted
     inputs; returns its outputs."""
-    io = QueueIO(inputs, fsm.out_ports)
-    runner = FsmRunner(fsm, io)
+    cons, prod = bind_queues(fsm, inputs)
+    runner = FsmRunner(fsm, cons, prod, bus_counter())
     steps = 0
     while runner.step():
         steps += 1
         if steps > max_steps:
             raise SimError("task did not quiesce; body without channel reads?")
-    return {p: list(vs) for p, vs in io.outq.items()}
+    return sent(prod)

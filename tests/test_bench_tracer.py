@@ -42,11 +42,16 @@ def test_traced_flow(tmp_path):
     assert stats["calls"][("flow", "flow.run_flow")] == 1
     # the sims call the patched entry points, so their counts are real
     assert stats["calls"][("sim0", "level0.tick")] == 64
-    assert stats["calls"][("sim3", "hwsynth.rtl_step")] > 0
     assert stats["count"][("sim3", "engine.rounds")] > 0
-    # pushes, pops and failed can_push / can_pop tests: a behavior that
-    # tests a queue inline still calls the method whenever it blocks
-    for level, want in ((1, (512, 512, 0, 80)), (3, (512, 512, 492, 561))):
+    # generated FSM states and hardware steps still go through the patched
+    # FsmRunner.step, RtlCycleSim.step and ControllerSim.fire
+    assert tuple(stats["calls"][("sim3", name)] for name in (
+        "interp.fsm_step", "hwsynth.rtl_step", "hwsynth.ctrl_fire")) == \
+        (576, 67, 64)
+    # pushes, pops and failed can_push / can_pop tests: a unit that tests
+    # a queue inline still calls the method whenever it blocks; a status
+    # poll tests only its own side of the channel
+    for level, want in ((1, (512, 512, 0, 80)), (3, (512, 512, 300, 561))):
         assert tuple(stats["count"][(f"sim{level}", f"channels.{name}")]
                      for name in ("pushes", "pops", "push_blocked",
                                   "pop_blocked")) == want, level

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.resources as ir
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -83,6 +86,14 @@ model undriven {
 class TestCheck:
     def test_clean_model(self, mini_path, capsys):
         assert main(["check", "--model", mini_path]) == 0
+
+    def test_python_m_entry(self, mini_path):
+        """``python -m fdmflow`` runs the same command line."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        r = subprocess.run([sys.executable, "-m", "fdmflow", "check",
+                            "--model", mini_path], capture_output=True,
+                           text=True, env=env)
+        assert (r.returncode, r.stderr) == (0, "")
 
     def test_algebraic_loop(self, loopy_path, capsys):
         assert main(["check", "--model", loopy_path]) == 1

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fdmflow.hwsynth import Controller, ControllerSim, HwSynthError, \
-    RtlCycleSim, all_pipelined, delay_correct, emit_rtl_text, fsm_controller, \
-    library_entry, map_rtl_library
+    RtlCycleSim, delay_correct, emit_rtl_text, fsm_controller, library_entry, \
+    map_rtl_library, pipelineable
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.sim.level0 import simulate_level0
 from fdmflow.sim.trace import Stimulus
@@ -88,7 +88,7 @@ class TestMapRtlLibrary:
         sub = _chain("HW_u", [("mystery", "user", ("huff",))])
         g = map_rtl_library(sub, costs={"mystery": 5})
         assert g.nodes["mystery"].latency == 5
-        assert not all_pipelined(g)
+        assert not pipelineable(g)
 
 
 def _diamond():

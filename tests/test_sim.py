@@ -22,9 +22,9 @@ from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
     validate_partition
 
-from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, OUTLINK_FDM, \
-    PIPEDELAY_FDM, QueueIO, add_loose_ports, rand_loopy_model, \
-    rand_partitioned_model, standalone_address_map
+from helpers import ACCLOOP_FDM, FANOUT_FDM, FEEDBACK_FDM, LOOSE_FDM, \
+    MIX2_FDM, OUTLINK_FDM, PIPEDELAY_FDM, add_loose_ports, bind_queues, bus_counter, \
+    rand_loopy_model, rand_partitioned_model, sent, standalone_address_map
 
 
 def mini_model():
@@ -112,14 +112,6 @@ class TestChannelRt:
             ch.push(6)
 
 
-class _PollCountingIO(QueueIO):
-    polls = 0
-
-    def poll_status(self, port, addr):
-        self.polls += 1
-        return super().poll_status(port, addr)
-
-
 class TestInterpreters:
     # shapes no generated mini_codec behavior holds: a loop whose body
     # receives, an if, a delay emit/push pair and a two-output call
@@ -142,27 +134,24 @@ class TestInterpreters:
     def _coroutine_outputs(self):
         """Run the behavior bound to channels that hold all its input and
         have room for all its output, until a step moves nothing."""
-        def channel(port, reader):
-            return ChannelRt(ChannelSpec(port, "point_to_point",
-                                         [PortRef("w", port)],
-                                         [PortRef(reader, port)], 100))
-        cons = {}
-        for p, vals in self.INPUTS.items():
-            cons[p] = (channel(p, "t"), ("t", p))
-            for v in vals:
-                cons[p][0].push(v)
-        prod = {p: channel(p, "r") for p in self.SHAPES.out_ports}
+        cons, prod = bind_queues(self.SHAPES, self.INPUTS)
         gen = behavior_coroutine(self.SHAPES, cons, prod)
         while next(gen):
             pass
-        return {p: list(ch.queues[("r", p)]) for p, ch in prod.items()}
+        return sent(prod)
 
     def _fsm_outputs(self, fsm, inputs=INPUTS):
-        io = _PollCountingIO(inputs, fsm.out_ports)
-        runner = FsmRunner(fsm, io)
+        """The outputs and the status polls: the bus transactions that
+        moved no sample (a macro FSM makes none)."""
+        cons, prod = bind_queues(fsm, inputs)
+        bus = bus_counter()
+        runner = FsmRunner(fsm, cons, prod, bus)
         while runner.step():
             pass
-        return io.outq, io.polls
+        moved = sum(ch.popped for ch, _ in cons.values()) + \
+            sum(ch.pushed for ch in prod.values())
+        micro = fsm.api_level == "micro"
+        return sent(prod), bus.bus_transactions - micro * moved
 
     def test_three_interpreters_agree(self):
         assert self._coroutine_outputs() == self.EXPECTED
@@ -427,6 +416,22 @@ class TestLevels:
         for levels, want in self.MIXED_COUNTS.items():
             assignment = dict(zip(("SW_cpu", "HW_filter", "HW_post"), levels))
             assert self._counts(cd, assignment, stim, ticks) == want, levels
+
+    def test_fanout_from_micro_units(self):
+        """A level-3 task and HW node each push to a channel with several
+        readers; (rounds, events, cycles, bus transactions) are pinned."""
+        cd = compile_design(parse_model(FANOUT_FDM))
+        fanout = {str(ch.producers[0]) for ch in cd.tlm.channels
+                  if len(ch.consumers) > 1}
+        assert fanout == {"SW_cpu/TASK_a.out", "HW_p.out"}
+        ticks = 50
+        stim = default_stimulus(cd.model, ticks, seed=9)
+        t0 = _agree_with_level0(cd, stim, ticks,
+                                {"SW_cpu": 3, "HW_p": 3, "HW_q": 2})
+        y = t0.values("y")
+        assert t0.values("z") == [wrap32(v + 1) for v in y] and any(y)
+        assert self._counts(cd, dict.fromkeys(cd.tlm.nodes, 3), stim,
+                            ticks) == (108, 503, 1032, 416)
 
     @pytest.mark.parametrize("kind", ["partitioned", "loopy"])
     def test_pinned_random_level3_counts(self, kind):
@@ -732,6 +737,19 @@ class TestHwDelay:
         q = [abs(v) // 3 * (3 if v >= 0 else -3)
              for v in (wrap32(2 * x) for x in stim.values["x"])]
         assert t0.values("w") == [0] + q[:-1]
+
+    def test_pipelined_ip_on_delay_loop(self):
+        """An IP with latency on a loop closed by a delay sends the node to
+        the FSM controller, so the accumulator keeps its one-sample lag."""
+        cd = compile_design(parse_model(ACCLOOP_FDM))
+        assert cd.hw_impl["HW_acc"].kind == "controller"
+        ticks = 50
+        stim = default_stimulus(cd.model, ticks, seed=5)
+        t0 = _agree_with_level0(cd, stim, ticks, {"SW_cpu": 2, "HW_acc": 3})
+        acc = [0]
+        for x in stim.values["x"]:
+            acc.append(wrap32(wrap32(2 * x) + acc[-1]))
+        assert t0.values("y") == acc[1:]
 
 
 class TestMixed:

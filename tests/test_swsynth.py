@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 
@@ -13,8 +12,8 @@ from fdmflow.swsynth import ABusRead, ABusWrite, ARecv, ASend, GCanRecv, \
     allocate_address_map, build_task_fsm, check_fsm, format_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import QueueIO, rand_task_subsystem, run_task, \
-    standalone_address_map
+from helpers import bind_queues, channel, rand_task_subsystem, run_task, \
+    sent, standalone_address_map
 
 import importlib.resources as ir
 
@@ -58,12 +57,12 @@ class TestBuildTaskFsm:
                                      ("x",), ("x",))], "i0"),
                        Send("out", "x")])
         f = build_task_fsm(b)
-        io = QueueIO({"in": [10]}, ("out",))
-        r = FsmRunner(f, io)
+        cons, prod = bind_queues(f, {"in": [10]})
+        r = FsmRunner(f, cons, prod)
         steps = 0
         while r.step():
             steps += 1
-        assert io.outq["out"] == [14]
+        assert sent(prod)["out"] == [14]
         # recv + 4 iterations + exit + send(+wrap) bounds below
         assert steps >= 6
 
@@ -105,7 +104,7 @@ class TestMergeSchedule:
                        0, (), (), {})
 
     def test_round_robin_order(self):
-        runners = [FsmRunner(self._selfloop_fsm(n), QueueIO({}, ()))
+        runners = [FsmRunner(self._selfloop_fsm(n), {}, {})
                    for n in ("A", "B")]
         order = []
         for _ in range(3):
@@ -119,44 +118,14 @@ class TestMergeSchedule:
                           [Transition(0, (GCanRecv("in"),),
                                       (ARecv("in", "x"),), 0)],
                           0, ("in",), (), {})
-        runners = [FsmRunner(blocked, QueueIO({"in": []}, ())),
-                   FsmRunner(self._selfloop_fsm("B"), QueueIO({}, ()))]
+        runners = [FsmRunner(blocked, *bind_queues(blocked, {})),
+                   FsmRunner(self._selfloop_fsm("B"), {}, {})]
         fired = [0, 0]
         for _ in range(5):
             for i, r in enumerate(runners):
                 if r.step():
                     fired[i] += 1
         assert fired == [0, 5]
-
-
-class _DepthOneIO:
-    """Two tasks over one depth-1 FIFO; producer side also has a source."""
-
-    def __init__(self, source):
-        self.source = deque(source)
-        self.fifo = deque()
-        self.got = []
-        self.log = []
-
-    def can_recv(self, port):
-        return bool(self.source) if port == "src" else bool(self.fifo)
-
-    def recv(self, port):
-        if port == "src":
-            return self.source.popleft()
-        v = self.fifo.popleft()
-        self.got.append(v)
-        self.log.append(("pop", v))
-        return v
-
-    def can_send(self, port):
-        return True if port == "res" else len(self.fifo) < 1
-
-    def send(self, port, value):
-        if port == "res":
-            return
-        self.fifo.append(value)
-        self.log.append(("push", value))
 
 
 class TestProducerConsumer:
@@ -167,13 +136,23 @@ class TestProducerConsumer:
         cons = build_task_fsm(_behavior(
             [Recv("ch", "x"), Send("res", "x")],
             in_ports=("ch",), out_ports=("res",)))
-        io = _DepthOneIO([1, 2, 3, 4, 5])
-        rp, rc = FsmRunner(prod, io), FsmRunner(cons, io)
-        while rp.step() | rc.step():
+        # two tasks over one depth-1 FIFO; the producer reads a source
+        fifo, res = channel("ch", "c", depth=1), channel("res", "r")
+        rp = FsmRunner(prod, {"src": (channel("src", "p", [1, 2, 3, 4, 5]),
+                                      ("p", "src"))}, {"ch": fifo})
+        rc = FsmRunner(cons, {"ch": (fifo, ("c", "ch"))}, {"res": res})
+        kinds = []
+
+        def step(runner, kind, count):
+            before = count()
+            fired = runner.step()
+            kinds.extend([kind] * (count() - before))
+            return fired
+        while step(rp, "push", lambda: fifo.pushed) | \
+                step(rc, "pop", lambda: fifo.popped):
             pass
-        assert io.got == [1, 2, 3, 4, 5]
+        assert sent({"res": res})["res"] == [1, 2, 3, 4, 5]
         # strict push/pop alternation on a depth-1 queue
-        kinds = [k for k, _ in io.log]
         assert kinds == ["push", "pop"] * 5
 
     def test_dls_fairness(self):
@@ -185,13 +164,13 @@ class TestProducerConsumer:
                   "i0")], in_ports=(), out_ports=()))
         b = build_task_fsm(_behavior(
             [Recv("in", "x"), Send("out", "x")]))
-        ra = FsmRunner(a, QueueIO({}, ()))
-        iob = QueueIO({"in": list(range(10))}, ("out",))
-        rb = FsmRunner(b, iob)
+        ra = FsmRunner(a, {}, {})
+        cons, prod = bind_queues(b, {"in": list(range(10))})
+        rb = FsmRunner(b, cons, prod)
         for _ in range(40):
             ra.step()
             rb.step()
-        assert iob.outq["out"] == list(range(10))
+        assert sent(prod)["out"] == list(range(10))
 
 
 class TestAddressMap:

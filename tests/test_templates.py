@@ -13,13 +13,11 @@ from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Call, Recv, Send, \
 from fdmflow.model.blocks import KIND_NAMES, USER_FUNCTIONS, block_fn, \
     init_state, port_names
 from fdmflow.model.parser import parse_model
-from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.interp import FsmRunner, behavior_coroutine
 from fdmflow.swsynth import build_task_fsm, lower_api
-from fdmflow.tlm import ChannelSpec, PortRef
 
-from helpers import QueueIO, rand_partitioned_model, reference_step, \
-    standalone_address_map
+from helpers import bind_queues, bus_counter, rand_partitioned_model, \
+    reference_step, sent, standalone_address_map
 
 EDGES = [0, 1, -1, 2, -2, 2**31 - 1, -2**31, 2**31, -2**31 - 1, 2**30,
          2**16 + 3]
@@ -89,35 +87,24 @@ def _behavior(kind, params) -> TaskBehavior:
                         {"b": init} if init is not None else {})
 
 
-def _channel(port, reader):
-    return ChannelRt(ChannelSpec(port, "point_to_point", [PortRef("w", port)],
-                                 [PortRef(reader, port)], 100))
-
-
 def _coroutine(b: TaskBehavior, ticks):
     """One body iteration per tick, on channels holding every input."""
-    cons = {p: (_channel(p, "t"), ("t", p)) for p in b.in_ports}
-    for xs in ticks:
-        for p, x in zip(b.in_ports, xs):
-            cons[p][0].push(x)
-    prod = {p: _channel(p, "r") for p in b.out_ports}
+    cons, prod = bind_queues(b, dict(zip(b.in_ports, zip(*ticks))))
     gen = behavior_coroutine(b, cons, prod)
     for _ in ticks:
         assert next(gen) is True
-    return list(zip(*(prod[p].queues[("r", p)] for p in b.out_ports))) \
-        or [()] * len(ticks)
+    return list(zip(*sent(prod).values())) or [()] * len(ticks)
 
 
 def _fsm(fsm, ticks):
     """Step the task FSM until it blocks on its exhausted inputs, or has
     sent every tick's outputs when it has no input."""
-    io = QueueIO(dict(zip(fsm.in_ports, zip(*ticks))), fsm.out_ports)
-    runner = FsmRunner(fsm, io)
-    while (fsm.in_ports or len(io.outq[fsm.out_ports[0]]) < len(ticks)) \
+    cons, prod = bind_queues(fsm, dict(zip(fsm.in_ports, zip(*ticks))))
+    runner = FsmRunner(fsm, cons, prod, bus_counter())
+    while (fsm.in_ports or prod[fsm.out_ports[0]].pushed < len(ticks)) \
             and runner.step():
         pass
-    return list(zip(*(io.outq[p] for p in fsm.out_ports))) \
-        or [()] * len(ticks)
+    return list(zip(*sent(prod).values())) or [()] * len(ticks)
 
 
 class TestTemplates:
