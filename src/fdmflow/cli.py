@@ -98,6 +98,10 @@ def cmd_flow(args) -> int:
     except (FlowError, ParamError) as e:
         print(str(e), file=sys.stderr)
         return 1
+    for port, recs in res.traces[0].ports.items() if 0 in res.traces else ():
+        if len({v for _, v in recs}) < 2:
+            print(f"warning: output {port} is constant over {args.ticks} "
+                  "ticks; its verdicts compare constants", file=sys.stderr)
     for label, v in res.verdicts:
         print(f"{label}: {v}")
     for node in sorted(res.hw_latency):

@@ -13,6 +13,22 @@ behavior, FSM state and hardware step is generated code bound to its
 ports' queues (see ``interp``), which calls a channel method only when a
 test fails or to push to several readers.
 
+The run loop is generated code too, built once per engine and compiled
+through ``sweep.exec_generated``.  It runs while a probe (with no probe,
+a source) holds fewer than ``ticks`` samples, and each pass is one round
+written out as straight-line code in a fixed order: each source sends
+its next sample if its channel has room; each awake task steps its FSM
+through ``FsmRunner.step``, and each sleeping one is charged its idle
+cost; each awake hardware node calls its generated step; while the
+pipelines drain, the nodes are padded; each macro unit resumes its
+generator; each probe pops and records every sample its queue holds.
+The sample counts, the drain flag, events and rounds are locals of the
+loop, and events and rounds are written back to the engine when it
+stops.  Units enter the text as parameters, in chunks of about
+``sweep.CHUNK`` lines that are each a function of their own, so a text
+depends only on how many units of each kind a design has, and chunks of
+one size share one text, generated once.
+
 Every port is bound to its channel before the run: behaviors and FSMs
 name only ports on a channel (an input on none is the constant 0, an
 output on none is never sent), and hardware nodes, sources and probes
@@ -46,20 +62,51 @@ is exact: a failed FSM step changes nothing but these charges, and which
 status polls it makes and what they read depend only on the FSM state,
 the loop counters and the occupancy of the channels it polls, none of
 which can change while it sleeps.  The drain path pads a node whatever
-its wake state, driven by ``drain`` and ``consumed`` alone.  Macro units
-have no wake list, since nearly all progress in every round; a transfer
-on a channel that no micro unit watches only tests an empty wake list.
+its wake state, driven by the drain flag and ``consumed`` alone.  Macro
+units have no wake list, since nearly all progress in every round; a
+transfer on a channel that no micro unit watches only tests an empty
+wake list.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
 from ..swsynth import ALoopInit, GStatusReady, TaskFsm
 from .channels import ChannelRt
-from .interp import FsmRunner, SimError, behavior_coroutine, hw_step
+from .interp import FsmRunner, SimError, _binder, _move_src, _port_names, \
+    _ready_src, behavior_coroutine, hw_step
+from .sweep import CHUNK
 from .trace import Stimulus, Trace
+
+# one unit's part of a round, formatted with its index j in its chunk, the
+# names it binds per unit and its cells; a task's ic/ib are the cycles and
+# bus transactions its last failed step charged, charged again for every
+# round it sleeps
+_TASK = ("""\
+if t{j}.awake:
+    cyc, bus = e.cycle, e.bus_transactions
+    if step{j}():
+        e.cycle += cost{j}
+        ev += 1
+    else:
+        t{j}.awake = False
+        ic{j} = e.cycle - cyc
+        ib{j} = e.bus_transactions - bus
+else:
+    e.cycle += ic{j}
+    e.bus_transactions += ib{j}""", ("t", "step", "cost"), ("ic", "ib"))
+_HW = ("""\
+if h{j}.awake:
+    if step{j}():
+        ev += 1
+    else:
+        h{j}.awake = False""", ("h", "step"), ())
+_MACRO = ("""\
+if next(m{j}):
+    ev += 1""", ("m",), ())
 
 
 def _listen(unit, channels) -> None:
@@ -69,14 +116,46 @@ def _listen(unit, channels) -> None:
             ch.wake.append(unit)
 
 
+@lru_cache(maxsize=None)  # at most one per kind and chunk size
+def _chunk_binder(fn: str, kind: tuple, n: int):
+    """``bind(*values)`` of a chunk of ``n`` units of ``kind``, ``values``
+    the names of unit 0, then of unit 1, and so on; ``bind`` returns
+    ``fn(e)``, which runs the chunk given the engine ``e`` and returns the
+    events made."""
+    entry, stems, cells = kind
+    return _binder(fn, [f"{s}{j}" for j in range(n) for s in stems],
+                   ["ev = 0"] + [ln for j in range(n)
+                                 for ln in entry.format(j=j).splitlines()]
+                   + ["return ev"],
+                   [f"{c}{j}" for j in range(n) for c in cells], args="e")
+
+
+def _chunks(fn: str, units: list, kind: tuple, values) -> dict:
+    """Functions ``fn0``, ``fn1``, ... over the chunks of ``units``, each
+    bound to the names ``values(unit)`` gives for ``kind``.  A chunk holds
+    about ``CHUNK`` lines, which bounds the compiler's memory as in
+    ``sweep``, and chunks of equal size share one text."""
+    size = max(1, CHUNK // len(kind[0].splitlines()))
+    fns = {}
+    for i in range(0, len(units), size):
+        chunk = units[i:i + size]
+        bind = _chunk_binder(fn, kind, len(chunk))
+        fns[f"{fn}{i // size}"] = bind(*[v for u in chunk for v in values(u)])
+    return fns
+
+
+def _pad(hw_units: list, ticks: int) -> int:
+    """Pad each hardware node that has consumed ``ticks`` samples; the
+    number of nodes that moved."""
+    return sum(1 for hw in hw_units if hw.consumed >= ticks and hw.pad())
+
+
 class _MicroTask:
     """One FSM task on a processor: its runner, its bus-side port bindings
     and its wake state.
 
     ``ports`` maps each port to (channel, consumer key), the key None for
     an output.  The runner charges its bus transactions to the engine.
-    ``idle`` holds the cycles and bus transactions its last failed step
-    charged, which the engine charges again for every round it sleeps.
     """
 
     def __init__(self, name: str, fsm: TaskFsm, cost: int, engine):
@@ -86,7 +165,6 @@ class _MicroTask:
         self.ports = {**cons, **{p: (ch, None) for p, ch in prod.items()}}
         self.runner = FsmRunner(fsm, cons, prod, engine)
         self.awake = True
-        self.idle = (0, 0)
         _listen(self, [ch for ch, _ in self.ports.values()])
 
     def waits(self) -> list[tuple]:
@@ -203,63 +281,71 @@ class Engine:
         # model ports on no channel are neither fed nor watched
         self.sources = [(p, self.prod[(None, p)]) for p in cd.tlm.base.inputs
                         if (None, p) in self.prod]
-        self.sent: dict[str, int] = {p: 0 for p, _ in self.sources}
         self.probes = [(p,) + self.cons[(None, p)]
                        for p in cd.tlm.base.outputs if (None, p) in self.cons]
         self.trace = Trace({p: [] for p in cd.tlm.base.outputs},
                            level=self.level, design=cd.tlm.base.name)
-        self.drain = False
+        self._loop = self._generate()
 
     def bind(self, name: str, b) -> tuple[dict, dict]:
         """The channels of the ports that ``b``, a behavior or FSM, names."""
         return ({p: self.cons[(name, p)] for p in b.in_ports},
                 {p: self.prod[(name, p)] for p in b.out_ports})
 
-    def _round(self) -> None:
-        for p, ch in self.sources:
-            if self.sent[p] < self.ticks and ch.can_push():
-                ch.push(self.stim.at(p, self.sent[p]))
-                self.sent[p] += 1
-                self.events += 1
-        for tasks in self.schedulers:
-            for t in tasks:
-                if not t.awake:
-                    self.cycle += t.idle[0]
-                    self.bus_transactions += t.idle[1]
-                    continue
-                cycle, bus = self.cycle, self.bus_transactions
-                if t.runner.step():
-                    self.cycle += t.cost
-                    self.events += 1
-                else:
-                    t.awake = False
-                    t.idle = (self.cycle - cycle, self.bus_transactions - bus)
-        for hw in self.hw_units:
-            if hw.awake:
-                if hw.step():
-                    self.events += 1
-                else:
-                    hw.awake = False
-        if self.drain:
-            for hw in self.hw_units:
-                if hw.consumed >= self.ticks and hw.pad():
-                    self.events += 1
-        for m in self.macro_units:
-            if next(m):
-                self.events += 1
-        for p, ch, key in self.probes:
-            while ch.can_pop(key):
-                v = ch.pop(key)
-                self.events += 1
-                t = self.cycle if self.level >= 3 \
-                    else len(self.trace.ports[p])
-                self.trace.record(p, t, v)
-
-    def _done(self) -> bool:
-        if not self.probes:
-            return all(n >= self.ticks for n in self.sent.values())
-        return all(len(self.trace.ports[p]) >= self.ticks
-                   for p, _, _ in self.probes)
+    def _generate(self):
+        """The run loop, generated once (module docstring).  It returns
+        None once every probe holds ``ticks`` samples, "deadlock" or
+        "limit", and writes the rounds and events back to the engine."""
+        # each micro-level loop iteration takes one scheduler slot
+        loops = sum(a.count for tasks in self.schedulers for t in tasks
+                    for tr in t.runner.fsm.transitions for a in tr.actions
+                    if isinstance(a, ALoopInit))
+        names = {"ticks": self.ticks,
+                 "limit": (60 + loops) * self.ticks + 10000,
+                 "pad": _pad, "record": self.trace.record}
+        lines = ["before = ev"]
+        for j, (p, ch) in enumerate(self.sources):
+            seq = self.stim.values.get(p, [])
+            names |= _port_names(j, ch) | {f"x{j}": seq, f"m{j}": len(seq)}
+            lines += [f"if s{j} < ticks and ({_ready_src(j, names)}):",
+                      f"    v = x{j}[s{j}] if s{j} < m{j} else 0"] + [
+                "    " + ln for ln in _move_src(j, names, "v")] + [
+                f"    s{j} += 1", "    ev += 1"]
+        units = _chunks(
+            "tasks", [t for tasks in self.schedulers for t in tasks], _TASK,
+            lambda t: (t, t.runner.step, t.cost))
+        units |= _chunks("hw", self.hw_units, _HW, lambda h: (h, h.step))
+        lines += [f"ev += {f}(e)" for f in units]
+        lines += ["if drain:", "    ev += pad(e.hw_units, ticks)"]
+        macro = _chunks("macro", self.macro_units, _MACRO, lambda m: (m,))
+        lines += [f"ev += {f}(e)" for f in macro]
+        sent = [f"s{j}" for j in range(len(self.sources))]
+        recorded = []
+        for j, (p, ch, key) in enumerate(self.probes, len(sent)):
+            names |= _port_names(j, ch, key) | {f"k{j}": p}
+            now = "e.cycle" if self.level >= 3 else f"n{j}"
+            lines += [f"while {_ready_src(j, names)}:"] + [
+                "    " + ln for ln in _move_src(j, names, "v")] + [
+                "    ev += 1", f"    record(k{j}, {now}, v)", f"    n{j} += 1"]
+            recorded.append(f"n{j}")
+        drained = " and ".join(f"{s} >= ticks" for s in sent) or "True"
+        lines += ["rn += 1", "if ev == before:",
+                  f"    if not drain and {drained}:",
+                  "        drain = True", "        continue",
+                  "    return 'deadlock'",
+                  "if rn > limit:", "    return 'limit'"]
+        running = " or ".join(f"{n} < ticks" for n in recorded or sent)
+        # the engine is an argument, not a name the loop closes over, so
+        # a macro-level engine is in no reference cycle and is freed as
+        # soon as it is dropped
+        names |= units | macro
+        return _binder("loop", names, [
+            "ev = rn = 0", "drain = False"] + [
+            f"{n} = 0" for n in sent + recorded] + [
+            "try:", f"    while {running or 'False'}:"] + [
+            "        " + ln for ln in lines] + [
+            "    return None", "finally:", "    e.events, e.rounds = ev, rn"],
+            args="e")(*names.values())
 
     def _waiting(self) -> str:
         """Who waits on what, for the deadlock message: each micro unit
@@ -276,24 +362,12 @@ class Engine:
         return f"; waiting: {', '.join(waits)}" if waits else ""
 
     def run(self) -> Trace:
-        # each micro-level loop iteration takes one scheduler slot
-        loops = sum(a.count for tasks in self.schedulers for t in tasks
-                    for tr in t.runner.fsm.transitions for a in tr.actions
-                    if isinstance(a, ALoopInit))
-        limit = (60 + loops) * self.ticks + 10000
-        while not self._done():
-            before = self.events
-            self._round()
-            self.rounds += 1
-            if self.events == before:
-                if not self.drain and \
-                        all(n >= self.ticks for n in self.sent.values()):
-                    self.drain = True
-                    continue
-                raise SimError(
-                    f"deadlock: no progress after {self.rounds} rounds "
-                    f"({[(p, len(self.trace.ports[p])) for p, *_ in self.probes]})"
-                    f"{self._waiting()}")
-            if self.rounds > limit:
-                raise SimError("round limit exceeded")
+        stop = self._loop(self)
+        if stop == "deadlock":
+            raise SimError(
+                f"deadlock: no progress after {self.rounds} rounds "
+                f"({[(p, len(self.trace.ports[p])) for p, *_ in self.probes]})"
+                f"{self._waiting()}")
+        if stop == "limit":
+            raise SimError("round limit exceeded")
         return self.trace

@@ -60,19 +60,18 @@ def _call_src(c: Call, var, cells, name) -> list[str]:
     return {DELAY_EMIT: lines[:1], DELAY_PUSH: lines[1:]}.get(c.name, lines)
 
 
-def _port_names(j: int, ch, key=None, inline: bool = True) -> dict:
+def _port_names(j: int, ch, key=None) -> dict:
     """The names generated code binds for port ``j`` on channel ``ch``: an
     input (given its consumer ``key``) its queue ``qN``; an output, if
-    ``inline`` and ``ch`` has one consumer, that queue ``fN`` and the depth
-    ``dN``, else ``pushN``; a port moved inline also its channel ``cN``
-    and wake list ``wN``."""
+    ``ch`` has one consumer, that queue ``fN`` and the depth ``dN``, else
+    ``pushN``; a port moved inline also its channel ``cN`` and wake list
+    ``wN``."""
     if key is not None:
         return {f"q{j}": ch.queues[key], f"can_pop{j}": ch.can_pop,
                 f"key{j}": key, f"c{j}": ch, f"w{j}": ch.wake}
     return {f"can_push{j}": ch.can_push} | ({
         f"f{j}": ch.fifos[0], f"d{j}": ch.depth, f"c{j}": ch,
-        f"w{j}": ch.wake} if inline and len(ch.fifos) == 1 else
-        {f"push{j}": ch.push})
+        f"w{j}": ch.wake} if len(ch.fifos) == 1 else {f"push{j}": ch.push})
 
 
 def _ready_src(j: int, names: dict) -> str:
@@ -181,28 +180,39 @@ def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
     return behavior(*gen.args.values(), *chans.values())
 
 
-def _bind_src(fn: str, names: dict, lines: list[str]):
-    """The function ``fn`` running ``lines``, generated as a closure over
-    ``names`` (name -> value); equal texts are compiled once."""
-    src = "\n".join([f"def bind({', '.join(names)}):", f"    def {fn}():"]
+def _binder(fn: str, params, lines: list[str], cells=(), args=""):
+    """``bind(*values)``, generated, which returns the function ``fn(args)``
+    running ``lines`` as a closure over ``params`` bound to ``values`` and
+    over ``cells``, variables that start at 0 and keep their values from
+    call to call; equal texts are compiled once."""
+    keep = [f"        nonlocal {', '.join(cells)}"] if cells else []
+    src = "\n".join([f"def bind({', '.join(params)}):"]
+                    + [f"    {c} = 0" for c in cells]
+                    + [f"    def {fn}({args}):"] + keep
                     + ["        " + ln for ln in lines]
                     + [f"    return {fn}", ""])
-    return exec_generated(src, {})["bind"](*names.values())
+    return exec_generated(src, {})["bind"]
+
+
+def _bind_src(fn: str, names: dict, lines: list[str]):
+    """The function ``fn`` running ``lines``, generated as a closure over
+    ``names`` (name -> value)."""
+    return _binder(fn, names, lines)(*names.values())
 
 
 def hw_step(unit, cons: dict, prod: dict):
     """The step of hardware node ``unit``, generated once: it consumes
     one sample per input of ``cons``, returning False if an input is empty
     or an output of ``prod`` full, calls ``unit.advance`` and pushes the
-    outputs of a real sample leaving ``unit.in_flight``.  Port names are
-    parameters ``kN``."""
+    outputs of a real sample leaving ``unit.in_flight``.  Each output has
+    a channel of its own, so the room it tested is still there when it
+    pushes.  Port names are parameters ``kN``."""
     n, outs = len(cons), list(prod.values())
     chans: dict = {}
     for j, (ch, key) in enumerate(cons.values()):
         chans |= _port_names(j, ch, key)
     for j, ch in enumerate(outs, n):
-        # two outputs on one channel push, so the second finds it full
-        chans |= _port_names(j, ch, inline=outs.count(ch) == 1)
+        chans |= _port_names(j, ch)
     lines = [f"if not ({_ready_src(j, chans)}): return False"
              for j in range(n + len(outs))]
     for j in range(n):

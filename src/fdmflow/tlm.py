@@ -292,7 +292,9 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
 def validate_partition(t: TlmModel) -> ValidationReport:
     """Legality of the recognized partition.
 
-    Each output a unit declares must be driven inside it, even if nothing
+    Each channel has one producer: level 0 has one value per tick on a
+    wire, so a merge of two streams would have no level-0 meaning.  Each
+    output a unit declares must be driven inside it, even if nothing
     reads it, as the unit's own graph is compiled whole.  A hardware user
     block without an RTL library entry only gets a warning: the flow
     accepts it once its ``cost_cycles`` parameter is set, and rejects it
@@ -326,10 +328,15 @@ def validate_partition(t: TlmModel) -> ValidationReport:
 
     for ch in t.channels:
         loc = ch.id
+        if len(ch.producers) > 1:
+            out.append(Diagnostic(
+                "error", loc,
+                f"channel has {len(ch.producers)} producers "
+                f"({', '.join(map(str, ch.producers))}); a channel takes one"))
         if ch.topology not in ("point_to_point", "multipoint", "network"):
             out.append(Diagnostic("error", loc,
                                   f"unknown channel topology {ch.topology!r}"))
-        elif ch.topology == "point_to_point":
+        elif ch.topology == "point_to_point" and len(ch.producers) < 2:
             if len(ch.producers) != 1 or len(ch.consumers) != 1:
                 out.append(Diagnostic(
                     "error", loc,

@@ -83,6 +83,45 @@ model undriven {
 """
 
 
+# two outputs of one HW_ node feed one multipoint channel: two producers
+TWO_PRODUCERS_FDM = """
+model two {
+  input x; output y;
+  subsystem HW_two {
+    input in; output o1; output o2;
+    block g2 : gain(2); block g3 : gain(3);
+    link self.in -> g2.in; link self.in -> g3.in;
+    link g2.out -> self.o1; link g3.out -> self.o2;
+  }
+  subsystem CHAN_c {
+    param topology = "multipoint"; param depth = 1;
+    input i1; input i2; output out;
+  }
+  link self.x -> HW_two.in;
+  link HW_two.o1 -> CHAN_c.i1; link HW_two.o2 -> CHAN_c.i2;
+  link CHAN_c.out -> self.y;
+}
+"""
+
+
+# a task that multiplies by 0: its output is 0 at every tick
+FLAT_FDM = """
+model flat {
+  input x; output y;
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block g : gain(0);
+      link self.a -> g.in; link g.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> self.y;
+}
+"""
+
+
 class TestCheck:
     def test_clean_model(self, mini_path, capsys):
         assert main(["check", "--model", mini_path]) == 0
@@ -156,6 +195,23 @@ class TestCheck:
         printed = capsys.readouterr().out
         assert [ln.split(": ")[1] for ln in printed.splitlines()[:3]] == \
             ["PASS [exact] k=0"] * 2 + ["PASS [modulo_latency] k=0"]
+
+    @pytest.mark.parametrize("cmd", ["check", "flow"])
+    def test_channel_with_two_producers(self, cmd, tmp_path, capsys):
+        """A channel takes one producer, whatever its topology: levels 0
+        and 1 would disagree on a merge, and level 3 overfilled it."""
+        p = tmp_path / "two.fdm"
+        p.write_text(TWO_PRODUCERS_FDM)
+        args = [cmd, "--model", str(p)]
+        assert main(args if cmd == "check"
+                    else args + ["--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        msg = "CHAN_c: channel has 2 producers (HW_two.o1, HW_two.o2); " \
+            "a channel takes one\n"
+        if cmd == "check":
+            assert captured.out == "error: " + msg
+        else:
+            assert captured.err == "[partition] " + msg
 
 
 class TestFlow:
@@ -247,6 +303,19 @@ class TestFlow:
                      "--ticks", "300"]) == 0
         printed = capsys.readouterr().out
         assert "level2-vs-level3: PASS" in printed
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "mini"])
+    def test_constant_output_warning(self, flat, mini_path, tmp_path,
+                                     capsys):
+        """An output with one value over the run is named on stderr; the
+        exit code stays 0."""
+        p = tmp_path / "flat.fdm"
+        p.write_text(FLAT_FDM)
+        assert main(["flow", "--model", str(p) if flat else mini_path,
+                     "--out", str(tmp_path / "o"), "--ticks", "32"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: output y is constant over 32 ticks; its verdicts "
+            "compare constants\n" if flat else "")
 
     def test_bad_level(self, mini_path, tmp_path, capsys):
         assert main(["flow", "--model", mini_path,

@@ -792,3 +792,39 @@ class TestMixed:
             assert compare_traces(t0, t2).passed, f"seed {seed}"
             assert compare_traces(t2, t3, mode="values_only").passed, \
                 f"seed {seed}"
+
+
+class TestRunLoop:
+    """How the generated run loop stops when the probes never fill: the
+    feedback model waits for ever at level 3 (its HW_ node needs an input
+    before it emits)."""
+
+    def _engine(self, text: str, ticks: int) -> Engine:
+        cd = compile_design(parse_model(text))
+        return Engine(cd, dict.fromkeys(cd.tlm.nodes, 3),
+                      default_stimulus(cd.model, ticks, seed=0), ticks)
+
+    def test_deadlock(self):
+        e = self._engine(FEEDBACK_FDM, 8)
+        with pytest.raises(SimError) as err:
+            e.run()
+        assert str(err.value) == (
+            "deadlock: no progress after 3 rounds ([('y', 0)]); waiting: "
+            "SW_cpu/TASK_sum.b on ch_HW_reg_out (0/1), HW_reg.in on "
+            "ch_SW_cpu_TASK_sum_out (0/1)")
+        assert (e.rounds, e.events, e.cycle, e.bus_transactions) == \
+            (3, 3, 9, 4)
+
+    def test_round_limit(self):
+        """A testbench const feeding a sink moves in every round, so the
+        run makes progress and stops at the round limit instead."""
+        spin = "  block c : const(1); block s : sink; link c.out -> s.in;\n"
+        ticks = 8
+        e = self._engine(FEEDBACK_FDM.replace(
+            "  link self.x -> SW_cpu.a;", spin + "  link self.x -> SW_cpu.a;"),
+            ticks)
+        with pytest.raises(SimError) as err:
+            e.run()
+        assert str(err.value) == "round limit exceeded"
+        assert e.rounds == 60 * ticks + 10000 + 1
+        assert e.trace.ports == {"y": []}

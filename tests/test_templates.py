@@ -2,10 +2,13 @@
 ``block_fn``, agree bit for bit with an oracle written apart from them,
 and a parameter value never enters a generated text."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import fdmflow.sim.engine as engine
 import fdmflow.sim.sweep as sweep
 from fdmflow.flow import compile_design, default_stimulus, simulate
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Call, Recv, Send, \
@@ -18,6 +21,8 @@ from fdmflow.swsynth import build_task_fsm, lower_api
 
 from helpers import bind_queues, bus_counter, rand_partitioned_model, \
     reference_step, sent, standalone_address_map
+
+GEN_WIDE = Path(__file__).resolve().parent.parent / "bench" / "gen_wide.py"
 
 EDGES = [0, 1, -1, 2, -2, 2**31 - 1, -2**31, 2**31, -2**31 - 1, 2**30,
          2**16 + 3]
@@ -164,7 +169,8 @@ model share {
 
 
 def _texts(monkeypatch, g, ticks=8) -> dict:
-    """level -> every source text generated to simulate ``g`` at it."""
+    """level -> every source text generated to simulate ``g`` at it; the
+    engine's chunks are generated afresh, not taken from its cache."""
     seen: list = []
     code = sweep._code
 
@@ -177,6 +183,7 @@ def _texts(monkeypatch, g, ticks=8) -> dict:
     texts = {}
     for level in (0, 1, 2, 3):
         seen.clear()
+        engine._chunk_binder.cache_clear()
         simulate(level, cd, stim, ticks)
         texts[level] = list(seen)
     return texts
@@ -198,6 +205,38 @@ class TestSharedTexts:
              "F1": "4, -3, 9", "F2": "-6, 11"}))
         assert all(a[level] for level in a)
         assert a == b
+
+    def test_unit_names_share_texts(self, monkeypatch):
+        """Unit names are parameters of every generated text, the run
+        loop's and its unit chunks' included."""
+        values = {"G1": "3", "G2": "3", "G3": "3", "Q1": "2", "Q2": "2",
+                  "F1": "1, 2, 1", "F2": "1, 2"}
+        a = _texts(monkeypatch, self._model(values))
+        b = _texts(monkeypatch, self._model(values | {
+            "SW_cpu": "SW_dsp", "TASK_t": "TASK_run", "HW_h": "HW_acc",
+            "tg": "pre"}))
+        for level, fns in ((1, ["loop(e)", "macro(e)"]),
+                           (3, ["loop(e)", "tasks(e)", "hw(e)"])):
+            for fn in fns:
+                assert any(f"    def {fn}:" in t for t in a[level]), fn
+        assert a == b
+
+    def test_wide_design_texts_fit_the_cache(self):
+        """The 50-task, 50-node benchmark design fills at most three
+        quarters of the compiled-text cache at every level: same-sized
+        chunks of the run loop share one text, so the count does not grow
+        with the number of units."""
+        spec = importlib.util.spec_from_file_location("gen_wide", GEN_WIDE)
+        gen_wide = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_wide)
+        sweep._code.cache_clear()
+        engine._chunk_binder.cache_clear()
+        cd = compile_design(parse_model(gen_wide.generate(0, 50)))
+        stim = default_stimulus(cd.model, 10, seed=0)
+        for level in (0, 1, 2, 3):
+            simulate(level, cd, stim, 10)
+        info = sweep._code.cache_info()
+        assert info.currsize <= info.maxsize * 3 // 4, info
 
     def test_distinct_texts_fit_the_cache(self, monkeypatch):
         maxsize = sweep._code.cache_info().maxsize
