@@ -3,12 +3,12 @@ template.
 
 Every simulator splices the templates into the code it generates (the
 block sweeps of level 0 and of the hardware models, the behaviors of
-levels 1 and 2, the FSM states of level 3), and ``block_fn`` is generated
-from them too, so a value computed at the functional level is reproduced
-bit for bit at every level.  Samples are 32-bit two's-complement integers
-with wrapping arithmetic.  A template fills in the inputs ``{i0}``, ...,
-the output targets ``{o0}``, ..., the state cells ``{s0}``, ... and the
-parameters ``{k0}``, ...: a parameter is a name bound to its value, so
+levels 1 and 2, the FSM states of level 3), so a value computed at the
+functional level is reproduced bit for bit at every level.  Samples are
+32-bit two's-complement integers with wrapping arithmetic.  A template
+fills in the inputs ``{i0}``, ..., the output targets ``{o0}``, ..., the
+state cells ``{s0}``, ... and the parameters ``{k0}``, ...: a parameter
+is a name the generator binds to its value (``sim.sweep.Names``), so
 ``gain(3)`` and ``gain(5)`` share one text.  ``user`` and ``for_loop``
 blocks call a function of the one constant table ``USER_FUNCTIONS``,
 bound to a parameter name the same way.
@@ -137,28 +137,3 @@ def block_src(kind: str, params: tuple, ins, outs, cells, name) -> list:
     for c, srcs in (("i", ins), ("o", outs), ("s", cells)):
         subs |= {f"{c}{j}": s for j, s in enumerate(srcs)}
     return [ln.format_map(subs) for ln in lines]
-
-
-def block_fn(kind: str, params: tuple):
-    """Bind one block: return ``fn(inputs, state) -> (outputs, state')``,
-    generated from its template.  delay(k) emits the oldest queued sample
-    and queues the input; every other kind has zero delay."""
-    ns: dict = {}
-
-    def name(value) -> str:
-        ns[f"k{len(ns)}"] = value
-        return f"k{len(ns) - 1}"
-
-    def tup(names: list) -> str:
-        return f"({''.join(n + ', ' for n in names)})"
-
-    init = init_state(kind, params)
-    ins, outs = port_names(kind, params)
-    i, o, s = ([f"{c}{j}" for j in range(n)] for c, n in
-               (("i", len(ins)), ("o", len(outs)), ("s", len(init or ()))))
-    body = block_src(kind, params, i, o, s, name)
-    st = tup(s) if init is not None else "state"
-    exec("\n".join(["def step(inputs, state):", f"    {tup(i)} = inputs",
-                    f"    {st} = state"] + [f"    {ln}" for ln in body] +
-                   [f"    return {tup(o)}, {st}"]), ns)
-    return ns["step"]

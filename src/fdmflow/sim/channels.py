@@ -47,20 +47,3 @@ class ChannelRt:
 
     def can_pop(self, key: tuple) -> bool:
         return bool(self.queues[key])
-
-    def pop(self, key: tuple) -> int:
-        self.popped += 1
-        if self.wake:
-            for u in self.wake:
-                u.awake = True
-        return self.queues[key].popleft()
-
-    def status(self, key: tuple | None) -> int:
-        """STATUS register value: bit0 not-empty (consumer side), bit1
-        not-full (producer side)."""
-        bits = 0
-        if key is not None and self.can_pop(key):
-            bits |= 1
-        if self.can_push():
-            bits |= 2
-        return bits

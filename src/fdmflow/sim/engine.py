@@ -13,21 +13,21 @@ behavior, FSM state and hardware step is generated code bound to its
 ports' queues (see ``interp``), which calls a channel method only when a
 test fails or to push to several readers.
 
-The run loop is generated code too, built once per engine and compiled
-through ``sweep.exec_generated``.  It runs while a probe (with no probe,
-a source) holds fewer than ``ticks`` samples, and each pass is one round
-written out as straight-line code in a fixed order: each source sends
-its next sample if its channel has room; each awake task steps its FSM
-through ``FsmRunner.step``, and each sleeping one is charged its idle
-cost; each awake hardware node calls its generated step; while the
-pipelines drain, the nodes are padded; each macro unit resumes its
-generator; each probe pops and records every sample its queue holds.
-The sample counts, the drain flag, events and rounds are locals of the
-loop, and events and rounds are written back to the engine when it
-stops.  Units enter the text as parameters, in chunks of about
-``sweep.CHUNK`` lines that are each a function of their own, so a text
-depends only on how many units of each kind a design has, and chunks of
-one size share one text, generated once.
+The run loop is generated code too, built once per engine through
+``sweep.binder``.  It runs while a probe (with no probe, a source) holds
+fewer than ``ticks`` samples, and each pass is one round written out as
+straight-line code in a fixed order: each source sends its next sample
+if its channel has room; each awake task steps its FSM through
+``FsmRunner.step``, and each sleeping one is charged its idle cost; each
+awake hardware node calls its generated step; while the pipelines drain,
+the nodes are padded; each macro unit resumes its generator; each probe
+pops and records every sample its queue holds.  The sample counts, the
+drain flag, events and rounds are locals of the loop, and events and
+rounds are written back to the engine when it stops.  Units enter the
+text as parameters, in chunks of about ``sweep.CHUNK`` lines that are
+each a function of their own, so a text depends only on how many units
+of each kind a design has, and chunks of one size share one text,
+generated once.
 
 Every port is bound to its channel before the run: behaviors and FSMs
 name only ports on a channel (an input on none is the constant 0, an
@@ -74,11 +74,11 @@ from collections import deque
 from functools import lru_cache
 
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
-from ..swsynth import ALoopInit, GStatusReady, TaskFsm
+from ..swsynth import STATUS_NOT_FULL, ALoopInit, GStatusReady, TaskFsm
 from .channels import ChannelRt
-from .interp import FsmRunner, SimError, _binder, _move_src, _port_names, \
+from .interp import FsmRunner, SimError, _move_src, _port_names, \
     _ready_src, behavior_coroutine, hw_step
-from .sweep import CHUNK
+from .sweep import CHUNK, Names, binder
 from .trace import Stimulus, Trace
 
 # one unit's part of a round, formatted with its index j in its chunk, the
@@ -123,7 +123,7 @@ def _chunk_binder(fn: str, kind: tuple, n: int):
     ``fn(e)``, which runs the chunk given the engine ``e`` and returns the
     events made."""
     entry, stems, cells = kind
-    return _binder(fn, [f"{s}{j}" for j in range(n) for s in stems],
+    return binder(fn, [f"{s}{j}" for j in range(n) for s in stems],
                    ["ev = 0"] + [ln for j in range(n)
                                  for ln in entry.format(j=j).splitlines()]
                    + ["return ev"],
@@ -178,7 +178,8 @@ class _MicroTask:
                 if not isinstance(g, GStatusReady):
                     continue
                 ch, key = self.ports[g.port]
-                if not ch.status(key) & g.bit:
+                if not (ch.can_push() if g.bit == STATUS_NOT_FULL
+                        else ch.can_pop(key)):
                     out.append((g.port, ch, key))
         return out
 
@@ -300,9 +301,9 @@ class Engine:
         loops = sum(a.count for tasks in self.schedulers for t in tasks
                     for tr in t.runner.fsm.transitions for a in tr.actions
                     if isinstance(a, ALoopInit))
-        names = {"ticks": self.ticks,
-                 "limit": (60 + loops) * self.ticks + 10000,
-                 "pad": _pad, "record": self.trace.record}
+        names = Names(ticks=self.ticks,
+                      limit=(60 + loops) * self.ticks + 10000,
+                      pad=_pad, record=self.trace.record)
         lines = ["before = ev"]
         for j, (p, ch) in enumerate(self.sources):
             seq = self.stim.values.get(p, [])
@@ -322,11 +323,12 @@ class Engine:
         sent = [f"s{j}" for j in range(len(self.sources))]
         recorded = []
         for j, (p, ch, key) in enumerate(self.probes, len(sent)):
-            names |= _port_names(j, ch, key) | {f"k{j}": p}
+            names |= _port_names(j, ch, key)
             now = "e.cycle" if self.level >= 3 else f"n{j}"
             lines += [f"while {_ready_src(j, names)}:"] + [
                 "    " + ln for ln in _move_src(j, names, "v")] + [
-                "    ev += 1", f"    record(k{j}, {now}, v)", f"    n{j} += 1"]
+                "    ev += 1", f"    record({names(p)}, {now}, v)",
+                f"    n{j} += 1"]
             recorded.append(f"n{j}")
         drained = " and ".join(f"{s} >= ticks" for s in sent) or "True"
         lines += ["rn += 1", "if ev == before:",
@@ -339,13 +341,13 @@ class Engine:
         # a macro-level engine is in no reference cycle and is freed as
         # soon as it is dropped
         names |= units | macro
-        return _binder("loop", names, [
+        return names.bind("loop", [
             "ev = rn = 0", "drain = False"] + [
             f"{n} = 0" for n in sent + recorded] + [
             "try:", f"    while {running or 'False'}:"] + [
             "        " + ln for ln in lines] + [
             "    return None", "finally:", "    e.events, e.rounds = ev, rn"],
-            args="e")(*names.values())
+            args="e")
 
     def _waiting(self) -> str:
         """Who waits on what, for the deadlock message: each micro unit

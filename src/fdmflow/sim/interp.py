@@ -13,24 +13,21 @@ its queue, and each counts the transfer and wakes the channel's wake
 list; a channel method is called only when a test fails or for a push
 to several consumers.
 
-``behavior_coroutine`` emits each body once as the source of one
-generator function, compiled through ``sweep.exec_generated`` (equal
-texts are compiled once): behavior variables and block state cells
-become locals, a loop a ``for``, a branch an ``if``/``else`` and a call
-its block's template spliced inline.  Block parameters, user functions
-and loop counts are parameters ``kN``, so the source holds only
-integers, ``repr`` strings and names the generator makes up.
+Every executor is generated code built by ``sweep.binder``: a closure
+over its port bindings and over the values of the model, each named
+``kN`` by ``sweep.Names``, so equal shapes share one compiled text.
+``behavior_coroutine`` emits each body once as a generator function:
+behavior variables and block state cells become locals, a loop a
+``for``, a branch an ``if``/``else`` and a call its block's template
+spliced inline.
 
-The FSM runner is generated the same way, one function per FSM state:
-the function tests the state's transitions in order, each guard chain
-nested ``if``s with a status poll charged just before its test, so a
-poll runs, and is charged, exactly when the chain reaches it; the first
-transition whose guards hold runs its actions as straight-line code and
-returns the next state, and None says no transition fired.  Every name,
-address, count, block parameter, state cell and port binding from the
-model is a parameter of the text, so FSM states of the same shape share
-one compiled text.  Both executors, and the block sweep, write a block
-through ``block_src``, the one definition of it.
+The FSM runner is one generated function per FSM state: the function
+tests the state's transitions in order, each guard chain nested ``if``s
+with a status poll charged just before its test, so a poll runs, and is
+charged, exactly when the chain reaches it; the first transition whose
+guards hold runs its actions as straight-line code and returns the next
+state, and None says no transition fired.  Both executors, and the block
+sweep, write a block through ``block_src``, the one definition of it.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from ..model.blocks import block_src
 from ..swsynth import STATUS_NOT_EMPTY, STATUS_NOT_FULL, AAssign, ABusRead, \
     ABusWrite, ACall, AIf, ALoopInit, ALoopStep, ARecv, ASend, GCanRecv, \
     GCanSend, GLoopDone, GLoopNotDone, GStatusReady, GTrue, TaskFsm
-from .sweep import exec_generated
+from .sweep import Names, binder
 
 BUS_LATENCY = 2  # cycles per micro-level bus transaction
 
@@ -99,30 +96,26 @@ def _move_src(j: int, names: dict, v: str) -> list[str]:
 class _BodyGen:
     """Emits a behavior body as the source of one generator function.
 
-    Behavior variables become locals ``v0, v1, ...``; block parameters,
-    loop counts, block state cells and ``chans``, the ``_port_names`` of
-    the inputs and then the outputs, are parameters.
+    Behavior variables become locals ``v0, v1, ...``; ``names`` binds the
+    ``_port_names`` of the inputs and then the outputs, and names block
+    state cells, block parameters and loop counts.  All of them are
+    arguments of the generator, so a state cell is a local that starts at
+    its initial value.
     """
 
-    def __init__(self, b: TaskBehavior, chans: dict):
-        self.chans = chans
+    def __init__(self, b: TaskBehavior, names: Names):
+        self.names = names
         self.vars: dict[str, str] = {}
-        self.args: dict[str, object] = {}  # parameter -> value
-        # state key -> its cells, parameters bound to their initial values
-        self.cells = {key: [self.arg(v) for v in init]
+        # state key -> its cells, names bound to their initial values
+        self.cells = {key: [names(v) for v in init]
                       for key, init in b.states.items()}
         self.loops = 0
-        self.lines: list[str] = []
+        self.lines = ["while True:", "    moved = False"]
         self.ins = {p: j for j, p in enumerate(b.in_ports)}
         self.outs = {p: j for j, p in enumerate(b.out_ports, len(self.ins))}
 
     def var(self, name: str) -> str:
         return self.vars.setdefault(name, f"v{len(self.vars)}")
-
-    def arg(self, value) -> str:
-        name = f"k{len(self.args)}"
-        self.args[name] = value
-        return name
 
     def body(self, stmts, ind: str) -> None:
         if not stmts:
@@ -137,12 +130,12 @@ class _BodyGen:
                     else self.outs[s.port], self.var(s.var), ind)
         elif isinstance(s, Call):
             self.lines += [ind + ln for ln in _call_src(
-                s, self.var, self.cells.__getitem__, self.arg)]
+                s, self.var, self.cells.__getitem__, self.names)]
         elif isinstance(s, Assign):
             src = repr(s.src) if isinstance(s.src, int) else self.var(s.src)
             emit(f"{ind}{self.var(s.var)} = {src}")
         elif isinstance(s, Loop):
-            emit(f"{ind}for i{self.loops} in range({self.arg(s.count)}):")
+            emit(f"{ind}for i{self.loops} in range({self.names(s.count)}):")
             self.loops += 1
             self.body(s.body, ind + "    ")
         elif isinstance(s, If):
@@ -156,9 +149,9 @@ class _BodyGen:
     def io(self, j: int, v: str, ind: str) -> None:
         """Move port ``j`` to or from ``v`` once it is ready; while it is
         not, yield whether the unit moved since resumed."""
-        self.lines += [f"{ind}while not ({_ready_src(j, self.chans)}):",
+        self.lines += [f"{ind}while not ({_ready_src(j, self.names)}):",
                        f"{ind}    yield moved", f"{ind}    moved = False"] + \
-            [ind + ln for ln in [*_move_src(j, self.chans, v), "moved = True"]]
+            [ind + ln for ln in [*_move_src(j, self.names, v), "moved = True"]]
 
 
 def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
@@ -166,38 +159,17 @@ def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
     -> (channel, consumer key)) and ``prod`` (port -> channel).  ``next``
     yields True at the end of a body iteration, or on a blocked port
     whether it moved since resumed."""
-    chans = {}
+    names = Names()
     for j, p in enumerate(b.in_ports):
-        chans |= _port_names(j, *cons[p])
+        names |= _port_names(j, *cons[p])
     for j, p in enumerate(b.out_ports, len(b.in_ports)):
-        chans |= _port_names(j, prod[p])
-    gen = _BodyGen(b, chans)
-    gen.body(b.body, "        ")
-    src = "\n".join([f"def behavior({', '.join([*gen.args, *chans])}):",
-                     "    while True:", "        moved = False"] + gen.lines +
-                    ["        yield True", ""])
-    behavior = exec_generated(src, {})["behavior"]
-    return behavior(*gen.args.values(), *chans.values())
-
-
-def _binder(fn: str, params, lines: list[str], cells=(), args=""):
-    """``bind(*values)``, generated, which returns the function ``fn(args)``
-    running ``lines`` as a closure over ``params`` bound to ``values`` and
-    over ``cells``, variables that start at 0 and keep their values from
-    call to call; equal texts are compiled once."""
-    keep = [f"        nonlocal {', '.join(cells)}"] if cells else []
-    src = "\n".join([f"def bind({', '.join(params)}):"]
-                    + [f"    {c} = 0" for c in cells]
-                    + [f"    def {fn}({args}):"] + keep
-                    + ["        " + ln for ln in lines]
-                    + [f"    return {fn}", ""])
-    return exec_generated(src, {})["bind"]
-
-
-def _bind_src(fn: str, names: dict, lines: list[str]):
-    """The function ``fn`` running ``lines``, generated as a closure over
-    ``names`` (name -> value)."""
-    return _binder(fn, names, lines)(*names.values())
+        names |= _port_names(j, prod[p])
+    gen = _BodyGen(b, names)
+    gen.body(b.body, "    ")
+    # the names are arguments of the generator, so its body reads locals
+    behavior = binder("behavior", (), gen.lines + ["    yield True"],
+                      args=", ".join(names))()
+    return behavior(*names.values())
 
 
 def hw_step(unit, cons: dict, prod: dict):
@@ -207,69 +179,55 @@ def hw_step(unit, cons: dict, prod: dict):
     outputs of a real sample leaving ``unit.in_flight``.  Each output has
     a channel of its own, so the room it tested is still there when it
     pushes.  Port names are parameters ``kN``."""
-    n, outs = len(cons), list(prod.values())
-    chans: dict = {}
+    names = Names(unit=unit, advance=unit.advance, in_flight=unit.in_flight)
     for j, (ch, key) in enumerate(cons.values()):
-        chans |= _port_names(j, ch, key)
-    for j, ch in enumerate(outs, n):
-        chans |= _port_names(j, ch)
-    lines = [f"if not ({_ready_src(j, chans)}): return False"
-             for j in range(n + len(outs))]
+        names |= _port_names(j, ch, key)
+    for j, ch in enumerate(prod.values(), len(cons)):
+        names |= _port_names(j, ch)
+    n, keys = len(cons), [names(p) for p in [*cons, *prod]]
+    lines = [f"if not ({_ready_src(j, names)}): return False"
+             for j in range(len(keys))]
     for j in range(n):
-        lines += _move_src(j, chans, f"x{j}")
+        lines += _move_src(j, names, f"x{j}")
     lines += ["unit.consumed += 1", "outs = advance({" + "".join(
-        f"k{j}: x{j}, " for j in range(n)) + "})",
+        f"{keys[j]}: x{j}, " for j in range(n)) + "})",
               "in_flight.append(True)", "if in_flight.popleft():"]
-    lines += ["    " + ln for j in range(n, n + len(outs))
-              for ln in _move_src(j, chans, f"outs[k{j}]")] or ["    pass"]
-    names = {f"k{j}": p for j, p in enumerate([*cons, *prod])}
-    return _bind_src("step", {
-        "unit": unit, "advance": unit.advance, "in_flight": unit.in_flight,
-        **chans, **names}, lines + ["return True"])
+    lines += ["    " + ln for j in range(n, len(keys)) for ln in _move_src(
+        j, names, f"outs[{keys[j]}]")] or ["    pass"]
+    return names.bind("step", lines + ["return True"])
 
 
 class _StateGen:
     """Emits the transitions out of one FSM state as one function.
 
-    Every name, address, count, block parameter and index of a block
-    state cell in ``states`` from the model becomes a parameter ``k0, k1,
-    ...`` (equal strings share one), and each port the state uses binds
-    its ``_port_names`` in the order of first use; the text thus depends
-    only on the shape of the state, and equal shapes share one compiled
-    text.  A status poll or bus transfer first charges ``chg``.  A send
-    appends inline, since it follows its own guard in the same transition.
+    The function is bound to ``chg``, ``env``, ``states`` and ``loops`` of
+    ``bound``.  Every name, address, count, block parameter and index of a
+    block state cell in ``states`` from the model is named ``kN``, and each
+    port the state uses binds its ``_port_names`` in the order of first
+    use; the text thus depends only on the shape of the state.  A status
+    poll or bus transfer first charges ``chg``.  A send appends inline,
+    since it follows its own guard in the same transition.
     """
 
-    def __init__(self, loops: dict, cells: dict, cons: dict, prod: dict):
-        self.loops = loops
+    def __init__(self, bound: dict, cells: dict, cons: dict, prod: dict):
+        self.names = Names(bound)
+        self.loops = bound["loops"]
         self.cells = cells  # state key -> indices of its cells in states
         self.cons, self.prod = cons, prod
-        self.values: list = []
-        self.names: dict[str, str] = {}
         self.ports: dict[tuple, int] = {}  # (port, is output) -> index
-        self.chans: dict = {}  # _port_names of every port used
         self.lines: list[str] = []
 
-    def key(self, value) -> str:
-        if isinstance(value, str) and value in self.names:
-            return self.names[value]
-        k = f"k{len(self.values)}"
-        self.values.append(value)
-        if isinstance(value, str):
-            self.names[value] = k
-        return k
-
     def var(self, name: str) -> str:
-        return f"env[{self.key(name)}]"
+        return f"env[{self.names(name)}]"
 
     def loop(self, loop_id: str) -> str:
         self.loops.setdefault(loop_id, 0)
-        return f"loops[{self.key(loop_id)}]"
+        return f"loops[{self.names(loop_id)}]"
 
     def port(self, port: str, out: bool) -> int:
         if (port, out) not in self.ports:
             j = self.ports[(port, out)] = len(self.ports)
-            self.chans |= _port_names(j, self.prod[port]) if out \
+            self.names |= _port_names(j, self.prod[port]) if out \
                 else _port_names(j, *self.cons[port])
         return self.ports[(port, out)]
 
@@ -284,10 +242,10 @@ class _StateGen:
                 raise SimError(f"{g.port}: status poll of bit {g.bit}")
             self.charge(ind)
             return _ready_src(self.port(g.port, g.bit == STATUS_NOT_FULL),
-                             self.chans)
+                             self.names)
         if isinstance(g, (GCanRecv, GCanSend)):
             return _ready_src(self.port(g.port, isinstance(g, GCanSend)),
-                             self.chans)
+                             self.names)
         if isinstance(g, GLoopNotDone):
             return f"{self.loop(g.loop_id)} > 0"
         if isinstance(g, GLoopDone):
@@ -305,12 +263,12 @@ class _StateGen:
                 self.actions(a.orelse, ind + "    ")
             elif isinstance(a, ACall):
                 self.lines += [ind + ln for ln in _call_src(
-                    a.call, self.var, self.state, self.key)]
+                    a.call, self.var, self.state, self.names)]
             else:
                 self.lines += [ind + ln for ln in self.action(a, ind)]
 
     def state(self, key: str) -> list:
-        return [f"states[{self.key(i)}]" for i in self.cells[key]]
+        return [f"states[{self.names(i)}]" for i in self.cells[key]]
 
     def action(self, a, ind: str) -> list[str]:
         if isinstance(a, (ABusRead, ABusWrite)):
@@ -319,19 +277,19 @@ class _StateGen:
             self.charge(ind)
         if isinstance(a, (ARecv, ABusRead, ASend, ABusWrite)):
             out = isinstance(a, (ASend, ABusWrite))
-            return _move_src(self.port(a.port, out), self.chans,
+            return _move_src(self.port(a.port, out), self.names,
                             self.var(a.var))
         if isinstance(a, AAssign):
-            src = self.key(a.src) if isinstance(a.src, int) \
+            src = self.names(a.src) if isinstance(a.src, int) \
                 else self.var(a.src)
             return [f"{self.var(a.var)} = {src}"]
         if isinstance(a, ALoopInit):
-            return [f"{self.loop(a.loop_id)} = {self.key(a.count)}"]
+            return [f"{self.loop(a.loop_id)} = {self.names(a.count)}"]
         if isinstance(a, ALoopStep):
             return [f"{self.loop(a.loop_id)} -= 1"]
         raise SimError(f"unknown action {a!r}")
 
-    def build(self, transitions, charge, env: dict, states: list):
+    def build(self, transitions):
         """Bind the function running the first transition whose guards
         hold and returning its next state, or None if none holds."""
         for t in transitions:
@@ -341,11 +299,8 @@ class _StateGen:
                     self.lines.append(f"{ind}if {self.guard(g, ind)}:")
                     ind += "    "
             self.actions(t.actions, ind)
-            self.lines.append(f"{ind}return {self.key(t.next)}")
-        return _bind_src("state", {
-            "chg": charge, "env": env, "states": states, "loops": self.loops,
-            **self.chans, **{f"k{i}": v for i, v in enumerate(self.values)}},
-            self.lines + ["return None"])
+            self.lines.append(f"{ind}return {self.names(t.next)}")
+        return self.names.bind("state", self.lines + ["return None"])
 
 
 class FsmRunner:
@@ -359,20 +314,20 @@ class FsmRunner:
     to ``charge.bus_transactions``, so a failed poll is still charged.
     """
 
-    def __init__(self, fsm: TaskFsm, cons: dict, prod: dict, charge=None):
+    def __init__(self, fsm: TaskFsm, cons: dict, prod: dict, charge):
         self.fsm = fsm
         self.state = fsm.initial
-        env: dict = {}
         cells, states = {}, []  # state key -> indices of its cells in states
         for key, init in fsm.init_states.items():
             cells[key] = range(len(states), len(states) + len(init))
             states += init
-        loops: dict[str, int] = {}  # loop id -> iterations left
+        # loops: loop id -> iterations left
+        bound = {"chg": charge, "env": {}, "states": states, "loops": {}}
         out: dict[int, list] = {s: [] for s in fsm.states}
         for t in fsm.transitions:
             out.setdefault(t.state, []).append(t)
-        self.run = {s: _StateGen(loops, cells, cons, prod).build(
-            ts, charge, env, states) for s, ts in out.items()}
+        self.run = {s: _StateGen(bound, cells, cons, prod).build(ts)
+                    for s, ts in out.items()}
 
     def step(self) -> bool:
         """Attempt one transition; True if one fired."""

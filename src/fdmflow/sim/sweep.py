@@ -1,4 +1,5 @@
-"""The one block-sweep evaluator, generated once per synchronous block graph.
+"""The one block-sweep evaluator, generated once per synchronous block graph,
+and ``binder``, the one way generated code is built.
 
 Level 0, the RTL cycle model and the FSM controller each build a
 ``Sweep`` plan from their graph and then only call ``tick``.  A plan holds
@@ -9,20 +10,23 @@ its d slot.  A ``delay(k)`` block is a register of depth k; at the cycle
 level an IP's L-stage output pipeline and an edge's balancing registers are
 registers too.
 
-``build`` turns the plan into straight-line Python, once, and ``exec``s it
-(as ``dataclasses`` and ``namedtuple`` do).  One list ``vals`` holds every
-slot, every block state cell and every register stage; the generated
-``tick`` reads and writes it by index, fires each op as its block's
-template (``model.blocks.block_src``) spliced inline, and then shifts the
-registers stage by stage.  A block parameter is a global ``kN`` of the
-generated code and a user function a call of one, so the source holds
-only integers, quoted port names and names the generator makes up, never
-a block name or a parameter value: plans that differ only in parameter
-values share one text.  The ops and the shifts go into functions of
-``CHUNK`` each, and each is compiled on its own: CPython needs several
-KiB of temporary memory per line to compile a function, so one source
-for a plan of hundreds of ops would raise the peak memory of a run for
-nothing.  Equal source texts are compiled once.
+Every simulator turns its plan, behavior, FSM state, hardware step or run
+loop into straight-line Python, once, through ``binder`` (as
+``dataclasses`` and ``namedtuple`` do): the text defines ``bind``, which
+returns the function bound to the values it is given by name.
+A value of the model, such as a block parameter, a user function or a
+unit name, gets a name ``kN`` from ``Names``, so a text holds only
+integers, quoted port names and names the generator makes up, and texts
+that differ only in values are one.  Equal texts are compiled once.
+
+``build`` writes the sweep: one list ``vals`` holds every slot, every
+block state cell and every register stage; the generated ``tick`` reads
+and writes it by index, fires each op as its block's template
+(``model.blocks.block_src``) spliced inline, and then shifts the registers
+stage by stage.  The ops and the shifts go into functions of ``CHUNK``
+each, and each is compiled on its own: CPython needs several KiB of
+temporary memory per line to compile a function, so one source for a
+plan of hundreds of ops would raise the peak memory of a run for nothing.
 """
 
 from __future__ import annotations
@@ -39,25 +43,45 @@ def _code(src: str):
     return compile(src, "<fdmflow generated>", "exec")
 
 
-def exec_generated(src: str, namespace: dict) -> dict:
-    """Run generated source in ``namespace``, compiling each text once."""
-    exec(_code(src), namespace)
-    return namespace
+def binder(fn: str, params, lines: list[str], cells=(), args=""):
+    """``bind(*values)``, generated, which returns the function ``fn(args)``
+    running ``lines`` as a closure over ``params`` bound to ``values`` and
+    over ``cells``, variables that start at 0 and keep their values from
+    call to call; equal texts are compiled once."""
+    head = [f"def bind({', '.join(params)}):"] + [
+        f"    {c} = 0" for c in cells] + [f"    def {fn}({args}):"]
+    if cells:
+        head.append(f"        nonlocal {', '.join(cells)}")
+    body = "\n        ".join(lines)
+    src = "\n".join(head) + f"\n        {body}\n    return {fn}\n"
+    ns: dict = {}
+    exec(_code(src), ns)
+    return ns["bind"]
 
 
-def _chunked(lines: list[str], name: str, namespace: dict) -> list[str]:
-    """Define functions ``name0(vals)``, ``name1``, ... in ``namespace``,
-    each running ``CHUNK`` of the entries (an entry may span lines);
-    return the lines that call them in order.  Each function is compiled
-    on its own, so the compiler never holds more than one chunk."""
-    calls = []
-    for i in range(0, len(lines), CHUNK):
-        fname = f"{name}{i // CHUNK}"
-        exec_generated("\n".join([f"def {fname}(vals):"] + [
-            "    " + ln.replace("\n", "\n    ")
-            for ln in lines[i:i + CHUNK]] + [""]), namespace)
-        calls.append(f"{fname}(vals)")
-    return calls
+class Names(dict):
+    """The values a generated text is bound to, name -> value.  Calling it
+    with a value binds it to a new name ``kN`` and returns the name; an
+    equal string shares the name it already has, and no other value
+    does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.strings: dict[str, str] = {}
+
+    def __call__(self, value) -> str:
+        shared = isinstance(value, str)
+        if shared and value in self.strings:
+            return self.strings[value]
+        name = f"k{len(self)}"  # no other name of a text is k<digits>
+        self[name] = value
+        if shared:
+            self.strings[value] = name
+        return name
+
+    def bind(self, fn: str, lines: list[str], args=""):
+        """``fn(args)`` running ``lines``, bound to these values."""
+        return binder(fn, self, lines, args=args)(*self.values())
 
 
 class Sweep:
@@ -80,7 +104,6 @@ class Sweep:
     def build(self) -> None:
         """Generate ``tick`` with every slot, block state and register zero."""
         vals = [0] * (len(self.slots) + 1)
-        ns: dict = {"vals": vals}
 
         def cell(init) -> int:
             vals.append(init)
@@ -89,14 +112,21 @@ class Sweep:
         def ref(s: int) -> str:
             return f"vals[{s}]" if s else "0"
 
-        def name(value) -> str:  # ns holds vals and the names bound so far
-            ns[f"k{len(ns)}"] = value
-            return f"k{len(ns) - 1}"
+        names = Names(vals=vals)  # tick's: vals and a function per chunk
 
-        body = ["\n".join(block_src(
-            kind, params, [ref(s) for s in ins], [f"vals[{s}]" for s in outs],
-            [f"vals[{cell(v)}]" for v in init_state(kind, params) or ()],
-            name)) for kind, params, ins, outs in self.ops]
+        def chunk(fn: str, i: int, lines: list[str], ks: Names) -> str:
+            names[f"{fn}{i // CHUNK}"] = ks.bind(fn, lines, args="vals")
+            return f"{fn}{i // CHUNK}(vals)"
+
+        op_calls = []
+        for i in range(0, len(self.ops), CHUNK):
+            ks, lines = Names(), []  # the chunk's block parameters, its lines
+            for kind, params, ins, outs in self.ops[i:i + CHUNK]:
+                cells = [cell(v) for v in init_state(kind, params) or ()]
+                lines += block_src(kind, params, [ref(s) for s in ins],
+                                   [f"vals[{s}]" for s in outs],
+                                   [f"vals[{c}]" for c in cells], ks)
+            op_calls.append(chunk("ops", i, lines, ks))
 
         # a register whose d is some register's head reads a snapshot, so
         # the order of the shifts cannot matter
@@ -111,16 +141,12 @@ class Sweep:
             shifts += [f"vals[{a}] = vals[{b}]"
                        for a, b in zip(stages, stages[1:])]
             shifts.append(f"vals[{stages[-1]}] = {ref(d)}")
+        moves = snaps + shifts
+        reg_calls = [chunk("regs", i, moves[i:i + CHUNK], Names())
+                     for i in range(0, len(moves), CHUNK)]
 
-        op_calls = _chunked(body, "ops", ns)
-        reg_calls = _chunked(snaps + shifts, "regs", ns)
         outs = ", ".join(f"{p!r}: {ref(s)}" for p, s in self.outputs.items())
-        src = "\n".join([
-            "def tick(in_values):",
-            "    get = in_values.get"] + [
-            f"    vals[{s}] = get({p!r}, 0)" for p, s in self.inputs.items()] + [
-            f"    {c}" for c in op_calls] + [
-            f"    out = {{{outs}}}"] + [
-            f"    {c}" for c in reg_calls] + [
-            "    return out", ""])
-        self.tick = exec_generated(src, ns)["tick"]
+        self.tick = names.bind("tick", ["get = in_values.get"] + [
+            f"vals[{s}] = get({p!r}, 0)" for p, s in self.inputs.items()] +
+            op_calls + [f"out = {{{outs}}}"] + reg_calls + ["return out"],
+            args="in_values")

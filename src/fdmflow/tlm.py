@@ -34,7 +34,7 @@ class ChannelSpec:
     topology: str  # point_to_point | multipoint | network
     producers: list[PortRef]
     consumers: list[PortRef]
-    fifo_depth: int = 1
+    fifo_depth: int | str = 1  # the raw param; validation rejects a str
     explicit: bool = False
     # ordered pins the connection passes through, for netlist net emission:
     # ("top"|"unit"|"nport"|"chan", owner, port)
@@ -275,7 +275,7 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
             spec = ChannelSpec(chan_name,
                                str(sub.params.get("topology", "point_to_point")),
                                [ref(origin)], [ref(t) for t in terminals],
-                               int(sub.params.get("depth", 1)),
+                               sub.params.get("depth", 1),
                                explicit=True, chain=chain)
             by_chan[chan_name] = spec
             channels.append(spec)
@@ -346,7 +346,11 @@ def validate_partition(t: TlmModel) -> ValidationReport:
             out.append(Diagnostic("error", loc,
                                   "channel must have at least one producer "
                                   "and one consumer"))
-        if ch.fifo_depth < 1:
+        if not isinstance(ch.fifo_depth, int):
+            out.append(Diagnostic(
+                "error", loc,
+                f"fifo depth must be an integer, got {ch.fifo_depth!r}"))
+        elif ch.fifo_depth < 1:
             out.append(Diagnostic("error", loc, "fifo depth must be >= 1"))
 
     for u in t.units.values():

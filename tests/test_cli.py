@@ -104,6 +104,15 @@ model two {
 """
 
 
+QUOTED_DEPTH_FDM = """
+model quoted {
+  input x; output y;
+  subsystem CHAN_c { input i; output o; param depth = "abc"; }
+  link self.x -> CHAN_c.i; link CHAN_c.o -> self.y;
+}
+"""
+
+
 # a task that multiplies by 0: its output is 0 at every tick
 FLAT_FDM = """
 model flat {
@@ -208,6 +217,20 @@ class TestCheck:
         captured = capsys.readouterr()
         msg = "CHAN_c: channel has 2 producers (HW_two.o1, HW_two.o2); " \
             "a channel takes one\n"
+        if cmd == "check":
+            assert captured.out == "error: " + msg
+        else:
+            assert captured.err == "[partition] " + msg
+
+    @pytest.mark.parametrize("cmd", ["check", "flow"])
+    def test_channel_depth_not_an_integer(self, cmd, tmp_path, capsys):
+        p = tmp_path / "quoted.fdm"
+        p.write_text(QUOTED_DEPTH_FDM)
+        args = [cmd, "--model", str(p)]
+        assert main(args if cmd == "check"
+                    else args + ["--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        msg = "CHAN_c: fifo depth must be an integer, got 'abc'\n"
         if cmd == "check":
             assert captured.out == "error: " + msg
         else:

@@ -85,25 +85,26 @@ class TestChannelRt:
         ch.push(1)
         ch.push(2)
         assert not ch.can_push()
-        assert ch.pop(("c1", "in")) == 1
+        assert ch.queues[("c1", "in")].popleft() == 1
         assert ch.can_push()
 
     def test_broadcast(self):
         ch = ChannelRt(self._spec(consumers=("c1", "c2")))
         ch.push(7)
         assert not ch.can_push()  # both queues must drain
-        assert ch.pop(("c1", "in")) == 7
+        assert ch.queues[("c1", "in")].popleft() == 7
         assert not ch.can_push()
-        assert ch.pop(("c2", "in")) == 7
+        assert ch.queues[("c2", "in")].popleft() == 7
         assert ch.can_push()
 
     def test_status_bits(self):
+        """A status poll reads its not-empty bit as ``can_pop`` of the
+        consumer's queue and its not-full bit as ``can_push``."""
         ch = ChannelRt(self._spec(depth=1))
         key = ("c1", "in")
-        assert ch.status(key) == 2  # empty, room available
+        assert (ch.can_pop(key), ch.can_push()) == (False, True)
         ch.push(5)
-        assert ch.status(key) == 1  # full, data available
-        assert ch.status(None) == 0  # producer view of a full channel
+        assert (ch.can_pop(key), ch.can_push()) == (True, False)
 
     def test_push_into_full_channel_raises(self):
         ch = ChannelRt(self._spec(depth=1))

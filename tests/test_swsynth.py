@@ -12,8 +12,8 @@ from fdmflow.swsynth import ABusRead, ABusWrite, ARecv, ASend, GCanRecv, \
     allocate_address_map, build_task_fsm, check_fsm, format_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import bind_queues, channel, rand_task_subsystem, run_task, \
-    sent, standalone_address_map
+from helpers import bind_queues, bus_counter, channel, rand_task_subsystem, \
+    run_task, sent, standalone_address_map
 
 import importlib.resources as ir
 
@@ -58,7 +58,7 @@ class TestBuildTaskFsm:
                        Send("out", "x")])
         f = build_task_fsm(b)
         cons, prod = bind_queues(f, {"in": [10]})
-        r = FsmRunner(f, cons, prod)
+        r = FsmRunner(f, cons, prod, bus_counter())
         steps = 0
         while r.step():
             steps += 1
@@ -104,7 +104,7 @@ class TestMergeSchedule:
                        0, (), (), {})
 
     def test_round_robin_order(self):
-        runners = [FsmRunner(self._selfloop_fsm(n), {}, {})
+        runners = [FsmRunner(self._selfloop_fsm(n), {}, {}, bus_counter())
                    for n in ("A", "B")]
         order = []
         for _ in range(3):
@@ -118,8 +118,9 @@ class TestMergeSchedule:
                           [Transition(0, (GCanRecv("in"),),
                                       (ARecv("in", "x"),), 0)],
                           0, ("in",), (), {})
-        runners = [FsmRunner(blocked, *bind_queues(blocked, {})),
-                   FsmRunner(self._selfloop_fsm("B"), {}, {})]
+        runners = [FsmRunner(blocked, *bind_queues(blocked, {}),
+                             bus_counter()),
+                   FsmRunner(self._selfloop_fsm("B"), {}, {}, bus_counter())]
         fired = [0, 0]
         for _ in range(5):
             for i, r in enumerate(runners):
@@ -139,8 +140,10 @@ class TestProducerConsumer:
         # two tasks over one depth-1 FIFO; the producer reads a source
         fifo, res = channel("ch", "c", depth=1), channel("res", "r")
         rp = FsmRunner(prod, {"src": (channel("src", "p", [1, 2, 3, 4, 5]),
-                                      ("p", "src"))}, {"ch": fifo})
-        rc = FsmRunner(cons, {"ch": (fifo, ("c", "ch"))}, {"res": res})
+                                      ("p", "src"))}, {"ch": fifo},
+                       bus_counter())
+        rc = FsmRunner(cons, {"ch": (fifo, ("c", "ch"))}, {"res": res},
+                       bus_counter())
         kinds = []
 
         def step(runner, kind, count):
@@ -164,9 +167,9 @@ class TestProducerConsumer:
                   "i0")], in_ports=(), out_ports=()))
         b = build_task_fsm(_behavior(
             [Recv("in", "x"), Send("out", "x")]))
-        ra = FsmRunner(a, {}, {})
+        ra = FsmRunner(a, {}, {}, bus_counter())
         cons, prod = bind_queues(b, {"in": list(range(10))})
-        rb = FsmRunner(b, cons, prod)
+        rb = FsmRunner(b, cons, prod, bus_counter())
         for _ in range(40):
             ra.step()
             rb.step()

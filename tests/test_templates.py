@@ -1,6 +1,6 @@
-"""Block templates: every simulator that splices them, and the generated
-``block_fn``, agree bit for bit with an oracle written apart from them,
-and a parameter value never enters a generated text."""
+"""Block templates: every simulator that splices them agrees bit for bit
+with an oracle written apart from them, and a parameter value never
+enters a generated text."""
 
 import importlib.util
 import random
@@ -13,8 +13,8 @@ import fdmflow.sim.sweep as sweep
 from fdmflow.flow import compile_design, default_stimulus, simulate
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Call, Recv, Send, \
     TaskBehavior
-from fdmflow.model.blocks import KIND_NAMES, USER_FUNCTIONS, block_fn, \
-    init_state, port_names
+from fdmflow.model.blocks import KIND_NAMES, USER_FUNCTIONS, init_state, \
+    port_names
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.interp import FsmRunner, behavior_coroutine
 from fdmflow.swsynth import build_task_fsm, lower_api
@@ -55,10 +55,10 @@ def firings(draw):
     return kind, params, ticks
 
 
-def _stepped(step, kind, params, ticks):
+def _stepped(kind, params, ticks):
     state, outs = init_state(kind, params), []
     for xs in ticks:
-        ys, state = step(kind, params, xs, state)
+        ys, state = reference_step(kind, params, xs, state)
         outs.append(ys)
     return outs
 
@@ -120,10 +120,7 @@ class TestTemplates:
     @given(firings())
     def test_generators_match_reference(self, firing):
         kind, params, ticks = firing
-        want = _stepped(reference_step, kind, params, ticks)
-        fn = block_fn(kind, params)
-        assert _stepped(lambda k, p, xs, s: fn(xs, s),
-                        kind, params, ticks) == want
+        want = _stepped(kind, params, ticks)
         assert _swept(kind, params, ticks) == want
         b = _behavior(kind, params)
         assert _coroutine(b, ticks) == want
@@ -222,10 +219,10 @@ class TestSharedTexts:
         assert a == b
 
     def test_wide_design_texts_fit_the_cache(self):
-        """The 50-task, 50-node benchmark design fills at most three
-        quarters of the compiled-text cache at every level: same-sized
-        chunks of the run loop share one text, so the count does not grow
-        with the number of units."""
+        """The 50-task, 50-node benchmark design compiles at most 82
+        distinct texts over every level: same-sized chunks of the run loop
+        share one text, so the count does not grow with the number of
+        units."""
         spec = importlib.util.spec_from_file_location("gen_wide", GEN_WIDE)
         gen_wide = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gen_wide)
@@ -236,7 +233,7 @@ class TestSharedTexts:
         for level in (0, 1, 2, 3):
             simulate(level, cd, stim, 10)
         info = sweep._code.cache_info()
-        assert info.currsize <= info.maxsize * 3 // 4, info
+        assert info.currsize <= 82, info
 
     def test_distinct_texts_fit_the_cache(self, monkeypatch):
         maxsize = sweep._code.cache_info().maxsize
