@@ -13,8 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .flow import CompiledDesign, FlowError, compile_design, \
-    default_stimulus, load_model_file, run_flow, simulate, write_address_map, \
+from .flow import FlowError, compile_design, default_stimulus, \
+    generate_macro, load_model_file, run_flow, simulate, write_address_map, \
     write_behaviors, write_fsms, write_netlist, write_rtl
 from .gma.params import ParamError, load_param_files
 from .model.parser import ParseError
@@ -62,10 +62,11 @@ def _out_dir(args) -> Path:
     return Path(out)
 
 
-def _compile(args) -> CompiledDesign:
+def _compile(args, stages=compile_design):
+    """The model of ``args`` through ``stages``, with its parameters."""
     model = _read_model(args.model)
     try:
-        return compile_design(model, _load_params(args.params))
+        return stages(model, _load_params(args.params))
     except (FlowError, ParamError) as e:
         raise _Fail(str(e))
 
@@ -111,7 +112,7 @@ def cmd_flow(args) -> int:
 
 def cmd_gma(args) -> int:
     out = _out_dir(args)
-    cd = _compile(args)
+    cd = _compile(args, generate_macro)
     write_netlist(cd, out)
     write_behaviors(cd, out / "behaviors", cd.behaviors)
     print(f"wrote netlist, {len(cd.params.entries)} parameter files, "

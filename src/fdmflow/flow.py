@@ -1,5 +1,6 @@
 """End-to-end refinement flow.
 
+generate_macro runs the stages up to the behaviors into a MacroDesign;
 compile_design runs every synthesis stage once and bundles the results
 in one CompiledDesign, which the engine also runs from; simulate
 dispatches to the right engine for a level; the write_* functions are the
@@ -18,7 +19,6 @@ from .gma import ParamSet, attach_params, build_tree, emit_netlist, \
     emit_param_templates, gen_task_behavior, netlist_to_json, param_files
 from .gma.behavior import format_behavior
 from .gma.netlist import ColifNetlist
-from .gma.tree import DesignTree
 from .hwsynth import HwImpl, delay_correct, emit_rtl_text, fsm_controller, \
     map_rtl_library, pipelineable
 from .model.graph import ModelGraph
@@ -38,13 +38,19 @@ class FlowError(Exception):
 
 
 @dataclass
-class CompiledDesign:
+class MacroDesign:
+    """The macro architecture: the stages ``fdmflow gma`` writes, which
+    every later stage reads."""
+
     model: ModelGraph
     tlm: TlmModel
-    tree: DesignTree
     netlist: ColifNetlist  # with bound params
     params: ParamSet
     behaviors: dict  # unit -> TaskBehavior, for every unit
+
+
+@dataclass
+class CompiledDesign(MacroDesign):
     macro_fsms: dict  # task unit -> TaskFsm
     address_map: AddressMap
     micro_fsms: dict  # task unit -> TaskFsm (micro level)
@@ -52,8 +58,9 @@ class CompiledDesign:
     unit_costs: dict  # task unit -> cycles per fired transition, if > 0
 
 
-def compile_design(model: ModelGraph,
-                   params: ParamSet | None = None) -> CompiledDesign:
+def generate_macro(model: ModelGraph,
+                   params: ParamSet | None = None) -> MacroDesign:
+    """Validation, partition, tree, netlist, parameters and behaviors."""
     report = validate_model(model)
     if not report.ok:
         raise FlowError("validate", report.errors()[0].message)
@@ -69,20 +76,30 @@ def compile_design(model: ModelGraph,
         bound = attach_params(netlist, used)
     except Exception as e:
         raise FlowError("attach_params", str(e)) from None
-
     behaviors = {}
-    macro_fsms = {}
-    for name, u in tlm.units.items():
+    for name in tlm.units:
         try:
             behaviors[name] = gen_task_behavior(tree, name)
-            if u.kind == "task":
-                macro_fsms[name] = build_task_fsm(behaviors[name])
         except Exception as e:
             raise FlowError("swsynth", str(e)) from None
+    return MacroDesign(model, tlm, bound, used, behaviors)
 
-    address_map = allocate_address_map(bound)
-    root = netlist.top.name
-    modules = dict(bound.modules())
+
+def compile_design(model: ModelGraph,
+                   params: ParamSet | None = None) -> CompiledDesign:
+    md = generate_macro(model, params)
+    tlm = md.tlm
+    macro_fsms = {}
+    for name, u in tlm.units.items():
+        if u.kind == "task":
+            try:
+                macro_fsms[name] = build_task_fsm(md.behaviors[name])
+            except Exception as e:
+                raise FlowError("swsynth", str(e)) from None
+
+    address_map = allocate_address_map(md.netlist)
+    root = md.netlist.top.name
+    modules = dict(md.netlist.modules())
     micro_fsms = {}
     for name, f in macro_fsms.items():
         micro_fsms[name] = lower_api(f, address_map, f"{root}/{name}")
@@ -92,11 +109,11 @@ def compile_design(model: ModelGraph,
         if info.role != "hardware":
             continue
         costs = {}
-        for blk in info.subsystem.blocks:
-            m = modules.get(f"{root}/{info.name}/{blk.id}")
+        for path in tlm.flats[info.name].blocks:
+            m = modules.get(f"{root}/{info.name}/{path}")
             c = m.params.get("cost_cycles", 0) if m else 0
             if c > 0:
-                costs[blk.id] = c
+                costs[path] = c
         try:
             rg = map_rtl_library(info.subsystem, costs)
             if pipelineable(rg):
@@ -115,11 +132,9 @@ def compile_design(model: ModelGraph,
             c = m.params.get("cost_cycles", 0)
             if c > 0:
                 unit_costs[name] = c
-    return CompiledDesign(model, tlm, tree, netlist=bound,
-                          params=used, behaviors=behaviors,
-                          macro_fsms=macro_fsms, address_map=address_map,
-                          micro_fsms=micro_fsms, hw_impl=hw_impl,
-                          unit_costs=unit_costs)
+    return CompiledDesign(**vars(md), macro_fsms=macro_fsms,
+                          address_map=address_map, micro_fsms=micro_fsms,
+                          hw_impl=hw_impl, unit_costs=unit_costs)
 
 
 def simulate(level: int, cd: CompiledDesign, stim: Stimulus,
@@ -160,7 +175,7 @@ def _dir(path) -> Path:
     return d
 
 
-def write_netlist(cd: CompiledDesign, out: Path) -> None:
+def write_netlist(cd: MacroDesign, out: Path) -> None:
     """netlist.colif.json, and one parameter file per module in params/."""
     (_dir(out) / "netlist.colif.json").write_text(netlist_to_json(cd.netlist))
     pdir = _dir(out / "params")
@@ -168,7 +183,7 @@ def write_netlist(cd: CompiledDesign, out: Path) -> None:
         (pdir / fname).write_text(text)
 
 
-def write_behaviors(cd: CompiledDesign, out: Path, units) -> None:
+def write_behaviors(cd: MacroDesign, out: Path, units) -> None:
     d = _dir(out)
     for name in sorted(units):
         (d / f"{_safe(name)}.behavior.txt").write_text(

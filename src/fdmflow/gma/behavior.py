@@ -40,12 +40,14 @@ class BehaviorError(Exception):
 class Recv:
     port: str
     var: str
+    addr: int | None = None  # DATA register, once lowered to a bus Read
 
 
 @dataclass
 class Send:
     port: str
     var: str
+    addr: int | None = None  # DATA register, once lowered to a bus Write
 
 
 @dataclass
@@ -216,6 +218,23 @@ def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
                         states)
 
 
+def format_stmt(s) -> str:
+    """A recv, send, call or assignment as one line; a recv or send with
+    an address as its bus transaction."""
+    if isinstance(s, Recv):
+        if s.addr is not None:
+            return f"{s.var} = Read(0x{s.addr:04x}, pop)"
+        return f"{s.var} = recv({s.port})"
+    if isinstance(s, Send):
+        if s.addr is not None:
+            return f"Write(0x{s.addr:04x}, {s.var}, push)"
+        return f"send({s.port}, {s.var})"
+    if isinstance(s, Call):
+        o = ", ".join(s.outs)
+        return f"{o + ' = ' if o else ''}{s.name}({', '.join(s.ins)})"
+    return f"{s.var} = {s.src}"
+
+
 def format_behavior(b: TaskBehavior) -> str:
     """Readable listing, one statement per line."""
     lines = [f"task {b.task} mode={b.mode}"]
@@ -223,18 +242,7 @@ def format_behavior(b: TaskBehavior) -> str:
     def emit(stmts, ind):
         pad = "  " * ind
         for s in stmts:
-            if isinstance(s, Recv):
-                lines.append(f"{pad}{s.var} = recv({s.port})")
-            elif isinstance(s, Send):
-                lines.append(f"{pad}send({s.port}, {s.var})")
-            elif isinstance(s, Call):
-                o = ", ".join(s.outs)
-                i = ", ".join(s.ins)
-                lhs = f"{o} = " if o else ""
-                lines.append(f"{pad}{lhs}{s.name}({i})")
-            elif isinstance(s, Assign):
-                lines.append(f"{pad}{s.var} = {s.src}")
-            elif isinstance(s, Loop):
+            if isinstance(s, Loop):
                 lines.append(f"{pad}loop {s.count} times [{s.loop_id}]:")
                 emit(s.body, ind + 1)
             elif isinstance(s, If):
@@ -242,6 +250,8 @@ def format_behavior(b: TaskBehavior) -> str:
                 emit(s.then, ind + 1)
                 lines.append(f"{pad}else:")
                 emit(s.orelse, ind + 1)
+            else:
+                lines.append(pad + format_stmt(s))
 
     emit(b.body, 1)
     for key, st in b.states.items():

@@ -1,8 +1,8 @@
 """Database tree: one node per architecture element plus a synthetic root.
 
-The tree is the pivot between partition recognition and everything
-downstream; netlist emission, behavior generation and the software and
-hardware backends all read from it rather than from the raw model.
+Netlist emission reads the tree: a node, task, IP, channel or testbench
+element becomes a module.  Behavior generation and the software and
+hardware backends read the recognized partition (``TlmModel``) instead.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ class DesignTree:
     tlm: TlmModel
 
 
-def _block_leaf(blk, role: str) -> TreeNode:
+def _block_leaf(name: str, blk, role: str) -> TreeNode:
     ins, outs = port_names(blk.kind, blk.params)
-    return TreeNode(blk.id, role, tuple(ins), tuple(outs),
+    return TreeNode(name, role, tuple(ins), tuple(outs),
                     params={"kind": blk.kind, "params": blk.params}, ref=blk)
 
 
@@ -40,15 +40,18 @@ def _task_node(unit: Unit) -> TreeNode:
     name = unit.name.split("/", 1)[1] if "/" in unit.name else unit.name
     node = TreeNode(name, "task", unit.in_ports, unit.out_ports, ref=unit)
     if unit.block is not None:
-        node.children.append(_block_leaf(unit.block, "block"))
+        node.children.append(_block_leaf(unit.block.id, unit.block, "block"))
     else:
         for blk in unit.subsystem.blocks:
-            node.children.append(_block_leaf(blk, "block"))
+            node.children.append(_block_leaf(blk.id, blk, "block"))
     return node
 
 
 def build_tree(t: TlmModel) -> DesignTree:
-    """root -> nodes / channels / testbench -> tasks and IPs -> blocks."""
+    """root -> nodes / channels / testbench -> tasks and IPs -> blocks.
+
+    A hardware node has one IP per block of its flattened graph, named by
+    the block's path in it, such as ``inner/u``."""
     root = TreeNode(t.base.name, "root",
                     tuple(t.base.inputs), tuple(t.base.outputs), ref=t.base)
     for info in t.nodes.values():
@@ -62,8 +65,8 @@ def build_tree(t: TlmModel) -> DesignTree:
             nd = TreeNode(info.name, "hw_node",
                           tuple(info.subsystem.inputs),
                           tuple(info.subsystem.outputs), ref=info.subsystem)
-            for blk in info.subsystem.blocks:
-                nd.children.append(_block_leaf(blk, "ip"))
+            for path, fb in t.flats[info.name].blocks.items():
+                nd.children.append(_block_leaf(path, fb.block, "ip"))
         root.children.append(nd)
     for ch in t.channels:
         root.children.append(TreeNode(

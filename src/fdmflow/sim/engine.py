@@ -22,12 +22,12 @@ if its channel has room; each awake task steps its FSM through
 awake hardware node calls its generated step; while the pipelines drain,
 the nodes are padded; each macro unit resumes its generator; each probe
 pops and records every sample its queue holds.  The sample counts, the
-drain flag, events and rounds are locals of the loop, and events and
-rounds are written back to the engine when it stops.  Units enter the
-text as parameters, in chunks of about ``sweep.CHUNK`` lines that are
-each a function of their own, so a text depends only on how many units
-of each kind a design has, and chunks of one size share one text,
-generated once.
+drain flag, events and rounds are locals of the loop, cycles and bus
+transactions go to a clock object (``_Clock``), and all four are written
+back to the engine when it stops.  Units enter the text as parameters,
+in chunks of about ``sweep.CHUNK`` lines that are each a function of
+their own, so a text depends only on how many units of each kind a
+design has, and chunks of one size share one text, generated once.
 
 Every port is bound to its channel before the run: behaviors and FSMs
 name only ports on a channel (an input on none is the constant 0, an
@@ -74,7 +74,7 @@ from collections import deque
 from functools import lru_cache
 
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
-from ..swsynth import STATUS_NOT_FULL, ALoopInit, GStatusReady, TaskFsm
+from ..swsynth import ALoopInit, GReady, TaskFsm
 from .channels import ChannelRt
 from .interp import FsmRunner, SimError, _move_src, _port_names, \
     _ready_src, behavior_coroutine, hw_step
@@ -83,21 +83,21 @@ from .trace import Stimulus, Trace
 
 # one unit's part of a round, formatted with its index j in its chunk, the
 # names it binds per unit and its cells; a task's ic/ib are the cycles and
-# bus transactions its last failed step charged, charged again for every
-# round it sleeps
+# bus transactions its last failed step charged to the clock clk, charged
+# again for every round it sleeps
 _TASK = ("""\
 if t{j}.awake:
-    cyc, bus = e.cycle, e.bus_transactions
+    cyc, bus = clk.cycle, clk.bus_transactions
     if step{j}():
-        e.cycle += cost{j}
+        clk.cycle += cost{j}
         ev += 1
     else:
         t{j}.awake = False
-        ic{j} = e.cycle - cyc
-        ib{j} = e.bus_transactions - bus
+        ic{j} = clk.cycle - cyc
+        ib{j} = clk.bus_transactions - bus
 else:
-    e.cycle += ic{j}
-    e.bus_transactions += ib{j}""", ("t", "step", "cost"), ("ic", "ib"))
+    clk.cycle += ic{j}
+    clk.bus_transactions += ib{j}""", ("t", "step", "cost"), ("ic", "ib"))
 _HW = ("""\
 if h{j}.awake:
     if step{j}():
@@ -120,14 +120,14 @@ def _listen(unit, channels) -> None:
 def _chunk_binder(fn: str, kind: tuple, n: int):
     """``bind(*values)`` of a chunk of ``n`` units of ``kind``, ``values``
     the names of unit 0, then of unit 1, and so on; ``bind`` returns
-    ``fn(e)``, which runs the chunk given the engine ``e`` and returns the
-    events made."""
+    ``fn(clk)``, which runs the chunk given the engine's ``_Clock`` and
+    returns the events made."""
     entry, stems, cells = kind
     return binder(fn, [f"{s}{j}" for j in range(n) for s in stems],
                    ["ev = 0"] + [ln for j in range(n)
                                  for ln in entry.format(j=j).splitlines()]
                    + ["return ev"],
-                   [f"{c}{j}" for j in range(n) for c in cells], args="e")
+                   [f"{c}{j}" for j in range(n) for c in cells], args="clk")
 
 
 def _chunks(fn: str, units: list, kind: tuple, values) -> dict:
@@ -150,12 +150,23 @@ def _pad(hw_units: list, ticks: int) -> int:
     return sum(1 for hw in hw_units if hw.consumed >= ticks and hw.pad())
 
 
+class _Clock:
+    """The cycles and bus transactions a run has charged: the FSM runners
+    and the task chunks charge it, and the run loop copies it to the
+    engine when it stops, so no generated function holds the engine."""
+
+    def __init__(self):
+        self.cycle = 0
+        self.bus_transactions = 0
+
+
 class _MicroTask:
     """One FSM task on a processor: its runner, its bus-side port bindings
     and its wake state.
 
     ``ports`` maps each port to (channel, consumer key), the key None for
-    an output.  The runner charges its bus transactions to the engine.
+    an output.  The runner charges its bus transactions to the engine's
+    clock.
     """
 
     def __init__(self, name: str, fsm: TaskFsm, cost: int, engine):
@@ -163,7 +174,7 @@ class _MicroTask:
         self.cost = cost
         cons, prod = engine.bind(name, fsm)
         self.ports = {**cons, **{p: (ch, None) for p, ch in prod.items()}}
-        self.runner = FsmRunner(fsm, cons, prod, engine)
+        self.runner = FsmRunner(fsm, cons, prod, engine.clock)
         self.awake = True
         _listen(self, [ch for ch, _ in self.ports.values()])
 
@@ -175,11 +186,10 @@ class _MicroTask:
             if t.state != self.runner.state:
                 continue
             for g in t.guards:
-                if not isinstance(g, GStatusReady):
+                if not isinstance(g, GReady):
                     continue
                 ch, key = self.ports[g.port]
-                if not (ch.can_push() if g.bit == STATUS_NOT_FULL
-                        else ch.can_pop(key)):
+                if not (ch.can_push() if g.out else ch.can_pop(key)):
                     out.append((g.port, ch, key))
         return out
 
@@ -247,6 +257,7 @@ class Engine:
         self.level = max((assignment[n] for n in cd.tlm.nodes), default=1)
         self.cycle = 0
         self.bus_transactions = 0
+        self.clock = _Clock()
         self.rounds = 0
         self.events = 0
 
@@ -296,14 +307,15 @@ class Engine:
     def _generate(self):
         """The run loop, generated once (module docstring).  It returns
         None once every probe holds ``ticks`` samples, "deadlock" or
-        "limit", and writes the rounds and events back to the engine."""
+        "limit", and writes the rounds, events, cycles and bus
+        transactions back to the engine."""
         # each micro-level loop iteration takes one scheduler slot
         loops = sum(a.count for tasks in self.schedulers for t in tasks
                     for tr in t.runner.fsm.transitions for a in tr.actions
                     if isinstance(a, ALoopInit))
         names = Names(ticks=self.ticks,
                       limit=(60 + loops) * self.ticks + 10000,
-                      pad=_pad, record=self.trace.record)
+                      pad=_pad, record=self.trace.record, clk=self.clock)
         lines = ["before = ev"]
         for j, (p, ch) in enumerate(self.sources):
             seq = self.stim.values.get(p, [])
@@ -316,15 +328,15 @@ class Engine:
             "tasks", [t for tasks in self.schedulers for t in tasks], _TASK,
             lambda t: (t, t.runner.step, t.cost))
         units |= _chunks("hw", self.hw_units, _HW, lambda h: (h, h.step))
-        lines += [f"ev += {f}(e)" for f in units]
+        lines += [f"ev += {f}(clk)" for f in units]
         lines += ["if drain:", "    ev += pad(e.hw_units, ticks)"]
         macro = _chunks("macro", self.macro_units, _MACRO, lambda m: (m,))
-        lines += [f"ev += {f}(e)" for f in macro]
+        lines += [f"ev += {f}(clk)" for f in macro]
         sent = [f"s{j}" for j in range(len(self.sources))]
         recorded = []
         for j, (p, ch, key) in enumerate(self.probes, len(sent)):
             names |= _port_names(j, ch, key)
-            now = "e.cycle" if self.level >= 3 else f"n{j}"
+            now = "clk.cycle" if self.level >= 3 else f"n{j}"
             lines += [f"while {_ready_src(j, names)}:"] + [
                 "    " + ln for ln in _move_src(j, names, "v")] + [
                 "    ev += 1", f"    record({names(p)}, {now}, v)",
@@ -337,16 +349,18 @@ class Engine:
                   "    return 'deadlock'",
                   "if rn > limit:", "    return 'limit'"]
         running = " or ".join(f"{n} < ticks" for n in recorded or sent)
-        # the engine is an argument, not a name the loop closes over, so
-        # a macro-level engine is in no reference cycle and is freed as
-        # soon as it is dropped
+        # the engine is an argument, not a name the loop closes over, and
+        # the FSM states charge the clock, so an engine is in no reference
+        # cycle and is freed as soon as it is dropped
         names |= units | macro
         return names.bind("loop", [
             "ev = rn = 0", "drain = False"] + [
             f"{n} = 0" for n in sent + recorded] + [
             "try:", f"    while {running or 'False'}:"] + [
             "        " + ln for ln in lines] + [
-            "    return None", "finally:", "    e.events, e.rounds = ev, rn"],
+            "    return None", "finally:", "    e.events, e.rounds = ev, rn",
+            "    e.cycle = clk.cycle",
+            "    e.bus_transactions = clk.bus_transactions"],
             args="e")
 
     def _waiting(self) -> str:

@@ -3,8 +3,8 @@
 Every unit touches its ports' queues inline.  A macro unit runs its
 behavior body as a generator, which yields only when it blocks or ends a
 body iteration; a task FSM steps one transition at a time under the
-round-robin scheduler, and at the micro level charges bus cycles for
-every transaction, failed status polls included; a hardware node's
+round-robin scheduler, and charges bus cycles for every transaction of a
+lowered FSM, failed status polls included; a hardware node's
 ``hw_step`` moves one sample per port around its cycle model.  All test
 and move a port alike (``_port_names``, ``_ready_src``, ``_move_src``):
 an input tests ``qN or can_popN(keyN)`` and pops its queue, an output
@@ -26,8 +26,13 @@ tests the state's transitions in order, each guard chain nested ``if``s
 with a status poll charged just before its test, so a poll runs, and is
 charged, exactly when the chain reaches it; the first transition whose
 guards hold runs its actions as straight-line code and returns the next
-state, and None says no transition fired.  Both executors, and the block
-sweep, write a block through ``block_src``, the one definition of it.
+state, and None says no transition fired.  An FSM holds the behavior's
+own statements, so both executors emit a call, an assignment and a
+branch through one emitter (``_Gen``); the FSM adds only its readiness
+guards and loop counter ops, and lowering only gives a channel op an
+address, which makes it a bus transaction that ``_StateGen`` charges.
+Both executors, and the block sweep, write a block through
+``block_src``, the one definition of it.
 """
 
 from __future__ import annotations
@@ -35,9 +40,8 @@ from __future__ import annotations
 from ..gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, Loop, \
     Recv, Send, TaskBehavior
 from ..model.blocks import block_src
-from ..swsynth import STATUS_NOT_EMPTY, STATUS_NOT_FULL, AAssign, ABusRead, \
-    ABusWrite, ACall, AIf, ALoopInit, ALoopStep, ARecv, ASend, GCanRecv, \
-    GCanSend, GLoopDone, GLoopNotDone, GStatusReady, GTrue, TaskFsm
+from ..swsynth import ALoopInit, ALoopStep, GLoopDone, GLoopNotDone, \
+    GReady, TaskFsm
 from .sweep import Names, binder
 
 BUS_LATENCY = 2  # cycles per micro-level bus transaction
@@ -93,7 +97,36 @@ def _move_src(j: int, names: dict, v: str) -> list[str]:
             f"    for u in w{j}: u.awake = True"]
 
 
-class _BodyGen:
+class _Gen:
+    """Emits the statements a behavior body and an FSM transition share
+    into ``lines``: a call as its block's template, an assignment and a
+    branch.  A subclass names variables (``var``) and the state cells of
+    a state key (``cells``), and emits every other statement."""
+
+    def body(self, stmts, ind: str) -> None:
+        if not stmts:
+            self.lines.append(f"{ind}pass")
+        for s in stmts:
+            self.stmt(s, ind)
+
+    def stmt(self, s, ind: str) -> None:
+        emit = self.lines.append
+        if isinstance(s, Call):
+            self.lines += [ind + ln for ln in _call_src(
+                s, self.var, self.cells, self.names)]
+        elif isinstance(s, Assign):
+            src = repr(s.src) if isinstance(s.src, int) else self.var(s.src)
+            emit(f"{ind}{self.var(s.var)} = {src}")
+        elif isinstance(s, If):
+            emit(f"{ind}if {self.var(s.cond)}:")
+            self.body(s.then, ind + "    ")
+            emit(f"{ind}else:")
+            self.body(s.orelse, ind + "    ")
+        else:
+            raise SimError(f"unknown statement {s!r}")
+
+
+class _BodyGen(_Gen):
     """Emits a behavior body as the source of one generator function.
 
     Behavior variables become locals ``v0, v1, ...``; ``names`` binds the
@@ -107,7 +140,7 @@ class _BodyGen:
         self.names = names
         self.vars: dict[str, str] = {}
         # state key -> its cells, names bound to their initial values
-        self.cells = {key: [names(v) for v in init]
+        self.state = {key: [names(v) for v in init]
                       for key, init in b.states.items()}
         self.loops = 0
         self.lines = ["while True:", "    moved = False"]
@@ -117,34 +150,20 @@ class _BodyGen:
     def var(self, name: str) -> str:
         return self.vars.setdefault(name, f"v{len(self.vars)}")
 
-    def body(self, stmts, ind: str) -> None:
-        if not stmts:
-            self.lines.append(f"{ind}pass")
-        for s in stmts:
-            self.stmt(s, ind)
+    def cells(self, key: str) -> list[str]:
+        return self.state[key]
 
     def stmt(self, s, ind: str) -> None:
-        emit = self.lines.append
         if isinstance(s, (Recv, Send)):
             self.io(self.ins[s.port] if isinstance(s, Recv)
                     else self.outs[s.port], self.var(s.var), ind)
-        elif isinstance(s, Call):
-            self.lines += [ind + ln for ln in _call_src(
-                s, self.var, self.cells.__getitem__, self.names)]
-        elif isinstance(s, Assign):
-            src = repr(s.src) if isinstance(s.src, int) else self.var(s.src)
-            emit(f"{ind}{self.var(s.var)} = {src}")
         elif isinstance(s, Loop):
-            emit(f"{ind}for i{self.loops} in range({self.names(s.count)}):")
+            self.lines.append(
+                f"{ind}for i{self.loops} in range({self.names(s.count)}):")
             self.loops += 1
             self.body(s.body, ind + "    ")
-        elif isinstance(s, If):
-            emit(f"{ind}if {self.var(s.cond)}:")
-            self.body(s.then, ind + "    ")
-            emit(f"{ind}else:")
-            self.body(s.orelse, ind + "    ")
         else:
-            raise SimError(f"unknown statement {s!r}")
+            super().stmt(s, ind)
 
     def io(self, j: int, v: str, ind: str) -> None:
         """Move port ``j`` to or from ``v`` once it is ready; while it is
@@ -197,28 +216,32 @@ def hw_step(unit, cons: dict, prod: dict):
     return names.bind("step", lines + ["return True"])
 
 
-class _StateGen:
+class _StateGen(_Gen):
     """Emits the transitions out of one FSM state as one function.
 
     The function is bound to ``chg``, ``env``, ``states`` and ``loops`` of
-    ``bound``.  Every name, address, count, block parameter and index of a
-    block state cell in ``states`` from the model is named ``kN``, and each
-    port the state uses binds its ``_port_names`` in the order of first
-    use; the text thus depends only on the shape of the state.  A status
-    poll or bus transfer first charges ``chg``.  A send appends inline,
-    since it follows its own guard in the same transition.
+    ``bound``.  Every name, count, block parameter and index of a block
+    state cell in ``states`` from the model is named ``kN``, and each port
+    the state uses binds its ``_port_names`` in the order of first use;
+    the text thus depends only on the shape of the state.  A channel op
+    with an address is a bus transaction: it first charges ``chg``.  A
+    send appends inline, since it follows its own guard in the same
+    transition.
     """
 
-    def __init__(self, bound: dict, cells: dict, cons: dict, prod: dict):
+    def __init__(self, bound: dict, slots: dict, cons: dict, prod: dict):
         self.names = Names(bound)
         self.loops = bound["loops"]
-        self.cells = cells  # state key -> indices of its cells in states
+        self.slots = slots  # state key -> indices of its cells in states
         self.cons, self.prod = cons, prod
         self.ports: dict[tuple, int] = {}  # (port, is output) -> index
         self.lines: list[str] = []
 
     def var(self, name: str) -> str:
         return f"env[{self.names(name)}]"
+
+    def cells(self, key: str) -> list[str]:
+        return [f"states[{self.names(i)}]" for i in self.slots[key]]
 
     def loop(self, loop_id: str) -> str:
         self.loops.setdefault(loop_id, 0)
@@ -231,63 +254,35 @@ class _StateGen:
                 else _port_names(j, *self.cons[port])
         return self.ports[(port, out)]
 
-    def charge(self, ind: str) -> None:
-        self.lines += [f"{ind}chg.cycle += {BUS_LATENCY}",
-                       f"{ind}chg.bus_transactions += 1"]
+    def charge(self, op, ind: str) -> None:
+        if op.addr is not None:
+            self.lines += [f"{ind}chg.cycle += {BUS_LATENCY}",
+                           f"{ind}chg.bus_transactions += 1"]
 
     def guard(self, g, ind: str) -> str:
         """The test of ``g``, after the lines charging a status poll."""
-        if isinstance(g, GStatusReady):
-            if g.bit not in (STATUS_NOT_EMPTY, STATUS_NOT_FULL):
-                raise SimError(f"{g.port}: status poll of bit {g.bit}")
-            self.charge(ind)
-            return _ready_src(self.port(g.port, g.bit == STATUS_NOT_FULL),
-                             self.names)
-        if isinstance(g, (GCanRecv, GCanSend)):
-            return _ready_src(self.port(g.port, isinstance(g, GCanSend)),
-                             self.names)
+        if isinstance(g, GReady):
+            self.charge(g, ind)
+            return _ready_src(self.port(g.port, g.out), self.names)
         if isinstance(g, GLoopNotDone):
             return f"{self.loop(g.loop_id)} > 0"
         if isinstance(g, GLoopDone):
             return f"{self.loop(g.loop_id)} <= 0"
         raise SimError(f"unknown guard {g!r}")
 
-    def actions(self, actions, ind: str) -> None:
-        if not actions:
-            self.lines.append(f"{ind}pass")
-        for a in actions:
-            if isinstance(a, AIf):
-                self.lines.append(f"{ind}if {self.var(a.cond)} != 0:")
-                self.actions(a.then, ind + "    ")
-                self.lines.append(f"{ind}else:")
-                self.actions(a.orelse, ind + "    ")
-            elif isinstance(a, ACall):
-                self.lines += [ind + ln for ln in _call_src(
-                    a.call, self.var, self.state, self.names)]
-            else:
-                self.lines += [ind + ln for ln in self.action(a, ind)]
-
-    def state(self, key: str) -> list:
-        return [f"states[{self.names(i)}]" for i in self.cells[key]]
-
-    def action(self, a, ind: str) -> list[str]:
-        if isinstance(a, (ABusRead, ABusWrite)):
-            if a.ctrl != ("pop" if isinstance(a, ABusRead) else "push"):
-                raise SimError(f"{a.port}: bus transfer with ctrl {a.ctrl!r}")
-            self.charge(ind)
-        if isinstance(a, (ARecv, ABusRead, ASend, ABusWrite)):
-            out = isinstance(a, (ASend, ABusWrite))
-            return _move_src(self.port(a.port, out), self.names,
-                            self.var(a.var))
-        if isinstance(a, AAssign):
-            src = self.names(a.src) if isinstance(a.src, int) \
-                else self.var(a.src)
-            return [f"{self.var(a.var)} = {src}"]
-        if isinstance(a, ALoopInit):
-            return [f"{self.loop(a.loop_id)} = {self.names(a.count)}"]
-        if isinstance(a, ALoopStep):
-            return [f"{self.loop(a.loop_id)} -= 1"]
-        raise SimError(f"unknown action {a!r}")
+    def stmt(self, a, ind: str) -> None:
+        if isinstance(a, (Recv, Send)):
+            self.charge(a, ind)
+            self.lines += [ind + ln for ln in _move_src(
+                self.port(a.port, isinstance(a, Send)), self.names,
+                self.var(a.var))]
+        elif isinstance(a, ALoopInit):
+            self.lines.append(
+                f"{ind}{self.loop(a.loop_id)} = {self.names(a.count)}")
+        elif isinstance(a, ALoopStep):
+            self.lines.append(f"{ind}{self.loop(a.loop_id)} -= 1")
+        else:
+            super().stmt(a, ind)
 
     def build(self, transitions):
         """Bind the function running the first transition whose guards
@@ -295,10 +290,9 @@ class _StateGen:
         for t in transitions:
             ind = ""
             for g in t.guards:
-                if not isinstance(g, GTrue):
-                    self.lines.append(f"{ind}if {self.guard(g, ind)}:")
-                    ind += "    "
-            self.actions(t.actions, ind)
+                self.lines.append(f"{ind}if {self.guard(g, ind)}:")
+                ind += "    "
+            self.body(t.actions, ind)
             self.lines.append(f"{ind}return {self.names(t.next)}")
         return self.names.bind("state", self.lines + ["return None"])
 
@@ -309,9 +303,10 @@ class FsmRunner:
     ``cons`` maps each input port to (channel, consumer key) and ``prod``
     each output port to its channel.  ``run`` maps each state to its
     generated function; a transition fires when its guards hold, tested
-    in order up to the first that fails.  At the micro level every status
-    poll and bus transfer adds ``BUS_LATENCY`` to ``charge.cycle`` and 1
-    to ``charge.bus_transactions``, so a failed poll is still charged.
+    in order up to the first that fails.  Every guard and channel op with
+    an address (a status poll or a bus transfer) adds ``BUS_LATENCY`` to
+    ``charge.cycle`` and 1 to ``charge.bus_transactions``, so a failed
+    poll is still charged.
     """
 
     def __init__(self, fsm: TaskFsm, cons: dict, prod: dict, charge):

@@ -5,16 +5,23 @@ every yield point.  Yield points are the blocking operations: a recv on
 a possibly-empty channel, a send on a possibly-full channel, and a loop
 back-edge, which bounds one scheduler slot to one loop iteration so long
 loops interleave with other tasks.  The merged image steps the FSMs
-round-robin, one enabled transition per task per slot; the micro level
-replaces channel operations with polled Read/Write bus transactions.
+round-robin, one enabled transition per task per slot.
+
+An FSM speaks the behavior's own vocabulary: a transition's actions are
+the body's ``Recv``, ``Send``, ``Call``, ``Assign`` and ``If`` statements
+plus the loop counter ops, and a channel op is guarded by ``GReady``.
+The micro level changes nothing but addresses: ``lower_api`` gives each
+``GReady`` its endpoint's STATUS register, so it becomes a polled bus
+Read, and each ``Recv``/``Send`` its DATA register, a bus Read/Write.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .gma.behavior import Assign, Call, If, Loop, Recv, Send, TaskBehavior
+from .gma.behavior import Assign, Call, If, Loop, Recv, Send, \
+    TaskBehavior, format_stmt
 from .gma.netlist import ColifNetlist
 
 DATA_OFFSET = 0
@@ -30,22 +37,20 @@ class SwSynthError(Exception):
     pass
 
 
-# guards: a transition fires when all its guards hold
+# guards: a transition fires when all its guards hold, and always if it
+# has none
 
 
 @dataclass(frozen=True)
-class GTrue:
-    pass
+class GReady:
+    """The channel of ``port`` can move a sample: an input holds one, an
+    output (``out``) has room.  Once lowered, ``addr`` is the STATUS
+    register it polls, and testing it performs one bus Read whether or
+    not it passes."""
 
-
-@dataclass(frozen=True)
-class GCanRecv:
     port: str
-
-
-@dataclass(frozen=True)
-class GCanSend:
-    port: str
+    out: bool
+    addr: int | None = None
 
 
 @dataclass(frozen=True)
@@ -58,42 +63,7 @@ class GLoopDone:
     loop_id: str
 
 
-@dataclass(frozen=True)
-class GStatusReady:
-    """Micro level: poll the STATUS register, test a bit.
-
-    Evaluating this guard performs one bus Read whether or not it passes.
-    """
-
-    addr: int
-    bit: int
-    port: str  # kept for trace labeling
-
-
-# actions
-
-
-@dataclass(frozen=True)
-class ARecv:
-    port: str
-    var: str
-
-
-@dataclass(frozen=True)
-class ASend:
-    port: str
-    var: str
-
-
-@dataclass(frozen=True)
-class ACall:
-    call: Call
-
-
-@dataclass(frozen=True)
-class AAssign:
-    var: str
-    src: "str | int"
+# actions: the behavior's Recv, Send, Call, Assign and If, and these
 
 
 @dataclass(frozen=True)
@@ -105,29 +75,6 @@ class ALoopInit:
 @dataclass(frozen=True)
 class ALoopStep:
     loop_id: str
-
-
-@dataclass(frozen=True)
-class AIf:
-    cond: str
-    then: tuple
-    orelse: tuple
-
-
-@dataclass(frozen=True)
-class ABusRead:
-    addr: int
-    var: str
-    ctrl: str  # "pop" | "none"
-    port: str
-
-
-@dataclass(frozen=True)
-class ABusWrite:
-    addr: int
-    var: str
-    ctrl: str  # "push" | "none"
-    port: str
 
 
 @dataclass
@@ -150,9 +97,6 @@ class TaskFsm:
     api_level: str = "macro"  # "macro" | "micro"
 
 
-_BLOCKING = (ARecv, ASend)
-
-
 def build_task_fsm(b: TaskBehavior) -> TaskFsm:
     """States at entry and after each yield; compute stays in transitions."""
     states = [0]
@@ -170,23 +114,18 @@ def build_task_fsm(b: TaskBehavior) -> TaskFsm:
     def compile_seq(stmts, cur: int, pending: list) -> tuple[int, list]:
         """Returns (state, unclosed trailing actions)."""
         for s in stmts:
-            if isinstance(s, Recv):
-                pending.append(ARecv(s.port, s.var))
-                cur = close(cur, (GCanRecv(s.port),), pending)
+            if isinstance(s, (Recv, Send)):
+                pending.append(s)
+                cur = close(cur, (GReady(s.port, isinstance(s, Send)),),
+                            pending)
                 pending = []
-            elif isinstance(s, Send):
-                pending.append(ASend(s.port, s.var))
-                cur = close(cur, (GCanSend(s.port),), pending)
-                pending = []
-            elif isinstance(s, Call):
-                pending.append(ACall(s))
-            elif isinstance(s, Assign):
-                pending.append(AAssign(s.var, s.src))
-            elif isinstance(s, If):
-                pending.append(AIf(s.cond, _plain(s.then), _plain(s.orelse)))
+            elif isinstance(s, (Call, Assign, If)):
+                if isinstance(s, If):
+                    plain([*s.then, *s.orelse])
+                pending.append(s)
             elif isinstance(s, Loop):
                 pending.append(ALoopInit(s.loop_id, s.count))
-                head = close(cur, (GTrue(),), pending)
+                head = close(cur, (), pending)
                 pending = []
                 mark = len(transitions)
                 bend, bpend = compile_seq(s.body, head, [])
@@ -199,40 +138,34 @@ def build_task_fsm(b: TaskBehavior) -> TaskFsm:
                     # entering the body only while iterations remain
                     for t in transitions[mark:]:
                         if t.state == head:
-                            t.guards = (GLoopNotDone(s.loop_id),) + tuple(
-                                g for g in t.guards if not isinstance(g, GTrue))
+                            t.guards = (GLoopNotDone(s.loop_id),) + t.guards
                     transitions.append(Transition(
-                        bend, (GTrue(),),
-                        tuple(bpend) + (ALoopStep(s.loop_id),), head))
+                        bend, (), tuple(bpend) + (ALoopStep(s.loop_id),),
+                        head))
                 cur = close(head, (GLoopDone(s.loop_id),), [])
             else:
                 raise SwSynthError(f"unknown statement {s!r}")
         return cur, pending
 
-    def _plain(stmts) -> tuple:
-        out = []
+    def plain(stmts) -> None:
+        """Check that an if branch only computes."""
         for s in stmts:
-            if isinstance(s, Assign):
-                out.append(AAssign(s.var, s.src))
-            elif isinstance(s, Call):
-                out.append(ACall(s))
-            elif isinstance(s, If):
-                out.append(AIf(s.cond, _plain(s.then), _plain(s.orelse)))
-            else:
+            if isinstance(s, If):
+                plain([*s.then, *s.orelse])
+            elif not isinstance(s, (Call, Assign)):
                 raise SwSynthError("blocking operation inside if branch")
-        return tuple(out)
 
     end, pending = compile_seq(b.body, 0, [])
     # wrap around to the entry state so the task body repeats
     if pending or end == 0:
-        transitions.append(Transition(end, (GTrue(),), tuple(pending), 0))
+        transitions.append(Transition(end, (), tuple(pending), 0))
     elif end == states[-1] and not any(t.state == end for t in transitions):
         for t in transitions:
             if t.next == end:
                 t.next = 0
         states.pop()
     else:
-        transitions.append(Transition(end, (GTrue(),), (), 0))
+        transitions.append(Transition(end, (), (), 0))
     fsm = TaskFsm(b.task, states, transitions, 0, b.in_ports, b.out_ports,
                   dict(b.states))
     problems = check_fsm(fsm)
@@ -251,7 +184,7 @@ def check_fsm(f: TaskFsm) -> list[str]:
             problems.append(f"transition {t.state}->{t.next} uses "
                             "undeclared state")
         for a in t.actions[:-1]:
-            if isinstance(a, _BLOCKING):
+            if isinstance(a, (Recv, Send)):
                 problems.append(f"blocking action not last in transition "
                                 f"from state {t.state}")
     # reachability from the initial state
@@ -338,7 +271,9 @@ def format_address_map(m: AddressMap) -> str:
 
 
 def lower_api(f: TaskFsm, m: AddressMap, unit_path: str) -> TaskFsm:
-    """Replace channel operations with polled Read/Write transactions.
+    """Annotate each channel op with its bus address: a ``GReady`` polls
+    its endpoint's STATUS register, a ``Recv``/``Send`` moves the sample
+    through its DATA register.
 
     unit_path is the netlist module path of the task, used to find its
     endpoint addresses.
@@ -346,33 +281,18 @@ def lower_api(f: TaskFsm, m: AddressMap, unit_path: str) -> TaskFsm:
     if f.api_level != "macro":
         raise SwSynthError(f"{f.task}: already at micro level")
 
-    def entry(port: str) -> AddrEntry:
-        e = m.endpoints.get(f"{unit_path}.{port}")
+    def lower(op):
+        if not isinstance(op, (GReady, Recv, Send)):
+            return op
+        e = m.endpoints.get(f"{unit_path}.{op.port}")
         if e is None:
             raise SwSynthError(
-                f"{f.task}: port {port!r} has no address map entry")
-        return e
+                f"{f.task}: port {op.port!r} has no address map entry")
+        return replace(op, addr=e.status_addr if isinstance(op, GReady)
+                       else e.data_addr)
 
-    def lower_guard(g):
-        if isinstance(g, GCanRecv):
-            return GStatusReady(entry(g.port).status_addr,
-                                STATUS_NOT_EMPTY, g.port)
-        if isinstance(g, GCanSend):
-            return GStatusReady(entry(g.port).status_addr,
-                                STATUS_NOT_FULL, g.port)
-        return g
-
-    def lower_action(a):
-        if isinstance(a, ARecv):
-            return ABusRead(entry(a.port).data_addr, a.var, "pop", a.port)
-        if isinstance(a, ASend):
-            return ABusWrite(entry(a.port).data_addr, a.var, "push", a.port)
-        return a
-
-    transitions = [Transition(t.state,
-                              tuple(lower_guard(g) for g in t.guards),
-                              tuple(lower_action(a) for a in t.actions),
-                              t.next)
+    transitions = [Transition(t.state, tuple(map(lower, t.guards)),
+                              tuple(map(lower, t.actions)), t.next)
                    for t in f.transitions]
     return replace(f, transitions=transitions, api_level="micro",
                    init_states=dict(f.init_states))
@@ -382,46 +302,26 @@ def lower_api(f: TaskFsm, m: AddressMap, unit_path: str) -> TaskFsm:
 # pretty-printing (stable, for golden files)
 
 
-def _fmt_guard(g) -> str:
-    if isinstance(g, GTrue):
-        return "true"
-    if isinstance(g, GCanRecv):
-        return f"can_recv({g.port})"
-    if isinstance(g, GCanSend):
-        return f"can_send({g.port})"
-    if isinstance(g, GLoopNotDone):
-        return f"not_done({g.loop_id})"
-    if isinstance(g, GLoopDone):
-        return f"done({g.loop_id})"
-    if isinstance(g, GStatusReady):
-        return f"status(0x{g.addr:04x}) & {g.bit}"
-    return repr(g)
-
-
-def _fmt_action(a) -> str:
-    if isinstance(a, ARecv):
-        return f"{a.var} = recv({a.port})"
-    if isinstance(a, ASend):
-        return f"send({a.port}, {a.var})"
-    if isinstance(a, ACall):
-        o = ", ".join(a.call.outs)
-        return f"{o + ' = ' if o else ''}{a.call.name}" \
-               f"({', '.join(a.call.ins)})"
-    if isinstance(a, AAssign):
-        return f"{a.var} = {a.src}"
-    if isinstance(a, ALoopInit):
-        return f"{a.loop_id} = 0..{a.count}"
-    if isinstance(a, ALoopStep):
-        return f"{a.loop_id}++"
-    if isinstance(a, AIf):
-        t = "; ".join(_fmt_action(x) for x in a.then)
-        e = "; ".join(_fmt_action(x) for x in a.orelse)
-        return f"if {a.cond} {{{t}}} else {{{e}}}"
-    if isinstance(a, ABusRead):
-        return f"{a.var} = Read(0x{a.addr:04x}, {a.ctrl})"
-    if isinstance(a, ABusWrite):
-        return f"Write(0x{a.addr:04x}, {a.var}, {a.ctrl})"
-    return repr(a)
+def _fmt(x) -> str:
+    """A guard or an action, a lowered status poll as its bus Read."""
+    if isinstance(x, GReady):
+        if x.addr is not None:
+            bit = STATUS_NOT_FULL if x.out else STATUS_NOT_EMPTY
+            return f"status(0x{x.addr:04x}) & {bit}"
+        return f"can_{'send' if x.out else 'recv'}({x.port})"
+    if isinstance(x, GLoopNotDone):
+        return f"not_done({x.loop_id})"
+    if isinstance(x, GLoopDone):
+        return f"done({x.loop_id})"
+    if isinstance(x, ALoopInit):
+        return f"{x.loop_id} = 0..{x.count}"
+    if isinstance(x, ALoopStep):
+        return f"{x.loop_id}++"
+    if isinstance(x, If):
+        t = "; ".join(map(_fmt, x.then))
+        e = "; ".join(map(_fmt, x.orelse))
+        return f"if {x.cond} {{{t}}} else {{{e}}}"
+    return format_stmt(x)
 
 
 def format_fsm(f: TaskFsm) -> str:
@@ -432,10 +332,10 @@ def format_fsm(f: TaskFsm) -> str:
         for t in f.transitions:
             if t.state != s:
                 continue
-            g = " && ".join(_fmt_guard(x) for x in t.guards)
+            g = " && ".join(map(_fmt, t.guards)) or "true"
             lines.append(f"  when {g} -> S{t.next}:")
             for a in t.actions:
-                lines.append(f"    {_fmt_action(a)}")
+                lines.append(f"    {_fmt(a)}")
     for key, st in f.init_states.items():
         lines.append(f"state_var {key} = {list(st)}")
     return "\n".join(lines) + "\n"

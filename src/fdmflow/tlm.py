@@ -359,18 +359,14 @@ def validate_partition(t: TlmModel) -> ValidationReport:
                            line=(u.subsystem or u.block).line)
                 for p in u.out_ports if p not in t.flats[u.name].top_outputs]
 
-    def hw_blocks(sub: Subsystem):
-        yield from sub.blocks
-        for inner in sub.subsystems:
-            yield from hw_blocks(inner)
-
     for node in t.nodes.values():
         if node.role != "hardware":
             continue
-        for blk in hw_blocks(node.subsystem):
+        for path, fb in t.flats[node.name].blocks.items():
+            blk = fb.block
             if blk.kind == "user" and blk.params[0] not in RTL_USER_INDEX:
                 out.append(Diagnostic(
-                    "warning", f"{node.name}/{blk.id}",
+                    "warning", f"{node.name}/{path}",
                     f"user function {blk.params[0]!r} has no RTL library entry "
                     "and needs a cost_cycles parameter", line=blk.line))
 

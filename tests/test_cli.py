@@ -130,6 +130,34 @@ model flat {
 }
 """
 
+# a user block with no RTL entry, nested in a subsystem of a HW_ node
+NESTED_HW_FDM = """
+model nest {
+  input x; output y;
+  subsystem HW_n {
+    input i; output o;
+    subsystem inner {
+      input a; output b;
+      block u : user(inc);
+      link self.a -> u.in; link u.out -> self.b;
+    }
+    link self.i -> inner.a; link inner.b -> self.o;
+  }
+  link self.x -> HW_n.i; link HW_n.o -> self.y;
+}
+"""
+
+
+def _set_cost(params_file, cost: int) -> None:
+    text = params_file.read_text()
+    assert text.count("cost_cycles = 0\n") == 1
+    params_file.write_text(text.replace("cost_cycles = 0",
+                                        f"cost_cycles = {cost}"))
+
+
+def _verdicts(printed: str) -> list[str]:
+    return [ln for ln in printed.splitlines() if "-vs-" in ln]
+
 
 class TestCheck:
     def test_clean_model(self, mini_path, capsys):
@@ -177,6 +205,39 @@ class TestCheck:
         assert main(["flow", "--model", str(p),
                      "--out", str(tmp_path / "out")]) == 1
         assert "cost_cycles" in capsys.readouterr().err
+
+    def test_gma_writes_the_cost_template(self, tmp_path, capsys):
+        """gma stops before hardware synthesis, so a model that needs a
+        cost_cycles gets the parameter file to set it in."""
+        p = tmp_path / "mix.fdm"
+        p.write_text(MIX2_FDM)
+        g = tmp_path / "g"
+        assert main(["gma", "--model", str(p), "--out", str(g)]) == 0
+        _set_cost(g / "params" / "module.mix.HW_mix.h.params", 3)
+        capsys.readouterr()
+        assert main(["flow", "--model", str(p), "--params", str(g / "params"),
+                     "--out", str(tmp_path / "out"), "--ticks", "32"]) == 0
+        verdicts = _verdicts(capsys.readouterr().out)
+        assert len(verdicts) == 3 and all("PASS" in v for v in verdicts)
+
+    def test_nested_hw_user_block_cost(self, tmp_path, capsys):
+        """check, flow and the parameter files name a user block nested in
+        a subsystem of a HW_ node by its path in the node's flat graph."""
+        p = tmp_path / "nest.fdm"
+        p.write_text(NESTED_HW_FDM)
+        assert main(["check", "--model", str(p)]) == 0
+        assert "warning: HW_n/inner/u:" in capsys.readouterr().out
+        assert main(["flow", "--model", str(p),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "[hwsynth] HW_n/inner/u:" in capsys.readouterr().err
+        g = tmp_path / "g"
+        assert main(["gma", "--model", str(p), "--out", str(g)]) == 0
+        _set_cost(g / "params" / "module.nest.HW_n.inner.u.params", 2)
+        capsys.readouterr()
+        assert main(["flow", "--model", str(p), "--params", str(g / "params"),
+                     "--out", str(tmp_path / "out"), "--ticks", "32"]) == 0
+        verdicts = _verdicts(capsys.readouterr().out)
+        assert len(verdicts) == 3 and all("PASS" in v for v in verdicts)
 
     @pytest.mark.parametrize("cmd", ["check", "flow", "simulate"])
     def test_undriven_output(self, cmd, tmp_path, capsys):

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import importlib.resources as ir
 import random
+import weakref
 
 import pytest
 
@@ -829,3 +831,21 @@ class TestRunLoop:
         assert str(err.value) == "round limit exceeded"
         assert e.rounds == 60 * ticks + 10000 + 1
         assert e.trace.ports == {"y": []}
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_engine_freed_without_gc(self, level):
+        """No generated function holds its engine, so a dropped engine is
+        freed at once, without the cyclic garbage collector."""
+        cd = mini_compiled()
+        e = Engine(cd, dict.fromkeys(cd.tlm.nodes, level),
+                   default_stimulus(cd.model, 20), 20)
+        e.run()
+        ref = weakref.ref(e)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del e
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

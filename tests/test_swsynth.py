@@ -1,19 +1,21 @@
+import hashlib
 import random
 
 import pytest
 
-from fdmflow.flow import compile_design
+from fdmflow.flow import FlowError, compile_design
 from fdmflow.gma import build_tree, emit_netlist, gen_task_behavior
-from fdmflow.gma.behavior import Call, Loop, Recv, Send, TaskBehavior
+from fdmflow.gma.behavior import Assign, Call, Loop, Recv, Send, \
+    TaskBehavior
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.interp import FsmRunner
-from fdmflow.swsynth import ABusRead, ABusWrite, ARecv, ASend, GCanRecv, \
-    GCanSend, GStatusReady, SwSynthError, TaskFsm, Transition, \
+from fdmflow.swsynth import GReady, SwSynthError, TaskFsm, Transition, \
     allocate_address_map, build_task_fsm, check_fsm, format_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import bind_queues, bus_counter, channel, rand_task_subsystem, \
-    run_task, sent, standalone_address_map
+from helpers import bind_queues, bus_counter, channel, rand_loopy_model, \
+    rand_partitioned_model, rand_task_subsystem, run_task, sent, \
+    standalone_address_map
 
 import importlib.resources as ir
 
@@ -38,8 +40,8 @@ class TestBuildTaskFsm:
         f = build_task_fsm(b)
         assert len(f.states) == 2
         guards = {t.state: t.guards for t in f.transitions}
-        assert guards[0] == (GCanRecv("in"),)
-        assert guards[1] == (GCanSend("out"),)
+        assert guards[0] == (GReady("in", False),)
+        assert guards[1] == (GReady("out", True),)
         # blocking action last in each transition
         assert check_fsm(f) == []
 
@@ -98,9 +100,7 @@ class TestMergeSchedule:
     """Round-robin over task FSMs, as the engine schedules a processor."""
 
     def _selfloop_fsm(self, name):
-        from fdmflow.swsynth import AAssign, GTrue
-        return TaskFsm(name, [0],
-                       [Transition(0, (GTrue(),), (AAssign("x", 0),), 0)],
+        return TaskFsm(name, [0], [Transition(0, (), (Assign("x", 0),), 0)],
                        0, (), (), {})
 
     def test_round_robin_order(self):
@@ -115,8 +115,8 @@ class TestMergeSchedule:
 
     def test_blocked_task_is_skipped(self):
         blocked = TaskFsm("A", [0],
-                          [Transition(0, (GCanRecv("in"),),
-                                      (ARecv("in", "x"),), 0)],
+                          [Transition(0, (GReady("in", False),),
+                                      (Recv("in", "x"),), 0)],
                           0, ("in",), (), {})
         runners = [FsmRunner(blocked, *bind_queues(blocked, {}),
                              bus_counter()),
@@ -160,7 +160,6 @@ class TestProducerConsumer:
 
     def test_dls_fairness(self):
         # A holds a huge loop, B still runs once per scheduler round
-        from fdmflow.gma.behavior import Assign
         a = build_task_fsm(_behavior(
             [Assign("x", 0),
              Loop(10**6, [Call("inc", "user", ("inc",), ("x",), ("x",))],
@@ -219,13 +218,15 @@ class TestLowerApi:
         lo = lower_api(f, m, "u")
         assert lo.api_level == "micro"
         t0 = [t for t in lo.transitions if t.state == 0][0]
-        assert t0.guards == (GStatusReady(0x1004, 1, "in"),)
-        assert isinstance(t0.actions[-1], ABusRead)
-        assert t0.actions[-1].addr == 0x1000 and t0.actions[-1].ctrl == "pop"
+        assert t0.guards == (GReady("in", False, 0x1004),)
+        assert t0.actions[-1] == Recv("in", "x", 0x1000)
         t1 = [t for t in lo.transitions if t.state == 1][0]
-        assert t1.guards == (GStatusReady(0x1014, 2, "out"),)
-        assert isinstance(t1.actions[-1], ABusWrite)
-        assert t1.actions[-1].addr == 0x1010 and t1.actions[-1].ctrl == "push"
+        assert t1.guards == (GReady("out", True, 0x1014),)
+        assert t1.actions[-1] == Send("out", "x", 0x1010)
+        # the status bit each poll tests follows from its direction
+        txt = format_fsm(lo)
+        assert "status(0x1004) & 1" in txt and "x = Read(0x1000, pop)" in txt
+        assert "status(0x1014) & 2" in txt and "Write(0x1010, x, push)" in txt
 
     def test_no_channel_ops_identity(self):
         f = build_task_fsm(_behavior(
@@ -283,3 +284,25 @@ class TestFormatting:
         for f in cd.micro_fsms.values():
             assert f.api_level == "micro"
             assert check_fsm(f) == []
+
+    # SHA-256 over the macro and micro FSM texts of every task of
+    # mini_codec and of the compiling random designs of seeds 0-29, taken
+    # before the FSMs shared the behavior's statements
+    FSM_TEXTS = \
+        "07d3566bee25a53d02f1d91f18965975573a4e6591d0d97eecfdebf7ef76f5ba"
+
+    def test_pinned_fsm_texts(self):
+        models = [mini_model()] + [gen(random.Random(seed))
+                                   for gen in (rand_partitioned_model,
+                                               rand_loopy_model)
+                                   for seed in range(30)]
+        h = hashlib.sha256()
+        for g in models:
+            try:
+                cd = compile_design(g)
+            except FlowError:
+                continue  # combinational cycle without a delay
+            for t in sorted(cd.macro_fsms):
+                h.update(format_fsm(cd.macro_fsms[t]).encode())
+                h.update(format_fsm(cd.micro_fsms[t]).encode())
+        assert h.hexdigest() == self.FSM_TEXTS

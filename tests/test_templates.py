@@ -212,8 +212,8 @@ class TestSharedTexts:
         b = _texts(monkeypatch, self._model(values | {
             "SW_cpu": "SW_dsp", "TASK_t": "TASK_run", "HW_h": "HW_acc",
             "tg": "pre"}))
-        for level, fns in ((1, ["loop(e)", "macro(e)"]),
-                           (3, ["loop(e)", "tasks(e)", "hw(e)"])):
+        for level, fns in ((1, ["loop(e)", "macro(clk)"]),
+                           (3, ["loop(e)", "tasks(clk)", "hw(clk)"])):
             for fn in fns:
                 assert any(f"    def {fn}:" in t for t in a[level]), fn
         assert a == b
