@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gma import ParamSet, attach_params, build_tree, emit_netlist, \
+from .gma import ParamSet, attach_params, emit_netlist, \
     emit_param_templates, gen_task_behavior, netlist_to_json, param_files
 from .gma.behavior import format_behavior
 from .gma.netlist import ColifNetlist
@@ -60,7 +60,7 @@ class CompiledDesign(MacroDesign):
 
 def generate_macro(model: ModelGraph,
                    params: ParamSet | None = None) -> MacroDesign:
-    """Validation, partition, tree, netlist, parameters and behaviors."""
+    """Validation, partition, netlist, parameters and behaviors."""
     report = validate_model(model)
     if not report.ok:
         raise FlowError("validate", report.errors()[0].message)
@@ -69,8 +69,7 @@ def generate_macro(model: ModelGraph,
     if not prep.ok:
         d = prep.errors()[0]
         raise FlowError("partition", f"{d.location}: {d.message}")
-    tree = build_tree(tlm)
-    netlist = emit_netlist(tree)
+    netlist = emit_netlist(tlm)
     used = params if params is not None else emit_param_templates(netlist)
     try:
         bound = attach_params(netlist, used)
@@ -79,7 +78,7 @@ def generate_macro(model: ModelGraph,
     behaviors = {}
     for name in tlm.units:
         try:
-            behaviors[name] = gen_task_behavior(tree, name)
+            behaviors[name] = gen_task_behavior(tlm, name)
         except Exception as e:
             raise FlowError("swsynth", str(e)) from None
     return MacroDesign(model, tlm, bound, used, behaviors)

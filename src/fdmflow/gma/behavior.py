@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 from ..model.blocks import USER_FUNCTIONS, init_state, port_names
 from ..model.graph import stable_topo
-from ..tlm import Unit
-from .tree import DesignTree
+from ..tlm import TlmModel, Unit
 
 DELAY_EMIT = "__delay_emit__"
 DELAY_PUSH = "__delay_push__"
@@ -149,8 +148,8 @@ def _schedule(nodes: list[_SchedNode]) -> list:
     return [st for s in order for st in by_seq[s].stmts]
 
 
-def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
-    unit = d.tlm.units.get(task_id)
+def gen_task_behavior(t: TlmModel, task_id: str) -> TaskBehavior:
+    unit = t.units.get(task_id)
     if unit is None:
         raise BehaviorError(f"no unit named {task_id!r}")
     for blk in ([unit.block] if unit.block else unit.subsystem.blocks):
@@ -161,7 +160,7 @@ def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
             raise BehaviorError(
                 f"{task_id}/{blk.id}: unknown loop function {blk.params[1]!r}")
 
-    flat = d.tlm.flats[task_id]
+    flat = t.flats[task_id]
     if flat.issues:
         i = flat.issues[0]
         raise BehaviorError(f"{task_id}: {i.message} ({i.location})")
@@ -171,7 +170,7 @@ def gen_task_behavior(d: DesignTree, task_id: str) -> TaskBehavior:
             return f"p_{src[1]}"
         return f"{src[1]}_{src[2]}"
 
-    bound = d.tlm.bound
+    bound = t.bound
     in_ports = tuple(p for p in unit.in_ports if (task_id, p) in bound)
     out_ports = tuple(p for p in unit.out_ports if (task_id, p) in bound)
     nodes: list[_SchedNode] = []

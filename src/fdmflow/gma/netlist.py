@@ -1,45 +1,14 @@
-"""Hierarchical netlist: modules, ports and nets, written as JSON.
-
-One module per tree node except block leaves inside tasks; implicit
-channels contribute a net only, declared channel subsystems also get a
-channel_adapter module so interface synthesis has an attachment point.
+"""Hierarchical netlist: the module tree of ``build_tree`` and one net per
+channel, written as JSON.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from .tree import DesignTree, TreeNode
-
-_ROLE_KIND = {
-    "root": "top",
-    "sw_node": "sw_node",
-    "hw_node": "hw_node",
-    "task": "task",
-    "ip": "ip",
-    # testbench leaves are plain behavioral modules under the top, same
-    # shape as an IP
-    "testbench": "ip",
-    "channel": "channel_adapter",
-}
-
-
-@dataclass
-class Port:
-    name: str
-    direction: str  # "in" | "out"
-    width: int = 1
-    protocol: str = ""
-
-
-@dataclass
-class Module:
-    name: str
-    kind: str
-    ports: list[Port] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
-    children: list["Module"] = field(default_factory=list)
+from ..tlm import TlmModel
+from .tree import Module, build_tree
 
 
 @dataclass
@@ -73,35 +42,8 @@ class ColifNetlist:
         return None
 
 
-def _module_of(node: TreeNode) -> Module:
-    ports = [Port(p, "in") for p in node.in_ports] \
-        + [Port(p, "out") for p in node.out_ports]
-    params = {}
-    if node.role == "channel":
-        params = {"topology": node.params["topology"],
-                  "depth": node.params["depth"]}
-    elif node.role in ("ip", "block"):
-        params = {"kind": node.params["kind"]}
-    elif node.role == "testbench" and node.ref.block is not None:
-        params = {"kind": node.ref.block.kind}
-    return Module(node.name, _ROLE_KIND[node.role], ports, params)
-
-
-def emit_netlist(d: DesignTree) -> ColifNetlist:
-    def build(node: TreeNode) -> Module | None:
-        if node.role == "block":
-            return None  # blocks inside tasks live in the behavior, not here
-        if node.role == "channel" and not node.params.get("explicit"):
-            return None
-        m = _module_of(node)
-        for c in node.children:
-            cm = build(c)
-            if cm is not None:
-                m.children.append(cm)
-        return m
-
-    top = build(d.root)
-    root = d.root.name
+def emit_netlist(t: TlmModel) -> ColifNetlist:
+    root = t.base.name
 
     def pin_path(pin) -> str:
         kind, owner, port = pin
@@ -109,10 +51,8 @@ def emit_netlist(d: DesignTree) -> ColifNetlist:
             return f"{root}.{port}"
         return f"{root}/{owner}.{port}"
 
-    nets = []
-    for ch in d.tlm.channels:
-        nets.append(Net(ch.id, [pin_path(p) for p in ch.chain]))
-    return ColifNetlist(top, nets)
+    nets = [Net(ch.id, [pin_path(p) for p in ch.chain]) for ch in t.channels]
+    return ColifNetlist(build_tree(t), nets)
 
 
 def netlist_to_json(n: ColifNetlist) -> str:

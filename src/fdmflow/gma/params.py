@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .netlist import ColifNetlist, Module
+from .netlist import ColifNetlist
+from .tree import Module
 
 PORT_KEYS = ("protocol", "width", "addr_hint")
 MODULE_KEYS = ("cost_cycles",)

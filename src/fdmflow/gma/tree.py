@@ -1,8 +1,11 @@
-"""Database tree: one node per architecture element plus a synthetic root.
+"""The netlist's module tree, built straight from the recognized partition.
 
-Netlist emission reads the tree: a node, task, IP, channel or testbench
-element becomes a module.  Behavior generation and the software and
-hardware backends read the recognized partition (``TlmModel``) instead.
+The top module holds one module per node, then one channel_adapter per
+declared CHAN_ subsystem, so interface synthesis has an attachment point,
+then one IP per testbench unit.  A software node holds one task module
+per unit; a hardware node holds one IP per block of its flattened graph.
+Blocks inside a task live in its behavior, and an implicit channel is a
+net only.
 """
 
 from __future__ import annotations
@@ -10,72 +13,62 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model.blocks import port_names
-from ..tlm import TlmModel, Unit
+from ..tlm import TlmModel
 
 
 @dataclass
-class TreeNode:
+class Port:
     name: str
-    role: str  # root, sw_node, hw_node, task, ip, channel, testbench, block
-    in_ports: tuple[str, ...] = ()
-    out_ports: tuple[str, ...] = ()
-    children: list["TreeNode"] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
-    ref: object = None  # source element: Subsystem, Block, Unit or ChannelSpec
+    direction: str  # "in" | "out"
+    width: int = 1
+    protocol: str = ""
 
 
 @dataclass
-class DesignTree:
-    root: TreeNode
-    tlm: TlmModel
+class Module:
+    name: str
+    kind: str  # top, sw_node, hw_node, task, ip, channel_adapter
+    ports: list[Port] = field(default_factory=list)
+    params: dict = field(default_factory=dict)
+    children: list["Module"] = field(default_factory=list)
 
 
-def _block_leaf(name: str, blk, role: str) -> TreeNode:
-    ins, outs = port_names(blk.kind, blk.params)
-    return TreeNode(name, role, tuple(ins), tuple(outs),
-                    params={"kind": blk.kind, "params": blk.params}, ref=blk)
+def _module(name: str, kind: str, ins, outs, params=None) -> Module:
+    return Module(name, kind, [Port(p, "in") for p in ins]
+                  + [Port(p, "out") for p in outs], params or {})
 
 
-def _task_node(unit: Unit) -> TreeNode:
-    name = unit.name.split("/", 1)[1] if "/" in unit.name else unit.name
-    node = TreeNode(name, "task", unit.in_ports, unit.out_ports, ref=unit)
-    if unit.block is not None:
-        node.children.append(_block_leaf(unit.block.id, unit.block, "block"))
-    else:
-        for blk in unit.subsystem.blocks:
-            node.children.append(_block_leaf(blk.id, blk, "block"))
-    return node
+def _ip(name: str, blk) -> Module:
+    return _module(name, "ip", *port_names(blk.kind, blk.params),
+                   {"kind": blk.kind})
 
 
-def build_tree(t: TlmModel) -> DesignTree:
-    """root -> nodes / channels / testbench -> tasks and IPs -> blocks.
+def build_tree(t: TlmModel) -> Module:
+    """top -> nodes / channel adapters / testbench -> tasks and IPs.
 
-    A hardware node has one IP per block of its flattened graph, named by
-    the block's path in it, such as ``inner/u``."""
-    root = TreeNode(t.base.name, "root",
-                    tuple(t.base.inputs), tuple(t.base.outputs), ref=t.base)
+    A hardware node's IP is named by its block's path in the node's flat
+    graph, such as ``inner/u``."""
+    top = _module(t.base.name, "top", t.base.inputs, t.base.outputs)
     for info in t.nodes.values():
+        sub = info.subsystem
         if info.role == "software":
-            nd = TreeNode(info.name, "sw_node",
-                          tuple(info.subsystem.inputs),
-                          tuple(info.subsystem.outputs), ref=info.subsystem)
+            node = _module(info.name, "sw_node", sub.inputs, sub.outputs)
             for uname in info.units:
-                nd.children.append(_task_node(t.units[uname]))
+                u = t.units[uname]
+                node.children.append(_module(
+                    uname.split("/", 1)[1], "task", u.in_ports, u.out_ports))
         else:
-            nd = TreeNode(info.name, "hw_node",
-                          tuple(info.subsystem.inputs),
-                          tuple(info.subsystem.outputs), ref=info.subsystem)
-            for path, fb in t.flats[info.name].blocks.items():
-                nd.children.append(_block_leaf(path, fb.block, "ip"))
-        root.children.append(nd)
+            node = _module(info.name, "hw_node", sub.inputs, sub.outputs)
+            node.children = [_ip(path, fb.block) for path, fb
+                             in t.flats[info.name].blocks.items()]
+        top.children.append(node)
     for ch in t.channels:
-        root.children.append(TreeNode(
-            ch.id, "channel", ("in",), ("out",),
-            params={"topology": ch.topology, "depth": ch.fifo_depth,
-                    "explicit": ch.explicit},
-            ref=ch))
+        if ch.explicit:
+            top.children.append(_module(
+                ch.id, "channel_adapter", ("in",), ("out",),
+                {"topology": ch.topology, "depth": ch.fifo_depth}))
     for name in t.testbench:
         u = t.units[name]
-        node = TreeNode(name, "testbench", u.in_ports, u.out_ports, ref=u)
-        root.children.append(node)
-    return DesignTree(root, t)
+        top.children.append(_ip(name, u.block) if u.block is not None else
+                            _module(name, "ip", u.in_ports, u.out_ports))
+    return top

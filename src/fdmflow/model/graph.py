@@ -31,7 +31,6 @@ class Block:
     id: str
     kind: str
     params: tuple = ()
-    width: int = 1
     line: int = 0
 
 

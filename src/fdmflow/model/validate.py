@@ -65,24 +65,10 @@ def _param_checks(g: ModelGraph, out: list[Diagnostic]):
                                       f"loop body function {b.params[1]!r} must "
                                       "have one input and one output",
                                       line=b.line))
-            if b.width < 1:
-                out.append(Diagnostic("error", loc, "width must be positive",
-                                      line=b.line))
         for s in scope.subsystems:
             walk(s, f"{path}/{s.id}" if path else s.id)
 
     walk(g, "")
-
-
-def _width_checks(flat: FlatGraph, out: list[Diagnostic]):
-    for (dst, port), src in sorted(flat.drivers.items()):
-        if src[0] != "block":
-            continue
-        sw = flat.blocks[src[1]].block.width
-        dw = flat.blocks[dst].block.width
-        if sw != dw:
-            out.append(Diagnostic("error", dst,
-                                  f"width mismatch on {port}: {sw} -> {dw}"))
 
 
 def _find_loop_sccs(flat: FlatGraph):
@@ -169,7 +155,6 @@ def validate_model(g: ModelGraph) -> ValidationReport:
     flat = flatten(g)
     for issue in flat.issues:
         out.append(Diagnostic("error", issue.location, issue.message, line=issue.line))
-    _width_checks(flat, out)
 
     sccs, succ = _find_loop_sccs(flat)
     decl = {p: i for i, p in enumerate(flat.blocks)}

@@ -7,7 +7,8 @@ import json
 import random
 from types import SimpleNamespace
 
-from fdmflow.gma.netlist import ColifNetlist, Module, Net, Port
+from fdmflow.gma.netlist import ColifNetlist, Net
+from fdmflow.gma.tree import Module, Port
 from fdmflow.model.blocks import USER_FUNCTIONS, wrap32
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.sim.channels import ChannelRt
@@ -222,6 +223,71 @@ model fanout {
   link SW_cpu.o1 -> HW_p.in; link SW_cpu.o1 -> HW_q.in;
   link HW_p.out -> self.y; link HW_p.out -> SW_cpu.b;
   link SW_cpu.o2 -> self.z; link HW_q.out -> self.w;
+}
+"""
+
+
+# A user block with no RTL entry, nested in a subsystem of a HW_ node: the
+# node's IP is named by the block's path in the node's flat graph, inner/u.
+NESTED_HW_FDM = """
+model nest {
+  input x; output y;
+  subsystem HW_n {
+    input i; output o;
+    subsystem inner {
+      input a; output b;
+      block u : user(inc);
+      link self.a -> u.in; link u.out -> self.b;
+    }
+    link self.i -> inner.a; link inner.b -> self.o;
+  }
+  link self.x -> HW_n.i; link HW_n.o -> self.y;
+}
+"""
+
+# One of each element the netlist names: a block task placed directly in
+# an SW_ node next to a TASK_ subsystem, IPs nested in a subsystem of a
+# HW_ node, an explicit CHAN_, a testbench block and a testbench
+# subsystem.
+ELEMENTS_FDM = """
+model elems {
+  input x; output y; output z;
+  block pre : gain(2);
+  subsystem bench {
+    input in; output out;
+    block d : delay(1); block i : user(inc);
+    link self.in -> d.in; link d.out -> i.in; link i.out -> self.out;
+  }
+  subsystem SW_cpu {
+    input a; output out;
+    block g : gain(3);
+    subsystem TASK_t {
+      input in; output out;
+      block q : quant(2);
+      link self.in -> q.in; link q.out -> self.out;
+    }
+    link self.a -> g.in; link g.out -> TASK_t.in; link TASK_t.out -> self.out;
+  }
+  subsystem CHAN_c {
+    param topology = "point_to_point";
+    param depth = 3;
+    input in; output out;
+  }
+  subsystem HW_n {
+    input i; output o;
+    subsystem inner {
+      input a; output b;
+      block f : fir(1, 2); block s : add;
+      link self.a -> f.in; link f.out -> s.in1; link self.a -> s.in2;
+      link s.out -> self.b;
+    }
+    block r : quant(3);
+    link self.i -> inner.a; link inner.b -> r.in; link r.out -> self.o;
+  }
+  link self.x -> pre.in; link pre.out -> SW_cpu.a;
+  link SW_cpu.out -> CHAN_c.in; link CHAN_c.out -> HW_n.i;
+  link HW_n.o -> bench.in; link bench.out -> self.y;
+  link HW_n.o -> self.z;
 }
 """
 
@@ -465,10 +531,10 @@ def rand_loopy_model(rng: random.Random, name: str = "loopy",
 # oracles and fakes
 
 
-def walk(node):
-    """A design tree node and all its descendants, depth first."""
-    yield node
-    for c in node.children:
+def walk(module: Module):
+    """A netlist module and all its descendants, depth first."""
+    yield module
+    for c in module.children:
         yield from walk(c)
 
 

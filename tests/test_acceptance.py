@@ -9,8 +9,7 @@ from contextlib import contextmanager
 
 from fdmflow.cli import main
 from fdmflow.flow import compile_design, default_stimulus, run_flow, simulate
-from fdmflow.gma import build_tree, emit_netlist, gen_task_behavior, \
-    netlist_to_json
+from fdmflow.gma import emit_netlist, gen_task_behavior, netlist_to_json
 from fdmflow.hwsynth import ControllerSim, RtlCycleSim, delay_correct, \
     fsm_controller, map_rtl_library
 from fdmflow.model.blocks import port_names
@@ -210,7 +209,7 @@ def test_criterion_5_gma_bijection_round_trip():
         for seed in range(50):
             rng = random.Random(50000 + seed)
             g = rand_partitioned_model(rng, name=f"d{seed}")
-            nl = emit_netlist(build_tree(recognize_partition(g)))
+            nl = emit_netlist(recognize_partition(g))
             m_exp, p_exp, n_exp = _structural_counts_oracle(g)
             mods = nl.modules()
             assert len(mods) == m_exp, f"seed {seed}"
@@ -224,8 +223,8 @@ def test_criterion_6_lowering_soundness():
         for seed in range(100):
             rng = random.Random(60000 + seed)
             sub = rand_task_subsystem(rng, "x")
-            d = build_tree(recognize_partition(_task_wrapper(sub)))
-            macro = build_task_fsm(gen_task_behavior(d, f"SW_n/{sub.id}"))
+            t = recognize_partition(_task_wrapper(sub))
+            macro = build_task_fsm(gen_task_behavior(t, f"SW_n/{sub.id}"))
             micro = lower_api(macro, standalone_address_map(macro, "u"), "u")
             xs = [rng.randint(-400, 400) for _ in range(30)]
             a = run_task(macro, {"in": xs})

@@ -10,7 +10,7 @@ import pytest
 from fdmflow.cli import main
 from fdmflow.sim.trace import Trace
 
-from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM
+from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM
 
 
 @pytest.fixture
@@ -127,23 +127,6 @@ model flat {
     link self.a -> TASK_t.a; link TASK_t.out -> self.out;
   }
   link self.x -> SW_cpu.a; link SW_cpu.out -> self.y;
-}
-"""
-
-# a user block with no RTL entry, nested in a subsystem of a HW_ node
-NESTED_HW_FDM = """
-model nest {
-  input x; output y;
-  subsystem HW_n {
-    input i; output o;
-    subsystem inner {
-      input a; output b;
-      block u : user(inc);
-      link self.a -> u.in; link u.out -> self.b;
-    }
-    link self.i -> inner.a; link inner.b -> self.o;
-  }
-  link self.x -> HW_n.i; link HW_n.o -> self.y;
 }
 """
 

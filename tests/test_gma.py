@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources as ir
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from fdmflow.gma import attach_params, build_tree, emit_netlist, \
     emit_param_templates, gen_task_behavior, load_param_files, \
     netlist_to_json, param_files
-from fdmflow.gma.behavior import Call, Recv, Send
+from fdmflow.flow import FlowError, generate_macro
+from fdmflow.gma.behavior import Call, Recv, Send, format_behavior
 from fdmflow.gma.params import ParamError
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
@@ -15,13 +17,15 @@ from fdmflow.sim.trace import Stimulus
 from fdmflow.swsynth import build_task_fsm
 from fdmflow.tlm import recognize_partition
 
-from helpers import parse_netlist_json, port_of, rand_partitioned_model, \
+from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
+    LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, OUTLINK_FDM, PIPEDELAY_FDM, \
+    add_loose_ports, parse_netlist_json, port_of, rand_partitioned_model, \
     rand_task_subsystem, run_task, validate_netlist, walk
 
 
-def mini_tree():
+def mini_tlm():
     text = (ir.files("fdmflow") / "models" / "mini_codec.fdm").read_text()
-    return build_tree(recognize_partition(parse_model(text)))
+    return recognize_partition(parse_model(text))
 
 
 def _two_task_model():
@@ -47,15 +51,16 @@ def _two_task_model():
 
 
 class TestTree:
+    """The netlist's module tree, built straight from the partition."""
+
     def test_small_construction(self):
-        d = build_tree(recognize_partition(_two_task_model()))
-        roles = {}
-        for n in walk(d.root):
-            roles.setdefault(n.role, []).append(n.name)
-        assert len(roles["root"]) == 1
-        assert roles["sw_node"] == ["SW_c"] and roles["hw_node"] == ["HW_fir"]
-        assert roles["task"] == ["TASK_a", "TASK_b"]
-        assert roles["ip"] == ["f"]
+        top = build_tree(recognize_partition(_two_task_model()))
+        kinds = {}
+        for m in walk(top):
+            kinds.setdefault(m.kind, []).append(m.name)
+        assert kinds == {"top": ["m"], "sw_node": ["SW_c"],
+                         "task": ["TASK_a", "TASK_b"],
+                         "hw_node": ["HW_fir"], "ip": ["f"]}
 
     def test_testbench_only(self):
         g = ModelGraph("m", inputs=["x"], outputs=["y"],
@@ -63,22 +68,25 @@ class TestTree:
                        links=[Link(Endpoint("self", "x"), Endpoint("p", "in")),
                               Link(Endpoint("p", "out"), Endpoint("q", "in")),
                               Link(Endpoint("q", "out"), Endpoint("self", "y"))])
-        d = build_tree(recognize_partition(g))
-        tb = [n for n in walk(d.root) if n.role == "testbench"]
-        assert [n.name for n in tb] == ["p", "q"]
+        top = build_tree(recognize_partition(g))
+        assert [(m.name, m.kind, m.params) for m in top.children] == \
+            [("p", "ip", {"kind": "gain"}), ("q", "ip", {"kind": "gain"})]
 
     def test_mini_codec_pinned_counts(self):
-        d = mini_tree()
-        roles = {}
-        for n in walk(d.root):
-            roles[n.role] = roles.get(n.role, 0) + 1
-        assert roles == {"root": 1, "sw_node": 1, "task": 3, "block": 6,
-                         "hw_node": 2, "ip": 5, "channel": 8, "testbench": 2}
+        kinds = {}
+        for m in walk(build_tree(mini_tlm())):
+            kinds.setdefault(m.kind, []).append(m.name)
+        assert kinds == {
+            "top": ["mini_codec"], "sw_node": ["SW_cpu"],
+            "task": ["TASK_unpack", "TASK_dequant", "TASK_mix"],
+            "hw_node": ["HW_filter", "HW_post"],
+            "ip": ["bank", "tap", "mixr", "sat", "rnd", "reader", "writer"],
+            "channel_adapter": ["CHAN_feed"]}
 
 
 class TestNetlist:
     def test_module_mapping(self):
-        nl = emit_netlist(build_tree(recognize_partition(_two_task_model())))
+        nl = emit_netlist(recognize_partition(_two_task_model()))
         kinds = {p: m.kind for p, m in nl.modules()}
         assert kinds == {"m": "top", "m/SW_c": "sw_node",
                          "m/SW_c/TASK_a": "task", "m/SW_c/TASK_b": "task",
@@ -90,66 +98,101 @@ class TestNetlist:
         assert len(between) == 1
 
     def test_port_directions_preserved(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         top = nl.top
         assert port_of(top, "bitstream").direction == "in"
         assert port_of(top, "audio").direction == "out"
 
     def test_structurally_valid(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         assert validate_netlist(nl) == []
 
     def test_round_trip(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         assert parse_netlist_json(netlist_to_json(nl)) == nl
 
     def test_mini_codec_counts(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         assert len(nl.modules()) == 15
         assert len(nl.nets) == 8
 
 
+class TestPinnedTexts:
+    GMA_TEXTS = \
+        "b5b315a340e1f12abd82963e3968b906ad4fa420725000229075e4d43dd29272"
+
+    def test_pinned_gma_texts(self):
+        """One SHA-256 over what ``fdmflow gma`` writes for each design: the
+        netlist JSON with its parameters bound, the parameter files in
+        module order and every unit's ``format_behavior`` listing.  The
+        designs are mini_codec, the fixed models of helpers.py and the
+        ``rand_partitioned_model`` seeds 0-29 with and without
+        ``add_loose_ports``; a design the partition rejects adds nothing."""
+        models = [mini_tlm().base] + [parse_model(text) for text in (
+            FEEDBACK_FDM, MIX2_FDM, LOOSE_FDM, OUTLINK_FDM, PIPEDELAY_FDM,
+            ACCLOOP_FDM, FANOUT_FDM, NESTED_HW_FDM, ELEMENTS_FDM)]
+        for loose in (False, True):
+            for seed in range(30):
+                rng = random.Random(seed)
+                g = rand_partitioned_model(rng)
+                if loose:
+                    add_loose_ports(rng, g)
+                models.append(g)
+        h = hashlib.sha256()
+        for g in models:
+            try:
+                md = generate_macro(g)
+            except FlowError:
+                continue
+            h.update(netlist_to_json(md.netlist).encode())
+            for name, text in param_files(md.params).items():
+                h.update(f"{name}\0{text}\0".encode())
+            for u in sorted(md.behaviors):
+                h.update(format_behavior(md.behaviors[u]).encode())
+        assert h.hexdigest() == self.GMA_TEXTS
+
+
 class TestParams:
     def test_template_shape(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         ps = emit_param_templates(nl)
         total_ports = sum(len(m.ports) for _, m in nl.modules())
         entries = sum(1 + len(mp.ports) for mp in ps.entries.values())
         assert entries == total_ports + len(nl.modules())
 
     def test_template_deterministic(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         assert param_files(emit_param_templates(nl)) == \
             param_files(emit_param_templates(nl))
 
     def test_attach_defaults_never_errors(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         bound = attach_params(nl, emit_param_templates(nl))
         assert bound.module_at("mini_codec/HW_post").params["cost_cycles"] == 0
 
     def test_missing_key(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         ps = emit_param_templates(nl)
         del ps.entries["mini_codec/HW_post"].module["cost_cycles"]
         with pytest.raises(ParamError, match="mini_codec/HW_post"):
             attach_params(nl, ps)
 
     def test_unknown_key(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         ps = emit_param_templates(nl)
         ps.entries["mini_codec/HW_post"].module["foo"] = 1
         with pytest.raises(ParamError, match="foo"):
             attach_params(nl, ps)
 
     def test_type_mismatch(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         ps = emit_param_templates(nl)
         ps.entries["mini_codec/HW_post"].module["cost_cycles"] = "lots"
         with pytest.raises(ParamError, match="integer"):
             attach_params(nl, ps)
 
     def test_file_round_trip(self):
-        nl = emit_netlist(mini_tree())
+        nl = emit_netlist(mini_tlm())
         ps = emit_param_templates(nl)
         ps2 = load_param_files(param_files(ps))
         assert attach_params(nl, ps2) == attach_params(nl, ps)
@@ -157,23 +200,23 @@ class TestParams:
 
 class TestBehaviorModes:
     def test_direct_user(self):
-        d = mini_tree()
-        b = gen_task_behavior(d, "SW_cpu/TASK_unpack")
+        t = mini_tlm()
+        b = gen_task_behavior(t, "SW_cpu/TASK_unpack")
         assert b.mode == "direct_user"
         kinds = [type(s).__name__ for s in b.body]
         assert kinds == ["Recv", "Call", "Send"]
         assert b.body[1].name == "huff"
 
     def test_library_instance_call_names_kind(self):
-        d = mini_tree()
-        b = gen_task_behavior(d, "SW_cpu/TASK_mix")
+        t = mini_tlm()
+        b = gen_task_behavior(t, "SW_cpu/TASK_mix")
         assert b.mode == "library_instance"
         call = next(s for s in b.body if isinstance(s, Call))
         assert call.name == "gain"
 
     def test_merged_topological_order_and_state(self):
-        d = mini_tree()
-        b = gen_task_behavior(d, "SW_cpu/TASK_dequant")
+        t = mini_tlm()
+        b = gen_task_behavior(t, "SW_cpu/TASK_dequant")
         assert b.mode == "merged"
         names = [s.name for s in b.body if isinstance(s, Call)]
         assert names.index("gain") < names.index("quant") < names.index("sub")
@@ -184,7 +227,7 @@ class TestBehaviorModes:
     def test_unknown_task(self):
         from fdmflow.gma.behavior import BehaviorError
         with pytest.raises(BehaviorError):
-            gen_task_behavior(mini_tree(), "SW_cpu/TASK_missing")
+            gen_task_behavior(mini_tlm(), "SW_cpu/TASK_missing")
 
 
 class TestMergedPreservesSemantics:
@@ -204,8 +247,8 @@ class TestMergedPreservesSemantics:
                                        Endpoint("SW_n", "i")),
                                   Link(Endpoint("SW_n", "o"),
                                        Endpoint("self", "y"))])
-            d = build_tree(recognize_partition(g))
-            b = gen_task_behavior(d, f"SW_n/{sub.id}")
+            t = recognize_partition(g)
+            b = gen_task_behavior(t, f"SW_n/{sub.id}")
             fsm = build_task_fsm(b)
             xs = [rng.randint(-500, 500) for _ in range(40)]
             got = run_task(fsm, {"in": xs})["out"]

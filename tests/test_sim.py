@@ -9,7 +9,7 @@ import pytest
 import fdmflow.flow
 from fdmflow.flow import FlowError, compile_design, default_stimulus, \
     run_flow, simulate
-from fdmflow.gma import build_tree, emit_netlist, emit_param_templates
+from fdmflow.gma import emit_netlist, emit_param_templates
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, \
     Loop, Recv, Send, TaskBehavior
 from fdmflow.hwsynth import emit_rtl_text
@@ -592,8 +592,7 @@ class TestLevels:
         g = parse_model(MIX2_FDM)
         with pytest.raises(FlowError, match="cost_cycles"):
             compile_design(g)
-        ps = emit_param_templates(emit_netlist(build_tree(
-            recognize_partition(g))))
+        ps = emit_param_templates(emit_netlist(recognize_partition(g)))
         ps.entries["mix/HW_mix/h"].module["cost_cycles"] = 3
         cd = compile_design(g, ps)
         assert cd.hw_impl["HW_mix"].kind == "controller"

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fdmflow.flow import FlowError, compile_design
-from fdmflow.gma import build_tree, emit_netlist, gen_task_behavior
+from fdmflow.gma import emit_netlist, gen_task_behavior
 from fdmflow.gma.behavior import Assign, Call, Loop, Recv, Send, \
     TaskBehavior
 from fdmflow.model.parser import parse_model
@@ -91,8 +91,8 @@ class TestBuildTaskFsm:
                                        Endpoint("SW_n", "i")),
                                   Link(Endpoint("SW_n", "o"),
                                        Endpoint("self", "y"))])
-            d = build_tree(recognize_partition(g))
-            f = build_task_fsm(gen_task_behavior(d, f"SW_n/{sub.id}"))
+            t = recognize_partition(g)
+            f = build_task_fsm(gen_task_behavior(t, f"SW_n/{sub.id}"))
             assert check_fsm(f) == [], f"seed {seed}"
 
 
@@ -177,7 +177,7 @@ class TestProducerConsumer:
 
 class TestAddressMap:
     def test_two_endpoint_bases(self):
-        nl = emit_netlist(build_tree(recognize_partition(mini_model())))
+        nl = emit_netlist(recognize_partition(mini_model()))
         m = allocate_address_map(nl)
         assert m.entries[0].base == 0x1000
         assert m.entries[1].base == 0x1010
@@ -186,11 +186,11 @@ class TestAddressMap:
 
     def test_empty_map(self):
         g = ModelGraph("m", inputs=[], outputs=[])
-        nl = emit_netlist(build_tree(recognize_partition(g)))
+        nl = emit_netlist(recognize_partition(g))
         assert allocate_address_map(nl).entries == []
 
     def test_mini_codec_golden(self):
-        nl = emit_netlist(build_tree(recognize_partition(mini_model())))
+        nl = emit_netlist(recognize_partition(mini_model()))
         m = allocate_address_map(nl)
         assert len(m.entries) == 16
         assert [e.base for e in m.entries] == \
@@ -200,7 +200,7 @@ class TestAddressMap:
         assert allocate_address_map(nl) == m
 
     def test_disjoint_ranges(self):
-        nl = emit_netlist(build_tree(recognize_partition(mini_model())))
+        nl = emit_netlist(recognize_partition(mini_model()))
         m = allocate_address_map(nl)
         spans = sorted((e.base, e.base + 0x10) for e in m.entries)
         for (a0, a1), (b0, _b1) in zip(spans, spans[1:]):
@@ -264,8 +264,8 @@ class TestLowerApi:
                                        Endpoint("SW_n", "i")),
                                   Link(Endpoint("SW_n", "o"),
                                        Endpoint("self", "y"))])
-            d = build_tree(recognize_partition(g))
-            f = build_task_fsm(gen_task_behavior(d, f"SW_n/{sub.id}"))
+            t = recognize_partition(g)
+            f = build_task_fsm(gen_task_behavior(t, f"SW_n/{sub.id}"))
             lo = lower_api(f, standalone_address_map(f, "u"), "u")
             xs = [rng.randint(-300, 300) for _ in range(25)]
             assert run_task(lo, {"in": xs}) == run_task(f, {"in": xs}), \
