@@ -114,7 +114,7 @@ def compile_design(model: ModelGraph,
             if c > 0:
                 costs[path] = c
         try:
-            rg = map_rtl_library(info.subsystem, costs)
+            rg = map_rtl_library(info.name, tlm.flats[info.name], costs)
             if pipelineable(rg):
                 dc, k = delay_correct(rg)
                 hw_impl[info.name] = HwImpl("pipelined", dc, k)

@@ -1,11 +1,15 @@
 """Hardware refinement of functional nodes.
 
-Each hardware node's blocks are mapped to RTL IPs with cycle latencies.
-When every IP is pipelined the graph is delay-corrected by inserting
-balancing registers on reconvergent paths; otherwise a multicycle FSM
-controller sequences the IPs, accepting one sample per initiation
-interval.  Both are executed by compiling the RTL graph into the one
-block sweep (``sim.sweep``): the controller as the zero-latency sweep, the
+Synthesis reads the node's flat graph, the ``FlatGraph`` the partition
+flattened once for every stage (``TlmModel.flats``); an ``RtlGraph`` is
+that graph plus the RTL IP of each block and, after delay correction, the
+balancing registers on its wires.  A wire is named by what it drives, as
+in ``FlatGraph.drivers``: (block path, input port), or (None, port) for
+a node output.  When every IP is pipelined the graph is delay-corrected
+by inserting balancing registers on reconvergent paths; otherwise a
+multicycle FSM controller sequences the IPs, accepting one sample per
+initiation interval.  Both run as the flat graph's block sweep, built by
+``sim.sweep.plan`` as level 0's is: the controller at zero latency, the
 cycle model with every IP's output pipeline and every balancing register
 added as sweep registers.
 """
@@ -15,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .model.blocks import port_names
-from .model.graph import ModelGraph, Subsystem, flatten, stable_topo
-from .sim.sweep import Sweep
+from .model.graph import FlatGraph, stable_topo
+from .sim.sweep import plan
 
 
 @dataclass(frozen=True)
@@ -75,35 +78,17 @@ class HwSynthError(Exception):
 
 
 @dataclass
-class RtlNode:
-    name: str
-    kind: str  # block kind, or "input"/"output" pseudo nodes
-    params: tuple = ()
-    latency: int = 0
-    eligibility: str = "pipelined"
-
-    @property
-    def is_delay(self) -> bool:
-        return self.kind == "delay"
-
-
-@dataclass
-class RtlEdge:
-    src: str
-    dst: str
-    dst_port: str
-    regs: int = 0
-    src_port: str = "out"
-
-
-@dataclass
 class RtlGraph:
+    """A hardware node's flat graph with each block mapped to its IP; after
+    ``delay_correct`` also its balancing registers, levels and latency."""
+
     name: str
-    nodes: dict[str, RtlNode]
-    edges: list[RtlEdge]
-    inputs: list[str]   # names of input pseudo nodes ("in:<port>")
-    outputs: list[str]  # names of output pseudo nodes ("out:<port>")
-    levels: dict[str, int] = field(default_factory=dict)
+    flat: FlatGraph
+    ips: dict[str, RtlLibraryEntry]  # block path -> its IP
+    # balancing registers per wire, keyed like ``flat.drivers`` with
+    # (None, port) for a node output
+    regs: dict[tuple, int] = field(default_factory=dict)
+    levels: dict[str, int] = field(default_factory=dict)  # block path -> level
     latency: int | None = None  # k after delay correction
 
 
@@ -125,85 +110,80 @@ class HwImpl:
     latency: int  # k of the pipeline, or the controller's II
 
 
-def _reach(succ: dict, start: str) -> list[str]:
-    """``start`` and every node it reaches through ``succ``."""
-    seen = [start]
-    for m in seen:
-        seen += [d for d in succ[m] if d not in seen]
+def _wires(flat: FlatGraph) -> list[tuple]:
+    """(wire, driver) of each wire, ``wire`` keyed as in ``RtlGraph.regs``:
+    the block inputs by block, then by port name, then the node outputs."""
+    rank = {p: i for i, p in enumerate(flat.blocks)}
+    return sorted(flat.drivers.items(),
+                  key=lambda kv: (rank[kv[0][0]], kv[0][1])) + \
+        [((None, p), src) for p, src in flat.top_outputs.items()]
+
+
+def _succ(flat: FlatGraph, skip=frozenset(), back=False) -> dict:
+    """Block -> the blocks its outputs feed (``back``: that feed its
+    inputs), leaving out the wires in ``skip``."""
+    succ: dict[str, list[str]] = {p: [] for p in flat.blocks}
+    for w, src in flat.drivers.items():
+        if src[0] == "block" and w not in skip:
+            a, b = (w[0], src[1]) if back else (src[1], w[0])
+            succ[a].append(b)
+    return succ
+
+
+def _reach(succ: dict, start: str) -> set[str]:
+    """``start`` and every block it reaches through ``succ``."""
+    seen, todo = {start}, [start]
+    while todo:
+        for d in succ[todo.pop()]:
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
     return seen
 
 
-def _ordered_nodes(g: RtlGraph) -> tuple[list[str], set[int]]:
-    """Topological order ignoring the edges out of a declared delay block
-    to a node that reaches it, which close a loop, and their ids."""
-    succ: dict[str, list[str]] = {n: [] for n in g.nodes}
-    for e in g.edges:
-        succ[e.src].append(e.dst)
-    loops = {id(e) for e in g.edges
-             if g.nodes[e.src].is_delay and e.src in _reach(succ, e.dst)}
-    for e in g.edges:
-        if id(e) in loops:
-            succ[e.src].remove(e.dst)
-    order = stable_topo(list(g.nodes), succ)
-    if len(order) != len(g.nodes):
-        stuck = sorted(set(g.nodes) - set(order))
+def _ordered(g: RtlGraph) -> tuple[list[str], set[tuple]]:
+    """Topological order of the blocks ignoring the wires out of a declared
+    delay block into a block that reaches it, which close a loop, and
+    those wires."""
+    flat = g.flat
+    succ = _succ(flat)
+    loops = {w for w, src in flat.drivers.items() if src[0] == "block"
+             and flat.blocks[src[1]].block.kind == "delay"
+             and src[1] in _reach(succ, w[0])}
+    order = stable_topo(list(flat.blocks), _succ(flat, loops))
+    if len(order) != len(flat.blocks):
+        stuck = sorted(set(flat.blocks) - set(order))
         raise HwSynthError(f"cycle without a declared delay involving {stuck}")
     return order, loops
 
 
-def map_rtl_library(node_sub: Subsystem,
+def map_rtl_library(name: str, flat: FlatGraph,
                     costs: dict[str, int] | None = None) -> RtlGraph:
-    """Replace each functional block of a hardware node with its RTL IP.
+    """Map each functional block of hardware node ``name``, whose flat
+    graph is ``flat``, to its RTL IP.
 
     Topology is preserved; costs maps block paths to designer-supplied
     cost_cycles overriding the library defaults.
     """
     costs = costs or {}
-    wrapper = ModelGraph(node_sub.id, blocks=node_sub.blocks,
-                         subsystems=node_sub.subsystems, links=node_sub.links,
-                         inputs=node_sub.inputs, outputs=node_sub.outputs)
-    flat = flatten(wrapper)
     if flat.issues:
         raise HwSynthError(
-            f"{node_sub.id}: {flat.issues[0].message} ({flat.issues[0].location})")
-
-    nodes: dict[str, RtlNode] = {}
-    edges: list[RtlEdge] = []
-    inputs = [f"in:{p}" for p in node_sub.inputs]
-    outputs = [f"out:{p}" for p in node_sub.outputs]
-    for p in node_sub.inputs:
-        nodes[f"in:{p}"] = RtlNode(f"in:{p}", "input")
+            f"{name}: {flat.issues[0].message} ({flat.issues[0].location})")
+    ips = {}
     for path, fb in flat.blocks.items():
         blk = fb.block
         if blk.kind == "user" and blk.params[0] not in RTL_USER_INDEX \
                 and path not in costs:
             raise HwSynthError(
-                f"{node_sub.id}/{path}: user function {blk.params[0]!r} has "
+                f"{name}/{path}: user function {blk.params[0]!r} has "
                 "neither an RTL library entry nor a cost_cycles parameter")
         if blk.kind == "delay" and path in costs:
             raise HwSynthError(
-                f"{node_sub.id}/{path}: a delay block takes no cost_cycles; "
+                f"{name}/{path}: a delay block takes no cost_cycles; "
                 "its lag is its functional k")
-        entry = library_entry(blk.kind, blk.params, costs.get(path))
-        nodes[path] = RtlNode(path, blk.kind, blk.params, entry.latency,
-                              entry.eligibility)
-    for p in node_sub.outputs:
-        nodes[f"out:{p}"] = RtlNode(f"out:{p}", "output")
-
-    def edge(src, dst: str, dst_port: str) -> RtlEdge:
-        if src[0] == "top":
-            return RtlEdge(f"in:{src[1]}", dst, dst_port)
-        return RtlEdge(src[1], dst, dst_port, src_port=src[2])
-
-    rank = {p: i for i, p in enumerate(flat.blocks)}
-    for (dst, port), src in sorted(flat.drivers.items(),
-                                   key=lambda kv: (rank[kv[0][0]], kv[0][1])):
-        edges.append(edge(src, dst, port))
-    for p, src in flat.top_outputs.items():
-        edges.append(edge(src, f"out:{p}", "in"))
-
-    g = RtlGraph(node_sub.id, nodes, edges, inputs, outputs)
-    _ordered_nodes(g)  # raises on undeclared cycles
+        ips[path] = library_entry(blk.kind, blk.params, costs.get(path))
+    g = RtlGraph(name, flat, ips)
+    _ordered(g)  # raises on undeclared cycles
     return g
 
 
@@ -212,105 +192,61 @@ def pipelineable(g: RtlGraph) -> bool:
     pipelined and none with latency sits on a loop closed by a delay,
     whose lag its output pipeline would lengthen.  The FSM controller
     runs any other graph, a loop at zero latency."""
-    succ = {n: [e.dst for e in g.edges if e.src == n] for n in g.nodes}
-    loops = _ordered_nodes(g)[1]
-    return all(n.eligibility == "pipelined" for n in g.nodes.values()) and \
-        not any(g.nodes[n].latency for e in g.edges if id(e) in loops
-                for n in _reach(succ, e.dst) if e.src in _reach(succ, n))
+    if any(ip.eligibility != "pipelined" for ip in g.ips.values()):
+        return False
+    loops = _ordered(g)[1]
+    succ, pred = _succ(g.flat), _succ(g.flat, back=True)
+    return not any(g.ips[n].latency for w in loops
+                   for n in _reach(succ, w[0])
+                   & _reach(pred, g.flat.drivers[w][1]))
 
 
 def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
     """Balance path latencies with slack registers; returns (graph, k).
 
-    level(v) = max over incoming edges of level(src), plus L(v); the slack
-    on each edge becomes that many registers, and every output is padded to
+    level(v) = max over incoming wires of level(src), plus L(v); the slack
+    on each wire becomes that many registers, and every output is padded to
     the common latency k.  Declared delay blocks implement functional lag;
-    an edge closing a loop through one carries no skew and no registers.
+    a wire closing a loop through one carries no skew and no registers.
     """
-    bad = sorted(n.name for n in g.nodes.values() if n.eligibility != "pipelined")
+    bad = sorted(p for p, ip in g.ips.items() if ip.eligibility != "pipelined")
     if bad:
         raise HwSynthError(f"multicycle-only IPs present ({bad}); "
                            "use fsm_controller instead")
-    order, loops = _ordered_nodes(g)
-    incoming: dict[str, list[RtlEdge]] = {n: [] for n in g.nodes}
-    for e in g.edges:
-        incoming[e.dst].append(e)
+    order, loops = _ordered(g)
+    incoming: dict[str, list[tuple]] = {p: [] for p in g.flat.blocks}
+    for w, src in g.flat.drivers.items():
+        if w not in loops:
+            incoming[w[0]].append(src)
     levels: dict[str, int] = {}
+
+    def level(src: tuple) -> int:  # a node input's is 0
+        return levels[src[1]] if src[0] == "block" else 0
+
     for n in order:
-        levels[n] = g.nodes[n].latency + max(
-            (levels[e.src] for e in incoming[n] if id(e) not in loops),
-            default=0)
-    k = max((levels[o] for o in g.outputs), default=0)
-    for o in g.outputs:
-        levels[o] = k
-    new_edges = []
-    for e in g.edges:
-        slack = 0 if id(e) in loops else \
-            (levels[e.dst] - g.nodes[e.dst].latency) - levels[e.src]
-        new_edges.append(replace(e, regs=slack))
-    out = RtlGraph(g.name, dict(g.nodes), new_edges, list(g.inputs),
-                   list(g.outputs), levels, latency=k)
-    return out, k
+        levels[n] = g.ips[n].latency + max(map(level, incoming[n]), default=0)
+    k = max(map(level, g.flat.top_outputs.values()), default=0)
+    regs = {w: 0 if w in loops else
+            (levels[w[0]] - g.ips[w[0]].latency if w[0] else k) - level(src)
+            for w, src in _wires(g.flat)}
+    return replace(g, regs=regs, levels=levels, latency=k), k
 
 
 def fsm_controller(g: RtlGraph) -> Controller:
     """Sequential schedule firing one IP per step; II is the latency sum."""
-    order = [n for n in _ordered_nodes(g)[0]
-             if g.nodes[n].kind not in ("input", "output")]
-    ii = sum(g.nodes[n].latency for n in order)
-    if ii == 0:
-        ii = 1
-    return Controller(g, order, ii)
+    order = _ordered(g)[0]
+    return Controller(g, order, sum(g.ips[n].latency for n in order) or 1)
 
 
 # ---------------------------------------------------------------------------
 # cycle-level execution
 
 
-def _sweep(g: RtlGraph, order: list[str], timed: bool) -> Sweep:
-    """Compile the graph's block sweep; slots are keyed by (node, port).
-
-    ``timed`` adds each IP's L-stage output pipeline and each edge's
-    balancing registers; without it the graph runs with zero latency.
-    """
-    sw = Sweep()
-    for n in g.inputs:
-        sw.inputs[n.split(":", 1)[1]] = sw.slot((n, "out"))
-    read: dict[tuple, int] = {}  # (node, input port) -> slot
-    for e in g.edges:
-        s = sw.slot((e.src, e.src_port))
-        if timed and e.regs:
-            q = sw.slot((e.dst, e.dst_port, "regs"))
-            sw.reg(s, q, e.regs)
-            s = q
-        read[(e.dst, e.dst_port)] = s
-    for n in order:
-        nd = g.nodes[n]
-        if nd.kind in ("input", "output"):
-            continue
-        ins, outs = port_names(nd.kind, nd.params)
-        in_slots = [read.get((n, p), 0) for p in ins]
-        out_slots = [sw.slot((n, p)) for p in outs]
-        if nd.is_delay:
-            sw.reg(in_slots[0], out_slots[0], nd.params[0])
-            continue
-        if timed and nd.latency:
-            pipe = [sw.slot((n, p, "pipe")) for p in outs]
-            for d, q in zip(pipe, out_slots):
-                sw.reg(d, q, nd.latency)
-            out_slots = pipe
-        sw.op(nd.kind, nd.params, in_slots, out_slots)
-    for o in g.outputs:
-        sw.outputs[o.split(":", 1)[1]] = read.get((o, "in"), 0)
-    sw.build()
-    return sw
-
-
 class RtlCycleSim:
     """Cycle-accurate model of a delay-corrected graph.
 
     Each IP is its functional block followed by an L-stage output pipeline;
-    balancing registers sit on the edges.  One input sample is consumed per
+    balancing registers sit on the wires.  One input sample is consumed per
     step; the first k outputs are priming samples, which the engine
     discards.
     """
@@ -318,7 +254,8 @@ class RtlCycleSim:
     def __init__(self, g: RtlGraph):
         if g.latency is None:
             raise HwSynthError("graph must be delay-corrected first")
-        self.sweep = _sweep(g, _ordered_nodes(g)[0], timed=True)
+        self.sweep = plan(g.flat, _ordered(g)[0],
+                          {p: ip.latency for p, ip in g.ips.items()}, g.regs)
 
     def step(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)
@@ -328,7 +265,7 @@ class ControllerSim:
     """Executes the multicycle schedule: functional result, II cycles each."""
 
     def __init__(self, ctrl: Controller):
-        self.sweep = _sweep(ctrl.graph, ctrl.order, timed=False)
+        self.sweep = plan(ctrl.graph.flat, ctrl.order)
 
     def fire(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)
@@ -347,16 +284,14 @@ def emit_rtl_text(obj: RtlGraph | Controller) -> str:
         g = obj
         header = f"latency k={g.latency}"
     lines = [f"design {g.name}", header]
-    for n, nd in g.nodes.items():
-        if nd.kind in ("input", "output"):
-            continue
-        entry = library_entry(nd.kind, nd.params, nd.latency)
-        lines.append(f"inst {n} : {entry.rtl_name} latency={nd.latency}")
-    for e in g.edges:
-        for i in range(e.regs):
-            lines.append(f"reg bal_{e.src}_{e.dst}_{e.dst_port}_{i}")
-    for e in g.edges:
-        src = e.src if e.src_port == "out" else f"{e.src}.{e.src_port}"
-        lines.append(f"wire {src} -> {e.dst}.{e.dst_port}"
-                     + (f" regs={e.regs}" if e.regs else ""))
-    return "\n".join(lines) + "\n"
+    lines += [f"inst {p} : {ip.rtl_name} latency={ip.latency}"
+              for p, ip in g.ips.items()]
+    wires = []
+    for w, src in _wires(g.flat):
+        a = f"in:{src[1]}" if src[0] == "top" else src[1]
+        pin = a if src[0] == "top" or src[2] == "out" else f"{a}.{src[2]}"
+        b, port = w if w[0] else (f"out:{w[1]}", "in")
+        n = g.regs.get(w, 0)
+        lines += [f"reg bal_{a}_{b}_{port}_{i}" for i in range(n)]
+        wires.append(f"wire {pin} -> {b}.{port}" + (f" regs={n}" if n else ""))
+    return "\n".join(lines + wires) + "\n"

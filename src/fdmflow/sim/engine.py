@@ -297,6 +297,15 @@ class Engine:
                        for p in cd.tlm.base.outputs if (None, p) in self.cons]
         self.trace = Trace({p: [] for p in cd.tlm.base.outputs},
                            level=self.level, design=cd.tlm.base.name)
+        # a round without an event ends the run, so a run that terminates
+        # makes at most as many rounds per tick as events: one per FSM
+        # transition and loop iteration of each task, and one per other
+        # unit, source and probe
+        fsms = cd.micro_fsms.values()
+        self.limit = (sum(len(f.transitions) for f in fsms) + sum(
+            a.count for f in fsms for tr in f.transitions for a in tr.actions
+            if isinstance(a, ALoopInit)) + len(cd.tlm.units) - len(fsms)
+            + len(self.sources) + len(self.probes)) * ticks + 10000
         self._loop = self._generate()
 
     def bind(self, name: str, b) -> tuple[dict, dict]:
@@ -309,12 +318,7 @@ class Engine:
         None once every probe holds ``ticks`` samples, "deadlock" or
         "limit", and writes the rounds, events, cycles and bus
         transactions back to the engine."""
-        # each micro-level loop iteration takes one scheduler slot
-        loops = sum(a.count for tasks in self.schedulers for t in tasks
-                    for tr in t.runner.fsm.transitions for a in tr.actions
-                    if isinstance(a, ALoopInit))
-        names = Names(ticks=self.ticks,
-                      limit=(60 + loops) * self.ticks + 10000,
+        names = Names(ticks=self.ticks, limit=self.limit,
                       pad=_pad, record=self.trace.record, clk=self.clock)
         lines = ["before = ev"]
         for j, (p, ch) in enumerate(self.sources):

@@ -7,9 +7,8 @@ its input once every driver has fired.
 
 from __future__ import annotations
 
-from ..model.blocks import port_names
 from ..model.graph import ModelGraph, flatten, topo_order
-from .sweep import Sweep
+from .sweep import plan
 from .trace import Stimulus, Trace
 
 
@@ -20,25 +19,7 @@ class Level0Sim:
         flat = flatten(g)
         if flat.issues:
             raise ValueError(f"model not valid: {flat.issues[0].message}")
-        sw = self.sweep = Sweep()
-
-        def src(driver) -> int:
-            # ("top", port) -> key (port,); ("block", path, port) -> (path, port)
-            return sw.slot(driver[1:])
-
-        for p in g.inputs:
-            sw.inputs[p] = sw.slot((p,))
-        for path in topo_order(flat):
-            blk = flat.blocks[path].block
-            ins, outs = port_names(blk.kind, blk.params)
-            in_slots = [src(flat.drivers[(path, p)]) for p in ins]
-            out_slots = [sw.slot((path, p)) for p in outs]
-            if blk.kind == "delay":
-                sw.reg(in_slots[0], out_slots[0], blk.params[0])
-            else:
-                sw.op(blk.kind, blk.params, in_slots, out_slots)
-        sw.outputs = {p: src(d) for p, d in flat.top_outputs.items()}
-        sw.build()
+        self.sweep = plan(flat, topo_order(flat))
 
     def tick(self, in_values: dict[str, int]) -> dict[str, int]:
         """Advance one global tick; returns top-level output port values."""

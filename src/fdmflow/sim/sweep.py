@@ -2,13 +2,13 @@
 and ``binder``, the one way generated code is built.
 
 Level 0, the RTL cycle model and the FSM controller each build a
-``Sweep`` plan from their graph and then only call ``tick``.  A plan holds
-integer value slots (slot 0 always reads zero), the combinational ops in
-evaluation order and the registers.  Registers are FIFOs: per tick every
-q slot shows its FIFO's head, the ops fire in order, then every FIFO takes
-its d slot.  A ``delay(k)`` block is a register of depth k; at the cycle
-level an IP's L-stage output pipeline and an edge's balancing registers are
-registers too.
+``Sweep`` plan from their flat graph with ``plan``, the one builder, and
+then only call ``tick``.  A plan holds integer value slots (slot 0 always
+reads zero), the combinational ops in evaluation order and the registers.
+Registers are FIFOs: per tick every q slot shows its FIFO's head, the ops
+fire in order, then every FIFO takes its d slot.  A ``delay(k)`` block is
+a register of depth k; at the cycle level an IP's L-stage output pipeline
+and a wire's balancing registers are registers too.
 
 Every simulator turns its plan, behavior, FSM state, hardware step or run
 loop into straight-line Python, once, through ``binder`` (as
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..model.blocks import block_src, init_state
+from ..model.blocks import block_src, init_state, port_names
+from ..model.graph import FlatGraph
 
 CHUNK = 48  # ops, or register shifts, per generated function
 
@@ -150,3 +151,46 @@ class Sweep:
             f"vals[{s}] = get({p!r}, 0)" for p, s in self.inputs.items()] +
             op_calls + [f"out = {{{outs}}}"] + reg_calls + ["return out"],
             args="in_values")
+
+
+def plan(flat: FlatGraph, order: list[str], pipes=None, regs=None) -> Sweep:
+    """The built sweep of ``flat`` firing its blocks in ``order``; slots
+    are keyed by driving pin, (port,) for a graph input and (path, port)
+    for a block output.
+
+    ``pipes`` maps a block path to the stages of the pipeline behind each
+    of its outputs, and ``regs`` a wire, keyed like ``flat.drivers`` with
+    (None, port) for a graph output, to its registers; without them the
+    graph runs with zero latency.
+    """
+    pipes, regs = pipes or {}, regs or {}
+    sw = Sweep()
+
+    def read(wire: tuple, driver: tuple) -> int:
+        # driver ("top", port) or ("block", path, port)
+        s = sw.slot(driver[1:])
+        if driver[0] == "top":
+            sw.inputs[driver[1]] = s
+        if regs.get(wire):
+            q = sw.slot(wire + ("regs",))
+            sw.reg(s, q, regs[wire])
+            s = q
+        return s
+
+    for path in order:
+        blk = flat.blocks[path].block
+        ins, outs = port_names(blk.kind, blk.params)
+        in_slots = [read((path, p), flat.drivers[(path, p)]) for p in ins]
+        out_slots = [sw.slot((path, p)) for p in outs]
+        if blk.kind == "delay":
+            sw.reg(in_slots[0], out_slots[0], blk.params[0])
+            continue
+        if pipes.get(path):
+            pipe = [sw.slot((path, p, "pipe")) for p in outs]
+            for d, q in zip(pipe, out_slots):
+                sw.reg(d, q, pipes[path])
+            out_slots = pipe
+        sw.op(blk.kind, blk.params, in_slots, out_slots)
+    sw.outputs = {p: read((None, p), d) for p, d in flat.top_outputs.items()}
+    sw.build()
+    return sw

@@ -132,20 +132,24 @@ def _first_diff(a: list, b: list):
 
 def compare_traces(a: Trace, b: Trace, mode: str = "exact",
                    expected_k: int | None = None) -> Verdict:
-    """Compare two traces over the same port set.
+    """Compare two traces over the same port set.  A reference ``a`` that
+    holds no sample has nothing to compare and fails in every mode.
 
     exact          -- identical (time, value) records.
     modulo_latency -- one constant index shift k >= 0, shared across ports,
                       with b[n + k] == a[n] for every sample n of a: the
-                      shifted b must hold the whole reference, and an
-                      empty reference never passes.  If expected_k is
-                      given only that shift is accepted, otherwise the
-                      smallest feasible k is reported.
+                      shifted b must hold the whole reference.  If
+                      expected_k is given only that shift is accepted,
+                      otherwise the smallest feasible k is reported.
     values_only    -- identical per-port value sequences, times ignored.
     """
+    if mode not in ("exact", "modulo_latency", "values_only"):
+        raise ValueError(f"unknown comparison mode {mode!r}")
     if set(a.ports) != set(b.ports):
         raise PortSetMismatch(
             f"port sets differ: {sorted(a.ports)} vs {sorted(b.ports)}")
+    if not any(a.ports.values()):
+        return Verdict(False, mode, message="the reference holds no sample")
 
     if mode == "exact":
         for port in a.ports:
@@ -165,16 +169,12 @@ def compare_traces(a: Trace, b: Trace, mode: str = "exact",
                                message=f"port {port} value {i}: {x} != {y}")
         return Verdict(True, mode)
 
-    if mode == "modulo_latency":
-        av = {p: a.values(p) for p in a.ports}
-        bv = {p: b.values(p) for p in b.ports}
-        slack = min((len(bv[p]) - len(av[p]) for p in av), default=-1)
-        ks = [expected_k] if expected_k is not None else range(slack + 1)
-        if any(av.values()):
-            for k in ks:
-                if all(bv[p][k:k + len(av[p])] == av[p] for p in av):
-                    return Verdict(True, mode, k=k)
-        return Verdict(False, mode,
-                       message="no constant latency shift aligns the traces")
-
-    raise ValueError(f"unknown comparison mode {mode!r}")
+    av = {p: a.values(p) for p in a.ports}
+    bv = {p: b.values(p) for p in b.ports}
+    slack = min(len(bv[p]) - len(av[p]) for p in av)
+    ks = [expected_k] if expected_k is not None else range(slack + 1)
+    for k in ks:
+        if all(bv[p][k:k + len(av[p])] == av[p] for p in av):
+            return Verdict(True, mode, k=k)
+    return Verdict(False, mode,
+                   message="no constant latency shift aligns the traces")

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 
 from fdmflow.gma.netlist import ColifNetlist, Net
 from fdmflow.gma.tree import Module, Port
+from fdmflow.hwsynth import RtlGraph, map_rtl_library
 from fdmflow.model.blocks import USER_FUNCTIONS, wrap32
-from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
+from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
+    Subsystem, flatten
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.interp import FsmRunner, SimError
 from fdmflow.sim.trace import Stimulus, Trace
@@ -649,9 +651,20 @@ def reference_step(kind, params, inputs, state):
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-def total_registers(g) -> int:
+def as_model(sub: Subsystem) -> ModelGraph:
+    """A hardware node's subsystem on its own, as a model."""
+    return ModelGraph(sub.id, blocks=sub.blocks, subsystems=sub.subsystems,
+                      links=sub.links, inputs=sub.inputs, outputs=sub.outputs)
+
+
+def map_node(sub: Subsystem, costs: dict | None = None) -> RtlGraph:
+    """``map_rtl_library`` of a hardware node's subsystem on its own."""
+    return map_rtl_library(sub.id, flatten(as_model(sub)), costs)
+
+
+def total_registers(g: RtlGraph) -> int:
     """Balancing registers of a delay-corrected RtlGraph."""
-    return sum(e.regs for e in g.edges)
+    return sum(g.regs.values())
 
 
 def hw_stream(step, stim: Stimulus, n: int) -> Trace:

@@ -11,7 +11,7 @@ from fdmflow.cli import main
 from fdmflow.flow import compile_design, default_stimulus, run_flow, simulate
 from fdmflow.gma import emit_netlist, gen_task_behavior, netlist_to_json
 from fdmflow.hwsynth import ControllerSim, RtlCycleSim, delay_correct, \
-    fsm_controller, map_rtl_library
+    fsm_controller
 from fdmflow.model.blocks import port_names
 from fdmflow.model.graph import Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
@@ -22,9 +22,9 @@ from fdmflow.sim.trace import Stimulus, Trace, compare_traces
 from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import hw_stream, parse_netlist_json, rand_loopy_model, \
-    rand_partitioned_model, rand_pipeline_node, rand_task_subsystem, run_task, \
-    standalone_address_map, total_registers
+from helpers import hw_stream, map_node, parse_netlist_json, \
+    rand_loopy_model, rand_partitioned_model, rand_pipeline_node, \
+    rand_task_subsystem, run_task, standalone_address_map, total_registers
 
 _CACHE: dict = {}
 
@@ -108,7 +108,7 @@ def test_criterion_2_delay_correction_suite():
         for seed in range(200):
             rng = random.Random(20000 + seed)
             sub, costs = rand_pipeline_node(rng, max_blocks=12)
-            g, k = delay_correct(map_rtl_library(sub, costs))
+            g, k = delay_correct(map_node(sub, costs))
             _, k_oracle, slack_oracle = _longest_path_oracle(sub, costs)
             assert k == k_oracle, f"seed {seed}: k {k} != {k_oracle}"
             assert total_registers(g) == slack_oracle, f"seed {seed}"
@@ -128,7 +128,7 @@ def test_criterion_3_fsm_controller_suite():
         for seed in range(100):
             rng = random.Random(30000 + seed)
             sub, costs = rand_pipeline_node(rng, max_blocks=8)
-            ctrl = fsm_controller(map_rtl_library(sub, costs))
+            ctrl = fsm_controller(map_node(sub, costs))
             ii_oracle = sum(costs[b.id] for b in sub.blocks) or 1
             assert ctrl.ii == ii_oracle, f"seed {seed}"
             n = 16

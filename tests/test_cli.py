@@ -371,6 +371,24 @@ class TestFlow:
         printed = capsys.readouterr().out
         assert "level2-vs-level3: PASS" in printed
 
+    def test_no_output_fails_every_verdict(self, tmp_path, capsys):
+        """A model with no output has nothing to compare: every verdict
+        fails with the one message, not only the modulo_latency one."""
+        p = tmp_path / "noout.fdm"
+        p.write_text("model m {\n  input a;\n  subsystem HW_c { input in; "
+                     "block k : sink; link self.in -> k.in; }\n"
+                     "  link self.a -> HW_c.in;\n}\n")
+        assert main(["check", "--model", str(p)]) == 0
+        capsys.readouterr()
+        assert main(["flow", "--model", str(p), "--out", str(tmp_path / "o"),
+                     "--ticks", "16"]) == 1
+        printed = capsys.readouterr().out
+        assert printed.splitlines()[:3] == [
+            "level0-vs-level1: FAIL [exact] the reference holds no sample",
+            "level1-vs-level2: FAIL [exact] the reference holds no sample",
+            "level2-vs-level3: FAIL [modulo_latency] the reference holds no "
+            "sample"]
+
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "mini"])
     def test_constant_output_warning(self, flat, mini_path, tmp_path,
                                      capsys):
@@ -490,6 +508,16 @@ class TestCompare:
                      "--b", str(out / "late.trace"),
                      "--compare", "modulo_latency"]) == 1
         assert capsys.readouterr().out.startswith("FAIL [modulo_latency]")
+
+    @pytest.mark.parametrize("mode", ["exact", "values_only",
+                                      "modulo_latency"])
+    def test_header_only_traces_fail(self, mode, tmp_path, capsys):
+        empty = tmp_path / "empty.trace"
+        empty.write_text("# level 0\n# design m\n")
+        assert main(["compare", "--a", str(empty), "--b", str(empty),
+                     "--compare", mode]) == 1
+        assert capsys.readouterr().out == \
+            f"FAIL [{mode}] the reference holds no sample\n"
 
     def test_missing_trace(self, tmp_path, capsys):
         assert main(["compare", "--a", str(tmp_path / "x"),

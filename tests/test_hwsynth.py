@@ -1,26 +1,27 @@
+import hashlib
+import importlib.resources as ir
 import random
 
 import pytest
 
-from fdmflow.hwsynth import Controller, ControllerSim, HwSynthError, \
-    RtlCycleSim, delay_correct, emit_rtl_text, fsm_controller, library_entry, \
+from fdmflow.flow import FlowError, compile_design
+from fdmflow.hwsynth import ControllerSim, HwSynthError, RtlCycleSim, \
+    delay_correct, emit_rtl_text, fsm_controller, library_entry, \
     map_rtl_library, pipelineable
-from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
+from fdmflow.model.graph import Block, Endpoint, Link, Subsystem, flatten
+from fdmflow.model.parser import parse_model
 from fdmflow.sim.level0 import simulate_level0
 from fdmflow.sim.trace import Stimulus
 
-from helpers import hw_stream, rand_hw_subsystem, rand_pipeline_node, \
+from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
+    LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, OUTLINK_FDM, PIPEDELAY_FDM, \
+    add_loose_ports, as_model, hw_stream, map_node, rand_hw_subsystem, \
+    rand_loopy_model, rand_partitioned_model, rand_pipeline_node, \
     total_registers
 
 
 def _link(a, ap, b, bp):
     return Link(Endpoint(a, ap), Endpoint(b, bp))
-
-
-def _as_model(sub):
-    """The HW subsystem on its own, as a model for the level-0 reference."""
-    return ModelGraph(sub.id, blocks=sub.blocks, subsystems=sub.subsystems,
-                      links=sub.links, inputs=sub.inputs, outputs=sub.outputs)
 
 
 def _chain(name, specs):
@@ -60,34 +61,52 @@ class TestLibrary:
 class TestMapRtlLibrary:
     def test_fir_quant_chain(self):
         sub = _chain("HW_x", [("f", "fir", (1, 2, 3, 4)), ("q", "quant", (2,))])
-        g = map_rtl_library(sub)
-        assert g.nodes["f"].latency == 3
-        assert g.nodes["q"].latency == 1
-        real = [n for n, nd in g.nodes.items()
-                if nd.kind not in ("input", "output")]
-        assert real == ["f", "q"]
+        g = map_rtl_library(sub.id, flatten(as_model(sub)))
+        assert g.flat.blocks.keys() == g.ips.keys()
+        assert g.ips["f"].latency == 3
+        assert g.ips["q"].latency == 1
+        assert list(g.ips) == ["f", "q"]
 
     def test_empty_node(self):
         sub = Subsystem("HW_e", inputs=["in"], outputs=["out"],
                         links=[_link("self", "in", "self", "out")])
-        g = map_rtl_library(sub)
-        assert all(nd.kind in ("input", "output") for nd in g.nodes.values())
+        g = map_node(sub)
+        assert g.ips == {}
+        assert g.flat.top_outputs == {"out": ("top", "in")}
 
     def test_unregistered_user_without_cost(self):
         sub = _chain("HW_u", [("mystery", "user", ("huff",))])
         with pytest.raises(HwSynthError, match="mystery"):
-            map_rtl_library(sub)
+            map_node(sub)
 
     def test_delay_cost_rejected(self):
         # a delay's lag is its functional k; a cycle cost would skew it
         sub = _chain("HW_d", [("g", "gain", (3,)), ("d", "delay", (1,))])
         with pytest.raises(HwSynthError, match="HW_d/d"):
-            map_rtl_library(sub, {"d": 2})
+            map_node(sub, {"d": 2})
+
+    def test_flat_graph_issue(self):
+        sub = _chain("HW_i", [("g", "gain", (2,))])
+        sub.links.pop(0)  # g.in undriven
+        with pytest.raises(HwSynthError, match=r"^HW_i: input g\.in is not "
+                           r"driven by any link \(g\)$"):
+            map_node(sub)
+
+    def test_cycle_without_delay(self):
+        sub = Subsystem("HW_c", inputs=["in"], outputs=["out"],
+                        blocks=[Block("a", "add"), Block("b", "gain", (2,))],
+                        links=[_link("self", "in", "a", "in1"),
+                               _link("b", "out", "a", "in2"),
+                               _link("a", "out", "b", "in"),
+                               _link("a", "out", "self", "out")])
+        with pytest.raises(HwSynthError, match=r"cycle without a declared "
+                           r"delay involving \['a', 'b'\]"):
+            map_node(sub)
 
     def test_cost_param_rescues_user_block(self):
         sub = _chain("HW_u", [("mystery", "user", ("huff",))])
-        g = map_rtl_library(sub, costs={"mystery": 5})
-        assert g.nodes["mystery"].latency == 5
+        g = map_node(sub, costs={"mystery": 5})
+        assert g.ips["mystery"].latency == 5
         assert not pipelineable(g)
 
 
@@ -100,7 +119,7 @@ def _diamond():
                            _link("a", "out", "j", "in1"),
                            _link("b", "out", "j", "in2"),
                            _link("j", "out", "self", "out")])
-    return map_rtl_library(sub, costs={"a": 3, "b": 1, "j": 0})
+    return map_node(sub, costs={"a": 3, "b": 1, "j": 0})
 
 
 class TestDelayCorrect:
@@ -108,58 +127,60 @@ class TestDelayCorrect:
         g, k = delay_correct(_diamond())
         assert k == 3
         assert total_registers(g) == 2
-        slack = {(e.src, e.dst): e.regs for e in g.edges}
-        assert slack[("b", "j")] == 2
-        assert slack[("a", "j")] == 0
+        assert g.regs == {("a", "in"): 0, ("b", "in"): 0, ("j", "in1"): 0,
+                          ("j", "in2"): 2, (None, "out"): 0}
 
     def test_single_chain_no_regs(self):
         sub = _chain("HW_c", [("a", "gain", (1,)), ("b", "gain", (1,))])
-        g, k = delay_correct(map_rtl_library(sub, costs={"a": 1, "b": 2}))
+        g, k = delay_correct(map_node(sub, costs={"a": 1, "b": 2}))
         assert (k, total_registers(g)) == (3, 0)
 
     def test_all_zero_identity(self):
         sub = _chain("HW_z", [("a", "gain", (1,)), ("b", "gain", (2,))])
-        g, k = delay_correct(map_rtl_library(sub))
+        g, k = delay_correct(map_node(sub))
         assert (k, total_registers(g)) == (0, 0)
 
     def test_multicycle_rejected(self):
         sub = _chain("HW_u", [("c", "user", ("clip",))])
         with pytest.raises(HwSynthError, match="multicycle"):
-            delay_correct(map_rtl_library(sub))
+            delay_correct(map_node(sub))
 
     def test_path_balance_invariant(self):
         # every input-to-node path carries equal registered latency
         for seed in range(30):
             rng = random.Random(seed)
             sub, costs = rand_pipeline_node(rng)
-            g, k = delay_correct(map_rtl_library(sub, costs))
-            for e in g.edges:
-                need = g.levels[e.dst] - g.nodes[e.dst].latency
-                assert g.levels[e.src] + e.regs == need, f"seed {seed}"
+            g, k = delay_correct(map_node(sub, costs))
+            wires = dict(g.flat.drivers)
+            wires |= {(None, p): s for p, s in g.flat.top_outputs.items()}
+            assert g.regs.keys() == wires.keys()
+            for (dst, port), src in wires.items():
+                need = g.levels[dst] - g.ips[dst].latency if dst else k
+                have = g.levels[src[1]] if src[0] == "block" else 0
+                assert have + g.regs[(dst, port)] == need, f"seed {seed}"
 
 
 class TestController:
     def test_ii_sum(self):
         sub = _chain("HW_s", [("a", "gain", (1,)), ("b", "gain", (1,)),
                               ("c", "gain", (1,))])
-        ctrl = fsm_controller(map_rtl_library(sub, {"a": 2, "b": 1, "c": 3}))
+        ctrl = fsm_controller(map_node(sub, {"a": 2, "b": 1, "c": 3}))
         assert ctrl.ii == 6
         assert ctrl.order == ["a", "b", "c"]
 
     def test_ii_floor_one(self):
         sub = _chain("HW_s", [("a", "gain", (1,))])
-        assert fsm_controller(map_rtl_library(sub, {"a": 0})).ii == 1
+        assert fsm_controller(map_node(sub, {"a": 0})).ii == 1
 
     def test_stream_matches_functional_per_ii(self):
         for seed in range(20):
             rng = random.Random(200 + seed)
             sub = rand_hw_subsystem(rng, "c", force_controller=True)
-            g = map_rtl_library(sub)
-            ctrl = fsm_controller(g)
+            ctrl = fsm_controller(map_node(sub))
             xs = [rng.randint(-100, 100) for _ in range(20)]
             stim = Stimulus({"in": xs}, 20)
             got = hw_stream(ControllerSim(ctrl).fire, stim, 20)
-            ref = simulate_level0(_as_model(sub), stim, 20)
+            ref = simulate_level0(as_model(sub), stim, 20)
             assert got.values("out") == ref.values("out"), f"seed {seed}"
 
 
@@ -169,13 +190,12 @@ class TestCycleAccuracy:
         for seed in range(40):
             rng = random.Random(seed)
             sub, costs = rand_pipeline_node(rng)
-            g0 = map_rtl_library(sub, costs)
-            g, k = delay_correct(g0)
+            g, k = delay_correct(map_node(sub, costs))
             n = 30
             xs = [rng.randint(-100, 100) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
             cyc = hw_stream(RtlCycleSim(g).step, stim, n + k)
-            ref = simulate_level0(_as_model(sub), stim, n)
+            ref = simulate_level0(as_model(sub), stim, n)
             assert cyc.values("out")[k:] == ref.values("out"), f"seed {seed}"
 
     def test_multi_output_pipeline(self):
@@ -190,12 +210,12 @@ class TestCycleAccuracy:
                                _link("dm", "out1", "g", "in"),
                                _link("g", "out", "s", "in2"),
                                _link("s", "out", "self", "out")])
-        g, k = delay_correct(map_rtl_library(sub, {"dm": 2, "g": 1}))
+        g, k = delay_correct(map_node(sub, {"dm": 2, "g": 1}))
         assert k == 3 and total_registers(g) == 1
         xs = list(range(-6, 6))
         stim = Stimulus({"in": xs}, len(xs))
         cyc = hw_stream(RtlCycleSim(g).step, stim, len(xs) + k)
-        ref = simulate_level0(_as_model(sub), stim, len(xs))
+        ref = simulate_level0(as_model(sub), stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
 
     def test_declared_delay_is_functional(self):
@@ -206,7 +226,7 @@ class TestCycleAccuracy:
                                _link("d", "out", "a", "in2"),
                                _link("a", "out", "d", "in"),
                                _link("a", "out", "self", "out")])
-        g, k = delay_correct(map_rtl_library(sub))
+        g, k = delay_correct(map_node(sub))
         assert k == 0
         stim = Stimulus({"in": [1, 1, 1, 1]}, 4)
         tr = hw_stream(RtlCycleSim(g).step, stim, 4)
@@ -223,13 +243,13 @@ class TestCycleAccuracy:
                                _link("d", "out", "s", "in1"),
                                _link("self", "in", "s", "in2"),
                                _link("s", "out", "self", "out")])
-        g, k = delay_correct(map_rtl_library(sub))
+        g, k = delay_correct(map_node(sub))
         assert (k, total_registers(g)) == (1, 1)
-        assert {(e.src, e.dst): e.regs for e in g.edges}[("in:in", "s")] == 1
+        assert g.regs[("s", "in2")] == 1
         xs = list(range(-7, 9))
         stim = Stimulus({"in": xs}, len(xs))
         cyc = hw_stream(RtlCycleSim(g).step, stim, len(xs) + k)
-        ref = simulate_level0(_as_model(sub), stim, len(xs))
+        ref = simulate_level0(as_model(sub), stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
 
 
@@ -242,9 +262,61 @@ class TestEmission:
         assert "inst a : scaler latency=3" in txt
         assert emit_rtl_text(g) == txt  # stable
 
+    def test_wires_by_block_then_port_name(self):
+        # the mux's ports are sel, in0, in1; its wires are listed by name
+        sub = Subsystem("HW_s", inputs=["in"], outputs=["out"],
+                        blocks=[Block("g", "gain", (2,)),
+                                Block("s", "mux", (2,))],
+                        links=[_link("self", "in", "g", "in"),
+                               _link("g", "out", "s", "sel"),
+                               _link("self", "in", "s", "in0"),
+                               _link("self", "in", "s", "in1"),
+                               _link("s", "out", "self", "out")])
+        g, k = delay_correct(map_node(sub, {"g": 1}))
+        assert emit_rtl_text(g) == (
+            "design HW_s\nlatency k=1\ninst g : scaler latency=1\n"
+            "inst s : mux latency=0\nreg bal_in:in_s_in0_0\n"
+            "reg bal_in:in_s_in1_0\nwire in:in -> g.in\n"
+            "wire in:in -> s.in0 regs=1\nwire in:in -> s.in1 regs=1\n"
+            "wire g -> s.sel\nwire s -> out:out.in\n")
+
     def test_controller_text(self):
         sub = _chain("HW_s", [("c", "user", ("clip",))])
-        ctrl = fsm_controller(map_rtl_library(sub))
+        ctrl = fsm_controller(map_node(sub))
         txt = emit_rtl_text(ctrl)
         assert "controller II=2" in txt
         assert "inst c : u_clip latency=2" in txt
+
+
+class TestPinnedTexts:
+    RTL_TEXTS = \
+        "6e146020d58844c7ec72c7cb339622e57f8d4581956811e1913be2eb72e56fbb"
+
+    def test_pinned_rtl_texts(self):
+        """One SHA-256 over (node, kind, latency, ``emit_rtl_text``) of every
+        hardware node the flow compiles, for the designs of
+        ``test_pinned_gma_texts`` plus ``rand_loopy_model`` seeds 0-29; a
+        design that does not compile adds nothing."""
+        mini = (ir.files("fdmflow") / "models" / "mini_codec.fdm").read_text()
+        models = [parse_model(text) for text in (
+            mini, FEEDBACK_FDM, MIX2_FDM, LOOSE_FDM, OUTLINK_FDM,
+            PIPEDELAY_FDM, ACCLOOP_FDM, FANOUT_FDM, NESTED_HW_FDM,
+            ELEMENTS_FDM)]
+        for loose in (False, True):
+            for seed in range(30):
+                rng = random.Random(seed)
+                g = rand_partitioned_model(rng)
+                if loose:
+                    add_loose_ports(rng, g)
+                models.append(g)
+        models += [rand_loopy_model(random.Random(seed)) for seed in range(30)]
+        h = hashlib.sha256()
+        for g in models:
+            try:
+                cd = compile_design(g)
+            except FlowError:
+                continue
+            for node, impl in cd.hw_impl.items():
+                h.update(f"{node}\0{impl.kind}\0{impl.latency}\0"
+                         f"{emit_rtl_text(impl.rtl)}\0".encode())
+        assert h.hexdigest() == self.RTL_TEXTS

@@ -828,8 +828,36 @@ class TestRunLoop:
         with pytest.raises(SimError) as err:
             e.run()
         assert str(err.value) == "round limit exceeded"
-        assert e.rounds == 60 * ticks + 10000 + 1
+        # per tick: TASK_sum's 3 FSM transitions, the units HW_reg, c and s,
+        # the source x and the probe y
+        assert e.rounds == (3 + 3 + 1 + 1) * ticks + 10000 + 1
         assert e.trace.ports == {"y": []}
+
+    def test_round_limit_follows_the_design(self):
+        """A task whose FSM makes 82 transitions per tick (a mux(80) fed by
+        81 inputs) runs 82 rounds per tick, past any fixed rounds-per-tick
+        bound of fewer; the limit grows with the transitions."""
+        n = 80
+        ins = [f"x{i}" for i in range(n + 1)]
+        decl = " ".join(f"input {p};" for p in ins)
+        text = "\n".join([
+            f"model wide_mux {{ {decl} output y;",
+            f"subsystem SW_cpu {{ {decl} output out;",
+            f"subsystem TASK_t {{ {decl} output out; block m : mux({n});",
+            "link self.x0 -> m.sel;"] + [
+            f"link self.x{i + 1} -> m.in{i};" for i in range(n)] + [
+            "link m.out -> self.out; }"] + [
+            f"link self.{p} -> TASK_t.{p};" for p in ins] + [
+            "link TASK_t.out -> self.out; }"] + [
+            f"link self.{p} -> SW_cpu.{p};" for p in ins] + [
+            "link SW_cpu.out -> self.y; }"])
+        ticks = 500
+        cd = compile_design(parse_model(text))
+        stim = default_stimulus(cd.model, ticks, seed=0)
+        e = Engine(cd, {"SW_cpu": 3}, stim, ticks)
+        got = e.run()
+        assert e.rounds > 60 * ticks + 10000
+        assert got.values("y") == simulate(0, cd, stim, ticks).values("y")
 
     @pytest.mark.parametrize("level", [1, 3])
     def test_engine_freed_without_gc(self, level):
