@@ -94,8 +94,7 @@ def cmd_flow(args) -> int:
     levels = _parse_levels(args.level)
     try:
         res = run_flow(model, out, params=_load_params(args.params),
-                       levels=levels, ticks=args.ticks, seed=args.seed,
-                       compare_mode=args.compare)
+                       levels=levels, ticks=args.ticks, seed=args.seed)
     except (FlowError, ParamError) as e:
         print(str(e), file=sys.stderr)
         return 1
@@ -269,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", default="0,1,2,3")
     p.add_argument("--ticks", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--compare", default=None,
-                   choices=["exact", "modulo_latency", "values_only"])
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("gma", help="emit netlist, parameters and behaviors")

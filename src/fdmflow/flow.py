@@ -213,8 +213,8 @@ def write_rtl(cd: CompiledDesign, out: Path) -> None:
 
 
 def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
-             levels=(0, 1, 2, 3), ticks: int = 256, seed: int = 0,
-             compare_mode: str | None = None) -> FlowResult:
+             levels=(0, 1, 2, 3), ticks: int = 256,
+             seed: int = 0) -> FlowResult:
     out = _dir(out_dir)
     cd = compile_design(model, params)
     write_netlist(cd, out)
@@ -238,13 +238,9 @@ def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
     verdicts: list[tuple[str, Verdict]] = []
     run_levels = sorted(traces)
     for a, b in zip(run_levels, run_levels[1:]):
-        if compare_mode is not None:
-            mode = compare_mode
-        else:
-            mode = "exact" if b <= 2 else "modulo_latency"
-        # valid gating hands every level the same stream, so any shift
-        # other than 0 would be a level passing on a partial overlap
-        k = 0 if mode == "modulo_latency" else None
+        # exact up to level 2; valid gating hands level 3 the same stream,
+        # so any shift other than 0 would pass it on a partial overlap
+        mode, k = ("exact", None) if b <= 2 else ("modulo_latency", 0)
         verdicts.append((f"level{a}-vs-level{b}",
                          compare_traces(traces[a], traces[b], mode, k)))
     lines = []

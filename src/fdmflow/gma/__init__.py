@@ -9,7 +9,7 @@ from .tree import Module, Port, build_tree
 from .netlist import ColifNetlist, Net, emit_netlist, netlist_to_json
 from .params import ParamSet, attach_params, emit_param_templates, \
     load_param_files, param_files
-from .behavior import Assign, Call, If, Loop, Recv, Send, TaskBehavior, \
+from .behavior import Assign, Call, Loop, Recv, Send, TaskBehavior, \
     gen_task_behavior
 
 __all__ = [
@@ -18,5 +18,5 @@ __all__ = [
     "ParamSet", "emit_param_templates", "attach_params",
     "param_files", "load_param_files",
     "TaskBehavior", "gen_task_behavior",
-    "Recv", "Send", "Call", "Assign", "Loop", "If",
+    "Recv", "Send", "Call", "Assign", "Loop",
 ]

@@ -2,7 +2,7 @@
 
 Every unit (software task, hardware node or testbench unit) gets a
 behavior, so all of them run as the same kind of process at the macro
-level.  A body is an ordered list of recv/send/call/assign/loop/if
+level.  A body is an ordered list of recv/send/call/assign/loop
 statements.  Single user blocks become a direct call of the built-in
 user function, single predefined blocks a call of the block kind's library
 function, and multi-block units a merged body firing each block in a
@@ -73,13 +73,6 @@ class Loop:
 
 
 @dataclass
-class If:
-    cond: str
-    then: list
-    orelse: list
-
-
-@dataclass
 class TaskBehavior:
     task: str
     mode: str  # "direct_user" | "library_instance" | "merged"
@@ -115,11 +108,6 @@ def _block_node(seq, path, blk, ins_v, outs_v):
         body = [Call(fname, "user", (fname,), (acc,), (acc,))]
         stmts = [Assign(acc, ins_v[0]), Loop(n, body, f"loop_{path}")]
         return _SchedNode(seq, 1, stmts, (acc,), tuple(ins_v))
-    if kind == "if_else":
-        pred, a, b = ins_v
-        out = outs_v[0]
-        stmts = [If(pred, [Assign(out, a)], [Assign(out, b)])]
-        return _SchedNode(seq, 1, stmts, (out,), tuple(ins_v))
     name = params[0] if kind == "user" else kind
     state_key = path if init_state(kind, params) is not None else None
     call = Call(name, kind, params, tuple(ins_v), tuple(outs_v), state_key)
@@ -244,11 +232,6 @@ def format_behavior(b: TaskBehavior) -> str:
             if isinstance(s, Loop):
                 lines.append(f"{pad}loop {s.count} times [{s.loop_id}]:")
                 emit(s.body, ind + 1)
-            elif isinstance(s, If):
-                lines.append(f"{pad}if {s.cond}:")
-                emit(s.then, ind + 1)
-                lines.append(f"{pad}else:")
-                emit(s.orelse, ind + 1)
             else:
                 lines.append(pad + format_stmt(s))
 

@@ -151,6 +151,10 @@ def validate_model(g: ModelGraph) -> ValidationReport:
     Diagnostics are ordered by source position for stable golden output.
     """
     out: list[Diagnostic] = []
+    if not g.outputs:
+        out.append(Diagnostic("error", g.name,
+                              "model has no output, so no level can be "
+                              "compared", line=g.line))
     _param_checks(g, out)
     flat = flatten(g)
     for issue in flat.issues:

@@ -18,8 +18,7 @@ over its port bindings and over the values of the model, each named
 ``kN`` by ``sweep.Names``, so equal shapes share one compiled text.
 ``behavior_coroutine`` emits each body once as a generator function:
 behavior variables and block state cells become locals, a loop a
-``for``, a branch an ``if``/``else`` and a call its block's template
-spliced inline.
+``for`` and a call its block's template spliced inline.
 
 The FSM runner is one generated function per FSM state: the function
 tests the state's transitions in order, each guard chain nested ``if``s
@@ -27,8 +26,8 @@ with a status poll charged just before its test, so a poll runs, and is
 charged, exactly when the chain reaches it; the first transition whose
 guards hold runs its actions as straight-line code and returns the next
 state, and None says no transition fired.  An FSM holds the behavior's
-own statements, so both executors emit a call, an assignment and a
-branch through one emitter (``_Gen``); the FSM adds only its readiness
+own statements, so both executors emit a call and an assignment
+through one emitter (``_Gen``); the FSM adds only its readiness
 guards and loop counter ops, and lowering only gives a channel op an
 address, which makes it a bus transaction that ``_StateGen`` charges.
 Both executors, and the block sweep, write a block through
@@ -37,7 +36,7 @@ Both executors, and the block sweep, write a block through
 
 from __future__ import annotations
 
-from ..gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, Loop, \
+from ..gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, Loop, \
     Recv, Send, TaskBehavior
 from ..model.blocks import block_src
 from ..swsynth import ALoopInit, ALoopStep, GLoopDone, GLoopNotDone, \
@@ -99,9 +98,9 @@ def _move_src(j: int, names: dict, v: str) -> list[str]:
 
 class _Gen:
     """Emits the statements a behavior body and an FSM transition share
-    into ``lines``: a call as its block's template, an assignment and a
-    branch.  A subclass names variables (``var``) and the state cells of
-    a state key (``cells``), and emits every other statement."""
+    into ``lines``: a call as its block's template and an assignment.  A
+    subclass names variables (``var``) and the state cells of a state key
+    (``cells``), and emits every other statement."""
 
     def body(self, stmts, ind: str) -> None:
         if not stmts:
@@ -110,18 +109,12 @@ class _Gen:
             self.stmt(s, ind)
 
     def stmt(self, s, ind: str) -> None:
-        emit = self.lines.append
         if isinstance(s, Call):
             self.lines += [ind + ln for ln in _call_src(
                 s, self.var, self.cells, self.names)]
         elif isinstance(s, Assign):
             src = repr(s.src) if isinstance(s.src, int) else self.var(s.src)
-            emit(f"{ind}{self.var(s.var)} = {src}")
-        elif isinstance(s, If):
-            emit(f"{ind}if {self.var(s.cond)}:")
-            self.body(s.then, ind + "    ")
-            emit(f"{ind}else:")
-            self.body(s.orelse, ind + "    ")
+            self.lines.append(f"{ind}{self.var(s.var)} = {src}")
         else:
             raise SimError(f"unknown statement {s!r}")
 

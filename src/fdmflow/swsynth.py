@@ -8,8 +8,8 @@ loops interleave with other tasks.  The merged image steps the FSMs
 round-robin, one enabled transition per task per slot.
 
 An FSM speaks the behavior's own vocabulary: a transition's actions are
-the body's ``Recv``, ``Send``, ``Call``, ``Assign`` and ``If`` statements
-plus the loop counter ops, and a channel op is guarded by ``GReady``.
+the body's ``Recv``, ``Send``, ``Call`` and ``Assign`` statements plus
+the loop counter ops, and a channel op is guarded by ``GReady``.
 The micro level changes nothing but addresses: ``lower_api`` gives each
 ``GReady`` its endpoint's STATUS register, so it becomes a polled bus
 Read, and each ``Recv``/``Send`` its DATA register, a bus Read/Write.
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .gma.behavior import Assign, Call, If, Loop, Recv, Send, \
-    TaskBehavior, format_stmt
+from .gma.behavior import Assign, Call, Loop, Recv, Send, TaskBehavior, \
+    format_stmt
 from .gma.netlist import ColifNetlist
 
 DATA_OFFSET = 0
@@ -63,7 +63,7 @@ class GLoopDone:
     loop_id: str
 
 
-# actions: the behavior's Recv, Send, Call, Assign and If, and these
+# actions: the behavior's Recv, Send, Call and Assign, and these
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,7 @@ def build_task_fsm(b: TaskBehavior) -> TaskFsm:
                 cur = close(cur, (GReady(s.port, isinstance(s, Send)),),
                             pending)
                 pending = []
-            elif isinstance(s, (Call, Assign, If)):
-                if isinstance(s, If):
-                    plain([*s.then, *s.orelse])
+            elif isinstance(s, (Call, Assign)):
                 pending.append(s)
             elif isinstance(s, Loop):
                 pending.append(ALoopInit(s.loop_id, s.count))
@@ -146,14 +144,6 @@ def build_task_fsm(b: TaskBehavior) -> TaskFsm:
             else:
                 raise SwSynthError(f"unknown statement {s!r}")
         return cur, pending
-
-    def plain(stmts) -> None:
-        """Check that an if branch only computes."""
-        for s in stmts:
-            if isinstance(s, If):
-                plain([*s.then, *s.orelse])
-            elif not isinstance(s, (Call, Assign)):
-                raise SwSynthError("blocking operation inside if branch")
 
     end, pending = compile_seq(b.body, 0, [])
     # wrap around to the entry state so the task body repeats
@@ -240,16 +230,11 @@ _ENDPOINT_KINDS = {"top", "task", "hw_node", "ip"}
 
 def allocate_address_map(n: ColifNetlist) -> AddressMap:
     kinds = {path: m.kind for path, m in n.modules()}
-    top = n.top.name
     entries = []
     base = ADDR_BASE
     for net in n.nets:
         for ep in net.endpoints:
-            mpath, _, _port = ep.rpartition(".")
-            kind = kinds.get(mpath)
-            if kind is None and mpath == top:
-                kind = "top"
-            if kind not in _ENDPOINT_KINDS:
+            if kinds.get(ep.rpartition(".")[0]) not in _ENDPOINT_KINDS:
                 continue
             if base >= ADDR_LIMIT:
                 raise SwSynthError("address space exhausted")
@@ -317,10 +302,6 @@ def _fmt(x) -> str:
         return f"{x.loop_id} = 0..{x.count}"
     if isinstance(x, ALoopStep):
         return f"{x.loop_id}++"
-    if isinstance(x, If):
-        t = "; ".join(map(_fmt, x.then))
-        e = "; ".join(map(_fmt, x.orelse))
-        return f"if {x.cond} {{{t}}} else {{{e}}}"
     return format_stmt(x)
 
 

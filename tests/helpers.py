@@ -293,6 +293,37 @@ model elems {
 }
 """
 
+# An if_else in a task and one in a HW_ node, each predicated on
+# quant(512) of its input, which is zero on about half of the default
+# stimulus (uniform over -1024..1023).  The task sends 3 * x where
+# |x| >= 512, else x, so the HW node's predicate is zero exactly where the
+# task's is, and y is -3 * x or x.
+IFELSE_FDM = """
+model ifelse {
+  input x; output y;
+  subsystem SW_cpu {
+    input i; output o;
+    subsystem TASK_sel {
+      input in; output out;
+      block q : quant(512); block g : gain(3); block s : if_else;
+      link self.in -> q.in; link self.in -> g.in;
+      link q.out -> s.pred; link g.out -> s.a; link self.in -> s.b;
+      link s.out -> self.out;
+    }
+    link self.i -> TASK_sel.in; link TASK_sel.out -> self.o;
+  }
+  subsystem HW_pick {
+    input in; output out;
+    block q : quant(512); block n : gain(-1); block s : if_else;
+    link self.in -> q.in; link self.in -> n.in;
+    link q.out -> s.pred; link n.out -> s.a; link self.in -> s.b;
+    link s.out -> self.out;
+  }
+  link self.x -> SW_cpu.i; link SW_cpu.o -> HW_pick.in;
+  link HW_pick.out -> self.y;
+}
+"""
+
 
 def _link(src_blk, src_port, dst_blk, dst_port):
     return Link(Endpoint(src_blk, src_port), Endpoint(dst_blk, dst_port))

@@ -371,23 +371,24 @@ class TestFlow:
         printed = capsys.readouterr().out
         assert "level2-vs-level3: PASS" in printed
 
-    def test_no_output_fails_every_verdict(self, tmp_path, capsys):
-        """A model with no output has nothing to compare: every verdict
-        fails with the one message, not only the modulo_latency one."""
+    def test_no_output_is_rejected(self, tmp_path, capsys):
+        """A model with no output has nothing to compare: ``check`` rejects
+        it in one line, and ``flow`` stops at validation before any level
+        runs."""
         p = tmp_path / "noout.fdm"
         p.write_text("model m {\n  input a;\n  subsystem HW_c { input in; "
                      "block k : sink; link self.in -> k.in; }\n"
                      "  link self.a -> HW_c.in;\n}\n")
-        assert main(["check", "--model", str(p)]) == 0
-        capsys.readouterr()
+        assert main(["check", "--model", str(p)]) == 1
+        assert capsys.readouterr().out == \
+            "error: m: model has no output, so no level can be compared\n"
         assert main(["flow", "--model", str(p), "--out", str(tmp_path / "o"),
                      "--ticks", "16"]) == 1
-        printed = capsys.readouterr().out
-        assert printed.splitlines()[:3] == [
-            "level0-vs-level1: FAIL [exact] the reference holds no sample",
-            "level1-vs-level2: FAIL [exact] the reference holds no sample",
-            "level2-vs-level3: FAIL [modulo_latency] the reference holds no "
-            "sample"]
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == \
+            "[validate] model has no output, so no level can be compared\n"
+        assert not (tmp_path / "o" / "verdicts.txt").exists()
 
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "mini"])
     def test_constant_output_warning(self, flat, mini_path, tmp_path,

@@ -119,7 +119,7 @@ class TestNetlist:
 
 class TestPinnedTexts:
     GMA_TEXTS = \
-        "b5b315a340e1f12abd82963e3968b906ad4fa420725000229075e4d43dd29272"
+        "f92524acd3b0b18bfbcb6912ce383f333e59fc0b13b01ba3d2845b1a8734017b"
 
     def test_pinned_gma_texts(self):
         """One SHA-256 over what ``fdmflow gma`` writes for each design: the

@@ -10,8 +10,8 @@ import fdmflow.flow
 from fdmflow.flow import FlowError, compile_design, default_stimulus, \
     run_flow, simulate
 from fdmflow.gma import emit_netlist, emit_param_templates
-from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, If, \
-    Loop, Recv, Send, TaskBehavior
+from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, Loop, \
+    Recv, Send, TaskBehavior
 from fdmflow.hwsynth import emit_rtl_text
 from fdmflow.model.blocks import wrap32
 from fdmflow.model.parser import parse_model
@@ -24,8 +24,8 @@ from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
     validate_partition
 
-from helpers import ACCLOOP_FDM, FANOUT_FDM, FEEDBACK_FDM, LOOSE_FDM, \
-    MIX2_FDM, OUTLINK_FDM, PIPEDELAY_FDM, add_loose_ports, bind_queues, bus_counter, \
+from helpers import ACCLOOP_FDM, FANOUT_FDM, FEEDBACK_FDM, IFELSE_FDM, \
+    LOOSE_FDM, MIX2_FDM, OUTLINK_FDM, PIPEDELAY_FDM, add_loose_ports, bind_queues, bus_counter, \
     rand_loopy_model, rand_partitioned_model, sent, standalone_address_map
 
 
@@ -117,7 +117,7 @@ class TestChannelRt:
 
 class TestInterpreters:
     # shapes no generated mini_codec behavior holds: a loop whose body
-    # receives, an if, a delay emit/push pair and a two-output call
+    # receives, an if_else, a delay emit/push pair and a two-output call
     SHAPES = TaskBehavior("t", "merged", ("a", "b"), ("o1", "o2"), [
         Recv("a", "x"),
         Call(DELAY_EMIT, "delay", (2,), (), ("d",), "dl"),
@@ -125,7 +125,8 @@ class TestInterpreters:
         Loop(3, [Recv("b", "y"),
                  Call("add", "add", (), ("acc", "y"), ("acc",))], "L0"),
         Call("demux", "demux", (2,), ("x", "acc"), ("p", "q")),
-        If("x", [Assign("r", "acc")], [Assign("r", 7)]),
+        Assign("c7", 7),
+        Call("if_else", "if_else", (), ("x", "acc", "c7"), ("r",)),
         Call("add", "add", (), ("r", "d"), ("s",)),
         Call(DELAY_PUSH, "delay", (2,), ("s",), (), "dl"),
         Send("o1", "s"),
@@ -167,7 +168,7 @@ class TestInterpreters:
 
     # ports, variables, state keys and a loop id named like the locals and
     # parameters of the generated code, or as a Python keyword; "st0" is
-    # both a variable and a state key
+    # both a variable and a state key, and "w" is the templates' own local
     HOSTILE = TaskBehavior("t", "merged", ("env", "states"),
                            ("poll", "yield"), [
         Recv("env", "k0"),
@@ -176,7 +177,8 @@ class TestInterpreters:
         Loop(2, [Recv("states", "states"),
                  Call("add", "add", (), ("env", "states"), ("env",))],
              "yield"),
-        If("k0", [Assign("poll", "env")], [Assign("poll", 5)]),
+        Assign("w", 5),
+        Call("if_else", "if_else", (), ("k0", "env", "w"), ("poll",)),
         Call("add", "add", (), ("poll", "fn0"), ("st0",)),
         Call(DELAY_PUSH, "delay", (1,), ("st0",), (), "st0"),
         Send("poll", "st0"),
@@ -447,6 +449,21 @@ class TestLevels:
         res = run_flow(parse_model(CONSTFED_FDM), tmp_path, ticks=64)
         assert sorted(res.traces) == [0, 1, 2, 3]
         assert res.ok, [(label, str(v)) for label, v in res.verdicts]
+
+    def test_if_else_both_outcomes(self, tmp_path):
+        """An if_else in a task and in a HW_ node takes both outcomes at
+        level 0, every level agrees, and the task's behavior and macro FSM
+        hold the block as one call of its template."""
+        res = run_flow(parse_model(IFELSE_FDM), tmp_path, ticks=128)
+        assert res.ok, [(label, str(v)) for label, v in res.verdicts]
+        xs = default_stimulus(parse_model(IFELSE_FDM), 128).values["x"]
+        ys = res.traces[0].values("y")
+        taken = [y == -3 * x for x, y in zip(xs, ys)]
+        assert all(t or y == x for t, x, y in zip(taken, xs, ys))
+        assert 32 < sum(taken) < 96
+        for name in ("SW_cpu.TASK_sel.behavior.txt", "SW_cpu.TASK_sel.fsm.txt"):
+            text = (tmp_path / "fsm" / name).read_text()
+            assert "s_out = if_else(" in text, text
 
     def test_multi_output_block_in_hw_node(self):
         cd = compile_design(parse_model(DEMUX_FDM))

@@ -286,10 +286,10 @@ class TestFormatting:
             assert check_fsm(f) == []
 
     # SHA-256 over the macro and micro FSM texts of every task of
-    # mini_codec and of the compiling random designs of seeds 0-29, taken
-    # before the FSMs shared the behavior's statements
+    # mini_codec and of the compiling random designs of seeds 0-29; an
+    # if_else block prints as its call, ``out = if_else(pred, a, b)``
     FSM_TEXTS = \
-        "07d3566bee25a53d02f1d91f18965975573a4e6591d0d97eecfdebf7ef76f5ba"
+        "7085d9e2f4f7fef1ea9b58f50279ca35d2d82d755b2df559ad8e6a19bbb82ccc"
 
     def test_pinned_fsm_texts(self):
         models = [mini_model()] + [gen(random.Random(seed))
