@@ -184,10 +184,11 @@ def cmd_report(args) -> int:
     tpath = out / "timings.json"
     if not tpath.is_file():
         raise _Usage(f"no timings.json in {out}; run the flow first")
+    timings, builds = {}, {}  # level -> run seconds, build seconds
     try:
-        timings = {int(k): float(v) for k, v in
-                   json.loads(tpath.read_text()).items()}
-    except (OSError, ValueError, TypeError, AttributeError) as e:
+        for k, v in json.loads(tpath.read_text()).items():
+            timings[int(k)], builds[int(k)] = float(v["run"]), float(v["build"])
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as e:
         raise _Usage(f"cannot read {tpath}: {e}")
     if len(timings) < 2:
         print("need at least two timed levels", file=sys.stderr)
@@ -209,20 +210,20 @@ def cmd_report(args) -> int:
                 end = max(v[-1][0] for v in tr.ports.values() if v)
                 simulated += f" in {end} cycles"
         ratio = timings[level] / base if base > 0 else float("inf")
-        rows.append((level, simulated, timings[level], ratio))
+        rows.append((level, simulated, timings[level], ratio, builds[level]))
     # the speed ordering t0 < t2 < t3 of acceptance criterion 8; levels 1
     # and 2 run the same code, so their order is noise
     crit = [timings[lv] for lv in (0, 2, 3) if lv in timings]
     ordered = all(a < b for a, b in zip(crit, crit[1:]))
     if args.report == "csv":
-        print("level,simulated,wall_seconds,ratio_to_fastest")
-        for level, n, t, r in rows:
-            print(f"{level},{n},{t:.6f},{r:.2f}")
+        print("level,simulated,wall_seconds,ratio_to_fastest,build_seconds")
+        for level, n, t, r, b in rows:
+            print(f"{level},{n},{t:.6f},{r:.2f},{b:.6f}")
     else:
-        print("| level | simulated | wall-clock (s) | ratio |")
-        print("|---|---|---|---|")
-        for level, n, t, r in rows:
-            print(f"| {level} | {n} | {t:.6f} | {r:.2f}x |")
+        print("| level | simulated | wall-clock (s) | ratio | build (s) |")
+        print("|---|---|---|---|---|")
+        for level, n, t, r, b in rows:
+            print(f"| {level} | {n} | {t:.6f} | {r:.2f}x | {b:.6f} |")
     print("ratios are machine-specific, not calibrated figures")
     if not ordered:
         print("warning: wall-clock times do not order t0 < t2 < t3")

@@ -1,11 +1,11 @@
 """The netlist's module tree, built straight from the recognized partition.
 
-The top module holds one module per node, then one channel_adapter per
-declared CHAN_ subsystem, so interface synthesis has an attachment point,
-then one IP per testbench unit.  A software node holds one task module
-per unit; a hardware node holds one IP per block of its flattened graph.
-Blocks inside a task live in its behavior, and an implicit channel is a
-net only.
+The top module holds one module per node, then one channel_adapter with
+the ports of each connected CHAN_ subsystem, so interface synthesis has an
+attachment point, then one IP per testbench unit.  A software node holds
+one task module per unit; a hardware node holds one IP per block of its
+flattened graph.  Blocks inside a task live in its behavior, and an
+implicit channel is a net only.
 """
 
 from __future__ import annotations
@@ -62,10 +62,12 @@ def build_tree(t: TlmModel) -> Module:
             node.children = [_ip(path, fb.block) for path, fb
                              in t.flats[info.name].blocks.items()]
         top.children.append(node)
+    subs = {s.id: s for s in t.base.subsystems}
     for ch in t.channels:
         if ch.explicit:
+            sub = subs[ch.id]
             top.children.append(_module(
-                ch.id, "channel_adapter", ("in",), ("out",),
+                ch.id, "channel_adapter", sub.inputs, sub.outputs,
                 {"topology": ch.topology, "depth": ch.fifo_depth}))
     for name in t.testbench:
         u = t.units[name]

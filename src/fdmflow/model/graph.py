@@ -144,10 +144,6 @@ def flatten(g: ModelGraph) -> FlatGraph:
         tag, obj = idx[ep.block]
         child = f"{path}/{ep.block}" if path else ep.block
         if tag == "sub":
-            if is_channel_subsystem(obj.id):
-                # channel subsystems are wiring declarations: any port name
-                # is accepted, declared or not
-                return ("port", child, ep.port)
             if ep.port not in set(obj.inputs) | set(obj.outputs):
                 issues.append(Issue(f"subsystem {ep.block!r} has no port {ep.port!r}",
                                     path or g.name, link.line))

@@ -16,6 +16,7 @@ class Level0Sim:
     """The flattened model's sweep; slots are keyed by driving pin."""
 
     def __init__(self, g: ModelGraph):
+        self.g = g
         flat = flatten(g)
         if flat.issues:
             raise ValueError(f"model not valid: {flat.issues[0].message}")
@@ -25,12 +26,15 @@ class Level0Sim:
         """Advance one global tick; returns top-level output port values."""
         return self.sweep.tick(in_values)
 
+    def run(self, stim: Stimulus, ticks: int) -> Trace:
+        g = self.g
+        trace = Trace({p: [] for p in g.outputs}, level=0, design=g.name)
+        for t in range(ticks):
+            outs = self.tick({p: stim.at(p, t) for p in g.inputs})
+            for port, v in outs.items():
+                trace.ports[port].append((t, v))
+        return trace
+
 
 def simulate_level0(g: ModelGraph, stim: Stimulus, ticks: int) -> Trace:
-    sim = Level0Sim(g)
-    trace = Trace({p: [] for p in g.outputs}, level=0, design=g.name)
-    for t in range(ticks):
-        outs = sim.tick({p: stim.at(p, t) for p in g.inputs})
-        for port, v in outs.items():
-            trace.ports[port].append((t, v))
-    return trace
+    return Level0Sim(g).run(stim, ticks)

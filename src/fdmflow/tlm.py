@@ -5,17 +5,23 @@ Subsystem prefixes assign architecture roles: ``SW_`` software node,
 declared communication channel.  Everything left at the top level is
 testbench.  Recognition is total; legality is checked separately by
 validate_partition.
+
+Channels run over pins ``(kind, owner, port)`` of four kinds: ``top`` a
+model port (owner None), ``unit`` a port of a task, hardware node or
+testbench unit, ``nport`` a software node's boundary port, which links
+pass through to its tasks, and ``chan`` a port of a CHAN_ subsystem.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .hwsynth import RTL_USER_INDEX
 from .model.blocks import port_names
-from .model.graph import Block, Endpoint, FlatGraph, Link, ModelGraph, \
-    Subsystem, flatten, is_channel_subsystem
+from .model.graph import SELF, Block, Endpoint, FlatGraph, Link, \
+    ModelGraph, Subsystem, flatten, is_channel_subsystem
 from .model.validate import Diagnostic, ValidationReport
 
 
@@ -36,8 +42,7 @@ class ChannelSpec:
     consumers: list[PortRef]
     fifo_depth: int | str = 1  # the raw param; validation rejects a str
     explicit: bool = False
-    # ordered pins the connection passes through, for netlist net emission:
-    # ("top"|"unit"|"nport"|"chan", owner, port)
+    # the pins the connection passes through, producer first, for its net
     chain: list[tuple] = field(default_factory=list)
 
 
@@ -90,13 +95,6 @@ def node_role(sub_id: str) -> str | None:
     return None
 
 
-def _unit_ports(sub: Subsystem | None, blk: Block | None):
-    if sub is not None:
-        return tuple(sub.inputs), tuple(sub.outputs)
-    ins, outs = port_names(blk.kind, blk.params)
-    return tuple(ins), tuple(outs)
-
-
 def _unit_graph(unit: Unit) -> ModelGraph:
     """The unit on its own: its subsystem, or its block wired to boundary
     ports of the same names."""
@@ -113,54 +111,36 @@ def _unit_graph(unit: Unit) -> ModelGraph:
                       inputs=list(unit.in_ports), outputs=list(unit.out_ports))
 
 
+def _unit(name: str, kind: str, src: Subsystem | Block) -> Unit:
+    if isinstance(src, Subsystem):
+        return Unit(name, kind, src, None, tuple(src.inputs), tuple(src.outputs))
+    ins, outs = port_names(src.kind, src.params)
+    return Unit(name, kind, None, src, tuple(ins), tuple(outs))
+
+
 def recognize_partition(g: ModelGraph) -> TlmModel:
     nodes: dict[str, NodeInfo] = {}
     units: dict[str, Unit] = {}
-    testbench: list[str] = []
     chan_subs: dict[str, Subsystem] = {}
-
-    def add_unit(u: Unit):
-        units[u.name] = u
-
     for sub in g.subsystems:
         role = node_role(sub.id)
-        if role == "software":
-            node = NodeInfo(sub.id, "software", sub)
-            nodes[sub.id] = node
-            for inner in sub.subsystems:
-                # TASK_ subsystems and plain subsystems both become tasks;
-                # prefixed ones nested wrongly are flagged by validation
-                name = f"{sub.id}/{inner.id}"
-                ins, outs = _unit_ports(inner, None)
-                add_unit(Unit(name, "task", subsystem=inner,
-                              in_ports=ins, out_ports=outs))
-                node.units.append(name)
-            for blk in sub.blocks:
-                name = f"{sub.id}/{blk.id}"
-                ins, outs = _unit_ports(None, blk)
-                add_unit(Unit(name, "task", block=blk,
-                              in_ports=ins, out_ports=outs))
-                node.units.append(name)
-        elif role == "hardware":
-            node = NodeInfo(sub.id, "hardware", sub)
-            nodes[sub.id] = node
-            ins, outs = _unit_ports(sub, None)
-            add_unit(Unit(sub.id, "hw_node", subsystem=sub,
-                          in_ports=ins, out_ports=outs))
-            node.units.append(sub.id)
-        elif is_channel_subsystem(sub.id):
+        if is_channel_subsystem(sub.id):
             chan_subs[sub.id] = sub
+        elif role is None:
+            units[sub.id] = _unit(sub.id, "testbench", sub)
         else:
-            ins, outs = _unit_ports(sub, None)
-            add_unit(Unit(sub.id, "testbench", subsystem=sub,
-                          in_ports=ins, out_ports=outs))
-            testbench.append(sub.id)
+            # a software node's tasks are its subsystems, TASK_ or plain,
+            # and its blocks; validation flags prefixed ones nested wrongly
+            node = nodes[sub.id] = NodeInfo(sub.id, role, sub)
+            members = ([(f"{sub.id}/{m.id}", "task", m)
+                        for m in sub.subsystems + sub.blocks]
+                       if role == "software" else [(sub.id, "hw_node", sub)])
+            for name, kind, src in members:
+                units[name] = _unit(name, kind, src)
+                node.units.append(name)
     for blk in g.blocks:
-        ins, outs = _unit_ports(None, blk)
-        add_unit(Unit(blk.id, "testbench", block=blk,
-                      in_ports=ins, out_ports=outs))
-        testbench.append(blk.id)
-
+        units[blk.id] = _unit(blk.id, "testbench", blk)
+    testbench = [n for n, u in units.items() if u.kind == "testbench"]
     channels = _resolve_channels(g, nodes, units, chan_subs)
     return TlmModel(g, nodes, units, channels, testbench)
 
@@ -171,121 +151,85 @@ def _resolve_channels(g, nodes, units, chan_subs) -> list[ChannelSpec]:
     Links are chased through software-node boundary ports down to task
     pins, stopped at hardware-node boundaries, routed through CHAN_
     subsystems which contribute topology and depth, and followed on from
-    a model output that a link reads, as level 0 reads it.
+    a model output that a link reads, as level 0 reads it.  The walk from
+    each model input and unit output makes one channel, or joins its CHAN_'s.
     """
-    adj: dict[tuple, list[tuple]] = {}
 
-    def add_edge(src, dst):
-        adj.setdefault(src, []).append(dst)
-
-    def top_pin(ep):
-        if ep.block == "self":
-            return ("top", None, ep.port)
+    def pin(ep: Endpoint, node: str | None = None) -> tuple | None:
+        """``ep``'s pin in the top scope or in software node ``node``'s."""
+        if ep.block == SELF:
+            return ("top", None, ep.port) if node is None else \
+                ("nport", node, ep.port)
+        if node is not None:
+            name = f"{node}/{ep.block}"
+            return ("unit", name, ep.port) if name in units else None
         if ep.block in chan_subs:
             return ("chan", ep.block, ep.port)
-        if ep.block in nodes:
-            if nodes[ep.block].role == "hardware":
-                return ("unit", ep.block, ep.port)
+        if ep.block in nodes and nodes[ep.block].role == "software":
             return ("nport", ep.block, ep.port)
-        if ep.block in units:
-            return ("unit", ep.block, ep.port)
-        return None
+        return ("unit", ep.block, ep.port) if ep.block in units else None
 
-    for link in g.links:
-        s, d = top_pin(link.src), top_pin(link.dst)
-        if s is not None and d is not None:
-            add_edge(s, d)
-
-    for node in nodes.values():
-        if node.role != "software":
-            continue
-
-        def sw_pin(ep, node=node):
-            if ep.block == "self":
-                return ("nport", node.name, ep.port)
-            name = f"{node.name}/{ep.block}"
-            if name in units:
-                return ("unit", name, ep.port)
-            return None
-
-        for link in node.subsystem.links:
-            s, d = sw_pin(link.src), sw_pin(link.dst)
+    adj: dict[tuple, list[tuple]] = {}
+    scopes = [(None, g.links)] + [(n.name, n.subsystem.links)
+                                  for n in nodes.values() if n.role == "software"]
+    for node, links in scopes:
+        for link in links:
+            s, d = pin(link.src, node), pin(link.dst, node)
             if s is not None and d is not None:
-                add_edge(s, d)
+                adj.setdefault(s, []).append(d)
+    chan_outs: dict[str, list[tuple]] = {}
+    for p in adj:
+        if p[0] == "chan":
+            chan_outs.setdefault(p[1], []).append(p)
 
-    # origins: unit output pins and top-level input ports, declaration order
-    origins: list[tuple] = []
-    for p in g.inputs:
-        origins.append(("top", None, p))
-    for u in units.values():
-        for p in u.out_ports:
-            origins.append(("unit", u.name, p))
-
-    chan_out_pins = {}
-    for pin in adj:
-        if pin[0] == "chan":
-            chan_out_pins.setdefault(pin[1], []).append(pin)
-
-    results = []  # (origin, chan name | None, terminals, chain)
+    origins = [("top", None, p) for p in g.inputs]
+    origins += [("unit", u.name, p) for u in units.values() for p in u.out_ports]
+    channels: list[ChannelSpec] = []
+    by_chan: dict[str, ChannelSpec] = {}
     for origin in origins:
         if origin not in adj:
             continue
-        chain = [origin]
-        terminals: list[tuple] = []
-        chan_name = None
-        frontier = list(adj.get(origin, []))
-        seen = {origin}
+        chain, seen, terminals, chan = [origin], {origin}, [], None
+        frontier = deque(adj[origin])
         while frontier:
-            pin = frontier.pop(0)
-            if pin in seen:
+            p = frontier.popleft()
+            if p in seen:
                 continue
-            seen.add(pin)
-            chain.append(pin)
-            kind = pin[0]
-            if kind == "unit" or (kind == "top" and pin[2] in g.outputs):
-                terminals.append(pin)
+            seen.add(p)
+            chain.append(p)
+            kind = p[0]
+            if kind == "unit" or (kind == "top" and p[2] in g.outputs):
+                terminals.append(p)
             if kind in ("nport", "top"):
-                frontier.extend(adj.get(pin, []))
+                frontier.extend(adj.get(p, ()))
             elif kind == "chan":
-                chan_name = pin[1]
-                for out_pin in chan_out_pins.get(pin[1], []):
-                    if out_pin not in seen:
-                        chain.append(out_pin)
-                        seen.add(out_pin)
-                        frontier.extend(adj.get(out_pin, []))
-        if terminals:
-            results.append((origin, chan_name, terminals, chain))
-
-    def ref(pin) -> PortRef:
-        return PortRef(pin[1], pin[2])
-
-    channels: list[ChannelSpec] = []
-    by_chan: dict[str, ChannelSpec] = {}
-    for origin, chan_name, terminals, chain in results:
-        if chan_name is not None:
-            sub = chan_subs[chan_name]
-            if chan_name in by_chan:
-                spec = by_chan[chan_name]
-                spec.producers.append(ref(origin))
-                for t in terminals:
-                    if ref(t) not in spec.consumers:
-                        spec.consumers.append(ref(t))
-                spec.chain.extend(p for p in chain if p not in spec.chain)
-                continue
-            spec = ChannelSpec(chan_name,
-                               str(sub.params.get("topology", "point_to_point")),
-                               [ref(origin)], [ref(t) for t in terminals],
-                               sub.params.get("depth", 1),
-                               explicit=True, chain=chain)
-            by_chan[chan_name] = spec
+                chan = p[1]
+                for out in chan_outs.get(chan, ()):
+                    if out not in seen:
+                        chain.append(out)
+                        seen.add(out)
+                        frontier.extend(adj[out])
+        if not terminals:
+            continue
+        producer = PortRef(*origin[1:])
+        consumers = [PortRef(*t[1:]) for t in terminals]
+        if chan in by_chan:
+            spec = by_chan[chan]
+            spec.producers.append(producer)
+            spec.consumers += [c for c in consumers if c not in spec.consumers]
+            spec.chain += [p for p in chain if p not in spec.chain]
+        elif chan is not None:
+            params = chan_subs[chan].params
+            spec = by_chan[chan] = ChannelSpec(
+                chan, str(params.get("topology", "point_to_point")), [producer],
+                consumers, params.get("depth", 1), explicit=True, chain=chain)
             channels.append(spec)
         else:
-            owner = origin[1] if origin[1] is not None else f"top_{origin[2]}"
-            cid = f"ch_{owner.replace('/', '_')}_{origin[2]}"
-            topo = "point_to_point" if len(terminals) == 1 else "multipoint"
-            channels.append(ChannelSpec(cid, topo, [ref(origin)],
-                                        [ref(t) for t in terminals],
-                                        1, explicit=False, chain=chain))
+            owner = origin[1] or f"top_{origin[2]}"
+            channels.append(ChannelSpec(
+                f"ch_{owner.replace('/', '_')}_{origin[2]}",
+                "point_to_point" if len(consumers) == 1 else "multipoint",
+                [producer], consumers, 1, chain=chain))
     return channels
 
 
@@ -293,7 +237,9 @@ def validate_partition(t: TlmModel) -> ValidationReport:
     """Legality of the recognized partition.
 
     Each channel has one producer: level 0 has one value per tick on a
-    wire, so a merge of two streams would have no level-0 meaning.  Each
+    wire, so a merge of two streams would have no level-0 meaning.  A
+    connection passes through one CHAN_ at most, whose topology and depth
+    it takes.  Each
     output a unit declares must be driven inside it, even if nothing
     reads it, as the unit's own graph is compiled whole.  A hardware user
     block without an RTL library entry only gets a warning: the flow
@@ -336,16 +282,16 @@ def validate_partition(t: TlmModel) -> ValidationReport:
         if ch.topology not in ("point_to_point", "multipoint", "network"):
             out.append(Diagnostic("error", loc,
                                   f"unknown channel topology {ch.topology!r}"))
-        elif ch.topology == "point_to_point" and len(ch.producers) < 2:
-            if len(ch.producers) != 1 or len(ch.consumers) != 1:
-                out.append(Diagnostic(
-                    "error", loc,
-                    f"point_to_point channel must have exactly one producer "
-                    f"and one consumer (has {len(ch.producers)}/{len(ch.consumers)})"))
-        elif not ch.producers or not ch.consumers:
-            out.append(Diagnostic("error", loc,
-                                  "channel must have at least one producer "
-                                  "and one consumer"))
+        elif ch.topology == "point_to_point" and len(ch.consumers) != 1:
+            out.append(Diagnostic(
+                "error", loc,
+                f"point_to_point channel must have exactly one producer "
+                f"and one consumer (has {len(ch.producers)}/{len(ch.consumers)})"))
+        chans = list(dict.fromkeys(p[1] for p in ch.chain if p[0] == "chan"))
+        if len(chans) > 1:
+            out.append(Diagnostic(
+                "error", loc, f"connection passes through {' and '.join(chans)}"
+                "; a connection takes one CHAN_"))
         if not isinstance(ch.fifo_depth, int):
             out.append(Diagnostic(
                 "error", loc,

@@ -10,7 +10,8 @@ import pytest
 from fdmflow.cli import main
 from fdmflow.sim.trace import Trace
 
-from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM
+from helpers import FEEDBACK_FDM, LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, \
+    parse_netlist_json, validate_netlist
 
 
 @pytest.fixture
@@ -110,6 +111,23 @@ model quoted {
   subsystem CHAN_c { input i; output o; param depth = "abc"; }
   link self.x -> CHAN_c.i; link CHAN_c.o -> self.y;
 }
+"""
+
+
+def chan_model(chans: str, links: str, outputs: str = "output y;") -> str:
+    """A model whose HW_a doubles its input into the given CHAN_s."""
+    return f"""
+model m {{
+  input a; {outputs}
+  subsystem HW_a {{
+    input in; output out;
+    block k : gain(2);
+    link self.in -> k.in; link k.out -> self.out;
+  }}
+  {chans}
+  link self.a -> HW_a.in;
+  {links}
+}}
 """
 
 
@@ -275,6 +293,54 @@ class TestCheck:
                     else args + ["--out", str(tmp_path / "o")]) == 1
         captured = capsys.readouterr()
         msg = "CHAN_c: fifo depth must be an integer, got 'abc'\n"
+        if cmd == "check":
+            assert captured.out == "error: " + msg
+        else:
+            assert captured.err == "[partition] " + msg
+
+    def test_chan_ports_are_declared_ones(self, tmp_path, capsys):
+        """A CHAN_ is a subsystem: its links name its declared ports, and
+        its adapter module has them."""
+        p = tmp_path / "chan.fdm"
+        p.write_text(chan_model(
+            "subsystem CHAN_c { input in; output out1; output out2; "
+            'param topology = "multipoint"; }',
+            "link HW_a.out -> CHAN_c.in; link CHAN_c.out1 -> self.y1; "
+            "link CHAN_c.out2 -> self.y2;", "output y1; output y2;"))
+        out = tmp_path / "o"
+        assert main(["flow", "--model", str(p), "--out", str(out),
+                     "--ticks", "32"]) == 0
+        nl = parse_netlist_json((out / "netlist.colif.json").read_text())
+        assert validate_netlist(nl) == []
+        adapter = next(m for m in nl.top.children if m.name == "CHAN_c")
+        assert [(q.name, q.direction) for q in adapter.ports] == \
+            [("in", "in"), ("out1", "out"), ("out2", "out")]
+
+    def test_link_to_undeclared_chan_port(self, tmp_path, capsys):
+        p = tmp_path / "chan.fdm"
+        p.write_text(chan_model("subsystem CHAN_c { input in; output out; }",
+                                "link HW_a.out -> CHAN_c.in; "
+                                "link CHAN_c.o -> self.y;"))
+        assert main(["check", "--model", str(p)]) == 1
+        assert "error: m: subsystem 'CHAN_c' has no port 'o'" in \
+            capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("cmd", ["check", "flow"])
+    def test_connection_through_two_chans(self, cmd, tmp_path, capsys):
+        """The net would name CHAN_one's adapter, which the netlist lacks,
+        and the channel would take CHAN_two's depth and drop CHAN_one's."""
+        p = tmp_path / "two.fdm"
+        p.write_text(chan_model(
+            "subsystem CHAN_one { input in; output out; param depth = 2; }\n"
+            "  subsystem CHAN_two { input in; output out; param depth = 3; }",
+            "link HW_a.out -> CHAN_one.in; link CHAN_one.out -> CHAN_two.in; "
+            "link CHAN_two.out -> self.y;"))
+        args = [cmd, "--model", str(p)]
+        assert main(args if cmd == "check"
+                    else args + ["--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        msg = "CHAN_two: connection passes through CHAN_one and CHAN_two; " \
+            "a connection takes one CHAN_\n"
         if cmd == "check":
             assert captured.out == "error: " + msg
         else:
@@ -544,15 +610,16 @@ class TestReport:
         assert "machine-specific" in printed
         assert rc in (0, 1)  # short runs may not be ordered in wall-clock
 
-    @pytest.mark.parametrize("timings, rc", [
+    @pytest.mark.parametrize("runs, rc", [
         ({"0": 0.1, "1": 0.5, "2": 0.4, "3": 0.9}, 0),
         ({"0": 0.1, "1": 0.3, "2": 0.9, "3": 0.5}, 1),
         ({"0": 0.6, "2": 0.4, "3": 0.9}, 1),
     ], ids=["l2-beats-l1", "l3-beats-l2", "l2-beats-l0"])
     def test_report_checks_criterion_8_order(self, tmp_path, capsys,
-                                             timings, rc):
+                                             runs, rc):
         """Only t0 < t2 < t3 is checked: levels 1 and 2 run the same
-        code, so their order is noise."""
+        code, so their order is noise.  Build seconds are not ordered."""
+        timings = {lv: {"build": 1.0 - t, "run": t} for lv, t in runs.items()}
         (tmp_path / "timings.json").write_text(json.dumps(timings))
         assert main(["report", "--out", str(tmp_path)]) == rc
         out = capsys.readouterr().out

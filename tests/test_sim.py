@@ -485,17 +485,21 @@ class TestLevels:
         lambda vals: [0] * 3 + vals[:-3],
     ], ids=["zeros", "late"])
     def test_flow_rejects_wrong_level3(self, mangle, tmp_path, monkeypatch):
-        real = fdmflow.flow.simulate
+        real = fdmflow.flow.simulator
 
         def mangled(level, cd, stim, ticks):
-            tr = real(level, cd, stim, ticks)
-            if level == 3:
-                for p, recs in tr.ports.items():
-                    vals = mangle([v for _, v in recs])
-                    tr.ports[p] = [(t, v) for (t, _), v in zip(recs, vals)]
-            return tr
+            run = real(level, cd, stim, ticks)
 
-        monkeypatch.setattr(fdmflow.flow, "simulate", mangled)
+            def run_mangled():
+                tr = run()
+                if level == 3:
+                    for p, recs in tr.ports.items():
+                        vals = mangle([v for _, v in recs])
+                        tr.ports[p] = [(t, v) for (t, _), v in zip(recs, vals)]
+                return tr
+            return run_mangled
+
+        monkeypatch.setattr(fdmflow.flow, "simulator", mangled)
         res = run_flow(mini_model(), tmp_path)
         v = dict(res.verdicts)["level2-vs-level3"]
         assert not v.passed, str(v)

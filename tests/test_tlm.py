@@ -1,8 +1,14 @@
+import hashlib
 import importlib.resources as ir
+import random
 
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
 from fdmflow.tlm import recognize_partition, validate_partition
+
+from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
+    LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, OUTLINK_FDM, PIPEDELAY_FDM, \
+    add_loose_ports, rand_loopy_model, rand_partitioned_model
 
 
 def mini_codec():
@@ -79,22 +85,26 @@ class TestPartitionValidation:
         assert not rep.ok
 
     def test_p2p_arity(self):
-        # point_to_point channel with two consumers is illegal
-        g = ModelGraph("m", inputs=["x"], outputs=["y1", "y2"])
-        hw = Subsystem("HW_a", inputs=["in"], outputs=["out"],
-                       blocks=[Block("k", "gain", (2,))],
-                       links=[Link(Endpoint("self", "in"), Endpoint("k", "in")),
-                              Link(Endpoint("k", "out"), Endpoint("self", "out"))])
-        chan = Subsystem("CHAN_c", inputs=["in"], outputs=["out"],
-                         params={"topology": "point_to_point", "depth": 1})
-        g.subsystems += [hw, chan]
-        g.links += [Link(Endpoint("self", "x"), Endpoint("HW_a", "in")),
-                    Link(Endpoint("HW_a", "out"), Endpoint("CHAN_c", "in")),
-                    Link(Endpoint("CHAN_c", "out"), Endpoint("self", "y1")),
-                    Link(Endpoint("CHAN_c", "out"), Endpoint("self", "y2"))]
-        t = recognize_partition(g)
-        rep = validate_partition(t)
-        assert any("point_to_point" in d.message for d in rep.errors())
+        # point_to_point channel, set or by default, with two consumers is
+        # illegal
+        for params in ({"topology": "point_to_point", "depth": 1}, {}):
+            g = ModelGraph("m", inputs=["x"], outputs=["y1", "y2"])
+            hw = Subsystem("HW_a", inputs=["in"], outputs=["out"],
+                           blocks=[Block("k", "gain", (2,))],
+                           links=[Link(Endpoint("self", "in"), Endpoint("k", "in")),
+                                  Link(Endpoint("k", "out"), Endpoint("self", "out"))])
+            chan = Subsystem("CHAN_c", inputs=["in"], outputs=["out"],
+                             params=params)
+            g.subsystems += [hw, chan]
+            g.links += [Link(Endpoint("self", "x"), Endpoint("HW_a", "in")),
+                        Link(Endpoint("HW_a", "out"), Endpoint("CHAN_c", "in")),
+                        Link(Endpoint("CHAN_c", "out"), Endpoint("self", "y1")),
+                        Link(Endpoint("CHAN_c", "out"), Endpoint("self", "y2"))]
+            t = recognize_partition(g)
+            rep = validate_partition(t)
+            assert [d.message for d in rep.errors()] == [
+                "point_to_point channel must have exactly one producer and "
+                "one consumer (has 1/2)"], params
 
     def test_unknown_topology(self):
         g = ModelGraph("m", inputs=["x"], outputs=["y"])
@@ -117,3 +127,42 @@ class TestPartitionValidation:
         rep = validate_partition(recognize_partition(g))
         assert rep.ok  # warning only
         assert any(d.severity == "warning" for d in rep.diagnostics)
+
+
+class TestPinned:
+    PARTITIONS = \
+        "334b8a9c847140a2d9ba84901808da04c5e7e0064b81519a7ee026c37b39977b"
+
+    def test_pinned_partitions(self):
+        """One SHA-256 over a canonical text of ``recognize_partition``: the
+        nodes with their units, every unit's kind, source and ports, the
+        testbench, and each channel's id, topology, producers, consumers,
+        depth, explicit flag and chain pins in order.  The designs are
+        those of ``test_gma.py``'s ``test_pinned_gma_texts`` plus the
+        ``rand_loopy_model`` seeds 0-29."""
+        models = [mini_codec()] + [parse_model(text) for text in (
+            FEEDBACK_FDM, MIX2_FDM, LOOSE_FDM, OUTLINK_FDM, PIPEDELAY_FDM,
+            ACCLOOP_FDM, FANOUT_FDM, NESTED_HW_FDM, ELEMENTS_FDM)]
+        for loose in (False, True):
+            for seed in range(30):
+                rng = random.Random(seed)
+                g = rand_partitioned_model(rng)
+                if loose:
+                    add_loose_ports(rng, g)
+                models.append(g)
+        models += [rand_loopy_model(random.Random(seed)) for seed in range(30)]
+        h = hashlib.sha256()
+        for g in models:
+            t = recognize_partition(g)
+            lines = [f"model {g.name}"]
+            lines += [f"node {n.name} {n.role} {n.units}"
+                      for n in t.nodes.values()]
+            lines += [f"unit {u.name} {u.kind} "
+                      f"{(u.subsystem or u.block).id} {u.in_ports} {u.out_ports}"
+                      for u in t.units.values()]
+            lines.append(f"testbench {t.testbench}")
+            lines += [f"channel {c.id} {c.topology} {list(map(str, c.producers))} "
+                      f"{list(map(str, c.consumers))} {c.fifo_depth!r} "
+                      f"{c.explicit} {c.chain}" for c in t.channels]
+            h.update(("\n".join(lines) + "\n").encode())
+        assert h.hexdigest() == self.PARTITIONS
