@@ -5,10 +5,15 @@ flattened once for every stage (``TlmModel.flats``); an ``RtlGraph`` is
 that graph plus the RTL IP of each block and, after delay correction, the
 balancing registers on its wires.  A wire is named by what it drives, as
 in ``FlatGraph.drivers``: (block path, input port), or (None, port) for
-a node output.  When every IP is pipelined the graph is delay-corrected
-by inserting balancing registers on reconvergent paths; otherwise a
-multicycle FSM controller sequences the IPs, accepting one sample per
-initiation interval.  Both run as the flat graph's block sweep, built by
+a node output.  ``map_rtl_library`` searches the graph once: one
+``graph.sccs`` pass finds the loops, so a wire out of a ``delay`` closes
+a loop when both its ends lie in one cyclic component, and ``stable_topo``
+without those wires gives the evaluation order; every later step reads
+the order, the loop wires and the blocks on a loop from the ``RtlGraph``.
+When every IP is pipelined the graph is delay-corrected by inserting
+balancing registers on reconvergent paths; otherwise a multicycle FSM
+controller sequences the IPs, accepting one sample per initiation
+interval.  Both run as the flat graph's block sweep, built by
 ``sim.sweep.plan`` as level 0's is: the controller at zero latency, the
 cycle model with every IP's output pipeline and every balancing register
 added as sweep registers.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .model.graph import FlatGraph, stable_topo
+from .model.graph import FlatGraph, sccs, stable_topo
 from .sim.sweep import plan
 
 
@@ -79,12 +84,16 @@ class HwSynthError(Exception):
 
 @dataclass
 class RtlGraph:
-    """A hardware node's flat graph with each block mapped to its IP; after
-    ``delay_correct`` also its balancing registers, levels and latency."""
+    """A hardware node's flat graph with each block mapped to its IP, its
+    evaluation order and its loops; after ``delay_correct`` also its
+    balancing registers, levels and latency."""
 
     name: str
     flat: FlatGraph
     ips: dict[str, RtlLibraryEntry]  # block path -> its IP
+    order: list[str]  # the blocks in evaluation order
+    loops: set[tuple]  # the wires out of a delay that close a loop
+    on_loop: set[str]  # the blocks on a loop
     # balancing registers per wire, keyed like ``flat.drivers`` with
     # (None, port) for a node output
     regs: dict[tuple, int] = field(default_factory=dict)
@@ -97,7 +106,6 @@ class Controller:
     """Multicycle schedule: one IP firing per step, one sample per II cycles."""
 
     graph: RtlGraph
-    order: list[str]
     ii: int
 
 
@@ -119,42 +127,14 @@ def _wires(flat: FlatGraph) -> list[tuple]:
         [((None, p), src) for p, src in flat.top_outputs.items()]
 
 
-def _succ(flat: FlatGraph, skip=frozenset(), back=False) -> dict:
-    """Block -> the blocks its outputs feed (``back``: that feed its
-    inputs), leaving out the wires in ``skip``."""
+def _succ(flat: FlatGraph, skip=frozenset()) -> dict:
+    """Block -> the blocks its outputs feed, leaving out the wires in
+    ``skip``."""
     succ: dict[str, list[str]] = {p: [] for p in flat.blocks}
     for w, src in flat.drivers.items():
         if src[0] == "block" and w not in skip:
-            a, b = (w[0], src[1]) if back else (src[1], w[0])
-            succ[a].append(b)
+            succ[src[1]].append(w[0])
     return succ
-
-
-def _reach(succ: dict, start: str) -> set[str]:
-    """``start`` and every block it reaches through ``succ``."""
-    seen, todo = {start}, [start]
-    while todo:
-        for d in succ[todo.pop()]:
-            if d not in seen:
-                seen.add(d)
-                todo.append(d)
-    return seen
-
-
-def _ordered(g: RtlGraph) -> tuple[list[str], set[tuple]]:
-    """Topological order of the blocks ignoring the wires out of a declared
-    delay block into a block that reaches it, which close a loop, and
-    those wires."""
-    flat = g.flat
-    succ = _succ(flat)
-    loops = {w for w, src in flat.drivers.items() if src[0] == "block"
-             and flat.blocks[src[1]].block.kind == "delay"
-             and src[1] in _reach(succ, w[0])}
-    order = stable_topo(list(flat.blocks), _succ(flat, loops))
-    if len(order) != len(flat.blocks):
-        stuck = sorted(set(flat.blocks) - set(order))
-        raise HwSynthError(f"cycle without a declared delay involving {stuck}")
-    return order, loops
 
 
 def map_rtl_library(name: str, flat: FlatGraph,
@@ -182,9 +162,16 @@ def map_rtl_library(name: str, flat: FlatGraph,
                 f"{name}/{path}: a delay block takes no cost_cycles; "
                 "its lag is its functional k")
         ips[path] = library_entry(blk.kind, blk.params, costs.get(path))
-    g = RtlGraph(name, flat, ips)
-    _ordered(g)  # raises on undeclared cycles
-    return g
+    comps = sccs(list(flat.blocks), _succ(flat))
+    comp = {p: i for i, c in enumerate(comps) for p in c}
+    loops = {w for w, src in flat.drivers.items() if src[0] == "block"
+             and flat.blocks[src[1]].block.kind == "delay"
+             and w[0] in comp and comp[w[0]] == comp.get(src[1])}
+    order = stable_topo(list(flat.blocks), _succ(flat, loops))
+    if len(order) != len(flat.blocks):
+        stuck = sorted(set(flat.blocks) - set(order))
+        raise HwSynthError(f"cycle without a declared delay involving {stuck}")
+    return RtlGraph(name, flat, ips, order, loops, set(comp))
 
 
 def pipelineable(g: RtlGraph) -> bool:
@@ -192,13 +179,8 @@ def pipelineable(g: RtlGraph) -> bool:
     pipelined and none with latency sits on a loop closed by a delay,
     whose lag its output pipeline would lengthen.  The FSM controller
     runs any other graph, a loop at zero latency."""
-    if any(ip.eligibility != "pipelined" for ip in g.ips.values()):
-        return False
-    loops = _ordered(g)[1]
-    succ, pred = _succ(g.flat), _succ(g.flat, back=True)
-    return not any(g.ips[n].latency for w in loops
-                   for n in _reach(succ, w[0])
-                   & _reach(pred, g.flat.drivers[w][1]))
+    return all(ip.eligibility == "pipelined" for ip in g.ips.values()) \
+        and not any(g.ips[n].latency for n in g.on_loop)
 
 
 def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
@@ -213,20 +195,19 @@ def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
     if bad:
         raise HwSynthError(f"multicycle-only IPs present ({bad}); "
                            "use fsm_controller instead")
-    order, loops = _ordered(g)
     incoming: dict[str, list[tuple]] = {p: [] for p in g.flat.blocks}
     for w, src in g.flat.drivers.items():
-        if w not in loops:
+        if w not in g.loops:
             incoming[w[0]].append(src)
     levels: dict[str, int] = {}
 
     def level(src: tuple) -> int:  # a node input's is 0
         return levels[src[1]] if src[0] == "block" else 0
 
-    for n in order:
+    for n in g.order:
         levels[n] = g.ips[n].latency + max(map(level, incoming[n]), default=0)
     k = max(map(level, g.flat.top_outputs.values()), default=0)
-    regs = {w: 0 if w in loops else
+    regs = {w: 0 if w in g.loops else
             (levels[w[0]] - g.ips[w[0]].latency if w[0] else k) - level(src)
             for w, src in _wires(g.flat)}
     return replace(g, regs=regs, levels=levels, latency=k), k
@@ -234,8 +215,7 @@ def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
 
 def fsm_controller(g: RtlGraph) -> Controller:
     """Sequential schedule firing one IP per step; II is the latency sum."""
-    order = _ordered(g)[0]
-    return Controller(g, order, sum(g.ips[n].latency for n in order) or 1)
+    return Controller(g, sum(ip.latency for ip in g.ips.values()) or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +234,7 @@ class RtlCycleSim:
     def __init__(self, g: RtlGraph):
         if g.latency is None:
             raise HwSynthError("graph must be delay-corrected first")
-        self.sweep = plan(g.flat, _ordered(g)[0],
+        self.sweep = plan(g.flat, g.order,
                           {p: ip.latency for p, ip in g.ips.items()}, g.regs)
 
     def step(self, in_values: dict[str, int]) -> dict[str, int]:
@@ -265,7 +245,7 @@ class ControllerSim:
     """Executes the multicycle schedule: functional result, II cycles each."""
 
     def __init__(self, ctrl: Controller):
-        self.sweep = plan(ctrl.graph.flat, ctrl.order)
+        self.sweep = plan(ctrl.graph.flat, ctrl.graph.order)
 
     def fire(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)

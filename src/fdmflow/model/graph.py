@@ -1,4 +1,6 @@
-"""Hierarchical block-diagram graph and its flattened form."""
+"""Hierarchical block-diagram graph, its flattened form and the two graph
+searches every stage shares: ``sccs``, the one loop search, and
+``stable_topo``, the one ordering."""
 
 from __future__ import annotations
 
@@ -91,24 +93,6 @@ class FlatGraph:
     issues: list[Issue]
 
 
-def _chan_pass_through(pin: Pin, incoming: dict):
-    """Resolve a channel subsystem's undriven output port to a driven input.
-
-    Channel subsystems carry no behavior: data entering any driven port
-    leaves on the outputs.  Ports pair by name (out<->in, outN<->inN) when
-    possible, otherwise the first driven port in link order is used.
-    """
-    _, path, port = pin
-    driven = [p for p in incoming if p[0] == "port" and p[1] == path]
-    if not driven:
-        return None
-    want = port.replace("out", "in") if "out" in port else None
-    for p in driven:
-        if p[2] == want:
-            return p
-    return driven[0]
-
-
 def _scope_index(scope):
     idx = {}
     for b in scope.blocks:
@@ -121,14 +105,18 @@ def _scope_index(scope):
 def flatten(g: ModelGraph) -> FlatGraph:
     """Elaborate the hierarchy, chasing links through subsystem boundary ports.
 
-    Structural problems are collected as issues instead of raised so that
-    validation can report them all.
+    A link leaves a subsystem by one of its outputs and enters it by one
+    of its inputs.  Structural problems are collected as issues instead of
+    raised so that validation can report them all.
     """
     blocks: dict[str, FlatBlock] = {}
     incoming: dict[Pin, Pin] = {}
     issues: list[Issue] = []
     sub_ports: dict[str, set] = {"": set(g.inputs) | set(g.outputs)}
     chan_paths: set[str] = set()
+    # channel subsystems carry no behavior: each of their undriven ports
+    # passes on the value of the input a link of the enclosing scope drives
+    chan_input: dict[str, Pin] = {}
 
     def pin_of(idx: dict, path: str, ep: Endpoint, link: Link, is_src: bool):
         if ep.block == SELF:
@@ -146,6 +134,13 @@ def flatten(g: ModelGraph) -> FlatGraph:
         if tag == "sub":
             if ep.port not in set(obj.inputs) | set(obj.outputs):
                 issues.append(Issue(f"subsystem {ep.block!r} has no port {ep.port!r}",
+                                    path or g.name, link.line))
+                return None
+            if ep.port not in (obj.outputs if is_src else obj.inputs):
+                side, role = ("input", "source") if is_src else \
+                    ("output", "destination")
+                issues.append(Issue(f"subsystem {ep.block!r} port {ep.port!r} "
+                                    f"is an {side}, not a link {role}",
                                     path or g.name, link.line))
                 return None
             return ("port", child, ep.port)
@@ -179,6 +174,8 @@ def flatten(g: ModelGraph) -> FlatGraph:
                                     path or g.name, link.line))
                 continue
             incoming[dst] = src
+            if dst[1] in chan_paths and link.dst.block != SELF:
+                chan_input.setdefault(dst[1], dst)
 
     walk(g, "")
 
@@ -196,8 +193,8 @@ def flatten(g: ModelGraph) -> FlatGraph:
                 return None
             seen.add(cur)
             nxt = incoming.get(cur)
-            if nxt is None and cur[0] == "port" and cur[1] in chan_paths:
-                nxt = _chan_pass_through(cur, incoming)
+            if nxt is None and cur[0] == "port":
+                nxt = chan_input.get(cur[1])
             if nxt is None:
                 issues.append(Issue(f"{what} is not driven by any link",
                                     cur[1] or g.name))
@@ -235,6 +232,51 @@ def comb_successors(flat: FlatGraph) -> dict[str, list[str]]:
         if succ[sp][-1:] != [dst]:  # drivers are sorted by consumer
             succ[sp].append(dst)
     return succ
+
+
+def sccs(nodes: list, succ: dict) -> list[list]:
+    """Tarjan's strongly connected components of ``succ`` over ``nodes``
+    that hold a cycle: two or more nodes, or one with an edge to itself.
+    Iterative, so a long chain does not reach the recursion limit; each
+    node and edge is visited once."""
+    index: dict = {}
+    low: dict = {}
+    on: set = set()
+    stack: list = []
+    work: list = []  # (node, iterator over its unvisited successors)
+    out = []
+
+    def push(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on.add(v)
+        work.append((v, iter(succ[v])))
+
+    for root in nodes:
+        if root in index:
+            continue
+        push(root)
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    push(w)
+                    break
+                if w in on:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on.discard(comp[-1])
+                    if len(comp) > 1 or v in succ[v]:
+                        out.append(comp)
+    return out
 
 
 def stable_topo(nodes: list, succ: dict) -> list:

@@ -1,11 +1,15 @@
-"""Structural validation of a parsed model."""
+"""Structural validation of a parsed model.
+
+Algebraic loops are the cyclic components, found by ``graph.sccs``, of
+the combinational graph ``comb_successors``; each is reported once with
+one cycle through it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .blocks import USER_FUNCTIONS
-from .graph import FlatGraph, ModelGraph, comb_successors, flatten
+from .graph import ModelGraph, comb_successors, flatten, sccs
 
 
 @dataclass(frozen=True)
@@ -71,59 +75,6 @@ def _param_checks(g: ModelGraph, out: list[Diagnostic]):
     walk(g, "")
 
 
-def _find_loop_sccs(flat: FlatGraph):
-    """Tarjan SCC over the combinational graph; yields looping components."""
-    succ = comb_successors(flat)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    sccs = []
-
-    def strongconnect(v):
-        # iterative Tarjan to dodge recursion limits on deep chains
-        work = [(v, iter(succ[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                elif w in on:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1 or node in succ[node]:
-                    sccs.append(comp)
-
-    for v in flat.blocks:
-        if v not in index:
-            strongconnect(v)
-    return sccs, succ
-
-
 def _cycle_path(comp: list[str], succ, order_key) -> tuple[str, ...]:
     members = set(comp)
     start = min(comp, key=order_key)
@@ -160,9 +111,10 @@ def validate_model(g: ModelGraph) -> ValidationReport:
     for issue in flat.issues:
         out.append(Diagnostic("error", issue.location, issue.message, line=issue.line))
 
-    sccs, succ = _find_loop_sccs(flat)
+    succ = comb_successors(flat)
     decl = {p: i for i, p in enumerate(flat.blocks)}
-    for comp in sorted(sccs, key=lambda c: min(decl[p] for p in c)):
+    loops = sccs(list(flat.blocks), succ)
+    for comp in sorted(loops, key=lambda c: min(decl[p] for p in c)):
         cyc = _cycle_path(comp, succ, lambda p: decl[p])
         out.append(Diagnostic("error", cyc[0],
                               "algebraic loop: cycle without a delay block",

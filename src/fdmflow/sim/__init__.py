@@ -1,7 +1,7 @@
 """Multi-level deterministic simulation and trace comparison."""
 
-from .level0 import Level0Sim, simulate_level0
+from .level0 import Level0Sim
 from .trace import PortSetMismatch, Stimulus, Trace, Verdict, compare_traces
 
 __all__ = ["Level0Sim", "PortSetMismatch", "Stimulus", "Trace", "Verdict",
-           "compare_traces", "simulate_level0"]
+           "compare_traces"]

@@ -35,6 +35,3 @@ class Level0Sim:
                 trace.ports[port].append((t, v))
         return trace
 
-
-def simulate_level0(g: ModelGraph, stim: Stimulus, ticks: int) -> Trace:
-    return Level0Sim(g).run(stim, ticks)

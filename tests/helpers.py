@@ -582,7 +582,12 @@ MODULE_KINDS = ("top", "sw_node", "hw_node", "task", "ip", "channel_adapter")
 
 
 def validate_netlist(n: ColifNetlist) -> list[str]:
-    """Structural checks; returns human-readable problems."""
+    """Structural checks; returns human-readable problems.
+
+    A net's endpoints run producer first.  The net enters a module by an
+    input port and leaves one by an output port: only the producer enters
+    the top module, by a model input, and a net leaves a module only once
+    it is inside, when the producer lies within or it entered earlier."""
     problems = []
     paths = {}
     for path, m in n.modules():
@@ -602,13 +607,25 @@ def validate_netlist(n: ColifNetlist) -> list[str]:
         if not net.endpoints:
             problems.append(f"net {net.name}: no endpoints")
             continue
-        for ep in net.endpoints:
+        producer = net.endpoints[0].rpartition(".")[0]
+        entered = set()
+        for i, ep in enumerate(net.endpoints):
             mpath, _, port = ep.rpartition(".")
             m = paths.get(mpath)
+            p = port_of(m, port) if m is not None else None
             if m is None:
                 problems.append(f"net {net.name}: no module {mpath}")
-            elif port_of(m, port) is None:
+            elif p is None:
                 problems.append(f"net {net.name}: no port {ep}")
+            elif p.direction == "in":
+                if (m is n.top) == (i > 0):
+                    problems.append(f"net {net.name}: enters {mpath} by "
+                                    f"input {port} out of turn")
+                entered.add(mpath)
+            elif not (producer == mpath or producer.startswith(mpath + "/")
+                      or mpath in entered):
+                problems.append(f"net {net.name}: leaves {mpath} by output "
+                                f"{port} without entering it")
     return problems
 
 

@@ -326,6 +326,25 @@ class TestCheck:
             capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("cmd", ["check", "flow"])
+    def test_reversed_chan_ports(self, cmd, tmp_path, capsys):
+        """Data enters a CHAN_ by an input and leaves it by an output; a
+        link the other way round would make a net that enters the adapter
+        by its output."""
+        p = tmp_path / "rev.fdm"
+        p.write_text(chan_model("subsystem CHAN_c { input in; output out; }",
+                                "link HW_a.out -> CHAN_c.out; "
+                                "link CHAN_c.in -> self.y;"))
+        args = [cmd, "--model", str(p)]
+        assert main(args if cmd == "check"
+                    else args + ["--out", str(tmp_path / "o")]) == 1
+        if cmd == "check":
+            lines = capsys.readouterr().out.splitlines()
+            assert "error: m: subsystem 'CHAN_c' port 'in' is an input, " \
+                "not a link source" in lines
+            assert "error: m: subsystem 'CHAN_c' port 'out' is an output, " \
+                "not a link destination" in lines
+
+    @pytest.mark.parametrize("cmd", ["check", "flow"])
     def test_connection_through_two_chans(self, cmd, tmp_path, capsys):
         """The net would name CHAN_one's adapter, which the netlist lacks,
         and the channel would take CHAN_two's depth and drop CHAN_one's."""

@@ -12,7 +12,7 @@ from fdmflow.gma.behavior import Call, Recv, Send, format_behavior
 from fdmflow.gma.params import ParamError
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
-from fdmflow.sim.level0 import simulate_level0
+from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus
 from fdmflow.swsynth import build_task_fsm
 from fdmflow.tlm import recognize_partition
@@ -254,5 +254,5 @@ class TestMergedPreservesSemantics:
             got = run_task(fsm, {"in": xs})["out"]
             ref_g = ModelGraph("ref", blocks=sub.blocks,
                                links=sub.links, inputs=["in"], outputs=["out"])
-            ref = simulate_level0(ref_g, Stimulus({"in": xs}, 40), 40)
+            ref = Level0Sim(ref_g).run(Stimulus({"in": xs}, 40), 40)
             assert got == ref.values("out"), f"seed {seed}"

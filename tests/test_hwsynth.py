@@ -1,16 +1,19 @@
 import hashlib
 import importlib.resources as ir
 import random
+import sys
 
 import pytest
 
-from fdmflow.flow import FlowError, compile_design
+from fdmflow.flow import FlowError, compile_design, default_stimulus
 from fdmflow.hwsynth import ControllerSim, HwSynthError, RtlCycleSim, \
     delay_correct, emit_rtl_text, fsm_controller, library_entry, \
     map_rtl_library, pipelineable
 from fdmflow.model.graph import Block, Endpoint, Link, Subsystem, flatten
 from fdmflow.model.parser import parse_model
-from fdmflow.sim.level0 import simulate_level0
+from fdmflow.model.validate import validate_model
+from fdmflow.sim.engine import Engine
+from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus
 
 from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
@@ -166,7 +169,7 @@ class TestController:
                               ("c", "gain", (1,))])
         ctrl = fsm_controller(map_node(sub, {"a": 2, "b": 1, "c": 3}))
         assert ctrl.ii == 6
-        assert ctrl.order == ["a", "b", "c"]
+        assert ctrl.graph.order == ["a", "b", "c"]
 
     def test_ii_floor_one(self):
         sub = _chain("HW_s", [("a", "gain", (1,))])
@@ -180,7 +183,7 @@ class TestController:
             xs = [rng.randint(-100, 100) for _ in range(20)]
             stim = Stimulus({"in": xs}, 20)
             got = hw_stream(ControllerSim(ctrl).fire, stim, 20)
-            ref = simulate_level0(as_model(sub), stim, 20)
+            ref = Level0Sim(as_model(sub)).run(stim, 20)
             assert got.values("out") == ref.values("out"), f"seed {seed}"
 
 
@@ -195,7 +198,7 @@ class TestCycleAccuracy:
             xs = [rng.randint(-100, 100) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
             cyc = hw_stream(RtlCycleSim(g).step, stim, n + k)
-            ref = simulate_level0(as_model(sub), stim, n)
+            ref = Level0Sim(as_model(sub)).run(stim, n)
             assert cyc.values("out")[k:] == ref.values("out"), f"seed {seed}"
 
     def test_multi_output_pipeline(self):
@@ -215,7 +218,7 @@ class TestCycleAccuracy:
         xs = list(range(-6, 6))
         stim = Stimulus({"in": xs}, len(xs))
         cyc = hw_stream(RtlCycleSim(g).step, stim, len(xs) + k)
-        ref = simulate_level0(as_model(sub), stim, len(xs))
+        ref = Level0Sim(as_model(sub)).run(stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
 
     def test_declared_delay_is_functional(self):
@@ -249,8 +252,73 @@ class TestCycleAccuracy:
         xs = list(range(-7, 9))
         stim = Stimulus({"in": xs}, len(xs))
         cyc = hw_stream(RtlCycleSim(g).step, stim, len(xs) + k)
-        ref = simulate_level0(as_model(sub), stim, len(xs))
+        ref = Level0Sim(as_model(sub)).run(stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
+
+
+class TestLoopSearch:
+    def test_loops_match_path_oracle(self):
+        """A wire out of a delay closes a loop when its consumer reaches
+        the delay, a block is on a loop when it lies on a path from such a
+        wire's consumer to its delay, and a graph of pipelined IPs is
+        pipelineable when no block on a loop has latency: checked with
+        networkx path searches on every valid ``rand_loopy_model`` graph
+        of seeds 0-2999 under random latencies."""
+        import networkx as nx
+        checked = 0
+        for seed in range(3000):
+            rng = random.Random(seed)
+            g = rand_loopy_model(rng)
+            if not validate_model(g).ok:
+                continue
+            flat = flatten(g)
+            costs = {p: rng.randint(0, 2) for p, fb in flat.blocks.items()
+                     if fb.block.kind != "delay"}
+            rg = map_rtl_library(g.name, flat, costs)
+            G = nx.DiGraph()
+            G.add_nodes_from(flat.blocks)
+            G.add_edges_from((src[1], w[0]) for w, src in flat.drivers.items()
+                             if src[0] == "block")
+            loops = {w for w, src in flat.drivers.items() if src[0] == "block"
+                     and flat.blocks[src[1]].block.kind == "delay"
+                     and nx.has_path(G, w[0], src[1])}
+            on_loop = {n for w in loops for n in flat.blocks
+                       if nx.has_path(G, w[0], n)
+                       and nx.has_path(G, n, flat.drivers[w][1])}
+            assert rg.loops == loops, f"seed {seed}"
+            assert rg.on_loop == on_loop, f"seed {seed}"
+            assert pipelineable(rg) == \
+                (not any(costs.get(n) for n in on_loop)), f"seed {seed}"
+            checked += 1
+        assert checked == 576
+
+    def test_one_search_per_node(self, monkeypatch):
+        """Compiling searches the model once to validate it and each
+        hardware node's graph once; building a level-3 engine searches
+        and orders no graph."""
+        calls = []
+
+        def counted(fn):
+            def search(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return search
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("fdmflow"):
+                for fn in ("sccs", "stable_topo", "topo_order"):
+                    if hasattr(mod, fn):
+                        monkeypatch.setattr(mod, fn, counted(getattr(mod, fn)))
+        mini = (ir.files("fdmflow") / "models" / "mini_codec.fdm").read_text()
+        for text in (mini, ACCLOOP_FDM, PIPEDELAY_FDM, FANOUT_FDM):
+            calls.clear()
+            cd = compile_design(parse_model(text))
+            nodes = sum(n.role == "hardware" for n in cd.tlm.nodes.values())
+            assert calls.count("sccs") == 1 + nodes
+            calls.clear()
+            Engine(cd, dict.fromkeys(cd.tlm.nodes, 3),
+                   default_stimulus(cd.model, 8), 8)
+            assert calls == []
 
 
 class TestEmission:
