@@ -1,7 +1,6 @@
 """Functional block-diagram language: types, parser, validation, semantics."""
 
-from .blocks import (KIND_NAMES, USER_FUNCTIONS, init_state, port_names,
-                     wrap32)
+from .blocks import KIND_NAMES, USER_FUNCTIONS, init_state, port_names
 from .graph import (Block, Endpoint, FlatGraph, Link, ModelGraph, Subsystem,
                     flatten, topo_order)
 from .parser import ParseError, parse_model
@@ -12,5 +11,5 @@ __all__ = [
     "ModelGraph", "ParseError", "Subsystem", "USER_FUNCTIONS",
     "ValidationReport", "flatten",
     "init_state", "parse_model", "port_names", "topo_order",
-    "validate_model", "wrap32",
+    "validate_model",
 ]

@@ -9,39 +9,31 @@ functional level is reproduced bit for bit at every level.  Samples are
 fills in the inputs ``{i0}``, ..., the output targets ``{o0}``, ..., the
 state cells ``{s0}``, ... and the parameters ``{k0}``, ...: a parameter
 is a name the generator binds to its value (``sim.sweep.Names``), so
-``gain(3)`` and ``gain(5)`` share one text.  ``user`` and ``for_loop``
-blocks call a function of the one constant table ``USER_FUNCTIONS``,
-bound to a parameter name the same way.
+``gain(3)`` and ``gain(5)`` share one text.  User functions are
+templates too: ``user`` and ``for_loop`` blocks splice the expressions of
+their function in the one constant table ``USER_FUNCTIONS``.
 """
 
 from __future__ import annotations
 
-def wrap32(x: int) -> int:
-    """Reduce an integer to 32-bit two's complement."""
-    return ((x + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _clip(x: int) -> int:
-    return max(-(1 << 20), min((1 << 20) - 1, x))
-
-
 # The functions ``user(name)`` and ``for_loop(n, name)`` blocks may call:
-# name -> (input ports, output ports, fn).  A model file names only these,
-# so it stays self-contained.
+# name -> (input ports, output ports, one expression per output over the
+# inputs {x0}, {x1}, ...).  A model file names only these.
 USER_FUNCTIONS = {
-    "inc": (("in",), ("out",), lambda x: (wrap32(x + 1),)),
-    "dbl": (("in",), ("out",), lambda x: (wrap32(2 * x),)),
-    "huff": (("in",), ("out",), lambda x: (wrap32((x << 3) ^ (x >> 2) ^ 0x2B),)),
-    "clip": (("in",), ("out",), lambda x: (_clip(x),)),
-    "frame_reader": (("in",), ("out",), lambda x: (wrap32(x ^ 0x55),)),
-    "pcm_writer": (("in",), ("out",), lambda x: (x,)),
-    "mix2": (("in1", "in2"), ("out",), lambda a, b: (wrap32(a + b - (b >> 1)),)),
+    "inc": (("in",), ("out",), ("{x0} + 1",)),
+    "dbl": (("in",), ("out",), ("2 * {x0}",)),
+    "huff": (("in",), ("out",), ("({x0} << 3) ^ ({x0} >> 2) ^ 0x2B",)),
+    "clip": (("in",), ("out",), ("-1048576 if {x0} < -1048576 else 1048575"
+                                 " if {x0} > 1048575 else {x0}",)),
+    "frame_reader": (("in",), ("out",), ("{x0} ^ 0x55",)),
+    "pcm_writer": (("in",), ("out",), ("{x0}",)),
+    "mix2": (("in1", "in2"), ("out",), ("{x0} + {x1} - ({x1} >> 1)",)),
 }
 
 
 def _W(e: str) -> str:
-    """``wrap32`` of ``e`` inline: ``e`` is evaluated once, into the local
-    ``w``, and a value in range is kept without arithmetic."""
+    """``e`` wrapped to 32 bits inline: ``e`` is evaluated once, into the
+    local ``w``, and a value in range is kept without arithmetic."""
     return (f"(w if -0x80000000 <= (w := {e}) < 0x80000000"
             " else ((w + 0x80000000) & 0xFFFFFFFF) - 0x80000000)")
 
@@ -56,11 +48,11 @@ def _fir(p):
 
 
 def _user(p):
-    """t = fn(in1, in2, ...), then each output wraps its entry of t."""
-    ins, outs, _ = USER_FUNCTIONS[p[0]]
-    args = ", ".join(f"{{i{j}}}" for j in range(len(ins)))
-    return [f"t = {{k0}}({args})"] + [
-        f"{{o{j}}} = " + _W(f"t[{j}]") for j in range(len(outs))]
+    """The outputs, at once, each its function's expression wrapped."""
+    ins, outs, exprs = USER_FUNCTIONS[p[0]]
+    xs = {f"x{j}": f"{{i{j}}}" for j in range(len(ins))}
+    return [", ".join(f"{{o{j}}}" for j in range(len(outs))) + " = " +
+            ", ".join(_W(e.format_map(xs)) for e in exprs)]
 
 
 # kind -> template: an expression for the one output of a stateless kind,
@@ -81,7 +73,8 @@ TEMPLATES = {
         f"{{s{p[0] - 1}}} = {{i0}}"],
     "fir": _fir,
     "for_loop": lambda p: ["{o0} = {i0}", "for _ in range({k0}):",
-                           "    {o0} = " + _W("{k1}({o0})[0]")],
+                           "    {o0} = " + _W(USER_FUNCTIONS[p[1]][2][0]
+                                              .format(x0="{o0}"))],
     "mux": lambda p: ["{o0} = (" + "".join(
         f"{{i{j}}}, " for j in range(1, p[0] + 1)) + ")[{i0} % {k0}]"],
     "demux": lambda p: ["sel = {i0} % {k0}"] + [
@@ -129,11 +122,10 @@ def init_state(kind: str, params: tuple):
 def block_src(kind: str, params: tuple, ins, outs, cells, name) -> list:
     """The lines firing one block: its template with the source texts
     ``ins``, ``outs`` and ``cells`` filled in, and ``name(value)`` for each
-    parameter (a user function's name stands for the function)."""
+    parameter."""
     t = TEMPLATES[kind]
     lines = ["{o0} = " + t] if isinstance(t, str) else t(params)
-    subs = {f"k{j}": name(USER_FUNCTIONS[p][2] if isinstance(p, str) else p)
-            for j, p in enumerate(params)}
+    subs = {f"k{j}": name(p) for j, p in enumerate(params)}
     for c, srcs in (("i", ins), ("o", outs), ("s", cells)):
         subs |= {f"{c}{j}": s for j, s in enumerate(srcs)}
     return [ln.format_map(subs) for ln in lines]

@@ -99,7 +99,8 @@ def validate_model(g: ModelGraph) -> ValidationReport:
     """Check every structural invariant of the model.
 
     The report is empty iff the model is accepted for downstream stages.
-    Diagnostics are ordered by source position for stable golden output.
+    Diagnostics are ordered by source position for stable golden output,
+    the ones with no position last.
     """
     out: list[Diagnostic] = []
     if not g.outputs:
@@ -120,5 +121,7 @@ def validate_model(g: ModelGraph) -> ValidationReport:
                               "algebraic loop: cycle without a delay block",
                               cycle=cyc))
 
-    out.sort(key=lambda d: (d.line, d.location, d.message))
+    # an issue found with no line, such as an undriven port, follows the
+    # located ones, which are likelier its cause
+    out.sort(key=lambda d: (not d.line, d.line, d.location, d.message))
     return ValidationReport(out)

@@ -10,7 +10,6 @@ from types import SimpleNamespace
 from fdmflow.gma.netlist import ColifNetlist, Net
 from fdmflow.gma.tree import Module, Port
 from fdmflow.hwsynth import RtlGraph, map_rtl_library
-from fdmflow.model.blocks import USER_FUNCTIONS, wrap32
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     Subsystem, flatten
 from fdmflow.sim.channels import ChannelRt
@@ -651,6 +650,25 @@ def parse_netlist_json(text: str) -> ColifNetlist:
     return ColifNetlist(top, nets)
 
 
+def wrap32(x: int) -> int:
+    """Reduce an integer to 32-bit two's complement."""
+    return ((x + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+
+
+# The user functions as the README's table states them, written apart
+# from their templates in ``USER_FUNCTIONS``: name -> fn(*inputs) ->
+# outputs, each wrapped by ``reference_step``.
+REFERENCE_FUNCTIONS = {
+    "inc": lambda x: (x + 1,),
+    "dbl": lambda x: (2 * x,),
+    "huff": lambda x: ((x << 3) ^ (x >> 2) ^ 0x2B,),
+    "clip": lambda x: (min(max(x, -2**20), 2**20 - 1),),
+    "frame_reader": lambda x: (x ^ 0x55,),
+    "pcm_writer": lambda x: (x,),
+    "mix2": lambda a, b: (a + b - (b >> 1),),
+}
+
+
 def _quant(v: int, step: int) -> int:
     q = abs(v) // abs(step)
     if (v < 0) != (step < 0):
@@ -683,7 +701,7 @@ def reference_step(kind, params, inputs, state):
     if kind == "for_loop":
         n, fname = params
         for _ in range(n):
-            x = wrap32(USER_FUNCTIONS[fname][2](x)[0])
+            x = wrap32(REFERENCE_FUNCTIONS[fname](x)[0])
         return (x,), state
     if kind == "mux":
         return (inputs[1 + inputs[0] % params[0]],), state
@@ -693,7 +711,7 @@ def reference_step(kind, params, inputs, state):
                      for i in range(params[0])), state
     if kind == "user":
         return tuple(wrap32(v) for v in
-                     USER_FUNCTIONS[params[0]][2](*inputs)), state
+                     REFERENCE_FUNCTIONS[params[0]](*inputs)), state
     if kind == "sink":
         return (), state
     raise ValueError(f"unknown block kind {kind!r}")

@@ -337,12 +337,19 @@ class TestCheck:
         args = [cmd, "--model", str(p)]
         assert main(args if cmd == "check"
                     else args + ["--out", str(tmp_path / "o")]) == 1
+        # the cause comes first, before its consequence, the undriven y
+        out = capsys.readouterr()
         if cmd == "check":
-            lines = capsys.readouterr().out.splitlines()
-            assert "error: m: subsystem 'CHAN_c' port 'in' is an input, " \
-                "not a link source" in lines
+            lines = out.out.splitlines()
+            assert lines[0] == "error: m: subsystem 'CHAN_c' port 'in' is " \
+                "an input, not a link source"
             assert "error: m: subsystem 'CHAN_c' port 'out' is an output, " \
                 "not a link destination" in lines
+            assert lines[-1] == \
+                "error: m: model output y is not driven by any link"
+        else:
+            assert out.err.splitlines()[0] == "[validate] subsystem 'CHAN_c' " \
+                "port 'in' is an input, not a link source"
 
     @pytest.mark.parametrize("cmd", ["check", "flow"])
     def test_connection_through_two_chans(self, cmd, tmp_path, capsys):

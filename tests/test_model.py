@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fdmflow.model.blocks import port_names, wrap32
+from fdmflow.model.blocks import port_names
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     flatten, topo_order
 from fdmflow.model.parser import ParseError, parse_model
@@ -11,7 +11,7 @@ from fdmflow.model.validate import validate_model
 from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus
 
-from helpers import rand_loopy_model, reference_step
+from helpers import rand_loopy_model, reference_step, wrap32
 
 
 def _mk(text):

@@ -13,7 +13,6 @@ from fdmflow.gma import emit_netlist, emit_param_templates
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, Loop, \
     Recv, Send, TaskBehavior
 from fdmflow.hwsynth import emit_rtl_text
-from fdmflow.model.blocks import wrap32
 from fdmflow.model.parser import parse_model
 from fdmflow.model.validate import validate_model
 from fdmflow.sim.channels import ChannelRt
@@ -26,7 +25,8 @@ from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
 
 from helpers import ACCLOOP_FDM, FANOUT_FDM, FEEDBACK_FDM, IFELSE_FDM, \
     LOOSE_FDM, MIX2_FDM, OUTLINK_FDM, PIPEDELAY_FDM, add_loose_ports, bind_queues, bus_counter, \
-    rand_loopy_model, rand_partitioned_model, sent, standalone_address_map
+    rand_loopy_model, rand_partitioned_model, sent, standalone_address_map, \
+    wrap32
 
 
 def mini_model():

@@ -19,13 +19,13 @@ from fdmflow.model.parser import parse_model
 from fdmflow.sim.interp import FsmRunner, behavior_coroutine
 from fdmflow.swsynth import build_task_fsm, lower_api
 
-from helpers import bind_queues, bus_counter, rand_partitioned_model, \
-    reference_step, sent, standalone_address_map
+from helpers import REFERENCE_FUNCTIONS, bind_queues, bus_counter, \
+    rand_partitioned_model, reference_step, sent, standalone_address_map
 
 GEN_WIDE = Path(__file__).resolve().parent.parent / "bench" / "gen_wide.py"
 
 EDGES = [0, 1, -1, 2, -2, 2**31 - 1, -2**31, 2**31, -2**31 - 1, 2**30,
-         2**16 + 3]
+         2**16 + 3, 2**20, 2**20 - 1, -2**20, -2**20 - 1]
 VALUES = st.one_of(st.sampled_from(EDGES), st.integers(-2**31, 2**31 - 1))
 SIZES = st.integers(1, 4)
 UNARY = sorted(f for f, (ins, _, _) in USER_FUNCTIONS.items() if len(ins) == 1)
@@ -112,22 +112,28 @@ def _fsm(fsm, ticks):
     return list(zip(*sent(prod).values())) or [()] * len(ticks)
 
 
+def _assert_generators(kind, params, ticks, want):
+    """The block sweep, the behavior and both task FSMs give ``want``."""
+    assert _swept(kind, params, ticks) == want
+    b = _behavior(kind, params)
+    assert _coroutine(b, ticks) == want
+    macro = build_task_fsm(b)
+    assert _fsm(macro, ticks) == want
+    micro = lower_api(macro, standalone_address_map(macro, "u"), "u")
+    assert _fsm(micro, ticks) == want
+
+
 class TestTemplates:
     def test_every_kind_has_a_strategy(self):
         assert set(PARAMS) == KIND_NAMES
+        assert set(REFERENCE_FUNCTIONS) == set(USER_FUNCTIONS)
 
     @settings(max_examples=300, deadline=None)
     @given(firings())
     def test_generators_match_reference(self, firing):
         kind, params, ticks = firing
-        want = _stepped(kind, params, ticks)
-        assert _swept(kind, params, ticks) == want
-        b = _behavior(kind, params)
-        assert _coroutine(b, ticks) == want
-        macro = build_task_fsm(b)
-        assert _fsm(macro, ticks) == want
-        micro = lower_api(macro, standalone_address_map(macro, "u"), "u")
-        assert _fsm(micro, ticks) == want
+        _assert_generators(kind, params, ticks,
+                           _stepped(kind, params, ticks))
 
     def test_reference_edges(self):
         """Edges the property draws, spelled out."""
@@ -137,6 +143,20 @@ class TestTemplates:
         assert reference_step("mux", (3,), (-1, 10, 20, 30), None)[0] == (30,)
         assert reference_step("demux", (3,), (-2, 7), None)[0] == (0, 7, 0)
         assert reference_step("fir", (4,), (5,), ())[0] == (20,)
+        # the clip rails and the 32-bit wrap of the user functions, checked
+        # against every generator too
+        for kind, params, x, y in [
+                ("user", ("clip",), 2**20, 2**20 - 1),
+                ("user", ("clip",), 2**20 - 1, 2**20 - 1),
+                ("user", ("clip",), -2**20, -2**20),
+                ("user", ("clip",), -2**20 - 1, -2**20),
+                ("user", ("inc",), 2**31 - 1, -2**31),
+                ("user", ("dbl",), 2**30, -2**31),
+                ("user", ("dbl",), -2**31, 0),
+                ("user", ("huff",), 2**28, -2**31 + 2**26 + 0x2B),
+                ("for_loop", (2, "inc"), 2**31 - 1, -2**31 + 1)]:
+            assert reference_step(kind, params, (x,), None)[0] == (y,)
+            _assert_generators(kind, params, [(x,)], [(y,)])
 
 
 SHARED_FDM = """
@@ -186,6 +206,14 @@ def _texts(monkeypatch, g, ticks=8) -> dict:
     return texts
 
 
+def _wide_design(size: int):
+    """The compiled benchmark design of ``size`` tasks and HW nodes."""
+    spec = importlib.util.spec_from_file_location("gen_wide", GEN_WIDE)
+    gen_wide = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_wide)
+    return compile_design(parse_model(gen_wide.generate(0, size)))
+
+
 class TestSharedTexts:
     def _model(self, values: dict):
         text = SHARED_FDM
@@ -219,21 +247,32 @@ class TestSharedTexts:
         assert a == b
 
     def test_wide_design_texts_fit_the_cache(self):
-        """The 50-task, 50-node benchmark design compiles at most 82
+        """The 50-task, 50-node benchmark design compiles at most 103
         distinct texts over every level: same-sized chunks of the run loop
-        share one text, so the count does not grow with the number of
-        units."""
-        spec = importlib.util.spec_from_file_location("gen_wide", GEN_WIDE)
-        gen_wide = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_wide)
+        share one text, so the count grows far slower than the number of
+        units (63, 103 and 142 texts at 10, 50 and 200 units)."""
         sweep._code.cache_clear()
         engine._chunk_binder.cache_clear()
-        cd = compile_design(parse_model(gen_wide.generate(0, 50)))
+        cd = _wide_design(50)
         stim = default_stimulus(cd.model, 10, seed=0)
         for level in (0, 1, 2, 3):
             simulate(level, cd, stim, 10)
         info = sweep._code.cache_info()
-        assert info.currsize <= 82, info
+        assert info.currsize <= 103, info
+
+    def test_large_design_texts_stay_compiled(self):
+        """The 200-task, 200-node design (about 1.3k blocks) simulated
+        again at every level compiles nothing again."""
+        sweep._code.cache_clear()
+        engine._chunk_binder.cache_clear()
+        cd = _wide_design(200)
+        stim = default_stimulus(cd.model, 10, seed=0)
+        for level in (0, 1, 2, 3):
+            simulate(level, cd, stim, 10)
+        misses = sweep._code.cache_info().misses
+        for level in (0, 1, 2, 3):
+            simulate(level, cd, stim, 10)
+        assert sweep._code.cache_info().misses == misses
 
     def test_distinct_texts_fit_the_cache(self, monkeypatch):
         maxsize = sweep._code.cache_info().maxsize
