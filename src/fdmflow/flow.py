@@ -21,7 +21,7 @@ from .gma import ParamSet, attach_params, emit_netlist, \
     emit_param_templates, gen_task_behavior, netlist_to_json, param_files
 from .gma.behavior import format_behavior
 from .gma.netlist import ColifNetlist
-from .hwsynth import HwImpl, delay_correct, emit_rtl_text, fsm_controller, \
+from .hwsynth import delay_correct, emit_rtl_text, fsm_controller, \
     map_rtl_library, pipelineable
 from .model.graph import ModelGraph
 from .model.parser import parse_model
@@ -117,12 +117,8 @@ def compile_design(model: ModelGraph,
                 costs[path] = c
         try:
             rg = map_rtl_library(info.name, tlm.flats[info.name], costs)
-            if pipelineable(rg):
-                dc, k = delay_correct(rg)
-                hw_impl[info.name] = HwImpl("pipelined", dc, k)
-            else:
-                ctrl = fsm_controller(rg)
-                hw_impl[info.name] = HwImpl("controller", ctrl, ctrl.ii)
+            hw_impl[info.name] = delay_correct(rg) if pipelineable(rg) \
+                else fsm_controller(rg)
         except Exception as e:
             raise FlowError("hwsynth", str(e)) from None
 
@@ -164,7 +160,6 @@ class FlowResult:
     traces: dict  # level -> Trace
     verdicts: list  # (label, Verdict)
     hw_latency: dict
-    timings: dict  # level -> run seconds, build excluded
 
     @property
     def ok(self) -> bool:
@@ -216,7 +211,7 @@ def write_rtl(cd: CompiledDesign, out: Path) -> None:
     d = _dir(out)
     for node in sorted(cd.hw_impl):
         (d / f"{_safe(node)}.rtl.txt").write_text(
-            emit_rtl_text(cd.hw_impl[node].rtl))
+            emit_rtl_text(cd.hw_impl[node]))
 
 
 def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
@@ -263,8 +258,7 @@ def run_flow(model: ModelGraph, out_dir, *, params: ParamSet | None = None,
     (out / "verdicts.txt").write_text("\n".join(lines) + "\n")
     # wall-clock timings are machine-specific; kept out of determinism checks
     (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
-    return FlowResult(traces, verdicts, hw_latency,
-                      {k: v["run"] for k, v in timings.items()})
+    return FlowResult(traces, verdicts, hw_latency)
 
 
 def load_model_file(path) -> ModelGraph:

@@ -170,8 +170,7 @@ def gen_task_behavior(t: TlmModel, task_id: str) -> TaskBehavior:
         nodes.append(_SchedNode(seq, 2 if on else 1, [st], (f"p_{p}",), ()))
         seq += 1
     states: dict[str, tuple] = {}
-    for path, fb in flat.blocks.items():
-        blk = fb.block
+    for path, blk in flat.blocks.items():
         ins, outs = port_names(blk.kind, blk.params)
         ins_v = [var_of(flat.drivers[(path, p)]) for p in ins]
         outs_v = [f"{path}_{p}" for p in outs]

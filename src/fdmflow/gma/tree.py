@@ -59,7 +59,7 @@ def build_tree(t: TlmModel) -> Module:
                     uname.split("/", 1)[1], "task", u.in_ports, u.out_ports))
         else:
             node = _module(info.name, "hw_node", sub.inputs, sub.outputs)
-            node.children = [_ip(path, fb.block) for path, fb
+            node.children = [_ip(path, b) for path, b
                              in t.flats[info.name].blocks.items()]
         top.children.append(node)
     subs = {s.id: s for s in t.base.subsystems}

@@ -10,13 +10,14 @@ a node output.  ``map_rtl_library`` searches the graph once: one
 a loop when both its ends lie in one cyclic component, and ``stable_topo``
 without those wires gives the evaluation order; every later step reads
 the order, the loop wires and the blocks on a loop from the ``RtlGraph``.
-When every IP is pipelined the graph is delay-corrected by inserting
-balancing registers on reconvergent paths; otherwise a multicycle FSM
-controller sequences the IPs, accepting one sample per initiation
-interval.  Both run as the flat graph's block sweep, built by
-``sim.sweep.plan`` as level 0's is: the controller at zero latency, the
-cycle model with every IP's output pipeline and every balancing register
-added as sweep registers.
+Synthesis ends in one ``HwImpl`` per node, which level 3, the RTL text
+and ``synth-hw`` read: when every IP is pipelined, the graph
+delay-corrected by balancing registers on reconvergent paths, with its
+latency k; otherwise the graph a multicycle FSM controller sequences,
+with its initiation interval.  Both run as the flat graph's block sweep,
+built by ``sim.sweep.plan`` as level 0's is: the controller at zero
+latency, the cycle model with every IP's output pipeline and every
+balancing register added as sweep registers.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class HwSynthError(Exception):
 @dataclass
 class RtlGraph:
     """A hardware node's flat graph with each block mapped to its IP, its
-    evaluation order and its loops; after ``delay_correct`` also its
-    balancing registers, levels and latency."""
+    evaluation order and its loops; after ``delay_correct`` also the
+    balancing registers on its wires."""
 
     name: str
     flat: FlatGraph
@@ -97,24 +98,17 @@ class RtlGraph:
     # balancing registers per wire, keyed like ``flat.drivers`` with
     # (None, port) for a node output
     regs: dict[tuple, int] = field(default_factory=dict)
-    levels: dict[str, int] = field(default_factory=dict)  # block path -> level
-    latency: int | None = None  # k after delay correction
-
-
-@dataclass
-class Controller:
-    """Multicycle schedule: one IP firing per step, one sample per II cycles."""
-
-    graph: RtlGraph
-    ii: int
 
 
 @dataclass(frozen=True)
 class HwImpl:
-    """What level 3 runs for one hardware node."""
+    """The one record hardware synthesis makes of a node, which level 3,
+    the RTL text and ``synth-hw`` read: a delay-corrected pipeline with its
+    latency k, or a multicycle controller firing one IP per step, which
+    accepts one sample per initiation interval (II) cycles."""
 
     kind: str  # "pipelined" | "controller"
-    rtl: RtlGraph | Controller  # delay-corrected graph, or the controller
+    graph: RtlGraph  # with its balancing registers when pipelined
     latency: int  # k of the pipeline, or the controller's II
 
 
@@ -150,8 +144,7 @@ def map_rtl_library(name: str, flat: FlatGraph,
         raise HwSynthError(
             f"{name}: {flat.issues[0].message} ({flat.issues[0].location})")
     ips = {}
-    for path, fb in flat.blocks.items():
-        blk = fb.block
+    for path, blk in flat.blocks.items():
         if blk.kind == "user" and blk.params[0] not in RTL_USER_INDEX \
                 and path not in costs:
             raise HwSynthError(
@@ -165,7 +158,7 @@ def map_rtl_library(name: str, flat: FlatGraph,
     comps = sccs(list(flat.blocks), _succ(flat))
     comp = {p: i for i, c in enumerate(comps) for p in c}
     loops = {w for w, src in flat.drivers.items() if src[0] == "block"
-             and flat.blocks[src[1]].block.kind == "delay"
+             and flat.blocks[src[1]].kind == "delay"
              and w[0] in comp and comp[w[0]] == comp.get(src[1])}
     order = stable_topo(list(flat.blocks), _succ(flat, loops))
     if len(order) != len(flat.blocks):
@@ -183,8 +176,9 @@ def pipelineable(g: RtlGraph) -> bool:
         and not any(g.ips[n].latency for n in g.on_loop)
 
 
-def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
-    """Balance path latencies with slack registers; returns (graph, k).
+def delay_correct(g: RtlGraph) -> HwImpl:
+    """Balance path latencies with slack registers: the pipelined node of
+    latency k.
 
     level(v) = max over incoming wires of level(src), plus L(v); the slack
     on each wire becomes that many registers, and every output is padded to
@@ -210,12 +204,13 @@ def delay_correct(g: RtlGraph) -> tuple[RtlGraph, int]:
     regs = {w: 0 if w in g.loops else
             (levels[w[0]] - g.ips[w[0]].latency if w[0] else k) - level(src)
             for w, src in _wires(g.flat)}
-    return replace(g, regs=regs, levels=levels, latency=k), k
+    return HwImpl("pipelined", replace(g, regs=regs), k)
 
 
-def fsm_controller(g: RtlGraph) -> Controller:
+def fsm_controller(g: RtlGraph) -> HwImpl:
     """Sequential schedule firing one IP per step; II is the latency sum."""
-    return Controller(g, sum(ip.latency for ip in g.ips.values()) or 1)
+    return HwImpl("controller", g,
+                  sum(ip.latency for ip in g.ips.values()) or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +218,7 @@ def fsm_controller(g: RtlGraph) -> Controller:
 
 
 class RtlCycleSim:
-    """Cycle-accurate model of a delay-corrected graph.
+    """Cycle-accurate model of a pipelined node.
 
     Each IP is its functional block followed by an L-stage output pipeline;
     balancing registers sit on the wires.  One input sample is consumed per
@@ -231,9 +226,8 @@ class RtlCycleSim:
     discards.
     """
 
-    def __init__(self, g: RtlGraph):
-        if g.latency is None:
-            raise HwSynthError("graph must be delay-corrected first")
+    def __init__(self, impl: HwImpl):
+        g = impl.graph
         self.sweep = plan(g.flat, g.order,
                           {p: ip.latency for p, ip in g.ips.items()}, g.regs)
 
@@ -244,8 +238,8 @@ class RtlCycleSim:
 class ControllerSim:
     """Executes the multicycle schedule: functional result, II cycles each."""
 
-    def __init__(self, ctrl: Controller):
-        self.sweep = plan(ctrl.graph.flat, ctrl.graph.order)
+    def __init__(self, impl: HwImpl):
+        self.sweep = plan(impl.graph.flat, impl.graph.order)
 
     def fire(self, in_values: dict[str, int]) -> dict[str, int]:
         return self.sweep.tick(in_values)
@@ -255,14 +249,11 @@ class ControllerSim:
 # structural emission
 
 
-def emit_rtl_text(obj: RtlGraph | Controller) -> str:
+def emit_rtl_text(impl: HwImpl) -> str:
     """Stable structural text: instances, registers, wires, latency header."""
-    if isinstance(obj, Controller):
-        g = obj.graph
-        header = f"controller II={obj.ii}"
-    else:
-        g = obj
-        header = f"latency k={g.latency}"
+    g = impl.graph
+    header = f"latency k={impl.latency}" if impl.kind == "pipelined" \
+        else f"controller II={impl.latency}"
     lines = [f"design {g.name}", header]
     lines += [f"inst {p} : {ip.rtl_name} latency={ip.latency}"
               for p, ip in g.ips.items()]

@@ -70,12 +70,6 @@ Pin = tuple
 
 
 @dataclass
-class FlatBlock:
-    path: str
-    block: Block
-
-
-@dataclass
 class Issue:
     message: str
     location: str
@@ -86,7 +80,7 @@ class Issue:
 class FlatGraph:
     """Fully elaborated graph: block instances with resolved drivers."""
 
-    blocks: dict[str, FlatBlock]
+    blocks: dict[str, Block]  # block path -> the block
     # (block path, input port) -> ("block", src path, src port) | ("top", port)
     drivers: dict
     top_outputs: dict  # top output port -> same source form
@@ -109,7 +103,7 @@ def flatten(g: ModelGraph) -> FlatGraph:
     of its inputs.  Structural problems are collected as issues instead of
     raised so that validation can report them all.
     """
-    blocks: dict[str, FlatBlock] = {}
+    blocks: dict[str, Block] = {}
     incoming: dict[Pin, Pin] = {}
     issues: list[Issue] = []
     sub_ports: dict[str, set] = {"": set(g.inputs) | set(g.outputs)}
@@ -156,7 +150,7 @@ def flatten(g: ModelGraph) -> FlatGraph:
     def walk(scope, path: str):
         for b in scope.blocks:
             bpath = f"{path}/{b.id}" if path else b.id
-            blocks[bpath] = FlatBlock(bpath, b)
+            blocks[bpath] = b
         for s in scope.subsystems:
             spath = f"{path}/{s.id}" if path else s.id
             sub_ports[spath] = set(s.inputs) | set(s.outputs)
@@ -202,8 +196,8 @@ def flatten(g: ModelGraph) -> FlatGraph:
             cur = nxt
 
     drivers = {}
-    for path, fb in blocks.items():
-        ins, _ = port_names(fb.block.kind, fb.block.params)
+    for path, b in blocks.items():
+        ins, _ = port_names(b.kind, b.params)
         for p in ins:
             src = chase(("blk", path, p), f"input {path}.{p}")
             if src is not None:
@@ -227,7 +221,7 @@ def comb_successors(flat: FlatGraph) -> dict[str, list[str]]:
         if src[0] != "block":
             continue
         sp = src[1]
-        if flat.blocks[sp].block.kind == "delay":
+        if flat.blocks[sp].kind == "delay":
             continue
         if succ[sp][-1:] != [dst]:  # drivers are sorted by consumer
             succ[sp].append(dst)

@@ -20,12 +20,6 @@ class Diagnostic:
     cycle: tuple[str, ...] | None = None
     line: int = 0
 
-    def __str__(self) -> str:
-        s = f"{self.severity}: {self.location}: {self.message}"
-        if self.cycle:
-            s += " [" + " -> ".join(self.cycle) + "]"
-        return s
-
 
 @dataclass
 class ValidationReport:

@@ -207,10 +207,10 @@ class _MicroHwUnit:
     def __init__(self, name: str, impl: HwImpl, cons: dict, prod: dict):
         self.name = name
         if impl.kind == "pipelined":
-            self.advance = RtlCycleSim(impl.rtl).step
+            self.advance = RtlCycleSim(impl).step
             self.k = impl.latency
         else:
-            self.advance = ControllerSim(impl.rtl).fire
+            self.advance = ControllerSim(impl).fire
             self.k = 0
         self.cons, self.prod = cons, prod
         self.consumed = 0

@@ -180,7 +180,7 @@ def plan(flat: FlatGraph, order: list[str], pipes=None, regs=None) -> Sweep:
         return s
 
     for path in order:
-        blk = flat.blocks[path].block
+        blk = flat.blocks[path]
         ins, outs = port_names(blk.kind, blk.params)
         in_slots = [read((path, p), flat.drivers[(path, p)]) for p in ins]
         out_slots = [sw.slot((path, p)) for p in outs]

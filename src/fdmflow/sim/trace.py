@@ -106,7 +106,6 @@ class Verdict:
     passed: bool
     mode: str
     k: int | None = None
-    mismatch: tuple | None = None  # (port, index, expected, actual)
     message: str = ""
 
     def __str__(self) -> str:
@@ -156,7 +155,7 @@ def compare_traces(a: Trace, b: Trace, mode: str = "exact",
             d = _first_diff(a.ports[port], b.ports[port])
             if d is not None:
                 i, x, y = d
-                return Verdict(False, mode, mismatch=(port, i, x, y),
+                return Verdict(False, mode,
                                message=f"port {port} record {i}: {x} != {y}")
         return Verdict(True, mode, k=0)
 
@@ -165,7 +164,7 @@ def compare_traces(a: Trace, b: Trace, mode: str = "exact",
             d = _first_diff(a.values(port), b.values(port))
             if d is not None:
                 i, x, y = d
-                return Verdict(False, mode, mismatch=(port, i, x, y),
+                return Verdict(False, mode,
                                message=f"port {port} value {i}: {x} != {y}")
         return Verdict(True, mode)
 

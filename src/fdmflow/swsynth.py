@@ -149,13 +149,13 @@ def build_task_fsm(b: TaskBehavior) -> TaskFsm:
     # wrap around to the entry state so the task body repeats
     if pending or end == 0:
         transitions.append(Transition(end, (), tuple(pending), 0))
-    elif end == states[-1] and not any(t.state == end for t in transitions):
+    else:
+        # a body ending in a channel op or a loop ends in the fresh last
+        # state, which has no transition out: enter the entry state instead
         for t in transitions:
             if t.next == end:
                 t.next = 0
         states.pop()
-    else:
-        transitions.append(Transition(end, (), (), 0))
     fsm = TaskFsm(b.task, states, transitions, 0, b.in_ports, b.out_ports,
                   dict(b.states))
     problems = check_fsm(fsm)

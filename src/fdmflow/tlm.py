@@ -308,8 +308,7 @@ def validate_partition(t: TlmModel) -> ValidationReport:
     for node in t.nodes.values():
         if node.role != "hardware":
             continue
-        for path, fb in t.flats[node.name].blocks.items():
-            blk = fb.block
+        for path, blk in t.flats[node.name].blocks.items():
             if blk.kind == "user" and blk.params[0] not in RTL_USER_INDEX:
                 out.append(Diagnostic(
                     "warning", f"{node.name}/{path}",

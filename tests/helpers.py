@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from fdmflow.gma.netlist import ColifNetlist, Net
 from fdmflow.gma.tree import Module, Port
-from fdmflow.hwsynth import RtlGraph, map_rtl_library
+from fdmflow.hwsynth import HwImpl, RtlGraph, map_rtl_library
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     Subsystem, flatten
 from fdmflow.sim.channels import ChannelRt
@@ -728,9 +728,9 @@ def map_node(sub: Subsystem, costs: dict | None = None) -> RtlGraph:
     return map_rtl_library(sub.id, flatten(as_model(sub)), costs)
 
 
-def total_registers(g: RtlGraph) -> int:
-    """Balancing registers of a delay-corrected RtlGraph."""
-    return sum(g.regs.values())
+def total_registers(impl: HwImpl) -> int:
+    """Balancing registers of a pipelined node."""
+    return sum(impl.graph.regs.values())
 
 
 def hw_stream(step, stim: Stimulus, n: int) -> Trace:

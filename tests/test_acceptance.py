@@ -3,6 +3,7 @@ single pass/fail line and enforcing its runtime budget."""
 
 import importlib.resources as ir
 import itertools
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -108,14 +109,15 @@ def test_criterion_2_delay_correction_suite():
         for seed in range(200):
             rng = random.Random(20000 + seed)
             sub, costs = rand_pipeline_node(rng, max_blocks=12)
-            g, k = delay_correct(map_node(sub, costs))
+            impl = delay_correct(map_node(sub, costs))
+            k = impl.latency
             _, k_oracle, slack_oracle = _longest_path_oracle(sub, costs)
             assert k == k_oracle, f"seed {seed}: k {k} != {k_oracle}"
-            assert total_registers(g) == slack_oracle, f"seed {seed}"
+            assert total_registers(impl) == slack_oracle, f"seed {seed}"
             n = 24
             xs = [rng.randint(-200, 200) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
-            cyc = hw_stream(RtlCycleSim(g).step, stim, n + k)
+            cyc = hw_stream(RtlCycleSim(impl).step, stim, n + k)
             wrapper = ModelGraph(sub.id, blocks=sub.blocks, links=sub.links,
                                  inputs=["in"], outputs=["out"])
             ref = Level0Sim(wrapper).run(stim, n)
@@ -130,7 +132,7 @@ def test_criterion_3_fsm_controller_suite():
             sub, costs = rand_pipeline_node(rng, max_blocks=8)
             ctrl = fsm_controller(map_node(sub, costs))
             ii_oracle = sum(costs[b.id] for b in sub.blocks) or 1
-            assert ctrl.ii == ii_oracle, f"seed {seed}"
+            assert ctrl.latency == ii_oracle, f"seed {seed}"
             n = 16
             xs = [rng.randint(-200, 200) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
@@ -155,7 +157,7 @@ def test_criterion_4_loop_detector_equivalence():
             G.add_nodes_from(flat.blocks)
             for (dst, _p), src in flat.drivers.items():
                 if src[0] == "block" and \
-                        flat.blocks[src[1]].block.kind != "delay":
+                        flat.blocks[src[1]].kind != "delay":
                     G.add_edge(src[1], dst)
             has_cycle = any(True for _ in nx.simple_cycles(G))
             loop_diags = [d for d in validate_model(g).errors()
@@ -263,7 +265,8 @@ def test_criterion_8_simulation_speed_ordering(tmp_path_factory, capsys):
                        ticks=100_000, seed=0)
         assert res.ok
         _CACHE["flow100k_out"] = out
-        t = res.timings
+        t = {int(k): v["run"] for k, v in
+             json.loads((out / "timings.json").read_text()).items()}
         assert t[0] < t[2] < t[3], f"not ordered: {t}"
         rc = main(["report", "--out", str(out)])
         printed = capsys.readouterr().out

@@ -160,6 +160,67 @@ def _verdicts(printed: str) -> list[str]:
     return [ln for ln in printed.splitlines() if "-vs-" in ln]
 
 
+_TO_Y = "link HW_a.out -> self.y;"
+
+# one model per validation rule and parser error, with the stage that
+# rejects it ("validate", "partition", or None for the parser), the
+# location and the message
+RULES = [pytest.param(*case[1:], id=case[0]) for case in [
+    ("multiple_drivers", chan_model("", _TO_Y + " link self.a -> self.y;"),
+     "validate", "m", "multiple drivers for self.y"),
+    ("mux_0", chan_model("block t : mux(0);", _TO_Y),
+     "validate", "t", "mux way count must be >= 1"),
+    ("demux_0", chan_model("block t : demux(0);", _TO_Y),
+     "validate", "t", "demux way count must be >= 1"),
+    ("for_loop_0", chan_model("block t : for_loop(0, inc);", _TO_Y),
+     "validate", "t", "for_loop count must be >= 1"),
+    ("loop_function", chan_model("block t : for_loop(2, nope);", _TO_Y),
+     "validate", "t", "unknown loop body function 'nope'"),
+    ("chan_depth_0", chan_model(
+        "subsystem CHAN_c { param depth = 0; input in; output out; }",
+        "link HW_a.out -> CHAN_c.in; link CHAN_c.out -> self.y;"),
+     "partition", "CHAN_c", "fifo depth must be >= 1"),
+    ("task_in_hw", """model m { input a; output y;
+  subsystem HW_a { input in; output out;
+    subsystem TASK_t { input in; output out; block k : gain(2);
+      link self.in -> k.in; link k.out -> self.out; }
+    link self.in -> TASK_t.in; link TASK_t.out -> self.out; }
+  link self.a -> HW_a.in; link HW_a.out -> self.y; }""",
+     "partition", "HW_a/TASK_t", "TASK_ subsystem outside a software node"),
+    ("undeclared_id", chan_model("", "link nope.out -> self.y;"),
+     "validate", "m", "link references undeclared id 'nope'"),
+    ("self_port", chan_model("", _TO_Y + " link HW_a.out -> self.z;"),
+     "validate", "m", "unknown port 'z' on enclosing scope"),
+    ("block_input", chan_model("block t : gain(1);",
+                               _TO_Y + " link HW_a.out -> t.nope;"),
+     "validate", "m", "block 't' (gain) has no input port 'nope'"),
+    ("wiring_cycle", chan_model(
+        "subsystem P { input i; output o; link self.i -> self.o; }",
+        "link P.o -> P.i; link P.o -> self.y;"),
+     "validate", "P", "port wiring cycle while resolving model output y"),
+    ("character", "model m { input a; output y; @ }",
+     None, None, "1:30: unexpected character '@'"),
+    ("model_param", "model m { param depth = 1; }",
+     None, None, "1:11: param is only allowed inside a subsystem"),
+    ("block_argument", "model m { block g : gain(;); }",
+     None, None, "1:26: bad block argument ';'"),
+    ("one_integer", "model m { block g : gain(); }",
+     None, None, "1:21: gain: expected one integer parameter"),
+    ("fir_taps", "model m { block g : fir(); }",
+     None, None, "1:21: fir: expected one or more integer taps"),
+    ("for_loop_args", "model m { block g : for_loop(2); }",
+     None, None, "1:21: for_loop: expected (count, body-function)"),
+    ("user_args", "model m { block g : user(3); }",
+     None, None, "1:21: user: expected a function name"),
+    ("no_args", "model m { block g : add(1); }",
+     None, None, "1:21: add: takes no parameters"),
+    ("param_value", "model m { subsystem CHAN_c { param depth = x; } }",
+     None, None, "1:44: param value must be an integer or string"),
+    ("name", "model m { block 3 : gain(2); }",
+     None, None, "1:17: expected identifier, found 3"),
+]]
+
+
 class TestCheck:
     def test_clean_model(self, mini_path, capsys):
         assert main(["check", "--model", mini_path]) == 0
@@ -372,8 +433,47 @@ class TestCheck:
         else:
             assert captured.err == "[partition] " + msg
 
+    @pytest.mark.parametrize("text,stage,loc,msg", RULES)
+    def test_rule_first_message(self, text, stage, loc, msg, tmp_path,
+                                capsys):
+        """``check`` and ``flow`` exit 1 on each rule: ``check`` lists its
+        diagnostic first, and ``flow`` prints it as its one line."""
+        p = tmp_path / "m.fdm"
+        p.write_text(text)
+        assert main(["check", "--model", str(p)]) == 1
+        out = capsys.readouterr()
+        first = (out.out if stage else out.err).splitlines()[0]
+        assert first == (f"error: {loc}: {msg}" if stage else msg)
+        assert main(["flow", "--model", str(p),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == {
+            "validate": f"[validate] {msg}\n",
+            "partition": f"[partition] {loc}: {msg}\n",
+            None: f"{msg}\n"}[stage]
+
 
 class TestFlow:
+    def test_task_cost_cycles(self, mini_path, tmp_path, capsys):
+        """A task's cost_cycles charges each transition it fires that many
+        cycles instead of one.  TASK_dequant fires 3 transitions a tick, so
+        at cost 3 a 64-tick flow's last level-3 sample comes 64 * 3 * 2
+        cycles later, and every verdict still passes."""
+        g = tmp_path / "g"
+        assert main(["gma", "--model", mini_path, "--out", str(g)]) == 0
+        params = g / "params"
+        _set_cost(params / "module.mini_codec.SW_cpu.TASK_dequant.params", 3)
+        last = []
+        for extra in ([], ["--params", str(params)]):
+            out = tmp_path / f"out{len(extra)}"
+            capsys.readouterr()
+            assert main(["flow", "--model", mini_path, "--out", str(out),
+                         "--ticks", "64", *extra]) == 0
+            verdicts = _verdicts(capsys.readouterr().out)
+            assert len(verdicts) == 3 and all("PASS" in v for v in verdicts)
+            tr = Trace.load(out / "traces" / "level3.trace")
+            last.append(max(t for recs in tr.ports.values() for t, _ in recs))
+        assert last == [2306, 2690]
+
     def test_full_flow_artifacts(self, mini_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["flow", "--model", mini_path, "--out", str(out),
@@ -533,6 +633,24 @@ class TestStageCommands:
         printed = capsys.readouterr().out
         assert "HW_filter" in printed and "HW_post" in printed
         assert (out / "HW_filter.rtl.txt").is_file()
+
+    def test_synth_hw_loop_engine(self, tmp_path, capsys):
+        """A for_loop in a HW_ node maps to the multicycle loop engine of
+        latency = its count, so a controller sequences the node, and the
+        flow still agrees at every level."""
+        p = tmp_path / "lp.fdm"
+        p.write_text(chan_model("", "link HW_a.out -> self.y;").replace(
+            "block k : gain(2);", "block k : for_loop(3, inc);"))
+        out = tmp_path / "h"
+        assert main(["synth-hw", "--model", str(p), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            "HW_a: controller, latency/interval 3\n"
+        rtl = (out / "HW_a.rtl.txt").read_text()
+        assert "controller II=3\ninst k : loop_engine latency=3\n" in rtl
+        assert main(["flow", "--model", str(p), "--out", str(tmp_path / "o"),
+                     "--ticks", "32"]) == 0
+        verdicts = _verdicts(capsys.readouterr().out)
+        assert len(verdicts) == 3 and all("PASS" in v for v in verdicts)
 
     def test_simulate_with_stimulus_file(self, mini_path, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -127,21 +127,22 @@ def _diamond():
 
 class TestDelayCorrect:
     def test_diamond(self):
-        g, k = delay_correct(_diamond())
-        assert k == 3
-        assert total_registers(g) == 2
-        assert g.regs == {("a", "in"): 0, ("b", "in"): 0, ("j", "in1"): 0,
-                          ("j", "in2"): 2, (None, "out"): 0}
+        impl = delay_correct(_diamond())
+        assert (impl.kind, impl.latency) == ("pipelined", 3)
+        assert total_registers(impl) == 2
+        assert impl.graph.regs == {("a", "in"): 0, ("b", "in"): 0,
+                                   ("j", "in1"): 0, ("j", "in2"): 2,
+                                   (None, "out"): 0}
 
     def test_single_chain_no_regs(self):
         sub = _chain("HW_c", [("a", "gain", (1,)), ("b", "gain", (1,))])
-        g, k = delay_correct(map_node(sub, costs={"a": 1, "b": 2}))
-        assert (k, total_registers(g)) == (3, 0)
+        impl = delay_correct(map_node(sub, costs={"a": 1, "b": 2}))
+        assert (impl.latency, total_registers(impl)) == (3, 0)
 
     def test_all_zero_identity(self):
         sub = _chain("HW_z", [("a", "gain", (1,)), ("b", "gain", (2,))])
-        g, k = delay_correct(map_node(sub))
-        assert (k, total_registers(g)) == (0, 0)
+        impl = delay_correct(map_node(sub))
+        assert (impl.latency, total_registers(impl)) == (0, 0)
 
     def test_multicycle_rejected(self):
         sub = _chain("HW_u", [("c", "user", ("clip",))])
@@ -153,13 +154,20 @@ class TestDelayCorrect:
         for seed in range(30):
             rng = random.Random(seed)
             sub, costs = rand_pipeline_node(rng)
-            g, k = delay_correct(map_node(sub, costs))
+            impl = delay_correct(map_node(sub, costs))
+            g, k = impl.graph, impl.latency
             wires = dict(g.flat.drivers)
             wires |= {(None, p): s for p, s in g.flat.top_outputs.items()}
             assert g.regs.keys() == wires.keys()
+            # a block's level: its latency after its latest input
+            levels = {}
+            for n in g.order:
+                levels[n] = g.ips[n].latency + max(
+                    (levels[s[1]] for (d, _), s in g.flat.drivers.items()
+                     if d == n and s[0] == "block"), default=0)
             for (dst, port), src in wires.items():
-                need = g.levels[dst] - g.ips[dst].latency if dst else k
-                have = g.levels[src[1]] if src[0] == "block" else 0
+                need = levels[dst] - g.ips[dst].latency if dst else k
+                have = levels[src[1]] if src[0] == "block" else 0
                 assert have + g.regs[(dst, port)] == need, f"seed {seed}"
 
 
@@ -168,12 +176,12 @@ class TestController:
         sub = _chain("HW_s", [("a", "gain", (1,)), ("b", "gain", (1,)),
                               ("c", "gain", (1,))])
         ctrl = fsm_controller(map_node(sub, {"a": 2, "b": 1, "c": 3}))
-        assert ctrl.ii == 6
+        assert (ctrl.kind, ctrl.latency) == ("controller", 6)
         assert ctrl.graph.order == ["a", "b", "c"]
 
     def test_ii_floor_one(self):
         sub = _chain("HW_s", [("a", "gain", (1,))])
-        assert fsm_controller(map_node(sub, {"a": 0})).ii == 1
+        assert fsm_controller(map_node(sub, {"a": 0})).latency == 1
 
     def test_stream_matches_functional_per_ii(self):
         for seed in range(20):
@@ -193,11 +201,12 @@ class TestCycleAccuracy:
         for seed in range(40):
             rng = random.Random(seed)
             sub, costs = rand_pipeline_node(rng)
-            g, k = delay_correct(map_node(sub, costs))
+            impl = delay_correct(map_node(sub, costs))
+            k = impl.latency
             n = 30
             xs = [rng.randint(-100, 100) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
-            cyc = hw_stream(RtlCycleSim(g).step, stim, n + k)
+            cyc = hw_stream(RtlCycleSim(impl).step, stim, n + k)
             ref = Level0Sim(as_model(sub)).run(stim, n)
             assert cyc.values("out")[k:] == ref.values("out"), f"seed {seed}"
 
@@ -213,11 +222,12 @@ class TestCycleAccuracy:
                                _link("dm", "out1", "g", "in"),
                                _link("g", "out", "s", "in2"),
                                _link("s", "out", "self", "out")])
-        g, k = delay_correct(map_node(sub, {"dm": 2, "g": 1}))
-        assert k == 3 and total_registers(g) == 1
+        impl = delay_correct(map_node(sub, {"dm": 2, "g": 1}))
+        k = impl.latency
+        assert k == 3 and total_registers(impl) == 1
         xs = list(range(-6, 6))
         stim = Stimulus({"in": xs}, len(xs))
-        cyc = hw_stream(RtlCycleSim(g).step, stim, len(xs) + k)
+        cyc = hw_stream(RtlCycleSim(impl).step, stim, len(xs) + k)
         ref = Level0Sim(as_model(sub)).run(stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
 
@@ -229,10 +239,10 @@ class TestCycleAccuracy:
                                _link("d", "out", "a", "in2"),
                                _link("a", "out", "d", "in"),
                                _link("a", "out", "self", "out")])
-        g, k = delay_correct(map_node(sub))
-        assert k == 0
+        impl = delay_correct(map_node(sub))
+        assert impl.latency == 0
         stim = Stimulus({"in": [1, 1, 1, 1]}, 4)
-        tr = hw_stream(RtlCycleSim(g).step, stim, 4)
+        tr = hw_stream(RtlCycleSim(impl).step, stim, 4)
         assert tr.values("out") == [1, 2, 3, 4]
 
     def test_delay_passes_latency_on(self):
@@ -246,12 +256,13 @@ class TestCycleAccuracy:
                                _link("d", "out", "s", "in1"),
                                _link("self", "in", "s", "in2"),
                                _link("s", "out", "self", "out")])
-        g, k = delay_correct(map_node(sub))
-        assert (k, total_registers(g)) == (1, 1)
-        assert g.regs[("s", "in2")] == 1
+        impl = delay_correct(map_node(sub))
+        k = impl.latency
+        assert (k, total_registers(impl)) == (1, 1)
+        assert impl.graph.regs[("s", "in2")] == 1
         xs = list(range(-7, 9))
         stim = Stimulus({"in": xs}, len(xs))
-        cyc = hw_stream(RtlCycleSim(g).step, stim, len(xs) + k)
+        cyc = hw_stream(RtlCycleSim(impl).step, stim, len(xs) + k)
         ref = Level0Sim(as_model(sub)).run(stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
 
@@ -272,15 +283,15 @@ class TestLoopSearch:
             if not validate_model(g).ok:
                 continue
             flat = flatten(g)
-            costs = {p: rng.randint(0, 2) for p, fb in flat.blocks.items()
-                     if fb.block.kind != "delay"}
+            costs = {p: rng.randint(0, 2) for p, b in flat.blocks.items()
+                     if b.kind != "delay"}
             rg = map_rtl_library(g.name, flat, costs)
             G = nx.DiGraph()
             G.add_nodes_from(flat.blocks)
             G.add_edges_from((src[1], w[0]) for w, src in flat.drivers.items()
                              if src[0] == "block")
             loops = {w for w, src in flat.drivers.items() if src[0] == "block"
-                     and flat.blocks[src[1]].block.kind == "delay"
+                     and flat.blocks[src[1]].kind == "delay"
                      and nx.has_path(G, w[0], src[1])}
             on_loop = {n for w in loops for n in flat.blocks
                        if nx.has_path(G, w[0], n)
@@ -323,12 +334,12 @@ class TestLoopSearch:
 
 class TestEmission:
     def test_pipelined_text(self):
-        g, k = delay_correct(_diamond())
-        txt = emit_rtl_text(g)
+        impl = delay_correct(_diamond())
+        txt = emit_rtl_text(impl)
         assert "latency k=3" in txt
         assert txt.count("reg ") == 2
         assert "inst a : scaler latency=3" in txt
-        assert emit_rtl_text(g) == txt  # stable
+        assert emit_rtl_text(impl) == txt  # stable
 
     def test_wires_by_block_then_port_name(self):
         # the mux's ports are sel, in0, in1; its wires are listed by name
@@ -340,8 +351,8 @@ class TestEmission:
                                _link("self", "in", "s", "in0"),
                                _link("self", "in", "s", "in1"),
                                _link("s", "out", "self", "out")])
-        g, k = delay_correct(map_node(sub, {"g": 1}))
-        assert emit_rtl_text(g) == (
+        impl = delay_correct(map_node(sub, {"g": 1}))
+        assert emit_rtl_text(impl) == (
             "design HW_s\nlatency k=1\ninst g : scaler latency=1\n"
             "inst s : mux latency=0\nreg bal_in:in_s_in0_0\n"
             "reg bal_in:in_s_in1_0\nwire in:in -> g.in\n"
@@ -386,5 +397,5 @@ class TestPinnedTexts:
                 continue
             for node, impl in cd.hw_impl.items():
                 h.update(f"{node}\0{impl.kind}\0{impl.latency}\0"
-                         f"{emit_rtl_text(impl.rtl)}\0".encode())
+                         f"{emit_rtl_text(impl)}\0".encode())
         assert h.hexdigest() == self.RTL_TEXTS

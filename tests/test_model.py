@@ -177,7 +177,7 @@ class TestLoopDetectorOracle:
             G.add_nodes_from(flat.blocks)
             for (dst, _p), src in flat.drivers.items():
                 if src[0] == "block" and \
-                        flat.blocks[src[1]].block.kind != "delay":
+                        flat.blocks[src[1]].kind != "delay":
                     G.add_edge(src[1], dst)
             has_cycle = any(True for _ in nx.simple_cycles(G))
             rep = validate_model(g)

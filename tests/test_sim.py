@@ -203,7 +203,8 @@ class TestCompareTraces:
     def test_exact(self):
         assert compare_traces(self._t([1, 2]), self._t([1, 2])).passed
         v = compare_traces(self._t([1, 2]), self._t([1, 3]))
-        assert not v.passed and v.mismatch == ("y", 1, (1, 2), (1, 3))
+        assert not v.passed
+        assert v.message == "port y record 1: (1, 2) != (1, 3)"
 
     def test_exact_times_matter(self):
         v = compare_traces(self._t([1, 2]), self._t([1, 2], times=[0, 5]))
@@ -475,7 +476,7 @@ class TestLevels:
         v = compare_traces(t0, simulate(3, cd, stim, ticks),
                            mode="modulo_latency", expected_k=0)
         assert v.passed, str(v)
-        assert "wire dm.out1 -> g5.in" in emit_rtl_text(cd.hw_impl["HW_split"].rtl)
+        assert "wire dm.out1 -> g5.in" in emit_rtl_text(cd.hw_impl["HW_split"])
 
     # under valid gating every level sees the same stream: a level that
     # emits only zeros, or its stream three samples late, must not pass on
