@@ -17,7 +17,8 @@ latency k; otherwise the graph a multicycle FSM controller sequences,
 with its initiation interval.  Both run as the flat graph's block sweep,
 built by ``sim.sweep.plan`` as level 0's is: the controller at zero
 latency, the cycle model with every IP's output pipeline and every
-balancing register added as sweep registers.
+balancing register added as sweep registers; each steps by the sweep's
+positional ``tick`` (``RtlCycleSim.step``, ``ControllerSim.fire``).
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ class RtlCycleSim:
         self.sweep = plan(g.flat, g.order,
                           {p: ip.latency for p, ip in g.ips.items()}, g.regs)
 
-    def step(self, in_values: dict[str, int]) -> dict[str, int]:
-        return self.sweep.tick(in_values)
+    def step(self, *xs: int) -> tuple:
+        return self.sweep.tick(*xs)
 
 
 class ControllerSim:
@@ -241,8 +242,8 @@ class ControllerSim:
     def __init__(self, impl: HwImpl):
         self.sweep = plan(impl.graph.flat, impl.graph.order)
 
-    def fire(self, in_values: dict[str, int]) -> dict[str, int]:
-        return self.sweep.tick(in_values)
+    def fire(self, *xs: int) -> tuple:
+        return self.sweep.tick(*xs)
 
 
 # ---------------------------------------------------------------------------

@@ -200,18 +200,19 @@ class _MicroHwUnit:
     A controller is a node with k=0: its outputs belong to the sample it
     just consumed.  ``cons`` maps each input on a channel to (channel,
     consumer key) and ``prod`` each output on a channel to the channel;
-    the hardware model reads an input on none as 0.  ``step`` is
-    generated once (``interp.hw_step``) and moves its samples inline.
+    ``advance``, the cycle model, takes its sweep inputs ``ins`` (0 for
+    one on no channel) and returns a tuple, ``prod``'s output i at
+    ``out_index[i]``; ``step`` (``interp.hw_step``) moves samples inline.
     """
 
     def __init__(self, name: str, impl: HwImpl, cons: dict, prod: dict):
         self.name = name
-        if impl.kind == "pipelined":
-            self.advance = RtlCycleSim(impl).step
-            self.k = impl.latency
-        else:
-            self.advance = ControllerSim(impl).fire
-            self.k = 0
+        pipelined = impl.kind == "pipelined"
+        sim = RtlCycleSim(impl) if pipelined else ControllerSim(impl)
+        self.advance = sim.step if pipelined else sim.fire
+        self.k = impl.latency if pipelined else 0
+        self.ins = list(sim.sweep.inputs)
+        self.out_index = [list(sim.sweep.outputs).index(p) for p in prod]
         self.cons, self.prod = cons, prod
         self.consumed = 0
         self.awake = True
@@ -234,11 +235,11 @@ class _MicroHwUnit:
         if not any(self.in_flight) or \
                 not all(ch.can_push() for ch in self.prod.values()):
             return False
-        outs = self.advance({})
+        outs = self.advance(*[0] * len(self.ins))
         self.in_flight.append(False)
         if self.in_flight.popleft():
-            for p, ch in self.prod.items():
-                ch.push(outs[p])
+            for ch, i in zip(self.prod.values(), self.out_index):
+                ch.push(outs[i])
         return True
 
 
@@ -322,10 +323,10 @@ class Engine:
                       pad=_pad, record=self.trace.record, clk=self.clock)
         lines = ["before = ev"]
         for j, (p, ch) in enumerate(self.sources):
-            seq = self.stim.values.get(p, [])
-            names |= _port_names(j, ch) | {f"x{j}": seq, f"m{j}": len(seq)}
+            names |= _port_names(j, ch) | {
+                f"x{j}": self.stim.column(p, self.ticks)}
             lines += [f"if s{j} < ticks and ({_ready_src(j, names)}):",
-                      f"    v = x{j}[s{j}] if s{j} < m{j} else 0"] + [
+                      f"    v = x{j}[s{j}]"] + [
                 "    " + ln for ln in _move_src(j, names, "v")] + [
                 f"    s{j} += 1", "    ev += 1"]
         units = _chunks(

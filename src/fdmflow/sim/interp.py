@@ -187,25 +187,26 @@ def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):
 def hw_step(unit, cons: dict, prod: dict):
     """The step of hardware node ``unit``, generated once: it consumes
     one sample per input of ``cons``, returning False if an input is empty
-    or an output of ``prod`` full, calls ``unit.advance`` and pushes the
-    outputs of a real sample leaving ``unit.in_flight``.  Each output has
-    a channel of its own, so the room it tested is still there when it
-    pushes.  Port names are parameters ``kN``."""
+    or an output of ``prod`` full, calls ``unit.advance`` on them in the
+    order of ``unit.ins`` and pushes the outputs of a real sample leaving
+    ``unit.in_flight`` by index (``unit.out_index``).  Each output has a
+    channel of its own, so the room it tested is still there when it
+    pushes."""
     names = Names(unit=unit, advance=unit.advance, in_flight=unit.in_flight)
     for j, (ch, key) in enumerate(cons.values()):
         names |= _port_names(j, ch, key)
     for j, ch in enumerate(prod.values(), len(cons)):
         names |= _port_names(j, ch)
-    n, keys = len(cons), [names(p) for p in [*cons, *prod]]
+    n, xs = len(cons), {p: f"x{j}" for j, p in enumerate(cons)}
     lines = [f"if not ({_ready_src(j, names)}): return False"
-             for j in range(len(keys))]
+             for j in range(n + len(prod))]
     for j in range(n):
         lines += _move_src(j, names, f"x{j}")
-    lines += ["unit.consumed += 1", "outs = advance({" + "".join(
-        f"{keys[j]}: x{j}, " for j in range(n)) + "})",
+    lines += ["unit.consumed += 1", "outs = advance(" + ", ".join(
+        xs.get(p, "0") for p in unit.ins) + ")",
               "in_flight.append(True)", "if in_flight.popleft():"]
-    lines += ["    " + ln for j in range(n, len(keys)) for ln in _move_src(
-        j, names, f"outs[{keys[j]}]")] or ["    pass"]
+    lines += ["    " + ln for j, i in enumerate(unit.out_index, n)
+              for ln in _move_src(j, names, f"outs[{i}]")] or ["    pass"]
     return names.bind("step", lines + ["return True"])
 
 

@@ -2,7 +2,8 @@
 
 Blocks fire in topological order each tick; every ``delay`` is a register
 of the ``Sweep`` plan, so its output is visible before the sweep and takes
-its input once every driver has fired.
+its input once every driver has fired.  A run calls ``tick`` on one row
+of the stimulus's columns per tick and puts each output column in the trace.
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ class Level0Sim:
             raise ValueError(f"model not valid: {flat.issues[0].message}")
         self.sweep = plan(flat, topo_order(flat))
 
-    def tick(self, in_values: dict[str, int]) -> dict[str, int]:
-        """Advance one global tick; returns top-level output port values."""
-        return self.sweep.tick(in_values)
+    def tick(self, *xs: int) -> tuple:
+        """Advance one tick on ``sweep.inputs``; returns ``sweep.outputs``."""
+        return self.sweep.tick(*xs)
 
     def run(self, stim: Stimulus, ticks: int) -> Trace:
-        g = self.g
+        g, tick = self.g, self.tick
+        cols = [stim.column(p, ticks) for p in self.sweep.inputs]
+        rows = [tick(*xs) for xs in (zip(*cols) if cols else [()] * ticks)]
         trace = Trace({p: [] for p in g.outputs}, level=0, design=g.name)
-        for t in range(ticks):
-            outs = self.tick({p: stim.at(p, t) for p in g.inputs})
-            for port, v in outs.items():
-                trace.ports[port].append((t, v))
+        for port, col in zip(self.sweep.outputs, zip(*rows)):
+            trace.ports[port] = list(enumerate(col))
         return trace
-

@@ -20,8 +20,11 @@ names and names the generator makes up, and texts that differ only in
 values are one.  Equal texts are compiled once.
 
 ``build`` writes the sweep: one list ``vals`` holds every slot, every
-block state cell and every register stage; the generated ``tick`` reads
-and writes it by index, fires each op as its block's template
+block state cell and every register stage; the generated
+``tick(x0, x1, ...)`` takes one value per entry of ``inputs`` (the graph
+inputs a block reads) and returns the ``outputs`` slots as a tuple, both
+in order, so no sample passes through a dict.  It reads and writes
+``vals`` by index, fires each op as its block's template
 (``model.blocks.block_src``) spliced inline, and then shifts the registers
 stage by stage.  The ops and the shifts go into functions of ``CHUNK``
 each, and each is compiled on its own: CPython needs several KiB of
@@ -92,8 +95,8 @@ class Sweep:
         self.slots: dict = {}  # slot key -> slot number
         self.ops: list[tuple] = []  # (kind, params, in slots, out slots)
         self.regs: list[tuple] = []  # (d slot, q slot, depth)
-        self.inputs: dict[str, int] = {}  # port name -> slot
-        self.outputs: dict[str, int] = {}  # port name -> slot
+        self.inputs: dict[str, int] = {}  # port -> slot, tick's arguments
+        self.outputs: dict[str, int] = {}  # port -> slot, tick's results
 
     def slot(self, key) -> int:
         return self.slots.setdefault(key, len(self.slots) + 1)
@@ -148,17 +151,17 @@ class Sweep:
         reg_calls = [chunk("regs", i, moves[i:i + CHUNK], Names())
                      for i in range(0, len(moves), CHUNK)]
 
-        outs = ", ".join(f"{p!r}: {ref(s)}" for p, s in self.outputs.items())
-        self.tick = names.bind("tick", ["get = in_values.get"] + [
-            f"vals[{s}] = get({p!r}, 0)" for p, s in self.inputs.items()] +
-            op_calls + [f"out = {{{outs}}}"] + reg_calls + ["return out"],
-            args="in_values")
+        outs = "".join(f"{ref(s)}, " for s in self.outputs.values())
+        self.tick = names.bind("tick", [
+            f"vals[{s}] = x{i}" for i, s in enumerate(self.inputs.values())] +
+            op_calls + [f"out = ({outs})"] + reg_calls + ["return out"],
+            args=", ".join(f"x{i}" for i in range(len(self.inputs))))
 
 
 def plan(flat: FlatGraph, order: list[str], pipes=None, regs=None) -> Sweep:
     """The built sweep of ``flat`` firing its blocks in ``order``; slots
     are keyed by driving pin, (port,) for a graph input and (path, port)
-    for a block output.
+    for a block output; ``outputs`` follows ``flat.top_outputs``.
 
     ``pipes`` maps a block path to the stages of the pipeline behind each
     of its outputs, and ``regs`` a wire, keyed like ``flat.drivers`` with

@@ -12,24 +12,28 @@ class Stimulus:
     values: dict[str, list[int]]
     length: int
 
-    def at(self, port: str, tick: int) -> int:
-        seq = self.values.get(port, [])
-        return seq[tick] if tick < len(seq) else 0
+    def column(self, port: str, n: int) -> list[int]:
+        """The first ``n`` values of ``port``, padded with 0."""
+        return (self.values.get(port, [])[:n] + [0] * n)[:n]
 
     def save(self, path) -> None:
-        ports = list(self.values)
+        cols = [self.column(p, self.length) for p in self.values]
         with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(ports) + "\n")
-            for t in range(self.length):
-                f.write(",".join(str(self.at(p, t)) for p in ports) + "\n")
+            f.write(",".join(self.values) + "\n")
+            for row in zip(*cols) if cols else [()] * self.length:
+                f.write(",".join(map(str, row)) + "\n")
 
     @classmethod
     def load(cls, path) -> "Stimulus":
-        """Read a csv written by ``save``; ValueError names a bad line."""
+        """Read a csv written by ``save``, blank lines only if it names no
+        port; ValueError names a bad line."""
         with open(path, encoding="utf-8") as f:
-            lines = [(i, ln.strip()) for i, ln in enumerate(f, 1) if ln.strip()]
-        if not lines:
+            raw = [(i, ln.strip()) for i, ln in enumerate(f, 1)]
+        if not raw:
             raise ValueError(f"{path}: empty stimulus file")
+        lines = [(i, ln) for i, ln in raw if ln]
+        if not lines:  # a header naming no port, and rows of no cell
+            return cls({}, len(raw) - 1)
         ports = lines[0][1].split(",")
         for i, p in enumerate(ports):
             if p in ports[:i]:

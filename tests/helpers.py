@@ -735,10 +735,12 @@ def total_registers(impl: HwImpl) -> int:
 
 def hw_stream(step, stim: Stimulus, n: int) -> Trace:
     """Outputs of n calls of an RtlCycleSim's step or a ControllerSim's
-    fire on the stimulus, call i recorded at time i."""
+    fire on the stimulus's columns, call i recorded at time i."""
+    sw = step.__self__.sweep
+    cols = [stim.column(p, n) for p in sw.inputs]
     tr = Trace({})
-    for i in range(n):
-        for p, v in step({p: stim.at(p, i) for p in stim.values}).items():
+    for i, xs in enumerate(zip(*cols) if cols else [()] * n):
+        for p, v in zip(sw.outputs, step(*xs)):
             tr.record(p, i, v)
     return tr
 

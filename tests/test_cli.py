@@ -663,6 +663,63 @@ class TestStageCommands:
         assert (out / "level0.trace").is_file()
         assert (out / "level3.trace").is_file()
 
+    def test_short_stimulus_and_unread_input(self, tmp_path, capsys):
+        """Level 0 reads the columns of the inputs its blocks read, in
+        their order, padded with 0 past the end of the file, as level 1
+        does: the header's order is u, b, a, and u feeds nothing."""
+        p = tmp_path / "order.fdm"
+        p.write_text("""
+        model order {
+          input u; input b; input a; output y;
+          subsystem SW_cpu {
+            input p; input q; output out;
+            subsystem TASK_d {
+              input p; input q; output out;
+              block d : sub;
+              link self.p -> d.in1; link self.q -> d.in2;
+              link d.out -> self.out;
+            }
+            link self.p -> TASK_d.p; link self.q -> TASK_d.q;
+            link TASK_d.out -> self.out;
+          }
+          link self.a -> SW_cpu.p; link self.b -> SW_cpu.q;
+          link SW_cpu.out -> self.y;
+        }
+        """)
+        stim = tmp_path / "s.csv"
+        stim.write_text("u,b,a\n9,1,5\n9,2,7\n9,3,9\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--model", str(p), "--out", str(out),
+                     "--level", "0,1", "--ticks", "8",
+                     "--stimulus", str(stim)]) == 0
+        t0, t1 = (Trace.load(out / f"level{lv}.trace") for lv in (0, 1))
+        assert t0.values("y") == [4, 5, 6, 0, 0, 0, 0, 0]
+        assert t1.ports == t0.ports
+
+    def test_stimulus_round_trip_without_inputs(self, tmp_path, capsys):
+        """The stimulus flow writes for a model with no input reads back,
+        and simulating from it writes the flow's traces again; a 0-byte
+        file is still refused."""
+        p = tmp_path / "k.fdm"
+        p.write_text("model k { output y; block c : const(3); "
+                     "block g : gain(2); link c.out -> g.in; "
+                     "link g.out -> self.y; }")
+        flow, sim = tmp_path / "flow", tmp_path / "sim"
+        assert main(["flow", "--model", str(p), "--out", str(flow),
+                     "--ticks", "8"]) == 0
+        assert (flow / "stimulus.csv").read_text() == "\n" * 9
+        assert main(["simulate", "--model", str(p), "--out", str(sim),
+                     "--level", "0,3", "--ticks", "8", "--stimulus",
+                     str(flow / "stimulus.csv")]) == 0
+        for lv in (0, 3):
+            assert (sim / f"level{lv}.trace").read_bytes() == \
+                (flow / "traces" / f"level{lv}.trace").read_bytes()
+        (flow / "stimulus.csv").write_text("")
+        capsys.readouterr()
+        assert main(["simulate", "--model", str(p), "--out", str(sim),
+                     "--stimulus", str(flow / "stimulus.csv")]) == 2
+        assert "empty stimulus file" in capsys.readouterr().err
+
     def test_empty_stimulus_file(self, mini_path, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

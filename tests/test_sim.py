@@ -749,6 +749,51 @@ class TestOutputLinks:
         assert any(t0.values("w"))
 
 
+# The sweep of HW_s reads only `in` (`extra` is on a channel but no block
+# reads it, `bias` is on none) and returns spare, hi, lo, of which only
+# hi and lo are on a channel, linked lo first; the sub is not symmetric.
+PORTORDER_FDM = """
+model portorder {
+  input x; output y; output z;
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block g : gain(3);
+      link self.a -> g.in; link g.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  subsystem HW_s {
+    input bias; input extra; input in; output spare; output hi; output lo;
+    block c : const(7); block d : sub; block q : quant(4); block k : gain(5);
+    link c.out -> d.in1; link self.in -> d.in2; link d.out -> q.in;
+    link q.out -> self.hi; link d.out -> k.in; link k.out -> self.lo;
+    link self.in -> self.spare;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> HW_s.in;
+  link self.x -> HW_s.extra;
+  link HW_s.lo -> self.y; link HW_s.hi -> self.z;
+}
+"""
+
+
+class TestPortOrder:
+    def test_hw_node_ports_by_position(self):
+        """A level-3 HW_ node passes its sweep only the inputs it reads and
+        pushes each output from its place in the sweep's result."""
+        cd = compile_design(parse_model(PORTORDER_FDM))
+        ticks = 40
+        stim = default_stimulus(cd.model, ticks, seed=8)
+        hw = Engine(cd, {"SW_cpu": 1, "HW_s": 3}, stim, ticks).hw_units[0]
+        assert (list(hw.cons), hw.ins, list(hw.prod), hw.out_index) == \
+            (["extra", "in"], ["in"], ["hi", "lo"], [1, 2])
+        t0 = _agree_with_level0(cd, stim, ticks, {"SW_cpu": 1, "HW_s": 3})
+        d = [7 - 3 * x for x in stim.values["x"]]
+        assert t0.values("y") == [5 * v for v in d]
+        assert t0.values("z") == [int(v / 4) * 4 for v in d]
+
+
 class TestHwDelay:
     def test_delay_after_pipelined_ip(self):
         """A delay passes on the latency of the IP feeding it, so the node's

@@ -70,7 +70,7 @@ def _swept(kind, params, ticks):
     sw.outputs = {p: sw.slot(("out", p)) for p in outs}
     sw.op(kind, params, sw.inputs.values(), sw.outputs.values())
     sw.build()
-    return [tuple(sw.tick(dict(zip(ins, xs))).values()) for xs in ticks]
+    return [sw.tick(*xs) for xs in ticks]
 
 
 def _behavior(kind, params) -> TaskBehavior:
