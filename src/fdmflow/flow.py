@@ -135,10 +135,15 @@ def compile_design(model: ModelGraph,
 
 
 def simulator(level: int, cd: CompiledDesign, stim: Stimulus, ticks: int):
-    """The level's simulator, built; calling it runs the simulation."""
+    """The level's simulator, built; calling it runs the simulation and
+    returns a trace tagged ``level``, also for a design with no node."""
     if level == 0:
         return partial(Level0Sim(cd.model).run, stim, ticks)
-    return Engine(cd, dict.fromkeys(cd.tlm.nodes, level), stim, ticks).run
+    engine = Engine(cd, dict.fromkeys(cd.tlm.nodes, level), stim, ticks)
+    # the tag only: with no node, no unit charges a cycle, so the times
+    # stay sample indices
+    engine.trace.level = level
+    return engine.run
 
 
 def simulate(level: int, cd: CompiledDesign, stim: Stimulus,

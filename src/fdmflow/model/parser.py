@@ -1,4 +1,16 @@
-"""Parser for the textual model format (.fdm)."""
+r"""Parser for the textual model format (.fdm).
+
+A token is an ASCII identifier (``[A-Za-z_][A-Za-z0-9_]*``), an optionally
+negative integer, a double-quoted string that ends on its line, ``->`` or
+one of ``{ } ( ) ; : , . =``.  Blanks and ``#`` comments, which run to the
+end of the line, separate tokens.  The text is lexed one line at a time,
+with one regex match per token that takes the blanks before it along; a
+comment is one match more, and the blanks that end a line none.  A line
+ends at ``\n`` alone (``\r``, ``\f`` and ``\v`` are blanks), so the
+``line:col`` of a ``ParseError`` counts ``\n`` only.  The whole text is
+lexed before parsing starts, so its first bad character is reported before
+any syntax error.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +19,15 @@ import re
 from .blocks import KIND_NAMES
 from .graph import Block, Endpoint, Link, ModelGraph, Subsystem
 
+# A comment is an alternative, not part of the blank prefix: as a prefix,
+# a failed match could backtrack into it and read its tail as tokens.
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<arrow>->)
-      | (?P<num>-?\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<str>"[^"\n]*")
-      | (?P<punct>[{}();:,.=])
+    r"""\s*(?: (?P<punct>->|[{}();:,.=])
+             | (?P<num>-?\d+)
+             | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+             | (?P<str>"[^"]*")
+             | \#.*
+             | (?P<bad>\S) )
     """,
     re.VERBOSE,
 )
@@ -30,43 +43,32 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Tok:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[tuple]:
+    """Every token as ``(kind, value, line, col)``, then ``eof`` after the
+    last character of the last line."""
     toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "arrow":
-                toks.append(_Tok("punct", "->", line, col))
-            elif kind == "num":
-                toks.append(_Tok("num", int(value), line, col))
+    append = toks.append
+    lines = text.split("\n")
+    for line, s in enumerate(lines, 1):
+        for m in _TOKEN.finditer(s):
+            kind = m.lastgroup
+            if kind is None:  # a comment
+                continue
+            value = m[kind]
+            col = m.start(kind) + 1
+            if kind == "num":
+                value = int(value)
             elif kind == "str":
-                toks.append(_Tok("str", value[1:-1], line, col))
-            else:
-                toks.append(_Tok(kind, value, line, col))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    toks.append(_Tok("eof", None, line, col))
+                value = value[1:-1]
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", line, col)
+            append((kind, value, line, col))
+    append(("eof", None, len(lines), len(lines[-1]) + 1))
     return toks
+
+
+def _unexpected(want: str, t: tuple) -> ParseError:
+    return ParseError(f"expected {want}, found {t[1]!r}", t[2], t[3])
 
 
 class _Parser:
@@ -74,59 +76,56 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
+    def at(self, value: str) -> bool:
+        """Whether the punctuation ``value`` comes next."""
         t = self.toks[self.i]
+        return t[1] == value and t[0] == "punct"
+
+    def punct(self, value: str) -> None:
+        t = self.toks[self.i]
+        if t[1] != value or t[0] != "punct":
+            raise _unexpected(repr(value), t)
         self.i += 1
-        return t
 
-    def expect(self, kind, value=None) -> _Tok:
-        t = self.next()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.value!r}", t.line, t.col)
-        return t
-
-    def ident(self) -> _Tok:
-        t = self.next()
-        if t.kind != "ident":
-            raise ParseError(f"expected identifier, found {t.value!r}", t.line, t.col)
+    def ident(self) -> tuple:
+        t = self.toks[self.i]
+        if t[0] != "ident":
+            raise _unexpected("identifier", t)
+        self.i += 1
         return t
 
     # ---- grammar ----
 
     def model(self) -> ModelGraph:
-        t = self.expect("ident", "model")
-        name = self.ident().value
-        g = ModelGraph(name, line=t.line)
-        self.expect("punct", "{")
+        t = self.toks[0]
+        if t[:2] != ("ident", "model"):
+            raise _unexpected("'model'", t)
+        self.i = 1
+        g = ModelGraph(self.ident()[1], line=t[2])
+        self.punct("{")
         self._scope_items(g)
-        self.expect("punct", "}")
-        self.expect("eof")
+        self.punct("}")
+        if self.toks[self.i][0] != "eof":
+            raise _unexpected("'eof'", self.toks[self.i])
         return g
 
     def _scope_items(self, scope):
         names: set[str] = set()
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.value == "}":
-                return
-            if t.kind != "ident" or t.value not in _KEYWORDS:
-                raise ParseError(f"expected declaration, found {t.value!r}",
-                                 t.line, t.col)
-            kw = self.next().value
+            t = toks[self.i]
+            kw = t[1]
+            if t[0] != "ident" or kw not in _KEYWORDS:
+                if self.at("}"):
+                    return
+                raise _unexpected("declaration", t)
+            self.i += 1
             if kw == "block":
-                b = self._block()
-                self._declare(names, b.id, b.line)
-                scope.blocks.append(b)
+                scope.blocks.append(self._block(names))
             elif kw == "subsystem":
-                s = self._subsystem()
-                self._declare(names, s.id, s.line)
-                scope.subsystems.append(s)
+                scope.subsystems.append(self._subsystem(names))
             elif kw == "link":
-                scope.links.append(self._link(t.line))
+                scope.links.append(self._link(t[2]))
             elif kw == "input":
                 scope.inputs.append(self._port_decl())
             elif kw == "output":
@@ -134,41 +133,45 @@ class _Parser:
             elif kw == "param":
                 if not isinstance(scope, Subsystem):
                     raise ParseError("param is only allowed inside a subsystem",
-                                     t.line, t.col)
+                                     t[2], t[3])
                 k, v = self._param()
                 scope.params[k] = v
 
-    def _declare(self, names: set, name: str, line: int):
-        if name in names:
-            raise ParseError(f"duplicate identifier {name!r}", line, 1)
-        names.add(name)
+    def _declare(self, names: set, nt: tuple):
+        """Add the name token ``nt`` to its scope's ``names``; a name
+        declared twice is reported at the second one."""
+        if nt[1] in names:
+            raise ParseError(f"duplicate identifier {nt[1]!r}", nt[2], nt[3])
+        names.add(nt[1])
 
-    def _block(self) -> Block:
+    def _block(self, names: set) -> Block:
         nt = self.ident()
-        self.expect("punct", ":")
+        self.punct(":")
         kt = self.ident()
-        if kt.value not in KIND_NAMES:
-            raise ParseError(f"unknown block kind {kt.value!r}", kt.line, kt.col)
+        if kt[1] not in KIND_NAMES:
+            raise ParseError(f"unknown block kind {kt[1]!r}", kt[2], kt[3])
         args: list = []
-        if self.peek().kind == "punct" and self.peek().value == "(":
-            self.next()
-            while not (self.peek().kind == "punct" and self.peek().value == ")"):
-                a = self.next()
-                if a.kind not in ("num", "ident", "str"):
-                    raise ParseError(f"bad block argument {a.value!r}", a.line, a.col)
-                args.append(a.value)
-                if self.peek().kind == "punct" and self.peek().value == ",":
-                    self.next()
-            self.expect("punct", ")")
-        self.expect("punct", ";")
+        if self.at("("):
+            self.i += 1
+            while not self.at(")"):
+                a = self.toks[self.i]
+                if a[0] not in ("num", "ident", "str"):
+                    raise ParseError(f"bad block argument {a[1]!r}", a[2], a[3])
+                args.append(a[1])
+                self.i += 1
+                if self.at(","):
+                    self.i += 1
+            self.punct(")")
+        self.punct(";")
         params = self._check_args(kt, args)
-        return Block(nt.value, kt.value, params, line=nt.line)
+        self._declare(names, nt)
+        return Block(nt[1], kt[1], params, line=nt[2])
 
-    def _check_args(self, kt: _Tok, args: list) -> tuple:
-        kind = kt.value
+    def _check_args(self, kt: tuple, args: list) -> tuple:
+        kind = kt[1]
 
         def fail(msg):
-            raise ParseError(f"{kind}: {msg}", kt.line, kt.col)
+            raise ParseError(f"{kind}: {msg}", kt[2], kt[3])
 
         ints = [a for a in args if isinstance(a, int)]
         if kind in ("const", "gain", "delay", "quant", "mux", "demux"):
@@ -189,40 +192,42 @@ class _Parser:
                 fail("takes no parameters")
         return tuple(args)
 
-    def _subsystem(self) -> Subsystem:
+    def _subsystem(self, names: set) -> Subsystem:
         nt = self.ident()
-        s = Subsystem(nt.value, line=nt.line)
-        self.expect("punct", "{")
+        s = Subsystem(nt[1], line=nt[2])
+        self.punct("{")
         self._scope_items(s)
-        self.expect("punct", "}")
+        self.punct("}")
+        self._declare(names, nt)
         return s
 
     def _link(self, line: int) -> Link:
         src = self._endpoint()
-        self.expect("punct", "->")
+        self.punct("->")
         dst = self._endpoint()
-        self.expect("punct", ";")
+        self.punct(";")
         return Link(src, dst, line=line)
 
     def _endpoint(self) -> Endpoint:
-        blk = self.ident().value
-        self.expect("punct", ".")
-        port = self.ident().value
-        return Endpoint(blk, port)
+        blk = self.ident()[1]
+        self.punct(".")
+        return Endpoint(blk, self.ident()[1])
 
     def _port_decl(self) -> str:
-        name = self.ident().value
-        self.expect("punct", ";")
+        name = self.ident()[1]
+        self.punct(";")
         return name
 
     def _param(self):
-        key = self.ident().value
-        self.expect("punct", "=")
-        t = self.next()
-        if t.kind not in ("num", "str"):
-            raise ParseError(f"param value must be an integer or string", t.line, t.col)
-        self.expect("punct", ";")
-        return key, t.value
+        key = self.ident()[1]
+        self.punct("=")
+        t = self.toks[self.i]
+        if t[0] not in ("num", "str"):
+            raise ParseError("param value must be an integer or string",
+                             t[2], t[3])
+        self.i += 1
+        self.punct(";")
+        return key, t[1]
 
 
 def parse_model(text: str) -> ModelGraph:

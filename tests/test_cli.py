@@ -720,6 +720,27 @@ class TestStageCommands:
                      "--stimulus", str(flow / "stimulus.csv")]) == 2
         assert "empty stimulus file" in capsys.readouterr().err
 
+    def test_level_tag_without_nodes(self, tmp_path):
+        """A design with no SW_ or HW_ node is tagged with the level asked
+        for, by simulate and by flow; no unit charges a cycle, so its
+        times are the sample indices."""
+        p = tmp_path / "k.fdm"
+        p.write_text("model k { output y; block c : const(3); "
+                     "block g : gain(2); link c.out -> g.in; "
+                     "link g.out -> self.y; }")
+        sim, flow = tmp_path / "sim", tmp_path / "flow"
+        assert main(["simulate", "--model", str(p), "--out", str(sim),
+                     "--level", "0,3", "--ticks", "4"]) == 0
+        assert main(["flow", "--model", str(p), "--out", str(flow),
+                     "--ticks", "4"]) == 0
+        body = "# design k\n" + "".join(f"{t},y,6\n" for t in range(4))
+        for lv in (0, 3):
+            assert (sim / f"level{lv}.trace").read_text() == \
+                f"# level {lv}\n" + body
+        for lv in (0, 1, 2, 3):
+            assert (flow / "traces" / f"level{lv}.trace").read_text() == \
+                f"# level {lv}\n" + body
+
     def test_empty_stimulus_file(self, mini_path, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
