@@ -18,10 +18,9 @@ from .flow import FlowError, compile_design, default_stimulus, \
     write_behaviors, write_fsms, write_netlist, write_rtl
 from .gma.params import ParamError, load_param_files
 from .model.parser import ParseError
-from .model.validate import validate_model
 from .sim.interp import SimError
 from .sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
-from .tlm import recognize_partition, validate_partition
+from .tlm import gate
 
 
 def _read_model(path: str):
@@ -72,12 +71,7 @@ def _compile(args, stages=compile_design):
 
 
 def cmd_check(args) -> int:
-    model = _read_model(args.model)
-    report = validate_model(model)
-    diags = list(report.diagnostics)
-    if report.ok:
-        tlm = recognize_partition(model)
-        diags += validate_partition(tlm).diagnostics
+    diags, _ = gate(_read_model(args.model))
     bad = False
     for d in diags:
         print(f"{d.severity}: {d.location}: {d.message}")

@@ -25,13 +25,12 @@ from .hwsynth import delay_correct, emit_rtl_text, fsm_controller, \
     map_rtl_library, pipelineable
 from .model.graph import ModelGraph
 from .model.parser import parse_model
-from .model.validate import validate_model
 from .sim.engine import Engine
 from .sim.level0 import Level0Sim
 from .sim.trace import Stimulus, Trace, Verdict, compare_traces
 from .swsynth import AddressMap, allocate_address_map, \
     build_task_fsm, format_address_map, format_fsm, lower_api
-from .tlm import TlmModel, recognize_partition, validate_partition
+from .tlm import TlmModel, gate
 
 
 class FlowError(Exception):
@@ -62,15 +61,13 @@ class CompiledDesign(MacroDesign):
 
 def generate_macro(model: ModelGraph,
                    params: ParamSet | None = None) -> MacroDesign:
-    """Validation, partition, netlist, parameters and behaviors."""
-    report = validate_model(model)
-    if not report.ok:
-        raise FlowError("validate", report.errors()[0].message)
-    tlm = recognize_partition(model)
-    prep = validate_partition(tlm)
-    if not prep.ok:
-        d = prep.errors()[0]
-        raise FlowError("partition", f"{d.location}: {d.message}")
+    """Validation, partition, netlist, parameters and behaviors; the
+    first error of ``gate`` stops the flow."""
+    diags, tlm = gate(model)
+    err = next((d for d in diags if d.severity == "error"), None)
+    if err is not None:
+        raise FlowError("validate", err.message) if tlm is None else \
+            FlowError("partition", f"{err.location}: {err.message}")
     netlist = emit_netlist(tlm)
     used = params if params is not None else emit_param_templates(netlist)
     try:

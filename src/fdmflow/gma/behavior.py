@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..model.blocks import USER_FUNCTIONS, init_state, port_names
+from ..model.blocks import init_state, port_names
 from ..model.graph import stable_topo
 from ..tlm import TlmModel, Unit
 
@@ -140,14 +140,6 @@ def gen_task_behavior(t: TlmModel, task_id: str) -> TaskBehavior:
     unit = t.units.get(task_id)
     if unit is None:
         raise BehaviorError(f"no unit named {task_id!r}")
-    for blk in ([unit.block] if unit.block else unit.subsystem.blocks):
-        if blk.kind == "user" and blk.params[0] not in USER_FUNCTIONS:
-            raise BehaviorError(
-                f"{task_id}/{blk.id}: unknown user function {blk.params[0]!r}")
-        if blk.kind == "for_loop" and blk.params[1] not in USER_FUNCTIONS:
-            raise BehaviorError(
-                f"{task_id}/{blk.id}: unknown loop function {blk.params[1]!r}")
-
     flat = t.flats[task_id]
     if flat.issues:
         i = flat.issues[0]

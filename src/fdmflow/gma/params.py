@@ -2,11 +2,14 @@
 
 Every module gets a cost_cycles entry; every port gets protocol, width
 and addr_hint.  Templates start from defaults, the designer fills them
-in, and attach_params binds them, rejecting missing or unknown keys.
+in, and attach_params binds them, rejecting missing or unknown keys.  A
+value is an integer when it is ASCII decimal (``-?[0-9]+``), as in a
+model, and a string otherwise.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .netlist import ColifNetlist
@@ -17,6 +20,7 @@ MODULE_KEYS = ("cost_cycles",)
 _DEFAULTS = {"protocol": "fifo", "width": 1, "addr_hint": "auto",
              "cost_cycles": 0}
 _INT_MIN = {"width": 1, "cost_cycles": 0}  # integer keys, least values
+_INT = re.compile(r"-?[0-9]+")  # an integer value, read as in a model
 
 
 class ParamError(Exception):
@@ -132,7 +136,7 @@ def load_param_files(files: dict[str, str]) -> ParamSet:
                 raise ParamError(f"{fname}:{ln}: expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            value: object = int(val) if _is_int(val) else val
+            value: object = int(val) if _INT.fullmatch(val) else val
             if key.startswith("port."):
                 parts = key.split(".", 2)
                 if len(parts) != 3:
@@ -143,11 +147,3 @@ def load_param_files(files: dict[str, str]) -> ParamSet:
                 mp.module[key] = value
         entries[path] = mp
     return ParamSet(entries)
-
-
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False

@@ -6,10 +6,11 @@ that graph plus the RTL IP of each block and, after delay correction, the
 balancing registers on its wires.  A wire is named by what it drives, as
 in ``FlatGraph.drivers``: (block path, input port), or (None, port) for
 a node output.  ``map_rtl_library`` searches the graph once: one
-``graph.sccs`` pass finds the loops, so a wire out of a ``delay`` closes
-a loop when both its ends lie in one cyclic component, and ``stable_topo``
-without those wires gives the evaluation order; every later step reads
-the order, the loop wires and the blocks on a loop from the ``RtlGraph``.
+``graph.sccs`` pass over ``graph.successors`` finds the loops, so a wire
+out of a ``delay`` closes a loop when both its ends lie in one cyclic
+component, and ``stable_topo`` without those wires gives the evaluation
+order; every later step reads the order, the loop wires and the blocks on
+a loop from the ``RtlGraph``.
 Synthesis ends in one ``HwImpl`` per node, which level 3, the RTL text
 and ``synth-hw`` read: when every IP is pipelined, the graph
 delay-corrected by balancing registers on reconvergent paths, with its
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .model.graph import FlatGraph, sccs, stable_topo
+from .model.graph import FlatGraph, delay_wires, sccs, stable_topo, \
+    successors
 from .sim.sweep import plan
 
 
@@ -122,16 +124,6 @@ def _wires(flat: FlatGraph) -> list[tuple]:
         [((None, p), src) for p, src in flat.top_outputs.items()]
 
 
-def _succ(flat: FlatGraph, skip=frozenset()) -> dict:
-    """Block -> the blocks its outputs feed, leaving out the wires in
-    ``skip``."""
-    succ: dict[str, list[str]] = {p: [] for p in flat.blocks}
-    for w, src in flat.drivers.items():
-        if src[0] == "block" and w not in skip:
-            succ[src[1]].append(w[0])
-    return succ
-
-
 def map_rtl_library(name: str, flat: FlatGraph,
                     costs: dict[str, int] | None = None) -> RtlGraph:
     """Map each functional block of hardware node ``name``, whose flat
@@ -156,12 +148,11 @@ def map_rtl_library(name: str, flat: FlatGraph,
                 f"{name}/{path}: a delay block takes no cost_cycles; "
                 "its lag is its functional k")
         ips[path] = library_entry(blk.kind, blk.params, costs.get(path))
-    comps = sccs(list(flat.blocks), _succ(flat))
+    comps = sccs(list(flat.blocks), successors(flat))
     comp = {p: i for i, c in enumerate(comps) for p in c}
-    loops = {w for w, src in flat.drivers.items() if src[0] == "block"
-             and flat.blocks[src[1]].kind == "delay"
-             and w[0] in comp and comp[w[0]] == comp.get(src[1])}
-    order = stable_topo(list(flat.blocks), _succ(flat, loops))
+    loops = {w for w in delay_wires(flat)
+             if w[0] in comp and comp[w[0]] == comp.get(flat.drivers[w][1])}
+    order = stable_topo(list(flat.blocks), successors(flat, loops))
     if len(order) != len(flat.blocks):
         stuck = sorted(set(flat.blocks) - set(order))
         raise HwSynthError(f"cycle without a declared delay involving {stuck}")

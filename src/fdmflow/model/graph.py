@@ -1,6 +1,10 @@
-"""Hierarchical block-diagram graph, its flattened form and the two graph
-searches every stage shares: ``sccs``, the one loop search, and
-``stable_topo``, the one ordering."""
+"""Hierarchical block-diagram graph, its flattened form and the graph
+searches every stage shares.
+
+``flatten`` is the one elaboration of a hierarchy, which reports each
+structural problem as a ``Diagnostic``; ``successors`` is the one
+successor map of a flat graph, ``sccs`` the one loop search and
+``stable_topo`` the one ordering."""
 
 from __future__ import annotations
 
@@ -69,10 +73,12 @@ def is_channel_subsystem(sub_id: str) -> bool:
 Pin = tuple
 
 
-@dataclass
-class Issue:
-    message: str
+@dataclass(frozen=True)
+class Diagnostic:
+    severity: str  # "error" | "warning"
     location: str
+    message: str
+    cycle: tuple[str, ...] | None = None
     line: int = 0
 
 
@@ -84,7 +90,7 @@ class FlatGraph:
     # (block path, input port) -> ("block", src path, src port) | ("top", port)
     drivers: dict
     top_outputs: dict  # top output port -> same source form
-    issues: list[Issue]
+    issues: list[Diagnostic]  # the errors flatten found
 
 
 def _scope_index(scope):
@@ -100,50 +106,52 @@ def flatten(g: ModelGraph) -> FlatGraph:
     """Elaborate the hierarchy, chasing links through subsystem boundary ports.
 
     A link leaves a subsystem by one of its outputs and enters it by one
-    of its inputs.  Structural problems are collected as issues instead of
-    raised so that validation can report them all.
+    of its inputs.  Structural problems are collected as error diagnostics
+    instead of raised so that validation can report them all.
     """
     blocks: dict[str, Block] = {}
     incoming: dict[Pin, Pin] = {}
-    issues: list[Issue] = []
+    issues: list[Diagnostic] = []
     sub_ports: dict[str, set] = {"": set(g.inputs) | set(g.outputs)}
     chan_paths: set[str] = set()
     # channel subsystems carry no behavior: each of their undriven ports
     # passes on the value of the input a link of the enclosing scope drives
     chan_input: dict[str, Pin] = {}
 
+    def issue(message: str, location: str, line: int = 0):
+        issues.append(Diagnostic("error", location, message, line=line))
+
     def pin_of(idx: dict, path: str, ep: Endpoint, link: Link, is_src: bool):
         if ep.block == SELF:
             if ep.port not in sub_ports[path]:
-                issues.append(Issue(f"unknown port {ep.port!r} on enclosing scope",
-                                    f"{path or g.name}", link.line))
+                issue(f"unknown port {ep.port!r} on enclosing scope",
+                      path or g.name, link.line)
                 return None
             return ("port", path, ep.port)
         if ep.block not in idx:
-            issues.append(Issue(f"link references undeclared id {ep.block!r}",
-                                path or g.name, link.line))
+            issue(f"link references undeclared id {ep.block!r}",
+                  path or g.name, link.line)
             return None
         tag, obj = idx[ep.block]
         child = f"{path}/{ep.block}" if path else ep.block
         if tag == "sub":
             if ep.port not in set(obj.inputs) | set(obj.outputs):
-                issues.append(Issue(f"subsystem {ep.block!r} has no port {ep.port!r}",
-                                    path or g.name, link.line))
+                issue(f"subsystem {ep.block!r} has no port {ep.port!r}",
+                      path or g.name, link.line)
                 return None
             if ep.port not in (obj.outputs if is_src else obj.inputs):
                 side, role = ("input", "source") if is_src else \
                     ("output", "destination")
-                issues.append(Issue(f"subsystem {ep.block!r} port {ep.port!r} "
-                                    f"is an {side}, not a link {role}",
-                                    path or g.name, link.line))
+                issue(f"subsystem {ep.block!r} port {ep.port!r} is an {side}, "
+                      f"not a link {role}", path or g.name, link.line)
                 return None
             return ("port", child, ep.port)
         ins, outs = port_names(obj.kind, obj.params)
         legal = outs if is_src else ins
         if ep.port not in legal:
             side = "output" if is_src else "input"
-            issues.append(Issue(f"block {ep.block!r} ({obj.kind}) has no {side} "
-                                f"port {ep.port!r}", path or g.name, link.line))
+            issue(f"block {ep.block!r} ({obj.kind}) has no {side} port "
+                  f"{ep.port!r}", path or g.name, link.line)
             return None
         return ("blk", child, ep.port)
 
@@ -164,8 +172,8 @@ def flatten(g: ModelGraph) -> FlatGraph:
             if src is None or dst is None:
                 continue
             if dst in incoming:
-                issues.append(Issue(f"multiple drivers for {link.dst}",
-                                    path or g.name, link.line))
+                issue(f"multiple drivers for {link.dst}", path or g.name,
+                      link.line)
                 continue
             incoming[dst] = src
             if dst[1] in chan_paths and link.dst.block != SELF:
@@ -182,16 +190,15 @@ def flatten(g: ModelGraph) -> FlatGraph:
             if cur[0] == "port" and cur[1] == "" and cur[2] in g.inputs:
                 return ("top", cur[2])
             if cur in seen:
-                issues.append(Issue(f"port wiring cycle while resolving {what}",
-                                    cur[1] or g.name))
+                issue(f"port wiring cycle while resolving {what}",
+                      cur[1] or g.name)
                 return None
             seen.add(cur)
             nxt = incoming.get(cur)
             if nxt is None and cur[0] == "port":
                 nxt = chan_input.get(cur[1])
             if nxt is None:
-                issues.append(Issue(f"{what} is not driven by any link",
-                                    cur[1] or g.name))
+                issue(f"{what} is not driven by any link", cur[1] or g.name)
                 return None
             cur = nxt
 
@@ -210,22 +217,22 @@ def flatten(g: ModelGraph) -> FlatGraph:
     return FlatGraph(blocks, drivers, top_outputs, issues)
 
 
-def comb_successors(flat: FlatGraph) -> dict[str, list[str]]:
-    """Combinational dependency edges driver -> consumer.
-
-    Edges out of delay blocks are omitted: a delay's output is registered
-    and does not combinationally depend on its input.
-    """
+def successors(flat: FlatGraph, skip=frozenset()) -> dict[str, list[str]]:
+    """Block -> the blocks its outputs feed, leaving out the wires (block
+    path, input port) in ``skip``; a block feeding two inputs of one
+    block is listed twice."""
     succ: dict[str, list[str]] = {p: [] for p in flat.blocks}
-    for (dst, _port), src in sorted(flat.drivers.items()):
-        if src[0] != "block":
-            continue
-        sp = src[1]
-        if flat.blocks[sp].kind == "delay":
-            continue
-        if succ[sp][-1:] != [dst]:  # drivers are sorted by consumer
-            succ[sp].append(dst)
+    for w, src in flat.drivers.items():
+        if src[0] == "block" and w not in skip:
+            succ[src[1]].append(w[0])
     return succ
+
+
+def delay_wires(flat: FlatGraph) -> set[tuple]:
+    """The wires a delay block drives: its output is registered, so they
+    carry no combinational dependency."""
+    return {w for w, src in flat.drivers.items()
+            if src[0] == "block" and flat.blocks[src[1]].kind == "delay"}
 
 
 def sccs(nodes: list, succ: dict) -> list[list]:
@@ -295,7 +302,8 @@ def stable_topo(nodes: list, succ: dict) -> list:
 
 def topo_order(flat: FlatGraph) -> list[str]:
     """Declaration-order-stable topological order of the combinational graph."""
-    order = stable_topo(list(flat.blocks), comb_successors(flat))
+    succ = successors(flat, delay_wires(flat))
+    order = stable_topo(list(flat.blocks), succ)
     if len(order) != len(flat.blocks):
         raise ValueError("combinational cycle; run validation first")
     return order

@@ -1,15 +1,16 @@
 r"""Parser for the textual model format (.fdm).
 
 A token is an ASCII identifier (``[A-Za-z_][A-Za-z0-9_]*``), an optionally
-negative integer, a double-quoted string that ends on its line, ``->`` or
-one of ``{ } ( ) ; : , . =``.  Blanks and ``#`` comments, which run to the
-end of the line, separate tokens.  The text is lexed one line at a time,
-with one regex match per token that takes the blanks before it along; a
-comment is one match more, and the blanks that end a line none.  A line
-ends at ``\n`` alone (``\r``, ``\f`` and ``\v`` are blanks), so the
-``line:col`` of a ``ParseError`` counts ``\n`` only.  The whole text is
-lexed before parsing starts, so its first bad character is reported before
-any syntax error.
+negative ASCII decimal integer (``-?[0-9]+``), a double-quoted string that
+ends on its line, ``->`` or one of ``{ } ( ) ; : , . =``.  Blanks and ``#``
+comments, which run to the end of the line, separate tokens.  The text is
+lexed one line at a time, with one regex match per token that takes the
+blanks before it along; a comment is one match more, and the blanks that
+end a line none.  A line ends at ``\n`` alone (``\r``, ``\f`` and ``\v``
+are blanks), so the ``line:col`` of a ``ParseError`` counts ``\n`` only.
+The whole text is lexed before parsing starts, so its first bad character
+is reported before any syntax error.  Block arguments are separated by
+commas, with none after the last.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .graph import Block, Endpoint, Link, ModelGraph, Subsystem
 # a failed match could backtrack into it and read its tail as tokens.
 _TOKEN = re.compile(
     r"""\s*(?: (?P<punct>->|[{}();:,.=])
-             | (?P<num>-?\d+)
+             | (?P<num>-?[0-9]+)
              | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
              | (?P<str>"[^"]*")
              | \#.*
@@ -153,19 +154,23 @@ class _Parser:
         args: list = []
         if self.at("("):
             self.i += 1
-            while not self.at(")"):
-                a = self.toks[self.i]
-                if a[0] not in ("num", "ident", "str"):
-                    raise ParseError(f"bad block argument {a[1]!r}", a[2], a[3])
-                args.append(a[1])
-                self.i += 1
-                if self.at(","):
+            if not self.at(")"):
+                args.append(self._argument())
+                while self.at(","):
                     self.i += 1
+                    args.append(self._argument())
             self.punct(")")
         self.punct(";")
         params = self._check_args(kt, args)
         self._declare(names, nt)
         return Block(nt[1], kt[1], params, line=nt[2])
+
+    def _argument(self):
+        a = self.toks[self.i]
+        if a[0] not in ("num", "ident", "str"):
+            raise ParseError(f"bad block argument {a[1]!r}", a[2], a[3])
+        self.i += 1
+        return a[1]
 
     def _check_args(self, kt: tuple, args: list) -> tuple:
         kind = kt[1]

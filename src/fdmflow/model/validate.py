@@ -1,24 +1,20 @@
 """Structural validation of a parsed model.
 
-Algebraic loops are the cyclic components, found by ``graph.sccs``, of
-the combinational graph ``comb_successors``; each is reported once with
-one cycle through it."""
+The model is flattened once, by ``graph.flatten``: the diagnostics it
+reports, the parameter rules over its blocks and the algebraic loops make
+the report.  Algebraic loops are the cyclic components, found by
+``graph.sccs``, of the combinational graph: ``graph.successors`` without
+the ``delay_wires``; each is reported once with one cycle through it.
+``tlm.gate`` runs these rules and then the partition's, for ``check`` and
+``flow`` alike.  ``Diagnostic`` is ``graph``'s, re-exported here."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .blocks import USER_FUNCTIONS
-from .graph import ModelGraph, comb_successors, flatten, sccs
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    location: str
-    message: str
-    cycle: tuple[str, ...] | None = None
-    line: int = 0
+from .graph import Block, Diagnostic, ModelGraph, delay_wires, flatten, \
+    sccs, successors
 
 
 @dataclass
@@ -33,40 +29,25 @@ class ValidationReport:
         return [d for d in self.diagnostics if d.severity == "error"]
 
 
-def _param_checks(g: ModelGraph, out: list[Diagnostic]):
-    def walk(scope, path):
-        for b in scope.blocks:
-            loc = f"{path}/{b.id}" if path else b.id
-            if b.kind == "delay" and b.params[0] < 1:
-                out.append(Diagnostic("error", loc, "delay parameter k must be >= 1",
-                                      line=b.line))
-            if b.kind == "for_loop" and b.params[0] < 1:
-                out.append(Diagnostic("error", loc, "for_loop count must be >= 1",
-                                      line=b.line))
-            if b.kind == "quant" and b.params[0] == 0:
-                out.append(Diagnostic("error", loc, "quant step must be non-zero",
-                                      line=b.line))
-            if b.kind in ("mux", "demux") and b.params[0] < 1:
-                out.append(Diagnostic("error", loc, f"{b.kind} way count must be >= 1",
-                                      line=b.line))
-            if b.kind == "user" and b.params[0] not in USER_FUNCTIONS:
-                out.append(Diagnostic("error", loc,
-                                      f"unknown user function {b.params[0]!r}",
-                                      line=b.line))
-            if b.kind == "for_loop" and b.params[1] not in USER_FUNCTIONS:
-                out.append(Diagnostic("error", loc,
-                                      f"unknown loop body function {b.params[1]!r}",
-                                      line=b.line))
-            elif b.kind == "for_loop" and \
-                    USER_FUNCTIONS[b.params[1]][:2] != (("in",), ("out",)):
-                out.append(Diagnostic("error", loc,
-                                      f"loop body function {b.params[1]!r} must "
-                                      "have one input and one output",
-                                      line=b.line))
-        for s in scope.subsystems:
-            walk(s, f"{path}/{s.id}" if path else s.id)
-
-    walk(g, "")
+def _param_errors(b: Block):
+    """Why the parameters of block ``b`` are illegal, one message each."""
+    kind, params = b.kind, b.params
+    if kind == "delay" and params[0] < 1:
+        yield "delay parameter k must be >= 1"
+    if kind == "for_loop" and params[0] < 1:
+        yield "for_loop count must be >= 1"
+    if kind == "quant" and params[0] == 0:
+        yield "quant step must be non-zero"
+    if kind in ("mux", "demux") and params[0] < 1:
+        yield f"{kind} way count must be >= 1"
+    if kind == "user" and params[0] not in USER_FUNCTIONS:
+        yield f"unknown user function {params[0]!r}"
+    if kind == "for_loop" and params[1] not in USER_FUNCTIONS:
+        yield f"unknown loop body function {params[1]!r}"
+    elif kind == "for_loop" and \
+            USER_FUNCTIONS[params[1]][:2] != (("in",), ("out",)):
+        yield (f"loop body function {params[1]!r} must have one input and "
+               "one output")
 
 
 def _cycle_path(comp: list[str], succ, order_key) -> tuple[str, ...]:
@@ -101,12 +82,13 @@ def validate_model(g: ModelGraph) -> ValidationReport:
         out.append(Diagnostic("error", g.name,
                               "model has no output, so no level can be "
                               "compared", line=g.line))
-    _param_checks(g, out)
     flat = flatten(g)
-    for issue in flat.issues:
-        out.append(Diagnostic("error", issue.location, issue.message, line=issue.line))
+    out += flat.issues
+    for path, b in flat.blocks.items():
+        out += [Diagnostic("error", path, m, line=b.line)
+                for m in _param_errors(b)]
 
-    succ = comb_successors(flat)
+    succ = successors(flat, delay_wires(flat))
     decl = {p: i for i, p in enumerate(flat.blocks)}
     loops = sccs(list(flat.blocks), succ)
     for comp in sorted(loops, key=lambda c: min(decl[p] for p in c)):

@@ -4,7 +4,9 @@ Subsystem prefixes assign architecture roles: ``SW_`` software node,
 ``HW_`` hardware node, ``TASK_`` task inside a software node, ``CHAN_``
 declared communication channel.  Everything left at the top level is
 testbench.  Recognition is total; legality is checked separately by
-validate_partition.
+validate_partition.  ``gate`` is the one legality check of a model, which
+``check`` prints and ``flow`` stops at: the model rules of
+``validate_model`` and, when they pass, the partition's.
 
 Channels run over pins ``(kind, owner, port)`` of four kinds: ``top`` a
 model port (owner None), ``unit`` a port of a task, hardware node or
@@ -22,7 +24,7 @@ from .hwsynth import RTL_USER_INDEX
 from .model.blocks import port_names
 from .model.graph import SELF, Block, Endpoint, FlatGraph, Link, \
     ModelGraph, Subsystem, flatten, is_channel_subsystem
-from .model.validate import Diagnostic, ValidationReport
+from .model.validate import Diagnostic, ValidationReport, validate_model
 
 
 @dataclass(frozen=True)
@@ -317,3 +319,14 @@ def validate_partition(t: TlmModel) -> ValidationReport:
 
     out.sort(key=lambda d: (d.line, d.location, d.message))
     return ValidationReport(out)
+
+
+def gate(g: ModelGraph) -> tuple[list[Diagnostic], TlmModel | None]:
+    """Every diagnostic of ``g``, the model rules' then the partition's,
+    and its partition, or None when a model rule fails, as the partition
+    rules assume a valid model."""
+    report = validate_model(g)
+    if not report.ok:
+        return report.diagnostics, None
+    t = recognize_partition(g)
+    return report.diagnostics + validate_partition(t).diagnostics, t

@@ -524,8 +524,12 @@ class TestFlow:
         ("module.mini_codec.HW_post.params",
          ("port.in.width = 1", "port.in.width = 0"), 1,
          "mini_codec/HW_post.in: width must be >= 1, got 0"),
+        # an integer is ASCII decimal, as in a model
+        ("module.mini_codec.HW_post.sat.params",
+         ("cost_cycles = 0", "cost_cycles = 1_0"), 1,
+         "mini_codec/HW_post/sat: cost_cycles must be an integer, got '1_0'"),
     ], ids=["port-without-key", "not-utf8", "directory", "negative-cost",
-            "zero-width"])
+            "zero-width", "underscore-int"])
     def test_bad_params(self, name, content, rc, msg, mini_path, tmp_path,
                         capsys):
         assert main(["gma", "--model", mini_path,
@@ -908,3 +912,79 @@ class TestSimulationErrors:
         # the HW node waits on its empty input, the task on the HW output
         assert "HW_reg.in on ch_SW_cpu_TASK_sum_out (0/1)" in err
         assert "SW_cpu/TASK_sum.b on ch_HW_reg_out (0/1)" in err
+
+
+
+_TWO_LEVELS = '{"0": {"run": 0.1, "build": 0}, "1": {"run": 0.2, "build": 0}}'
+_HW_POST = "g/params/module.mini_codec.HW_post.params"
+_SIM = "simulate --model {d}/mini_codec.fdm --out {d}/o"
+_FLOW_P = "flow --model {d}/mini_codec.fdm --params {d}/g/params --out {d}/o"
+
+# one failure a user can trigger per case: the files to write in the test
+# directory {d} before the run (None deletes one), the command line, the
+# exit code, and the one line it prints to stderr, or to stdout when the
+# line starts with FAIL; {d} also holds mini_codec.fdm and the parameter
+# files gma wrote to g/params
+FAILURES = [pytest.param(*case[1:], id=case[0]) for case in [
+    ("params-dir-missing", {},
+     "flow --model {d}/mini_codec.fdm --params {d}/nope --out {d}/o",
+     2, "params directory not found: {d}/nope"),
+    ("compare-empty-trace", {"e.trace": ""},
+     "compare --a {d}/e.trace --b {d}/e.trace",
+     2, "cannot read trace: {d}/e.trace: empty trace file"),
+    ("report-malformed-trace",
+     {"r/timings.json": _TWO_LEVELS, "r/traces/level0.trace": "garbage\n"},
+     "report --out {d}/r", 2,
+     "cannot read trace: {d}/r/traces/level0.trace:1: malformed trace line "
+     "'garbage'; expected time,port,value"),
+    ("stimulus-non-integer", {"s.csv": "bitstream\n1\nx\n"},
+     _SIM + " --stimulus {d}/s.csv",
+     2, "cannot read stimulus: {d}/s.csv:3: non-integer cell in 'x'"),
+    ("stimulus-cell-count", {"s.csv": "bitstream\n1,2\n"},
+     _SIM + " --stimulus {d}/s.csv",
+     2, "cannot read stimulus: {d}/s.csv:2: 2 cells for 1 ports"),
+    ("level-not-a-number", {}, _SIM + " --level a",
+     2, "bad --level value 'a'"),
+    ("params-unknown-module",
+     {"g/params/module.mini_codec.nope.params": "cost_cycles = 0\n"},
+     _FLOW_P, 1,
+     "[attach_params] parameters name unknown module mini_codec/nope"),
+    ("params-module-missing", {_HW_POST: None}, _FLOW_P, 1,
+     "[attach_params] mini_codec/HW_post: missing parameter entry"),
+    ("params-unknown-port",
+     {_HW_POST: "cost_cycles = 0\nport.nope.width = 1\n"}, _FLOW_P, 1,
+     "[attach_params] mini_codec/HW_post: parameters name unknown port nope"),
+    ("params-line-without-equals", {_HW_POST: "cost_cycles 0\n"}, _FLOW_P,
+     1, "module.mini_codec.HW_post.params:1: expected key = value"),
+    ("params-file-name", {"g/params/extra.params": ""}, _FLOW_P,
+     1, "unrecognized parameter file name extra.params"),
+    ("report-one-level", {"r/timings.json": '{"0": {"run": 0.1, "build": 0}}'},
+     "report --out {d}/r", 1, "need at least two timed levels"),
+    ("compare-port-sets",
+     {"a.trace": "# level 0\n0,x,1\n", "b.trace": "# level 0\n0,y,1\n"},
+     "compare --a {d}/a.trace --b {d}/b.trace",
+     1, "FAIL [exact] port sets differ: ['x'] vs ['y']"),
+]]
+
+
+@pytest.mark.parametrize("files,cmd,rc,msg", FAILURES)
+def test_user_failure_is_one_line(files, cmd, rc, msg, mini_path, tmp_path,
+                                  capsys):
+    """Each failure exits with its code and prints its message as one
+    line, never a traceback."""
+    assert main(["gma", "--model", mini_path, "--out", str(tmp_path / "g")]) \
+        == 0
+    for name, text in files.items():
+        path = tmp_path / name
+        if text is None:
+            path.unlink()
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    capsys.readouterr()
+    d = str(tmp_path)
+    assert main(cmd.format(d=d).split()) == rc
+    captured = capsys.readouterr()
+    line = msg.format(d=d) + "\n"
+    assert (captured.out, captured.err) == \
+        ((line, "") if msg.startswith("FAIL") else ("", line))

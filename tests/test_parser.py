@@ -69,6 +69,14 @@ ERRORS = [pytest.param(text, msg, id=name) for name, text, msg in [
      "1:26: bad block argument ';'"),
     ("bad_argument_brace", "model m { block g : fir(1, {); }",
      "1:28: bad block argument '{'"),
+    # arguments take a comma between them and none after the last
+    ("arguments_without_comma", "model m { block f : fir(1 2 3); }",
+     "1:27: expected ')', found 2"),
+    ("argument_trailing_comma", "model m { block g : gain(4,); }",
+     "1:28: bad block argument ')'"),
+    # integers are ASCII decimal, as identifiers are ASCII
+    ("non_ascii_digit", "model m { block g : gain(\u0663); }",
+     "1:26: unexpected character '\u0663'"),
     ("one_integer_none", "model m { block g : gain(); }",
      "1:21: gain: expected one integer parameter"),
     ("one_integer_ident", "model m {\n  block g : delay(x);\n}",

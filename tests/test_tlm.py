@@ -2,10 +2,13 @@ import hashlib
 import importlib.resources as ir
 import random
 
+from fdmflow import cli
+from fdmflow.flow import FlowError, generate_macro
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
 from fdmflow.tlm import recognize_partition, validate_partition
 
+import helpers
 from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
     LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, OUTLINK_FDM, PIPEDELAY_FDM, \
     add_loose_ports, rand_loopy_model, rand_partitioned_model
@@ -166,3 +169,44 @@ class TestPinned:
                       f"{c.explicit} {c.chain}" for c in t.channels]
             h.update(("\n".join(lines) + "\n").encode())
         assert h.hexdigest() == self.PARTITIONS
+
+
+def _gate_designs():
+    """``mini_codec``, the ``*_FDM`` helpers and the random designs of
+    seeds 0-59: loopy, partitioned, and partitioned with loose ports."""
+    yield "mini_codec", mini_codec()
+    for name, text in sorted(vars(helpers).items()):
+        if name.endswith("_FDM"):
+            yield name, parse_model(text)
+    for seed in range(60):
+        yield f"loopy{seed}", rand_loopy_model(random.Random(seed))
+        for loose in (False, True):
+            rng = random.Random(seed)
+            g = rand_partitioned_model(rng)
+            if loose:
+                add_loose_ports(rng, g)
+            yield f"rand{seed}{'-loose' * loose}", g
+
+
+def test_check_and_flow_stop_at_one_gate(monkeypatch, capsys):
+    """On each design, ``check`` exits 1 exactly when ``generate_macro``
+    stops at ``[validate]`` or ``[partition]``, and the first ``error:``
+    line of ``check`` ends with the location and message ``flow`` prints
+    after its stage tag (the location only at ``[partition]``)."""
+    stops = {"validate": 0, "partition": 0, None: 0}
+    for name, g in _gate_designs():
+        monkeypatch.setattr(cli, "load_model_file", lambda path, g=g: g)
+        rc = cli.main(["check", "--model", name])
+        errors = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("error: ")]
+        stage = text = None
+        try:
+            generate_macro(g)
+        except FlowError as e:
+            tag, _, text = str(e).partition("] ")
+            stage = tag[1:] if tag in ("[validate", "[partition") else None
+        assert rc == (1 if stage else 0), name
+        if stage:
+            assert errors[0].endswith(f": {text}"), name
+        stops[stage] += 1
+    assert all(stops.values()), stops
