@@ -71,7 +71,7 @@ def _compile(args, stages=compile_design):
 
 
 def cmd_check(args) -> int:
-    diags, _ = gate(_read_model(args.model))
+    diags, _, _ = gate(_read_model(args.model))
     bad = False
     for d in diags:
         print(f"{d.severity}: {d.location}: {d.message}")

@@ -23,7 +23,7 @@ from .gma.behavior import format_behavior
 from .gma.netlist import ColifNetlist
 from .hwsynth import delay_correct, emit_rtl_text, fsm_controller, \
     map_rtl_library, pipelineable
-from .model.graph import ModelGraph
+from .model.graph import FlatGraph, ModelGraph
 from .model.parser import parse_model
 from .sim.engine import Engine
 from .sim.level0 import Level0Sim
@@ -44,6 +44,7 @@ class MacroDesign:
     every later stage reads."""
 
     model: ModelGraph
+    flat: FlatGraph  # the model flattened by the gate, which level 0 runs
     tlm: TlmModel
     netlist: ColifNetlist  # with bound params
     params: ParamSet
@@ -63,7 +64,7 @@ def generate_macro(model: ModelGraph,
                    params: ParamSet | None = None) -> MacroDesign:
     """Validation, partition, netlist, parameters and behaviors; the
     first error of ``gate`` stops the flow."""
-    diags, tlm = gate(model)
+    diags, tlm, flat = gate(model)
     err = next((d for d in diags if d.severity == "error"), None)
     if err is not None:
         raise FlowError("validate", err.message) if tlm is None else \
@@ -80,7 +81,7 @@ def generate_macro(model: ModelGraph,
             behaviors[name] = gen_task_behavior(tlm, name)
         except Exception as e:
             raise FlowError("swsynth", str(e)) from None
-    return MacroDesign(model, tlm, bound, used, behaviors)
+    return MacroDesign(model, flat, tlm, bound, used, behaviors)
 
 
 def compile_design(model: ModelGraph,
@@ -135,7 +136,7 @@ def simulator(level: int, cd: CompiledDesign, stim: Stimulus, ticks: int):
     """The level's simulator, built; calling it runs the simulation and
     returns a trace tagged ``level``, also for a design with no node."""
     if level == 0:
-        return partial(Level0Sim(cd.model).run, stim, ticks)
+        return partial(Level0Sim(cd.flat, cd.model.name).run, stim, ticks)
     engine = Engine(cd, dict.fromkeys(cd.tlm.nodes, level), stim, ticks)
     # the tag only: with no node, no unit charges a cycle, so the times
     # stay sample indices

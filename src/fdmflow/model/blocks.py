@@ -12,9 +12,13 @@ is a name the generator binds to its value (``sim.sweep.Names``), so
 ``gain(3)`` and ``gain(5)`` share one text.  User functions are
 templates too: ``user`` and ``for_loop`` blocks splice the expressions of
 their function in the one constant table ``USER_FUNCTIONS``.
+``block_src`` expands each template once per shape into positional format
+strings, so a template or expression holds a brace only in a field.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 # The functions ``user(name)`` and ``for_loop(n, name)`` blocks may call:
 # name -> (input ports, output ports, one expression per output over the
@@ -119,13 +123,36 @@ def init_state(kind: str, params: tuple):
     return None
 
 
-def block_src(kind: str, params: tuple, ins, outs, cells, name) -> list:
-    """The lines firing one block: its template with the source texts
-    ``ins``, ``outs`` and ``cells`` filled in, and ``name(value)`` for each
-    parameter."""
+# kind -> the slice of its parameters that its template's text depends
+# on; every other parameter enters the text only as its name {kN}
+_SHAPING = {"delay": slice(1), "for_loop": slice(1, 2), "mux": slice(1),
+            "demux": slice(1), "user": slice(1)}
+
+
+# one expansion per kind, text-shaping parameters and field counts; the
+# generated 1,365-block design uses 16
+@lru_cache(maxsize=256)
+def _expand(kind: str, shape: tuple, *counts: int) -> tuple[str, ...]:
+    """The template of ``kind`` as positional format strings, its fields
+    numbered over the ``counts`` parameters, inputs, outputs and state
+    cells in that order.  ``shape`` holds the text-shaping parameters; the
+    template sees None for every other one."""
+    params = [None] * counts[0]
+    params[_SHAPING.get(kind, slice(0))] = shape
     t = TEMPLATES[kind]
     lines = ["{o0} = " + t] if isinstance(t, str) else t(params)
-    subs = {f"k{j}": name(p) for j, p in enumerate(params)}
-    for c, srcs in (("i", ins), ("o", outs), ("s", cells)):
-        subs |= {f"{c}{j}": s for j, s in enumerate(srcs)}
-    return [ln.format_map(subs) for ln in lines]
+    fields = [f"{c}{j}" for c, n in zip("kios", counts) for j in range(n)]
+    pos = {f: f"{{{i}}}" for i, f in enumerate(fields)}
+    return tuple(ln.format_map(pos) for ln in lines)
+
+
+def block_src(kind: str, params: tuple, ins, outs, cells, name) -> list:
+    """The lines firing one block: its template with ``name(value)`` for
+    each parameter, in order, and the source texts ``ins``, ``outs`` and
+    ``cells`` filled in.  The template is expanded once per shape
+    (``_expand``), so a call only names the parameters and fills each line
+    with one ``str.format``."""
+    lines = _expand(kind, params[_SHAPING.get(kind, slice(0))], len(params),
+                    len(ins), len(outs), len(cells))
+    args = [*map(name, params), *ins, *outs, *cells]
+    return [ln.format(*args) for ln in lines]

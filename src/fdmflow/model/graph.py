@@ -180,6 +180,10 @@ def flatten(g: ModelGraph) -> FlatGraph:
                 chan_input.setdefault(dst[1], dst)
 
     walk(g, "")
+    # walk calls itself through its closure, a cycle that would keep the
+    # walk's tables alive until the next collection of cycles; unbound,
+    # they are freed when flatten returns
+    walk = None
 
     def chase(pin: Pin, what: str):
         seen = set()

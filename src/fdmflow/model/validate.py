@@ -2,9 +2,10 @@
 
 The model is flattened once, by ``graph.flatten``: the diagnostics it
 reports, the parameter rules over its blocks and the algebraic loops make
-the report.  Algebraic loops are the cyclic components, found by
-``graph.sccs``, of the combinational graph: ``graph.successors`` without
-the ``delay_wires``; each is reported once with one cycle through it.
+the report, which keeps the flat graph for level 0 to run.  Algebraic
+loops are the cyclic components, found by ``graph.sccs``, of the
+combinational graph: ``graph.successors`` without the ``delay_wires``;
+each is reported once with one cycle through it.
 ``tlm.gate`` runs these rules and then the partition's, for ``check`` and
 ``flow`` alike.  ``Diagnostic`` is ``graph``'s, re-exported here."""
 
@@ -13,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blocks import USER_FUNCTIONS
-from .graph import Block, Diagnostic, ModelGraph, delay_wires, flatten, \
-    sccs, successors
+from .graph import Block, Diagnostic, FlatGraph, ModelGraph, delay_wires, \
+    flatten, sccs, successors
 
 
 @dataclass
 class ValidationReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    flat: FlatGraph | None = None  # the model's, in validate_model's report
 
     @property
     def ok(self) -> bool:
@@ -100,4 +102,4 @@ def validate_model(g: ModelGraph) -> ValidationReport:
     # an issue found with no line, such as an undriven port, follows the
     # located ones, which are likelier its cause
     out.sort(key=lambda d: (not d.line, d.line, d.location, d.message))
-    return ValidationReport(out)
+    return ValidationReport(out, flat)

@@ -25,7 +25,8 @@ block state cell and every register stage; the generated
 inputs a block reads) and returns the ``outputs`` slots as a tuple, both
 in order, so no sample passes through a dict.  It reads and writes
 ``vals`` by index, fires each op as its block's template
-(``model.blocks.block_src``) spliced inline, and then shifts the registers
+(``model.blocks.block_src``, which expands a template once per shape and
+then only fills it in) spliced inline, and then shifts the registers
 stage by stage.  The ops and the shifts go into functions of ``CHUNK``
 each, and each is compiled on its own: CPython needs several KiB of
 temporary memory per line to compile a function, so one source for a

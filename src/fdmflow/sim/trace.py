@@ -123,14 +123,13 @@ class PortSetMismatch(ValueError):
     pass
 
 
-def _first_diff(a: list, b: list):
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i, x, y
-    if len(a) != len(b):
-        n = min(len(a), len(b))
-        return n, (a[n] if len(a) > n else None), (b[n] if len(b) > n else None)
-    return None
+def _first_diff(a: list, b: list) -> str:
+    """``i: x != y`` at the first index where the differing lists ``a``
+    and ``b`` part; an item past the end of its list reads None."""
+    n = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    return f"{n}: {a[n] if len(a) > n else None} != " \
+        f"{b[n] if len(b) > n else None}"
 
 
 def compare_traces(a: Trace, b: Trace, mode: str = "exact",
@@ -154,22 +153,21 @@ def compare_traces(a: Trace, b: Trace, mode: str = "exact",
     if not any(a.ports.values()):
         return Verdict(False, mode, message="the reference holds no sample")
 
+    # each port's list is compared whole; only one that differs is
+    # searched for its first difference
     if mode == "exact":
-        for port in a.ports:
-            d = _first_diff(a.ports[port], b.ports[port])
-            if d is not None:
-                i, x, y = d
-                return Verdict(False, mode,
-                               message=f"port {port} record {i}: {x} != {y}")
+        for port, recs in a.ports.items():
+            if recs != b.ports[port]:
+                return Verdict(False, mode, message=f"port {port} record "
+                               f"{_first_diff(recs, b.ports[port])}")
         return Verdict(True, mode, k=0)
 
     if mode == "values_only":
         for port in a.ports:
-            d = _first_diff(a.values(port), b.values(port))
-            if d is not None:
-                i, x, y = d
-                return Verdict(False, mode,
-                               message=f"port {port} value {i}: {x} != {y}")
+            av, bv = a.values(port), b.values(port)
+            if av != bv:
+                return Verdict(False, mode, message=f"port {port} value "
+                               f"{_first_diff(av, bv)}")
         return Verdict(True, mode)
 
     av = {p: a.values(p) for p in a.ports}

@@ -321,12 +321,14 @@ def validate_partition(t: TlmModel) -> ValidationReport:
     return ValidationReport(out)
 
 
-def gate(g: ModelGraph) -> tuple[list[Diagnostic], TlmModel | None]:
-    """Every diagnostic of ``g``, the model rules' then the partition's,
-    and its partition, or None when a model rule fails, as the partition
-    rules assume a valid model."""
+def gate(g: ModelGraph) \
+        -> tuple[list[Diagnostic], TlmModel | None, FlatGraph]:
+    """Every diagnostic of ``g``, the model rules' then the partition's;
+    its partition, or None when a model rule fails, as the partition rules
+    assume a valid model; and ``g`` flattened, as validation flattened it."""
     report = validate_model(g)
     if not report.ok:
-        return report.diagnostics, None
+        return report.diagnostics, None, report.flat
     t = recognize_partition(g)
-    return report.diagnostics + validate_partition(t).diagnostics, t
+    return (report.diagnostics + validate_partition(t).diagnostics, t,
+            report.flat)

@@ -14,6 +14,7 @@ from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     Subsystem, flatten
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.interp import FsmRunner, SimError
+from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus, Trace
 from fdmflow.swsynth import ADDR_BASE, ADDR_STRIDE, AddrEntry, AddressMap, \
     TaskFsm
@@ -721,6 +722,12 @@ def as_model(sub: Subsystem) -> ModelGraph:
     """A hardware node's subsystem on its own, as a model."""
     return ModelGraph(sub.id, blocks=sub.blocks, subsystems=sub.subsystems,
                       links=sub.links, inputs=sub.inputs, outputs=sub.outputs)
+
+
+def level0(g: ModelGraph) -> Level0Sim:
+    """``g``'s level-0 simulator, from a fresh ``flatten`` of ``g``; the
+    flow builds it from the flat graph its gate made."""
+    return Level0Sim(flatten(g), g.name)
 
 
 def map_node(sub: Subsystem, costs: dict | None = None) -> RtlGraph:

@@ -18,12 +18,11 @@ from fdmflow.model.graph import Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
 from fdmflow.model.validate import validate_model
 from fdmflow.sim.engine import Engine
-from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus, Trace, compare_traces
 from fdmflow.swsynth import build_task_fsm, lower_api
 from fdmflow.tlm import recognize_partition
 
-from helpers import hw_stream, map_node, parse_netlist_json, \
+from helpers import hw_stream, level0, map_node, parse_netlist_json, \
     rand_loopy_model, rand_partitioned_model, rand_pipeline_node, \
     rand_task_subsystem, run_task, standalone_address_map, total_registers
 
@@ -120,7 +119,7 @@ def test_criterion_2_delay_correction_suite():
             cyc = hw_stream(RtlCycleSim(impl).step, stim, n + k)
             wrapper = ModelGraph(sub.id, blocks=sub.blocks, links=sub.links,
                                  inputs=["in"], outputs=["out"])
-            ref = Level0Sim(wrapper).run(stim, n)
+            ref = level0(wrapper).run(stim, n)
             v = compare_traces(ref, cyc, mode="modulo_latency", expected_k=k)
             assert v.passed, f"seed {seed}: {v.message}"
 
@@ -139,7 +138,7 @@ def test_criterion_3_fsm_controller_suite():
             got = hw_stream(ControllerSim(ctrl).fire, stim, n)
             wrapper = ModelGraph(sub.id, blocks=sub.blocks, links=sub.links,
                                  inputs=["in"], outputs=["out"])
-            ref = Level0Sim(wrapper).run(stim, n)
+            ref = level0(wrapper).run(stim, n)
             assert got.values("out") == ref.values("out"), f"seed {seed}"
 
 

@@ -12,15 +12,15 @@ from fdmflow.gma.behavior import Call, Recv, Send, format_behavior
 from fdmflow.gma.params import ParamError
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, Subsystem
 from fdmflow.model.parser import parse_model
-from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus
 from fdmflow.swsynth import build_task_fsm
 from fdmflow.tlm import recognize_partition
 
 from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
     LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, OUTLINK_FDM, PIPEDELAY_FDM, \
-    add_loose_ports, parse_netlist_json, port_of, rand_partitioned_model, \
-    rand_task_subsystem, run_task, validate_netlist, walk
+    add_loose_ports, level0, parse_netlist_json, port_of, \
+    rand_partitioned_model, rand_task_subsystem, run_task, validate_netlist, \
+    walk
 
 
 def mini_tlm():
@@ -254,5 +254,5 @@ class TestMergedPreservesSemantics:
             got = run_task(fsm, {"in": xs})["out"]
             ref_g = ModelGraph("ref", blocks=sub.blocks,
                                links=sub.links, inputs=["in"], outputs=["out"])
-            ref = Level0Sim(ref_g).run(Stimulus({"in": xs}, 40), 40)
+            ref = level0(ref_g).run(Stimulus({"in": xs}, 40), 40)
             assert got == ref.values("out"), f"seed {seed}"

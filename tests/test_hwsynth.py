@@ -13,14 +13,13 @@ from fdmflow.model.graph import Block, Endpoint, Link, Subsystem, flatten
 from fdmflow.model.parser import parse_model
 from fdmflow.model.validate import validate_model
 from fdmflow.sim.engine import Engine
-from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus
 
 from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
     LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, OUTLINK_FDM, PIPEDELAY_FDM, \
-    add_loose_ports, as_model, hw_stream, map_node, rand_hw_subsystem, \
-    rand_loopy_model, rand_partitioned_model, rand_pipeline_node, \
-    total_registers
+    add_loose_ports, as_model, hw_stream, level0, map_node, \
+    rand_hw_subsystem, rand_loopy_model, rand_partitioned_model, \
+    rand_pipeline_node, total_registers
 
 
 def _link(a, ap, b, bp):
@@ -191,7 +190,7 @@ class TestController:
             xs = [rng.randint(-100, 100) for _ in range(20)]
             stim = Stimulus({"in": xs}, 20)
             got = hw_stream(ControllerSim(ctrl).fire, stim, 20)
-            ref = Level0Sim(as_model(sub)).run(stim, 20)
+            ref = level0(as_model(sub)).run(stim, 20)
             assert got.values("out") == ref.values("out"), f"seed {seed}"
 
 
@@ -207,7 +206,7 @@ class TestCycleAccuracy:
             xs = [rng.randint(-100, 100) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
             cyc = hw_stream(RtlCycleSim(impl).step, stim, n + k)
-            ref = Level0Sim(as_model(sub)).run(stim, n)
+            ref = level0(as_model(sub)).run(stim, n)
             assert cyc.values("out")[k:] == ref.values("out"), f"seed {seed}"
 
     def test_multi_output_pipeline(self):
@@ -228,7 +227,7 @@ class TestCycleAccuracy:
         xs = list(range(-6, 6))
         stim = Stimulus({"in": xs}, len(xs))
         cyc = hw_stream(RtlCycleSim(impl).step, stim, len(xs) + k)
-        ref = Level0Sim(as_model(sub)).run(stim, len(xs))
+        ref = level0(as_model(sub)).run(stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
 
     def test_declared_delay_is_functional(self):
@@ -263,7 +262,7 @@ class TestCycleAccuracy:
         xs = list(range(-7, 9))
         stim = Stimulus({"in": xs}, len(xs))
         cyc = hw_stream(RtlCycleSim(impl).step, stim, len(xs) + k)
-        ref = Level0Sim(as_model(sub)).run(stim, len(xs))
+        ref = level0(as_model(sub)).run(stim, len(xs))
         assert cyc.values("out")[k:] == ref.values("out")
 
 

@@ -8,10 +8,9 @@ from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     flatten, topo_order
 from fdmflow.model.parser import ParseError, parse_model
 from fdmflow.model.validate import validate_model
-from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import Stimulus
 
-from helpers import rand_loopy_model, reference_step, wrap32
+from helpers import level0, rand_loopy_model, reference_step, wrap32
 
 
 def _mk(text):
@@ -191,7 +190,7 @@ class TestLevel0:
         model m { input a; output b; block k : gain(3);
           link self.a -> k.in; link k.out -> self.b; }
         """)
-        tr = Level0Sim(g).run(Stimulus({"a": [1, 2, 3]}, 3), 3)
+        tr = level0(g).run(Stimulus({"a": [1, 2, 3]}, 3), 3)
         assert tr.ports["b"] == [(0, 3), (1, 6), (2, 9)]
 
     def test_feedback_accumulator(self):
@@ -201,7 +200,7 @@ class TestLevel0:
           link self.x -> a.in1; link d.out -> a.in2;
           link a.out -> d.in; link a.out -> self.y; }
         """)
-        tr = Level0Sim(g).run(Stimulus({"x": [1, 1, 1, 1]}, 4), 4)
+        tr = level0(g).run(Stimulus({"x": [1, 1, 1, 1]}, 4), 4)
         assert tr.values("y") == [1, 2, 3, 4]
 
     def test_stimulus_pad(self):
@@ -209,7 +208,7 @@ class TestLevel0:
         model m { input a; output b; block k : gain(2);
           link self.a -> k.in; link k.out -> self.b; }
         """)
-        tr = Level0Sim(g).run(Stimulus({"a": [5]}, 1), 3)
+        tr = level0(g).run(Stimulus({"a": [5]}, 1), 3)
         assert tr.values("b") == [10, 0, 0]
 
     def test_topo_order_is_declaration_stable(self):

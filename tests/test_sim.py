@@ -206,6 +206,23 @@ class TestCompareTraces:
         assert not v.passed
         assert v.message == "port y record 1: (1, 2) != (1, 3)"
 
+    def test_last_record_differs(self):
+        """Each mode names the one difference of two equal-length traces,
+        in their last record, and the first record past the shorter
+        trace's end."""
+        a, b = self._t([1, 2, 3]), self._t([1, 2, 4])
+        v = compare_traces(a, b)
+        assert not v.passed
+        assert v.message == "port y record 2: (2, 3) != (2, 4)"
+        v = compare_traces(a, b, mode="values_only")
+        assert not v.passed
+        assert v.message == "port y value 2: 3 != 4"
+        v = compare_traces(self._t([1, 2]), self._t([1, 2], times=[0, 2]))
+        assert v.message == "port y record 1: (1, 2) != (2, 2)"
+        v = compare_traces(self._t([1, 2]), self._t([1, 2, 3]),
+                           mode="values_only")
+        assert v.message == "port y value 2: None != 3"
+
     def test_exact_times_matter(self):
         v = compare_traces(self._t([1, 2]), self._t([1, 2], times=[0, 5]))
         assert not v.passed

@@ -4,8 +4,10 @@ enters a generated text."""
 
 import importlib.util
 import random
+import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdmflow.sim.engine as engine
@@ -13,8 +15,8 @@ import fdmflow.sim.sweep as sweep
 from fdmflow.flow import compile_design, default_stimulus, simulate
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Call, Recv, Send, \
     TaskBehavior
-from fdmflow.model.blocks import KIND_NAMES, USER_FUNCTIONS, init_state, \
-    port_names
+from fdmflow.model.blocks import KIND_NAMES, TEMPLATES, USER_FUNCTIONS, \
+    init_state, port_names
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.interp import FsmRunner, behavior_coroutine
 from fdmflow.swsynth import build_task_fsm, lower_api
@@ -42,6 +44,8 @@ PARAMS = {
     "user": st.tuples(st.sampled_from(sorted(USER_FUNCTIONS))),
     "sink": st.just(()),
 }
+# the one use of a brace in a template or a user function's expression
+FIELD = re.compile(r"\{[kiosx]\d+\}")
 
 
 @st.composite
@@ -134,6 +138,22 @@ class TestTemplates:
         kind, params, ticks = firing
         _assert_generators(kind, params, ticks,
                            _stepped(kind, params, ticks))
+
+    @pytest.mark.parametrize("kind", sorted(KIND_NAMES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_braces_only_in_fields(self, kind, data):
+        """A template's braces are its fields' only: its lines are filled
+        positionally, which would misread a dict or set literal."""
+        t = TEMPLATES[kind]
+        params = data.draw(PARAMS[kind])
+        for ln in [t] if isinstance(t, str) else t(params):
+            assert not set(FIELD.sub("", ln)) & set("{}"), (params, ln)
+
+    def test_user_function_braces_only_in_fields(self):
+        for name, (_, _, exprs) in USER_FUNCTIONS.items():
+            for e in exprs:
+                assert not set(FIELD.sub("", e)) & set("{}"), (name, e)
 
     def test_reference_edges(self):
         """Edges the property draws, spelled out."""
