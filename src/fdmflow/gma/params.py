@@ -10,10 +10,10 @@ model, and a string otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .netlist import ColifNetlist
-from .tree import Module
+from .tree import Module, Port
 
 PORT_KEYS = ("protocol", "width", "addr_hint")
 MODULE_KEYS = ("cost_cycles",)
@@ -68,8 +68,10 @@ def _copy_module(m: Module) -> Module:
     params = dict(m.params)
     if "port_hints" in params:
         params["port_hints"] = dict(params["port_hints"])
-    return replace(m, ports=[replace(port) for port in m.ports], params=params,
-                   children=[_copy_module(c) for c in m.children])
+    return Module(m.name, m.kind,
+                  [Port(q.name, q.direction, q.width, q.protocol)
+                   for q in m.ports], params,
+                  [_copy_module(c) for c in m.children])
 
 
 def attach_params(n: ColifNetlist, p: ParamSet) -> ColifNetlist:

@@ -93,15 +93,6 @@ class FlatGraph:
     issues: list[Diagnostic]  # the errors flatten found
 
 
-def _scope_index(scope):
-    idx = {}
-    for b in scope.blocks:
-        idx[b.id] = ("blk", b)
-    for s in scope.subsystems:
-        idx[s.id] = ("sub", s)
-    return idx
-
-
 def flatten(g: ModelGraph) -> FlatGraph:
     """Elaborate the hierarchy, chasing links through subsystem boundary ports.
 
@@ -132,8 +123,7 @@ def flatten(g: ModelGraph) -> FlatGraph:
             issue(f"link references undeclared id {ep.block!r}",
                   path or g.name, link.line)
             return None
-        tag, obj = idx[ep.block]
-        child = f"{path}/{ep.block}" if path else ep.block
+        tag, obj, child = idx[ep.block]
         if tag == "sub":
             if ep.port not in set(obj.inputs) | set(obj.outputs):
                 issue(f"subsystem {ep.block!r} has no port {ep.port!r}",
@@ -156,16 +146,20 @@ def flatten(g: ModelGraph) -> FlatGraph:
         return ("blk", child, ep.port)
 
     def walk(scope, path: str):
+        # id -> (tag, block or subsystem, its path): a pin reuses the path
+        # string that keys ``blocks``, so drivers hold no copy of it
+        idx = {}
         for b in scope.blocks:
             bpath = f"{path}/{b.id}" if path else b.id
             blocks[bpath] = b
+            idx[b.id] = ("blk", b, bpath)
         for s in scope.subsystems:
             spath = f"{path}/{s.id}" if path else s.id
+            idx[s.id] = ("sub", s, spath)
             sub_ports[spath] = set(s.inputs) | set(s.outputs)
             if is_channel_subsystem(s.id):
                 chan_paths.add(spath)
             walk(s, spath)
-        idx = _scope_index(scope)
         for link in scope.links:
             src = pin_of(idx, path, link.src, link, True)
             dst = pin_of(idx, path, link.dst, link, False)

@@ -78,29 +78,43 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> "Trace":
-        """Read a file written by ``save``; ValueError names a bad line."""
+        """Read a file written by ``save``; ValueError names a bad line.
+
+        A line first tries the record form unstripped: ``int`` skips the
+        blanks ``strip`` removes, bar ``\\x1c``-``\\x1f``.  Only a line that
+        fails is stripped, then skipped if blank, read as a header or
+        reported."""
         tr = cls({})
         empty = True
+        port = recs = None  # the last record's port and its list
         with open(path, encoding="utf-8") as f:
             for i, ln in enumerate(f, 1):
-                ln = ln.strip()
-                if not ln:
-                    continue
-                empty = False
                 try:
-                    if ln.startswith("#"):
-                        parts = ln[1:].split()
-                        if parts[0] == "level":
-                            tr.level = int(parts[1])
-                        elif parts[0] == "design":
-                            tr.design = parts[1] if len(parts) > 1 else ""
+                    t, p, v = ln.split(",")
+                    rec = (int(t), int(v))
+                except ValueError:
+                    ln = ln.strip()
+                    if not ln:
                         continue
-                    t, port, v = ln.split(",")
-                    tr.ports.setdefault(port, []).append((int(t), int(v)))
-                except (ValueError, IndexError):
-                    raise ValueError(f"{path}:{i}: malformed trace line {ln!r}; "
-                                     "expected time,port,value") from None
-        if empty:
+                    empty = False
+                    try:
+                        if ln.startswith("#"):
+                            parts = ln[1:].split()
+                            if parts[0] == "level":
+                                tr.level = int(parts[1])
+                            elif parts[0] == "design":
+                                tr.design = parts[1] if len(parts) > 1 else ""
+                            continue
+                        t, p, v = ln.split(",")
+                        rec = (int(t), int(v))
+                    except (ValueError, IndexError):
+                        raise ValueError(f"{path}:{i}: malformed trace line "
+                                         f"{ln!r}; expected time,port,value") \
+                            from None
+                if p != port:
+                    port, recs = p, tr.ports.setdefault(p, [])
+                recs.append(rec)
+        if empty and not tr.ports:
             raise ValueError(f"{path}: empty trace file")
         return tr
 

@@ -221,6 +221,26 @@ class TestLevel0:
         flat = flatten(g)
         assert topo_order(flat) == ["p", "q"]
 
+    def test_drivers_reuse_block_path_strings(self):
+        # a driver's source path is the very string that keys ``blocks``,
+        # so a flat graph holds one copy of each path
+        g = _mk("""
+        model m { input a; output b;
+          subsystem s { input i; output o;
+            subsystem t { input i; output o; block p : gain(1);
+              block q : gain(2); link self.i -> p.in; link p.out -> q.in;
+              link q.out -> self.o; }
+            link self.i -> t.i; link t.o -> self.o; }
+          block r : gain(3);
+          link self.a -> s.i; link s.o -> r.in; link r.out -> self.b; }
+        """)
+        flat = flatten(g)
+        key = {p: p for p in flat.blocks}
+        srcs = [s for s in [*flat.drivers.values(), *flat.top_outputs.values()]
+                if s[0] == "block"]
+        assert {s[1] for s in srcs} == {"s/t/p", "s/t/q", "r"}
+        assert all(s[1] is key[s[1]] for s in srcs)
+
 
 class TestTraceFiles:
     def test_stimulus_round_trip(self, tmp_path):
@@ -237,3 +257,176 @@ class TestTraceFiles:
         t.save(p)
         t2 = Trace.load(p)
         assert t2.ports == t.ports and t2.level == 3
+
+
+def _frozen_trace_load(path):
+    """A trace reader that strips every line, then classifies it: the
+    reference ``Trace.load``, which tries the record form first, is
+    fuzzed against."""
+    from fdmflow.sim.trace import Trace
+    tr = Trace({})
+    empty = True
+    with open(path, encoding="utf-8") as f:
+        for i, ln in enumerate(f, 1):
+            ln = ln.strip()
+            if not ln:
+                continue
+            empty = False
+            try:
+                if ln.startswith("#"):
+                    parts = ln[1:].split()
+                    if parts[0] == "level":
+                        tr.level = int(parts[1])
+                    elif parts[0] == "design":
+                        tr.design = parts[1] if len(parts) > 1 else ""
+                    continue
+                t, port, v = ln.split(",")
+                tr.ports.setdefault(port, []).append((int(t), int(v)))
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}:{i}: malformed trace line {ln!r}; "
+                                 "expected time,port,value") from None
+    if empty:
+        raise ValueError(f"{path}: empty trace file")
+    return tr
+
+
+def _load_outcome(load, path):
+    """(ports, level, design), or (exception name, message) with the path
+    written ``{path}``."""
+    try:
+        tr = load(path)
+    except ValueError as e:
+        return type(e).__name__, str(e).replace(str(path), "{path}")
+    return tr.ports, tr.level, tr.design
+
+
+def _bad(n, line):
+    return ("ValueError", f"{{path}}:{n}: malformed trace line {line!r}; "
+            "expected time,port,value")
+
+
+# (file contents, outcome): each outcome is the one the frozen reader gives
+TRACE_FILES = [
+    ("# level 3\r\n# design d\r\n0,y,1\r\n1,y,2\r\n",
+     ({"y": [(0, 1), (1, 2)]}, 3, "d")),
+    ("# level 2\r0,y,1\r1,y,2\r", ({"y": [(0, 1), (1, 2)]}, 2, "")),
+    ("\n\n0,y,1\n\n1,y,2\n\n", ({"y": [(0, 1), (1, 2)]}, 0, "")),
+    (" \n\t\n0,y,1\n \t \x0b\x0c\n1,y,2\n   ",
+     ({"y": [(0, 1), (1, 2)]}, 0, "")),
+    ("  0,y,1  \n\t1,y,2\t\n", ({"y": [(0, 1), (1, 2)]}, 0, "")),
+    ("0 , y , 1\n", ({" y ": [(0, 1)]}, 0, "")),
+    ("\xa00,y,1\xa0\n\xa01,\xa0y,2\n",
+     ({"y": [(0, 1)], "\xa0y": [(1, 2)]}, 0, "")),
+    # int does not skip \x1c-\x1f, strip does: the stripped retry reads it
+    ("\x1c0,y,1\x1c\n", ({"y": [(0, 1)]}, 0, "")),
+    ("\x1f0,y,1\x1e\n\x1d1,y,2\n", ({"y": [(0, 1), (1, 2)]}, 0, "")),
+    ("0\x1c,y,1\n", _bad(1, "0\x1c,y,1")),
+    ("\u20280,y,1\u2028\n\u2028 1,y,2\n", ({"y": [(0, 1), (1, 2)]}, 0, "")),
+    ("+5,y,+7\n", ({"y": [(5, 7)]}, 0, "")),
+    ("1_0,y,2_000\n", ({"y": [(10, 2000)]}, 0, "")),
+    ("1__0,y,2\n", _bad(1, "1__0,y,2")),
+    ("٣,y,٣١\n", ({"y": [(3, 31)]}, 0, "")),
+    ("-3,y,-4\n", ({"y": [(-3, -4)]}, 0, "")),
+    ("99999999999999999999999,y,-1\n",
+     ({"y": [(99999999999999999999999, -1)]}, 0, "")),
+    ("0,y,1\n#\n", _bad(2, "#")),
+    ("0,y,1\n#   \n", _bad(2, "#")),
+    ("# level x\n", _bad(1, "# level x")),
+    ("# level\n", _bad(1, "# level")),
+    ("#level 4\n0,y,1\n", ({"y": [(0, 1)]}, 4, "")),
+    ("# level 4 5\n0,y,1\n", ({"y": [(0, 1)]}, 4, "")),
+    ("# level +6\n0,y,1\n", ({"y": [(0, 1)]}, 6, "")),
+    ("# note anything, at all\n0,y,1\n", ({"y": [(0, 1)]}, 0, "")),
+    # a header that splits into three fields creates no port "b"
+    ("# design a,b,c\n0,y,1\n", ({"y": [(0, 1)]}, 0, "a,b,c")),
+    ("# design a,b,c\n", ({}, 0, "a,b,c")),
+    ("# design a b\n0,y,1\n", ({"y": [(0, 1)]}, 0, "a")),
+    ("# design\n0,y,1\n", ({"y": [(0, 1)]}, 0, "")),
+    ("0,y,1\n# level 1\n# design p\n1,y,2\n",
+     ({"y": [(0, 1), (1, 2)]}, 1, "p")),
+    ("# level 1\n# design p\n0,y,1\n# level 2\n# design q\n1,y,2\n"
+     "# level 3\n", ({"y": [(0, 1), (1, 2)]}, 3, "q")),
+    ("# level 3\n", ({}, 3, "")),
+    ("0,y,1\n0,z,5\n1,y,2\n1,z,6\n2,y,3\n",
+     ({"y": [(0, 1), (1, 2), (2, 3)], "z": [(0, 5), (1, 6)]}, 0, "")),
+    ("0,y,1\n# level 2\n0,z,5\n1,y,2\n",
+     ({"y": [(0, 1), (1, 2)], "z": [(0, 5)]}, 2, "")),
+    ("0,,1\n1,,2\n", ({"": [(0, 1), (1, 2)]}, 0, "")),
+    ("5,y,1\n3,y,2\n5,y,3\n", ({"y": [(5, 1), (3, 2), (5, 3)]}, 0, "")),
+    ("0,y,1\n1,y\n", _bad(2, "1,y")),
+    ("0,y,1\n1,y,2,3\n", _bad(2, "1,y,2,3")),
+    ("7\n", _bad(1, "7")),
+    (",y,1\n", _bad(1, ",y,1")),
+    ("  ,y,1\n", _bad(1, ",y,1")),
+    ("0,y,\n", _bad(1, "0,y,")),
+    ("0,y,1.5\n", _bad(1, "0,y,1.5")),
+    ("0,y,1\x00\n", _bad(1, "0,y,1\x00")),
+    ("\ufeff# level 3\n0,y,1\n", _bad(1, "\ufeff# level 3")),
+    ("0,y,1\n\n  \nbad\n", _bad(4, "bad")),
+    ("# level 1\n0,y,1\n1,y,2", ({"y": [(0, 1), (1, 2)]}, 1, "")),
+    ("\n\n  \n\t\n", ("ValueError", "{path}: empty trace file")),
+    ("", ("ValueError", "{path}: empty trace file")),
+    (b"0,y,1\n\xff,y,2\n", ("UnicodeDecodeError", "'utf-8' codec can't "
+                             "decode byte 0xff in position 6: invalid "
+                             "start byte")),
+]
+
+# the pieces the fuzz builds lines from
+_BLANKS = ["", "", " ", "\t", "\xa0", "\x1c", "\x1f", "\u2028", "\x0b"]
+_INTS = ["0", "7", "-3", "+5", "1_0", "٣", "12", "", "x", "1.5", "#"]
+_PORTS = ["y", "z", "", " y", "a b", "#"]
+_HEADERS = ["#", "# level 2", "# level x", "#level 5", "# design d",
+            "# design a,b,c", "# design", "# note", "# level"]
+
+
+class TestTraceLoad:
+    @pytest.mark.parametrize("data,outcome", TRACE_FILES)
+    def test_table(self, tmp_path, data, outcome):
+        from fdmflow.sim.trace import Trace
+        p = tmp_path / "t.trace"
+        p.write_bytes(data if isinstance(data, bytes) else data.encode())
+        assert _load_outcome(_frozen_trace_load, p) == outcome
+        assert _load_outcome(Trace.load, p) == outcome
+
+    def test_fuzz_against_frozen_reader(self, tmp_path):
+        from fdmflow.sim.trace import Trace
+        rng = random.Random(30)
+        p = tmp_path / "t.trace"
+        for _ in range(600):
+            lines = []
+            for _ in range(rng.randrange(0, 7)):
+                r = rng.random()
+                if r < 0.2:
+                    ln = rng.choice(_HEADERS)
+                elif r < 0.3:
+                    ln = rng.choice(_BLANKS)
+                else:
+                    fields = [rng.choice(_INTS), rng.choice(_PORTS),
+                              rng.choice(_INTS)]
+                    del fields[3:rng.choice([2, 3, 3, 3, 4])]
+                    if len(fields) == 3 and rng.random() < 0.1:
+                        fields.append(rng.choice(_INTS))
+                    ln = ",".join(rng.choice(_BLANKS) + f + rng.choice(_BLANKS)
+                                  for f in fields)
+                lines.append(ln + rng.choice(["\n", "\n", "\r\n", "\r"]))
+            text = "".join(lines)
+            if text and rng.random() < 0.2:
+                text = text.rstrip("\r\n")
+            p.write_bytes(text.encode())
+            assert _load_outcome(Trace.load, p) == \
+                _load_outcome(_frozen_trace_load, p), repr(text)
+
+    def test_save_load_round_trip_every_level(self, tmp_path):
+        import importlib.resources as ir
+        from fdmflow.flow import compile_design, default_stimulus, simulate
+        from fdmflow.sim.trace import Trace
+        cd = compile_design(parse_model(
+            (ir.files("fdmflow") / "models" / "mini_codec.fdm").read_text()))
+        stim = default_stimulus(cd.model, 64, seed=5)
+        for level in range(4):
+            tr = simulate(level, cd, stim, 64)
+            p = tmp_path / f"level{level}.trace"
+            tr.save(p)
+            back = Trace.load(p)
+            assert (back.ports, back.level, back.design) == \
+                (tr.ports, level, "mini_codec")
