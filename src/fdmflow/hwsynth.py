@@ -24,9 +24,9 @@ positional ``tick`` (``RtlCycleSim.step``, ``ControllerSim.fire``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
+from .model.blocks import KINDS, RTL_USER_INDEX
 from .model.graph import FlatGraph, delay_wires, sccs, stable_topo, \
     successors
 from .sim.sweep import plan
@@ -39,47 +39,13 @@ class RtlLibraryEntry:
     eligibility: str  # "pipelined" | "multicycle"
 
 
-def _fir_latency(params: tuple) -> int:
-    taps = len(params)
-    return 1 + max(0, math.ceil(math.log2(taps))) if taps > 1 else 1
-
-
-# Default latencies are repo placeholders, overridable per instance via the
-# cost_cycles parameter; they are not calibrated figures.
 def library_entry(kind: str, params: tuple,
                   cost_override: int | None = None) -> RtlLibraryEntry:
-    if kind == "user":
-        name = params[0]
-        lat = cost_override if cost_override is not None \
-            else RTL_USER_INDEX.get(name, 1)
-        return RtlLibraryEntry(f"u_{name}", lat, "multicycle")
-    if kind == "for_loop":
-        lat = cost_override if cost_override is not None else params[0]
-        return RtlLibraryEntry("loop_engine", lat, "multicycle")
-    base = {
-        "const": ("const_reg", 0, "pipelined"),
-        "add": ("adder", 0, "pipelined"),
-        "sub": ("subtractor", 0, "pipelined"),
-        "gain": ("scaler", 0, "pipelined"),
-        "mul": ("multiplier", 1, "pipelined"),
-        "quant": ("quantizer", 1, "pipelined"),
-        "if_else": ("selector", 0, "pipelined"),
-        "mux": ("mux", 0, "pipelined"),
-        "demux": ("demux", 0, "pipelined"),
-        "sink": ("probe", 0, "pipelined"),
-        "delay": ("delay_line", 0, "pipelined"),
-    }
-    if kind == "fir":
-        lat = cost_override if cost_override is not None else _fir_latency(params)
-        return RtlLibraryEntry("fir_core", lat, "pipelined")
-    name, lat, elig = base[kind]
-    if cost_override is not None:
-        lat = cost_override
-    return RtlLibraryEntry(name, lat, elig)
-
-
-# user functions with a shipped RTL implementation (name -> latency)
-RTL_USER_INDEX: dict[str, int] = {"clip": 2}
+    """A block's RTL IP (``Kind.ip``), at ``cost_override`` if given."""
+    ip = KINDS[kind].ip
+    name, latency, eligibility = ip(params) if callable(ip) else ip
+    return RtlLibraryEntry(
+        name, latency if cost_override is None else cost_override, eligibility)
 
 
 class HwSynthError(Exception):
@@ -107,8 +73,8 @@ class RtlGraph:
 class HwImpl:
     """The one record hardware synthesis makes of a node, which level 3,
     the RTL text and ``synth-hw`` read: a delay-corrected pipeline with its
-    latency k, or a multicycle controller firing one IP per step, which
-    accepts one sample per initiation interval (II) cycles."""
+    latency k, or a multicycle controller firing one IP per step, with its
+    initiation interval (II); level 3 charges no cycle for either."""
 
     kind: str  # "pipelined" | "controller"
     graph: RtlGraph  # with its balancing registers when pipelined
@@ -228,7 +194,7 @@ class RtlCycleSim:
 
 
 class ControllerSim:
-    """Executes the multicycle schedule: functional result, II cycles each."""
+    """Executes the multicycle schedule; its II is reported, not charged."""
 
     def __init__(self, impl: HwImpl):
         self.sweep = plan(impl.graph.flat, impl.graph.order)

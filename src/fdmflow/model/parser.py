@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .blocks import KIND_NAMES
+from .blocks import KINDS
 from .graph import Block, Endpoint, Link, ModelGraph, Subsystem
 
 # A comment is an alternative, not part of the blank prefix: as a prefix,
@@ -149,7 +149,7 @@ class _Parser:
         nt = self.ident()
         self.punct(":")
         kt = self.ident()
-        if kt[1] not in KIND_NAMES:
+        if kt[1] not in KINDS:
             raise ParseError(f"unknown block kind {kt[1]!r}", kt[2], kt[3])
         args: list = []
         if self.at("("):
@@ -173,28 +173,10 @@ class _Parser:
         return a[1]
 
     def _check_args(self, kt: tuple, args: list) -> tuple:
-        kind = kt[1]
-
-        def fail(msg):
-            raise ParseError(f"{kind}: {msg}", kt[2], kt[3])
-
-        ints = [a for a in args if isinstance(a, int)]
-        if kind in ("const", "gain", "delay", "quant", "mux", "demux"):
-            if len(args) != 1 or len(ints) != 1:
-                fail("expected one integer parameter")
-        elif kind == "fir":
-            if not args or len(ints) != len(args):
-                fail("expected one or more integer taps")
-        elif kind == "for_loop":
-            if len(args) != 2 or not isinstance(args[0], int) \
-                    or not isinstance(args[1], str):
-                fail("expected (count, body-function)")
-        elif kind == "user":
-            if len(args) != 1 or not isinstance(args[0], str):
-                fail("expected a function name")
-        else:  # add, sub, mul, if_else, sink
-            if args:
-                fail("takes no parameters")
+        """``args`` checked against the signature of kind ``kt``."""
+        check, message = KINDS[kt[1]].args
+        if not check(args):
+            raise ParseError(f"{kt[1]}: {message}", kt[2], kt[3])
         return tuple(args)
 
     def _subsystem(self, names: set) -> Subsystem:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import USER_FUNCTIONS
-from .graph import Block, Diagnostic, FlatGraph, ModelGraph, delay_wires, \
+from .blocks import KINDS
+from .graph import Diagnostic, FlatGraph, ModelGraph, delay_wires, \
     flatten, sccs, successors
 
 
@@ -29,27 +29,6 @@ class ValidationReport:
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
-
-
-def _param_errors(b: Block):
-    """Why the parameters of block ``b`` are illegal, one message each."""
-    kind, params = b.kind, b.params
-    if kind == "delay" and params[0] < 1:
-        yield "delay parameter k must be >= 1"
-    if kind == "for_loop" and params[0] < 1:
-        yield "for_loop count must be >= 1"
-    if kind == "quant" and params[0] == 0:
-        yield "quant step must be non-zero"
-    if kind in ("mux", "demux") and params[0] < 1:
-        yield f"{kind} way count must be >= 1"
-    if kind == "user" and params[0] not in USER_FUNCTIONS:
-        yield f"unknown user function {params[0]!r}"
-    if kind == "for_loop" and params[1] not in USER_FUNCTIONS:
-        yield f"unknown loop body function {params[1]!r}"
-    elif kind == "for_loop" and \
-            USER_FUNCTIONS[params[1]][:2] != (("in",), ("out",)):
-        yield (f"loop body function {params[1]!r} must have one input and "
-               "one output")
 
 
 def _cycle_path(comp: list[str], succ, order_key) -> tuple[str, ...]:
@@ -86,9 +65,9 @@ def validate_model(g: ModelGraph) -> ValidationReport:
                               "compared", line=g.line))
     flat = flatten(g)
     out += flat.issues
-    for path, b in flat.blocks.items():
+    for path, b in flat.blocks.items():  # its kind's value rules
         out += [Diagnostic("error", path, m, line=b.line)
-                for m in _param_errors(b)]
+                for rule in KINDS[b.kind].rules if (m := rule(b.params))]
 
     succ = successors(flat, delay_wires(flat))
     decl = {p: i for i, p in enumerate(flat.blocks)}

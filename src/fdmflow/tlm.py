@@ -20,8 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .hwsynth import RTL_USER_INDEX
-from .model.blocks import port_names
+from .model.blocks import RTL_USER_INDEX, port_names
 from .model.graph import SELF, Block, Endpoint, FlatGraph, Link, \
     ModelGraph, Subsystem, flatten, is_channel_subsystem
 from .model.validate import Diagnostic, ValidationReport, validate_model

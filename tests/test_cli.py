@@ -172,6 +172,12 @@ RULES = [pytest.param(*case[1:], id=case[0]) for case in [
      "validate", "t", "mux way count must be >= 1"),
     ("demux_0", chan_model("block t : demux(0);", _TO_Y),
      "validate", "t", "demux way count must be >= 1"),
+    ("delay_0", chan_model("block t : delay(0);", _TO_Y),
+     "validate", "t", "delay parameter k must be >= 1"),
+    ("quant_0", chan_model("block t : quant(0);", _TO_Y),
+     "validate", "t", "quant step must be non-zero"),
+    ("user_function", chan_model("block t : user(nope);", _TO_Y),
+     "validate", "t", "unknown user function 'nope'"),
     ("for_loop_0", chan_model("block t : for_loop(0, inc);", _TO_Y),
      "validate", "t", "for_loop count must be >= 1"),
     ("loop_function", chan_model("block t : for_loop(2, nope);", _TO_Y),

@@ -9,6 +9,7 @@ from fdmflow.flow import FlowError, compile_design, default_stimulus
 from fdmflow.hwsynth import ControllerSim, HwSynthError, RtlCycleSim, \
     delay_correct, emit_rtl_text, fsm_controller, library_entry, \
     map_rtl_library, pipelineable
+from fdmflow.model.blocks import init_state, port_names
 from fdmflow.model.graph import Block, Endpoint, Link, Subsystem, flatten
 from fdmflow.model.parser import parse_model
 from fdmflow.model.validate import validate_model
@@ -38,6 +39,53 @@ def _chain(name, specs):
     return sub
 
 
+# kind, params, cost override -> its ports, zero state and RTL IP
+KIND_FACTS = [pytest.param(*case, id=f"{case[0]}{case[1]}" + (
+    f"-cost{case[2]}" if case[2] else "")) for case in [
+    ("const", (5,), None, ((), ("out",)), None, ("const_reg", 0, "pipelined")),
+    ("add", (), None, (("in1", "in2"), ("out",)), None,
+     ("adder", 0, "pipelined")),
+    ("sub", (), None, (("in1", "in2"), ("out",)), None,
+     ("subtractor", 0, "pipelined")),
+    ("mul", (), None, (("in1", "in2"), ("out",)), None,
+     ("multiplier", 1, "pipelined")),
+    ("gain", (3,), None, (("in",), ("out",)), None,
+     ("scaler", 0, "pipelined")),
+    ("gain", (3,), 2, (("in",), ("out",)), None, ("scaler", 2, "pipelined")),
+    ("quant", (-7,), None, (("in",), ("out",)), None,
+     ("quantizer", 1, "pipelined")),
+    ("if_else", (), None, (("pred", "a", "b"), ("out",)), None,
+     ("selector", 0, "pipelined")),
+    ("delay", (2,), None, (("in",), ("out",)), (0, 0),
+     ("delay_line", 0, "pipelined")),
+    ("fir", (4,), None, (("in",), ("out",)), (), ("fir_core", 1, "pipelined")),
+    ("fir", (1, -2), None, (("in",), ("out",)), (0,),
+     ("fir_core", 2, "pipelined")),
+    ("fir", (1, 2, 3), None, (("in",), ("out",)), (0, 0),
+     ("fir_core", 3, "pipelined")),
+    ("fir", (1, 2, 3, 4, 5), None, (("in",), ("out",)), (0, 0, 0, 0),
+     ("fir_core", 4, "pipelined")),
+    ("fir", (1, 2, 3), 5, (("in",), ("out",)), (0, 0),
+     ("fir_core", 5, "pipelined")),
+    ("for_loop", (3, "inc"), None, (("in",), ("out",)), None,
+     ("loop_engine", 3, "multicycle")),
+    ("mux", (2,), None, (("sel", "in0", "in1"), ("out",)), None,
+     ("mux", 0, "pipelined")),
+    ("demux", (3,), None, (("sel", "in"), ("out0", "out1", "out2")), None,
+     ("demux", 0, "pipelined")),
+    ("user", ("clip",), None, (("in",), ("out",)), None,
+     ("u_clip", 2, "multicycle")),
+    ("user", ("inc",), 7, (("in",), ("out",)), None,
+     ("u_inc", 7, "multicycle")),
+    ("user", ("mix2",), None, (("in1", "in2"), ("out",)), None,
+     ("u_mix2", 1, "multicycle")),
+    # an unknown function gets one in and one out; validation reports it
+    ("user", ("nope",), None, (("in",), ("out",)), None,
+     ("u_nope", 1, "multicycle")),
+    ("sink", (), None, (("in",), ()), None, ("probe", 0, "pipelined")),
+]]
+
+
 class TestLibrary:
     def test_default_latencies(self):
         assert library_entry("add", ()).latency == 0
@@ -58,6 +106,14 @@ class TestLibrary:
 
     def test_cost_override(self):
         assert library_entry("gain", (2,), cost_override=3).latency == 3
+
+    @pytest.mark.parametrize("kind,params,cost,ports,state,ip", KIND_FACTS)
+    def test_kind_facts(self, kind, params, cost, ports, state, ip):
+        """Each kind's ports, zero state and RTL IP for one parameter set."""
+        assert port_names(kind, params) == ports
+        assert init_state(kind, params) == state
+        e = library_entry(kind, params, cost)
+        assert (e.rtl_name, e.latency, e.eligibility) == ip
 
 
 class TestMapRtlLibrary:

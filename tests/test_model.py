@@ -139,6 +139,16 @@ class TestValidate:
         assert msgs == ["loop body function 'mix2' must have one input "
                         "and one output"]
 
+    def test_loop_rules_in_order(self):
+        """A for_loop's count rule reports before its body-function rule."""
+        g = _mk("""
+        model m { input a; output b; block f : for_loop(0, nope);
+          link self.a -> f.in; link f.out -> self.b; }
+        """)
+        msgs = [d.message for d in validate_model(g).errors()]
+        assert msgs == ["for_loop count must be >= 1",
+                        "unknown loop body function 'nope'"]
+
     def test_algebraic_loop_has_cycle_path(self):
         g = _mk("""
         model m { input x; output y;

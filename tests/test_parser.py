@@ -97,6 +97,18 @@ ERRORS = [pytest.param(text, msg, id=name) for name, text, msg in [
      "1:21: add: takes no parameters"),
     ("sink_params", "model m { block s : sink(x); }",
      "1:21: sink: takes no parameters"),
+    ("const_ident", "model m { block c : const(x); }",
+     "1:21: const: expected one integer parameter"),
+    ("mux_two", "model m { block x : mux(1, 2); }",
+     "1:21: mux: expected one integer parameter"),
+    ("demux_none", "model m { block x : demux(); }",
+     "1:21: demux: expected one integer parameter"),
+    ("if_else_params", "model m { block x : if_else(1); }",
+     "1:21: if_else: takes no parameters"),
+    ("sub_params", 'model m { block x : sub("a"); }',
+     "1:21: sub: takes no parameters"),
+    ("mul_params", "model m { block x : mul(x, y); }",
+     "1:21: mul: takes no parameters"),
     ("model_param", "model m {\n  param depth = 1;\n}",
      "2:3: param is only allowed inside a subsystem"),
     ("param_value", "model m { subsystem CHAN_c { param depth = deep; } }",

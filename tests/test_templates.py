@@ -15,8 +15,8 @@ import fdmflow.sim.sweep as sweep
 from fdmflow.flow import compile_design, default_stimulus, simulate
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Call, Recv, Send, \
     TaskBehavior
-from fdmflow.model.blocks import KIND_NAMES, TEMPLATES, USER_FUNCTIONS, \
-    init_state, port_names
+from fdmflow.model.blocks import KINDS, USER_FUNCTIONS, init_state, \
+    port_names
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.interp import FsmRunner, behavior_coroutine
 from fdmflow.swsynth import build_task_fsm, lower_api
@@ -51,7 +51,7 @@ FIELD = re.compile(r"\{[kiosx]\d+\}")
 @st.composite
 def firings(draw):
     """A block and the inputs of 1 to 8 consecutive ticks."""
-    kind = draw(st.sampled_from(sorted(KIND_NAMES)))
+    kind = draw(st.sampled_from(sorted(KINDS)))
     params = draw(PARAMS[kind])
     n_in = len(port_names(kind, params)[0])
     ticks = draw(st.lists(st.tuples(*[VALUES] * n_in), min_size=1,
@@ -129,7 +129,7 @@ def _assert_generators(kind, params, ticks, want):
 
 class TestTemplates:
     def test_every_kind_has_a_strategy(self):
-        assert set(PARAMS) == KIND_NAMES
+        assert set(PARAMS) == set(KINDS)
         assert set(REFERENCE_FUNCTIONS) == set(USER_FUNCTIONS)
 
     @settings(max_examples=300, deadline=None)
@@ -139,13 +139,13 @@ class TestTemplates:
         _assert_generators(kind, params, ticks,
                            _stepped(kind, params, ticks))
 
-    @pytest.mark.parametrize("kind", sorted(KIND_NAMES))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_braces_only_in_fields(self, kind, data):
         """A template's braces are its fields' only: its lines are filled
         positionally, which would misread a dict or set literal."""
-        t = TEMPLATES[kind]
+        t = KINDS[kind].template
         params = data.draw(PARAMS[kind])
         for ln in [t] if isinstance(t, str) else t(params):
             assert not set(FIELD.sub("", ln)) & set("{}"), (params, ln)
