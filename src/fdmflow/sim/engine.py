@@ -22,12 +22,14 @@ if its channel has room; each awake task steps its FSM through
 awake hardware node calls its generated step; while the pipelines drain,
 the nodes are padded; each macro unit resumes its generator; each probe
 pops and records every sample its queue holds.  The sample counts, the
-drain flag, events and rounds are locals of the loop, cycles and bus
-transactions go to a clock object (``_Clock``), and all four are written
-back to the engine when it stops.  Units enter the text as parameters,
-in chunks of about ``sweep.CHUNK`` lines that are each a function of
-their own, so a text depends only on how many units of each kind a
-design has, and chunks of one size share one text, generated once.
+drain flag, events and rounds are locals of the loop, task costs and bus
+transactions go to a clock object (``_Clock``), and all are written back
+to the engine when it stops; the time, a level-3 probe's timestamp and
+``Engine.cycle``, is the task costs plus ``BUS_LATENCY`` cycles per
+transaction.  Units enter the text as parameters, in chunks of about
+``sweep.CHUNK`` lines that are each a function of their own, so a text
+depends only on how many units of each kind a design has, and chunks of
+one size share one text, generated once.
 
 Every port is bound to its channel before the run: behaviors and FSMs
 name only ports on a channel (an input on none is the constant 0, an
@@ -57,11 +59,11 @@ of its own changes.  A unit woken by an earlier unit of the same round is
 stepped in that round, one woken by a later unit in the next, which is
 the order in which stepping every unit would see the change.  A sleeping
 hardware node costs nothing.  A sleeping task is charged, every round,
-the cycles and bus transactions its last failed step charged, and that
-is exact: a failed FSM step changes nothing but these charges, and which
-status polls it makes and what they read depend only on the FSM state,
-the loop counters and the occupancy of the channels it polls, none of
-which can change while it sleeps.  The drain path pads a node whatever
+the bus transactions its last failed step charged, and that is exact: a
+failed FSM step changes nothing but these charges, and which status
+polls it makes and what they read depend only on the FSM state, the
+loop counters and the occupancy of the channels it polls, none of which
+can change while it sleeps.  The drain path pads a node whatever
 its wake state, driven by the drain flag and ``consumed`` alone.  Macro
 units have no wake list, since nearly all progress in every round; a
 transfer on a channel that no micro unit watches only tests an empty
@@ -76,28 +78,28 @@ from functools import lru_cache
 from ..hwsynth import ControllerSim, HwImpl, RtlCycleSim
 from ..swsynth import ALoopInit, GReady, TaskFsm
 from .channels import ChannelRt
-from .interp import FsmRunner, SimError, _move_src, _port_names, \
-    _ready_src, behavior_coroutine, hw_step
+from .interp import BUS_LATENCY, FsmRunner, SimError, _move_src, \
+    _port_names, _ready_src, behavior_coroutine, hw_step
 from .sweep import CHUNK, Names, binder
 from .trace import Stimulus, Trace
 
 # one unit's part of a round, formatted with its index j in its chunk, the
-# names it binds per unit and its cells; a task's ic/ib are the cycles and
-# bus transactions its last failed step charged to the clock clk, charged
+# names it binds per unit and its cells; a task's ib is the bus
+# transactions its last failed step charged to the clock clk, charged
 # again for every round it sleeps
 _TASK = ("""\
 if t{j}.awake:
-    cyc, bus = clk.cycle, clk.bus_transactions
+    bus = clk.bus_transactions
     if step{j}():
         clk.cycle += cost{j}
         ev += 1
     else:
         t{j}.awake = False
-        ic{j} = clk.cycle - cyc
         ib{j} = clk.bus_transactions - bus
 else:
-    clk.cycle += ic{j}
-    clk.bus_transactions += ib{j}""", ("t", "step", "cost"), ("ic", "ib"))
+    clk.bus_transactions += ib{j}""", ("t", "step", "cost"), ("ib",))
+# the time in cycles: the task costs plus every bus transaction's latency
+_NOW = f"clk.cycle + {BUS_LATENCY} * clk.bus_transactions"
 _HW = ("""\
 if h{j}.awake:
     if step{j}():
@@ -151,9 +153,10 @@ def _pad(hw_units: list, ticks: int) -> int:
 
 
 class _Clock:
-    """The cycles and bus transactions a run has charged: the FSM runners
-    and the task chunks charge it, and the run loop copies it to the
-    engine when it stops, so no generated function holds the engine."""
+    """What a run has charged: ``cycle`` holds the task costs, which the
+    task chunks add, and ``bus_transactions`` the transactions the FSM
+    runners count, each ``BUS_LATENCY`` cycles; the run loop copies both
+    to the engine when it stops, so no generated function holds it."""
 
     def __init__(self):
         self.cycle = 0
@@ -182,8 +185,9 @@ class _MicroTask:
         """(port, channel, consumer key) of each status poll out of the
         current state whose bit is clear, key None on the producer side."""
         out = []
+        state = self.runner.numbers[self.runner.fn]
         for t in self.runner.fsm.transitions:
-            if t.state != self.runner.state:
+            if t.state != state:
                 continue
             for g in t.guards:
                 if not isinstance(g, GReady):
@@ -341,7 +345,7 @@ class Engine:
         recorded = []
         for j, (p, ch, key) in enumerate(self.probes, len(sent)):
             names |= _port_names(j, ch, key)
-            now = "clk.cycle" if self.level >= 3 else f"n{j}"
+            now = _NOW if self.level >= 3 else f"n{j}"
             lines += [f"while {_ready_src(j, names)}:"] + [
                 "    " + ln for ln in _move_src(j, names, "v")] + [
                 "    ev += 1", f"    record({names(p)}, {now}, v)",
@@ -364,7 +368,7 @@ class Engine:
             "try:", f"    while {running or 'False'}:"] + [
             "        " + ln for ln in lines] + [
             "    return None", "finally:", "    e.events, e.rounds = ev, rn",
-            "    e.cycle = clk.cycle",
+            f"    e.cycle = {_NOW}",
             "    e.bus_transactions = clk.bus_transactions"],
             args="e")
 

@@ -3,8 +3,8 @@
 Every unit touches its ports' queues inline.  A macro unit runs its
 behavior body as a generator, which yields only when it blocks or ends a
 body iteration; a task FSM steps one transition at a time under the
-round-robin scheduler, and charges bus cycles for every transaction of a
-lowered FSM, failed status polls included; a hardware node's
+round-robin scheduler, and counts every bus transaction of a lowered
+FSM, failed status polls included; a hardware node's
 ``hw_step`` moves one sample per port around its cycle model.  All test
 and move a port alike (``_port_names``, ``_ready_src``, ``_move_src``):
 an input tests ``qN or can_popN(keyN)`` and pops its queue, an output
@@ -20,16 +20,18 @@ over its port bindings and over the values of the model, each named
 behavior variables and block state cells become locals, a loop a
 ``for`` and a call its block's template spliced inline.
 
-The FSM runner is one generated function per FSM state: the function
-tests the state's transitions in order, each guard chain nested ``if``s
-with a status poll charged just before its test, so a poll runs, and is
-charged, exactly when the chain reaches it; the first transition whose
-guards hold runs its actions as straight-line code and returns the next
-state, and None says no transition fired.  An FSM holds the behavior's
-own statements, so both executors emit a call and an assignment
-through one emitter (``_Gen``); the FSM adds only its readiness
-guards and loop counter ops, and lowering only gives a channel op an
-address, which makes it a bus transaction that ``_StateGen`` charges.
+A task FSM is one generated closure, bound once: its variables, block
+state cells and loop counters are cells of the closure, and each state is
+a function in it that tests the state's transitions in order, each guard
+chain nested ``if``s with a status poll charged just before its test, so
+a poll runs, and is charged, exactly when the chain reaches it; the first
+transition whose guards hold runs its actions as straight-line code and
+returns the next state's function (threaded code), and None says no
+transition fired.  An FSM holds the behavior's own statements, so both
+executors emit a call and an assignment through one emitter (``_Gen``);
+the FSM adds only its readiness guards and loop counter ops, and
+lowering only gives a channel op an address, which makes it a bus
+transaction that ``_FsmGen`` counts.
 Both executors, and the block sweep, write a block through
 ``block_src``, the one definition of it.
 """
@@ -210,36 +212,42 @@ def hw_step(unit, cons: dict, prod: dict):
     return names.bind("step", lines + ["return True"])
 
 
-class _StateGen(_Gen):
-    """Emits the transitions out of one FSM state as one function.
+class _FsmGen(_Gen):
+    """Emits a task FSM as one function defining a function per state.
 
-    The function is bound to ``chg``, ``env``, ``states`` and ``loops`` of
-    ``bound``.  Every name, count, block parameter and index of a block
-    state cell in ``states`` from the model is named ``kN``, and each port
-    the state uses binds its ``_port_names`` in the order of first use;
-    the text thus depends only on the shape of the state.  A channel op
-    with an address is a bus transaction: it first charges ``chg``.  A
-    send appends inline, since it follows its own guard in the same
-    transition.
+    Its variables (declared, unassigned until written), block state cells
+    (names bound to their initial values) and loop counters are cells of
+    the closure.  Every name, count and value from the model is named
+    ``kN``, and each port the FSM uses binds its ``_port_names`` in the
+    order of first use, so the text depends only on the shape of the FSM.
+    A channel op with an address is a bus transaction: it first adds 1 to
+    ``chg.bus_transactions``.  A send appends inline, since it follows its
+    own guard in the same transition.
     """
 
-    def __init__(self, bound: dict, slots: dict, cons: dict, prod: dict):
-        self.names = Names(bound)
-        self.loops = bound["loops"]
-        self.slots = slots  # state key -> indices of its cells in states
+    def __init__(self, cons: dict, prod: dict, charge):
+        self.names = Names(chg=charge)
         self.cons, self.prod = cons, prod
         self.ports: dict[tuple, int] = {}  # (port, is output) -> index
+        self.vars: dict[str, str] = {}  # variable -> its cell
+        self.loops: dict[str, str] = {}  # loop id -> its cell
+        self.state: dict[str, list] = {}  # state key -> its cells
         self.lines: list[str] = []
+        self.used: set[str] = set()  # the cells the current state names
+
+    def cell(self, name: str) -> str:
+        self.used.add(name)
+        return name
 
     def var(self, name: str) -> str:
-        return f"env[{self.names(name)}]"
+        return self.cell(self.vars.setdefault(name, f"v{len(self.vars)}"))
 
     def cells(self, key: str) -> list[str]:
-        return [f"states[{self.names(i)}]" for i in self.slots[key]]
+        return [self.cell(c) for c in self.state[key]]
 
     def loop(self, loop_id: str) -> str:
-        self.loops.setdefault(loop_id, 0)
-        return f"loops[{self.names(loop_id)}]"
+        return self.cell(self.loops.setdefault(loop_id,
+                                               f"lp{len(self.loops)}"))
 
     def port(self, port: str, out: bool) -> int:
         if (port, out) not in self.ports:
@@ -250,11 +258,10 @@ class _StateGen(_Gen):
 
     def charge(self, op, ind: str) -> None:
         if op.addr is not None:
-            self.lines += [f"{ind}chg.cycle += {BUS_LATENCY}",
-                           f"{ind}chg.bus_transactions += 1"]
+            self.lines.append(f"{ind}chg.bus_transactions += 1")
 
     def guard(self, g, ind: str) -> str:
-        """The test of ``g``, after the lines charging a status poll."""
+        """The test of ``g``, after the line charging a status poll."""
         if isinstance(g, GReady):
             self.charge(g, ind)
             return _ready_src(self.port(g.port, g.out), self.names)
@@ -278,50 +285,57 @@ class _StateGen(_Gen):
         else:
             super().stmt(a, ind)
 
-    def build(self, transitions):
-        """Bind the function running the first transition whose guards
-        hold and returning its next state, or None if none holds."""
-        for t in transitions:
-            ind = ""
-            for g in t.guards:
-                self.lines.append(f"{ind}if {self.guard(g, ind)}:")
-                ind += "    "
-            self.body(t.actions, ind)
-            self.lines.append(f"{ind}return {self.names(t.next)}")
-        return self.names.bind("state", self.lines + ["return None"])
+    def build(self, fsm: TaskFsm) -> dict:
+        """Map each state to its bound function, which runs the first
+        transition whose guards hold and returns the next state's
+        function, or None if none holds."""
+        self.state = {key: [self.names(v) for v in init]
+                      for key, init in fsm.init_states.items()}
+        out: dict[int, list] = {s: [] for s in fsm.states}
+        for t in fsm.transitions:
+            out.setdefault(t.state, []).append(t)
+        fns = {s: f"s{i}" for i, s in enumerate(out)}
+        states = []
+        for s, ts in out.items():
+            self.lines, self.used = [], set()
+            for t in ts:
+                ind = "    "
+                for g in t.guards:
+                    self.lines.append(f"{ind}if {self.guard(g, ind)}:")
+                    ind += "    "
+                self.body(t.actions, ind)
+                self.lines.append(f"{ind}return {fns[t.next]}")
+            states += [f"def {fns[s]}():"] + [
+                f"    nonlocal {', '.join(sorted(self.used))}"] * \
+                bool(self.used) + self.lines + ["    return None"]
+        # an annotation makes a variable a cell without assigning it
+        head = [f"{v}: int" for v in self.vars.values()] + [
+            f"{c} = 0" for c in self.loops.values()]
+        return dict(zip(out, self.names.bind("fsm", head + states + [
+            f"return {', '.join(fns.values())},"])()))
 
 
 class FsmRunner:
-    """One task FSM plus its mutable execution state.
-
-    ``cons`` maps each input port to (channel, consumer key) and ``prod``
-    each output port to its channel.  ``run`` maps each state to its
-    generated function; a transition fires when its guards hold, tested
-    in order up to the first that fails.  Every guard and channel op with
-    an address (a status poll or a bus transfer) adds ``BUS_LATENCY`` to
-    ``charge.cycle`` and 1 to ``charge.bus_transactions``, so a failed
-    poll is still charged.
+    """One task FSM as a generated closure (``_FsmGen``), bound to ``cons``
+    (input port -> (channel, consumer key)) and ``prod`` (output port ->
+    channel); ``fn`` is the current state's function, ``numbers`` maps
+    each function to its state.  A transition fires when its guards hold,
+    tested in order up to the first that fails.  Every guard and channel
+    op with an address (a status poll or a bus transfer) adds 1 to
+    ``charge.bus_transactions``, so a failed poll is still charged; the
+    engine counts ``BUS_LATENCY`` cycles for each.
     """
 
     def __init__(self, fsm: TaskFsm, cons: dict, prod: dict, charge):
         self.fsm = fsm
-        self.state = fsm.initial
-        cells, states = {}, []  # state key -> indices of its cells in states
-        for key, init in fsm.init_states.items():
-            cells[key] = range(len(states), len(states) + len(init))
-            states += init
-        # loops: loop id -> iterations left
-        bound = {"chg": charge, "env": {}, "states": states, "loops": {}}
-        out: dict[int, list] = {s: [] for s in fsm.states}
-        for t in fsm.transitions:
-            out.setdefault(t.state, []).append(t)
-        self.run = {s: _StateGen(bound, cells, cons, prod).build(ts)
-                    for s, ts in out.items()}
+        fns = _FsmGen(cons, prod, charge).build(fsm)
+        self.numbers = {fn: s for s, fn in fns.items()}
+        self.fn = fns[fsm.initial]
 
     def step(self) -> bool:
         """Attempt one transition; True if one fired."""
-        nxt = self.run[self.state]()
+        nxt = self.fn()
         if nxt is None:
             return False
-        self.state = nxt
+        self.fn = nxt
         return True

@@ -778,7 +778,7 @@ def sent(prod: dict) -> dict:
 
 def bus_counter() -> SimpleNamespace:
     """A charge target for a micro FSM run alone."""
-    return SimpleNamespace(cycle=0, bus_transactions=0)
+    return SimpleNamespace(bus_transactions=0)
 
 
 def standalone_address_map(fsm: TaskFsm, unit_path: str) -> AddressMap:

@@ -14,7 +14,7 @@ from fdmflow.flow import compile_design, default_stimulus, simulate, \
     simulator
 from fdmflow.model import graph
 from fdmflow.model.parser import parse_model
-from fdmflow.sim import engine, sweep
+from fdmflow.sim import engine, interp, sweep
 
 # the *_FDM designs that compile without a parameter file
 FDM_NAMES = ["ACCLOOP_FDM", "ELEMENTS_FDM", "FANOUT_FDM", "FEEDBACK_FDM",
@@ -22,8 +22,8 @@ FDM_NAMES = ["ACCLOOP_FDM", "ELEMENTS_FDM", "FANOUT_FDM", "FEEDBACK_FDM",
 
 # SHA-256 over every text that sweep.binder compiles while levels 0-3 are
 # built for each design of _designs(), in order
-TEXT_DIGEST = ("f1b955444c1a0ee6a96f501f327ad0054c077e0ecb0a90583775816f"
-               "166ea81a")
+TEXT_DIGEST = ("ae51031ea727c09e0f1e77c7d76cc839d173b46aadd214419e881a0c"
+               "47bb3fa1")
 
 
 def _designs():
@@ -56,6 +56,33 @@ def test_generated_texts_unchanged(monkeypatch):
             simulator(level, cd, stim, 4)
     assert len(designs) == 19
     assert h.hexdigest() == TEXT_DIGEST
+
+
+def test_one_bind_per_task_fsm(monkeypatch):
+    """Level 3 of mini_codec binds each task FSM's text once, however many
+    states it has: the states are functions of one closure."""
+    binder, binds, per_fsm = sweep.binder, [], []
+
+    def counted(*args, **kwargs):
+        binds.append(args[0])
+        return binder(*args, **kwargs)
+
+    init = interp.FsmRunner.__init__
+
+    def runner(self, *args):
+        before = len(binds)
+        init(self, *args)
+        per_fsm.append((len(self.fsm.states), len(binds) - before))
+
+    monkeypatch.setattr(sweep, "binder", counted)
+    monkeypatch.setattr(interp, "binder", counted)
+    monkeypatch.setattr(interp.FsmRunner, "__init__", runner)
+    g = next(_designs())
+    cd = compile_design(g)
+    simulator(3, cd, default_stimulus(g, 4), 4)
+    assert len(per_fsm) == len(cd.micro_fsms) > 1
+    assert all(states > 1 for states, _ in per_fsm)
+    assert [n for _, n in per_fsm] == [1] * len(per_fsm)
 
 
 def test_one_flatten_per_model(monkeypatch):

@@ -52,18 +52,30 @@ KIND_FACTS = [pytest.param(*case, id=f"{case[0]}{case[1]}" + (
     ("gain", (3,), None, (("in",), ("out",)), None,
      ("scaler", 0, "pipelined")),
     ("gain", (3,), 2, (("in",), ("out",)), None, ("scaler", 2, "pipelined")),
+    ("gain", (2,), None, (("in",), ("out",)), None,
+     ("scaler", 0, "pipelined")),
+    ("gain", (2,), 3, (("in",), ("out",)), None, ("scaler", 3, "pipelined")),
     ("quant", (-7,), None, (("in",), ("out",)), None,
+     ("quantizer", 1, "pipelined")),
+    ("quant", (2,), None, (("in",), ("out",)), None,
      ("quantizer", 1, "pipelined")),
     ("if_else", (), None, (("pred", "a", "b"), ("out",)), None,
      ("selector", 0, "pipelined")),
     ("delay", (2,), None, (("in",), ("out",)), (0, 0),
      ("delay_line", 0, "pipelined")),
     ("fir", (4,), None, (("in",), ("out",)), (), ("fir_core", 1, "pipelined")),
+    ("fir", (1,), None, (("in",), ("out",)), (), ("fir_core", 1, "pipelined")),
+    ("fir", (1, 1), None, (("in",), ("out",)), (0,),
+     ("fir_core", 2, "pipelined")),
     ("fir", (1, -2), None, (("in",), ("out",)), (0,),
      ("fir_core", 2, "pipelined")),
     ("fir", (1, 2, 3), None, (("in",), ("out",)), (0, 0),
      ("fir_core", 3, "pipelined")),
+    ("fir", (1, 1, 1, 1), None, (("in",), ("out",)), (0, 0, 0),
+     ("fir_core", 3, "pipelined")),
     ("fir", (1, 2, 3, 4, 5), None, (("in",), ("out",)), (0, 0, 0, 0),
+     ("fir_core", 4, "pipelined")),
+    ("fir", (1, 1, 1, 1, 1), None, (("in",), ("out",)), (0, 0, 0, 0),
      ("fir_core", 4, "pipelined")),
     ("fir", (1, 2, 3), 5, (("in",), ("out",)), (0, 0),
      ("fir_core", 5, "pipelined")),
@@ -87,26 +99,6 @@ KIND_FACTS = [pytest.param(*case, id=f"{case[0]}{case[1]}" + (
 
 
 class TestLibrary:
-    def test_default_latencies(self):
-        assert library_entry("add", ()).latency == 0
-        assert library_entry("gain", (2,)).latency == 0
-        assert library_entry("mul", ()).latency == 1
-        assert library_entry("quant", (2,)).latency == 1
-
-    def test_fir_latency_log2(self):
-        assert library_entry("fir", (1,)).latency == 1
-        assert library_entry("fir", (1, 1)).latency == 2
-        assert library_entry("fir", (1, 1, 1, 1)).latency == 3
-        assert library_entry("fir", tuple([1] * 5)).latency == 4
-
-    def test_user_entries(self):
-        e = library_entry("user", ("clip",))
-        assert e.latency == 2 and e.eligibility == "multicycle"
-        assert library_entry("user", ("inc",), cost_override=7).latency == 7
-
-    def test_cost_override(self):
-        assert library_entry("gain", (2,), cost_override=3).latency == 3
-
     @pytest.mark.parametrize("kind,params,cost,ports,state,ip", KIND_FACTS)
     def test_kind_facts(self, kind, params, cost, ports, state, ip):
         """Each kind's ports, zero state and RTL IP for one parameter set."""

@@ -19,7 +19,8 @@ from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.engine import Engine
 from fdmflow.sim.interp import FsmRunner, SimError, behavior_coroutine
 from fdmflow.sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
-from fdmflow.swsynth import build_task_fsm, lower_api
+from fdmflow.swsynth import GReady, TaskFsm, Transition, build_task_fsm, \
+    lower_api
 from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
     validate_partition
 
@@ -193,6 +194,21 @@ class TestInterpreters:
         micro = lower_api(macro, standalone_address_map(macro, "u"), "u")
         # two iterations of five polls, plus the failed one on "env"
         assert self._fsm_outputs(micro, inputs) == (want, 11)
+
+    def test_unwritten_variable_raises(self):
+        """A variable is a cell that no transition has written yet, so the
+        first transition reading it raises: it neither computes with 0 nor
+        sends the 1 that would give."""
+        fsm = TaskFsm("t", [0, 1], [
+            Transition(0, (), (Call("inc", "user", ("inc",), ("x",),
+                                    ("y",)),), 1),
+            Transition(1, (GReady("out", True),), (Send("out", "y"),), 0)],
+            0, (), ("out",), {})
+        cons, prod = bind_queues(fsm, {})
+        runner = FsmRunner(fsm, cons, prod, bus_counter())
+        with pytest.raises(NameError):
+            runner.step()
+        assert runner.numbers[runner.fn] == 0 and sent(prod) == {"out": []}
 
 
 class TestCompareTraces:
