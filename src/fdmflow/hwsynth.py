@@ -188,6 +188,7 @@ class RtlCycleSim:
         g = impl.graph
         self.sweep = plan(g.flat, g.order,
                           {p: ip.latency for p, ip in g.ips.items()}, g.regs)
+        self.sweep.build()
 
     def step(self, *xs: int) -> tuple:
         return self.sweep.tick(*xs)
@@ -198,6 +199,7 @@ class ControllerSim:
 
     def __init__(self, impl: HwImpl):
         self.sweep = plan(impl.graph.flat, impl.graph.order)
+        self.sweep.build()
 
     def fire(self, *xs: int) -> tuple:
         return self.sweep.tick(*xs)

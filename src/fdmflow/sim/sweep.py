@@ -2,12 +2,12 @@
 and ``binder``, the one way generated code is built.
 
 Level 0, the RTL cycle model and the FSM controller each build a
-``Sweep`` plan from their flat graph with ``plan``, the one builder, and
-then only call ``tick``.  A plan holds integer value slots (slot 0 always
-reads zero), the combinational ops in evaluation order and the registers.
-Registers are FIFOs: per tick every q slot shows its FIFO's head, the ops
-fire in order, then every FIFO takes its d slot.  A ``delay(k)`` block is
-a register of depth k; at the cycle level an IP's L-stage output pipeline
+``Sweep`` plan from their flat graph with ``plan``, the one builder.  A
+plan holds integer value slots (slot 0 always reads zero), the
+combinational ops in evaluation order and the registers.  Registers are
+FIFOs: per tick every q slot shows its FIFO's head, the ops fire in
+order, then every FIFO takes its d slot.  A ``delay(k)`` block is a
+register of depth k; at the cycle level an IP's L-stage output pipeline
 and a wire's balancing registers are registers too.
 
 Every simulator turns its plan, behavior, FSM state, hardware step or run
@@ -19,16 +19,17 @@ name ``kN`` from ``Names``, so a text holds only integers, quoted port
 names and names the generator makes up, and texts that differ only in
 values are one.  Equal texts are compiled once.
 
-``build`` writes the sweep: one list ``vals`` holds every slot, every
-block state cell and every register stage; the generated
-``tick(x0, x1, ...)`` takes one value per entry of ``inputs`` (the graph
-inputs a block reads) and returns the ``outputs`` slots as a tuple, both
-in order, so no sample passes through a dict.  It reads and writes
-``vals`` by index, fires each op as its block's template
+A plan has two drivers; both splice each op's block template
 (``model.blocks.block_src``, which expands a template once per shape and
-then only fills it in) spliced inline, and then shifts the registers
-stage by stage.  The ops and the shifts go into functions of ``CHUNK``
-each, and each is compiled on its own: CPython needs several KiB of
+then only fills it in) inline.  ``build`` writes ``tick(x0, x1, ...)``,
+which the hardware models call once per sample: it takes one value per
+entry of ``inputs`` (the graph inputs a block reads), returns the
+``outputs`` slots as a tuple and keeps every slot, block state cell and
+register stage in one list ``vals``.  ``stream`` writes the chunks of
+``run``, which level 0 calls once per run on whole input columns: each
+chunk is one loop over all the ticks whose slots, state cells and
+register stages are locals.  The code goes into functions of about
+``CHUNK`` ops each, compiled on their own: CPython needs several KiB of
 temporary memory per line to compile a function, so one source for a
 plan of hundreds of ops would raise the peak memory of a run for nothing.
 """
@@ -158,11 +159,89 @@ class Sweep:
             op_calls + [f"out = ({outs})"] + reg_calls + ["return out"],
             args=", ".join(f"x{i}" for i in range(len(self.inputs))))
 
+    def stream(self) -> None:
+        """Generate ``chunks`` of ``CHUNK`` ops or more (``_loop``); one ends
+        only where no register its ops read waits for a later op down its
+        chain, and a register lives in the chunk that makes its chain's
+        input, else in the first chunk that reads the chain."""
+        made = {s: i for i, op in enumerate(self.ops) for s in op[3]}
+        d_of, roots = {q: d for d, q, _ in self.regs}, {}
+        for q in d_of:  # the slot its chain starts from; None on a cycle
+            s, seen = q, set()
+            while s in d_of and s not in seen and s not in roots:
+                seen.add(s)
+                s = d_of[s]
+            roots[q] = roots[s] if s in roots else None if s in seen else s
+        cuts, reach, n, home = [0], -1, len(self.ops), {}
+        for i, (_, _, ins, outs) in enumerate(self.ops):
+            if CHUNK <= i - cuts[-1] and CHUNK <= n - i and reach < i:
+                cuts.append(i)
+            home.update(dict.fromkeys(outs, len(cuts) - 1))
+            for s in ins:
+                if s in roots:
+                    home.setdefault(roots[s], len(cuts) - 1)
+                    reach = max(reach, made.get(roots[s], -1))
+        regs_of = [[] for _ in cuts]  # the registers of each chunk
+        for r in self.regs:
+            regs_of[home.get(roots[r[1]], 0)].append(r)
+        parts = []  # per chunk: ops, registers, slots read, slots made
+        for (a, b), regs in zip(zip(cuts, cuts[1:] + [n]), regs_of):
+            ops = self.ops[a:b]
+            mine = {s for op in ops for s in op[3]} | {q for _, q, _ in regs}
+            parts.append((ops, regs, sorted(({s for op in ops for s in op[2]}
+                          | {d for d, _, _ in regs}) - mine - {0}), mine))
+        wanted = set(self.outputs.values()).union(*[p[2] for p in parts])
+        self.chunks = [_loop(ops, regs, ins, sorted(mine & wanted))
+                       for ops, regs, ins, mine in parts if mine]
+
+    def run(self, cols: list, n: int) -> list:
+        """The column of each of ``outputs`` over ``n`` ticks from zero,
+        given one column of ``n`` values per entry of ``inputs``."""
+        have = dict(zip(self.inputs.values(), cols))
+        for fn, ins, outs in self.chunks:
+            have.update(zip(outs, fn(n, *[have[s] for s in ins])))
+        return [have[s] for s in self.outputs.values()]
+
+
+def _loop(ops, regs, ins, outs) -> tuple:
+    """(``chunk(n, *columns of ins)``, ``ins``, ``outs``): one loop firing
+    ``ops`` and shifting ``regs`` per tick, returning the ``outs`` columns."""
+    ks, init, body, lhs, rhs = Names(), [], [], [], []
+
+    def v(s: int) -> str:
+        return f"v{s}" if s else "0"
+
+    def cell(value=0) -> str:
+        init.append(f"c{len(init)} = {value}")
+        return f"c{len(init) - 1}"
+
+    for kind, params, i, o in ops:
+        cells = [cell(x) for x in init_state(kind, params) or ()]
+        body += block_src(kind, params, [*map(v, i)], [*map(v, o)], cells, ks)
+    for j, s in enumerate(outs):
+        init += [f"o{j} = []", f"a{j} = o{j}.append"]
+        body.append(f"a{j}({v(s)})")
+    # every register stage moves in one assignment, so a register reading
+    # another's head reads it as it was before this tick's shift
+    for d, q, depth in regs:
+        init.append(f"{v(q)} = 0")
+        lhs += [v(q)] + [cell() for _ in range(depth - 1)]
+        rhs += lhs[len(lhs) - depth + 1:] + [v(d)]
+    if regs:
+        body.append(f"{', '.join(lhs)} = {', '.join(rhs)}")
+    xs = [f"x{j}" for j in range(len(ins))]
+    head = (f"for {', '.join(map(v, ins)) or '_'}, in "
+            f"zip({', '.join(xs) or 'range(n)'}):")
+    return ks.bind("chunk", init + [head] + ["    " + ln for ln in body] + [
+        f"return ({''.join(f'o{j}, ' for j in range(len(outs)))})"],
+        args=", ".join(["n"] + xs)), ins, outs
+
 
 def plan(flat: FlatGraph, order: list[str], pipes=None, regs=None) -> Sweep:
-    """The built sweep of ``flat`` firing its blocks in ``order``; slots
-    are keyed by driving pin, (port,) for a graph input and (path, port)
-    for a block output; ``outputs`` follows ``flat.top_outputs``.
+    """The sweep of ``flat`` firing its blocks in ``order``, to be built
+    (``build``) or streamed (``stream``) before it runs; slots are keyed
+    by driving pin, (port,) for a graph input and (path, port) for a block
+    output; ``outputs`` follows ``flat.top_outputs``.
 
     ``pipes`` maps a block path to the stages of the pipeline behind each
     of its outputs, and ``regs`` a wire, keyed like ``flat.drivers`` with
@@ -198,5 +277,4 @@ def plan(flat: FlatGraph, order: list[str], pipes=None, regs=None) -> Sweep:
             out_slots = pipe
         sw.op(blk.kind, blk.params, in_slots, out_slots)
     sw.outputs = {p: read((None, p), d) for p, d in flat.top_outputs.items()}
-    sw.build()
     return sw

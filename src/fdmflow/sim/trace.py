@@ -83,7 +83,7 @@ class Trace:
         A line first tries the record form unstripped: ``int`` skips the
         blanks ``strip`` removes, bar ``\\x1c``-``\\x1f``.  Only a line that
         fails is stripped, then skipped if blank, read as a header or
-        reported."""
+        reported.  A port's times must increase."""
         tr = cls({})
         empty = True
         port = recs = None  # the last record's port and its list
@@ -91,7 +91,7 @@ class Trace:
             for i, ln in enumerate(f, 1):
                 try:
                     t, p, v = ln.split(",")
-                    rec = (int(t), int(v))
+                    rec = (t := int(t), int(v))
                 except ValueError:
                     ln = ln.strip()
                     if not ln:
@@ -106,13 +106,18 @@ class Trace:
                                 tr.design = parts[1] if len(parts) > 1 else ""
                             continue
                         t, p, v = ln.split(",")
-                        rec = (int(t), int(v))
+                        rec = (t := int(t), int(v))
                     except (ValueError, IndexError):
                         raise ValueError(f"{path}:{i}: malformed trace line "
                                          f"{ln!r}; expected time,port,value") \
                             from None
                 if p != port:
                     port, recs = p, tr.ports.setdefault(p, [])
+                    last = recs[-1][0] if recs else t - 1  # and its time
+                if t <= last:
+                    raise ValueError(f"{path}:{i}: time {t} on port {p!r} "
+                                     "does not increase")
+                last = t
                 recs.append(rec)
         if empty and not tr.ports:
             raise ValueError(f"{path}: empty trace file")

@@ -3,8 +3,10 @@ shared by the test suite."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 from fdmflow.gma.netlist import ColifNetlist, Net
@@ -21,6 +23,18 @@ from fdmflow.swsynth import ADDR_BASE, ADDR_STRIDE, AddrEntry, AddressMap, \
 from fdmflow.tlm import ChannelSpec, PortRef
 
 UNARY_FNS = ["inc", "dbl", "huff", "clip"]
+
+GEN_WIDE = Path(__file__).resolve().parent.parent / "bench" / "gen_wide.py"
+
+
+def gen_wide():
+    """The benchmark's design generator, ``bench/gen_wide.py``, loaded
+    as a module."""
+    spec = importlib.util.spec_from_file_location("gen_wide", GEN_WIDE)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
 
 # A SW task adds its input to a feedback value that returns through a
 # hardware node holding a delay(1): valid at level 0 because the delay

@@ -21,9 +21,10 @@ FDM_NAMES = ["ACCLOOP_FDM", "ELEMENTS_FDM", "FANOUT_FDM", "FEEDBACK_FDM",
              "IFELSE_FDM", "LOOSE_FDM", "OUTLINK_FDM", "PIPEDELAY_FDM"]
 
 # SHA-256 over every text that sweep.binder compiles while levels 0-3 are
-# built for each design of _designs(), in order
-TEXT_DIGEST = ("ae51031ea727c09e0f1e77c7d76cc839d173b46aadd214419e881a0c"
-               "47bb3fa1")
+# built for each design of _designs(), in order; level 0 builds only its
+# stream chunks
+TEXT_DIGEST = ("effcc68052be4cfed8e0d36fa27a64db3983d837a7487d71cbc9975b"
+               "5c368843")
 
 
 def _designs():

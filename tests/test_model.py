@@ -291,10 +291,15 @@ def _frozen_trace_load(path):
                         tr.design = parts[1] if len(parts) > 1 else ""
                     continue
                 t, port, v = ln.split(",")
-                tr.ports.setdefault(port, []).append((int(t), int(v)))
+                rec = (int(t), int(v))
             except (ValueError, IndexError):
                 raise ValueError(f"{path}:{i}: malformed trace line {ln!r}; "
                                  "expected time,port,value") from None
+            recs = tr.ports.setdefault(port, [])
+            if recs and rec[0] <= recs[-1][0]:
+                raise ValueError(f"{path}:{i}: time {rec[0]} on port "
+                                 f"{port!r} does not increase")
+            recs.append(rec)
     if empty:
         raise ValueError(f"{path}: empty trace file")
     return tr
@@ -313,6 +318,11 @@ def _load_outcome(load, path):
 def _bad(n, line):
     return ("ValueError", f"{{path}}:{n}: malformed trace line {line!r}; "
             "expected time,port,value")
+
+
+def _late(n, t, port):
+    return ("ValueError", f"{{path}}:{n}: time {t} on port {port!r} does not "
+            "increase")
 
 
 # (file contents, outcome): each outcome is the one the frozen reader gives
@@ -362,7 +372,7 @@ TRACE_FILES = [
     ("0,y,1\n# level 2\n0,z,5\n1,y,2\n",
      ({"y": [(0, 1), (1, 2)], "z": [(0, 5)]}, 2, "")),
     ("0,,1\n1,,2\n", ({"": [(0, 1), (1, 2)]}, 0, "")),
-    ("5,y,1\n3,y,2\n5,y,3\n", ({"y": [(5, 1), (3, 2), (5, 3)]}, 0, "")),
+    ("5,y,1\n3,y,2\n5,y,3\n", _late(2, 3, "y")),
     ("0,y,1\n1,y\n", _bad(2, "1,y")),
     ("0,y,1\n1,y,2,3\n", _bad(2, "1,y,2,3")),
     ("7\n", _bad(1, "7")),
@@ -379,6 +389,13 @@ TRACE_FILES = [
     (b"0,y,1\n\xff,y,2\n", ("UnicodeDecodeError", "'utf-8' codec can't "
                              "decode byte 0xff in position 6: invalid "
                              "start byte")),
+    # a port's times increase (the 5, 3, 5 row above): between interleaved
+    # ports and on a line read stripped; an equal time does not increase
+    ("0,y,1\n4,z,5\n1,y,2\n2,z,6\n", _late(4, 2, "z")),
+    ("0,y,1\n7,z,5\n1,y,2\n8,z,6\n0,y,3\n", _late(5, 0, "y")),
+    ("0,y,1\n0,y,2\n", _late(2, 0, "y")),
+    ("3,y,1\n\x1c 3,y,2\n", _late(2, 3, "y")),
+    ("0,,1\n-1,,2\n", _late(2, -1, "")),
 ]
 
 # the pieces the fuzz builds lines from

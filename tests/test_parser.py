@@ -4,15 +4,11 @@ the shipped, helper and generated models."""
 
 import hashlib
 import importlib.resources as ir
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 import helpers
 from fdmflow.model.parser import ParseError, parse_model
-
-GEN_WIDE = Path(__file__).resolve().parent.parent / "bench" / "gen_wide.py"
 
 # one row per error site: model text, then the exact "line:col: message"
 ERRORS = [pytest.param(text, msg, id=name) for name, text, msg in [
@@ -193,18 +189,11 @@ class TestLexical:
         assert str(g.links[0].dst) == "d.in" and g.links[0].line == 2
 
 
-def _gen_wide():
-    spec = importlib.util.spec_from_file_location("gen_wide", GEN_WIDE)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_graph_digest():
     """The graphs of the shipped model, every ``*_FDM`` helper and the
     generated wide designs, line numbers included, hash to one pinned
     value."""
-    gen = _gen_wide()
+    gen = helpers.gen_wide()
     texts = [(ir.files("fdmflow") / "models" / "mini_codec.fdm").read_text()]
     texts += [v for k, v in sorted(vars(helpers).items())
               if k.endswith("_FDM")]

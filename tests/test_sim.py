@@ -15,15 +15,18 @@ from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Assign, Call, Loop, \
 from fdmflow.hwsynth import emit_rtl_text
 from fdmflow.model.parser import parse_model
 from fdmflow.model.validate import validate_model
+from fdmflow.sim import sweep
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.engine import Engine
 from fdmflow.sim.interp import FsmRunner, SimError, behavior_coroutine
+from fdmflow.sim.level0 import Level0Sim
 from fdmflow.sim.trace import PortSetMismatch, Stimulus, Trace, compare_traces
 from fdmflow.swsynth import GReady, TaskFsm, Transition, build_task_fsm, \
     lower_api
 from fdmflow.tlm import ChannelSpec, PortRef, recognize_partition, \
     validate_partition
 
+import helpers
 from helpers import ACCLOOP_FDM, FANOUT_FDM, FEEDBACK_FDM, IFELSE_FDM, \
     LOOSE_FDM, MIX2_FDM, OUTLINK_FDM, PIPEDELAY_FDM, add_loose_ports, bind_queues, bus_counter, \
     rand_loopy_model, rand_partitioned_model, sent, standalone_address_map, \
@@ -976,3 +979,100 @@ class TestRunLoop:
         finally:
             if enabled:
                 gc.enable()
+
+
+# a loop of 120 gains closed through a delay(3): 121 ops, one chunk
+LOOP120_FDM = "model loop120 {\n  input x; output y;\n" + "".join(
+    f"  block g{i} : gain({(3, -1)[i % 2]});\n" for i in range(120)) + \
+    "  block a : add; block d : delay(3);\n" + \
+    "  link self.x -> a.in1; link d.out -> a.in2; link a.out -> g0.in;\n" + \
+    "".join(f"  link g{i}.out -> g{i + 1}.in;\n" for i in range(119)) + \
+    "  link g119.out -> d.in; link g119.out -> self.y;\n}\n"
+
+# a chain of registers from the input to the output, with no op
+DELAYS_FDM = """
+model delays {
+  input x; output y;
+  block d2 : delay(2); block d1 : delay(1);
+  link self.x -> d2.in; link d2.out -> d1.in; link d1.out -> self.y;
+}
+"""
+
+# two cycles of registers with no op: two delays in a ring, and a delay
+# that feeds itself
+RING_FDM = """
+model ring {
+  input x; output y; output z;
+  block a : delay(1); block b : delay(2); block r : delay(2);
+  block s : add; block m : add;
+  link a.out -> b.in; link b.out -> a.in; link r.out -> r.in;
+  link self.x -> s.in1; link a.out -> s.in2;
+  link s.out -> m.in1; link r.out -> m.in2;
+  link m.out -> self.y; link b.out -> self.z;
+}
+"""
+
+NOINPUT_FDM = """
+model noin {
+  output y;
+  block c : const(3); block g : gain(2);
+  link c.out -> g.in; link g.out -> self.y;
+}
+"""
+
+
+def _stream_designs():
+    """Every model whose level 0 the stream test runs, by name."""
+    yield "mini_codec", mini_model()
+    for name in sorted(n for n in dir(helpers) if n.endswith("_FDM")):
+        yield name, parse_model(getattr(helpers, name))
+    for seed in range(60):
+        yield f"partitioned {seed}", rand_partitioned_model(
+            random.Random(seed))
+        yield f"loopy {seed}", rand_loopy_model(random.Random(seed))
+    yield "gen_wide 200", parse_model(helpers.gen_wide().generate(1, 200))
+    for text in (RING_FDM, LOOP120_FDM, DELAYS_FDM, NOINPUT_FDM):
+        g = parse_model(text)
+        yield g.name, g
+
+
+def _stepped(flat, name, stim, ticks) -> dict:
+    """The output records of stepping the per-sample ``Sweep.tick``."""
+    sw = Level0Sim(flat, name).sweep
+    sw.build()
+    cols = [stim.column(p, ticks) for p in sw.inputs]
+    rows = [sw.tick(*xs) for xs in (zip(*cols) if cols else [()] * ticks)]
+    return {p: list(enumerate(col)) for p, col in zip(sw.outputs, zip(*rows))}
+
+
+class TestStream:
+    """Level 0 runs each chunk of its sweep as one loop over the whole
+    stimulus, and gives what stepping the sweep tick by tick gives."""
+
+    def test_stream_equals_ticks(self, monkeypatch):
+        sizes, seen = [], {}
+        loop = sweep._loop
+
+        def counted(ops, *args):
+            sizes.append(len(ops))
+            return loop(ops, *args)
+
+        monkeypatch.setattr(sweep, "_loop", counted)
+        for name, g in _stream_designs():
+            report = validate_model(g)
+            if not report.ok:
+                continue  # a combinational cycle: level 0 never runs it
+            sizes.clear()
+            sim = Level0Sim(report.flat, g.name)
+            seen[name] = list(sizes)
+            for ticks in (1, 7, 300):
+                stim = default_stimulus(g, ticks, seed=ticks)
+                assert sim.run(stim, ticks).ports == _stepped(
+                    report.flat, g.name, stim, ticks), (name, ticks)
+        assert len(seen) == 87
+        wide = seen["gen_wide 200"]
+        assert len(wide) > 20 and min(wide) >= sweep.CHUNK
+        # the loop stays whole, a register chain with no op is a chunk of
+        # its own, and a chunk with no input loops over the tick count
+        assert (seen["ring"], seen["loop120"], seen["delays"],
+                seen["noin"]) == ([2], [121], [0], [2])

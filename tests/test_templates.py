@@ -2,10 +2,8 @@
 with an oracle written apart from them, and a parameter value never
 enters a generated text."""
 
-import importlib.util
 import random
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +20,8 @@ from fdmflow.sim.interp import FsmRunner, behavior_coroutine
 from fdmflow.swsynth import build_task_fsm, lower_api
 
 from helpers import REFERENCE_FUNCTIONS, bind_queues, bus_counter, \
-    rand_partitioned_model, reference_step, sent, standalone_address_map
-
-GEN_WIDE = Path(__file__).resolve().parent.parent / "bench" / "gen_wide.py"
+    gen_wide, rand_partitioned_model, reference_step, sent, \
+    standalone_address_map
 
 EDGES = [0, 1, -1, 2, -2, 2**31 - 1, -2**31, 2**31, -2**31 - 1, 2**30,
          2**16 + 3, 2**20, 2**20 - 1, -2**20, -2**20 - 1]
@@ -67,14 +64,27 @@ def _stepped(kind, params, ticks):
     return outs
 
 
-def _swept(kind, params, ticks):
+def _one_op(kind, params) -> sweep.Sweep:
     ins, outs = port_names(kind, params)
     sw = sweep.Sweep()
     sw.inputs = {p: sw.slot(p) for p in ins}
     sw.outputs = {p: sw.slot(("out", p)) for p in outs}
     sw.op(kind, params, sw.inputs.values(), sw.outputs.values())
+    return sw
+
+
+def _swept(kind, params, ticks):
+    sw = _one_op(kind, params)
     sw.build()
     return [sw.tick(*xs) for xs in ticks]
+
+
+def _streamed(kind, params, ticks):
+    """The block through the stream driver, its state cells loop locals."""
+    sw = _one_op(kind, params)
+    sw.stream()
+    cols = sw.run([list(col) for col in zip(*ticks)], len(ticks))
+    return list(zip(*cols)) or [()] * len(ticks)
 
 
 def _behavior(kind, params) -> TaskBehavior:
@@ -117,8 +127,10 @@ def _fsm(fsm, ticks):
 
 
 def _assert_generators(kind, params, ticks, want):
-    """The block sweep, the behavior and both task FSMs give ``want``."""
+    """The block sweep, stepped and streamed, the behavior and both task
+    FSMs give ``want``."""
     assert _swept(kind, params, ticks) == want
+    assert _streamed(kind, params, ticks) == want
     b = _behavior(kind, params)
     assert _coroutine(b, ticks) == want
     macro = build_task_fsm(b)
@@ -228,10 +240,7 @@ def _texts(monkeypatch, g, ticks=8) -> dict:
 
 def _wide_design(size: int):
     """The compiled benchmark design of ``size`` tasks and HW nodes."""
-    spec = importlib.util.spec_from_file_location("gen_wide", GEN_WIDE)
-    gen_wide = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_wide)
-    return compile_design(parse_model(gen_wide.generate(0, size)))
+    return compile_design(parse_model(gen_wide().generate(0, size)))
 
 
 class TestSharedTexts:
