@@ -3,8 +3,8 @@
 A record (``Kind``) holds all that the stages read of a kind: its source
 template, its ports, the argument signature the parser checks, the value
 rules validation checks, its zero state, the parameters that shape its
-text and the RTL IP hardware synthesis maps it to; a new kind is one
-entry.
+text, the values it binds them to and the RTL IP hardware synthesis maps
+it to; a new kind is one entry.
 
 Every simulator splices the templates into the code it generates (the
 block sweeps of level 0 and of the hardware models, the behaviors of
@@ -13,12 +13,13 @@ functional level is reproduced bit for bit at every level.  Samples are
 32-bit two's-complement integers with wrapping arithmetic.  A template
 fills in the inputs ``{i0}``, ..., the output targets ``{o0}``, ..., the
 state cells ``{s0}``, ... and the parameters ``{k0}``, ...: a parameter
-is a name the generator binds to its value (``sim.sweep.Names``), so
-``gain(3)`` and ``gain(5)`` share one text.  User functions are
-templates too: ``user`` and ``for_loop`` blocks splice the expressions of
-their function in the one constant table ``USER_FUNCTIONS``.
-``block_src`` expands each template once per shape into positional format
-strings, so a template or expression holds a brace only in a field.
+is a name the generator binds to its value (``sim.sweep.Names``), or to
+one its kind folds (``Kind.bound``), so ``gain(3)`` and ``gain(5)`` share
+one text.  User functions are templates too: ``user`` and ``for_loop``
+blocks splice the expressions of their function in the one constant
+table ``USER_FUNCTIONS``.  ``block_src`` expands each template once per
+shape into positional format strings, so a template or expression holds
+a brace only in a field.
 """
 
 from __future__ import annotations
@@ -26,29 +27,33 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
+
+def _W(e: str) -> str:
+    """``e`` wrapped to 32 bits inline: ``e`` is evaluated once, into the
+    local ``w``, and a value in range is kept without arithmetic.  Only a
+    template or user function whose result can leave 32 bits carries it;
+    ``quant`` and ``const`` bind folded values (``Kind.bound``) instead."""
+    return (f"(w if -0x80000000 <= (w := {e}) < 0x80000000"
+            " else ((w + 0x80000000) & 0xFFFFFFFF) - 0x80000000)")
+
+
 # The functions ``user(name)`` and ``for_loop(n, name)`` blocks may call:
 # name -> (input ports, output ports, one expression per output over the
-# inputs {x0}, {x1}, ...).  A model file names only these.
+# inputs {x0}, {x1}, ..., wrapped where it can leave 32 bits).  A model
+# file names only these.
 USER_FUNCTIONS = {
-    "inc": (("in",), ("out",), ("{x0} + 1",)),
-    "dbl": (("in",), ("out",), ("2 * {x0}",)),
-    "huff": (("in",), ("out",), ("({x0} << 3) ^ ({x0} >> 2) ^ 0x2B",)),
+    "inc": (("in",), ("out",), (_W("{x0} + 1"),)),
+    "dbl": (("in",), ("out",), (_W("2 * {x0}"),)),
+    "huff": (("in",), ("out",), (_W("({x0} << 3) ^ ({x0} >> 2) ^ 0x2B"),)),
     "clip": (("in",), ("out",), ("-1048576 if {x0} < -1048576 else 1048575"
                                  " if {x0} > 1048575 else {x0}",)),
     "frame_reader": (("in",), ("out",), ("{x0} ^ 0x55",)),
     "pcm_writer": (("in",), ("out",), ("{x0}",)),
-    "mix2": (("in1", "in2"), ("out",), ("{x0} + {x1} - ({x1} >> 1)",)),
+    "mix2": (("in1", "in2"), ("out",), (_W("{x0} + {x1} - ({x1} >> 1)"),)),
 }
 
 # user functions with a shipped RTL implementation (name -> latency)
 RTL_USER_INDEX: dict[str, int] = {"clip": 2}
-
-
-def _W(e: str) -> str:
-    """``e`` wrapped to 32 bits inline: ``e`` is evaluated once, into the
-    local ``w``, and a value in range is kept without arithmetic."""
-    return (f"(w if -0x80000000 <= (w := {e}) < 0x80000000"
-            " else ((w + 0x80000000) & 0xFFFFFFFF) - 0x80000000)")
 
 
 def _fir(p):
@@ -61,11 +66,11 @@ def _fir(p):
 
 
 def _user(p):
-    """The outputs, at once, each its function's expression wrapped."""
+    """The outputs, at once, each its function's expression."""
     ins, outs, exprs = USER_FUNCTIONS[p[0]]
     xs = {f"x{j}": f"{{i{j}}}" for j in range(len(ins))}
     return [", ".join(f"{{o{j}}}" for j in range(len(outs))) + " = " +
-            ", ".join(_W(e.format_map(xs)) for e in exprs)]
+            ", ".join(e.format_map(xs) for e in exprs)]
 
 
 def _takes(*types):
@@ -94,6 +99,7 @@ class Kind(NamedTuple):
     rules: tuple = ()  # validation's, in order: a message or None each
     state: Callable | None = None  # the zero state of the block's cells
     shaping: slice = slice(0)  # the parameters the template's text reads
+    bound: Callable = tuple  # params -> the values their names are bound to
 
 
 _BINARY, _UNARY = (("in1", "in2"), ("out",)), (("in",), ("out",))
@@ -101,8 +107,9 @@ _ONE_INT = (_takes(int), "expected one integer parameter")
 _NO_ARGS = (_takes(), "takes no parameters")
 
 KINDS = {
-    "const": Kind(_W("{k0}"), ((), ("out",)), _ONE_INT,
-                  ("const_reg", 0, "pipelined")),
+    "const": Kind("{k0}", ((), ("out",)), _ONE_INT,
+                  ("const_reg", 0, "pipelined"),
+                  bound=lambda p: ((p[0] + 2**31) % 2**32 - 2**31,)),
     "add": Kind(_W("{i0} + {i1}"), _BINARY, _NO_ARGS,
                 ("adder", 0, "pipelined")),
     "sub": Kind(_W("{i0} - {i1}"), _BINARY, _NO_ARGS,
@@ -111,12 +118,12 @@ KINDS = {
                 ("multiplier", 1, "pipelined")),
     "gain": Kind(_W("{k0} * {i0}"), _UNARY, _ONE_INT,
                  ("scaler", 0, "pipelined")),
-    # |in| // |step| steps, toward zero, with the sign of in / step
-    "quant": Kind(_W("abs({i0}) // abs({k0}) * ({k0} if ({i0} < 0) == "
-                     "({k0} < 0) else -{k0})"), _UNARY, _ONE_INT,
-                  ("quantizer", 1, "pipelined"),
+    # |in| // |step| steps of |step|, toward zero, with the sign of in
+    "quant": Kind("{i0} - {i0} % {k0} if {i0} >= 0 else {i0} + -{i0} % {k0}",
+                  _UNARY, _ONE_INT, ("quantizer", 1, "pipelined"),
                   rules=(_rule(lambda p: p[0] == 0,
-                               "quant step must be non-zero"),)),
+                               "quant step must be non-zero"),),
+                  bound=lambda p: (abs(p[0]),)),
     "if_else": Kind("{i1} if {i0} != 0 else {i2}",
                     (("pred", "a", "b"), ("out",)), _NO_ARGS,
                     ("selector", 0, "pipelined")),
@@ -134,8 +141,8 @@ KINDS = {
         state=lambda p: (0,) * (len(p) - 1)),
     "for_loop": Kind(
         lambda p: ["{o0} = {i0}", "for _ in range({k0}):",
-                   "    {o0} = " + _W(USER_FUNCTIONS[p[1]][2][0]
-                                      .format(x0="{o0}"))],
+                   "    {o0} = " + USER_FUNCTIONS[p[1]][2][0]
+                   .format(x0="{o0}")],
         _UNARY, (_takes(int, str), "expected (count, body-function)"),
         lambda p: ("loop_engine", p[0], "multicycle"),
         rules=(_rule(lambda p: p[0] < 1, "for_loop count must be >= 1"),
@@ -201,11 +208,11 @@ def _expand(kind: str, shape: tuple, *counts: int) -> tuple[str, ...]:
 
 def block_src(kind: str, params: tuple, ins, outs, cells, name) -> list:
     """The lines firing one block: its template with ``name(value)`` for
-    each parameter, in order, and the source texts ``ins``, ``outs`` and
-    ``cells`` filled in.  The template is expanded once per shape
-    (``_expand``), so a call only names the parameters and fills each line
-    with one ``str.format``."""
+    each value its kind binds (``Kind.bound``), in order, and the source
+    texts ``ins``, ``outs`` and ``cells`` filled in.  The template is
+    expanded once per shape (``_expand``), so a call only names the
+    values and fills each line with one ``str.format``."""
     lines = _expand(kind, params[KINDS[kind].shaping], len(params),
                     len(ins), len(outs), len(cells))
-    args = [*map(name, params), *ins, *outs, *cells]
+    args = [*map(name, KINDS[kind].bound(params)), *ins, *outs, *cells]
     return [ln.format(*args) for ln in lines]

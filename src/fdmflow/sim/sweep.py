@@ -230,8 +230,8 @@ def _loop(ops, regs, ins, outs) -> tuple:
     if regs:
         body.append(f"{', '.join(lhs)} = {', '.join(rhs)}")
     xs = [f"x{j}" for j in range(len(ins))]
-    head = (f"for {', '.join(map(v, ins)) or '_'}, in "
-            f"zip({', '.join(xs) or 'range(n)'}):")
+    cols = f"zip({', '.join(xs)})" if len(xs) > 1 else (xs or ["range(n)"])[0]
+    head = f"for {', '.join(map(v, ins)) or '_'} in {cols}:"
     return ks.bind("chunk", init + [head] + ["    " + ln for ln in body] + [
         f"return ({''.join(f'o{j}, ' for j in range(len(outs)))})"],
         args=", ".join(["n"] + xs)), ins, outs

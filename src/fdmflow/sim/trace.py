@@ -5,12 +5,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _check_32(values: dict, where) -> None:
+    """ValueError, led by ``where(row)``, for the first row holding a value
+    outside 32 bits: a stimulus is the one way a value enters a wire."""
+    bad = [(r, p) for p, col in values.items() for r, v in enumerate(col)
+           if not -0x80000000 <= v < 0x80000000]
+    if bad:
+        r, p = min(bad)
+        raise ValueError(f"{where(r)}: cell {values[p][r]} on port {p!r} "
+                         "does not fit in 32 bits")
+
+
 @dataclass
 class Stimulus:
-    """Finite per-input value sequences; short sequences are padded with 0."""
+    """Per-input sequences of 32-bit values; short ones are padded with 0."""
 
     values: dict[str, list[int]]
     length: int
+
+    def __post_init__(self):
+        _check_32(self.values, lambda r: f"row {r}")
 
     def column(self, port: str, n: int) -> list[int]:
         """The first ``n`` values of ``port``, padded with 0."""
@@ -48,6 +62,7 @@ class Stimulus:
                 raise ValueError(f"{path}:{i}: {len(rows[-1])} cells for "
                                  f"{len(ports)} ports")
         values = {p: [row[i] for row in rows] for i, p in enumerate(ports)}
+        _check_32(values, lambda r: f"{path}:{lines[r + 1][0]}")
         return cls(values, len(rows))
 
 

@@ -970,6 +970,9 @@ FAILURES = [pytest.param(*case[1:], id=case[0]) for case in [
      {"a.trace": "# level 0\n0,x,1\n", "b.trace": "# level 0\n0,y,1\n"},
      "compare --a {d}/a.trace --b {d}/b.trace",
      1, "FAIL [exact] port sets differ: ['x'] vs ['y']"),
+    ("stimulus-out-of-range", {"s.csv": "bitstream\n1\n\n2147483648\n"},
+     _SIM + " --stimulus {d}/s.csv", 2, "cannot read stimulus: {d}/s.csv:4: "
+     "cell 2147483648 on port 'bitstream' does not fit in 32 bits"),
 ]]
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -259,6 +260,25 @@ class TestTraceFiles:
         s.save(p)
         s2 = Stimulus.load(p)
         assert s2.values == s.values and s2.length == 3
+
+    def test_stimulus_fits_32_bits(self, tmp_path):
+        """A stimulus holds only 32-bit values, loaded or built; the first
+        row holding another is named, by file line when loaded."""
+        s = Stimulus({"a": [-2**31, 2**31 - 1]}, 2)
+        s.save(tmp_path / "edge.csv")
+        assert Stimulus.load(tmp_path / "edge.csv").values == s.values
+        for values, msg in [
+                ({"a": [0, 2**31]}, "row 1: cell 2147483648 on port 'a'"),
+                ({"a": [0, 0, 2**31], "b": [0, -2**31 - 1]},
+                 "row 1: cell -2147483649 on port 'b'")]:
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                Stimulus(values, 3)
+        p = tmp_path / "s.csv"
+        p.write_text("a,b\n1,2\n\n3,-2147483649\n2147483648,0\n")
+        with pytest.raises(ValueError) as e:
+            Stimulus.load(p)
+        assert str(e.value) == (f"{p}:4: cell -2147483649 on port 'b' does "
+                                "not fit in 32 bits")
 
     def test_trace_round_trip(self, tmp_path):
         from fdmflow.sim.trace import Trace

@@ -78,6 +78,32 @@ model constfed {
 }
 """
 
+# const(2**32 + 5) wraps to 5 and quant(-3) makes it 3, in a task and in a
+# HW_ node
+WRAPQ_FDM = """
+model wrapq {
+  input x; output y;
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block c : const(4294967301); block q : quant(-3); block s : add;
+      link c.out -> q.in; link q.out -> s.in1; link self.a -> s.in2;
+      link s.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  subsystem HW_h {
+    input in; output out;
+    block c : const(4294967301); block q : quant(-3); block s : add;
+    link c.out -> q.in; link q.out -> s.in1; link self.in -> s.in2;
+    link s.out -> self.out;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> HW_h.in;
+  link HW_h.out -> self.y;
+}
+"""
+
 
 class TestChannelRt:
     def _spec(self, depth=1, consumers=("c1",)):
@@ -486,6 +512,20 @@ class TestLevels:
         res = run_flow(parse_model(CONSTFED_FDM), tmp_path, ticks=64)
         assert sorted(res.traces) == [0, 1, 2, 3]
         assert res.ok, [(label, str(v)) for label, v in res.verdicts]
+
+    def test_wrapped_const_into_quant(self):
+        """A const beyond 32 bits is bound wrapped, and a quant of negative
+        step bound as its magnitude, alike at every level."""
+        cd = compile_design(parse_model(WRAPQ_FDM))
+        ticks = 40
+        stim = default_stimulus(cd.model, ticks, seed=4)
+        t0 = _agree_with_level0(cd, stim, ticks,
+                                {"SW_cpu": 3, "HW_h": 1})
+        assert t0.values("y") == [x + 6 for x in stim.values["x"]]
+        for level in (1, 2, 3):
+            tr = simulate(level, cd, stim, ticks)
+            assert {p: tr.values(p) for p in tr.ports} == \
+                {p: t0.values(p) for p in t0.ports}, level
 
     def test_if_else_both_outcomes(self, tmp_path):
         """An if_else in a task and in a HW_ node takes both outcomes at

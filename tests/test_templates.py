@@ -2,6 +2,7 @@
 with an oracle written apart from them, and a parameter value never
 enters a generated text."""
 
+import itertools
 import random
 import re
 
@@ -13,8 +14,8 @@ import fdmflow.sim.sweep as sweep
 from fdmflow.flow import compile_design, default_stimulus, simulate
 from fdmflow.gma.behavior import DELAY_EMIT, DELAY_PUSH, Call, Recv, Send, \
     TaskBehavior
-from fdmflow.model.blocks import KINDS, USER_FUNCTIONS, init_state, \
-    port_names
+from fdmflow.model.blocks import KINDS, USER_FUNCTIONS, _W, block_src, \
+    init_state, port_names
 from fdmflow.model.parser import parse_model
 from fdmflow.sim.interp import FsmRunner, behavior_coroutine
 from fdmflow.swsynth import build_task_fsm, lower_api
@@ -26,6 +27,11 @@ from helpers import REFERENCE_FUNCTIONS, bind_queues, bus_counter, \
 EDGES = [0, 1, -1, 2, -2, 2**31 - 1, -2**31, 2**31, -2**31 - 1, 2**30,
          2**16 + 3, 2**20, 2**20 - 1, -2**20, -2**20 - 1]
 VALUES = st.one_of(st.sampled_from(EDGES), st.integers(-2**31, 2**31 - 1))
+# a wire holds only 32-bit values (a stimulus outside 32 bits is rejected),
+# so input samples are drawn from 32 bits; parameters keep the draws above
+INT32_EDGES = [e for e in EDGES if -2**31 <= e < 2**31]
+SAMPLES = st.one_of(st.sampled_from(INT32_EDGES),
+                    st.integers(-2**31, 2**31 - 1))
 SIZES = st.integers(1, 4)
 UNARY = sorted(f for f, (ins, _, _) in USER_FUNCTIONS.items() if len(ins) == 1)
 PARAMS = {
@@ -43,6 +49,24 @@ PARAMS = {
 }
 # the one use of a brace in a template or a user function's expression
 FIELD = re.compile(r"\{[kiosx]\d+\}")
+# the text of ``W(...)`` before and after the expression it wraps
+WRAP_HEAD, WRAP_TAIL = _W("\0").split("\0")
+# int32 edges for a block of more than two input samples and state cells
+CORNERS = [0, 1, -1, 2**31 - 1, -2**31]
+EDGE_PARAMS = EDGES + [7, -7, 2**40, -2**40]
+# per kind, the parameters it is fired with unwrapped
+WRAP_CASES = {
+    "const": [(k,) for k in EDGE_PARAMS],
+    "add": [()], "sub": [()], "mul": [()], "if_else": [()], "sink": [()],
+    "gain": [(k,) for k in EDGE_PARAMS],
+    "quant": [(k,) for k in EDGE_PARAMS if k],
+    "delay": [(1,), (2,)],
+    "fir": [(k,) for k in CORNERS + [2**40]] +
+           list(itertools.product(CORNERS, repeat=2)),
+    "for_loop": [(n, f) for n in (1, 2) for f in UNARY],
+    "mux": [(1,), (2,), (3,)], "demux": [(1,), (2,), (3,)],
+    "user": [(f,) for f in sorted(USER_FUNCTIONS)],
+}
 
 
 @st.composite
@@ -51,7 +75,7 @@ def firings(draw):
     kind = draw(st.sampled_from(sorted(KINDS)))
     params = draw(PARAMS[kind])
     n_in = len(port_names(kind, params)[0])
-    ticks = draw(st.lists(st.tuples(*[VALUES] * n_in), min_size=1,
+    ticks = draw(st.lists(st.tuples(*[SAMPLES] * n_in), min_size=1,
                           max_size=8))
     return kind, params, ticks
 
@@ -85,6 +109,25 @@ def _streamed(kind, params, ticks):
     sw.stream()
     cols = sw.run([list(col) for col in zip(*ticks)], len(ticks))
     return list(zip(*cols)) or [()] * len(ticks)
+
+
+def _unwrapped(kind, params) -> tuple[str, list]:
+    """The lines firing the block, and every output they compute with each
+    ``W(...)`` taken out, over int32 edges on its inputs and state cells."""
+    ins, outs = port_names(kind, params)
+    n = len(ins)
+    xs = [f"x{j}" for j in range(n + len(init_state(kind, params) or ()))]
+    ys, ks = [f"y{j}" for j in range(len(outs))], sweep.Names()
+    src = "\n".join(block_src(kind, params, xs[:n], ys, xs[n:], ks))
+    code = compile(src.replace(WRAP_HEAD, "(").replace(WRAP_TAIL, ")"),
+                   "<template>", "exec")
+    results = []
+    for vs in itertools.product(INT32_EDGES if len(xs) <= 2 else CORNERS,
+                                repeat=len(xs)):
+        env = {**ks, **dict(zip(xs, vs))}
+        exec(code, env)
+        results += [env[y] for y in ys]
+    return src, results
 
 
 def _behavior(kind, params) -> TaskBehavior:
@@ -167,6 +210,23 @@ class TestTemplates:
             for e in exprs:
                 assert not set(FIELD.sub("", e)) & set("{}"), (name, e)
 
+    def test_wrap_exactly_where_it_can_fire(self):
+        """A template, a user function's included, carries ``W(...)``
+        exactly when its result, unwrapped, can leave 32 bits for some
+        edge parameters and int32 edge inputs: no wrap a result needs is
+        dropped, and no wrap is written that no input can fire."""
+        assert set(WRAP_CASES) == set(KINDS)
+        leaves: dict = {}  # (kind, lines) -> some result leaves 32 bits
+        for kind, cases in WRAP_CASES.items():
+            for params in cases:
+                src, results = _unwrapped(kind, params)
+                leaves[kind, src] = leaves.get((kind, src), False) or any(
+                    not -2**31 <= y < 2**31 for y in results)
+        for (kind, src), leave in leaves.items():
+            assert (WRAP_HEAD in src) == leave, (kind, src)
+        assert {f for f, (_, _, es) in USER_FUNCTIONS.items()
+                if WRAP_HEAD in es[0]} == {"inc", "dbl", "huff", "mix2"}
+
     def test_reference_edges(self):
         """Edges the property draws, spelled out."""
         assert reference_step("gain", (2,), (2**30,), None)[0] == (-2**31,)
@@ -175,20 +235,35 @@ class TestTemplates:
         assert reference_step("mux", (3,), (-1, 10, 20, 30), None)[0] == (30,)
         assert reference_step("demux", (3,), (-2, 7), None)[0] == (0, 7, 0)
         assert reference_step("fir", (4,), (5,), ())[0] == (20,)
-        # the clip rails and the 32-bit wrap of the user functions, checked
-        # against every generator too
-        for kind, params, x, y in [
-                ("user", ("clip",), 2**20, 2**20 - 1),
-                ("user", ("clip",), 2**20 - 1, 2**20 - 1),
-                ("user", ("clip",), -2**20, -2**20),
-                ("user", ("clip",), -2**20 - 1, -2**20),
-                ("user", ("inc",), 2**31 - 1, -2**31),
-                ("user", ("dbl",), 2**30, -2**31),
-                ("user", ("dbl",), -2**31, 0),
-                ("user", ("huff",), 2**28, -2**31 + 2**26 + 0x2B),
-                ("for_loop", (2, "inc"), 2**31 - 1, -2**31 + 1)]:
-            assert reference_step(kind, params, (x,), None)[0] == (y,)
-            _assert_generators(kind, params, [(x,)], [(y,)])
+        # the clip rails, the 32-bit wrap of the user functions, quant's
+        # folded step and const's folded value, checked against every
+        # generator too
+        for kind, params, xs, y in [
+                ("user", ("clip",), (2**20,), 2**20 - 1),
+                ("user", ("clip",), (2**20 - 1,), 2**20 - 1),
+                ("user", ("clip",), (-2**20,), -2**20),
+                ("user", ("clip",), (-2**20 - 1,), -2**20),
+                ("user", ("inc",), (2**31 - 1,), -2**31),
+                ("user", ("dbl",), (2**30,), -2**31),
+                ("user", ("dbl",), (-2**31,), 0),
+                ("user", ("huff",), (2**28,), -2**31 + 2**26 + 0x2B),
+                ("for_loop", (2, "inc"), (2**31 - 1,), -2**31 + 1),
+                ("quant", (1,), (-2**31,), -2**31),
+                ("quant", (-1,), (2**31 - 1,), 2**31 - 1),
+                ("quant", (-1,), (-2**31,), -2**31),
+                ("quant", (7,), (2**31 - 1,), 2**31 - 2),
+                ("quant", (7,), (-20,), -14),
+                ("quant", (-7,), (-2**31,), -2**31 + 2),
+                ("quant", (2**31,), (-2**31,), -2**31),
+                ("quant", (2**31,), (2**31 - 1,), 0),
+                ("quant", (-2**31,), (-2**31,), -2**31),
+                ("quant", (-2**31,), (2**31 - 1,), 0),
+                ("quant", (-2**31 - 1,), (-2**31,), 0),
+                ("const", (2**40,), (), 0),
+                ("const", (2**40 - 1,), (), -1),
+                ("const", (-2**31 - 1,), (), 2**31 - 1)]:
+            assert reference_step(kind, params, xs, None)[0] == (y,)
+            _assert_generators(kind, params, [xs], [(y,)])
 
 
 SHARED_FDM = """
