@@ -7,6 +7,9 @@ slowest reader.  Every push and pop marks awake the micro units on the
 channel's wake list, the units that read or write it (see ``engine``).
 Every unit does this inline when it does not block, and calls a method
 only for a blocked test or a push to several consumers (see ``interp``).
+A push is counted; a pop is not, since every consumer queue receives
+every push, so ``popped`` follows from ``pushed`` and what the queues
+still hold.
 """
 
 from __future__ import annotations
@@ -25,8 +28,12 @@ class ChannelRt:
             (c.unit, c.port): deque() for c in spec.consumers}
         self.fifos = list(self.queues.values())
         self.pushed = 0
-        self.popped = 0
         self.wake: list = []  # micro units that read or write the channel
+
+    @property
+    def popped(self) -> int:
+        """The samples popped, summed over the consumer queues."""
+        return len(self.fifos) * self.pushed - sum(map(len, self.fifos))
 
     def can_push(self) -> bool:
         depth = self.depth

@@ -21,7 +21,11 @@ if its channel has room; each awake task steps its FSM through
 ``FsmRunner.step``, and each sleeping one is charged its idle cost; each
 awake hardware node calls its generated step; while the pipelines drain,
 the nodes are padded; each macro unit resumes its generator; each probe
-pops and records every sample its queue holds.  The sample counts, the
+pops and records the samples its queue holds while it has fewer than
+``ticks``, so a testbench unit with no input, which sends whenever its
+channel has room, cannot make it record more.  At levels 1 and 2 a
+probe appends each record to its port's list, its time the sample
+index; at level 3 it calls ``Trace.record``.  The sample counts, the
 drain flag, events and rounds are locals of the loop, task costs and bus
 transactions go to a clock object (``_Clock``), and all are written back
 to the engine when it stops; the time, a level-3 probe's timestamp and
@@ -65,9 +69,11 @@ polls it makes and what they read depend only on the FSM state, the
 loop counters and the occupancy of the channels it polls, none of which
 can change while it sleeps.  The drain path pads a node whatever
 its wake state, driven by the drain flag and ``consumed`` alone.  Macro
-units have no wake list, since nearly all progress in every round; a
-transfer on a channel that no micro unit watches only tests an empty
-wake list.
+units have no wake list, since nearly all progress in every round.
+Every micro unit is put on its channels' wake lists before any code is
+generated, so a transfer marks awake, one line each, exactly the units
+on its channel's list, and one on a channel that no micro unit watches
+has no wake code.
 """
 
 from __future__ import annotations
@@ -164,20 +170,21 @@ class _Clock:
 
 
 class _MicroTask:
-    """One FSM task on a processor: its runner, its bus-side port bindings
-    and its wake state.
+    """One FSM task on a processor: its bus-side port bindings, its wake
+    state and its runner, which the engine generates once every unit is
+    on its wake lists.
 
     ``ports`` maps each port to (channel, consumer key), the key None for
     an output.  The runner charges its bus transactions to the engine's
     clock.
     """
 
-    def __init__(self, name: str, fsm: TaskFsm, cost: int, engine):
+    def __init__(self, name: str, fsm: TaskFsm, cost: int, cons: dict,
+                 prod: dict):
         self.name = name
+        self.fsm = fsm
         self.cost = cost
-        cons, prod = engine.bind(name, fsm)
         self.ports = {**cons, **{p: (ch, None) for p, ch in prod.items()}}
-        self.runner = FsmRunner(fsm, cons, prod, engine.clock)
         self.awake = True
         _listen(self, [ch for ch, _ in self.ports.values()])
 
@@ -186,7 +193,7 @@ class _MicroTask:
         current state whose bit is clear, key None on the producer side."""
         out = []
         state = self.runner.numbers[self.runner.fn]
-        for t in self.runner.fsm.transitions:
+        for t in self.fsm.transitions:
             if t.state != state:
                 continue
             for g in t.guards:
@@ -206,7 +213,8 @@ class _MicroHwUnit:
     consumer key) and ``prod`` each output on a channel to the channel;
     ``advance``, the cycle model, takes its sweep inputs ``ins`` (0 for
     one on no channel) and returns a tuple, ``prod``'s output i at
-    ``out_index[i]``; ``step`` (``interp.hw_step``) moves samples inline.
+    ``out_index[i]``; ``step`` (``interp.hw_step``), which the engine
+    generates once every unit is on its wake lists, moves samples inline.
     """
 
     def __init__(self, name: str, impl: HwImpl, cons: dict, prod: dict):
@@ -224,7 +232,6 @@ class _MicroHwUnit:
         # one flag per in-flight pipeline slot: True = real input sample,
         # False = reset contents or flush padding
         self.in_flight = deque([False] * self.k)
-        self.step = hw_step(self, cons, prod)
 
     def waits(self) -> list[tuple]:
         """(port, channel, consumer key) of each empty input and full
@@ -285,12 +292,17 @@ class Engine:
             elif info.role == "software":
                 self.schedulers.append([
                     _MicroTask(u, cd.micro_fsms[u], cd.unit_costs.get(u, 1),
-                               self)
+                               *self.bind(u, cd.micro_fsms[u]))
                     for u in info.units])
             else:
                 self.hw_units.append(_MicroHwUnit(
                     info.name, cd.hw_impl[info.name],
                     *self.bind(info.name, cd.behaviors[info.name])))
+        # each transfer generated from here on names every unit it wakes
+        for t in [t for tasks in self.schedulers for t in tasks]:
+            t.runner = FsmRunner(t.fsm, *self.bind(t.name, t.fsm), self.clock)
+        for hw in self.hw_units:
+            hw.step = hw_step(hw, hw.cons, hw.prod)
         for name in macro + cd.tlm.testbench:
             b = cd.behaviors[name]
             self.macro_units.append(behavior_coroutine(b, *self.bind(name, b)))
@@ -323,8 +335,8 @@ class Engine:
         None once every probe holds ``ticks`` samples, "deadlock" or
         "limit", and writes the rounds, events, cycles and bus
         transactions back to the engine."""
-        names = Names(ticks=self.ticks, limit=self.limit,
-                      pad=_pad, record=self.trace.record, clk=self.clock)
+        names = Names(ticks=self.ticks, limit=self.limit, pad=_pad,
+                      clk=self.clock)
         lines = ["before = ev"]
         for j, (p, ch) in enumerate(self.sources):
             names |= _port_names(j, ch) | {
@@ -345,11 +357,16 @@ class Engine:
         recorded = []
         for j, (p, ch, key) in enumerate(self.probes, len(sent)):
             names |= _port_names(j, ch, key)
-            now = _NOW if self.level >= 3 else f"n{j}"
-            lines += [f"while {_ready_src(j, names)}:"] + [
-                "    " + ln for ln in _move_src(j, names, "v")] + [
-                "    ev += 1", f"    record({names(p)}, {now}, v)",
-                f"    n{j} += 1"]
+            if self.level >= 3:
+                names["record"] = self.trace.record
+                record = f"record({names(p)}, {_NOW}, v)"
+            else:  # the times are sample indices, so none is rewritten
+                names[f"r{j}"] = self.trace.ports[p]
+                record = f"r{j}.append((n{j}, v))"
+            # a testbench unit with no input sends while other outputs lag
+            lines += [f"while ({_ready_src(j, names)}) and n{j} < ticks:"] \
+                + ["    " + ln for ln in _move_src(j, names, "v")] + [
+                "    ev += 1", f"    {record}", f"    n{j} += 1"]
             recorded.append(f"n{j}")
         drained = " and ".join(f"{s} >= ticks" for s in sent) or "True"
         lines += ["rn += 1", "if ev == before:",

@@ -7,11 +7,14 @@ round-robin scheduler, and counts every bus transaction of a lowered
 FSM, failed status polls included; a hardware node's
 ``hw_step`` moves one sample per port around its cycle model.  All test
 and move a port alike (``_port_names``, ``_ready_src``, ``_move_src``):
-an input tests ``qN or can_popN(keyN)`` and pops its queue, an output
-to one consumer tests ``len(fN) < dN or can_pushN()`` and appends to
-its queue, and each counts the transfer and wakes the channel's wake
-list; a channel method is called only when a test fails or for a push
-to several consumers.
+an input tests ``qN or can_popN(keyN)`` and pops its queue, and an
+output to one consumer tests ``len(fN) < dN or can_pushN()`` (``not fN
+or can_pushN()`` at depth 1), appends to its queue and counts the push.
+Each then marks awake, one line per unit, the micro units on the
+channel's wake list as it stands when the code is generated, which the
+engine fills before it generates any; a channel that no micro unit
+watches gets no such line.  A channel method is called only when a test
+fails or for a push to several consumers.
 
 Every executor is generated code built by ``sweep.binder``: a closure
 over its port bindings and over the values of the model, each named
@@ -65,37 +68,44 @@ def _call_src(c: Call, var, cells, name) -> list[str]:
 def _port_names(j: int, ch, key=None) -> dict:
     """The names generated code binds for port ``j`` on channel ``ch``: an
     input (given its consumer ``key``) its queue ``qN``; an output, if
-    ``ch`` has one consumer, that queue ``fN`` and the depth ``dN``, else
-    ``pushN``; a port moved inline also its channel ``cN`` and wake list
-    ``wN``."""
+    ``ch`` has one consumer, that queue ``fN``, the channel ``cN`` that
+    counts its pushes and, unless it is 1, the depth ``dN``, else
+    ``pushN``; a port moved inline also each unit on the channel's wake
+    list, ``uN_0``, ``uN_1``, ...  The engine registers every unit before
+    it generates any code, so the list is complete."""
+    wake = {f"u{j}_{i}": u for i, u in enumerate(ch.wake)}
     if key is not None:
         return {f"q{j}": ch.queues[key], f"can_pop{j}": ch.can_pop,
-                f"key{j}": key, f"c{j}": ch, f"w{j}": ch.wake}
-    return {f"can_push{j}": ch.can_push} | ({
-        f"f{j}": ch.fifos[0], f"d{j}": ch.depth, f"c{j}": ch,
-        f"w{j}": ch.wake} if len(ch.fifos) == 1 else {f"push{j}": ch.push})
+                f"key{j}": key} | wake
+    if len(ch.fifos) > 1:
+        return {f"can_push{j}": ch.can_push, f"push{j}": ch.push}
+    return {f"can_push{j}": ch.can_push, f"f{j}": ch.fifos[0],
+            f"c{j}": ch} | ({f"d{j}": ch.depth} if ch.depth != 1 else {}) \
+        | wake
 
 
 def _ready_src(j: int, names: dict) -> str:
     """The test that port ``j`` can move a sample without blocking."""
     if f"q{j}" in names:
         return f"q{j} or can_pop{j}(key{j})"
-    if f"f{j}" in names:
+    if f"d{j}" in names:
         return f"len(f{j}) < d{j} or can_push{j}()"
+    if f"f{j}" in names:
+        return f"not f{j} or can_push{j}()"
     return f"can_push{j}()"
 
 
 def _move_src(j: int, names: dict, v: str) -> list[str]:
     """The lines popping port ``j`` into ``v``, or pushing ``v`` to it,
-    once its ``_ready_src`` test held."""
+    once its ``_ready_src`` test held: the queue operation, a count of a
+    push and one line waking each unit on the wake list."""
     if f"q{j}" in names:
-        op, count = f"{v} = q{j}.popleft()", "popped"
+        op = [f"{v} = q{j}.popleft()"]
     elif f"f{j}" in names:
-        op, count = f"f{j}.append({v})", "pushed"
+        op = [f"f{j}.append({v})", f"c{j}.pushed += 1"]
     else:
         return [f"push{j}({v})"]
-    return [op, f"c{j}.{count} += 1", f"if w{j}:",
-            f"    for u in w{j}: u.awake = True"]
+    return op + [f"{u}.awake = True" for u in names if u.startswith(f"u{j}_")]
 
 
 class _Gen:
@@ -129,6 +139,11 @@ class _BodyGen(_Gen):
     state cells, block parameters and loop counts.  All of them are
     arguments of the generator, so a state cell is a local that starts at
     its initial value.
+
+    A blocked transfer first yields whether the unit moved since resumed,
+    known where it is emitted: whether a transfer ran before it in the
+    body iteration (``moved``) or a loop around it is past its first pass
+    (``counters``); every later try yields False.
     """
 
     def __init__(self, b: TaskBehavior, names: Names):
@@ -138,7 +153,9 @@ class _BodyGen(_Gen):
         self.state = {key: [names(v) for v in init]
                       for key, init in b.states.items()}
         self.loops = 0
-        self.lines = ["while True:", "    moved = False"]
+        self.counters: list[str] = []  # the loops around the statement
+        self.moved = False
+        self.lines = ["while True:"]
         self.ins = {p: j for j, p in enumerate(b.in_ports)}
         self.outs = {p: j for j, p in enumerate(b.out_ports, len(self.ins))}
 
@@ -153,19 +170,30 @@ class _BodyGen(_Gen):
             self.io(self.ins[s.port] if isinstance(s, Recv)
                     else self.outs[s.port], self.var(s.var), ind)
         elif isinstance(s, Loop):
+            counter, moved = f"i{self.loops}", self.moved
             self.lines.append(
-                f"{ind}for i{self.loops} in range({self.names(s.count)}):")
+                f"{ind}for {counter} in range({self.names(s.count)}):")
             self.loops += 1
+            self.counters.append(counter)
             self.body(s.body, ind + "    ")
+            self.counters.pop()
+            # a loop of no iteration moves nothing
+            self.moved = moved or (self.moved and s.count > 0)
         else:
             super().stmt(s, ind)
 
     def io(self, j: int, v: str, ind: str) -> None:
         """Move port ``j`` to or from ``v`` once it is ready; while it is
         not, yield whether the unit moved since resumed."""
-        self.lines += [f"{ind}while not ({_ready_src(j, self.names)}):",
-                       f"{ind}    yield moved", f"{ind}    moved = False"] + \
-            [ind + ln for ln in [*_move_src(j, self.names, v), "moved = True"]]
+        ready = _ready_src(j, self.names)
+        first = "True" if self.moved else \
+            " or ".join(f"{i} > 0" for i in self.counters)
+        wait = [f"while not ({ready}):", "    yield False"]
+        if first:
+            wait = [f"if not ({ready}):", f"    yield {first}"] + \
+                ["    " + ln for ln in wait]
+        self.lines += [ind + ln for ln in wait + _move_src(j, self.names, v)]
+        self.moved = True
 
 
 def behavior_coroutine(b: TaskBehavior, cons: dict, prod: dict):

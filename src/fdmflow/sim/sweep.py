@@ -45,7 +45,7 @@ CHUNK = 48  # ops, or register shifts, per generated function
 
 
 # every text of one simulation of the generated 800-task, 800-node design
-# (236 over its four levels) stays compiled
+# (222 over its four levels) stays compiled
 @lru_cache(maxsize=256)
 def _code(src: str):
     return compile(src, "<fdmflow generated>", "exec")

@@ -23,8 +23,8 @@ FDM_NAMES = ["ACCLOOP_FDM", "ELEMENTS_FDM", "FANOUT_FDM", "FEEDBACK_FDM",
 # SHA-256 over every text that sweep.binder compiles while levels 0-3 are
 # built for each design of _designs(), in order; level 0 builds only its
 # stream chunks
-TEXT_DIGEST = ("9c7ef531d4351301f667cae44e3c853c4de54e89eb3ac2547c1eda31"
-               "4388ac46")
+TEXT_DIGEST = ("7b9ec2870dc69ed9f13f26df1e3fad1417994f8c2f8e792a7106ecd9"
+               "1f6772e1")
 
 
 def _designs():

@@ -105,6 +105,36 @@ model wrapq {
 """
 
 
+# a testbench const drives output z beside a task on y, so its unit sends
+# while y lags; in the second, y also passes a HW_ node and z a quant
+TBCONST_FDM = """
+model tbconst {
+  input x; output y; output z;
+  block c : const(5);
+  subsystem SW_cpu {
+    input a; output out;
+    subsystem TASK_t {
+      input a; output out;
+      block g : gain(2);
+      link self.a -> g.in; link g.out -> self.out;
+    }
+    link self.a -> TASK_t.a; link TASK_t.out -> self.out;
+  }
+  link self.x -> SW_cpu.a; link SW_cpu.out -> self.y; link c.out -> self.z;
+}
+"""
+TBCONST_HW_FDM = TBCONST_FDM.replace(
+    "block c : const(5);", "block c : const(5); block q : quant(3);").replace(
+    "link SW_cpu.out -> self.y; link c.out -> self.z;", """\
+  subsystem HW_h {
+    input in; output out;
+    block q : quant(3);
+    link self.in -> q.in; link q.out -> self.out;
+  }
+  link SW_cpu.out -> HW_h.in; link HW_h.out -> self.y;
+  link c.out -> q.in; link q.out -> self.z;""")
+
+
 class TestChannelRt:
     def _spec(self, depth=1, consumers=("c1",)):
         return ChannelSpec("ch", "multipoint", [PortRef("p", "out")],
@@ -186,6 +216,46 @@ class TestInterpreters:
             sum(ch.pushed for ch in prod.values())
         micro = fsm.api_level == "micro"
         return sent(prod), bus.bus_transactions - micro * moved
+
+    # a loop that receives before any other transfer of the body
+    LOOPED = TaskBehavior("t", "merged", ("b",), ("o",), [
+        Loop(2, [Recv("b", "y"), Call("add", "add", (), ("y", "y"), ("y",)),
+                 Send("o", "y")], "L0")], {})
+
+    @staticmethod
+    def _blocked_yields(b, inputs: dict, steps=40):
+        """The ``next`` results of behavior ``b`` over depth-1 channels, as
+        "T"/"F", and what it sent: before each step the test feeds its
+        inputs every 3 and 2 steps and drains its outputs every 4 and 5,
+        so its transfers block, a repeated one inside a loop too."""
+        ins = {p: helpers.channel(p, "t", depth=1) for p in b.in_ports}
+        outs = {p: helpers.channel(p, "r", depth=1) for p in b.out_ports}
+        gen = behavior_coroutine(
+            b, {p: (ch, ("t", p)) for p, ch in ins.items()}, outs)
+        left = {p: list(v) for p, v in inputs.items()}
+        got: dict = {p: [] for p in outs}
+        res = []
+        for k in range(steps):
+            for p, every in zip(b.in_ports, (3, 2)):
+                if k % every == 0 and left[p] and ins[p].can_push():
+                    ins[p].push(left[p].pop(0))
+            for p, every in zip(b.out_ports, (4, 5)):
+                q = outs[p].queues[("r", p)]
+                if k % every == 1 and q:
+                    got[p].append(q.popleft())
+            res.append(next(gen))
+        assert all(isinstance(r, bool) for r in res)
+        return "".join("TF"[not r] for r in res), got
+
+    def test_blocked_yields(self):
+        """Whether a blocked behavior reports that it moved since resumed,
+        pinned: a transfer after another of the same body iteration, and
+        a receive in a loop past its first iteration, report a move."""
+        assert self._blocked_yields(self.SHAPES, self.INPUTS) == (
+            "TFTFTTTFTFTTTFTFTTTFTFTTTFTFTFFFFFFFFFFF", self.EXPECTED)
+        assert self._blocked_yields(self.LOOPED, {"b": [1, 2, 3, 4, 5, 6]}) \
+            == ("TFFTFFTFFTFFTTFTFTFFFFFFFFFFFFFFFFFFFFFF",
+                {"o": [2, 4, 6, 8, 10, 12]})
 
     def test_three_interpreters_agree(self):
         assert self._coroutine_outputs() == self.EXPECTED
@@ -501,6 +571,29 @@ class TestLevels:
         assert self._counts(cd, dict.fromkeys(cd.tlm.nodes, 3), stim,
                             ticks) == (108, 503, 1032, 416)
 
+    # (pushed, popped) of each channel after 50 ticks, in channel order: a
+    # sample left in a queue (the const of CONSTFED_FDM blocks on its
+    # 51st send) is pushed but not popped, and a push to two readers is
+    # popped twice
+    CHANNEL_COUNTS = {
+        "mini_codec": [(50, 50)] * 8,
+        "fanout": [(50, 50), (50, 100), (50, 50), (50, 100), (50, 50)],
+        "constfed": [(50, 50), (50, 50), (51, 50)],
+    }
+
+    def test_pinned_channel_counts(self):
+        models = {"mini_codec": mini_model(),
+                  "fanout": parse_model(FANOUT_FDM),
+                  "constfed": parse_model(CONSTFED_FDM)}
+        for name, want in self.CHANNEL_COUNTS.items():
+            cd = compile_design(models[name])
+            stim = default_stimulus(cd.model, 50, seed=9)
+            for level in (1, 3):
+                e = Engine(cd, dict.fromkeys(cd.tlm.nodes, level), stim, 50)
+                e.run()
+                assert [(ch.pushed, ch.popped) for ch in e.channels] == \
+                    want, (name, level)
+
     @pytest.mark.parametrize("kind", ["partitioned", "loopy"])
     def test_pinned_random_level3_counts(self, kind):
         rows = self._random_rows(kind, 3)
@@ -526,6 +619,24 @@ class TestLevels:
             tr = simulate(level, cd, stim, ticks)
             assert {p: tr.values(p) for p in tr.ports} == \
                 {p: t0.values(p) for p in t0.ports}, level
+
+    @pytest.mark.parametrize("ticks", [10, 40])
+    @pytest.mark.parametrize("text, mixed, z", [
+        (TBCONST_FDM, {"SW_cpu": 3}, 5),
+        (TBCONST_HW_FDM, {"SW_cpu": 3, "HW_h": 2}, 3)], ids=["task", "hw"])
+    def test_input_free_testbench_unit(self, text, mixed, z, ticks):
+        """Each probe records exactly ``ticks`` samples, the values of level
+        0, at levels 1 to 3 and in a mixed run, though the testbench unit
+        of z sends whenever z's channel has room."""
+        cd = compile_design(parse_model(text))
+        stim = default_stimulus(cd.model, ticks, seed=2)
+        t0 = simulate(0, cd, stim, ticks)
+        assert t0.values("z") == [z] * ticks
+        runs = [simulate(lv, cd, stim, ticks) for lv in (1, 2, 3)]
+        runs.append(Engine(cd, mixed, stim, ticks).run())
+        for tr in runs:
+            v = compare_traces(t0, tr, mode="values_only")
+            assert v.passed, f"level {tr.level} {mixed}: {v}"
 
     def test_if_else_both_outcomes(self, tmp_path):
         """An if_else in a task and in a HW_ node takes both outcomes at
