@@ -18,8 +18,9 @@ latency k; otherwise the graph a multicycle FSM controller sequences,
 with its initiation interval.  Both run as the flat graph's block sweep,
 built by ``sim.sweep.plan`` as level 0's is: the controller at zero
 latency, the cycle model with every IP's output pipeline and every
-balancing register added as sweep registers; each steps by the sweep's
-positional ``tick`` (``RtlCycleSim.step``, ``ControllerSim.fire``).
+balancing register added as sweep registers.  Each steps by the sweep's
+per-sample ``step`` (``RtlCycleSim.step``, ``ControllerSim.fire``), which
+runs the chunks of level 0's loop, each body once per sample.
 """
 
 from __future__ import annotations
@@ -188,10 +189,10 @@ class RtlCycleSim:
         g = impl.graph
         self.sweep = plan(g.flat, g.order,
                           {p: ip.latency for p, ip in g.ips.items()}, g.regs)
-        self.sweep.build()
+        self.sweep.stream(sample=True)
 
     def step(self, *xs: int) -> tuple:
-        return self.sweep.tick(*xs)
+        return self.sweep.step(*xs)
 
 
 class ControllerSim:
@@ -199,10 +200,10 @@ class ControllerSim:
 
     def __init__(self, impl: HwImpl):
         self.sweep = plan(impl.graph.flat, impl.graph.order)
-        self.sweep.build()
+        self.sweep.stream(sample=True)
 
     def fire(self, *xs: int) -> tuple:
-        return self.sweep.tick(*xs)
+        return self.sweep.step(*xs)
 
 
 # ---------------------------------------------------------------------------

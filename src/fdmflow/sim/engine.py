@@ -211,7 +211,7 @@ class _MicroHwUnit:
     A controller is a node with k=0: its outputs belong to the sample it
     just consumed.  ``cons`` maps each input on a channel to (channel,
     consumer key) and ``prod`` each output on a channel to the channel;
-    ``advance``, the cycle model, takes its sweep inputs ``ins`` (0 for
+    ``advance``, the sweep's ``step``, takes its inputs ``ins`` (0 for
     one on no channel) and returns a tuple, ``prod``'s output i at
     ``out_index[i]``; ``step`` (``interp.hw_step``), which the engine
     generates once every unit is on its wake lists, moves samples inline.

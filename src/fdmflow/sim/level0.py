@@ -30,10 +30,12 @@ class Level0Sim:
 
     def tick(self, *xs: int) -> tuple:
         """Advance one tick on ``sweep.inputs``; returns ``sweep.outputs``.
-        The first call builds the per-sample sweep, which ``run`` skips."""
-        if not hasattr(self.sweep, "tick"):
-            self.sweep.build()
-        return self.sweep.tick(*xs)
+        The first call generates the sweep's per-sample ``step``, which
+        ``run`` skips; the ``chunks`` that ``run`` streams stay as they
+        are."""
+        if not hasattr(self.sweep, "step"):
+            self.sweep.stream(sample=True)
+        return self.sweep.step(*xs)
 
     def run(self, stim: Stimulus, ticks: int) -> Trace:
         sw = self.sweep

@@ -19,19 +19,21 @@ name ``kN`` from ``Names``, so a text holds only integers, quoted port
 names and names the generator makes up, and texts that differ only in
 values are one.  Equal texts are compiled once.
 
-A plan has two drivers; both splice each op's block template
-(``model.blocks.block_src``, which expands a template once per shape and
-then only fills it in) inline.  ``build`` writes ``tick(x0, x1, ...)``,
-which the hardware models call once per sample: it takes one value per
-entry of ``inputs`` (the graph inputs a block reads), returns the
-``outputs`` slots as a tuple and keeps every slot, block state cell and
-register stage in one list ``vals``.  ``stream`` writes the chunks of
-``run``, which level 0 calls once per run on whole input columns: each
-chunk is one loop over all the ticks whose slots, state cells and
-register stages are locals.  The code goes into functions of about
-``CHUNK`` ops each, compiled on their own: CPython needs several KiB of
-temporary memory per line to compile a function, so one source for a
-plan of hundreds of ops would raise the peak memory of a run for nothing.
+One emitter, ``_loop``, writes a plan's code, splicing each op's block
+template (``model.blocks.block_src``, which expands a template once per
+shape and then only fills it in) inline.  ``stream`` cuts the plan into
+chunks of about ``CHUNK`` ops, compiled on their own: CPython needs
+several KiB of temporary memory per line to compile a function, so one
+source for a plan of hundreds of ops would raise the peak memory of a run
+for nothing.  Each chunk has two modes.  Level 0 knows its whole
+stimulus, so ``run`` calls each chunk once per run on whole input
+columns: one loop over all the ticks whose slots, state cells and
+register stages are locals.  The hardware models call ``step`` once per
+sample: it takes one value per entry of ``inputs`` (the graph inputs a
+block reads), calls each chunk once, in order, and returns the
+``outputs`` values as a tuple; the chunk's body is the loop's, its
+inputs are arguments and its state cells and register stages are cells
+of its closure.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from functools import lru_cache
 from ..model.blocks import block_src, init_state, port_names
 from ..model.graph import FlatGraph
 
-CHUNK = 48  # ops, or register shifts, per generated function
+CHUNK = 48  # ops per generated chunk, or more
 
 
 # every text of one simulation of the generated 800-task, 800-node design
-# (222 over its four levels) stays compiled
+# (217 over its four levels) stays compiled
 @lru_cache(maxsize=256)
 def _code(src: str):
     return compile(src, "<fdmflow generated>", "exec")
@@ -87,9 +89,10 @@ class Names(dict):
             self.strings[value] = name
         return name
 
-    def bind(self, fn: str, lines: list[str], args=""):
-        """``fn(args)`` running ``lines``, bound to these values."""
-        return binder(fn, self, lines, args=args)(*self.values())
+    def bind(self, fn: str, lines: list[str], args="", cells=()):
+        """``fn(args)`` running ``lines``, bound to these values, with
+        ``binder``'s ``cells``."""
+        return binder(fn, self, lines, cells, args)(*self.values())
 
 
 class Sweep:
@@ -97,8 +100,8 @@ class Sweep:
         self.slots: dict = {}  # slot key -> slot number
         self.ops: list[tuple] = []  # (kind, params, in slots, out slots)
         self.regs: list[tuple] = []  # (d slot, q slot, depth)
-        self.inputs: dict[str, int] = {}  # port -> slot, tick's arguments
-        self.outputs: dict[str, int] = {}  # port -> slot, tick's results
+        self.inputs: dict[str, int] = {}  # port -> slot, step's arguments
+        self.outputs: dict[str, int] = {}  # port -> slot, step's results
 
     def slot(self, key) -> int:
         return self.slots.setdefault(key, len(self.slots) + 1)
@@ -109,61 +112,15 @@ class Sweep:
     def reg(self, d: int, q: int, depth: int) -> None:
         self.regs.append((d, q, depth))
 
-    def build(self) -> None:
-        """Generate ``tick`` with every slot, block state and register zero."""
-        vals = [0] * (len(self.slots) + 1)
-
-        def cell(init) -> int:
-            vals.append(init)
-            return len(vals) - 1
-
-        def ref(s: int) -> str:
-            return f"vals[{s}]" if s else "0"
-
-        names = Names(vals=vals)  # tick's: vals and a function per chunk
-
-        def chunk(fn: str, i: int, lines: list[str], ks: Names) -> str:
-            names[f"{fn}{i // CHUNK}"] = ks.bind(fn, lines, args="vals")
-            return f"{fn}{i // CHUNK}(vals)"
-
-        op_calls = []
-        for i in range(0, len(self.ops), CHUNK):
-            ks, lines = Names(), []  # the chunk's block parameters, its lines
-            for kind, params, ins, outs in self.ops[i:i + CHUNK]:
-                cells = [cell(v) for v in init_state(kind, params) or ()]
-                lines += block_src(kind, params, [ref(s) for s in ins],
-                                   [f"vals[{s}]" for s in outs],
-                                   [f"vals[{c}]" for c in cells], ks)
-            op_calls.append(chunk("ops", i, lines, ks))
-
-        # a register whose d is some register's head reads a snapshot, so
-        # the order of the shifts cannot matter
-        heads = {q for _, q, _ in self.regs}
-        snaps, shifts = [], []
-        for d, q, depth in self.regs:
-            stages = [q] + [cell(0) for _ in range(depth - 1)]
-            if d in heads:
-                t = cell(0)
-                snaps.append(f"vals[{t}] = vals[{d}]")
-                d = t
-            shifts += [f"vals[{a}] = vals[{b}]"
-                       for a, b in zip(stages, stages[1:])]
-            shifts.append(f"vals[{stages[-1]}] = {ref(d)}")
-        moves = snaps + shifts
-        reg_calls = [chunk("regs", i, moves[i:i + CHUNK], Names())
-                     for i in range(0, len(moves), CHUNK)]
-
-        outs = "".join(f"{ref(s)}, " for s in self.outputs.values())
-        self.tick = names.bind("tick", [
-            f"vals[{s}] = x{i}" for i, s in enumerate(self.inputs.values())] +
-            op_calls + [f"out = ({outs})"] + reg_calls + ["return out"],
-            args=", ".join(f"x{i}" for i in range(len(self.inputs))))
-
-    def stream(self) -> None:
+    def stream(self, sample: bool = False) -> None:
         """Generate ``chunks`` of ``CHUNK`` ops or more (``_loop``); one ends
         only where no register its ops read waits for a later op down its
         chain, and a register lives in the chunk that makes its chain's
-        input, else in the first chunk that reads the chain."""
+        input, else in the first chunk that reads the chain.  So data
+        flows only forward between chunks, and calling each once, in
+        order, is one tick: with ``sample``, generate instead ``step``,
+        which does so on one value per entry of ``inputs`` and returns
+        the ``outputs`` values."""
         made = {s: i for i, op in enumerate(self.ops) for s in op[3]}
         d_of, roots = {q: d for d, q, _ in self.regs}, {}
         for q in d_of:  # the slot its chain starts from; None on a cycle
@@ -191,8 +148,16 @@ class Sweep:
             parts.append((ops, regs, sorted(({s for op in ops for s in op[2]}
                           | {d for d, _, _ in regs}) - mine - {0}), mine))
         wanted = set(self.outputs.values()).union(*[p[2] for p in parts])
-        self.chunks = [_loop(ops, regs, ins, sorted(mine & wanted))
-                       for ops, regs, ins, mine in parts if mine]
+        chunks = [_loop(ops, regs, ins, sorted(mine & wanted), sample)
+                  for ops, regs, ins, mine in parts if mine]
+        if not sample:
+            self.chunks = chunks
+            return
+        ks = Names()
+        self.step = ks.bind("step", [
+            f"({_vs(outs)}) = {ks(fn)}({_vs(ins)})" for fn, ins, outs in
+            chunks] + [f"return ({_vs(self.outputs.values())})"],
+            args=_vs(self.inputs.values()))
 
     def run(self, cols: list, n: int) -> list:
         """The column of each of ``outputs`` over ``n`` ticks from zero,
@@ -203,45 +168,57 @@ class Sweep:
         return [have[s] for s in self.outputs.values()]
 
 
-def _loop(ops, regs, ins, outs) -> tuple:
+def _vs(slots) -> str:
+    """``v<slot>, `` per slot: the items of a tuple or a call's arguments."""
+    return "".join(f"v{s}, " for s in slots)
+
+
+def _loop(ops, regs, ins, outs, sample=False) -> tuple:
     """(``chunk(n, *columns of ins)``, ``ins``, ``outs``): one loop firing
-    ``ops`` and shifting ``regs`` per tick, returning the ``outs`` columns."""
-    ks, init, body, lhs, rhs = Names(), [], [], [], []
+    ``ops`` and shifting ``regs`` per tick, returning the ``outs`` columns;
+    with ``sample``, ``chunk(*ins)`` fires and shifts once and returns the
+    ``outs`` values, its block state cells and register stages cells of
+    its closure, which start at 0 as every block state does."""
+    ks, cells, body, lhs, rhs = Names(), [], [], [], []
 
     def v(s: int) -> str:
         return f"v{s}" if s else "0"
 
-    def cell(value=0) -> str:
-        init.append(f"c{len(init)} = {value}")
-        return f"c{len(init) - 1}"
+    def cell() -> str:
+        cells.append(f"c{len(cells)}")
+        return cells[-1]
 
     for kind, params, i, o in ops:
-        cells = [cell(x) for x in init_state(kind, params) or ()]
-        body += block_src(kind, params, [*map(v, i)], [*map(v, o)], cells, ks)
-    for j, s in enumerate(outs):
-        init += [f"o{j} = []", f"a{j} = o{j}.append"]
-        body.append(f"a{j}({v(s)})")
+        state = [cell() for _ in init_state(kind, params) or ()]
+        body += block_src(kind, params, [*map(v, i)], [*map(v, o)], state, ks)
+    body += [f"out = ({_vs(outs)})"] if sample else [
+        f"a{j}(v{s})" for j, s in enumerate(outs)]
     # every register stage moves in one assignment, so a register reading
     # another's head reads it as it was before this tick's shift
     for d, q, depth in regs:
-        init.append(f"{v(q)} = 0")
+        cells.append(v(q))
         lhs += [v(q)] + [cell() for _ in range(depth - 1)]
         rhs += lhs[len(lhs) - depth + 1:] + [v(d)]
     if regs:
         body.append(f"{', '.join(lhs)} = {', '.join(rhs)}")
+    if sample:
+        return ks.bind("chunk", body + ["return out"], _vs(ins), cells), \
+            ins, outs
     xs = [f"x{j}" for j in range(len(ins))]
     cols = f"zip({', '.join(xs)})" if len(xs) > 1 else (xs or ["range(n)"])[0]
     head = f"for {', '.join(map(v, ins)) or '_'} in {cols}:"
-    return ks.bind("chunk", init + [head] + ["    " + ln for ln in body] + [
+    return ks.bind("chunk", [f"{c} = 0" for c in cells] + [
+        f"o{j} = []; a{j} = o{j}.append" for j in range(len(outs))] + [head] +
+        ["    " + ln for ln in body] + [
         f"return ({''.join(f'o{j}, ' for j in range(len(outs)))})"],
         args=", ".join(["n"] + xs)), ins, outs
 
 
 def plan(flat: FlatGraph, order: list[str], pipes=None, regs=None) -> Sweep:
-    """The sweep of ``flat`` firing its blocks in ``order``, to be built
-    (``build``) or streamed (``stream``) before it runs; slots are keyed
-    by driving pin, (port,) for a graph input and (path, port) for a block
-    output; ``outputs`` follows ``flat.top_outputs``.
+    """The sweep of ``flat`` firing its blocks in ``order``, to be
+    generated per run or per sample (``stream``) before it runs; slots are
+    keyed by driving pin, (port,) for a graph input and (path, port) for a
+    block output; ``outputs`` follows ``flat.top_outputs``.
 
     ``pipes`` maps a block path to the stages of the pipeline behind each
     of its outputs, and ``regs`` a wire, keyed like ``flat.drivers`` with

@@ -14,6 +14,7 @@ from fdmflow.gma.tree import Module, Port
 from fdmflow.hwsynth import HwImpl, RtlGraph, map_rtl_library
 from fdmflow.model.graph import Block, Endpoint, Link, ModelGraph, \
     Subsystem, flatten
+from fdmflow.sim import sweep
 from fdmflow.sim.channels import ChannelRt
 from fdmflow.sim.interp import FsmRunner, SimError
 from fdmflow.sim.level0 import Level0Sim
@@ -752,6 +753,18 @@ def map_node(sub: Subsystem, costs: dict | None = None) -> RtlGraph:
 def total_registers(impl: HwImpl) -> int:
     """Balancing registers of a pipelined node."""
     return sum(impl.graph.regs.values())
+
+
+def counted_chunks(monkeypatch) -> list:
+    """A list that gets the ops of each chunk a sweep generates."""
+    made, loop = [], sweep._loop
+
+    def counted(ops, *args):
+        made.append(ops)
+        return loop(ops, *args)
+
+    monkeypatch.setattr(sweep, "_loop", counted)
+    return made
 
 
 def hw_stream(step, stim: Stimulus, n: int) -> Trace:

@@ -4,11 +4,14 @@ and then filled positionally, with every generated text unchanged."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib.resources as ir
+import pathlib
 import random
 import sys
 
+import fdmflow
 import helpers
 from fdmflow.flow import compile_design, default_stimulus, simulate, \
     simulator
@@ -23,8 +26,8 @@ FDM_NAMES = ["ACCLOOP_FDM", "ELEMENTS_FDM", "FANOUT_FDM", "FEEDBACK_FDM",
 # SHA-256 over every text that sweep.binder compiles while levels 0-3 are
 # built for each design of _designs(), in order; level 0 builds only its
 # stream chunks
-TEXT_DIGEST = ("7b9ec2870dc69ed9f13f26df1e3fad1417994f8c2f8e792a7106ecd9"
-               "1f6772e1")
+TEXT_DIGEST = ("835adfc070ff74e4394bc0285642c44bfb82fba33dd98f77881a7be0"
+               "6fc558e2")
 
 
 def _designs():
@@ -105,3 +108,17 @@ def test_one_flatten_per_model(monkeypatch):
         tr = simulate(0, compile_design(g), stim, 32)
         assert sum(m is g for m in calls) == 1, g.name
         assert tr == helpers.level0(g).run(stim, 32), g.name
+
+
+def test_one_exec_one_compile():
+    """``src/fdmflow`` calls the built-in ``exec`` and ``compile`` once
+    each, both in ``sim/sweep.py``: every generated text is built by
+    ``sweep.binder``.  ``re.compile`` is an attribute call, not counted."""
+    root = pathlib.Path(fdmflow.__file__).parent
+    calls = sorted(
+        (node.func.id, path.relative_to(root).as_posix())
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "compile"))
+    assert calls == [("compile", "sim/sweep.py"), ("exec", "sim/sweep.py")]

@@ -18,7 +18,7 @@ from fdmflow.sim.trace import Stimulus
 
 from helpers import ACCLOOP_FDM, ELEMENTS_FDM, FANOUT_FDM, FEEDBACK_FDM, \
     LOOSE_FDM, MIX2_FDM, NESTED_HW_FDM, OUTLINK_FDM, PIPEDELAY_FDM, \
-    add_loose_ports, as_model, hw_stream, level0, map_node, \
+    add_loose_ports, as_model, counted_chunks, hw_stream, level0, map_node, \
     rand_hw_subsystem, rand_loopy_model, rand_partitioned_model, \
     rand_pipeline_node, total_registers
 
@@ -37,6 +37,10 @@ def _chain(name, specs):
         cur = (bid, "out")
     sub.links.append(_link(cur[0], cur[1], "self", "out"))
     return sub
+
+
+# nodes of 147-160 blocks, each stepped as more than one chunk
+LARGE_SEEDS = (5, 6, 10)
 
 
 # kind, params, cost override -> its ports, zero state and RTL IP
@@ -230,30 +234,43 @@ class TestController:
         sub = _chain("HW_s", [("a", "gain", (1,))])
         assert fsm_controller(map_node(sub, {"a": 0})).latency == 1
 
-    def test_stream_matches_functional_per_ii(self):
-        for seed in range(20):
-            rng = random.Random(200 + seed)
-            sub = rand_hw_subsystem(rng, "c", force_controller=True)
+    def test_stream_matches_functional_per_ii(self, monkeypatch):
+        chunks = counted_chunks(monkeypatch)
+        for seed, large in [(200 + s, False) for s in range(20)] + [
+                (s, True) for s in LARGE_SEEDS]:
+            rng = random.Random(seed)
+            sub = rand_pipeline_node(rng, max_blocks=200)[0] if large else \
+                rand_hw_subsystem(rng, "c", force_controller=True)
             ctrl = fsm_controller(map_node(sub))
             xs = [rng.randint(-100, 100) for _ in range(20)]
             stim = Stimulus({"in": xs}, 20)
-            got = hw_stream(ControllerSim(ctrl).fire, stim, 20)
+            chunks.clear()
+            sim = ControllerSim(ctrl)
+            if large:
+                assert len(sub.blocks) > 140 and len(chunks) > 1, seed
+            got = hw_stream(sim.fire, stim, 20)
             ref = level0(as_model(sub)).run(stim, 20)
             assert got.values("out") == ref.values("out"), f"seed {seed}"
 
 
 class TestCycleAccuracy:
-    def test_shifted_by_k(self):
+    def test_shifted_by_k(self, monkeypatch):
         # raw cycle stream equals the functional stream delayed by k
-        for seed in range(40):
+        chunks = counted_chunks(monkeypatch)
+        for seed, size in [(s, 10) for s in range(40)] + [
+                (s, 200) for s in LARGE_SEEDS]:
             rng = random.Random(seed)
-            sub, costs = rand_pipeline_node(rng)
+            sub, costs = rand_pipeline_node(rng, max_blocks=size)
             impl = delay_correct(map_node(sub, costs))
             k = impl.latency
             n = 30
             xs = [rng.randint(-100, 100) for _ in range(n)]
             stim = Stimulus({"in": xs}, n)
-            cyc = hw_stream(RtlCycleSim(impl).step, stim, n + k)
+            chunks.clear()
+            sim = RtlCycleSim(impl)
+            if size == 200:  # IP pipes and balancing registers over chunks
+                assert len(sub.blocks) > 140 and len(chunks) > 1, seed
+            cyc = hw_stream(sim.step, stim, n + k)
             ref = level0(as_model(sub)).run(stim, n)
             assert cyc.values("out")[k:] == ref.values("out"), f"seed {seed}"
 

@@ -1187,12 +1187,13 @@ def _stream_designs():
         yield g.name, g
 
 
-def _stepped(flat, name, stim, ticks) -> dict:
-    """The output records of stepping the per-sample ``Sweep.tick``."""
-    sw = Level0Sim(flat, name).sweep
-    sw.build()
+def _stepped(sim: Level0Sim, stim, ticks) -> dict:
+    """The output records of stepping ``sim`` from zero with ``tick``,
+    which generates a fresh per-sample ``Sweep.step`` on its first call."""
+    sw = sim.sweep
+    vars(sw).pop("step", None)  # every state starts at 0 again
     cols = [stim.column(p, ticks) for p in sw.inputs]
-    rows = [sw.tick(*xs) for xs in (zip(*cols) if cols else [()] * ticks)]
+    rows = [sim.tick(*xs) for xs in (zip(*cols) if cols else [()] * ticks)]
     return {p: list(enumerate(col)) for p, col in zip(sw.outputs, zip(*rows))}
 
 
@@ -1201,25 +1202,20 @@ class TestStream:
     stimulus, and gives what stepping the sweep tick by tick gives."""
 
     def test_stream_equals_ticks(self, monkeypatch):
-        sizes, seen = [], {}
-        loop = sweep._loop
-
-        def counted(ops, *args):
-            sizes.append(len(ops))
-            return loop(ops, *args)
-
-        monkeypatch.setattr(sweep, "_loop", counted)
+        chunks, seen = helpers.counted_chunks(monkeypatch), {}
         for name, g in _stream_designs():
             report = validate_model(g)
             if not report.ok:
                 continue  # a combinational cycle: level 0 never runs it
-            sizes.clear()
+            chunks.clear()
             sim = Level0Sim(report.flat, g.name)
-            seen[name] = list(sizes)
+            seen[name] = [len(ops) for ops in chunks]
             for ticks in (1, 7, 300):
                 stim = default_stimulus(g, ticks, seed=ticks)
-                assert sim.run(stim, ticks).ports == _stepped(
-                    report.flat, g.name, stim, ticks), (name, ticks)
+                ran = sim.run(stim, ticks).ports
+                assert ran == _stepped(sim, stim, ticks), (name, ticks)
+                # stepping leaves the chunks that run streams as they were
+                assert sim.run(stim, ticks).ports == ran, (name, ticks)
         assert len(seen) == 87
         wide = seen["gen_wide 200"]
         assert len(wide) > 20 and min(wide) >= sweep.CHUNK

@@ -98,9 +98,11 @@ def _one_op(kind, params) -> sweep.Sweep:
 
 
 def _swept(kind, params, ticks):
+    """The block through the sweep's per-sample ``step``, its state cells
+    closure cells."""
     sw = _one_op(kind, params)
-    sw.build()
-    return [sw.tick(*xs) for xs in ticks]
+    sw.stream(sample=True)
+    return [sw.step(*xs) for xs in ticks]
 
 
 def _streamed(kind, params, ticks):
